@@ -631,6 +631,47 @@ void BM_FlushPipelineFase(benchmark::State& state) {
 }
 BENCHMARK(BM_FlushPipelineFase)->Arg(0)->Arg(1);
 
+void BM_AsyncCommitHandoff(benchmark::State& state) {
+  // The kv-batched-async commit shape: FASEs of 16 pstores over 8 lines,
+  // batched undo log, SC-offline holding all 8, so every write-back is a
+  // commit-time line. The count-only backend makes write-backs free: what
+  // async mode measures against sync is the ring handoff to the live shared
+  // pool alone — pushes, the hazard checks of the next FASE's pstores, and
+  // the drain racing a spinning worker.
+  const bool async = state.range(0) == 1;
+  runtime::RuntimeConfig config;
+  config.region_name = unique_region();
+  config.region_size = 4u << 20;
+  config.policy = core::PolicyKind::kSoftCacheOffline;
+  config.policy_config.cache_size = 23;
+  config.flush = pmem::FlushKind::kCountOnly;
+  config.async_flush = async;
+  config.undo_logging = true;
+  config.log_sync = runtime::LogSyncMode::kBatched;
+  runtime::Runtime rt(config);
+  constexpr int kLines = 8;
+  constexpr int kStoresPerFase = 16;
+  auto* arr = static_cast<std::uint64_t*>(rt.pm_alloc(kLines * kCacheLineSize));
+  std::uint64_t v = 0;
+  for (auto _ : state) {
+    rt.fase_begin();
+    for (int s = 0; s < kStoresPerFase; ++s) {
+      rt.pstore(arr[(s % kLines) * 8 + s / kLines], v++);
+    }
+    rt.fase_end();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kStoresPerFase);
+  const runtime::RuntimeStats stats = rt.stats();
+  state.counters["flushes"] =
+      benchmark::Counter(static_cast<double>(stats.flushes));
+  state.counters["fences"] =
+      benchmark::Counter(static_cast<double>(stats.fences));
+  state.SetLabel(async ? "async" : "sync");
+  rt.destroy_storage();
+}
+BENCHMARK(BM_AsyncCommitHandoff)->Arg(0)->Arg(1);
+
 // --- worker pools (DESIGN.md §11) -------------------------------------------
 
 /// Shared-fixture handshake for the multi-threaded pool benchmarks: thread 0

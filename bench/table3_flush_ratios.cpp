@@ -26,9 +26,6 @@ int main() {
     const auto traces = record_trace(name, params);
     const auto knee = offline_knee(traces);
 
-    auto sc_config = base_config;
-    sc_config.cache_size = knee.chosen_size;
-
     const auto er =
         workloads::replay_flush_count_all(traces, core::PolicyKind::kEager);
     const auto la =

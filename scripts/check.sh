@@ -7,6 +7,10 @@
 #                               + asan pass of the recovery tier (the
 #                                 image-corruption fuzzer + salvage units,
 #                                 `ctest -L recovery`)
+#                               + tsan pass of the concurrency suites (the
+#                                 `tsan` label: flush-behind ring, worker
+#                                 pools, async analysis, durable structures;
+#                                 `ctest --preset tsan`)
 #                               + the bench regression gate when a fresh
 #                                 BENCH_micro.json exists at the repo root
 #   scripts/check.sh --e2e      the above + the end-to-end benchmark built
@@ -16,6 +20,7 @@
 #
 # Flags / env:
 #   --no-asan        skip the asan policy tier (e.g. hosts without the rt)
+#   --no-tsan        skip the tsan concurrency tier
 #   --no-bench       skip the compare.py gate
 #   --e2e            also build and test bench/e2e (opt-in; under a minute
 #                    once built)
@@ -25,14 +30,17 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 jobs="${CTEST_PARALLEL:-$(nproc)}"
 run_asan=1
+run_tsan=1
 run_bench=1
 run_e2e=0
 for arg in "$@"; do
   case "$arg" in
     --no-asan) run_asan=0 ;;
+    --no-tsan) run_tsan=0 ;;
     --no-bench) run_bench=0 ;;
     --e2e) run_e2e=1 ;;
-    *) echo "usage: scripts/check.sh [--no-asan] [--no-bench] [--e2e]" >&2
+    *) echo "usage: scripts/check.sh [--no-asan] [--no-tsan] [--no-bench]" \
+            "[--e2e]" >&2
        exit 2 ;;
   esac
 done
@@ -63,6 +71,16 @@ if [ "$run_asan" = 1 ]; then
   cmake --build build-asan -j "$(nproc)" \
       --target test_recovery_units test_recovery_fuzz
   ctest --test-dir build-asan -L recovery -j "$jobs" --output-on-failure
+fi
+
+# The lock-free handoffs (SPSC rings, consumer locks, pool sweeps and
+# steals) are only checked for data races under ThreadSanitizer. The whole
+# tree is built so that every suite carrying the label runs.
+if [ "$run_tsan" = 1 ]; then
+  echo "== tsan: concurrency suites (ctest --preset tsan) =="
+  cmake --preset tsan >/dev/null
+  cmake --build --preset tsan -j "$(nproc)"
+  ctest --preset tsan -j "$jobs"
 fi
 
 if [ "$run_bench" = 1 ]; then

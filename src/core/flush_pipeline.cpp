@@ -30,6 +30,16 @@ constexpr auto kDozeTick = std::chrono::microseconds(200);
 /// would steal the producer's timeslice.
 constexpr auto kSpinWindow = std::chrono::microseconds(50);
 
+/// Backlog a ring must reach before a *spinning* worker takes it (or its
+/// watermark, half the ring, if that is lower). A FASE's commit-time batch
+/// is a handful of lines that the committing thread's wait_drained()
+/// retires itself in one lock hold; a worker racing it for them only
+/// bounces the channel's lines between the two cores. An eviction storm
+/// crosses this quickly, and doze-tick and poke sweeps take any backlog.
+/// 32 and 64 still let the worker race the 64-line bursts of
+/// BM_FlushPipelineDrainPool (EXPERIMENTS.md).
+constexpr std::size_t kSpinBatch = 128;
+
 std::uint64_t steady_now_ns() noexcept {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -58,38 +68,41 @@ FlushChannel::FlushChannel(FlushWorker* worker, std::unique_ptr<FlushSink> sink,
                            std::size_t capacity, bool manual)
     : worker_(worker),
       sink_(std::move(sink)),
-      queue_(capacity),
       manual_(manual),
       drain_timeout_ns_(static_cast<std::uint64_t>(std::max<std::int64_t>(
                             0, env_int("NVC_FLUSH_DRAIN_TIMEOUT_MS", 0))) *
-                        1000000ULL) {}
+                        1000000ULL),
+      queue_(capacity) {}
 
 bool FlushChannel::try_push(LineAddr line) {
-  if (!queue_.try_push(std::move(line))) return false;
-  pushed_.store(pushed_.load(std::memory_order_relaxed) + 1,
-                std::memory_order_relaxed);
-  return true;
+  return queue_.try_push(std::move(line));
 }
 
-bool FlushChannel::consume_one(std::uint32_t consumer) {
+std::size_t FlushChannel::consume(std::uint32_t consumer,
+                                  std::size_t max_lines) {
   if (consume_lock_.test_and_set(std::memory_order_acquire)) {
-    return false;  // the other side holds the lock and is making progress
+    return 0;  // the other side holds the lock and is making progress
   }
-  const std::optional<LineAddr> line = queue_.try_pop();
-  if (line.has_value()) {
+  std::size_t done = 0;
+  while (done < max_lines) {
+    const std::optional<LineAddr> line = queue_.try_pop();
+    if (!line.has_value()) break;
+    sink_->flush_line(*line);
+    ++done;
+  }
+  if (done != 0) {
     // flushed_ counts lines *retired from the ring*, success or not: the
     // drain ticket must complete even when the media rejects a line. A
     // false outcome has already been accounted by the fault-tolerant sink
     // below (quarantine + FaultStats), whose release stores this counter's
     // release publish sequences after — a drain()er that sees the count
     // also sees the quarantine.
-    sink_->flush_line(*line);
     last_flush_thread_ = std::this_thread::get_id();
     last_flush_worker_ = consumer;
-    flushed_.fetch_add(1, std::memory_order_release);
+    flushed_.fetch_add(done, std::memory_order_release);
   }
   consume_lock_.clear(std::memory_order_release);
-  return line.has_value();
+  return done;
 }
 
 void FlushChannel::request_wake() {
@@ -100,7 +113,7 @@ void FlushChannel::request_wake() {
 }
 
 void FlushChannel::wait_drained() {
-  const std::uint64_t target = pushed_.load(std::memory_order_relaxed);
+  const std::uint64_t target = pushed();
   // Watchdog arm: "progress" is the retired-line counter moving. The only
   // way this loop fails to make progress itself is the consumer lock being
   // held continuously by a wedged worker (e.g. a backend stuck in a
@@ -112,34 +125,17 @@ void FlushChannel::wait_drained() {
     // Help: pop and flush on this thread rather than waiting for the worker
     // to be scheduled. The whole backlog drains under one lock hold — one
     // acquire/release and one counter publish per drain, not per line.
-    if (!consume_lock_.test_and_set(std::memory_order_acquire)) {
-      std::uint64_t done = 0;
-      while (std::optional<LineAddr> line = queue_.try_pop()) {
-        sink_->flush_line(*line);
-        ++done;
+    if (consume(kHelperConsumer, capacity()) == 0) {
+      // Our ring is empty, or a consumer holds it and is mid-flush on our
+      // behalf. In a pool, spend the wait stealing a sibling channel's
+      // backlog; otherwise yield so a descheduled worker (single-core host)
+      // gets the timeslice it needs to finish. Manual channels never steal
+      // — a fuzzer schedule must not leak work across channels it did not
+      // script.
+      if (manual_ || worker_ == nullptr || worker_->pool_size() <= 1 ||
+          !worker_->steal_one(this)) {
+        std::this_thread::yield();
       }
-      if (done != 0) {
-        last_flush_thread_ = std::this_thread::get_id();
-        last_flush_worker_ = kHelperConsumer;
-        flushed_.fetch_add(done, std::memory_order_release);
-      }
-      consume_lock_.clear(std::memory_order_release);
-      if (done == 0) {
-        // Our ring is empty but the ticket is short: a consumer is mid-
-        // flush on our last line. In a pool, spend the wait stealing a
-        // sibling channel's backlog instead of just yielding (manual
-        // channels never steal — a fuzzer schedule must not leak work
-        // across channels it did not script).
-        if (manual_ || worker_ == nullptr || worker_->pool_size() <= 1 ||
-            !worker_->steal_one(this)) {
-          std::this_thread::yield();
-        }
-      }
-    } else {
-      // A worker holds the consumer side and is mid-flush on our behalf;
-      // yield so a descheduled worker (single-core host) gets the timeslice
-      // it needs to finish.
-      std::this_thread::yield();
     }
     const std::uint64_t now_flushed = flushed_.load(std::memory_order_acquire);
     if (now_flushed != last_flushed) {
@@ -280,7 +276,7 @@ bool FlushWorker::steal_one(const FlushChannel* self) {
   }
   for (const auto& ch : channels) {
     if (ch.get() == self || ch->queue_.empty()) continue;
-    if (ch->consume_one(FlushChannel::kHelperConsumer)) {
+    if (ch->consume(FlushChannel::kHelperConsumer, 1) != 0) {
       steals_.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
@@ -289,13 +285,28 @@ bool FlushWorker::steal_one(const FlushChannel* self) {
 }
 
 std::size_t FlushWorker::sweep(
-    std::size_t w, const std::vector<std::shared_ptr<FlushChannel>>& channels) {
+    std::size_t w, const std::vector<std::shared_ptr<FlushChannel>>& channels,
+    bool spinning) {
   const std::uint32_t me = static_cast<std::uint32_t>(w);
+  // Read-only until there is work: an empty ring costs two cursor loads and
+  // no store, so an idle sweep never takes a line the producer writes away
+  // from it. A taken ring retires its backlog in one batch; a spinning
+  // sweep leaves backlogs below kSpinBatch to the producer's own drain.
+  const auto take = [&](FlushChannel& ch) -> std::size_t {
+    const std::size_t backlog = ch.queue_.size();
+    if (backlog == 0 ||
+        (spinning && backlog < std::min(kSpinBatch, ch.capacity() / 2))) {
+      return 0;
+    }
+    return ch.consume(me, backlog);
+  };
   std::size_t total = 0;
   for (const auto& ch : channels) {
     if (ch->home_ != me) continue;
-    ch->wake_requested_.store(false, std::memory_order_relaxed);
-    while (ch->consume_one(me)) ++total;
+    if (ch->wake_requested_.load(std::memory_order_relaxed)) {
+      ch->wake_requested_.store(false, std::memory_order_relaxed);
+    }
+    total += take(*ch);
   }
   // Idle worker: help any sibling's backlog. Same per-channel consumer
   // spinlock as the home worker, so retirement stays exactly-once and each
@@ -304,8 +315,7 @@ std::size_t FlushWorker::sweep(
   if (total == 0 && workers_.size() > 1) {
     std::size_t stolen = 0;
     for (const auto& ch : channels) {
-      if (ch->home_ == me || ch->queue_.empty()) continue;
-      while (ch->consume_one(me)) ++stolen;
+      if (ch->home_ != me) stolen += take(*ch);
     }
     if (stolen != 0) {
       steals_.fetch_add(stolen, std::memory_order_relaxed);
@@ -336,11 +346,15 @@ void FlushWorker::run(std::stop_token st, std::size_t w) {
     std::vector<std::shared_ptr<FlushChannel>> channels = channels_;
     lock.unlock();
 
-    bool idle = false;
-    if (can_spin) {
+    // The wake-up sweep takes every backlog. Only when it found work does
+    // the worker keep polling (spin sweeps follow the kSpinBatch rule); an
+    // empty tick goes straight back to dozing without having written a
+    // single channel line.
+    bool idle = sweep(w, channels, /*spinning=*/false) == 0;
+    if (!idle && can_spin) {
       auto last_work = std::chrono::steady_clock::now();
       while (!st.stop_requested()) {
-        if (sweep(w, channels) != 0) {
+        if (sweep(w, channels, /*spinning=*/true) != 0) {
           last_work = std::chrono::steady_clock::now();
         } else if (std::chrono::steady_clock::now() - last_work >
                    kSpinWindow) {
@@ -350,8 +364,6 @@ void FlushWorker::run(std::stop_token st, std::size_t w) {
           cpu_pause();
         }
       }
-    } else {
-      idle = sweep(w, channels) == 0;
     }
     // Idle worker: one bounded slice of background work (the online
     // scrubber). Flush traffic always wins — the slice runs only after a
@@ -393,11 +405,13 @@ std::uint64_t AsyncFlushSink::now_ns() const noexcept {
 }
 
 bool AsyncFlushSink::maybe_inflight(LineAddr line) const noexcept {
+  // Nothing pushed since the last drain: answered from this thread's own
+  // state, without touching the consumer's line.
+  if (pending_lines_.empty()) return false;
   // pending_lines_[i] was push number pending_base_ + i + 1 and is out of
   // the ring once flushed() covers it, so the still-queued suffix starts at
   // flushed() - pending_base_. A stale flushed() read only widens the scan
-  // (errs conservatively). The common case — nothing pending since the last
-  // drain — is two counter loads and no scan.
+  // (errs conservatively).
   const std::uint64_t flushed = channel_->flushed();
   if (flushed >= pending_base_ + pending_lines_.size()) return false;
   for (std::size_t i = static_cast<std::size_t>(flushed - pending_base_);
@@ -427,7 +441,12 @@ bool AsyncFlushSink::flush_line(LineAddr line) {
     }
     device_free_ns_ += model_.issue_ns;
   }
-  if (channel_->depth() >= watermark_) channel_->request_wake();
+  // The push count since the last drain bounds the ring depth from above,
+  // so the shared cursors are read only once it reaches the watermark.
+  if (pending_lines_.size() >= watermark_ &&
+      channel_->depth() >= watermark_) {
+    channel_->request_wake();
+  }
   // Queued: the worker-side sink decides the line's fate (retry/quarantine
   // happen there); accepted from this producer's point of view.
   return true;

@@ -60,7 +60,7 @@ class FlushWorker;
 /// *owns* the sink the worker flushes into, so a producer (and its runtime)
 /// can be destroyed while the worker still holds a reference — nothing
 /// dangles. Producer-side calls (try_push, wait_drained, pushed) must come
-/// from a single thread; consume_one may race between worker and helping
+/// from a single thread; consume may race between worker and helping
 /// producer and is serialized by the consumer lock.
 class FlushChannel {
  public:
@@ -86,9 +86,7 @@ class FlushChannel {
   }
 
   /// Lines handed to the pipeline (producer-side count).
-  std::uint64_t pushed() const noexcept {
-    return pushed_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t pushed() const noexcept { return queue_.pushes(); }
 
   /// Lines written back through the channel's sink. Release-published by
   /// whichever thread flushed; safe to read from any thread — this is the
@@ -115,7 +113,7 @@ class FlushChannel {
   /// (recorded as last_flush_worker(); no pool thread is involved), so a
   /// fuzzer schedule can model an M-worker pool without one.
   bool pump_one(std::size_t worker = 0) {
-    return consume_one(static_cast<std::uint32_t>(worker));
+    return consume(static_cast<std::uint32_t>(worker), 1) != 0;
   }
 
   /// True for channels the background worker never sweeps (deterministic
@@ -153,41 +151,52 @@ class FlushChannel {
   FlushChannel(FlushWorker* worker, std::unique_ptr<FlushSink> sink,
                std::size_t capacity, bool manual);
 
-  /// Pop and flush one line if any is ready. Returns false when the ring
-  /// was empty or another thread holds the consumer side right now (it is
-  /// making progress on our behalf either way). `consumer` is recorded as
-  /// last_flush_worker() on success.
-  bool consume_one(std::uint32_t consumer = kHelperConsumer);
+  /// Pop and flush up to `max_lines` queued lines under one hold of the
+  /// consumer lock, publishing them with one release add to flushed_.
+  /// Returns how many were retired: 0 when the ring was empty or another
+  /// thread holds the consumer side right now (it is making progress on our
+  /// behalf either way). `consumer` is recorded as last_flush_worker().
+  std::size_t consume(std::uint32_t consumer, std::size_t max_lines);
 
+  // Cache-line layout (DESIGN.md §8): the read-mostly fields, then the
+  // ring (whose two cursors sit on separate lines, producer and consumer),
+  // then the consumer line. Only a real handoff moves a line between the
+  // application thread and a pool worker.
+
+  // --- Read-mostly: set at open, or written rarely.
   FlushWorker* worker_;
   std::unique_ptr<FlushSink> sink_;  // worker-side write-back target
-  SpscQueue<LineAddr> queue_;
   /// Never swept by the worker thread; consumed only by pump_one() and the
   /// helping drain. request_wake() is a no-op so a watermark crossing
   /// cannot put the worker thread into the interleaving.
   const bool manual_ = false;
-  std::atomic<std::uint64_t> pushed_{0};
-  std::atomic<std::uint64_t> flushed_{0};
+  /// Index of the pool worker that sweeps this channel (round-robin over
+  /// the pool at open time; constant afterwards). Manual channels keep 0
+  /// but are never registered with any worker.
+  std::uint32_t home_ = 0;
   std::atomic<bool> closed_{false};
+  /// Set by the producer when it pokes the worker at the high watermark;
+  /// cleared by the worker's sweep, which stores only when it finds it set
+  /// (an idle sweep just reads it). Keeps poke() amortized O(1) per burst
+  /// of evictions instead of one mutex round-trip per push.
+  std::atomic<bool> wake_requested_{false};
   /// Drain-watchdog state: timeout captured from the environment at open
   /// time (per-channel, so tests can vary it), warning count relaxed — it
   /// is a diagnostic, not a synchronization point.
   std::uint64_t drain_timeout_ns_ = 0;
   std::atomic<std::uint64_t> stall_warnings_{0};
-  /// Set by the producer when it pokes the worker at the high watermark;
-  /// cleared by the worker's sweep. Keeps poke() amortized O(1) per burst
-  /// of evictions instead of one mutex round-trip per push.
-  std::atomic<bool> wake_requested_{false};
+
+  // --- The ring. Its tail cursor doubles as the producer's push count.
+  SpscQueue<LineAddr> queue_;
+
+  // --- Consumer line: written by whoever holds consume_lock_.
   /// Serializes the consumer side (worker sweep, stealing worker, helping
-  /// producer). Held only around one pop + one flush_line; uncontended cost
-  /// is a single RMW each way.
-  std::atomic_flag consume_lock_ = ATOMIC_FLAG_INIT;
+  /// producer). Held around one batch of pops + flush_lines; uncontended
+  /// cost is a single RMW each way.
+  alignas(kCacheLineSize) std::atomic_flag consume_lock_ = ATOMIC_FLAG_INIT;
+  std::atomic<std::uint64_t> flushed_{0};
   std::thread::id last_flush_thread_{};  // written under consume_lock_
   std::uint32_t last_flush_worker_ = kHelperConsumer;  // under consume_lock_
-  /// Index of the pool worker that sweeps this channel (round-robin over
-  /// the pool at open time; constant afterwards). Manual channels keep 0
-  /// but are never registered with any worker.
-  std::uint32_t home_ = 0;
 };
 
 /// Background work a pool worker runs when its sweep found nothing to flush
@@ -303,8 +312,11 @@ class FlushWorker {
   /// retired somewhere.
   bool steal_one(const FlushChannel* self);
   void run(std::stop_token st, std::size_t w);
+  /// One pass over the channels; returns lines retired. `spinning` applies
+  /// the post-work spin rule (small backlogs are left to their producer).
   std::size_t sweep(std::size_t w,
-                    const std::vector<std::shared_ptr<FlushChannel>>& channels);
+                    const std::vector<std::shared_ptr<FlushChannel>>& channels,
+                    bool spinning);
 
   const bool pin_;
   std::mutex mutex_;  // guards channels_, next_home_ and Worker::poked
@@ -369,7 +381,9 @@ class AsyncFlushSink final : public FlushSink {
   /// pending_base_ + i + 1, so the still-queued suffix starts at index
   /// flushed() - pending_base_. Appending is a vector push_back (the per-
   /// line cost the eviction path pays); the hazard query scans only that
-  /// suffix, and the common "nothing pending" case is two counter loads.
+  /// suffix, and the common "nothing pending" case reads no shared state.
+  /// Its size is also the push count since the last drain, which gates the
+  /// watermark check.
   /// Producer-only; cleared at drain(), when every entry is known flushed.
   std::vector<LineAddr> pending_lines_;
   std::uint64_t pending_base_ = 0;

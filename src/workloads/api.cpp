@@ -21,6 +21,7 @@ void ThreadTrace::store_trace(std::vector<LineAddr>* stores,
         break;
       case TraceEvent::Kind::kFaseBegin:
       case TraceEvent::Kind::kCompute:
+      case TraceEvent::Kind::kLoad:
         break;
     }
   }

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <set>
 #include <thread>
@@ -472,6 +473,74 @@ TEST(SpscQueue, ConcurrentProducerConsumer) {
   }
   producer.join();
   EXPECT_TRUE(q.empty());
+}
+
+TEST(SpscQueue, StaleCachedCursorsKeepFullAndEmptyExact) {
+  // Each side re-reads the other's cursor only when its cached copy says
+  // full (producer) or empty (consumer). Hit both boundaries while the
+  // copies are stale, lap after lap of a 4-slot ring.
+  SpscQueue<int> q(4);
+  int pushed = 0;
+  int popped = 0;
+  for (int lap = 0; lap < 64; ++lap) {
+    while (q.try_push(pushed + 0)) ++pushed;
+    ASSERT_EQ(q.size(), 4u);
+    int rejected = -1;
+    EXPECT_FALSE(q.try_push(std::move(rejected)));  // full, copy fresh
+    // Free `k` slots; the producer's copy still names the old head.
+    const int k = 1 + lap % 4;
+    for (int i = 0; i < k; ++i) {
+      auto v = q.try_pop();
+      ASSERT_TRUE(v.has_value());
+      EXPECT_EQ(*v, popped++);
+    }
+    for (int i = 0; i < k; ++i) {
+      EXPECT_TRUE(q.try_push(pushed + 0)) << "lap " << lap << " slot " << i;
+      ++pushed;
+    }
+    EXPECT_FALSE(q.try_push(pushed + 0));
+    // Empty it; the consumer's copy then names a tail it has caught up
+    // with, so the next pop must notice fresh pushes, not stale emptiness.
+    while (auto v = q.try_pop()) EXPECT_EQ(*v, popped++);
+    EXPECT_FALSE(q.try_pop().has_value());
+    EXPECT_TRUE(q.empty());
+    for (int i = 0; i < k; ++i) EXPECT_TRUE(q.try_push(pushed++ + 0));
+    for (int i = 0; i < k; ++i) {
+      auto v = q.try_pop();
+      ASSERT_TRUE(v.has_value()) << "lap " << lap << " item " << i;
+      EXPECT_EQ(*v, popped++);
+    }
+    EXPECT_FALSE(q.try_pop().has_value());
+  }
+  EXPECT_EQ(pushed, popped);
+  EXPECT_EQ(q.pushes(), static_cast<std::size_t>(pushed));
+}
+
+TEST(SpscQueue, RandomPushPopMatchesModel) {
+  // Random interleavings against a deque model: push succeeds exactly when
+  // a slot is free, pop exactly when an element is queued, in FIFO order,
+  // however stale either cached cursor is.
+  const std::uint64_t seed = seed_from_env("NVC_SEED", 0x5b5c);
+  SCOPED_TRACE(replay_hint("NVC_SEED", seed));
+  Rng rng(seed);
+  SpscQueue<int> q(8);
+  std::deque<int> model;
+  int next = 0;
+  for (int op = 0; op < 20000; ++op) {
+    if (rng.below(2) == 0) {
+      const bool pushed = q.try_push(next + 0);
+      ASSERT_EQ(pushed, model.size() < q.capacity());
+      if (pushed) model.push_back(next++);
+    } else {
+      const std::optional<int> v = q.try_pop();
+      ASSERT_EQ(v.has_value(), !model.empty());
+      if (v.has_value()) {
+        EXPECT_EQ(*v, model.front());
+        model.pop_front();
+      }
+    }
+    ASSERT_EQ(q.size(), model.size());
+  }
 }
 
 TEST(Env, ScaledRespectsFullFlag) {

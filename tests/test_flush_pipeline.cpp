@@ -11,6 +11,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/flush_pipeline.hpp"
@@ -125,6 +126,48 @@ TEST(AsyncFlushSink, InflightTrackingFollowsTheRing) {
   EXPECT_FALSE(sink.maybe_inflight(7));
   // A never-pushed line is never in flight.
   EXPECT_FALSE(sink.maybe_inflight(8));
+}
+
+TEST(AsyncFlushSink, InflightIsExactOnAManualChannelAcrossWraparound) {
+  // A manual channel retires a line only when the test pumps it, so the
+  // hazard answer must be exact: false with nothing pushed since the drain
+  // (answered from the producer's own state), true while a line is queued,
+  // false once it is pumped. Three lines a round lap the 4-slot ring many
+  // times; odd rounds drain with lines still queued, even ones pump first.
+  RecordingSink record;
+  auto channel = FlushWorker::shared().open_manual_channel(
+      std::make_unique<ForwardSink>(&record), 4);
+  AsyncFlushSink sink(channel, &record);
+  LineAddr next = 1;
+  for (int round = 0; round < 24; ++round) {
+    EXPECT_FALSE(sink.maybe_inflight(next - 1));
+    EXPECT_FALSE(sink.maybe_inflight(next));
+    const LineAddr a = next++;
+    const LineAddr b = next++;
+    const LineAddr c = next++;
+    for (const LineAddr l : {a, b, c}) ASSERT_TRUE(sink.flush_line(l));
+    EXPECT_TRUE(sink.maybe_inflight(a));
+    EXPECT_TRUE(sink.maybe_inflight(c));
+    EXPECT_FALSE(sink.maybe_inflight(next));
+    ASSERT_TRUE(channel->pump_one());
+    EXPECT_FALSE(sink.maybe_inflight(a));
+    EXPECT_TRUE(sink.maybe_inflight(b));
+    EXPECT_TRUE(sink.maybe_inflight(c));
+    if (round % 2 == 0) {
+      ASSERT_TRUE(channel->pump_one());
+      ASSERT_TRUE(channel->pump_one());
+      EXPECT_FALSE(channel->pump_one());
+      EXPECT_FALSE(sink.maybe_inflight(b));
+      EXPECT_FALSE(sink.maybe_inflight(c));
+    }
+    sink.drain();
+    for (const LineAddr l : {a, b, c}) EXPECT_FALSE(sink.maybe_inflight(l));
+  }
+  EXPECT_EQ(sink.overflow_flushes(), 0u);
+  EXPECT_EQ(channel->pushed(), channel->flushed());
+  const auto lines = record.snapshot();
+  ASSERT_EQ(lines.size(), next - 1);
+  for (std::size_t i = 0; i < lines.size(); ++i) EXPECT_EQ(lines[i], i + 1);
 }
 
 TEST(AsyncFlushSink, DeviceModelMakesDrainWaitForDurability) {
@@ -289,6 +332,54 @@ TEST(FlushPool, SlowSinksNProducersMWorkersExactlyOnce) {
   std::sort(lines.begin(), lines.end());
   EXPECT_EQ(std::adjacent_find(lines.begin(), lines.end()), lines.end())
       << "a line was flushed twice";
+}
+
+TEST(FlushPool, BatchedHomeSweepsStayFifoAgainstHelpersAndThieves) {
+  // Channel A homes on worker 0, B on worker 1. A's producer pushes bursts
+  // past the spin batch (half of A's 64-slot ring), so worker 0 retires
+  // them in batches while it spins, and drains each burst as a helping
+  // consumer. B's producer keeps its own ring short and drains constantly,
+  // so worker 1 idles into steal sweeps of A, and B's wait_drained steals
+  // from A while it waits. Every consumer of A goes through A's lock: each
+  // line retires exactly once, in push order.
+  FlushWorker pool(2);
+  RecordingSink record_a;
+  RecordingSink record_b;
+  auto a = pool.open_channel(std::make_unique<ForwardSink>(&record_a), 64);
+  auto b = pool.open_channel(std::make_unique<ForwardSink>(&record_b), 64);
+  ASSERT_EQ(a->home(), 0u);
+  ASSERT_EQ(b->home(), 1u);
+  constexpr std::uint64_t kBursts = 200;
+  const auto produce = [](FlushChannel& ch, std::uint64_t burst_lines) {
+    LineAddr next = 0;
+    for (std::uint64_t burst = 0; burst < kBursts; ++burst) {
+      for (std::uint64_t i = 0; i < burst_lines; ++i) {
+        const LineAddr line = ++next;
+        while (!ch.try_push(line)) {
+          ch.request_wake();
+          std::this_thread::yield();
+        }
+      }
+      if (burst % 2 == 1) ch.request_wake();
+      ch.wait_drained();
+    }
+  };
+  std::thread producer_a([&] { produce(*a, 48); });
+  std::thread producer_b([&] { produce(*b, 2); });
+  producer_a.join();
+  producer_b.join();
+  for (const auto& [ch, record, burst_lines] :
+       {std::tuple{a.get(), &record_a, std::uint64_t{48}},
+        std::tuple{b.get(), &record_b, std::uint64_t{2}}}) {
+    EXPECT_EQ(ch->pushed(), kBursts * burst_lines);
+    EXPECT_EQ(ch->flushed(), ch->pushed());
+    const auto lines = record->snapshot();
+    ASSERT_EQ(lines.size(), kBursts * burst_lines);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      ASSERT_EQ(lines[i], i + 1) << "out of order or retired twice";
+    }
+    ch->close();
+  }
 }
 
 }  // namespace

@@ -305,8 +305,8 @@ TEST_P(RecoveryFuzz, CorruptedImagesNeverLie) {
 
 INSTANTIATE_TEST_SUITE_P(AllModes, RecoveryFuzz,
                          ::testing::ValuesIn(kAllModes),
-                         [](const auto& info) {
-                           std::string n = mode_name(info.param);
+                         [](const auto& mode) {
+                           std::string n = mode_name(mode.param);
                            for (char& ch : n) {
                              if (ch == '-') ch = '_';
                            }

@@ -332,7 +332,9 @@ TEST(UndoLogInspect, HostileBytesNeverCrash) {
     // reported extents must stay inside the segment.
     EXPECT_LE(ins.certified_extent, sizeof(seg));
     for (const std::uint64_t off : ins.offsets) EXPECT_LT(off, sizeof(seg));
-    if (!ins.formatted) EXPECT_TRUE(ins.offsets.empty());
+    if (!ins.formatted) {
+      EXPECT_TRUE(ins.offsets.empty());
+    }
   }
   // Undersized views: inspect must refuse rather than read out of bounds.
   EXPECT_FALSE(UndoLog::inspect(seg, 0).formatted);
