@@ -110,6 +110,28 @@ void BM_ScPolicyStore(benchmark::State& state) {
 }
 BENCHMARK(BM_ScPolicyStore);
 
+// Runs of 8 stores to one line (mdb's page-copy shape), same cache and line
+// draw as BM_ScPolicyStore: 7 of every 8 stores repeat the line the
+// previous store left buffered, which Policy::on_store counts without
+// probing the cache (DESIGN.md §5 item 5). BM_ScPolicyStore's uniform
+// draw almost never repeats, so it cannot show that lane.
+void BM_ScPolicyRepeatStore(benchmark::State& state) {
+  PolicyConfig config;
+  config.cache_size = 23;
+  auto policy = make_policy(PolicyKind::kSoftCacheOffline, config);
+  CountingSink sink;
+  Rng rng(3);
+  LineAddr line = 1;
+  std::uint64_t n = 0;
+  for (auto _ : state) {
+    if (n++ % 8 == 0) line = rng.below(64) + 1;
+    policy->on_store(line, sink);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ScPolicyRepeatStore);
+
 void BM_ReuseAllK(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto trace = random_trace(n, 64);

@@ -2,8 +2,10 @@
 # One-command verification gate (referenced from README "Development"):
 #
 #   scripts/check.sh            tier-1 build + full ctest sweep
-#                               + asan build of the policy tier (admission/
-#                                 wear suites, `ctest -L policy`)
+#                               + asan build of the policy tier (write
+#                                 cache, policies and their repeat-store
+#                                 lane, admission/wear suites,
+#                                 `ctest -L policy`)
 #                               + asan pass of the recovery tier (the
 #                                 image-corruption fuzzer + salvage units,
 #                                 `ctest -L recovery`)
@@ -59,9 +61,10 @@ NVC_ELIDE=0 NVC_FUZZ_ITERS=1 \
   ctest --test-dir build -L structures -j "$jobs" --output-on-failure
 
 if [ "$run_asan" = 1 ]; then
-  echo "== asan: policy tier (admission + wear suites) =="
+  echo "== asan: policy tier (write cache, policies, admission + wear) =="
   cmake --preset asan >/dev/null
-  cmake --build build-asan -j "$(nproc)" --target test_admission test_fuzz_crash
+  cmake --build build-asan -j "$(nproc)" \
+      --target test_write_cache test_policy test_admission test_fuzz_crash
   ctest --test-dir build-asan -L policy -j "$jobs" --output-on-failure
 
   # The hardened-recovery tier (DESIGN.md §14) walks deliberately hostile

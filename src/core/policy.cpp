@@ -43,8 +43,6 @@ const char* to_string(PolicyKind kind) {
   NVC_UNREACHABLE("invalid PolicyKind");
 }
 
-void Policy::on_fase_begin(FlushSink&) { ++counters_.fases; }
-
 bool Policy::admit_bypass(LineAddr line, FlushSink& sink) {
   counters_.instructions += AdmissionFilter::kInstrProbe;
   if (!admission_->should_bypass(line)) return false;
@@ -58,22 +56,23 @@ bool Policy::admit_bypass(LineAddr line, FlushSink& sink) {
   return true;
 }
 
-void Policy::on_fase_end(FlushSink& sink) { sink.drain(); }
-
-void Policy::finish(FlushSink& sink) { sink.drain(); }
-
 // --- ER ---------------------------------------------------------------------
 
-void EagerPolicy::on_store(LineAddr line, FlushSink& sink) {
+bool EagerPolicy::do_store(LineAddr line, FlushSink& sink) {
   ++counters_.stores;
   counters_.instructions += kInstrEagerStore + kInstrPerFlushIssue;
   sink.flush_line(line);
+  return false;  // every store flushes: no store is a pure count
 }
 
 // --- LA ---------------------------------------------------------------------
 
-void LazyPolicy::on_store(LineAddr line, FlushSink& sink) {
-  if (admission_ != nullptr && admit_bypass(line, sink)) return;
+LazyPolicy::LazyPolicy()
+    : Policy(PolicyCounters{
+          .stores = 1, .combined = 1, .instructions = kInstrLazyStore}) {}
+
+bool LazyPolicy::do_store(LineAddr line, FlushSink& sink) {
+  if (admission_ != nullptr && admit_bypass(line, sink)) return false;
   ++counters_.stores;
   counters_.instructions += kInstrLazyStore;
   const auto [slot, inserted] = pending_.try_emplace(line, seq_);
@@ -83,6 +82,9 @@ void LazyPolicy::on_store(LineAddr line, FlushSink& sink) {
   } else {
     ++counters_.combined;
   }
+  // The line is pending until the next boundary. With admission every
+  // store probes (and trains) the doorkeeper, so no repeat is a pure count.
+  return admission_ == nullptr;
 }
 
 void LazyPolicy::flush_pending(FlushSink& sink) {
@@ -102,12 +104,12 @@ void LazyPolicy::flush_pending(FlushSink& sink) {
   seq_ = 0;
 }
 
-void LazyPolicy::on_fase_end(FlushSink& sink) {
+void LazyPolicy::do_fase_end(FlushSink& sink) {
   flush_pending(sink);
   sink.drain();
 }
 
-void LazyPolicy::finish(FlushSink& sink) {
+void LazyPolicy::do_finish(FlushSink& sink) {
   flush_pending(sink);
   sink.drain();
 }
@@ -115,7 +117,9 @@ void LazyPolicy::finish(FlushSink& sink) {
 // --- AT ---------------------------------------------------------------------
 
 AtlasPolicy::AtlasPolicy(std::size_t table_size, std::size_t associativity)
-    : table_(table_size),
+    : Policy(PolicyCounters{
+          .stores = 1, .combined = 1, .instructions = kInstrAtlasProbe}),
+      table_(table_size),
       sets_(table_size / associativity),
       ways_(associativity) {
   NVC_REQUIRE(associativity >= 1 && associativity <= table_size);
@@ -123,8 +127,8 @@ AtlasPolicy::AtlasPolicy(std::size_t table_size, std::size_t associativity)
   NVC_REQUIRE(is_pow2(sets_), "Atlas sets must be a power of two");
 }
 
-void AtlasPolicy::on_store(LineAddr line, FlushSink& sink) {
-  if (admission_ != nullptr && admit_bypass(line, sink)) return;
+bool AtlasPolicy::do_store(LineAddr line, FlushSink& sink) {
+  if (admission_ != nullptr && admit_bypass(line, sink)) return false;
   ++counters_.stores;
   counters_.instructions += kInstrAtlasProbe;
   Entry* set = &table_[(static_cast<std::size_t>(line) & (sets_ - 1)) *
@@ -135,7 +139,7 @@ void AtlasPolicy::on_store(LineAddr line, FlushSink& sink) {
     if (set[w].line == line) {
       ++counters_.combined;  // already recorded: the write is absorbed
       set[w].stamp = clock_;
-      return;
+      return admission_ == nullptr;
     }
     if (set[w].line == 0) {
       victim = &set[w];  // prefer an empty slot
@@ -150,6 +154,10 @@ void AtlasPolicy::on_store(LineAddr line, FlushSink& sink) {
   }
   victim->line = line;
   victim->stamp = clock_;
+  // Recorded until the next boundary; a repeat would only refresh the
+  // stamp of its set's newest entry, which replacement already treats as
+  // the newest. With admission every store probes the doorkeeper.
+  return admission_ == nullptr;
 }
 
 void AtlasPolicy::flush_table(FlushSink& sink) {
@@ -162,12 +170,12 @@ void AtlasPolicy::flush_table(FlushSink& sink) {
   }
 }
 
-void AtlasPolicy::on_fase_end(FlushSink& sink) {
+void AtlasPolicy::do_fase_end(FlushSink& sink) {
   flush_table(sink);
   sink.drain();
 }
 
-void AtlasPolicy::finish(FlushSink& sink) {
+void AtlasPolicy::do_finish(FlushSink& sink) {
   flush_table(sink);
   sink.drain();
 }
@@ -175,9 +183,18 @@ void AtlasPolicy::finish(FlushSink& sink) {
 // --- SC / SC-offline ---------------------------------------------------------
 
 SoftCachePolicy::SoftCachePolicy(const PolicyConfig& config, bool online)
-    : cache_(config.cache_size), sampler_(config.sampler), online_(online) {}
+    : Policy(PolicyCounters{.stores = 1,
+                            .combined = 1,
+                            .instructions = WriteCache::kInstrPerHit}),
+      cache_(config.cache_size),
+      sampler_(config.sampler),
+      online_(online) {}
 
-void SoftCachePolicy::on_store(LineAddr line, FlushSink& sink) {
+bool SoftCachePolicy::do_store(LineAddr line, FlushSink& sink) {
+  // A dormant sampler ignores stores, so this store cannot resize the cache
+  // and a repeat would be a plain hit on the MRU line. Admission is
+  // consulted only on misses, so it does not disarm the lane.
+  const bool dormant = !online_ || sampler_.dormant();
   // Admission runs only on cache misses: a line the cache already buffers
   // combines more cheaply than any write-through, whatever the doorkeeper
   // remembers about it.
@@ -187,7 +204,7 @@ void SoftCachePolicy::on_store(LineAddr line, FlushSink& sink) {
     // selection and the reuse verdict) must describe the full write stream,
     // not the post-filter residue.
     if (online_) sample_store(line, sink);
-    return;
+    return false;  // written through, not buffered
   }
   ++counters_.stores;
   const bool hit = cache_.access(line, sink);
@@ -199,6 +216,7 @@ void SoftCachePolicy::on_store(LineAddr line, FlushSink& sink) {
   }
 
   if (online_) sample_store(line, sink);
+  return dormant;
 }
 
 void SoftCachePolicy::sample_store(LineAddr line, FlushSink& sink) {
@@ -230,12 +248,11 @@ void SoftCachePolicy::apply_pending_selection(FlushSink& sink) {
   if (admission_ != nullptr) admission_->publish_verdict(sampler_);
 }
 
-void SoftCachePolicy::on_fase_begin(FlushSink& sink) {
-  Policy::on_fase_begin(sink);
+void SoftCachePolicy::do_fase_begin(FlushSink& sink) {
   apply_pending_selection(sink);
 }
 
-void SoftCachePolicy::flush_buffered(FlushSink& sink) {
+void SoftCachePolicy::do_flush_buffered(FlushSink& sink) {
   // Mid-FASE barrier: flush the cache, nothing else. No sampler boundary
   // (the renamer epoch is a FASE property, not a flush property) and no
   // pending-selection application (a resize must never land mid-FASE —
@@ -246,7 +263,7 @@ void SoftCachePolicy::flush_buffered(FlushSink& sink) {
   sink.drain();
 }
 
-void SoftCachePolicy::on_fase_end(FlushSink& sink) {
+void SoftCachePolicy::do_fase_end(FlushSink& sink) {
   if (online_) sampler_.on_fase_boundary();
   const std::uint64_t flushed = cache_.size();
   counters_.instructions += kInstrPerFlushIssue * flushed;
@@ -257,7 +274,7 @@ void SoftCachePolicy::on_fase_end(FlushSink& sink) {
   sink.drain();
 }
 
-void SoftCachePolicy::finish(FlushSink& sink) {
+void SoftCachePolicy::do_finish(FlushSink& sink) {
   // Shutdown: wait for any in-flight background analysis so its selection
   // is not lost, then apply it before the final flush.
   if (online_ && sampler_.async()) {
@@ -272,7 +289,10 @@ void SoftCachePolicy::finish(FlushSink& sink) {
 
 // --- BEST -------------------------------------------------------------------
 
-void BestPolicy::on_store(LineAddr, FlushSink&) { ++counters_.stores; }
+bool BestPolicy::do_store(LineAddr, FlushSink&) {
+  ++counters_.stores;
+  return true;  // nothing is ever flushed: every repeat is a pure count
+}
 
 // --- factory ------------------------------------------------------------------
 

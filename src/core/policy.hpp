@@ -82,25 +82,58 @@ class Policy {
   virtual PolicyKind kind() const noexcept = 0;
   const char* name() const noexcept { return to_string(kind()); }
 
-  /// A persistent store to `line` occurred inside a FASE.
-  virtual void on_store(LineAddr line, FlushSink& sink) = 0;
+  /// A persistent store to `line` occurred inside a FASE. The one store
+  /// entry of every policy (DESIGN.md §5 item 5): a store to `repeat_line_`
+  /// — the line the previous store left buffered — changes nothing but
+  /// counters, so it is only counted here; every other store runs the
+  /// policy's own do_store(), which decides whether to arm the lane.
+  void on_store(LineAddr line, FlushSink& sink) {
+    if (line == repeat_line_) {
+      ++repeats_;
+      return;
+    }
+    repeat_line_ = do_store(line, sink) ? line : kNoRepeat;
+  }
 
   /// Outermost FASE boundaries. (Nested FASEs are handled by the runtime;
   /// policies only see outermost begin/end, as in Atlas.)
-  virtual void on_fase_begin(FlushSink& sink);
-  virtual void on_fase_end(FlushSink& sink);
+  void on_fase_begin(FlushSink& sink) {
+    repeat_line_ = kNoRepeat;
+    ++counters_.fases;
+    do_fase_begin(sink);
+  }
+  void on_fase_end(FlushSink& sink) {
+    repeat_line_ = kNoRepeat;
+    do_fase_end(sink);
+  }
 
   /// Mid-FASE persistence barrier: flush everything buffered and drain,
   /// WITHOUT signalling a FASE boundary. For stateless-at-boundary policies
   /// this is the same flushing work as on_fase_end (the default forwards),
   /// but the sampling policy must not advance its renamer epoch or apply a
   /// deferred resize here — the FASE is still open.
-  virtual void flush_buffered(FlushSink& sink) { on_fase_end(sink); }
+  void flush_buffered(FlushSink& sink) {
+    repeat_line_ = kNoRepeat;
+    do_flush_buffered(sink);
+  }
 
   /// Program end: release anything still buffered.
-  virtual void finish(FlushSink& sink);
+  void finish(FlushSink& sink) {
+    repeat_line_ = kNoRepeat;
+    do_finish(sink);
+  }
 
-  const PolicyCounters& counters() const noexcept { return counters_; }
+  /// Read-only snapshot: the counted repeat stores are folded in at the
+  /// policy's per-repeat cost, so the totals equal what probing every
+  /// repeat would have counted. Reads only; the owning thread stays the
+  /// sole writer of every field behind it.
+  PolicyCounters counters() const noexcept {
+    PolicyCounters c = counters_;
+    c.stores += repeats_ * repeat_cost_.stores;
+    c.combined += repeats_ * repeat_cost_.combined;
+    c.instructions += repeats_ * repeat_cost_.instructions;
+    return c;
+  }
 
   /// SC / SC-offline: current software-cache capacity (0 for others).
   virtual std::size_t current_cache_size() const noexcept { return 0; }
@@ -116,6 +149,22 @@ class Policy {
   }
 
  protected:
+  /// `repeat_cost`: what one repeat store adds to the counters — exactly
+  /// what the policy's own store code counts for a store to the line it
+  /// buffered last.
+  explicit Policy(PolicyCounters repeat_cost = {}) noexcept
+      : repeat_cost_(repeat_cost) {}
+
+  /// Runs every store on_store() does not count as a repeat. True arms
+  /// the repeat lane for `line`: the line is buffered now, and a store to
+  /// it before the next boundary would change nothing but counters_ (by
+  /// repeat_cost_) — no flush, no structure or sampler/admission state.
+  virtual bool do_store(LineAddr line, FlushSink& sink) = 0;
+  virtual void do_fase_begin(FlushSink&) {}
+  virtual void do_fase_end(FlushSink& sink) { sink.drain(); }
+  virtual void do_flush_buffered(FlushSink& sink) { do_fase_end(sink); }
+  virtual void do_finish(FlushSink& sink) { sink.drain(); }
+
   /// Probe the attached filter (caller guarantees admission_ != nullptr):
   /// true when the store was bypassed — counted and written through `sink`
   /// immediately, skipping the deferred-flush structure entirely.
@@ -123,6 +172,14 @@ class Policy {
 
   PolicyCounters counters_;
   std::unique_ptr<AdmissionFilter> admission_;
+
+ private:
+  /// No line: LineAddr is a byte address >> 6, so all-ones never occurs.
+  static constexpr LineAddr kNoRepeat = ~LineAddr{0};
+
+  LineAddr repeat_line_ = kNoRepeat;
+  std::uint64_t repeats_ = 0;
+  PolicyCounters repeat_cost_;
 };
 
 /// Instantiate one of the six techniques.
@@ -137,19 +194,22 @@ std::unique_ptr<Policy> make_policy(PolicyKind kind,
 class EagerPolicy final : public Policy {
  public:
   PolicyKind kind() const noexcept override { return PolicyKind::kEager; }
-  void on_store(LineAddr line, FlushSink& sink) override;
+
+ private:
+  bool do_store(LineAddr line, FlushSink& sink) override;
 };
 
 /// LA: remember every dirty line, flush the whole set at FASE end. Minimal
 /// flush count, maximal FASE-end stall.
 class LazyPolicy final : public Policy {
  public:
+  LazyPolicy();
   PolicyKind kind() const noexcept override { return PolicyKind::kLazy; }
-  void on_store(LineAddr line, FlushSink& sink) override;
-  void on_fase_end(FlushSink& sink) override;
-  void finish(FlushSink& sink) override;
 
  private:
+  bool do_store(LineAddr line, FlushSink& sink) override;
+  void do_fase_end(FlushSink& sink) override;
+  void do_finish(FlushSink& sink) override;
   void flush_pending(FlushSink& sink);
   /// line -> first-write sequence. Open addressing: LA's per-store cost is
   /// one linear probe instead of unordered_map's node allocation + chase.
@@ -164,11 +224,11 @@ class AtlasPolicy final : public Policy {
  public:
   AtlasPolicy(std::size_t table_size, std::size_t associativity = 1);
   PolicyKind kind() const noexcept override { return PolicyKind::kAtlas; }
-  void on_store(LineAddr line, FlushSink& sink) override;
-  void on_fase_end(FlushSink& sink) override;
-  void finish(FlushSink& sink) override;
 
  private:
+  bool do_store(LineAddr line, FlushSink& sink) override;
+  void do_fase_end(FlushSink& sink) override;
+  void do_finish(FlushSink& sink) override;
   struct Entry {
     LineAddr line = 0;  // 0 = empty (line 0 is never persistent)
     std::uint64_t stamp = 0;
@@ -196,11 +256,6 @@ class SoftCachePolicy final : public Policy {
   PolicyKind kind() const noexcept override {
     return online_ ? PolicyKind::kSoftCache : PolicyKind::kSoftCacheOffline;
   }
-  void on_store(LineAddr line, FlushSink& sink) override;
-  void on_fase_begin(FlushSink& sink) override;
-  void on_fase_end(FlushSink& sink) override;
-  void flush_buffered(FlushSink& sink) override;
-  void finish(FlushSink& sink) override;
   std::size_t current_cache_size() const noexcept override {
     return cache_.capacity();
   }
@@ -222,6 +277,11 @@ class SoftCachePolicy final : public Policy {
   const BurstSampler& sampler() const noexcept { return sampler_; }
 
  private:
+  bool do_store(LineAddr line, FlushSink& sink) override;
+  void do_fase_begin(FlushSink& sink) override;
+  void do_fase_end(FlushSink& sink) override;
+  void do_flush_buffered(FlushSink& sink) override;
+  void do_finish(FlushSink& sink) override;
   void apply_pending_selection(FlushSink& sink);
   void sample_store(LineAddr line, FlushSink& sink);
 
@@ -234,8 +294,11 @@ class SoftCachePolicy final : public Policy {
 /// bound of optimal caching.
 class BestPolicy final : public Policy {
  public:
+  BestPolicy() : Policy(PolicyCounters{.stores = 1}) {}
   PolicyKind kind() const noexcept override { return PolicyKind::kBest; }
-  void on_store(LineAddr line, FlushSink& sink) override;
+
+ private:
+  bool do_store(LineAddr line, FlushSink& sink) override;
 };
 
 }  // namespace nvc::core

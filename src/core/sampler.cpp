@@ -29,7 +29,6 @@ void BurstSampler::on_fase_boundary() {
 }
 
 std::optional<std::size_t> BurstSampler::on_store(LineAddr line) {
-  ++writes_seen_;
   if (fases_to_skip_ > 0) {
     // Warmup: don't record, but give up skipping if no FASE boundary shows
     // up within a few bursts worth of writes (single-FASE programs).

@@ -94,7 +94,13 @@ class BurstSampler {
   bool analysis_in_flight() const;
 
   bool sampling() const noexcept { return sampling_; }
-  std::uint64_t writes_seen() const noexcept { return writes_seen_; }
+  /// True when on_store() ignores stores for good: the first burst is over
+  /// (sampling() stays true through the warmup skip) and hibernation is
+  /// forever (length 0) rather than counted. Only a dormant sampler lets SC
+  /// count a repeat store without observing it (DESIGN.md §5 item 5).
+  bool dormant() const noexcept {
+    return !sampling_ && config_.hibernation_length == 0;
+  }
   std::uint64_t burst_length() const noexcept { return config_.burst_length; }
   bool async() const noexcept { return config_.async_analysis; }
 
@@ -126,7 +132,6 @@ class BurstSampler {
   std::vector<LineAddr> burst_trace_;
   bool sampling_ = true;
   std::uint64_t hibernated_ = 0;
-  std::uint64_t writes_seen_ = 0;
   std::uint64_t bursts_ = 0;
   Mrc last_mrc_;
   KneeResult last_selection_;

@@ -440,7 +440,7 @@ RuntimeStats Runtime::stats() const {
   RuntimeStats s;
   s.threads = contexts_.size();
   for (const auto& c : contexts_) {
-    const core::PolicyCounters& pc = c->policy->counters();
+    const core::PolicyCounters pc = c->policy->counters();
     s.stores += pc.stores;
     s.combined += pc.combined;
     s.fases += pc.fases;

@@ -231,6 +231,12 @@ class Runtime {
   // --- introspection ---------------------------------------------------------
 
   /// Aggregate statistics over every thread that used this runtime.
+  /// The per-context policy and app-side backend counters are read without
+  /// synchronisation (only the context list is locked): the totals are
+  /// exact only while the threads owning those contexts are quiescent —
+  /// joined, or parked outside any runtime call. Policy::counters() must
+  /// stay a read-only snapshot (it folds in the repeat-store lane's count,
+  /// DESIGN.md §5 item 5) so this reader never writes a policy field.
   RuntimeStats stats() const;
 
   /// Aggregate media-health view: fault counters, quarantined lines, and

@@ -1,5 +1,7 @@
 #include "testing/fuzz_program.hpp"
 
+#include <algorithm>
+
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 
@@ -109,6 +111,36 @@ FuzzProgram generate_program(std::uint64_t seed,
     p.ops.push_back(FuzzOp{FuzzOpKind::kPstore, c, id, offset, len, rng()});
   };
 
+  // A run of 2-6 pstores to one byte range inside one cache line, split by
+  // a persist_barrier() or an outermost FASE end (plus a fresh begin). The
+  // policy's repeat-store lane is armed across the run and must disarm at
+  // the split: the stores after it re-dirty a line that was just flushed,
+  // and that line must be written back again before the next commit.
+  auto emit_repeat_run = [&](std::uint32_t c) {
+    CtxState& st = ctxs[c];
+    const std::uint32_t id = st.live[rng.below(st.live.size())];
+    const FuzzObject& obj = p.objects[id];
+    const auto offset = static_cast<std::uint32_t>(rng.below(obj.size));
+    const auto to_line_end = static_cast<std::uint32_t>(
+        kCacheLineSize - (obj.offset + offset) % kCacheLineSize);
+    const std::uint32_t room = std::min(to_line_end, obj.size - offset);
+    const auto len =
+        static_cast<std::uint32_t>(rng.range(1, std::min(room, 8u)));
+    const std::uint64_t run = rng.range(2, 6);
+    const std::uint64_t split = rng.range(1, run - 1);
+    for (std::uint64_t i = 0; i < run; ++i) {
+      if (i == split) {
+        if (st.depth == 1 && rng.chance(0.5)) {
+          p.ops.push_back(FuzzOp{FuzzOpKind::kFaseEnd, c, 0, 0, 0, 0});
+          p.ops.push_back(FuzzOp{FuzzOpKind::kFaseBegin, c, 0, 0, 0, 0});
+        } else {
+          p.ops.push_back(FuzzOp{FuzzOpKind::kPersistBarrier, c, 0, 0, 0, 0});
+        }
+      }
+      p.ops.push_back(FuzzOp{FuzzOpKind::kPstore, c, id, offset, len, rng()});
+    }
+  };
+
   while (p.ops.size() < config.target_ops) {
     const auto c = static_cast<std::uint32_t>(rng.below(p.contexts));
     CtxState& st = ctxs[c];
@@ -131,7 +163,9 @@ FuzzProgram generate_program(std::uint64_t seed,
         p.ops.push_back(FuzzOp{FuzzOpKind::kFree, c, id, 0, 0, 0});
       }
     } else {
-      if (r < 64) {
+      if (r < 10) {
+        emit_repeat_run(c);
+      } else if (r < 64) {
         emit_pstore(c);
       } else if (r < 78) {
         --st.depth;

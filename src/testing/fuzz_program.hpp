@@ -3,7 +3,8 @@
 // A FuzzProgram is a seeded, fully deterministic script over the public
 // runtime surface: failure-atomic sections (including nested and empty
 // ones), persistent stores of varied sizes and alignments (many straddle a
-// cache-line boundary on purpose), mid-FASE persistence barriers, and
+// cache-line boundary on purpose), runs of stores to one line split by a
+// barrier or a FASE end, mid-FASE persistence barriers, and
 // allocate/free of the objects the stores target — interleaved across
 // several logical contexts, each modeling one runtime thread. The same
 // program is interpreted twice: by the crash rig (tests/support/crash_rig)

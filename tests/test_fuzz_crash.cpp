@@ -37,6 +37,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -140,7 +141,10 @@ CrashRigConfig fuzz_rig_config(const FuzzProgram& program,
 /// its virtual analysis worker gets a quantum. All scheduler draws depend
 /// only on the program seed, never on the freeze point, so every freeze
 /// value observes the same execution and the same event indexing.
-void run_program(CrashRig& rig, const FuzzProgram& program) {
+/// `after_op`, when set, runs right after each op, before the scheduler's
+/// background quanta.
+void run_program(CrashRig& rig, const FuzzProgram& program,
+                 const std::function<void(const FuzzOp&)>& after_op = {}) {
   std::uint64_t sm = program.seed ^ 0x5ced0123abcd7777ULL;
   VirtualScheduler scheduler(splitmix64(sm));
   for (const FuzzOp& op : program.ops) {
@@ -166,6 +170,7 @@ void run_program(CrashRig& rig, const FuzzProgram& program) {
       case FuzzOpKind::kFree:
         break;  // bump-allocated offsets; nothing for the rig to do
     }
+    if (after_op) after_op(op);
     for (std::uint32_t c = 0; c < program.contexts; ++c) {
       for (std::uint32_t n = scheduler.flush_quantum(); n > 0; --n) {
         if (!rig.pump_flush(c)) break;
@@ -266,6 +271,127 @@ TEST_P(FuzzCrash, EveryCrashStateIsACommittedFasePrefix) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, FuzzCrash, ::testing::ValuesIn(kAllModes),
+                         [](const auto& param_info) {
+                           std::string name = mode_name(param_info.param);
+                           std::erase(name, '-');
+                           return name;
+                         });
+
+// --------------------------------------------------------------------------
+// The repeat-store lane's disarm points (DESIGN.md §5 item 5).
+// --------------------------------------------------------------------------
+
+/// Count stores that re-dirty a line flushed since the same context's
+/// previous store to it: a pstore, then a persist_barrier or an outermost
+/// FASE end on that context, then a pstore to the same object and offset.
+std::uint64_t redirty_after_flush(const FuzzProgram& program) {
+  struct Last {
+    const FuzzOp* store = nullptr;
+    bool flushed = false;
+    int depth = 0;
+  };
+  std::vector<Last> last(program.contexts);
+  std::uint64_t count = 0;
+  for (const FuzzOp& op : program.ops) {
+    Last& l = last[op.ctx];
+    switch (op.kind) {
+      case FuzzOpKind::kFaseBegin:
+        ++l.depth;
+        break;
+      case FuzzOpKind::kFaseEnd:
+        if (--l.depth == 0) l.flushed = true;
+        break;
+      case FuzzOpKind::kPersistBarrier:
+        l.flushed = true;
+        break;
+      case FuzzOpKind::kPstore:
+        if (l.store != nullptr && l.flushed && l.store->object == op.object &&
+            l.store->offset == op.offset) {
+          ++count;
+        }
+        l.store = &op;
+        l.flushed = false;
+        break;
+      default:
+        break;
+    }
+  }
+  return count;
+}
+
+class RepeatLaneFuzzCrash : public ::testing::TestWithParam<FuzzMode> {};
+
+TEST_P(RepeatLaneFuzzCrash, RedirtiedLinesAreWrittenBackBeforeCommit) {
+  // The same sweep with the repeat-store lane live: forever-hibernation
+  // leaves the online sampler dormant after its first burst, which is what
+  // arms the lane for SC. The programs' same-line runs split by a barrier
+  // or FASE end then re-dirty a just-flushed line; a lane left armed across
+  // the split would only count those stores and leave the line dirty.
+  // Checked two ways: after every outermost commit of the unfrozen run the
+  // context's durable bytes equal the committed image, and every freeze
+  // point recovers a monotone committed prefix.
+  const FuzzMode mode = GetParam();
+  const std::string only = env_str("NVC_FUZZ_MODE", "");
+  if (!only.empty() && only != mode_name(mode)) {
+    GTEST_SKIP() << "NVC_FUZZ_MODE=" << only << " filters out this combo";
+  }
+
+  const SeedPlan plan = seed_plan(/*default_iters=*/4);
+  std::uint64_t redirtied = 0;
+  for (std::uint64_t iter = 0; iter < plan.iters; ++iter) {
+    const std::uint64_t seed = plan.seed(iter);
+    const FuzzProgram program = generate_program(seed);
+    const DurabilityOracle oracle(program);
+    redirtied += redirty_after_flush(program);
+
+    CrashRigConfig rig_config = fuzz_rig_config(program, mode);
+    rig_config.hibernation_length = 0;
+
+    CrashRig probe(rig_config);
+    std::vector<int> depth(program.contexts, 0);
+    std::vector<std::size_t> commits(program.contexts, 0);
+    run_program(probe, program, [&](const FuzzOp& op) {
+      if (op.kind == FuzzOpKind::kFaseBegin) ++depth[op.ctx];
+      if (op.kind != FuzzOpKind::kFaseEnd || --depth[op.ctx] > 0) return;
+      const std::size_t k = ++commits[op.ctx];
+      ASSERT_EQ(probe.durable_data(op.ctx), oracle.snapshots(op.ctx)[k])
+          << "ctx " << op.ctx << ": commit " << k << " left a stored line "
+          << "unflushed\n  "
+          << fuzz_replay_line(seed, mode_name(mode), probe.events());
+    });
+    if (::testing::Test::HasFatalFailure()) return;
+    const std::uint64_t total = probe.events();
+
+    std::vector<int> last_index(program.contexts, -1);
+    for (const std::uint64_t e : freeze_points(total, seed)) {
+      CrashRig rig(rig_config);
+      rig.freeze_at(e);
+      run_program(rig, program);
+      for (std::size_t c = 0; c < program.contexts; ++c) {
+        const int index = oracle.match(c, rig.recovered_data(c));
+        ASSERT_GE(index, 0)
+            << "ctx " << c << ": crash at event " << e << "/" << total
+            << " with the repeat lane live recovered a state matching no "
+            << "committed FASE\n  "
+            << fuzz_replay_line(seed, mode_name(mode), e);
+        ASSERT_GE(index, last_index[c])
+            << "ctx " << c << ": durability regressed — freeze " << e
+            << " recovered commit " << index << " after an earlier freeze "
+            << "had already reached " << last_index[c] << "\n  "
+            << fuzz_replay_line(seed, mode_name(mode), e);
+        last_index[c] = index;
+      }
+    }
+  }
+  if (env_int("NVC_FUZZ_SEED", -1) < 0 && env_int("NVC_FUZZ_ITERS", -1) < 0) {
+    EXPECT_GT(redirtied, 0u)
+        << "no program re-dirtied a just-flushed line; the generator's "
+        << "same-line runs are gone";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModes, RepeatLaneFuzzCrash,
+                         ::testing::ValuesIn(kAllModes),
                          [](const auto& param_info) {
                            std::string name = mode_name(param_info.param);
                            std::erase(name, '-');

@@ -4,10 +4,15 @@
 // written in a FASE by the FASE's end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <deque>
+#include <memory>
 #include <ostream>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -302,6 +307,382 @@ TEST(PolicyNames, AllSixNamed) {
   EXPECT_STREQ(to_string(PolicyKind::kSoftCacheOffline), "SC-offline");
   EXPECT_STREQ(to_string(PolicyKind::kBest), "BEST");
 }
+
+// --- repeat-store lane equivalence ---------------------------------------------------
+//
+// Policy::on_store only counts a store to the line the previous store left
+// buffered (DESIGN.md §5 item 5). The property: on any trace, the flush
+// sequence, the drains, the PolicyCounters snapshot, the cache size, the
+// admission counters and the sampler's selections equal those of lane-free
+// reference models, in which every store runs the full bookkeeping. The
+// references reuse the real AdmissionFilter and BurstSampler (the lane
+// lives in Policy, not in them); the cache structures are naive models in
+// the style of tests/test_write_cache.cpp's ReferenceLru.
+
+// Instruction estimates of core/policy.cpp, restated for the references.
+constexpr std::uint64_t kRefEagerStore = 2;
+constexpr std::uint64_t kRefLazyStore = 12;
+constexpr std::uint64_t kRefAtlasProbe = 8;
+constexpr std::uint64_t kRefAtlasReplace = 6;
+constexpr std::uint64_t kRefFlushIssue = 4;
+constexpr std::uint64_t kRefSamplerStore = 9;
+constexpr std::uint64_t kRefSamplerAnalysisPerWrite = 30;
+
+/// Fully associative LRU of line addresses, front = LRU.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(std::size_t cap) : cap_(cap) {}
+
+  bool contains(LineAddr line) const {
+    return std::find(order_.begin(), order_.end(), line) != order_.end();
+  }
+
+  bool access(LineAddr line, std::vector<LineAddr>* evicted) {
+    const auto it = std::find(order_.begin(), order_.end(), line);
+    if (it != order_.end()) {
+      order_.erase(it);
+      order_.push_back(line);
+      return true;
+    }
+    if (order_.size() == cap_) {
+      evicted->push_back(order_.front());
+      order_.pop_front();
+    }
+    order_.push_back(line);
+    return false;
+  }
+
+  void resize(std::size_t cap, std::vector<LineAddr>* evicted) {
+    while (order_.size() > cap) {
+      evicted->push_back(order_.front());
+      order_.pop_front();
+    }
+    cap_ = cap;
+  }
+
+  void flush_all(std::vector<LineAddr>* evicted) {
+    for (const LineAddr l : order_) evicted->push_back(l);
+    order_.clear();
+  }
+
+  std::size_t capacity() const noexcept { return cap_; }
+  std::size_t size() const noexcept { return order_.size(); }
+
+ private:
+  std::size_t cap_;
+  std::deque<LineAddr> order_;
+};
+
+/// Lane-free model of one policy (synchronous analysis only).
+class ReferencePolicy {
+ public:
+  ReferencePolicy(PolicyKind kind, const PolicyConfig& config,
+                  bool admission)
+      : kind_(kind),
+        lru_(config.cache_size),
+        sets_(config.atlas_table_size / config.atlas_associativity),
+        ways_(config.atlas_associativity),
+        slots_(config.atlas_table_size, 0),
+        recency_(sets_) {
+    if (admission) filter_ = std::make_unique<AdmissionFilter>(config.admission);
+    if (kind == PolicyKind::kSoftCache) {
+      sampler_ = std::make_unique<BurstSampler>(config.sampler);
+    }
+  }
+
+  void store(LineAddr line) {
+    if (kind_ == PolicyKind::kEager) {
+      ++counters.stores;
+      counters.instructions += kRefEagerStore + kRefFlushIssue;
+      flushed.push_back(line);
+      return;
+    }
+    if (kind_ == PolicyKind::kBest) {
+      ++counters.stores;
+      return;
+    }
+    const bool sc = kind_ == PolicyKind::kSoftCache ||
+                    kind_ == PolicyKind::kSoftCacheOffline;
+    if (filter_ != nullptr && (!sc || !lru_.contains(line))) {
+      counters.instructions += AdmissionFilter::kInstrProbe;
+      if (filter_->should_bypass(line)) {
+        ++counters.stores;
+        ++counters.bypassed;
+        counters.instructions += kRefFlushIssue;
+        flushed.push_back(line);
+        sample(line);
+        return;
+      }
+    }
+    ++counters.stores;
+    switch (kind_) {
+      case PolicyKind::kLazy:
+        counters.instructions += kRefLazyStore;
+        if (std::find(pending_.begin(), pending_.end(), line) !=
+            pending_.end()) {
+          ++counters.combined;
+        } else {
+          pending_.push_back(line);
+        }
+        break;
+      case PolicyKind::kAtlas:
+        atlas_store(line);
+        break;
+      default:
+        if (lru_.access(line, &flushed)) {
+          ++counters.combined;
+          counters.instructions += WriteCache::kInstrPerHit;
+        } else {
+          counters.instructions += WriteCache::kInstrPerInsert;
+        }
+        sample(line);
+        break;
+    }
+  }
+
+  void fase_begin() { ++counters.fases; }
+
+  void fase_end() {
+    if (sampler_ != nullptr) sampler_->on_fase_boundary();
+    flush_buffered();
+  }
+
+  void flush_buffered() {
+    std::vector<LineAddr> lines;
+    lru_.flush_all(&lines);
+    lines.insert(lines.end(), pending_.begin(), pending_.end());
+    pending_.clear();
+    for (LineAddr& slot : slots_) {
+      if (slot != 0) lines.push_back(slot);
+      slot = 0;
+    }
+    for (auto& r : recency_) r.clear();
+    counters.instructions += kRefFlushIssue * lines.size();
+    flushed.insert(flushed.end(), lines.begin(), lines.end());
+    ++drains;
+  }
+
+  void finish() { flush_buffered(); }
+
+  std::size_t cache_size() const {
+    return kind_ == PolicyKind::kSoftCache ||
+                   kind_ == PolicyKind::kSoftCacheOffline
+               ? lru_.capacity()
+               : 0;
+  }
+  const AdmissionFilter* filter() const { return filter_.get(); }
+  const BurstSampler* sampler() const { return sampler_.get(); }
+
+  std::vector<LineAddr> flushed;
+  int drains = 0;
+  PolicyCounters counters;
+
+ private:
+  void sample(LineAddr line) {
+    if (sampler_ == nullptr) return;
+    if (sampler_->sampling()) counters.instructions += kRefSamplerStore;
+    if (const auto selected = sampler_->on_store(line)) {
+      counters.instructions +=
+          kRefSamplerAnalysisPerWrite * sampler_->burst_length();
+      lru_.resize(*selected, &flushed);
+      if (filter_ != nullptr) filter_->publish_verdict(*sampler_);
+    }
+  }
+
+  // Atlas: slots fill in way order; a full set replaces its LRU line.
+  void atlas_store(LineAddr line) {
+    counters.instructions += kRefAtlasProbe;
+    const std::size_t set = static_cast<std::size_t>(line) & (sets_ - 1);
+    LineAddr* ways = &slots_[set * ways_];
+    std::deque<LineAddr>& recency = recency_[set];
+    const auto hit = std::find(recency.begin(), recency.end(), line);
+    if (hit != recency.end()) {
+      ++counters.combined;
+      recency.erase(hit);
+      recency.push_back(line);
+      return;
+    }
+    LineAddr* slot = std::find(ways, ways + ways_, LineAddr{0});
+    if (slot == ways + ways_) {
+      const LineAddr victim = recency.front();
+      recency.pop_front();
+      counters.instructions += kRefAtlasReplace + kRefFlushIssue;
+      flushed.push_back(victim);
+      slot = std::find(ways, ways + ways_, victim);
+    }
+    *slot = line;
+    recency.push_back(line);
+  }
+
+  PolicyKind kind_;
+  std::unique_ptr<AdmissionFilter> filter_;
+  std::unique_ptr<BurstSampler> sampler_;
+  ReferenceLru lru_;                  // SC / SC-offline
+  std::vector<LineAddr> pending_;     // LA, first-write order
+  std::size_t sets_;                  // AT
+  std::size_t ways_;
+  std::vector<LineAddr> slots_;       // sets_ x ways_, 0 = empty
+  std::vector<std::deque<LineAddr>> recency_;  // per set, front = LRU
+};
+
+struct LaneCase {
+  const char* name;
+  PolicyKind kind;
+  std::size_t cache_size = 8;
+  std::size_t atlas_ways = 1;
+  std::uint64_t burst_length = 0;  // SC online only
+  std::uint64_t hibernation = 0;
+  std::uint32_t skip_fases = 0;
+  std::uint64_t lines = 12;        // address space of the trace
+};
+
+const LaneCase kLaneCases[] = {
+    {"ER", PolicyKind::kEager},
+    {"LA", PolicyKind::kLazy},
+    {"AT", PolicyKind::kAtlas, 8, 1, 0, 0, 0, 24},
+    {"AT_2way", PolicyKind::kAtlas, 8, 2, 0, 0, 0, 24},
+    {"SCoffline_1", PolicyKind::kSoftCacheOffline, 1, 1, 0, 0, 0, 4},
+    {"SCoffline_2", PolicyKind::kSoftCacheOffline, 2, 1, 0, 0, 0, 6},
+    {"SCoffline_8", PolicyKind::kSoftCacheOffline, 8, 1, 0, 0, 0, 16},
+    {"SCoffline_50", PolicyKind::kSoftCacheOffline, 50, 1, 0, 0, 0, 80},
+    // Warmup over two FASEs, then one burst that ends mid-trace, then
+    // dormant: the lane arms only after the burst.
+    {"SC_warmup_burst", PolicyKind::kSoftCache, 8, 1, 96, 0, 2, 20},
+    // Counted hibernation: the sampler never goes dormant.
+    {"SC_hibernating", PolicyKind::kSoftCache, 8, 1, 64, 48, 0, 20},
+    {"BEST", PolicyKind::kBest},
+};
+
+using LaneParam = std::tuple<LaneCase, AdmitMode>;
+
+class RepeatLane : public ::testing::TestWithParam<LaneParam> {};
+
+bool admission_attaches(PolicyKind kind, AdmitMode mode) {
+  if (mode == AdmitMode::kWriteOnce) {
+    return kind == PolicyKind::kLazy || kind == PolicyKind::kAtlas ||
+           kind == PolicyKind::kSoftCache ||
+           kind == PolicyKind::kSoftCacheOffline;
+  }
+  return mode == AdmitMode::kReuse && kind == PolicyKind::kSoftCache;
+}
+
+void expect_same_counters(const PolicyCounters& got,
+                          const PolicyCounters& want, const std::string& at) {
+  EXPECT_EQ(got.stores, want.stores) << at;
+  EXPECT_EQ(got.combined, want.combined) << at;
+  EXPECT_EQ(got.fases, want.fases) << at;
+  EXPECT_EQ(got.instructions, want.instructions) << at;
+  EXPECT_EQ(got.bypassed, want.bypassed) << at;
+}
+
+TEST_P(RepeatLane, MatchesLaneFreeReference) {
+  const auto& [lc, mode] = GetParam();
+  PolicyConfig config;
+  config.cache_size = lc.cache_size;
+  config.atlas_table_size = 8;
+  config.atlas_associativity = lc.atlas_ways;
+  if (lc.burst_length > 0) config.sampler.burst_length = lc.burst_length;
+  config.sampler.hibernation_length = lc.hibernation;
+  config.sampler.skip_fases = lc.skip_fases;
+  config.sampler.knee.max_size = 16;
+  config.admission.mode = mode;
+  config.admission.window = 8;           // small: bypasses happen often
+  config.admission.reuse_threshold = 0.95;
+  const bool admits = admission_attaches(lc.kind, mode);
+
+  std::uint64_t lane_stores = 0;  // stores to the previous store's line
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    auto policy = make_policy(lc.kind, config);
+    ASSERT_EQ(policy->admission() != nullptr, admits);
+    ReferencePolicy ref(lc.kind, config, admits);
+    RecordingSink sink;
+    Rng rng(seed * 7919 + static_cast<std::uint64_t>(mode));
+    bool in_fase = false;
+    LineAddr prev = 0;
+
+    for (int step = 0; step < 300; ++step) {
+      const std::uint64_t roll = rng.below(100);
+      std::string op;
+      if (!in_fase && roll < 75) {
+        op = "fase_begin";
+        policy->on_fase_begin(sink);
+        ref.fase_begin();
+        in_fase = true;
+        prev = 0;
+      } else if (!in_fase && roll < 85) {
+        op = "finish";
+        policy->finish(sink);
+        ref.finish();
+        prev = 0;
+      } else if (in_fase && roll < 10) {
+        op = "fase_end";
+        policy->on_fase_end(sink);
+        ref.fase_end();
+        in_fase = false;
+        prev = 0;
+      } else if (in_fase && roll < 18) {
+        op = "flush_buffered";
+        policy->flush_buffered(sink);
+        ref.flush_buffered();
+        prev = 0;
+      } else {
+        // A run of 1-16 stores to one line (also outside FASEs, as a
+        // pwrote outside any FASE reaches the policy).
+        const LineAddr line = 1 + rng.below(lc.lines);
+        const std::uint64_t run = rng.range(1, 16);
+        op = "run of " + std::to_string(run) + " x line " +
+             std::to_string(line);
+        for (std::uint64_t i = 0; i < run; ++i) {
+          if (line == prev) ++lane_stores;
+          prev = line;
+          policy->on_store(line, sink);
+          ref.store(line);
+        }
+      }
+      const std::string at = std::string(lc.name) + "/" + to_string(mode) +
+                             " seed " + std::to_string(seed) + " step " +
+                             std::to_string(step) + " (" + op + ")";
+      ASSERT_EQ(sink.flushed, ref.flushed) << at;
+      ASSERT_EQ(sink.drains, ref.drains) << at;
+      expect_same_counters(policy->counters(), ref.counters, at);
+      ASSERT_EQ(policy->current_cache_size(), ref.cache_size()) << at;
+      if (admits) {
+        const AdmissionCounters& got = policy->admission()->counters();
+        const AdmissionCounters& want = ref.filter()->counters();
+        ASSERT_EQ(got.bypassed, want.bypassed) << at;
+        ASSERT_EQ(got.readmitted, want.readmitted) << at;
+        ASSERT_EQ(got.verdicts, want.verdicts) << at;
+      }
+      if (ref.sampler() != nullptr) {
+        const auto& sc = static_cast<const SoftCachePolicy&>(*policy);
+        ASSERT_EQ(sc.sampler().bursts_completed(),
+                  ref.sampler()->bursts_completed())
+            << at;
+        ASSERT_EQ(sc.sampler().last_selection().chosen_size,
+                  ref.sampler()->last_selection().chosen_size)
+            << at;
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+    if (ref.sampler() != nullptr) {
+      // The warmup and at least one burst end passed inside the trace.
+      EXPECT_GE(ref.sampler()->bursts_completed(), 1u) << "seed " << seed;
+    }
+  }
+  EXPECT_GT(lane_stores, 0u);  // the traces do exercise repeats
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PoliciesAndAdmission, RepeatLane,
+    ::testing::Combine(::testing::ValuesIn(kLaneCases),
+                       ::testing::Values(AdmitMode::kAlways,
+                                         AdmitMode::kWriteOnce,
+                                         AdmitMode::kReuse)),
+    [](const ::testing::TestParamInfo<LaneParam>& param_info) {
+      std::string mode = to_string(std::get<1>(param_info.param));
+      std::replace(mode.begin(), mode.end(), '-', '_');
+      return std::string(std::get<0>(param_info.param).name) + "_" + mode;
+    });
 
 // --- crash-consistency property (ShadowPmem) -----------------------------------------
 
