@@ -302,8 +302,9 @@ void apply_flush_env(runtime::RuntimeConfig& config) {
 void run_pstore_fase(benchmark::State& state, bool fault_idle) {
   // End-to-end pstore cost through the Runtime hot path (ctx lookup, undo
   // logging, policy, flush backend), as FASEs of 16 stores over 16 lines.
-  // Arg0 selects the log protocol: 0 = logging off, 1 = strict (Atlas,
-  // 2 flush+fence pairs per record), 2 = batched (one sync per epoch).
+  // Arg0 selects the log protocol: 0 = logging off, 1 = strict (Atlas, one
+  // entry persist per record), 2 = batched (one entry persist per epoch);
+  // both publish the durable tail once per epoch.
   // Arg1 selects the policy: 0 = ER (flush per store), 1 = SC-offline.
   // Arg2 routes data write-backs through the flush-behind pipeline
   // (DESIGN.md §8) instead of flushing inline on this thread.

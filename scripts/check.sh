@@ -6,9 +6,9 @@
 #                                 cache, policies and their repeat-store
 #                                 lane, admission/wear suites,
 #                                 `ctest -L policy`)
-#                               + asan pass of the recovery tier (the
-#                                 image-corruption fuzzer + salvage units,
-#                                 `ctest -L recovery`)
+#                               + asan pass of the recovery tier (undo-log
+#                                 units, image-corruption fuzzer + salvage
+#                                 units, `ctest -L recovery`)
 #                               + tsan pass of the concurrency suites (the
 #                                 `tsan` label: flush-behind ring, worker
 #                                 pools, async analysis, durable structures;
@@ -70,9 +70,9 @@ if [ "$run_asan" = 1 ]; then
   # The hardened-recovery tier (DESIGN.md §14) walks deliberately hostile
   # bytes — exactly where an out-of-bounds read would hide — so the
   # image-corruption fuzzer and the salvage units get a dedicated asan pass.
-  echo "== asan: recovery tier (salvage units + image-corruption fuzzer) =="
+  echo "== asan: recovery tier (undo log, salvage units, image fuzzer) =="
   cmake --build build-asan -j "$(nproc)" \
-      --target test_recovery_units test_recovery_fuzz
+      --target test_undo_log test_recovery_units test_recovery_fuzz
   ctest --test-dir build-asan -L recovery -j "$jobs" --output-on-failure
 fi
 

@@ -1,20 +1,21 @@
 // The FlushSink seam between caching policies and the durable undo log.
 //
-// With epoch-batched log persistence (runtime/undo_log.hpp,
-// LogSyncMode::kBatched) an undo record only appends to the log segment;
-// durability is enforced once per *epoch*, where an epoch ends exactly when
-// the runtime is about to issue the first software-controlled data-line
-// write-back since the last sync. The ordering invariant that keeps
-// recovery sound is:
+// The undo log (runtime/undo_log.hpp) publishes its durable tail once per
+// *epoch*, in both modes; with LogSyncMode::kBatched an undo record also
+// only appends to the log segment, and its entry becomes durable at the
+// same point. An epoch ends exactly when the runtime is about to issue the
+// first software-controlled data-line write-back since the last sync. The
+// ordering invariant that keeps recovery sound is:
 //
-//   every log entry covering a data line is durable before that line is
-//   flushed to NVRAM by software (DESIGN.md §7).
+//   every log entry covering a data line is durable, and covered by the
+//   durable tail, before that line is flushed to NVRAM by software
+//   (DESIGN.md §7).
 //
 // LogOrderedSink enforces the invariant mechanically: it decorates the sink
 // that policies flush into and forces EpochLog::sync() before forwarding
 // each flush_line(). sync() is O(1) — a single compare — when nothing new
 // has been appended, so only the first flush after a batch of records pays
-// the (single) flush_range + fence + durable-tail update.
+// the entry persist (batched) and the single durable-tail publish.
 #pragma once
 
 #include "common/assert.hpp"
@@ -22,9 +23,10 @@
 
 namespace nvc::core {
 
-/// A durable log whose appended-but-not-yet-persistent entries must become
-/// durable before any software-issued data flush (the undo log in batched
-/// mode; a no-op in strict mode, where record() already persisted).
+/// A durable log whose appended entries must be durable, and covered by its
+/// durable tail, before any software-issued data flush (the undo log: in
+/// strict mode record() already persisted the entries and sync() only
+/// publishes the tail; in batched mode sync() persists both).
 class EpochLog {
  public:
   virtual ~EpochLog() = default;

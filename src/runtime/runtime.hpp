@@ -130,7 +130,7 @@ struct RuntimeStats {
   std::uint64_t instructions = 0;  // policy bookkeeping estimate
   std::uint64_t log_records = 0;
   std::uint64_t log_bytes = 0;
-  std::uint64_t log_syncs = 0;     // log sync points (epochs in kBatched)
+  std::uint64_t log_syncs = 0;     // log entry persists (epochs in kBatched)
   // Media-fault tolerance (all zero when no injector is attached):
   std::uint64_t transient_faults = 0;  // rejected write-back attempts
   std::uint64_t flush_retries = 0;     // retry attempts issued

@@ -38,10 +38,10 @@ UndoLog::UndoLog(void* base, std::size_t size, core::FlushSink* sink,
   if (valid()) {
     // Reopened segment (restart path): adopt the durable generation and
     // tail, and treat any self-certifying entries beyond the tail as the
-    // appended extent (batched-mode records that made it to NVRAM).
+    // appended extent (records whose covering tail was never published).
     const std::uint64_t state = header()->state;
     gen_ = state_gen(state);
-    synced_tail_ = state_tail(state);
+    synced_tail_ = published_tail_ = state_tail(state);
     const std::vector<std::uint64_t> offsets = walk_entries();
     appended_tail_ = synced_tail_;
     if (!offsets.empty()) {
@@ -102,7 +102,7 @@ void UndoLog::format() {
   h->magic = kMagic;
   gen_ = 1;
   h->state = pack_state(gen_, kHeaderSize);
-  appended_tail_ = synced_tail_ = kHeaderSize;
+  appended_tail_ = synced_tail_ = published_tail_ = kHeaderSize;
   persist(h, sizeof(LogHeader));
 }
 
@@ -183,23 +183,33 @@ void UndoLog::record(std::uint64_t addr_token, const void* current_bytes,
     bytes_logged_ += entry_size;
     done += piece;
 
-    // Strict mode: the entry must be durable before the tail that covers
-    // it, and the tail durable before the caller's in-place data update.
-    if (mode_ == LogSyncMode::kStrict) sync();
+    // Strict mode: the entry must be durable before the caller's in-place
+    // data update. The tail covering it is published at the next sync(),
+    // which runs before any software write-back of the data line; a data
+    // line evicted before then is still rolled back, because recovery walks
+    // self-certifying entries past the durable tail.
+    if (mode_ == LogSyncMode::kStrict) persist_entries();
   }
 }
 
-bool UndoLog::sync() {
+bool UndoLog::persist_entries() {
   if (appended_tail_ == synced_tail_) return true;
-  // Entries must be durable before the tail that covers them: a failed
-  // entry flush leaves the synced state untouched so the next sync (or a
-  // retry above us) covers the same range again.
+  // A failed entry flush leaves the synced state untouched so the next
+  // persist (or a retry above us) covers the same range again.
   if (!persist(base_ + synced_tail_, appended_tail_ - synced_tail_)) {
     return false;
   }
-  if (!publish_state(gen_, appended_tail_)) return false;
   synced_tail_ = appended_tail_;
   ++sync_points_;
+  return true;
+}
+
+bool UndoLog::sync() {
+  if (appended_tail_ == published_tail_) return true;
+  // Entries must be durable before the tail that covers them.
+  if (!persist_entries()) return false;
+  if (!publish_state(gen_, synced_tail_)) return false;
+  published_tail_ = synced_tail_;
   return true;
 }
 
@@ -213,7 +223,7 @@ bool UndoLog::commit() {
     return false;
   }
   ++gen_;
-  appended_tail_ = synced_tail_ = kHeaderSize;
+  appended_tail_ = synced_tail_ = published_tail_ = kHeaderSize;
   return true;
 }
 

@@ -10,26 +10,32 @@
 //
 // Two durability disciplines (LogSyncMode, DESIGN.md §7):
 //
-//   kStrict   every record() is made durable before it returns — two
-//             flush+fence pairs per logged store (entry, then tail). This is
-//             Atlas' protocol: the old-value entry is durable before the
-//             in-place update can possibly reach NVRAM, sound even under
-//             spontaneous hardware cache eviction.
-//   kBatched  record() only appends; durability is enforced once per epoch
-//             by sync() — a single flush of the dirty log range, one fence,
-//             and one durable tail publish. The runtime orders sync()
-//             before every software-issued data-line flush via
-//             core::LogOrderedSink, which preserves the recovery invariant
-//             under the simulated/shadow backends and eADR semantics (no
-//             spontaneous eviction of dirty lines to NVRAM).
+//   kStrict   every record() persists its entry before it returns — one
+//             flush of the entry's lines and one fence. This is Atlas'
+//             protocol: the old-value entry is durable before the in-place
+//             update can possibly reach NVRAM, sound even under spontaneous
+//             hardware cache eviction.
+//   kBatched  record() only appends; entries become durable at the next
+//             sync() — a single flush of the dirty log range and one fence.
+//             The runtime orders sync() before every software-issued
+//             data-line flush via core::LogOrderedSink, which preserves the
+//             recovery invariant under the simulated/shadow backends and
+//             eADR semantics (no spontaneous eviction of dirty lines to
+//             NVRAM).
+//
+// In both modes the durable tail in the header is published only by sync()
+// (once per epoch) and reset by commit(), so the header line is written
+// back once per epoch plus once per commit. The invariant the tail keeps is:
+// it covers every record whose data line software may have written back.
+// The two modes differ only in whether record() persists the entry at once.
 //
 // Entries are *self-certifying*: each carries a check word mixing the
 // address token, length, payload bytes, and the log generation. Recovery
 // does not trust the tail beyond its durable value — it walks the entry
 // chain forward and replays exactly the records whose check words validate
 // against the current generation, so a tail that lags the appended entries
-// (batched mode) still yields a sound rollback, and stale entries from a
-// committed generation are never replayed.
+// (either mode, between syncs) still yields a sound rollback, and stale
+// entries from a committed generation are never replayed.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +49,8 @@ namespace nvc::runtime {
 
 /// When undo-log records become durable (see file comment).
 enum class LogSyncMode : std::uint8_t {
-  kStrict,   // per record: Atlas' protocol, the default
-  kBatched,  // per epoch: one flush_range + fence at each sync point
+  kStrict,   // entry per record: Atlas' protocol, the default
+  kBatched,  // entries per epoch: one flush_range + fence at each sync point
 };
 
 /// Parse "strict" / "batched".
@@ -74,18 +80,20 @@ class UndoLog final : public core::EpochLog {
   bool needs_recovery() const;
 
   /// Append the current content of [addr, addr+len) as undo records, one
-  /// per kMaxPayload piece. kStrict: each piece durable before the next is
-  /// appended. kBatched: durable at the next sync()/strict boundary.
+  /// per kMaxPayload piece. kStrict: each piece's entry durable (one flush
+  /// range, one fence) before the next is appended; the tail covering it
+  /// is published at the next sync(). kBatched: durable at the next sync().
   /// `addr_token` is the position-independent token of the first byte (the
   /// caller maps pointers to region offsets).
   void record(std::uint64_t addr_token, const void* current_bytes,
               std::size_t len);
 
-  /// Epoch boundary (core::EpochLog): make every appended record durable.
-  /// O(1) no-op when nothing has been appended since the last sync.
-  /// Returns false when the log media rejected a write-back: the pending
-  /// entries (or the tail covering them) are NOT durable, synced state is
-  /// unchanged, and callers must not flush data those entries cover.
+  /// Epoch boundary (core::EpochLog): make every appended record durable
+  /// and publish the durable tail covering them. O(1) no-op when nothing
+  /// has been appended since the last sync. Returns false when the log
+  /// media rejected a write-back: the pending entries (or the tail covering
+  /// them) are NOT durable, and callers must not flush data those entries
+  /// cover; the next sync retries whichever step failed.
   bool sync() override;
 
   /// Commit: truncate the log durably and advance the generation (the
@@ -116,16 +124,17 @@ class UndoLog final : public core::EpochLog {
     return offsets.size();
   }
 
-  /// Durable tail offset (kHeaderSize when empty/committed). In batched
-  /// mode this lags appended_tail() until the next sync().
+  /// Durable tail offset (kHeaderSize when empty/committed). In both modes
+  /// this lags appended_tail() until the next sync().
   std::uint64_t tail() const;
   std::uint64_t appended_tail() const noexcept { return appended_tail_; }
 
   std::size_t capacity() const noexcept { return size_; }
   std::uint64_t records() const noexcept { return records_; }
   std::uint64_t bytes_logged() const noexcept { return bytes_logged_; }
-  /// Number of sync points that actually persisted pending entries — one
-  /// per record in strict mode, one per epoch in batched mode.
+  /// Number of entry persists (flush range + fence) — one per record in
+  /// strict mode, one per epoch in batched mode. Tail publishes are not
+  /// counted: they happen once per epoch in both modes.
   std::uint64_t sync_points() const noexcept { return sync_points_; }
   LogSyncMode mode() const noexcept { return mode_; }
 
@@ -186,6 +195,8 @@ class UndoLog final : public core::EpochLog {
   LogHeader* header() const { return reinterpret_cast<LogHeader*>(base_); }
   bool persist(const void* p, std::size_t len);
   bool publish_state(std::uint32_t gen, std::uint64_t tail);
+  /// Flush + fence the appended-but-not-durable entries; no tail publish.
+  bool persist_entries();
 
   /// Offsets of every entry of the current generation that self-certifies,
   /// oldest first, starting at kHeaderSize; stops at the first entry that
@@ -198,8 +209,9 @@ class UndoLog final : public core::EpochLog {
   core::FlushSink* sink_;
   LogSyncMode mode_;
   std::uint32_t gen_ = 0;
-  std::uint64_t appended_tail_ = kHeaderSize;  // includes unsynced entries
-  std::uint64_t synced_tail_ = kHeaderSize;    // durable prefix
+  std::uint64_t appended_tail_ = kHeaderSize;   // includes unsynced entries
+  std::uint64_t synced_tail_ = kHeaderSize;     // durable entry prefix
+  std::uint64_t published_tail_ = kHeaderSize;  // tail in the durable header
   std::uint64_t records_ = 0;
   std::uint64_t bytes_logged_ = 0;
   std::uint64_t sync_points_ = 0;

@@ -333,6 +333,10 @@ std::uint64_t CrashRig::log_fences() const noexcept {
   });
 }
 
+std::uint64_t CrashRig::log_syncs() const noexcept {
+  return sum([](const Context& c) { return c.log->sync_points(); });
+}
+
 std::uint64_t CrashRig::bypassed_stores() const noexcept {
   return sum([](const Context& c) { return c.policy->counters().bypassed; });
 }

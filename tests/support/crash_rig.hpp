@@ -183,6 +183,8 @@ class CrashRig {
 
   std::uint64_t data_flushes() const noexcept;  // summed over contexts
   std::uint64_t log_fences() const noexcept;
+  /// Undo-log entry persists (UndoLog::sync_points), summed over contexts.
+  std::uint64_t log_syncs() const noexcept;
   /// Stores written through by the admission filter (summed over contexts).
   std::uint64_t bypassed_stores() const noexcept;
   /// Elision dimension: write-backs skipped / drain re-flushes (summed).

@@ -161,9 +161,13 @@ TEST(CrashEquivalence, StrictAndBatchedConvergeWithFewerLogFences) {
 
   // The point of the exercise: O(records) => O(epochs) log fences.
   EXPECT_LT(batched.log_fences(), strict.log_fences());
-  // Strict pays 2 fences per record plus 1 per commit (+1 from format()).
+  // Batched pays 2 fences per epoch (entries, then tail) plus 1 per commit
+  // (+1 from format()). Strict pays 1 per record for its entry, the same
+  // once-per-epoch tail publish, and the same commits.
+  const std::uint64_t epochs = batched.log_syncs();
+  EXPECT_EQ(batched.log_fences(), 2u * epochs + kFases + 1);
   EXPECT_EQ(strict.log_fences(),
-            2u * kFases * kStoresPerFase + kFases + 1);
+            1u * kFases * kStoresPerFase + epochs + kFases + 1);
 }
 
 TEST(CrashEquivalence, AsyncDataTrafficIsIdenticalToSync) {

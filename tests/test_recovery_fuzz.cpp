@@ -318,15 +318,13 @@ INSTANTIATE_TEST_SUITE_P(AllModes, RecoveryFuzz,
 // clean report over wrong bytes, and the R2 oracle catches exactly that.
 // ---------------------------------------------------------------------------
 
-TEST(RecoveryFuzzBug, SeededVerificationSkipIsCaught) {
-  // Strict mode, sync flushing, one open (never-committed) FASE: its undo
-  // records are durable below the published tail, so a restarted process
-  // must roll them back.
-  CrashRigConfig config = rig_config(kAllModes[0]);
-  CrashRig rig(config);
-  const std::uint64_t seed = testing::seed_from_env("NVC_FUZZ_SEED", 0xbadull);
+/// Three committed FASEs on context 0, then one open (never-committed) FASE
+/// of four stores to distinct cells of one data line — so the newest
+/// record's payload is never masked by a later (older) rollback write to
+/// the same cell. With `barrier`, a mid-FASE persist_barrier then writes
+/// that line back, which first publishes the tail covering its records.
+void run_open_fase(CrashRig& rig, std::uint64_t seed, bool barrier) {
   std::uint64_t s = seed;
-  // A few committed FASEs first, so rollback has real prior state.
   for (std::size_t round = 0; round < 3; ++round) {
     rig.fase_begin(0);
     for (std::size_t w = 0; w < 3; ++w) {
@@ -334,15 +332,38 @@ TEST(RecoveryFuzzBug, SeededVerificationSkipIsCaught) {
     }
     ASSERT_TRUE(rig.fase_end(0));
   }
-  // The open FASE whose records the corruption will target. Distinct cells,
-  // so the newest record's payload is never masked by a later (older)
-  // rollback write to the same cell.
   rig.fase_begin(0);
   for (std::size_t w = 0; w < 4; ++w) {
     rig.pstore_u64(0, 16 + w * 2, splitmix(s));
   }
+  if (barrier) rig.persist_barrier(0);
   // No fase_end: power could fail here; the durable image holds certified
   // uncommitted records.
+}
+
+/// Flip one payload byte of the newest certified record of segment 0.
+std::vector<std::uint8_t> corrupt_newest_record(
+    const std::vector<std::uint8_t>& image, const ImageLayout& layout) {
+  const runtime::UndoLog::Inspection ins = runtime::UndoLog::inspect(
+      image.data() + layout.log_offset, layout.log_segment_size);
+  EXPECT_TRUE(ins.formatted);
+  EXPECT_FALSE(ins.offsets.empty()) << "open FASE left no certified records";
+  std::vector<std::uint8_t> out = image;
+  if (ins.offsets.empty()) return out;
+  out[layout.log_offset + ins.offsets.back() +
+      sizeof(runtime::UndoLog::EntryHead)] ^= 0x40;
+  return out;
+}
+
+TEST(RecoveryFuzzBug, SeededVerificationSkipIsCaught) {
+  // Strict mode, sync flushing, one open FASE whose data line never left
+  // the write cache: its undo records are durable, but no write-back has
+  // published a tail covering them yet. A restarted process must still
+  // roll back what certifies.
+  CrashRigConfig config = rig_config(kAllModes[0]);
+  CrashRig rig(config);
+  const std::uint64_t seed = testing::seed_from_env("NVC_FUZZ_SEED", 0xbadull);
+  run_open_fase(rig, seed, /*barrier=*/false);
   const std::vector<std::uint8_t> img0 = rig.durable_image();
   const ImageLayout layout = layout_of(rig);
 
@@ -355,26 +376,25 @@ TEST(RecoveryFuzzBug, SeededVerificationSkipIsCaught) {
       base.begin() + layout.data_offset,
       base.begin() + layout.data_offset + layout.data_size};
 
-  // Corrupt one payload byte of a certified record of segment 0.
-  const runtime::UndoLog::Inspection ins = runtime::UndoLog::inspect(
-      img0.data() + layout.log_offset, layout.log_segment_size);
-  ASSERT_TRUE(ins.formatted);
-  ASSERT_FALSE(ins.offsets.empty()) << "open FASE left no certified records";
-  std::vector<std::uint8_t> img = img0;
-  const std::size_t payload_byte =
-      layout.log_offset + ins.offsets.back() +
-      sizeof(runtime::UndoLog::EntryHead);
-  img[payload_byte] ^= 0x40;
+  // Corrupt one payload byte of the newest certified record.
+  const std::vector<std::uint8_t> img = corrupt_newest_record(img0, layout);
 
-  // Honest pipeline: the record no longer certifies, the chain stops short
-  // of the durable tail, and the segment is reported unrecoverable.
+  // Honest pipeline: the record no longer certifies, so the chain stops
+  // one record early — but still covers the durable tail, and the lost
+  // record's data line never became durable. Rolling back the certified
+  // prefix restores exactly the committed bytes: salvaged, not lost.
   {
     std::vector<std::uint8_t> copy = img;
     runtime::RecoveryManager mgr(view_of(copy, layout));
     mgr.set_verify_table(&table);
     const runtime::RecoveryReport report = mgr.run();
-    EXPECT_FALSE(report.ok()) << report.summary();
-    EXPECT_GT(report.segments_unrecoverable, 0u);
+    const std::vector<std::uint8_t> got{
+        copy.begin() + layout.data_offset,
+        copy.begin() + layout.data_offset + layout.data_size};
+    EXPECT_EQ(report.outcome, runtime::RecoveryOutcome::kSalvaged)
+        << report.summary();
+    EXPECT_TRUE(report.ok());
+    EXPECT_EQ(got, base_data);
   }
 
   // Buggy pipeline: trusts length fields alone, replays the corrupted
@@ -428,6 +448,26 @@ TEST(RecoveryFuzzBug, SeededVerificationSkipIsCaught) {
     buggy.set_bug_skip_verification(true);
     EXPECT_TRUE(buggy.run().ok())
         << "bug armed but verification still ran";
+  }
+}
+
+TEST(RecoveryFuzzBug, DurableDataRecordRotIsUnrecoverableWithoutVerifyTable) {
+  // The same corruption once the open FASE's data line is durable: the
+  // write-back published a tail covering every record, so losing the
+  // newest one loses undo bytes for durable data. The tail check alone
+  // must flag it — no verify table — in both log protocols.
+  for (const RecMode& mode : {kAllModes[0], kAllModes[4]}) {
+    CrashRig rig(rig_config(mode));
+    run_open_fase(rig, testing::seed_from_env("NVC_FUZZ_SEED", 0xbadull),
+                  /*barrier=*/true);
+    const ImageLayout layout = layout_of(rig);
+    std::vector<std::uint8_t> img =
+        corrupt_newest_record(rig.durable_image(), layout);
+    runtime::RecoveryManager mgr(view_of(img, layout));
+    const runtime::RecoveryReport report = mgr.run();
+    EXPECT_EQ(report.outcome, runtime::RecoveryOutcome::kUnrecoverable)
+        << mode_name(mode) << ": " << report.summary();
+    EXPECT_GT(report.segments_unrecoverable, 0u) << mode_name(mode);
   }
 }
 

@@ -288,9 +288,10 @@ TEST_F(RuntimeTest, BatchedLogFencesScaleWithEpochsNotRecords) {
 
   ASSERT_EQ(strict.log_records, kRecords);
   ASSERT_EQ(batched.log_records, kRecords);
-  // Strict syncs once per record (2 fences each) plus one commit per FASE.
+  // Strict persists each record's entry (one fence each), publishes the
+  // tail once per epoch (here one per FASE) and commits once per FASE.
   EXPECT_EQ(strict.log_syncs, kRecords);
-  EXPECT_EQ(strict.log_fences, 2 * kRecords + kFaseCount);
+  EXPECT_EQ(strict.log_fences, kRecords + kFaseCount + kFaseCount);
   // Batched syncs once per epoch — here exactly one per FASE, at the first
   // data-line flush of the end-of-FASE flush burst.
   EXPECT_EQ(batched.log_syncs, static_cast<std::uint64_t>(kFaseCount));

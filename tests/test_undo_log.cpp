@@ -1,6 +1,8 @@
 // Direct unit tests for the durable undo log (runtime/undo_log), including
-// the strict per-record and batched per-epoch durability protocols and the
-// self-certifying entry format the batched recovery walk depends on.
+// the strict per-record and batched per-epoch durability protocols, the
+// once-per-epoch tail publish both share (checked against a ShadowPmem
+// durable image), and the self-certifying entry format the recovery walk
+// depends on.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -9,6 +11,7 @@
 
 #include "common/rng.hpp"
 #include "pmem/flush.hpp"
+#include "pmem/shadow.hpp"
 #include "runtime/backend_sink.hpp"
 #include "runtime/undo_log.hpp"
 
@@ -33,6 +36,44 @@ struct LogFixture : public ::testing::Test {
   BackendSink sink;
 };
 
+/// An undo log living inside a ShadowPmem: its write-backs copy lines into
+/// the durable image (what a crash would leave), and every line and fence
+/// issued is recorded.
+struct ShadowLog {
+  struct Sink final : core::FlushSink {
+    explicit Sink(pmem::ShadowPmem* s)
+        : shadow(s),
+          shift(line_of(reinterpret_cast<PmAddr>(s->volatile_base()))) {}
+    bool flush_line(LineAddr line) override {
+      lines.push_back(line - shift);
+      return shadow->flush_line(line - shift);
+    }
+    void drain() override { ++fences; }
+
+    pmem::ShadowPmem* shadow;
+    LineAddr shift;
+    std::vector<LineAddr> lines;  // segment-relative, in issue order
+    std::uint64_t fences = 0;
+  };
+
+  explicit ShadowLog(LogSyncMode mode)
+      : shadow(kSize), sink(&shadow), log(shadow.volatile_base(), kSize,
+                                          &sink, mode) {}
+
+  /// The untrusted view recovery would get of the durable segment.
+  UndoLog::Inspection durable() const {
+    std::vector<std::uint8_t> image(kSize);
+    shadow.load_durable(0, image.data(), image.size());
+    return UndoLog::inspect(image.data(), image.size());
+  }
+  std::uint64_t header_writes() const { return shadow.line_write_count(0); }
+
+  static constexpr std::size_t kSize = 16 * 1024;
+  pmem::ShadowPmem shadow;
+  Sink sink;
+  UndoLog log;
+};
+
 TEST_F(LogFixture, FormatProducesValidEmptyLog) {
   UndoLog log = make_log();
   log.format();
@@ -48,13 +89,18 @@ TEST_F(LogFixture, UnformattedBufferIsInvalid) {
 }
 
 TEST_F(LogFixture, RecordAdvancesTailAndNeedsRecovery) {
+  // record() advances the appended tail; the durable tail follows at the
+  // next sync().
   UndoLog log = make_log();
   log.format();
   const std::uint64_t old_value = 0x1111;
   log.record(/*addr_token=*/100, &old_value, sizeof old_value);
   EXPECT_TRUE(log.needs_recovery());
-  EXPECT_GT(log.tail(), UndoLog::kHeaderSize);
+  EXPECT_GT(log.appended_tail(), UndoLog::kHeaderSize);
+  EXPECT_EQ(log.tail(), UndoLog::kHeaderSize);
   EXPECT_EQ(log.records(), 1u);
+  EXPECT_TRUE(log.sync());
+  EXPECT_EQ(log.tail(), log.appended_tail());
 }
 
 TEST_F(LogFixture, CommitTruncates) {
@@ -131,18 +177,91 @@ TEST_F(LogFixture, VariablePayloadSizes) {
 }
 
 TEST_F(LogFixture, StrictRecordPersistsEntryBeforeTail) {
-  // Strict protocol check: each record() must flush the entry bytes and
-  // fence before publishing the tail, and then flush the tail — at least
-  // two flush+fence pairs per record.
-  UndoLog log = make_log();
-  log.format();
-  backend.reset_counters();
-  const std::uint64_t v = 1;
-  log.record(0, &v, sizeof v);
-  EXPECT_GE(backend.flush_count(), 2u);
-  EXPECT_GE(backend.fence_count(), 2u);
-  EXPECT_EQ(log.sync_points(), 1u);
-  EXPECT_EQ(log.tail(), log.appended_tail());
+  // Strict protocol check: each record() writes back exactly the entry's
+  // lines and fences once, leaving the header line unwritten; sync() then
+  // publishes the tail covering it — one header write-back, one fence.
+  ShadowLog s(LogSyncMode::kStrict);
+  s.log.format();
+  for (const std::size_t len : {std::size_t{8}, std::size_t{200}}) {
+    const std::vector<char> value(len, 'v');
+    const std::uint64_t entry_at = s.log.appended_tail();
+    s.sink.lines.clear();
+    s.sink.fences = 0;
+    s.log.record(0, value.data(), len);
+    std::vector<LineAddr> entry_lines;
+    for (LineAddr line = line_of(entry_at);
+         line <= line_of(s.log.appended_tail() - 1); ++line) {
+      entry_lines.push_back(line);
+    }
+    EXPECT_EQ(s.sink.lines, entry_lines) << len;
+    EXPECT_EQ(s.sink.fences, 1u) << len;
+    EXPECT_EQ(s.log.tail(), UndoLog::kHeaderSize) << len;
+  }
+  EXPECT_EQ(s.log.sync_points(), 2u);
+  EXPECT_EQ(s.header_writes(), 1u);  // format() only
+
+  s.sink.lines.clear();
+  s.sink.fences = 0;
+  EXPECT_TRUE(s.log.sync());
+  EXPECT_EQ(s.sink.lines, std::vector<LineAddr>{0});
+  EXPECT_EQ(s.sink.fences, 1u);
+  EXPECT_EQ(s.log.tail(), s.log.appended_tail());
+  EXPECT_EQ(s.log.sync_points(), 2u);  // the publish persists no entry
+  EXPECT_EQ(s.header_writes(), 2u);
+}
+
+TEST(UndoLogDurability, DurableImageCertifiesEveryStrictRecordAtReturn) {
+  // Property over random record/sync/commit sequences: after every strict
+  // record() returns, the *durable* image certifies every record of the
+  // open generation (rollback would find it after a crash here). In both
+  // modes a sync() leaves the durable tail covering every record, and the
+  // header line is written back once per epoch plus once per commit.
+  for (const LogSyncMode mode : {LogSyncMode::kStrict, LogSyncMode::kBatched}) {
+    ShadowLog s(mode);
+    s.log.format();
+    Rng rng(16);
+    std::vector<char> payload(2 * UndoLog::kMaxPayload + 40);
+    std::uint64_t epochs = 0;
+    std::uint64_t commits = 0;
+    std::uint64_t records_at_commit = 0;
+    bool unpublished = false;  // records appended since the last publish
+    for (int round = 0; round < 60; ++round) {
+      const std::uint64_t records = rng.below(5);
+      for (std::uint64_t r = 0; r < records; ++r) {
+        const std::size_t len = 1 + rng.below(payload.size());
+        for (char& b : payload) b = static_cast<char>(rng());
+        s.log.record(8 * rng.below(64), payload.data(), len);
+        unpublished = true;
+        if (mode != LogSyncMode::kStrict) continue;
+        const UndoLog::Inspection ins = s.durable();
+        ASSERT_TRUE(ins.tail_covered) << round;
+        EXPECT_EQ(ins.offsets.size(), s.log.records() - records_at_commit)
+            << round;
+        EXPECT_EQ(ins.certified_extent, s.log.appended_tail()) << round;
+      }
+      // Most epochs end in a sync (a data write-back); some commit with
+      // the tail never published past the entries.
+      if (rng.below(4) != 0) {
+        EXPECT_TRUE(s.log.sync());
+        EXPECT_TRUE(s.log.sync());  // nothing pending: no header write
+        if (unpublished) ++epochs;
+        unpublished = false;
+        const UndoLog::Inspection ins = s.durable();
+        EXPECT_EQ(ins.durable_tail, s.log.appended_tail()) << round;
+        EXPECT_EQ(ins.certified_extent, s.log.appended_tail()) << round;
+      }
+      if (rng.below(2) == 0) {
+        EXPECT_TRUE(s.log.commit());
+        ++commits;
+        records_at_commit = s.log.records();
+        unpublished = false;
+      }
+      ASSERT_EQ(s.header_writes(), 1 + epochs + commits)
+          << to_string(mode) << " round " << round;
+    }
+    EXPECT_GT(epochs, 10u);
+    EXPECT_GT(commits, 10u);
+  }
 }
 
 TEST_F(LogFixture, OverflowAborts) {
