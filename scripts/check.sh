@@ -9,6 +9,10 @@
 #                               + asan pass of the recovery tier (undo-log
 #                                 units, image-corruption fuzzer + salvage
 #                                 units, `ctest -L recovery`)
+#                               + asan pass of the crash tier (crash matrix,
+#                                 crash-state fuzzer, image-corruption
+#                                 fuzzer, fault suite; `ctest -L
+#                                 'crash|fault'`)
 #                               + tsan pass of the concurrency suites (the
 #                                 `tsan` label: flush-behind ring, worker
 #                                 pools, async analysis, durable structures;
@@ -21,7 +25,7 @@
 #                                 at --quick size and every planted bug
 #
 # Flags / env:
-#   --no-asan        skip the asan policy tier (e.g. hosts without the rt)
+#   --no-asan        skip the asan tiers (e.g. hosts without the rt)
 #   --no-tsan        skip the tsan concurrency tier
 #   --no-bench       skip the compare.py gate
 #   --e2e            also build and test bench/e2e (opt-in; under a minute
@@ -74,6 +78,14 @@ if [ "$run_asan" = 1 ]; then
   cmake --build build-asan -j "$(nproc)" \
       --target test_undo_log test_recovery_units test_recovery_fuzz
   ctest --test-dir build-asan -L recovery -j "$jobs" --output-on-failure
+
+  # The crash suites drive the production Runtime over the crash rig's
+  # shadow medium, so an out-of-bounds access anywhere in the FASE/pstore
+  # shell, the write-back route or recovery shows up here.
+  echo "== asan: crash tier (crash matrix, fuzzers, fault suite) =="
+  cmake --build build-asan -j "$(nproc)" --target test_crash_matrix \
+      test_fault_injection test_fuzz_crash test_recovery_fuzz
+  ctest --test-dir build-asan -L 'crash|fault' -j "$jobs" --output-on-failure
 fi
 
 # The lock-free handoffs (SPSC rings, consumer locks, pool sweeps and

@@ -7,7 +7,8 @@
 
 namespace nvc::core {
 
-FlushElisionTable::FlushElisionTable(std::size_t slots) {
+FlushElisionTable::FlushElisionTable(std::size_t slots, LineAddr line_base)
+    : line_base_(line_base) {
   NVC_REQUIRE(slots >= 2);
   slots = std::bit_ceil(slots);
   mask_ = slots - 1;

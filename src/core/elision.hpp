@@ -74,7 +74,10 @@ class FlushElisionTable {
     std::uint64_t collisions = 0;  // slot held a different line
   };
 
-  explicit FlushElisionTable(std::size_t slots = kDefaultSlots);
+  /// Lines hash to slots by their offset from `line_base`, so collisions
+  /// replay bit-for-bit wherever the region is mapped.
+  explicit FlushElisionTable(std::size_t slots = kDefaultSlots,
+                             LineAddr line_base = 0);
 
   // --- FliT face (writer tagging + helper elision) --------------------------
 
@@ -143,14 +146,15 @@ class FlushElisionTable {
   }
 
   std::atomic<std::uint64_t>& slot_for(LineAddr line) noexcept {
-    return slots_[splitmix64_hash(line) & mask_];
+    return slots_[splitmix64_hash(line - line_base_) & mask_];
   }
   const std::atomic<std::uint64_t>& slot_for(LineAddr line) const noexcept {
-    return slots_[splitmix64_hash(line) & mask_];
+    return slots_[splitmix64_hash(line - line_base_) & mask_];
   }
   static std::uint64_t splitmix64_hash(LineAddr line) noexcept;
 
   std::size_t mask_;
+  LineAddr line_base_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;
   /// Shared conservative fallback: collisions and overflow count here, so
   /// pending() stays true for every line while any fallback tag is live.

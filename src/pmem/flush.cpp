@@ -103,8 +103,15 @@ FlushResult FlushBackend::consult_injector(const void* addr) noexcept {
   return d.bad ? FlushResult::kBadLine : FlushResult::kTransient;
 }
 
+FlushResult FlushBackend::on_medium(const void* addr) noexcept {
+  if (medium_->write_back(addr)) return FlushResult::kOk;
+  ++faults_;
+  return FlushResult::kTransient;
+}
+
 FlushResult FlushBackend::flush(const void* addr) noexcept {
   ++flushes_;
+  if (medium_ != nullptr) return on_medium(addr);
   if (injector_ != nullptr && !injector_->idle()) {
     const FlushResult r = consult_injector(addr);
     if (r != FlushResult::kOk) return r;  // the write-back never lands
@@ -133,6 +140,7 @@ FlushResult FlushBackend::flush(const void* addr) noexcept {
 
 FlushResult FlushBackend::issue(const void* addr) noexcept {
   ++flushes_;
+  if (medium_ != nullptr) return on_medium(addr);
   if (injector_ != nullptr && !injector_->idle()) {
     const FlushResult r = consult_injector(addr);
     if (r != FlushResult::kOk) return r;
@@ -172,6 +180,10 @@ FlushResult FlushBackend::flush_range(const void* addr,
 
 void FlushBackend::fence() noexcept {
   ++fences_;
+  if (medium_ != nullptr) {
+    medium_->fence();
+    return;
+  }
   if (kind_ == FlushKind::kCountOnly) return;
   do_sfence();
 }

@@ -39,6 +39,17 @@ const char* to_string(FlushKind kind);
 
 class FaultInjector;
 
+/// Crash-model seam beneath a backend (DESIGN.md §9): every write-back and
+/// fence goes to the medium instead of the hardware path, and the medium,
+/// not the backend, consults any fault injector.
+class FlushMedium {
+ public:
+  virtual ~FlushMedium() = default;
+  /// Write back the cache line holding `addr`; false = the media failed it.
+  virtual bool write_back(const void* addr) = 0;
+  virtual void fence() = 0;
+};
+
 /// Outcome of one write-back attempt. Real hardware reports media errors
 /// asynchronously (machine-check / poisoned reads); the simulated backends
 /// surface them synchronously through this result so software-level retry
@@ -88,6 +99,10 @@ class FlushBackend {
   }
   WearTracker* wear_tracker() const noexcept { return wear_.get(); }
 
+  /// Hand every write-back and fence to `medium` (nullptr detaches; not
+  /// owned). Counters still count here.
+  void set_medium(FlushMedium* medium) noexcept { medium_ = medium; }
+
   FlushKind kind() const noexcept { return kind_; }
   std::uint64_t flush_count() const noexcept { return flushes_; }
   std::uint64_t fence_count() const noexcept { return fences_; }
@@ -102,11 +117,13 @@ class FlushBackend {
 
  private:
   FlushResult consult_injector(const void* addr) noexcept;
+  FlushResult on_medium(const void* addr) noexcept;
 
   FlushKind kind_;
   std::uint32_t simulated_latency_ns_;
   std::shared_ptr<FaultInjector> injector_;
   std::shared_ptr<WearTracker> wear_;
+  FlushMedium* medium_ = nullptr;
   std::uint64_t flushes_ = 0;
   std::uint64_t fences_ = 0;
   std::uint64_t faults_ = 0;  // injected failures observed by this backend

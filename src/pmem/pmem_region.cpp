@@ -86,6 +86,11 @@ void PmemRegion::destroy(const std::string& name) {
   ::unlink(region_path(name).c_str());
 }
 
+PmemRegion PmemRegion::borrow(void* base, std::size_t size) {
+  NVC_REQUIRE(base != nullptr && size > 0);
+  return PmemRegion("", "", base, size);
+}
+
 PmemRegion::PmemRegion(PmemRegion&& other) noexcept
     : name_(std::move(other.name_)), path_(std::move(other.path_)),
       base_(std::exchange(other.base_, nullptr)),
@@ -133,7 +138,7 @@ void PmemRegion::close_and_destroy() {
 
 void PmemRegion::unmap() noexcept {
   if (base_ != nullptr) {
-    ::munmap(base_, size_);
+    if (!path_.empty()) ::munmap(base_, size_);  // borrowed views have none
     base_ = nullptr;
     size_ = 0;
   }

@@ -33,6 +33,10 @@ class PmemRegion {
   /// Remove a region's backing file without mapping it.
   static void destroy(const std::string& name);
 
+  /// Non-owning view of `size` bytes at `base` that some other owner keeps
+  /// alive (a crash medium's image): never unmapped, no backing file.
+  static PmemRegion borrow(void* base, std::size_t size);
+
   PmemRegion() = default;
   PmemRegion(PmemRegion&& other) noexcept;
   PmemRegion& operator=(PmemRegion&& other) noexcept;

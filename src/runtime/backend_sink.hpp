@@ -3,6 +3,8 @@
 // backend's own counters keep the per-thread flush/fence accounting.
 #pragma once
 
+#include <utility>
+
 #include "core/write_cache.hpp"
 #include "pmem/flush.hpp"
 
@@ -31,8 +33,8 @@ class BackendSink final : public core::FlushSink {
 /// completion is awaited, so the worker never stalls per line.
 class IssueSink final : public core::FlushSink {
  public:
-  IssueSink(pmem::FlushKind kind, std::uint32_t simulated_latency_ns)
-      : backend_(kind, simulated_latency_ns) {}
+  explicit IssueSink(pmem::FlushBackend backend)
+      : backend_(std::move(backend)) {}
 
   bool flush_line(LineAddr line) override {
     return backend_.issue(reinterpret_cast<const void*>(line_base(line))) ==

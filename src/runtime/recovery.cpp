@@ -285,7 +285,7 @@ RecoveryReport RecoveryManager::run() {
   // log walk — committed data lines are still restored to their last
   // verifiable commit — but the region as a whole is unrecoverable: the
   // root pointer and allocator state can no longer be trusted. Headerless
-  // views (crash-rig shadow images) skip the stage.
+  // views (synthetic raw-cell images) skip the stage.
   if (view_.heap_header) {
     const pmem::PmemAllocator::HeaderStatus heap =
         pmem::PmemAllocator::inspect(view_.data, view_.data_size);

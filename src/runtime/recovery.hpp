@@ -131,8 +131,8 @@ struct RecoveryReport {
 };
 
 /// Raw-memory view of a persistent image: the manager never owns mappings,
-/// so the Runtime (live regions) and the crash/corruption rigs (frozen
-/// ShadowPmem images) share one implementation.
+/// so the Runtime (live regions, or a crash medium's) and the corruption
+/// fuzzer (copies of frozen images) share one implementation.
 struct RegionView {
   void* data = nullptr;             // data region base (heap header at 0)
   std::size_t data_size = 0;
@@ -140,7 +140,7 @@ struct RegionView {
   std::size_t log_segment_size = 0;
   std::size_t log_segments = 0;
   /// False for images whose data region is raw cells with no PmemAllocator
-  /// header at offset 0 (the crash rig's shadow images): stage 1 is skipped
+  /// header at offset 0 (synthetic benchmark images): stage 1 is skipped
   /// and the region's recoverability rides on the log walk alone.
   bool heap_header = true;
   /// Optional durability sink for the bytes recovery mutates (rollback

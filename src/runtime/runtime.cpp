@@ -16,74 +16,32 @@ namespace nvc::runtime {
 
 namespace {
 
+/// This thread's single-entry context cache: ctx()'s fast path, also set by
+/// bind_context(). Internal linkage keeps both in one TLS block lookup.
+thread_local std::uint64_t tl_instance = 0;
+thread_local void* tl_ctx = nullptr;  // a Runtime::ThreadContext
+
 std::uint64_t next_instance_id() {
   static std::atomic<std::uint64_t> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// One context's write-back route.
-WriteBackSpec route_spec(const RuntimeConfig& config,
-                         core::FlushSink* sync_sink, UndoLog* log,
-                         const std::shared_ptr<pmem::FaultInjector>& injector,
-                         const std::shared_ptr<pmem::WearTracker>& wear,
-                         std::shared_ptr<core::FlushElisionTable> elision) {
-  WriteBackSpec spec;
-  spec.sync_sink = sync_sink;
-  spec.log = log;
-  spec.elision = std::move(elision);
-  spec.arm_faults(injector.get(), config.fault);
-  if (config.async_flush) {
-    // The depth arrives from NVC_FLUSH_QUEUE in the harness: clamp it to a
-    // sane range and round up to the power of two the ring requires,
-    // instead of aborting on a typo.
-    spec.ring_depth = std::bit_ceil(std::clamp<std::size_t>(
-        config.flush_queue_depth, 16, std::size_t{1} << 20));
-    // Posted write-backs on a private backend. It shares ownership of the
-    // injector and tracker (the channel may outlive the Runtime); the
-    // tracker records through atomics, so stats() stays race-free.
-    auto issue =
-        std::make_unique<IssueSink>(config.flush, config.simulated_flush_ns);
-    issue->backend().set_fault_injector(injector);
-    issue->backend().set_wear_tracker(wear);
-    // Device timing model for the simulated kind only (hardware kinds
-    // self-time). Occupancy defaults to a quarter of the write latency: a
-    // pipelined device accepts lines ~4x faster than one synchronous
-    // strongly-ordered flush completes (see DESIGN.md §8).
-    if (issue->backend().kind() == pmem::FlushKind::kSimulated) {
-      spec.device.latency_ns = config.simulated_flush_ns;
-      spec.device.issue_ns = config.simulated_flush_issue_ns != 0
-                                 ? config.simulated_flush_issue_ns
-                                 : std::max<std::uint32_t>(
-                                       1, config.simulated_flush_ns / 4);
-    }
-    spec.worker_sink = std::move(issue);
-  }
-  return spec;
-}
-
 }  // namespace
 
 struct Runtime::ThreadContext {
-  ThreadContext(const RuntimeConfig& config, void* log_base,
-                const std::shared_ptr<pmem::FaultInjector>& injector,
-                const std::shared_ptr<pmem::WearTracker>& wear,
-                const std::shared_ptr<core::FlushElisionTable>& elision)
-      : backend(config.flush, config.simulated_flush_ns),
-        log_backend(config.flush, config.simulated_flush_ns),
+  ThreadContext(const Runtime& rt, void* log_base)
+      : backend(rt.make_backend(/*metered=*/true)),
+        log_backend(rt.make_backend(/*metered=*/true)),
         sink(&backend),
         log_sink(&log_backend),
-        policy(core::make_policy(config.policy, config.policy_config)),
+        policy(core::make_policy(rt.config_.policy,
+                                 rt.config_.policy_config)),
         log(log_base != nullptr
-                ? std::make_unique<UndoLog>(log_base, config.log_segment_size,
-                                            &log_sink, config.log_sync)
+                ? std::make_unique<UndoLog>(log_base,
+                                            rt.config_.log_segment_size,
+                                            &log_sink, rt.config_.log_sync)
                 : nullptr),
-        route(route_spec(config, &sink, log.get(), injector, wear,
-                         elision)) {
-    backend.set_fault_injector(injector);
-    log_backend.set_fault_injector(injector);
-    backend.set_wear_tracker(wear);
-    log_backend.set_wear_tracker(wear);
-  }
+        route(rt.route_spec(&sink, log.get())) {}
 
   pmem::FlushBackend backend;      // data-line flushes (the paper's metric)
   pmem::FlushBackend log_backend;  // undo-log persistence traffic
@@ -102,9 +60,11 @@ struct Runtime::ThreadContext {
   std::vector<std::size_t> touched_lines;
 };
 
-Runtime::Runtime(RuntimeConfig config)
-    : config_(std::move(config)), instance_id_(next_instance_id()) {
-  NVC_REQUIRE(config_.region_size >= (1u << 16));
+Runtime::Runtime(RuntimeConfig config, Medium* medium)
+    : config_(std::move(config)),
+      medium_(medium),
+      instance_id_(next_instance_id()) {
+  NVC_REQUIRE(config_.region_size >= 4096);
   NVC_REQUIRE(config_.max_threads >= 1);
 
   if (config_.fault.enabled()) {
@@ -113,45 +73,55 @@ Runtime::Runtime(RuntimeConfig config)
   if (config_.wear_tracking) {
     wear_ = std::make_shared<pmem::WearTracker>();
   }
-  if (config_.elide) {
-    elision_ = std::make_shared<core::FlushElisionTable>();
-  }
 
   pmem::PmemRegion data =
-      config_.fresh
+      medium_ != nullptr
+          ? pmem::PmemRegion::borrow(medium_->data_region(config_.region_size),
+                                     config_.region_size)
+      : config_.fresh
           ? pmem::PmemRegion::create(config_.region_name, config_.region_size)
           : pmem::PmemRegion::open(config_.region_name);
   allocator_ =
       std::make_unique<pmem::PmemAllocator>(std::move(data), config_.fresh);
-  if (!config_.fresh) {
-    // Consume the clean-shutdown proof before any mutation: a crash from
-    // here on must reopen as *unsealed* (the seal only ever vouches for an
-    // image no live runtime can still be dirtying).
-    allocator_->unseal();
-    pmem::FlushBackend backend(config_.flush, config_.simulated_flush_ns);
-    backend.flush_range(static_cast<char*>(allocator_->region().base()) +
-                            pmem::PmemAllocator::seal_offset(),
-                        sizeof(std::uint64_t));
-    backend.fence();
-  }
+  // A reopened heap consumes its clean-shutdown proof before any mutation:
+  // a crash from here on must reopen as *unsealed* (the seal only ever
+  // vouches for an image no live runtime can still be dirtying). A fresh
+  // heap's format must be durable before anything points into it.
+  if (!config_.fresh) allocator_->unseal();
+  persist_header();
   if (config_.verify_data) {
     verify_table_ =
         std::make_shared<LineVerifyTable>(allocator_->region().size());
   }
-  // Contexts hash admission-doorkeeper slots relative to the region base so
-  // bypass/readmit decisions replay bit-for-bit across processes (ASLR moves
-  // the mapping; line offsets within the region do not).
-  config_.policy_config.admission.line_base =
+  // Contexts hash admission-doorkeeper slots, and the elision table its
+  // slots, relative to the region base, so their decisions replay
+  // bit-for-bit across processes (ASLR moves the mapping; line offsets
+  // within the region do not).
+  const LineAddr base_line =
       reinterpret_cast<std::uintptr_t>(allocator_->region().base()) /
       kCacheLineSize;
+  config_.policy_config.admission.line_base = base_line;
+  if (config_.elide) {
+    elision_ = std::make_shared<core::FlushElisionTable>(
+        core::FlushElisionTable::kDefaultSlots, base_line);
+  }
 
   if (config_.undo_logging) {
     const std::string log_name = config_.region_name + ".log";
     const std::size_t log_size =
         config_.log_segment_size * config_.max_threads;
-    if (config_.fresh || !pmem::PmemRegion::exists(log_name)) {
+    bool format = config_.fresh;
+    if (medium_ != nullptr) {
+      log_region_ = pmem::PmemRegion::borrow(medium_->log_region(log_size),
+                                             log_size);
+    } else if (config_.fresh || !pmem::PmemRegion::exists(log_name)) {
       log_region_ = pmem::PmemRegion::create(log_name, log_size);
-      pmem::FlushBackend backend(config_.flush, config_.simulated_flush_ns);
+      format = true;
+    } else {
+      log_region_ = pmem::PmemRegion::open(log_name);
+    }
+    if (format) {
+      pmem::FlushBackend backend = make_backend(/*metered=*/false);
       BackendSink sink(&backend);
       for (std::size_t s = 0; s < config_.max_threads; ++s) {
         UndoLog(static_cast<char*>(log_region_.base()) +
@@ -159,8 +129,6 @@ Runtime::Runtime(RuntimeConfig config)
                 config_.log_segment_size, &sink)
             .format();
       }
-    } else {
-      log_region_ = pmem::PmemRegion::open(log_name);
     }
   }
 
@@ -221,11 +189,59 @@ Runtime::~Runtime() {
   if (quiescent) {
     std::lock_guard<std::mutex> lock(alloc_mutex_);
     allocator_->seal();
-    pmem::FlushBackend backend(config_.flush, config_.simulated_flush_ns);
-    backend.flush_range(allocator_->region().base(),
-                        pmem::PmemAllocator::header_size());
-    backend.fence();
+    persist_header();
   }
+}
+
+pmem::FlushBackend Runtime::make_backend(bool metered) const {
+  pmem::FlushBackend backend(config_.flush, config_.simulated_flush_ns);
+  backend.set_medium(medium_);
+  if (metered) {
+    backend.set_fault_injector(injector_);
+    backend.set_wear_tracker(wear_);
+  }
+  return backend;
+}
+
+WriteBackSpec Runtime::route_spec(core::FlushSink* sync_sink,
+                                  UndoLog* log) const {
+  WriteBackSpec spec;
+  spec.sync_sink = sync_sink;
+  spec.log = log;
+  spec.elision = elision_;
+  spec.arm_faults(injector_.get(), config_.fault);
+  if (config_.async_flush) {
+    // The depth arrives from NVC_FLUSH_QUEUE in the harness: clamp it to a
+    // sane range and round up to the power of two the ring requires,
+    // instead of aborting on a typo.
+    spec.ring_depth = std::bit_ceil(std::clamp<std::size_t>(
+        config_.flush_queue_depth, 8, std::size_t{1} << 20));
+    spec.manual_channel = medium_ != nullptr && medium_->manual_flush();
+    // Posted write-backs on a private backend. It shares ownership of the
+    // injector and tracker (the channel may outlive the Runtime); the
+    // tracker records through atomics, so stats() stays race-free.
+    auto issue = std::make_unique<IssueSink>(make_backend(/*metered=*/true));
+    // Device timing model for the simulated kind only (hardware kinds
+    // self-time). Occupancy defaults to a quarter of the write latency: a
+    // pipelined device accepts lines ~4x faster than one synchronous
+    // strongly-ordered flush completes (see DESIGN.md §8).
+    if (issue->backend().kind() == pmem::FlushKind::kSimulated) {
+      spec.device.latency_ns = config_.simulated_flush_ns;
+      spec.device.issue_ns = config_.simulated_flush_issue_ns != 0
+                                 ? config_.simulated_flush_issue_ns
+                                 : std::max<std::uint32_t>(
+                                       1, config_.simulated_flush_ns / 4);
+    }
+    spec.worker_sink = std::move(issue);
+  }
+  return spec;
+}
+
+void Runtime::persist_header() {
+  pmem::FlushBackend backend = make_backend(/*metered=*/false);
+  backend.flush_range(allocator_->region().base(),
+                      pmem::PmemAllocator::header_size());
+  backend.fence();
 }
 
 Runtime::ThreadContext& Runtime::ctx() {
@@ -233,12 +249,10 @@ Runtime::ThreadContext& Runtime::ctx() {
   // pstore/fase_begin/fase_end resolve their context with one compare
   // instead of a hash-map probe. Instance ids are never reused, so a stale
   // entry can only miss, never alias another runtime.
-  thread_local std::uint64_t tl_last_instance = 0;
-  thread_local ThreadContext* tl_last_ctx = nullptr;
-  if (tl_last_instance == instance_id_) return *tl_last_ctx;
+  if (tl_instance == instance_id_) return *static_cast<ThreadContext*>(tl_ctx);
   ThreadContext& c = ctx_slow();
-  tl_last_instance = instance_id_;
-  tl_last_ctx = &c;
+  tl_instance = instance_id_;
+  tl_ctx = &c;
   return c;
 }
 
@@ -250,6 +264,12 @@ Runtime::ThreadContext& Runtime::ctx_slow() {
   if (it != tl_cache.end()) return *it->second;
 
   std::lock_guard<std::mutex> lock(contexts_mutex_);
+  ThreadContext& c = add_context();
+  tl_cache.emplace(instance_id_, &c);
+  return c;
+}
+
+Runtime::ThreadContext& Runtime::add_context() {
   const std::size_t slot = contexts_.size();
   NVC_REQUIRE(slot < config_.max_threads || !config_.undo_logging,
               "more threads than configured log segments");
@@ -258,11 +278,29 @@ Runtime::ThreadContext& Runtime::ctx_slow() {
           ? static_cast<char*>(log_region_.base()) +
                 slot * config_.log_segment_size
           : nullptr;
-  contexts_.push_back(std::make_unique<ThreadContext>(
-      config_, log_base, injector_, wear_, elision_));
-  ThreadContext* c = contexts_.back().get();
-  tl_cache.emplace(instance_id_, c);
-  return *c;
+  contexts_.push_back(std::make_unique<ThreadContext>(*this, log_base));
+  return *contexts_.back();
+}
+
+Runtime::ThreadContext& Runtime::context_at(std::size_t slot) {
+  std::lock_guard<std::mutex> lock(contexts_mutex_);
+  while (contexts_.size() <= slot) add_context();
+  return *contexts_[slot];
+}
+
+void Runtime::bind_context(std::size_t slot) {
+  tl_ctx = &context_at(slot);
+  tl_instance = instance_id_;
+}
+
+bool Runtime::pump_flush(std::size_t slot, std::size_t worker) {
+  return context_at(slot).route.pump_one(worker);
+}
+
+bool Runtime::pump_analysis(std::size_t slot, std::size_t worker) {
+  core::Policy& policy = *context_at(slot).policy;
+  return policy.kind() == core::PolicyKind::kSoftCache &&
+         static_cast<core::SoftCachePolicy&>(policy).pump_analysis(worker);
 }
 
 void* Runtime::pm_alloc(std::size_t size) {
@@ -284,6 +322,7 @@ void Runtime::set_root(void* p) {
   std::lock_guard<std::mutex> lock(alloc_mutex_);
   allocator_->set_root(p == nullptr ? pmem::kNullOffset
                                     : allocator_->offset_of(p));
+  persist_header();
   if (scrubber_ != nullptr) scrubber_->refresh_header_mirror();
 }
 
@@ -300,24 +339,19 @@ void Runtime::fase_begin() {
   }
 }
 
-void Runtime::fase_end() {
+bool Runtime::fase_end() {
   ThreadContext& c = ctx();
   NVC_REQUIRE(c.fase_depth > 0, "fase_end without matching fase_begin");
-  if (--c.fase_depth == 0) {
-    c.policy->on_fase_end(c.route.sink());
-    if (c.log) {
-      // Commit suspension is checked after the policy's flushes above,
-      // which is where quarantine verdicts land. Touched lines stay dirty
-      // in the verify table — their content was never committed, so no
-      // checksum may vouch for it.
-      if (!c.route.commit_allowed()) return;
-      if (c.log->commit()) publish_commit(c);  // atomic commit point
-    } else {
-      // No undo log: the FASE boundary itself is the commit point for
-      // checksum purposes.
-      publish_commit(c);
-    }
-  }
+  if (--c.fase_depth != 0) return false;
+  c.policy->on_fase_end(c.route.sink());
+  // The log commit is the atomic commit point. Commit suspension is checked
+  // after the policy's flushes above, which is where quarantine verdicts
+  // land; an uncommitted FASE leaves its touched lines dirty in the verify
+  // table — no checksum may vouch for content never committed. Without an
+  // undo log the FASE boundary itself is the commit point.
+  if (c.log && (!c.route.commit_allowed() || !c.log->commit())) return false;
+  publish_commit(c);
+  return true;
 }
 
 void Runtime::publish_commit(ThreadContext& c) {
@@ -345,7 +379,11 @@ void Runtime::pstore(void* dst, const void* src, std::size_t len) {
     const auto a = reinterpret_cast<PmAddr>(dst);
     c.route.order_store(line_of(a), line_of(a + len - 1));
   }
-  std::memcpy(dst, src, len);
+  if (medium_ != nullptr) {
+    medium_->store(dst, src, len);
+  } else {
+    std::memcpy(dst, src, len);
+  }
   pwrote_in(c, dst, len);
 }
 
@@ -406,7 +444,7 @@ bool Runtime::needs_recovery() const {
 
 std::size_t Runtime::recover() {
   if (!config_.undo_logging || !log_region_.valid()) return 0;
-  pmem::FlushBackend backend(config_.flush, config_.simulated_flush_ns);
+  pmem::FlushBackend backend = make_backend(/*metered=*/false);
   BackendSink sink(&backend);
   RecoveryManager manager(region_view(&sink));
   if (verify_table_ != nullptr) manager.set_verify_table(verify_table_.get());

@@ -41,6 +41,7 @@ namespace nvc::runtime {
 
 class Scrubber;
 struct ScrubStats;
+struct WriteBackSpec;
 
 struct RuntimeConfig {
   std::string region_name = "default";
@@ -159,9 +160,28 @@ struct RuntimeStats {
   }
 };
 
+/// A crash medium (DESIGN.md §9), the test seam in place of the mmap'ed
+/// regions and the hardware flush path: it supplies both regions' memory
+/// (the same bytes to every Runtime built over it, so a restart reopens
+/// them), receives every write-back and fence of every backend the runtime
+/// builds, and performs pstore's data write.
+class Medium : public pmem::FlushMedium {
+ public:
+  virtual void* data_region(std::size_t size) = 0;
+  virtual void* log_region(std::size_t size) = 0;
+  /// pstore's data write: after the undo record and the hazard check,
+  /// before the policy sees the store.
+  virtual void store(void* dst, const void* src, std::size_t len) = 0;
+  /// Open flush channels no pool worker sweeps: queued write-backs then run
+  /// only under pump_flush() and the helping drain.
+  virtual bool manual_flush() const = 0;
+};
+
 class Runtime {
  public:
-  explicit Runtime(RuntimeConfig config);
+  /// `medium` (not owned; outlives the runtime) is the crash-test seam
+  /// above; null runs on the real regions.
+  explicit Runtime(RuntimeConfig config, Medium* medium = nullptr);
   ~Runtime();
 
   Runtime(const Runtime&) = delete;
@@ -188,7 +208,10 @@ class Runtime {
   void fase_begin();
 
   /// Leave a FASE; the outermost end flushes per policy and commits the log.
-  void fase_end();
+  /// True when this end reached the commit point: the outermost end, with
+  /// the log commit (if logging) done. Inner ends, suspended commits
+  /// (quarantine) and failed commits return false.
+  bool fase_end();
 
   /// Instrumented persistent store: logs the old value (if logging), applies
   /// the write, and reports the line to the caching policy. Must run inside
@@ -262,11 +285,46 @@ class Runtime {
   /// Remove the backing files (test teardown).
   void destroy_storage();
 
+  // --- test seams (crash rig, deterministic schedulers) ----------------------
+
+  /// Bind the calling thread to context slot `slot` (creating the slots up
+  /// to it): its FASE, store and barrier calls act on that context until
+  /// the next bind, or until the thread uses another Runtime.
+  void bind_context(std::size_t slot);
+  /// Write back one queued line of slot `slot`'s flush ring (manual
+  /// channels; false when none). `worker` is the virtual pool worker a
+  /// simulated schedule charges the write-back to.
+  bool pump_flush(std::size_t slot, std::size_t worker = 0);
+  /// Run one handed-off burst analysis of slot `slot`'s sampler
+  /// (policy_config.sampler.manual_analysis; false when none ran).
+  bool pump_analysis(std::size_t slot, std::size_t worker = 0);
+  /// The media-fault injector (null unless config.fault.enabled()).
+  const std::shared_ptr<pmem::FaultInjector>& fault_injector() const noexcept {
+    return injector_;
+  }
+  /// The shared flush-elision table (null unless config.elide).
+  const std::shared_ptr<core::FlushElisionTable>& elision_table()
+      const noexcept {
+    return elision_;
+  }
+
  private:
   struct ThreadContext;
 
   ThreadContext& ctx();
   ThreadContext& ctx_slow();
+  /// Context of `slot`, creating the slots up to it.
+  ThreadContext& context_at(std::size_t slot);
+  /// Append the next context slot (contexts_mutex_ held).
+  ThreadContext& add_context();
+  /// Every flush backend the runtime builds. Metered ones (per-context data,
+  /// log and worker side) carry the fault injector and the wear tracker.
+  pmem::FlushBackend make_backend(bool metered) const;
+  /// One context's write-back route (runtime/write_back_route.hpp).
+  WriteBackSpec route_spec(core::FlushSink* sync_sink, UndoLog* log) const;
+  /// Write the heap header back (format, reopen, set_root, seal): the
+  /// allocator only mutates the mapping.
+  void persist_header();
   void pwrote_in(ThreadContext& c, const void* addr, std::size_t len);
   /// Publish commit-time checksums for the FASE's touched lines
   /// (NVC_VERIFY_DATA; no-op otherwise).
@@ -275,6 +333,7 @@ class Runtime {
   RegionView region_view(core::FlushSink* sink) const;
 
   RuntimeConfig config_;
+  Medium* medium_;
   /// Media-fault decision source (null when config_.fault is disabled).
   /// Shared: the worker-side backend inside a FlushChannel keeps a
   /// reference, and a channel may outlive the Runtime.

@@ -13,11 +13,9 @@
 // the caller's sync sink itself. sink() returns one cached pointer, and the
 // async->sync degradation latch swaps it exactly once, to the degraded
 // route (log-order over the retrying sync path, skipping ring and elision).
-// The route also owns what both of its users — Runtime::ThreadContext and
-// the crash rig — would otherwise repeat: the degradation and commit-
-// suspension latches, the write-after-enqueue hazard check a pstore runs
-// before its data write, the channel's pump/wait hooks, and the elision and
-// ring counters.
+// The route also owns the degradation and commit-suspension latches, the
+// write-after-enqueue hazard check a pstore runs before its data write, the
+// channel's pump/wait hooks, and the elision and ring counters.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +31,10 @@
 
 namespace nvc::runtime {
 
-/// What the route's two users differ in. Every pointer stage is optional.
+/// What a route is built from. Every pointer stage is optional.
 struct WriteBackSpec {
   /// Application-side synchronous data sink (not owned; must outlive the
-  /// route): the backend sink in Runtime, the freezeable shadow sink in the
-  /// crash rig. Ring overflow and the degraded route write back through it.
+  /// route). Ring overflow and the degraded route write back through it.
   core::FlushSink* sync_sink = nullptr;
   /// Worker-side base sink. Non-null turns the flush-behind ring on; the
   /// channel takes ownership, because it may outlive the route.

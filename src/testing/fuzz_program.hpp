@@ -7,10 +7,10 @@
 // barrier or a FASE end, mid-FASE persistence barriers, and
 // allocate/free of the objects the stores target — interleaved across
 // several logical contexts, each modeling one runtime thread. The same
-// program is interpreted twice: by the crash rig (tests/support/crash_rig)
-// under an injected power failure, and analytically by the
-// DurabilityOracle, which computes every legally recoverable state. One
-// 64-bit seed reproduces the whole program.
+// program is interpreted twice: by the Runtime over the crash rig's medium
+// (tests/support/crash_rig) under an injected power failure, and
+// analytically by the DurabilityOracle, which computes every legally
+// recoverable state. One 64-bit seed reproduces the whole program.
 //
 // Object model: every context owns a private data region; objects are
 // bump-allocated ranges inside it and addresses are never reused, so a

@@ -374,25 +374,25 @@ TEST(RuntimeFaults, IdleInjectorLeavesBehaviorIdentical) {
 // --------------------------------------------------------------------------
 
 TEST(RigFaults, QuarantinedLineSuspendsCommitsAndRecoveryRollsBack) {
-  CrashRigConfig config;
-  config.mode = runtime::LogSyncMode::kStrict;
-  config.data_lines = 8;
-  // Shadow line 0 = the first data line of context 0 (the shadow works in
-  // image-offset lines, so explicit bad lines are deterministic).
-  config.fault.bad_lines = {0};
+  runtime::RuntimeConfig config = rig_runtime_config();
+  config.log_sync = runtime::LogSyncMode::kStrict;
+  // Context 0's first data line. The medium works in image-offset lines,
+  // so explicit bad lines are deterministic.
+  config.fault.bad_lines = {
+      CrashRig(rig_runtime_config()).image_data_offset(0) / kCacheLineSize};
   config.fault.max_retries = 2;
   config.fault.backoff_ns = 0;
   config.fault.backoff_cap_ns = 0;
   CrashRig rig(config);
 
   rig.fase_begin();
-  rig.pstore_u64(0, 0, 0xAAAA);  // cell 0 -> bad line 0
-  rig.pstore_u64(0, 8, 0xBBBB);  // cell 8 -> healthy line 1
+  rig.pstore_u64(0, 0, 0xAAAA);  // cell 0 -> the bad line
+  rig.pstore_u64(0, 8, 0xBBBB);  // cell 8 -> a healthy line
   EXPECT_FALSE(rig.fase_end()) << "a FASE with a lost line must not commit";
-  EXPECT_TRUE(rig.route().commit_suspended());
-  ASSERT_NE(rig.route().faults(), nullptr);
-  EXPECT_GE(rig.route().faults()->quarantined_count(), 1u);
-  EXPECT_GT(rig.route().faults()->transients(), 0u);
+  EXPECT_EQ(rig.runtime().health().commit_suspended_contexts, 1u);
+  ASSERT_TRUE(rig.runtime().health().faults_attached);
+  EXPECT_GE(rig.stats().quarantined_lines, 1u);
+  EXPECT_GT(rig.stats().transient_faults, 0u);
 
   // Suspension is sticky: a later FASE touching only healthy lines still
   // refuses to commit — moving the commit point past the quarantined data
@@ -402,8 +402,8 @@ TEST(RigFaults, QuarantinedLineSuspendsCommitsAndRecoveryRollsBack) {
   EXPECT_FALSE(rig.fase_end());
 
   // A restarted process rolls back to the last good commit: the initial
-  // all-zero image (nothing ever committed), even though line 1's bytes
-  // landed durably before the quarantine verdict.
+  // all-zero image (nothing ever committed), even though the healthy
+  // line's bytes landed durably before the quarantine verdict.
   const std::vector<std::uint8_t> recovered = rig.recovered_data();
   const std::vector<std::uint8_t> zeros(rig.data_bytes(), 0);
   EXPECT_EQ(recovered, zeros);
@@ -411,15 +411,14 @@ TEST(RigFaults, QuarantinedLineSuspendsCommitsAndRecoveryRollsBack) {
 
 TEST(RigFaults, CleanMediumCommitsNormally) {
   // Control for the test above: same script, no faults — commits land.
-  CrashRigConfig config;
-  config.mode = runtime::LogSyncMode::kStrict;
-  config.data_lines = 8;
+  runtime::RuntimeConfig config = rig_runtime_config();
+  config.log_sync = runtime::LogSyncMode::kStrict;
   CrashRig rig(config);
   rig.fase_begin();
   rig.pstore_u64(0, 0, 0xAAAA);
   rig.pstore_u64(0, 8, 0xBBBB);
   EXPECT_TRUE(rig.fase_end());
-  EXPECT_FALSE(rig.route().commit_suspended());
+  EXPECT_EQ(rig.runtime().health().commit_suspended_contexts, 0u);
   const std::vector<std::uint8_t> recovered = rig.recovered_data();
   std::uint64_t cell0 = 0;
   std::uint64_t cell8 = 0;

@@ -2,8 +2,9 @@
 // (DESIGN.md §9).
 //
 // Seeded random FASE programs (src/testing/fuzz_program.hpp) run on the
-// shared freeze/restart rig (tests/support/crash_rig.hpp) under every
-// combination of the three durability mode axes —
+// production Runtime over the freeze/restart rig's shadow medium
+// (tests/support/crash_rig.hpp) under every combination of the three
+// durability mode axes —
 //
 //     log protocol      strict | batched     (LogSyncMode)
 //     data write-backs  sync   | flush-behind pipeline
@@ -27,9 +28,9 @@
 //
 // Two differential companions ride along: the analyze/MRC/knee pipeline is
 // checked against its brute-force references on random traces, and the
-// generated programs are replayed on the REAL Runtime (real threads, real
-// background workers, pm_alloc/pm_free) with every live object's final
-// bytes checked against the oracle.
+// generated programs are replayed on the Runtime's real regions (real
+// threads, real background workers, pm_alloc/pm_free) with every live
+// object's final bytes checked against the oracle.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -46,6 +47,7 @@
 #include "common/env.hpp"
 #include "common/rng.hpp"
 #include "core/analyzer.hpp"
+#include "core/flush_pipeline.hpp"
 #include "pmem/pmem_region.hpp"
 #include "runtime/runtime.hpp"
 #include "support/crash_rig.hpp"
@@ -108,6 +110,13 @@ std::string mode_name(const FuzzMode& mode) {
          (mode.async_analysis ? "asyncanalysis" : "syncanalysis");
 }
 
+/// gtest case name of a mode: mode_name() without the dashes.
+std::string test_name(const ::testing::TestParamInfo<FuzzMode>& info) {
+  std::string name = mode_name(info.param);
+  std::erase(name, '-');
+  return name;
+}
+
 const FuzzMode kAllModes[] = {
     {runtime::LogSyncMode::kStrict, false, false},
     {runtime::LogSyncMode::kStrict, false, true},
@@ -119,20 +128,22 @@ const FuzzMode kAllModes[] = {
     {runtime::LogSyncMode::kBatched, true, true},
 };
 
-CrashRigConfig fuzz_rig_config(const FuzzProgram& program,
-                               const FuzzMode& mode) {
-  CrashRigConfig config;
-  config.mode = mode.log;
+runtime::RuntimeConfig fuzz_runtime_config(const FuzzProgram& program,
+                                           const FuzzMode& mode) {
+  runtime::RuntimeConfig config = rig_runtime_config(program.contexts);
+  config.log_sync = mode.log;
   config.async_flush = mode.async_flush;
-  // Deterministic everywhere: the flush ring is a manual channel (pumped
-  // only by the virtual scheduler below) and async analysis uses a manual
-  // analysis channel — no OS thread other than this one ever runs.
-  config.manual_pipeline = true;
-  config.online_policy = true;  // the analysis axis needs a sampling policy
-  config.async_analysis = mode.async_analysis;
-  config.contexts = program.contexts;
-  config.data_lines = program.data_lines;
+  // The analysis axis needs a sampling policy; async analysis uses a
+  // manual analysis channel, pumped only by the virtual scheduler below.
+  config.policy = core::PolicyKind::kSoftCache;
+  config.policy_config.sampler.manual_analysis = mode.async_analysis;
   return config;
+}
+
+/// Deterministic everywhere: the flush ring is a manual channel too, so no
+/// OS thread other than this one ever runs.
+CrashRigConfig fuzz_medium(const FuzzProgram& program) {
+  return {.data_lines = program.data_lines, .manual_pipeline = true};
 }
 
 /// Interpret the program on the rig. After every op the seeded virtual
@@ -206,6 +217,40 @@ std::vector<std::uint64_t> freeze_points(std::uint64_t total,
   return points;
 }
 
+/// The freeze sweep every campaign shares: at each of freeze_points(),
+/// every context must recover the image after SOME committed FASE, and —
+/// the execution being deterministic — the matched commit index must be
+/// monotone in the freeze point. `dimension` (" under injected faults", …)
+/// and the replay fragment `env` go into failure messages; `last_index`
+/// receives the last commit index matched per context.
+void sweep_freeze_points(const runtime::RuntimeConfig& config,
+                         const CrashRigConfig& medium,
+                         const FuzzProgram& program,
+                         const DurabilityOracle& oracle, std::uint64_t total,
+                         const std::string& mode, const std::string& dimension,
+                         const std::string& env,
+                         std::vector<int>& last_index) {
+  last_index.assign(program.contexts, -1);
+  for (const std::uint64_t e : freeze_points(total, program.seed)) {
+    CrashRig rig(config, medium);
+    rig.freeze_at(e);
+    run_program(rig, program);
+    for (std::size_t c = 0; c < program.contexts; ++c) {
+      const int index = oracle.match(c, rig.recovered_data(c));
+      ASSERT_GE(index, 0)
+          << "ctx " << c << ": crash at event " << e << "/" << total
+          << dimension << " recovered a state matching no committed FASE\n  "
+          << fuzz_replay_line(program.seed, mode, e, env);
+      ASSERT_GE(index, last_index[c])
+          << "ctx " << c << ": durability regressed" << dimension
+          << " — freeze " << e << " recovered commit " << index
+          << " after an earlier freeze had already reached " << last_index[c]
+          << "\n  " << fuzz_replay_line(program.seed, mode, e, env);
+      last_index[c] = index;
+    }
+  }
+}
+
 // --------------------------------------------------------------------------
 // The tentpole: crash sweep across all eight mode combinations.
 // --------------------------------------------------------------------------
@@ -229,7 +274,7 @@ TEST_P(FuzzCrash, EveryCrashStateIsACommittedFasePrefix) {
     // freeze value — the execution is deterministic) and pins down the
     // no-crash contract: an uninterrupted run recovers to exactly the final
     // committed image of every context.
-    CrashRig probe(fuzz_rig_config(program, mode));
+    CrashRig probe(fuzz_runtime_config(program, mode), fuzz_medium(program));
     run_program(probe, program);
     const std::uint64_t total = probe.events();
     for (std::size_t c = 0; c < program.contexts; ++c) {
@@ -238,26 +283,11 @@ TEST_P(FuzzCrash, EveryCrashStateIsACommittedFasePrefix) {
           << fuzz_replay_line(seed, mode_name(mode), total);
     }
 
-    std::vector<int> last_index(program.contexts, -1);
-    for (const std::uint64_t e : freeze_points(total, seed)) {
-      CrashRig rig(fuzz_rig_config(program, mode));
-      rig.freeze_at(e);
-      run_program(rig, program);
-      for (std::size_t c = 0; c < program.contexts; ++c) {
-        const std::vector<std::uint8_t> image = rig.recovered_data(c);
-        const int index = oracle.match(c, image);
-        ASSERT_GE(index, 0)
-            << "ctx " << c << ": crash at event " << e << "/" << total
-            << " recovered a state matching no committed FASE\n  "
-            << fuzz_replay_line(seed, mode_name(mode), e);
-        ASSERT_GE(index, last_index[c])
-            << "ctx " << c << ": durability regressed — freeze " << e
-            << " recovered commit " << index << " after an earlier freeze "
-            << "had already reached " << last_index[c] << "\n  "
-            << fuzz_replay_line(seed, mode_name(mode), e);
-        last_index[c] = index;
-      }
-    }
+    std::vector<int> last_index;
+    sweep_freeze_points(fuzz_runtime_config(program, mode),
+                        fuzz_medium(program), program, oracle, total,
+                        mode_name(mode), "", "", last_index);
+    if (::testing::Test::HasFatalFailure()) return;
     if (env_int("NVC_FUZZ_FREEZE", -1) < 0) {
       // The unfrozen end of the sweep must have reached the final commit.
       for (std::size_t c = 0; c < program.contexts; ++c) {
@@ -271,11 +301,7 @@ TEST_P(FuzzCrash, EveryCrashStateIsACommittedFasePrefix) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, FuzzCrash, ::testing::ValuesIn(kAllModes),
-                         [](const auto& param_info) {
-                           std::string name = mode_name(param_info.param);
-                           std::erase(name, '-');
-                           return name;
-                         });
+                         test_name);
 
 // --------------------------------------------------------------------------
 // The repeat-store lane's disarm points (DESIGN.md §5 item 5).
@@ -344,10 +370,10 @@ TEST_P(RepeatLaneFuzzCrash, RedirtiedLinesAreWrittenBackBeforeCommit) {
     const DurabilityOracle oracle(program);
     redirtied += redirty_after_flush(program);
 
-    CrashRigConfig rig_config = fuzz_rig_config(program, mode);
-    rig_config.hibernation_length = 0;
+    runtime::RuntimeConfig rig_config = fuzz_runtime_config(program, mode);
+    rig_config.policy_config.sampler.hibernation_length = 0;
 
-    CrashRig probe(rig_config);
+    CrashRig probe(rig_config, fuzz_medium(program));
     std::vector<int> depth(program.contexts, 0);
     std::vector<std::size_t> commits(program.contexts, 0);
     run_program(probe, program, [&](const FuzzOp& op) {
@@ -362,26 +388,11 @@ TEST_P(RepeatLaneFuzzCrash, RedirtiedLinesAreWrittenBackBeforeCommit) {
     if (::testing::Test::HasFatalFailure()) return;
     const std::uint64_t total = probe.events();
 
-    std::vector<int> last_index(program.contexts, -1);
-    for (const std::uint64_t e : freeze_points(total, seed)) {
-      CrashRig rig(rig_config);
-      rig.freeze_at(e);
-      run_program(rig, program);
-      for (std::size_t c = 0; c < program.contexts; ++c) {
-        const int index = oracle.match(c, rig.recovered_data(c));
-        ASSERT_GE(index, 0)
-            << "ctx " << c << ": crash at event " << e << "/" << total
-            << " with the repeat lane live recovered a state matching no "
-            << "committed FASE\n  "
-            << fuzz_replay_line(seed, mode_name(mode), e);
-        ASSERT_GE(index, last_index[c])
-            << "ctx " << c << ": durability regressed — freeze " << e
-            << " recovered commit " << index << " after an earlier freeze "
-            << "had already reached " << last_index[c] << "\n  "
-            << fuzz_replay_line(seed, mode_name(mode), e);
-        last_index[c] = index;
-      }
-    }
+    std::vector<int> last_index;
+    sweep_freeze_points(rig_config, fuzz_medium(program), program, oracle,
+                        total, mode_name(mode), " with the repeat lane live",
+                        "", last_index);
+    if (::testing::Test::HasFatalFailure()) return;
   }
   if (env_int("NVC_FUZZ_SEED", -1) < 0 && env_int("NVC_FUZZ_ITERS", -1) < 0) {
     EXPECT_GT(redirtied, 0u)
@@ -391,12 +402,7 @@ TEST_P(RepeatLaneFuzzCrash, RedirtiedLinesAreWrittenBackBeforeCommit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, RepeatLaneFuzzCrash,
-                         ::testing::ValuesIn(kAllModes),
-                         [](const auto& param_info) {
-                           std::string name = mode_name(param_info.param);
-                           std::erase(name, '-');
-                           return name;
-                         });
+                         ::testing::ValuesIn(kAllModes), test_name);
 
 // --------------------------------------------------------------------------
 // Pool-independence of the deterministic schedule (DESIGN.md §11).
@@ -414,7 +420,7 @@ TEST(FuzzDeterminism, WorkerPoolsCannotPerturbManualReplays) {
   const std::uint64_t seed = derive_seed(kDefaultBaseSeed, 0);
   const FuzzProgram program = generate_program(seed);
 
-  CrashRig quiet(fuzz_rig_config(program, mode));
+  CrashRig quiet(fuzz_runtime_config(program, mode), fuzz_medium(program));
   run_program(quiet, program);
   const std::uint64_t quiet_events = quiet.events();
   std::vector<std::vector<std::uint8_t>> quiet_images;
@@ -447,7 +453,7 @@ TEST(FuzzDeterminism, WorkerPoolsCannotPerturbManualReplays) {
     noisy_analysis->drain();
   });
 
-  CrashRig noisy(fuzz_rig_config(program, mode));
+  CrashRig noisy(fuzz_runtime_config(program, mode), fuzz_medium(program));
   run_program(noisy, program);
   EXPECT_EQ(noisy.events(), quiet_events)
       << "pool activity changed the deterministic event schedule";
@@ -477,7 +483,7 @@ pmem::FaultConfig fault_fuzz_config(std::uint64_t program_seed) {
   pmem::FaultConfig fault = pmem::FaultConfig::from_env();
   if (!fault.enabled()) {
     fault.rate = 0.08;           // transient per-attempt failure probability
-    fault.bad_line_rate = 0.015; // permanently bad media lines
+    fault.bad_line_rate = 0.05;  // permanently bad media lines
     fault.torn_rate = 0.5;       // the crash-point write-back tears
     fault.max_retries = 3;
     fault.degrade_after = 4;
@@ -517,54 +523,36 @@ TEST_P(FaultFuzzCrash, DegradedRunsStillRecoverCommittedPrefixes) {
     const pmem::FaultConfig fault = fault_fuzz_config(seed);
     const std::string fault_env = fault.describe();
 
-    CrashRigConfig rig_config = fuzz_rig_config(program, mode);
+    runtime::RuntimeConfig rig_config = fuzz_runtime_config(program, mode);
     rig_config.fault = fault;
 
     // Probe run, never frozen: learns the event count and checks the
     // no-crash contract under faults — commits may be suspended, so the
     // recovered image matches SOME committed FASE of the context (not
     // necessarily the last one, as in the fault-free sweep).
-    CrashRig probe(rig_config);
+    CrashRig probe(rig_config, fuzz_medium(program));
     run_program(probe, program);
     const std::uint64_t total = probe.events();
+    const runtime::RuntimeStats st = probe.stats();
+    quarantined += st.quarantined_lines;
+    flush_degrades += st.flush_degrades;
+    log_degrades += st.log_degrades;
+    suspensions += probe.runtime().health().commit_suspended_contexts;
     for (std::size_t c = 0; c < program.contexts; ++c) {
       ASSERT_GE(oracle.match(c, probe.recovered_data(c)), 0)
           << "ctx " << c << ": uninterrupted faulty run recovered a state "
           << "matching no committed FASE\n  "
           << fuzz_replay_line(seed, mode_name(mode), total, fault_env);
-      const runtime::WriteBackRoute& route = probe.route(c);
-      if (const core::FaultStats* faults = route.faults()) {
-        quarantined += faults->quarantined_count();
-      }
-      flush_degrades += route.flush_degraded() ? 1 : 0;
-      log_degrades += route.log_degraded() ? 1 : 0;
-      suspensions += route.commit_suspended() ? 1 : 0;
     }
 
-    std::vector<int> last_index(program.contexts, -1);
-    for (const std::uint64_t e : freeze_points(total, seed)) {
-      CrashRig rig(rig_config);
-      rig.freeze_at(e);
-      run_program(rig, program);
-      for (std::size_t c = 0; c < program.contexts; ++c) {
-        const std::vector<std::uint8_t> image = rig.recovered_data(c);
-        const int index = oracle.match(c, image);
-        ASSERT_GE(index, 0)
-            << "ctx " << c << ": crash at event " << e << "/" << total
-            << " under injected faults recovered a state matching no "
-            << "committed FASE\n  "
-            << fuzz_replay_line(seed, mode_name(mode), e, fault_env);
-        // Injector decisions are pure in (seed, line, attempt ordinal), so
-        // the pre-freeze execution — fault outcomes included — is identical
-        // at every freeze point and durability must still be monotone.
-        ASSERT_GE(index, last_index[c])
-            << "ctx " << c << ": durability regressed under faults — freeze "
-            << e << " recovered commit " << index << " after an earlier "
-            << "freeze had already reached " << last_index[c] << "\n  "
-            << fuzz_replay_line(seed, mode_name(mode), e, fault_env);
-        last_index[c] = index;
-      }
-    }
+    // Injector decisions are pure in (seed, line, attempt ordinal), so the
+    // pre-freeze execution — fault outcomes included — is identical at
+    // every freeze point and durability must still be monotone.
+    std::vector<int> last_index;
+    sweep_freeze_points(rig_config, fuzz_medium(program), program, oracle,
+                        total, mode_name(mode), " under injected faults",
+                        fault_env, last_index);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 
   // Campaign-coverage asserts (deterministic: seeds derive from the fixed
@@ -592,12 +580,7 @@ TEST_P(FaultFuzzCrash, DegradedRunsStillRecoverCommittedPrefixes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, FaultFuzzCrash,
-                         ::testing::ValuesIn(kAllModes),
-                         [](const auto& param_info) {
-                           std::string name = mode_name(param_info.param);
-                           std::erase(name, '-');
-                           return name;
-                         });
+                         ::testing::ValuesIn(kAllModes), test_name);
 
 // --------------------------------------------------------------------------
 // The admission dimension: the same sweep with write-through bypasses.
@@ -632,15 +615,15 @@ TEST_P(AdmitFuzzCrash, BypassedLinesKeepTheDurabilityContract) {
       const FuzzProgram program = generate_program(seed);
       const DurabilityOracle oracle(program);
 
-      CrashRigConfig rig_config = fuzz_rig_config(program, mode);
-      rig_config.admission = admit;
+      runtime::RuntimeConfig rig_config = fuzz_runtime_config(program, mode);
+      rig_config.policy_config.admission.mode = admit;
 
       // Probe run, never frozen: no faults are injected, so even with
       // bypasses the uninterrupted run must recover the final commit.
-      CrashRig probe(rig_config);
+      CrashRig probe(rig_config, fuzz_medium(program));
       run_program(probe, program);
       const std::uint64_t total = probe.events();
-      bypassed_total += probe.bypassed_stores();
+      bypassed_total += probe.stats().bypassed_stores;
       for (std::size_t c = 0; c < program.contexts; ++c) {
         ASSERT_EQ(probe.recovered_data(c), oracle.final_committed(c))
             << "ctx " << c << ": uninterrupted run with admission lost "
@@ -648,27 +631,11 @@ TEST_P(AdmitFuzzCrash, BypassedLinesKeepTheDurabilityContract) {
             << fuzz_replay_line(seed, mode_name(mode), total, admit_env);
       }
 
-      std::vector<int> last_index(program.contexts, -1);
-      for (const std::uint64_t e : freeze_points(total, seed)) {
-        CrashRig rig(rig_config);
-        rig.freeze_at(e);
-        run_program(rig, program);
-        for (std::size_t c = 0; c < program.contexts; ++c) {
-          const int index = oracle.match(c, rig.recovered_data(c));
-          ASSERT_GE(index, 0)
-              << "ctx " << c << ": crash at event " << e << "/" << total
-              << " with admission bypasses recovered a state matching no "
-              << "committed FASE\n  "
-              << fuzz_replay_line(seed, mode_name(mode), e, admit_env);
-          ASSERT_GE(index, last_index[c])
-              << "ctx " << c << ": durability regressed under admission — "
-              << "freeze " << e << " recovered commit " << index
-              << " after an earlier freeze had already reached "
-              << last_index[c] << "\n  "
-              << fuzz_replay_line(seed, mode_name(mode), e, admit_env);
-          last_index[c] = index;
-        }
-      }
+      std::vector<int> last_index;
+      sweep_freeze_points(rig_config, fuzz_medium(program), program, oracle,
+                          total, mode_name(mode), " with admission bypasses",
+                          admit_env, last_index);
+      if (::testing::Test::HasFatalFailure()) return;
     }
   }
 
@@ -686,12 +653,7 @@ TEST_P(AdmitFuzzCrash, BypassedLinesKeepTheDurabilityContract) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, AdmitFuzzCrash,
-                         ::testing::ValuesIn(kAllModes),
-                         [](const auto& param_info) {
-                           std::string name = mode_name(param_info.param);
-                           std::erase(name, '-');
-                           return name;
-                         });
+                         ::testing::ValuesIn(kAllModes), test_name);
 
 // --------------------------------------------------------------------------
 // The elision dimension: the same sweep with FliT-style write-back dedup.
@@ -722,16 +684,16 @@ TEST_P(ElideFuzzCrash, ElidedWriteBacksKeepTheDurabilityContract) {
     const FuzzProgram program = generate_program(seed);
     const DurabilityOracle oracle(program);
 
-    CrashRigConfig rig_config = fuzz_rig_config(program, mode);
+    runtime::RuntimeConfig rig_config = fuzz_runtime_config(program, mode);
     rig_config.elide = true;
 
     // Probe run, never frozen: the uninterrupted run must recover the
     // final commit, and — after recovered_data() drained every channel —
     // the table must hold no pending entry.
-    CrashRig probe(rig_config);
+    CrashRig probe(rig_config, fuzz_medium(program));
     run_program(probe, program);
     const std::uint64_t total = probe.events();
-    elided_total += probe.elided_flushes();
+    elided_total += probe.stats().elided_flushes;
     for (std::size_t c = 0; c < program.contexts; ++c) {
       ASSERT_EQ(probe.recovered_data(c), oracle.final_committed(c))
           << "ctx " << c << ": uninterrupted run with elision lost "
@@ -747,27 +709,11 @@ TEST_P(ElideFuzzCrash, ElidedWriteBacksKeepTheDurabilityContract) {
         << "elision counters do not balance\n  "
         << fuzz_replay_line(seed, mode_name(mode), total, elide_env);
 
-    std::vector<int> last_index(program.contexts, -1);
-    for (const std::uint64_t e : freeze_points(total, seed)) {
-      CrashRig rig(rig_config);
-      rig.freeze_at(e);
-      run_program(rig, program);
-      for (std::size_t c = 0; c < program.contexts; ++c) {
-        const int index = oracle.match(c, rig.recovered_data(c));
-        ASSERT_GE(index, 0)
-            << "ctx " << c << ": crash at event " << e << "/" << total
-            << " with flush elision recovered a state matching no "
-            << "committed FASE\n  "
-            << fuzz_replay_line(seed, mode_name(mode), e, elide_env);
-        ASSERT_GE(index, last_index[c])
-            << "ctx " << c << ": durability regressed under elision — "
-            << "freeze " << e << " recovered commit " << index
-            << " after an earlier freeze had already reached "
-            << last_index[c] << "\n  "
-            << fuzz_replay_line(seed, mode_name(mode), e, elide_env);
-        last_index[c] = index;
-      }
-    }
+    std::vector<int> last_index;
+    sweep_freeze_points(rig_config, fuzz_medium(program), program, oracle,
+                        total, mode_name(mode), " with flush elision",
+                        elide_env, last_index);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 
   // Campaign coverage (deterministic seeds): in flush-behind modes the
@@ -791,12 +737,7 @@ TEST_P(ElideFuzzCrash, ElidedWriteBacksKeepTheDurabilityContract) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, ElideFuzzCrash,
-                         ::testing::ValuesIn(kAllModes),
-                         [](const auto& param_info) {
-                           std::string name = mode_name(param_info.param);
-                           std::erase(name, '-');
-                           return name;
-                         });
+                         ::testing::ValuesIn(kAllModes), test_name);
 
 TEST(ElideFuzzBug, SeededRevertRetireBugIsCaught) {
   // Checker validation (the acceptance bar for the elision dimension): arm
@@ -811,13 +752,15 @@ TEST(ElideFuzzBug, SeededRevertRetireBugIsCaught) {
   const std::uint64_t seed = derive_seed(kDefaultBaseSeed, 0);
   const FuzzProgram program = generate_program(seed);
 
-  CrashRigConfig rig_config = fuzz_rig_config(program, mode);
+  runtime::RuntimeConfig rig_config = fuzz_runtime_config(program, mode);
   rig_config.elide = true;
-  rig_config.elide_bug_revert_retire = true;
+  CrashRigConfig medium = fuzz_medium(program);
+  medium.elide_bug_revert_retire = true;
 
-  CrashRig rig(rig_config);
+  CrashRig rig(rig_config, medium);
   run_program(rig, program);
   const std::uint64_t total = rig.events();
+  const std::uint64_t reflushes = rig.stats().elision_reflushes;
   // Quiesce exactly as the sweep does before its invariant check.
   for (std::size_t c = 0; c < program.contexts; ++c) {
     (void)rig.recovered_data(c);
@@ -835,7 +778,7 @@ TEST(ElideFuzzBug, SeededRevertRetireBugIsCaught) {
         << "ctx " << c
         << ": drain re-check failed to cover the buggy retire";
   }
-  EXPECT_GT(rig.elision_reflushes(), 0u)
+  EXPECT_GT(reflushes, 0u)
       << "the buggy run never exercised the drain re-check path";
 }
 
@@ -919,11 +862,12 @@ std::string unique_region(const char* base) {
 }
 
 TEST(FuzzRuntimeDifferential, LiveObjectsMatchTheOracleAfterRealThreads) {
-  // The crash sweep runs the deterministic rig; this companion replays the
-  // same generated programs on the production Runtime — one real OS thread
-  // per context, real background flush/analysis workers, the real
-  // allocator — and checks every live object's final bytes against the
-  // oracle, plus the log's committed-at-exit invariant. (No crash injection
+  // The crash sweep runs the Runtime deterministically on one thread over
+  // the rig's medium; this companion replays the same generated programs on
+  // its real regions — one real OS thread per context, real background
+  // flush/analysis workers, the real allocator — and checks every live
+  // object's final bytes against the oracle, plus the log's
+  // committed-at-exit invariant. (No crash injection
   // here: the real backends cannot freeze; nondeterministic interleavings
   // are exactly what the end-state check must be robust to.)
   struct RtMode {

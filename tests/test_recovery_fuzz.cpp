@@ -7,8 +7,10 @@
 //     data flushing  sync   | async        (manual flush-behind pipeline)
 //     flush elision  off    | on           (shared FliT table)
 //
-// — a seeded workload runs against the crash rig, power fails at a seeded
-// event, and the frozen durable image is snapshotted. Each of the six
+// — a seeded workload runs on the Runtime over the crash rig's shadow
+// medium, power fails at a seeded event, and the frozen durable image (the
+// heap region, allocator header included, then the log segments) is
+// snapshotted. Each of the six
 // corruption classes (testing/corruptor.hpp) then mutates a copy of that
 // image and the copy goes through RecoveryManager. The oracle:
 //
@@ -47,6 +49,7 @@ using testing::CrashRig;
 using testing::CrashRigConfig;
 using testing::ImageCorruptor;
 using testing::ImageLayout;
+using testing::rig_runtime_config;
 
 // The 2x2x2 mode matrix. async always uses the manual pipeline so the whole
 // interleaving replays deterministically from the seed on one OS thread.
@@ -79,18 +82,17 @@ constexpr std::size_t kDataBytes = kDataLines * kCacheLineSize;
 constexpr std::size_t kLogBytes = 4096;
 constexpr std::size_t kCells = kDataBytes / sizeof(std::uint64_t);
 
-CrashRigConfig rig_config(const RecMode& mode) {
-  CrashRigConfig config;
-  config.mode = mode.log;
+runtime::RuntimeConfig rig_config(const RecMode& mode) {
+  runtime::RuntimeConfig config = rig_runtime_config(kContexts);
+  config.log_sync = mode.log;
   config.async_flush = mode.async_flush;
-  config.manual_pipeline = mode.async_flush;
   config.elide = mode.elide;
-  config.contexts = kContexts;
-  config.data_lines = kDataLines;
-  config.log_bytes = kLogBytes;
-  config.cache_size = 2;  // tiny: mid-FASE evictions exercise the log path
-  config.flush_ring = 8;
+  config.log_segment_size = kLogBytes;
   return config;
+}
+
+CrashRigConfig rig_medium(const RecMode& mode) {
+  return {.data_lines = kDataLines, .manual_pipeline = mode.async_flush};
 }
 
 std::uint64_t splitmix(std::uint64_t& state) {
@@ -142,7 +144,7 @@ WorkloadResult run_workload(CrashRig& rig, std::uint64_t seed,
 ImageLayout layout_of(const CrashRig& rig) {
   ImageLayout layout;
   layout.data_offset = 0;
-  layout.data_size = kContexts * kDataBytes;
+  layout.data_size = rig.image_log_offset(0);  // the heap region
   layout.log_offset = rig.image_log_offset(0);
   layout.log_segment_size = kLogBytes;
   layout.log_segments = kContexts;
@@ -157,21 +159,20 @@ runtime::RegionView view_of(std::vector<std::uint8_t>& image,
   view.logs = image.data() + layout.log_offset;
   view.log_segment_size = layout.log_segment_size;
   view.log_segments = layout.log_segments;
-  view.heap_header = false;  // rig images are raw cells, no allocator header
   return view;
 }
 
+/// Context `ctx`'s data block within `image`.
 std::vector<std::uint8_t> data_slice(const std::vector<std::uint8_t>& image,
-                                     const ImageLayout& layout,
-                                     std::size_t ctx) {
-  const std::size_t off = layout.data_offset + ctx * kDataBytes;
+                                     const CrashRig& rig, std::size_t ctx) {
+  const std::size_t off = rig.image_data_offset(ctx);
   return {image.begin() + off, image.begin() + off + kDataBytes};
 }
 
 bool in_committed_set(const WorkloadResult& wl,
                       const std::vector<std::uint8_t>& image,
-                      const ImageLayout& layout, std::size_t ctx) {
-  const std::vector<std::uint8_t> slice = data_slice(image, layout, ctx);
+                      const CrashRig& rig, std::size_t ctx) {
+  const std::vector<std::uint8_t> slice = data_slice(image, rig, ctx);
   for (const auto& snap : wl.committed[ctx]) {
     if (snap == slice) return true;
   }
@@ -229,7 +230,7 @@ TEST_P(RecoveryFuzz, CorruptedImagesNeverLie) {
     // point somewhere in the live middle of the run.
     std::uint64_t total = 0;
     {
-      CrashRig probe(rig_config(mode));
+      CrashRig probe(rig_config(mode), rig_medium(mode));
       run_workload(probe, seed, nullptr);
       total = probe.events();
     }
@@ -237,7 +238,7 @@ TEST_P(RecoveryFuzz, CorruptedImagesNeverLie) {
     std::uint64_t rng = seed ^ 0xfeedULL;
     const std::uint64_t freeze = 4 + splitmix(rng) % (total - 4);
 
-    CrashRig rig(rig_config(mode));
+    CrashRig rig(rig_config(mode), rig_medium(mode));
     rig.freeze_at(freeze);
     std::vector<std::uint8_t> stale;
     const WorkloadResult wl = run_workload(rig, seed, &stale);
@@ -254,7 +255,7 @@ TEST_P(RecoveryFuzz, CorruptedImagesNeverLie) {
                  " (freeze " + std::to_string(freeze) + ")");
     ASSERT_TRUE(base_report.ok()) << base_report.summary();
     for (std::size_t c = 0; c < kContexts; ++c) {
-      EXPECT_TRUE(in_committed_set(wl, base, layout, c))
+      EXPECT_TRUE(in_committed_set(wl, base, rig, c))
           << "context " << c
           << " baseline recovery left a never-committed state";
     }
@@ -360,8 +361,7 @@ TEST(RecoveryFuzzBug, SeededVerificationSkipIsCaught) {
   // the write cache: its undo records are durable, but no write-back has
   // published a tail covering them yet. A restarted process must still
   // roll back what certifies.
-  CrashRigConfig config = rig_config(kAllModes[0]);
-  CrashRig rig(config);
+  CrashRig rig(rig_config(kAllModes[0]), rig_medium(kAllModes[0]));
   const std::uint64_t seed = testing::seed_from_env("NVC_FUZZ_SEED", 0xbadull);
   run_open_fase(rig, seed, /*barrier=*/false);
   const std::vector<std::uint8_t> img0 = rig.durable_image();
@@ -420,18 +420,18 @@ TEST(RecoveryFuzzBug, SeededVerificationSkipIsCaught) {
   // honest pipeline's verify stage flags it; the buggy one stays silent.
   {
     std::vector<std::uint8_t> copy = img0;
-    // Scribble a committed line that differs from zero so the damage is
-    // guaranteed visible against base_data.
-    std::size_t target = layout.data_offset;
-    for (std::size_t idx = 0; idx < layout.data_size / kCacheLineSize;
-         ++idx) {
-      const std::uint8_t* line = base_data.data() + idx * kCacheLineSize;
+    // Scribble a committed data line that differs from zero so the
+    // damage is guaranteed visible against base_data.
+    std::size_t target = rig.image_data_offset(0);
+    for (std::size_t idx = 0; idx < kDataLines; ++idx) {
+      const std::size_t off = rig.image_data_offset(0) + idx * kCacheLineSize;
+      const std::uint8_t* line = base_data.data() + off;
       bool nonzero = false;
       for (std::size_t b = 0; b < kCacheLineSize; ++b) {
         nonzero = nonzero || line[b] != 0;
       }
       if (nonzero) {
-        target = layout.data_offset + idx * kCacheLineSize;
+        target = off;
         break;
       }
     }
@@ -457,7 +457,7 @@ TEST(RecoveryFuzzBug, DurableDataRecordRotIsUnrecoverableWithoutVerifyTable) {
   // newest one loses undo bytes for durable data. The tail check alone
   // must flag it — no verify table — in both log protocols.
   for (const RecMode& mode : {kAllModes[0], kAllModes[4]}) {
-    CrashRig rig(rig_config(mode));
+    CrashRig rig(rig_config(mode), rig_medium(mode));
     run_open_fase(rig, testing::seed_from_env("NVC_FUZZ_SEED", 0xbadull),
                   /*barrier=*/true);
     const ImageLayout layout = layout_of(rig);
