@@ -47,10 +47,10 @@ is reported (EXACT?) but does not fail, mirroring the MISSING/NEW policy
 for whole benchmarks.
 
 Multi-threaded families (google-benchmark "threads" field > 1 — the
-pool-size sweeps of BM_FlushPipelineDrainPool and friends) swing far more
-than single-threaded micros on a shared host: N timed threads multiplex
-over whatever cores the container actually grants, so scheduler placement
-shifts whole configurations by 2x. `--threads-noise F` (or
+producer-thread sweeps of BM_FlushPipelineDrainPool and friends) swing
+far more than single-threaded micros on a shared host: N timed threads
+multiplex over whatever cores the container actually grants, so scheduler
+placement shifts whole configurations by 2x. `--threads-noise F` (or
 NVC_BENCH_THREADS_NOISE) widens the tolerance to F for exactly those
 entries, leaving single-threaded gating tight (default 0.75).
 

@@ -139,7 +139,7 @@ LiveResult run_live(const std::string& workload, core::PolicyKind kind,
   config.elide = env_int("NVC_ELIDE", 0) != 0;
   // NVC_VERIFY_DATA=1 publishes a CRC32C per committed data line; the
   // recovery pipeline's verify stage and the scrubber check against it.
-  // NVC_SCRUB=1 registers the online scrubber on the flush workers' idle
+  // NVC_SCRUB=1 registers the online scrubber on the flush worker's idle
   // hook; NVC_SCRUB_BATCH / NVC_SCRUB_REPAIR tune it (DESIGN.md §14).
   config.verify_data = env_int("NVC_VERIFY_DATA", 0) != 0;
   config.scrub = env_int("NVC_SCRUB", 0) != 0;

@@ -376,12 +376,12 @@ void BM_PstoreFaseScrubIdle(benchmark::State& state) {
   // (log=strict, SC-offline, sync flush = BM_PstoreFase/1/1/0). Arg0:
   //   0  NVC_VERIFY_DATA only — prices the commit-time CRC publish plus the
   //      per-store dirty marking;
-  //   1  NVC_SCRUB only — the scrubber runs on the flush workers' idle hook
+  //   1  NVC_SCRUB only — the scrubber runs on the flush worker's idle hook
   //      while this thread commits FASEs; the delta is the interference of
   //      background image re-reads with the foreground store path;
   //   2  both.
   // The acceptance bar (EXPERIMENTS.md): arg 1 stays within 1% of
-  // BM_PstoreFase/1/1/0 — scrubbing must be free when the pool is busy.
+  // BM_PstoreFase/1/1/0 — scrubbing must be free when the worker is busy.
   const int knobs = static_cast<int>(state.range(0));
   runtime::RuntimeConfig config;
   config.region_name = unique_region();
@@ -659,7 +659,7 @@ void BM_AsyncCommitHandoff(benchmark::State& state) {
   // batched undo log, SC-offline holding all 8, so every write-back is a
   // commit-time line. The count-only backend makes write-backs free: what
   // async mode measures against sync is the ring handoff to the live shared
-  // pool alone — pushes, the hazard checks of the next FASE's pstores, and
+  // worker alone — pushes, the hazard checks of the next FASE's pstores, and
   // the drain racing a spinning worker.
   const bool async = state.range(0) == 1;
   runtime::RuntimeConfig config;
@@ -695,37 +695,35 @@ void BM_AsyncCommitHandoff(benchmark::State& state) {
 }
 BENCHMARK(BM_AsyncCommitHandoff)->Arg(0)->Arg(1);
 
-// --- worker pools (DESIGN.md §11) -------------------------------------------
+// --- the flush and analysis workers (DESIGN.md §6, §8) ----------------------
 
-/// Shared-fixture handshake for the multi-threaded pool benchmarks: thread 0
-/// publishes the pool, every thread spins for it, and the last thread out
-/// tears it down (google-benchmark joins all threads between runs, so the
-/// statics cycle cleanly run to run).
-template <typename Pool>
-Pool* await_pool(benchmark::State& state, std::atomic<Pool*>& slot,
-                 std::size_t pool_size) {
+/// Shared-fixture handshake for the multi-threaded worker benchmarks: thread
+/// 0 publishes the fixture, every thread spins for it, and the last thread
+/// out tears it down (google-benchmark joins all threads between runs, so
+/// the statics cycle cleanly run to run).
+template <typename Fixture, typename... Args>
+Fixture* await_fixture(benchmark::State& state, std::atomic<Fixture*>& slot,
+                    Args... args) {
   if (state.thread_index() == 0) {
-    slot.store(new Pool(pool_size), std::memory_order_release);
+    slot.store(new Fixture(args...), std::memory_order_release);
   }
-  Pool* pool;
-  while ((pool = slot.load(std::memory_order_acquire)) == nullptr) {
+  Fixture* fixture;
+  while ((fixture = slot.load(std::memory_order_acquire)) == nullptr) {
     std::this_thread::yield();
   }
-  return pool;
+  return fixture;
 }
 
 void BM_FlushPipelineDrainPool(benchmark::State& state) {
-  // N app threads (one flush channel each, ->Threads axis) against an
-  // M-worker pool (Arg axis): each iteration pushes a burst of 64 lines and
-  // drains. With M=1 this is the pre-pool pipeline; larger M engages homed
-  // sweeps plus stealing, and the counter reports how much stealing the run
-  // actually saw. The gate compares these entries under --threads-noise.
-  static std::atomic<FlushWorker*> shared_pool{nullptr};
+  // N app threads (one flush channel each, ->Threads axis) against one
+  // worker: each iteration pushes a burst of 64 lines and drains. The Arg
+  // is the worker count, always 1; it keeps the rows' names. The gate
+  // compares these entries under --threads-noise.
+  static std::atomic<FlushWorker*> shared_worker{nullptr};
   static std::atomic<int> done_threads{0};
-  const auto workers = static_cast<std::size_t>(state.range(0));
   if (state.thread_index() == 0) done_threads.store(0);
-  FlushWorker* pool = await_pool(state, shared_pool, workers);
-  auto channel = pool->open_channel(std::make_unique<CountingSink>(), 256);
+  FlushWorker* worker = await_fixture(state, shared_worker);
+  auto channel = worker->open_channel(std::make_unique<CountingSink>(), 256);
   constexpr int kBurst = 64;
   LineAddr next = static_cast<LineAddr>(state.thread_index() + 1) << 32;
   for (auto _ : state) {
@@ -744,18 +742,12 @@ void BM_FlushPipelineDrainPool(benchmark::State& state) {
                           kBurst);
   if (done_threads.fetch_add(1, std::memory_order_acq_rel) + 1 ==
       state.threads()) {
-    state.counters["steals"] =
-        benchmark::Counter(static_cast<double>(pool->steals()));
-    state.counters["worker_flushes"] =
-        benchmark::Counter(static_cast<double>(pool->worker_flushes()));
-    delete pool;
-    shared_pool.store(nullptr, std::memory_order_release);
+    delete worker;
+    shared_worker.store(nullptr, std::memory_order_release);
   }
 }
 BENCHMARK(BM_FlushPipelineDrainPool)
     ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
     ->Threads(1)
     ->Threads(8)
     ->Threads(32)
@@ -763,16 +755,14 @@ BENCHMARK(BM_FlushPipelineDrainPool)
     ->UseRealTime();
 
 void BM_AnalysisPoolDrain(benchmark::State& state) {
-  // Same shape for the analysis pool: N producer threads each submit one
-  // 4 KiB renamed burst per iteration and drain. Analyses are the unit of
-  // stealing here (ms-scale jobs, so the per-channel consumer lock is held
-  // across each one).
-  static std::atomic<AnalysisWorker*> shared_pool{nullptr};
+  // Same shape for the analysis worker: N producer threads each submit one
+  // 4 KiB renamed burst per iteration and drain. The Arg is the worker
+  // count, always 1.
+  static std::atomic<AnalysisWorker*> shared_worker{nullptr};
   static std::atomic<int> done_threads{0};
-  const auto workers = static_cast<std::size_t>(state.range(0));
   if (state.thread_index() == 0) done_threads.store(0);
-  AnalysisWorker* pool = await_pool(state, shared_pool, workers);
-  auto channel = pool->open_channel();
+  AnalysisWorker* worker = await_fixture(state, shared_worker);
+  auto channel = worker->open_channel();
   const auto burst = random_trace(4096, 256);
   KneeConfig knee;
   knee.max_size = 1 << 8;
@@ -787,16 +777,12 @@ void BM_AnalysisPoolDrain(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   if (done_threads.fetch_add(1, std::memory_order_acq_rel) + 1 ==
       state.threads()) {
-    state.counters["steals"] =
-        benchmark::Counter(static_cast<double>(pool->steals()));
-    delete pool;
-    shared_pool.store(nullptr, std::memory_order_release);
+    delete worker;
+    shared_worker.store(nullptr, std::memory_order_release);
   }
 }
 BENCHMARK(BM_AnalysisPoolDrain)
     ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
     ->Threads(1)
     ->Threads(8)
     ->Threads(32)
@@ -843,7 +829,7 @@ BENCHMARK(BM_FlushInstruction)
 
 // --- durable structures (DESIGN.md §13) -------------------------------------
 
-/// Shared queue fixture, same handshake as the pool benchmarks above.
+/// Shared queue fixture, same handshake as the worker benchmarks above.
 struct QueueFixture {
   structures::HeapPSpace ps;
   structures::DurableQueue q;
@@ -859,7 +845,7 @@ void BM_DurableQueue(benchmark::State& state) {
   static std::atomic<QueueFixture*> shared{nullptr};
   static std::atomic<int> done_threads{0};
   if (state.thread_index() == 0) done_threads.store(0);
-  QueueFixture* fx = await_pool(state, shared, std::size_t{16} << 20);
+  QueueFixture* fx = await_fixture(state, shared, std::size_t{16} << 20);
   std::uint64_t v = 0;
   for (auto _ : state) {
     fx->q.enqueue(v);

@@ -14,8 +14,9 @@
 #                                 fuzzer, fault suite; `ctest -L
 #                                 'crash|fault'`)
 #                               + tsan pass of the concurrency suites (the
-#                                 `tsan` label: flush-behind ring, worker
-#                                 pools, async analysis, durable structures;
+#                                 `tsan` label: flush-behind ring with N
+#                                 producers and helping drains, async
+#                                 analysis, durable structures;
 #                                 `ctest --preset tsan`)
 #                               + the bench regression gate when a fresh
 #                                 BENCH_micro.json exists at the repo root
@@ -88,9 +89,10 @@ if [ "$run_asan" = 1 ]; then
   ctest --test-dir build-asan -L 'crash|fault' -j "$jobs" --output-on-failure
 fi
 
-# The lock-free handoffs (SPSC rings, consumer locks, pool sweeps and
-# steals) are only checked for data races under ThreadSanitizer. The whole
-# tree is built so that every suite carrying the label runs.
+# The lock-free handoffs (SPSC rings, the flush ring's consumer lock shared
+# by the worker's sweeps and helping drains) are only checked for data
+# races under ThreadSanitizer. The whole tree is built so that every suite
+# carrying the label runs.
 if [ "$run_tsan" = 1 ]; then
   echo "== tsan: concurrency suites (ctest --preset tsan) =="
   cmake --preset tsan >/dev/null

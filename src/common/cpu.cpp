@@ -1,8 +1,5 @@
 #include "common/cpu.hpp"
 
-#include <algorithm>
-#include <cstdio>
-#include <string>
 #include <thread>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -40,99 +37,15 @@ const CpuFeatures& cpu_features() {
   return features;
 }
 
-namespace {
-
-// Parse a sysfs cpulist ("0-3,8,10-11") into CPU ids. Returns false on any
-// syntax surprise so the caller can fall back to a flat topology.
-bool parse_cpulist(const std::string& list, std::vector<int>* out) {
-  size_t pos = 0;
-  while (pos < list.size()) {
-    size_t end = list.find(',', pos);
-    if (end == std::string::npos) end = list.size();
-    const std::string tok = list.substr(pos, end - pos);
-    pos = end + 1;
-    if (tok.empty()) continue;
-    const size_t dash = tok.find('-');
-    int lo = 0, hi = 0;
-    if (std::sscanf(tok.c_str(), "%d", &lo) != 1 || lo < 0) return false;
-    hi = lo;
-    if (dash != std::string::npos &&
-        (std::sscanf(tok.c_str() + dash + 1, "%d", &hi) != 1 || hi < lo)) {
-      return false;
-    }
-    // Sanity cap: a corrupt sysfs line must not allocate a huge map.
-    if (hi >= 1 << 20) return false;
-    for (int cpu = lo; cpu <= hi; ++cpu) out->push_back(cpu);
-  }
-  return true;
-}
-
-bool read_line(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "re");
-  if (f == nullptr) return false;
-  char buf[4096];
-  const bool ok = std::fgets(buf, sizeof buf, f) != nullptr;
-  std::fclose(f);
-  if (!ok) return false;
-  out->assign(buf);
-  while (!out->empty() && (out->back() == '\n' || out->back() == '\r')) {
-    out->pop_back();
-  }
-  return true;
-}
-
-CpuTopology probe_topology() {
-  CpuTopology topo;
-  const unsigned hw = std::thread::hardware_concurrency();
-  topo.logical_cpus = hw > 0 ? static_cast<int>(hw) : 1;
-  topo.cpu_node.assign(static_cast<size_t>(topo.logical_cpus), 0);
+bool can_spin() {
 #if defined(__linux__)
-  // Walk node directories until the first gap; sysfs numbers online nodes
-  // densely on every configuration we care about, and a miss just means we
-  // keep the flat single-node answer for the remainder.
-  int max_cpu = -1;
-  std::vector<std::pair<int, std::vector<int>>> nodes;
-  for (int node = 0;; ++node) {
-    std::string list;
-    if (!read_line("/sys/devices/system/node/node" + std::to_string(node) +
-                       "/cpulist",
-                   &list)) {
-      break;
-    }
-    std::vector<int> cpus;
-    if (!parse_cpulist(list, &cpus)) return topo;
-    if (!cpus.empty()) {
-      max_cpu = std::max(max_cpu, *std::max_element(cpus.begin(), cpus.end()));
-      nodes.emplace_back(node, std::move(cpus));
-    }
-  }
-  if (!nodes.empty() && max_cpu >= 0) {
-    topo.logical_cpus = std::max(topo.logical_cpus, max_cpu + 1);
-    topo.cpu_node.assign(static_cast<size_t>(topo.logical_cpus), 0);
-    topo.numa_nodes = static_cast<int>(nodes.size());
-    for (size_t i = 0; i < nodes.size(); ++i) {
-      for (int cpu : nodes[i].second) {
-        topo.cpu_node[static_cast<size_t>(cpu)] = static_cast<int>(i);
-      }
-    }
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (pthread_getaffinity_np(pthread_self(), sizeof set, &set) == 0) {
+    return CPU_COUNT(&set) > 1;
   }
 #endif
-  return topo;
-}
-
-}  // namespace
-
-std::vector<int> CpuTopology::cpus_on_node(int node) const {
-  std::vector<int> cpus;
-  for (size_t cpu = 0; cpu < cpu_node.size(); ++cpu) {
-    if (cpu_node[cpu] == node) cpus.push_back(static_cast<int>(cpu));
-  }
-  return cpus;
-}
-
-const CpuTopology& cpu_topology() {
-  static const CpuTopology topo = probe_topology();
-  return topo;
+  return std::thread::hardware_concurrency() > 1;
 }
 
 bool pin_thread_to_cpu(int cpu) {

@@ -1,10 +1,8 @@
 // Runtime CPU feature detection for the persistent-memory flush instructions,
-// plus a cached core/NUMA topology probe used for worker-pool sizing and
-// placement.
+// plus the per-thread affinity query behind the flush worker's spin rule.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace nvc {
 
@@ -17,25 +15,13 @@ struct CpuFeatures {
 /// Detect flush-instruction support via CPUID (cached after first call).
 const CpuFeatures& cpu_features();
 
-/// Core/NUMA map, probed once (sysfs on Linux, hardware_concurrency
-/// fallback elsewhere). Cheap to copy around: a handful of ints plus one
-/// cpu->node vector.
-struct CpuTopology {
-  int logical_cpus = 1;           // online logical CPUs, always >= 1
-  int numa_nodes = 1;             // online NUMA nodes, always >= 1
-  std::vector<int> cpu_node;      // cpu_node[cpu] = NUMA node (size logical_cpus)
-
-  /// CPUs living on `node` (ascending). Empty only for an invalid node.
-  std::vector<int> cpus_on_node(int node) const;
-  /// True when more than one logical CPU is online — the only question the
-  /// drain spin-vs-yield heuristic needs.
-  bool can_spin() const { return logical_cpus > 1; }
-};
-
-/// The topology, probed on first call and cached for the process lifetime
-/// (hot paths like the drain watchdog must not re-query sysfs or
-/// std::thread::hardware_concurrency per decision).
-const CpuTopology& cpu_topology();
+/// True when the calling thread may run on more than one CPU, so a spin
+/// loop on it need not take a CPU away from the thread it waits for. Counts
+/// the thread's affinity mask on Linux (a process started under
+/// `taskset -c 0` gets false on any host), hardware_concurrency elsewhere.
+/// Affinity is per thread and inherited at creation: ask from the thread
+/// that would spin. A system call, so callers ask once, not per decision.
+bool can_spin();
 
 /// Pin the calling thread to one logical CPU. Returns false (and leaves the
 /// affinity untouched) when pinning is unsupported or rejected — callers

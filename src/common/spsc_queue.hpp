@@ -2,7 +2,7 @@
 //
 // Used to hand completed burst traces from an application thread to the
 // shared background analysis worker, and evicted line addresses to the
-// flush-behind pool: the producing thread only writes its own tail index
+// flush-behind worker: the producing thread only writes its own tail index
 // and the consumer only writes its own head index, so a push is wait-free —
 // one slot move plus one release store. Capacity is a power of two fixed at
 // construction; push fails (rather than blocks) when the ring is full so

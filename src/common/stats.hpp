@@ -1,100 +1,11 @@
-// Lightweight statistics accumulators used by the benchmark harness and the
-// hardware-cache simulator: running mean/variance (Welford), min/max, and a
-// log2-bucketed histogram suitable for latency distributions.
+// Summary statistics for the benchmark tables' "average" rows.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <cstdint>
-#include <limits>
-#include <string>
 #include <vector>
 
-#include "common/assert.hpp"
-
 namespace nvc {
-
-/// Welford online mean/variance with min/max tracking.
-class RunningStat {
- public:
-  void add(double x) noexcept {
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-
-  void merge(const RunningStat& other) noexcept {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-      *this = other;
-      return;
-    }
-    const double total = static_cast<double>(n_ + other.n_);
-    const double delta = other.mean_ - mean_;
-    m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                           static_cast<double>(other.n_) / total;
-    mean_ += delta * static_cast<double>(other.n_) / total;
-    n_ += other.n_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-
-  std::uint64_t count() const noexcept { return n_; }
-  double mean() const noexcept { return mean_; }
-  double variance() const noexcept {
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-  }
-  double stddev() const noexcept { return std::sqrt(variance()); }
-  double min() const noexcept { return n_ ? min_ : 0.0; }
-  double max() const noexcept { return n_ ? max_ : 0.0; }
-  double sum() const noexcept { return mean_ * static_cast<double>(n_); }
-
- private:
-  std::uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Histogram with log2 buckets: bucket b holds values in [2^b, 2^(b+1)).
-class Log2Histogram {
- public:
-  void add(std::uint64_t value) noexcept {
-    const unsigned b =
-        value == 0 ? 0u : static_cast<unsigned>(64 - __builtin_clzll(value));
-    ++buckets_[std::min<unsigned>(b, kBuckets - 1)];
-    ++total_;
-  }
-
-  std::uint64_t total() const noexcept { return total_; }
-  std::uint64_t bucket(unsigned b) const noexcept {
-    NVC_REQUIRE(b < kBuckets);
-    return buckets_[b];
-  }
-
-  /// Smallest value v such that at least `q` (0..1) of samples are <= 2^v.
-  unsigned quantile_bucket(double q) const noexcept {
-    const auto target = static_cast<std::uint64_t>(
-        q * static_cast<double>(total_));
-    std::uint64_t seen = 0;
-    for (unsigned b = 0; b < kBuckets; ++b) {
-      seen += buckets_[b];
-      if (seen >= target) return b;
-    }
-    return kBuckets - 1;
-  }
-
-  static constexpr unsigned kBuckets = 64;
-
- private:
-  std::array<std::uint64_t, kBuckets> buckets_{};
-  std::uint64_t total_ = 0;
-};
 
 /// Arithmetic and geometric means of a sample vector (used for the paper's
 /// "average" rows, which mix both conventions).

@@ -1,36 +1,9 @@
 #include "core/analyzer.hpp"
 
-#include <algorithm>
-#include <chrono>
-
 #include "common/assert.hpp"
-#include "common/cpu.hpp"
-#include "common/env.hpp"
 #include "core/reuse_locality.hpp"
-#include "core/thread_groups.hpp"
 
 namespace nvc::core {
-
-namespace {
-
-/// Idle-scan cadence for pooled mode: a worker with no home work wakes this
-/// often to look for sibling backlog to steal. Analyses are ms-scale, so a
-/// 500 µs tick costs nothing against the work it finds; pool size 1 never
-/// ticks (pure cv wait, the original behavior).
-constexpr auto kStealTick = std::chrono::microseconds(500);
-
-/// Pool size from the environment: default 1, 0 = one worker per NUMA
-/// node, clamped to [1, kMaxPool] (same convention as the flush pool).
-std::size_t analysis_pool_from_env() {
-  const std::int64_t requested = env_int("NVC_ANALYSIS_WORKERS", 1);
-  if (requested <= 0) {
-    return static_cast<std::size_t>(std::max(1, cpu_topology().numa_nodes));
-  }
-  return static_cast<std::size_t>(std::min<std::int64_t>(
-      requested, static_cast<std::int64_t>(AnalysisWorker::kMaxPool)));
-}
-
-}  // namespace
 
 BurstAnalysis analyze_burst(std::span<const LineAddr> renamed_trace,
                             const KneeConfig& knee) {
@@ -65,30 +38,32 @@ bool AnalysisChannel::submit(std::vector<LineAddr>&& renamed_trace,
   }
   // Count the job before it becomes poppable so the worker's per-pop
   // decrement can never underflow the counter.
-  worker_->workers_[home_]->pending.fetch_add(1, std::memory_order_release);
+  worker_->pending_.fetch_add(1, std::memory_order_release);
   if (!queue_.try_push(std::move(job))) {
-    worker_->workers_[home_]->pending.fetch_sub(1, std::memory_order_release);
+    worker_->pending_.fetch_sub(1, std::memory_order_release);
     renamed_trace = std::move(job.trace);  // give the burst back: the caller
     return false;                          // falls back to sync analysis
   }
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  worker_->notify(home_);
+  worker_->notify();
   return true;
 }
 
-bool AnalysisChannel::pump_one(std::size_t worker) {
-  NVC_REQUIRE(manual_, "pump_one is the manual channel's consumer side");
-  auto job = queue_.try_pop();
-  if (!job.has_value()) return false;
-  BurstAnalysis result = analyze_burst(job->trace, job->knee);
+void AnalysisChannel::publish(BurstAnalysis&& result) {
   {
-    std::lock_guard<std::mutex> publish(result_mutex_);
+    std::lock_guard<std::mutex> lock(result_mutex_);
     result_ = std::move(result);
     has_result_ = true;
     analysis_thread_ = std::this_thread::get_id();
-    analysis_worker_ = static_cast<std::uint32_t>(worker);
   }
   completed_.fetch_add(1, std::memory_order_release);
+}
+
+bool AnalysisChannel::pump_one() {
+  NVC_REQUIRE(manual_, "pump_one is the manual channel's consumer side");
+  auto job = queue_.try_pop();
+  if (!job.has_value()) return false;
+  publish(analyze_burst(job->trace, job->knee));
   return true;
 }
 
@@ -118,36 +93,10 @@ std::thread::id AnalysisChannel::last_analysis_thread() const {
   return analysis_thread_;
 }
 
-std::uint32_t AnalysisChannel::last_analysis_worker() const {
-  std::lock_guard<std::mutex> lock(result_mutex_);
-  return analysis_worker_;
-}
-
 // --- AnalysisWorker ---------------------------------------------------------
 
-AnalysisWorker::AnalysisWorker() : AnalysisWorker(analysis_pool_from_env()) {}
-
-AnalysisWorker::AnalysisWorker(std::size_t pool_size)
-    : pin_(env_int("NVC_PIN", 0) != 0) {
-  NVC_REQUIRE(pool_size >= 1 && pool_size <= kMaxPool);
-  worker_cpu_ = place_workers(pool_size, cpu_topology()).worker_cpu;
-  workers_.reserve(pool_size);
-  for (std::size_t w = 0; w < pool_size; ++w) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  start();  // threads only start once workers_ is fully built
-}
-
-void AnalysisWorker::start() {
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    workers_[w]->thread =
-        std::jthread([this, w](std::stop_token st) { run(st, w); });
-  }
-}
-
-AnalysisWorker::~AnalysisWorker() {
-  for (auto& w : workers_) w->thread.request_stop();
-}  // workers_ (last member) joins; the rest is destroyed after
+AnalysisWorker::AnalysisWorker()
+    : thread_([this](std::stop_token st) { run(st); }) {}
 
 AnalysisWorker& AnalysisWorker::shared() {
   static AnalysisWorker worker;
@@ -158,94 +107,48 @@ std::shared_ptr<AnalysisChannel> AnalysisWorker::open_channel() {
   std::shared_ptr<AnalysisChannel> channel(
       new AnalysisChannel(this, /*manual=*/false));
   std::lock_guard<std::mutex> lock(mutex_);
-  channel->home_ = static_cast<std::uint32_t>(next_home_);
-  next_home_ = (next_home_ + 1) % workers_.size();
   channels_.push_back(channel);
   return channel;
 }
 
 std::shared_ptr<AnalysisChannel> AnalysisWorker::open_manual_channel() {
-  // Not registered in channels_: no pool thread ever pops from it, so
+  // Not registered in channels_: the worker never pops from it, so
   // pump_one() is the single consumer and completion timing is whatever
   // the owning test's scheduler decides.
   return std::shared_ptr<AnalysisChannel>(
       new AnalysisChannel(this, /*manual=*/true));
 }
 
-void AnalysisWorker::notify(std::size_t home) {
+void AnalysisWorker::notify() {
   // Empty critical section: the waiter checks the predicate under mutex_, so
   // synchronizing with it here means the notify cannot fall into the gap
   // between its (failed) predicate check and its going to sleep.
   { std::lock_guard<std::mutex> lock(mutex_); }
-  workers_[home]->cv.notify_one();
+  cv_.notify_one();
 }
 
-std::size_t AnalysisWorker::serve(const std::shared_ptr<AnalysisChannel>& ch,
-                                  std::size_t w) {
-  const bool pooled = workers_.size() > 1;
-  // In pooled mode the ring has potentially-concurrent consumers (home
-  // worker vs. stealing worker): the per-channel lock serializes them, held
-  // across the analysis so results publish in submission order. A held lock
-  // means the channel is already being served — skip, don't wait.
-  if (pooled && ch->consume_lock_.test_and_set(std::memory_order_acquire)) {
-    return 0;
+void AnalysisWorker::serve(AnalysisChannel& ch) {
+  while (auto job = ch.queue_.try_pop()) {
+    pending_.fetch_sub(1, std::memory_order_release);
+    ch.publish(analyze_burst(job->trace, job->knee));
+    ch.completed_.notify_all();
   }
-  std::size_t served = 0;
-  while (auto job = ch->queue_.try_pop()) {
-    workers_[ch->home_]->pending.fetch_sub(1, std::memory_order_release);
-    BurstAnalysis result = analyze_burst(job->trace, job->knee);
-    analyses_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> publish(ch->result_mutex_);
-      ch->result_ = std::move(result);
-      ch->has_result_ = true;
-      ch->analysis_thread_ = std::this_thread::get_id();
-      ch->analysis_worker_ = static_cast<std::uint32_t>(w);
-    }
-    ch->completed_.fetch_add(1, std::memory_order_release);
-    ch->completed_.notify_all();
-    ++served;
-  }
-  if (pooled) ch->consume_lock_.clear(std::memory_order_release);
-  return served;
 }
 
-void AnalysisWorker::run(std::stop_token st, std::size_t w) {
-  if (pin_) pin_thread_to_cpu(worker_cpu_[w]);
-  Worker& self = *workers_[w];
-  const bool pooled = workers_.size() > 1;
+void AnalysisWorker::run(std::stop_token st) {
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    if (pooled) {
-      // Doze-tick wait: wake on home work, a poke, stop, or the periodic
-      // steal scan (an idle worker is the pool's slack capacity — it must
-      // notice sibling backlog without being told).
-      self.cv.wait_for(lock, st, kStealTick, [&] {
-        return self.pending.load(std::memory_order_acquire) > 0;
-      });
-    } else {
-      const bool keep_going = self.cv.wait(lock, st, [&] {
-        return self.pending.load(std::memory_order_acquire) > 0;
-      });
-      if (!keep_going) return;  // stop requested and nothing pending
-    }
+    const bool keep_going = cv_.wait(lock, st, [&] {
+      return pending_.load(std::memory_order_acquire) > 0;
+    });
+    if (!keep_going) return;  // stop requested and nothing pending
 
     // Snapshot the channel list; analysis runs without the registry lock so
     // producers can open channels and submit while a burst is in flight.
     std::vector<std::shared_ptr<AnalysisChannel>> channels = channels_;
     lock.unlock();
 
-    std::size_t own = 0;
-    for (const auto& ch : channels) {
-      if (ch->home_ == w) own += serve(ch, w);
-    }
-    if (pooled && own == 0) {
-      std::size_t stolen = 0;
-      for (const auto& ch : channels) {
-        if (ch->home_ != w && !ch->queue_.empty()) stolen += serve(ch, w);
-      }
-      if (stolen != 0) steals_.fetch_add(stolen, std::memory_order_relaxed);
-    }
+    for (const auto& ch : channels) serve(*ch);
 
     lock.lock();
     // Prune channels whose producer is gone and whose queue has drained.
@@ -253,7 +156,6 @@ void AnalysisWorker::run(std::stop_token st, std::size_t w) {
       return ch->closed_.load(std::memory_order_acquire) &&
              ch->queue_.empty();
     });
-    if (pooled && st.stop_requested()) return;
   }
 }
 

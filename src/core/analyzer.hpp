@@ -94,19 +94,10 @@ class AnalysisChannel {
   /// result (true when a job ran). Only valid on *manual* channels
   /// (open_manual_channel), where the caller is the sole consumer — a
   /// deterministic test scheduler standing in for the worker thread.
-  /// `worker` is the virtual worker identity the scheduler is simulating
-  /// (recorded as last_analysis_worker(); no pool thread is involved).
-  bool pump_one(std::size_t worker = 0);
+  bool pump_one();
 
   /// True for channels the background worker never serves.
   bool manual() const noexcept { return manual_; }
-
-  /// Home pool worker serving this channel (0 for manual channels).
-  std::uint32_t home() const noexcept { return home_; }
-
-  /// Pool-worker index that published the most recent result (pump_one
-  /// records its virtual worker argument). Test hook.
-  std::uint32_t last_analysis_worker() const;
 
  private:
   friend class AnalysisWorker;
@@ -119,6 +110,10 @@ class AnalysisChannel {
   AnalysisChannel(AnalysisWorker* worker, bool manual)
       : worker_(worker), manual_(manual) {}
 
+  /// Consumer side: store `result` as the latest, then release-publish the
+  /// completion count that covers it.
+  void publish(BurstAnalysis&& result);
+
   static constexpr std::size_t kRingSlots = 8;
 
   AnalysisWorker* worker_;
@@ -129,99 +124,52 @@ class AnalysisChannel {
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<bool> closed_{false};
-  /// Index of the pool worker that serves this channel by default.
-  std::uint32_t home_ = 0;
-  /// Serializes the consumer side when the pool has more than one worker
-  /// (home worker vs. an idle worker stealing). Held across the analysis of
-  /// a job, not just the pop, so each channel publishes results in
-  /// submission order no matter who serves it; contenders skip rather than
-  /// spin. Never touched in pool-size-1 mode (bit-for-bit original path)
-  /// or by manual pumping.
-  std::atomic_flag consume_lock_ = ATOMIC_FLAG_INIT;
 
-  mutable std::mutex result_mutex_;  // guards the four fields below
+  mutable std::mutex result_mutex_;  // guards the three fields below
   BurstAnalysis result_;
   bool has_result_ = false;
   std::thread::id analysis_thread_;
-  std::uint32_t analysis_worker_ = 0;
 };
 
-/// The shared background analyzer, generalized to a sized pool
-/// (NVC_ANALYSIS_WORKERS, default 1 = the original single-worker behavior,
-/// 0 = one per NUMA node). Channels are homed round-robin; each worker
-/// blocks on its own pending count, and in pooled mode an idle worker
-/// periodically scans sibling channels and steals their backlog under a
-/// per-channel consumer lock (held across the analysis, so each channel
-/// still publishes results in submission order). Pool size 1 takes the
-/// exact pre-pool wait path — no doze tick, no lock — so the default is
-/// behavior-identical, and manual channels are invisible to every pool
-/// thread regardless of size.
+/// The shared background analyzer: one jthread that blocks on the count of
+/// jobs pending across its channels and serves every channel when woken.
+/// Each channel has exactly one consumer — this worker, or the owner's
+/// pump_one() for a manual channel, which the worker never sees.
 class AnalysisWorker {
  public:
   AnalysisWorker();
-  /// Fixed pool size (tests / benchmarks); env is ignored except NVC_PIN.
-  explicit AnalysisWorker(std::size_t pool_size);
-  ~AnalysisWorker();
 
   AnalysisWorker(const AnalysisWorker&) = delete;
   AnalysisWorker& operator=(const AnalysisWorker&) = delete;
 
-  /// The process-wide pool used by async samplers.
+  /// The process-wide worker used by async samplers.
   static AnalysisWorker& shared();
 
-  /// Open a new producer channel homed on the next pool worker.
+  /// Open a new producer channel the worker serves.
   std::shared_ptr<AnalysisChannel> open_channel();
 
-  /// Open a channel NO pool worker will ever serve: analyses run only when
+  /// Open a channel the worker will never serve: analyses run only when
   /// the owner calls AnalysisChannel::pump_one(). Lets the crash fuzzer
   /// decide deterministically (from a seed) *when* a background analysis
   /// completes relative to the application's FASE stream.
   std::shared_ptr<AnalysisChannel> open_manual_channel();
 
-  /// Number of pool threads (>= 1).
-  std::size_t pool_size() const noexcept { return workers_.size(); }
-
-  std::uint64_t analyses_run() const noexcept {
-    return analyses_.load(std::memory_order_relaxed);
-  }
-
-  /// Jobs analyzed by a worker other than the channel's home (pooled mode
-  /// only). Diagnostic; proves the stealing path engaged.
-  std::uint64_t steals() const noexcept {
-    return steals_.load(std::memory_order_relaxed);
-  }
-
-  static constexpr std::size_t kMaxPool = 64;
-
  private:
   friend class AnalysisChannel;
 
-  struct Worker {
-    std::condition_variable_any cv;
-    /// Jobs queued on channels homed here, counted before they become
-    /// poppable (see AnalysisChannel::submit). Guides this worker's wait;
-    /// decremented by whichever worker pops the job.
-    std::atomic<std::uint64_t> pending{0};
-    std::jthread thread;  // started after every Worker exists
-  };
+  void notify();  // a producer enqueued a job
+  /// Run and publish every queued job on `ch`.
+  void serve(AnalysisChannel& ch);
+  void run(std::stop_token st);
 
-  void start();
-  void notify(std::size_t home);  // a producer enqueued a job
-  /// Serve every queued job on `ch` (consumer-locked in pooled mode).
-  /// Returns jobs run; 0 when another worker holds the channel.
-  std::size_t serve(const std::shared_ptr<AnalysisChannel>& ch,
-                    std::size_t w);
-  void run(std::stop_token st, std::size_t w);
-
-  const bool pin_;
-  std::mutex mutex_;  // guards channels_ and next_home_
+  std::mutex mutex_;  // guards channels_
+  std::condition_variable_any cv_;
+  /// Jobs queued on any channel, counted before they become poppable (see
+  /// AnalysisChannel::submit) and decremented as the worker pops them.
+  std::atomic<std::uint64_t> pending_{0};
   std::vector<std::shared_ptr<AnalysisChannel>> channels_;
-  std::size_t next_home_ = 0;
-  std::vector<int> worker_cpu_;  // placement map, fixed at construction
-  std::atomic<std::uint64_t> analyses_{0};
-  std::atomic<std::uint64_t> steals_{0};
-  /// Last member: jthreads stop and join before the rest is destroyed.
-  std::vector<std::unique_ptr<Worker>> workers_;
+  /// Last member: the jthread stops and joins before the rest is destroyed.
+  std::jthread thread_;
 };
 
 }  // namespace nvc::core

@@ -7,7 +7,6 @@
 #include "common/assert.hpp"
 #include "common/cpu.hpp"
 #include "common/env.hpp"
-#include "core/thread_groups.hpp"
 
 namespace nvc::core {
 
@@ -26,8 +25,8 @@ constexpr auto kDozeTick = std::chrono::microseconds(200);
 
 /// After a sweep found work, keep polling this long before dozing again —
 /// an eviction storm delivers lines faster than cv wakeups can. Only used
-/// when a spare hardware thread exists; on a single-core host spinning
-/// would steal the producer's timeslice.
+/// when the worker may run on a second CPU; on a single allowed CPU spinning
+/// would take the producer's timeslice.
 constexpr auto kSpinWindow = std::chrono::microseconds(50);
 
 /// Backlog a ring must reach before a *spinning* worker takes it (or its
@@ -45,19 +44,6 @@ std::uint64_t steady_now_ns() noexcept {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-/// Pool size from the environment: default 1 (the original single-worker
-/// pipeline, bit-for-bit), 0 = auto (one worker per NUMA node — "Writes
-/// Hurt" rewards few batched issue streams per device, and one stream per
-/// node keeps write-backs node-local), clamped to [1, kMaxPool].
-std::size_t pool_size_from_env(const char* name) {
-  const std::int64_t requested = env_int(name, 1);
-  if (requested <= 0) {
-    return static_cast<std::size_t>(std::max(1, cpu_topology().numa_nodes));
-  }
-  return static_cast<std::size_t>(std::min<std::int64_t>(
-      requested, static_cast<std::int64_t>(FlushWorker::kMaxPool)));
 }
 
 }  // namespace
@@ -78,8 +64,7 @@ bool FlushChannel::try_push(LineAddr line) {
   return queue_.try_push(std::move(line));
 }
 
-std::size_t FlushChannel::consume(std::uint32_t consumer,
-                                  std::size_t max_lines) {
+std::size_t FlushChannel::consume(std::size_t max_lines) {
   if (consume_lock_.test_and_set(std::memory_order_acquire)) {
     return 0;  // the other side holds the lock and is making progress
   }
@@ -98,7 +83,6 @@ std::size_t FlushChannel::consume(std::uint32_t consumer,
     // release publish sequences after — a drain()er that sees the count
     // also sees the quarantine.
     last_flush_thread_ = std::this_thread::get_id();
-    last_flush_worker_ = consumer;
     flushed_.fetch_add(done, std::memory_order_release);
   }
   consume_lock_.clear(std::memory_order_release);
@@ -108,7 +92,7 @@ std::size_t FlushChannel::consume(std::uint32_t consumer,
 void FlushChannel::request_wake() {
   if (manual_) return;  // no worker serves this channel
   if (!wake_requested_.exchange(true, std::memory_order_relaxed)) {
-    worker_->poke_home(home_);
+    worker_->poke();
   }
 }
 
@@ -125,17 +109,11 @@ void FlushChannel::wait_drained() {
     // Help: pop and flush on this thread rather than waiting for the worker
     // to be scheduled. The whole backlog drains under one lock hold — one
     // acquire/release and one counter publish per drain, not per line.
-    if (consume(kHelperConsumer, capacity()) == 0) {
-      // Our ring is empty, or a consumer holds it and is mid-flush on our
-      // behalf. In a pool, spend the wait stealing a sibling channel's
-      // backlog; otherwise yield so a descheduled worker (single-core host)
-      // gets the timeslice it needs to finish. Manual channels never steal
-      // — a fuzzer schedule must not leak work across channels it did not
-      // script.
-      if (manual_ || worker_ == nullptr || worker_->pool_size() <= 1 ||
-          !worker_->steal_one(this)) {
-        std::this_thread::yield();
-      }
+    if (consume(capacity()) == 0) {
+      // Our ring is empty, or the worker holds it and is mid-flush on our
+      // behalf: yield so a descheduled worker (single-core host) gets the
+      // timeslice it needs to finish.
+      std::this_thread::yield();
     }
     const std::uint64_t now_flushed = flushed_.load(std::memory_order_acquire);
     if (now_flushed != last_flushed) {
@@ -164,31 +142,8 @@ void FlushChannel::wait_drained() {
 
 // --- FlushWorker ------------------------------------------------------------
 
-FlushWorker::FlushWorker() : FlushWorker(pool_size_from_env("NVC_FLUSH_WORKERS")) {}
-
-FlushWorker::FlushWorker(std::size_t pool_size)
-    : pin_(env_int("NVC_PIN", 0) != 0) {
-  NVC_REQUIRE(pool_size >= 1 && pool_size <= kMaxPool);
-  worker_cpu_ = place_workers(pool_size, cpu_topology()).worker_cpu;
-  workers_.reserve(pool_size);
-  for (std::size_t w = 0; w < pool_size; ++w) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  start();  // threads only start once workers_ is fully built
-}
-
-void FlushWorker::start() {
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    workers_[w]->thread =
-        std::jthread([this, w](std::stop_token st) { run(st, w); });
-  }
-}
-
-FlushWorker::~FlushWorker() {
-  // Request every stop before the first join so pool shutdown overlaps
-  // instead of paying one doze tick per worker serially.
-  for (auto& w : workers_) w->thread.request_stop();
-}  // workers_ (last member) joins; the rest is destroyed after
+FlushWorker::FlushWorker()
+    : thread_([this](std::stop_token st) { run(st); }) {}
 
 FlushWorker& FlushWorker::shared() {
   static FlushWorker worker;
@@ -202,12 +157,6 @@ std::shared_ptr<FlushChannel> FlushWorker::open_channel(
   std::shared_ptr<FlushChannel> channel(
       new FlushChannel(this, std::move(sink), capacity, /*manual=*/false));
   std::lock_guard<std::mutex> lock(mutex_);
-  // Round-robin homes: channels arrive dynamically (one per runtime
-  // thread), so the static block distribution of place_shards does not
-  // apply; round-robin gives the same ±1 balance without knowing the final
-  // producer count.
-  channel->home_ = static_cast<std::uint32_t>(next_home_);
-  next_home_ = (next_home_ + 1) % workers_.size();
   channels_.push_back(channel);
   return channel;
 }
@@ -216,9 +165,9 @@ std::shared_ptr<FlushChannel> FlushWorker::open_manual_channel(
     std::unique_ptr<FlushSink> sink, std::size_t capacity) {
   NVC_REQUIRE(sink != nullptr);
   NVC_REQUIRE(is_pow2(capacity), "flush queue depth must be a power of two");
-  // Deliberately NOT registered in channels_: no pool thread ever sees it,
-  // so the only consumers are pump_one() calls and helping drains — both on
-  // the owner's thread, both deterministic regardless of pool size.
+  // Deliberately NOT registered in channels_: the worker never sees it, so
+  // the only consumers are pump_one() calls and helping drains — both on
+  // the owner's thread, both deterministic.
   return std::shared_ptr<FlushChannel>(
       new FlushChannel(this, std::move(sink), capacity, /*manual=*/true));
 }
@@ -226,17 +175,9 @@ std::shared_ptr<FlushChannel> FlushWorker::open_manual_channel(
 void FlushWorker::poke() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (auto& w : workers_) w->poked = true;
+    poked_ = true;
   }
-  for (auto& w : workers_) w->cv.notify_one();
-}
-
-void FlushWorker::poke_home(std::size_t w) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    workers_[w]->poked = true;
-  }
-  workers_[w]->cv.notify_one();
+  cv_.notify_one();
 }
 
 void FlushWorker::register_idle_task(std::weak_ptr<IdleTask> task) {
@@ -262,87 +203,48 @@ bool FlushWorker::run_idle_task() {
   }
   if (task == nullptr) return false;
   // Off-mutex: the step may do real work (scrubbing a batch of lines) and
-  // must not block channel registration or sibling workers.
+  // must not block channel registration or watermark pokes.
   const bool worked = task->idle_step();
   if (worked) idle_steps_.fetch_add(1, std::memory_order_relaxed);
   return worked;
 }
 
-bool FlushWorker::steal_one(const FlushChannel* self) {
-  std::vector<std::shared_ptr<FlushChannel>> channels;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    channels = channels_;
-  }
-  for (const auto& ch : channels) {
-    if (ch.get() == self || ch->queue_.empty()) continue;
-    if (ch->consume(FlushChannel::kHelperConsumer, 1) != 0) {
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-  }
-  return false;
-}
-
 std::size_t FlushWorker::sweep(
-    std::size_t w, const std::vector<std::shared_ptr<FlushChannel>>& channels,
+    const std::vector<std::shared_ptr<FlushChannel>>& channels,
     bool spinning) {
-  const std::uint32_t me = static_cast<std::uint32_t>(w);
   // Read-only until there is work: an empty ring costs two cursor loads and
   // no store, so an idle sweep never takes a line the producer writes away
   // from it. A taken ring retires its backlog in one batch; a spinning
   // sweep leaves backlogs below kSpinBatch to the producer's own drain.
-  const auto take = [&](FlushChannel& ch) -> std::size_t {
-    const std::size_t backlog = ch.queue_.size();
-    if (backlog == 0 ||
-        (spinning && backlog < std::min(kSpinBatch, ch.capacity() / 2))) {
-      return 0;
-    }
-    return ch.consume(me, backlog);
-  };
   std::size_t total = 0;
   for (const auto& ch : channels) {
-    if (ch->home_ != me) continue;
     if (ch->wake_requested_.load(std::memory_order_relaxed)) {
       ch->wake_requested_.store(false, std::memory_order_relaxed);
     }
-    total += take(*ch);
-  }
-  // Idle worker: help any sibling's backlog. Same per-channel consumer
-  // spinlock as the home worker, so retirement stays exactly-once and each
-  // ring stays FIFO; the home worker finding its ring already empty is the
-  // intended outcome, not a race.
-  if (total == 0 && workers_.size() > 1) {
-    std::size_t stolen = 0;
-    for (const auto& ch : channels) {
-      if (ch->home_ != me) stolen += take(*ch);
+    const std::size_t backlog = ch->queue_.size();
+    if (backlog == 0 ||
+        (spinning && backlog < std::min(kSpinBatch, ch->capacity() / 2))) {
+      continue;
     }
-    if (stolen != 0) {
-      steals_.fetch_add(stolen, std::memory_order_relaxed);
-      total += stolen;
-    }
+    total += ch->consume(backlog);
   }
-  if (total != 0) worker_flushes_.fetch_add(total, std::memory_order_relaxed);
   return total;
 }
 
-void FlushWorker::run(std::stop_token st, std::size_t w) {
-  // Placement is a hint: pinning only under NVC_PIN, and failure to pin is
-  // silently tolerated (containers often mask CPUs out of the affinity set).
-  if (pin_) pin_thread_to_cpu(worker_cpu_[w]);
-  // On a single-core host the post-work spin below would only steal the
+void FlushWorker::run(std::stop_token st) {
+  // With a single allowed CPU the post-work spin below would only take the
   // producer's timeslice; drain()'s helping consumer covers latency there.
-  // The topology probe is cached process-wide — no per-decision re-query.
-  const bool can_spin = cpu_topology().can_spin();
+  // Asked once, from this thread: it runs on the mask it inherited from
+  // the thread that constructed the worker.
+  const bool spin = can_spin();
 
-  Worker& self = *workers_[w];
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
     // Doze: wake on the periodic tick, an explicit poke, or stop. A plain
     // timeout (predicate false) still sweeps — the tick is the default
     // delivery mechanism; pokes only accelerate watermark crossings.
-    self.cv.wait_for(lock, st, kDozeTick, [&] { return self.poked; });
-    self.poked = false;
+    cv_.wait_for(lock, st, kDozeTick, [&] { return poked_; });
+    poked_ = false;
     std::vector<std::shared_ptr<FlushChannel>> channels = channels_;
     lock.unlock();
 
@@ -350,11 +252,11 @@ void FlushWorker::run(std::stop_token st, std::size_t w) {
     // the worker keep polling (spin sweeps follow the kSpinBatch rule); an
     // empty tick goes straight back to dozing without having written a
     // single channel line.
-    bool idle = sweep(w, channels, /*spinning=*/false) == 0;
-    if (!idle && can_spin) {
+    bool idle = sweep(channels, /*spinning=*/false) == 0;
+    if (!idle && spin) {
       auto last_work = std::chrono::steady_clock::now();
       while (!st.stop_requested()) {
-        if (sweep(w, channels, /*spinning=*/true) != 0) {
+        if (sweep(channels, /*spinning=*/true) != 0) {
           last_work = std::chrono::steady_clock::now();
         } else if (std::chrono::steady_clock::now() - last_work >
                    kSpinWindow) {
@@ -367,8 +269,8 @@ void FlushWorker::run(std::stop_token st, std::size_t w) {
     }
     // Idle worker: one bounded slice of background work (the online
     // scrubber). Flush traffic always wins — the slice runs only after a
-    // sweep (plus spin window) found every home ring empty, and the next
-    // doze tick re-checks the rings before another slice runs.
+    // sweep (plus spin window) found every ring empty, and the next doze
+    // tick re-checks the rings before another slice runs.
     if (idle && !st.stop_requested()) run_idle_task();
 
     lock.lock();

@@ -109,12 +109,7 @@ class FlushChannel {
   /// consumer lock, so it is safe on any channel — but it exists for
   /// *manual* channels (open_manual_channel), where a deterministic test
   /// scheduler is the only consumer and interleavings replay from a seed.
-  /// `worker` is the *virtual* worker identity the scheduler is simulating
-  /// (recorded as last_flush_worker(); no pool thread is involved), so a
-  /// fuzzer schedule can model an M-worker pool without one.
-  bool pump_one(std::size_t worker = 0) {
-    return consume(static_cast<std::uint32_t>(worker), 1) != 0;
-  }
+  bool pump_one() { return consume(1) != 0; }
 
   /// True for channels the background worker never sweeps (deterministic
   /// test channels; see FlushWorker::open_manual_channel).
@@ -131,20 +126,6 @@ class FlushChannel {
     return last_flush_thread_;
   }
 
-  /// Consumer identity recorded by pump_one / the pool sweep when nothing
-  /// pool-threaded did the work (helping producer in wait_drained, or a
-  /// steal by a non-home worker reported as the stealing worker's index).
-  static constexpr std::uint32_t kHelperConsumer = 0xffffffffu;
-
-  /// Pool-worker index (or kHelperConsumer) that performed the most recent
-  /// write-back. Test hook; read when idle.
-  std::uint32_t last_flush_worker() const noexcept {
-    return last_flush_worker_;
-  }
-
-  /// Home pool worker serving this channel (0 for manual channels).
-  std::uint32_t home() const noexcept { return home_; }
-
  private:
   friend class FlushWorker;
 
@@ -155,13 +136,13 @@ class FlushChannel {
   /// consumer lock, publishing them with one release add to flushed_.
   /// Returns how many were retired: 0 when the ring was empty or another
   /// thread holds the consumer side right now (it is making progress on our
-  /// behalf either way). `consumer` is recorded as last_flush_worker().
-  std::size_t consume(std::uint32_t consumer, std::size_t max_lines);
+  /// behalf either way).
+  std::size_t consume(std::size_t max_lines);
 
   // Cache-line layout (DESIGN.md §8): the read-mostly fields, then the
   // ring (whose two cursors sit on separate lines, producer and consumer),
   // then the consumer line. Only a real handoff moves a line between the
-  // application thread and a pool worker.
+  // application thread and the worker.
 
   // --- Read-mostly: set at open, or written rarely.
   FlushWorker* worker_;
@@ -170,10 +151,6 @@ class FlushChannel {
   /// helping drain. request_wake() is a no-op so a watermark crossing
   /// cannot put the worker thread into the interleaving.
   const bool manual_ = false;
-  /// Index of the pool worker that sweeps this channel (round-robin over
-  /// the pool at open time; constant afterwards). Manual channels keep 0
-  /// but are never registered with any worker.
-  std::uint32_t home_ = 0;
   std::atomic<bool> closed_{false};
   /// Set by the producer when it pokes the worker at the high watermark;
   /// cleared by the worker's sweep, which stores only when it finds it set
@@ -190,16 +167,15 @@ class FlushChannel {
   SpscQueue<LineAddr> queue_;
 
   // --- Consumer line: written by whoever holds consume_lock_.
-  /// Serializes the consumer side (worker sweep, stealing worker, helping
-  /// producer). Held around one batch of pops + flush_lines; uncontended
-  /// cost is a single RMW each way.
+  /// Serializes the consumer side (worker sweep, helping producer, manual
+  /// pump). Held around one batch of pops + flush_lines; uncontended cost
+  /// is a single RMW each way.
   alignas(kCacheLineSize) std::atomic_flag consume_lock_ = ATOMIC_FLAG_INIT;
   std::atomic<std::uint64_t> flushed_{0};
   std::thread::id last_flush_thread_{};  // written under consume_lock_
-  std::uint32_t last_flush_worker_ = kHelperConsumer;  // under consume_lock_
 };
 
-/// Background work a pool worker runs when its sweep found nothing to flush
+/// Background work the worker runs when its sweep found nothing to flush
 /// (the online scrubber piggybacks here, DESIGN.md §14). One bounded slice
 /// per call; return true when the step did useful work (the worker may call
 /// again within its spin window), false when there is nothing to do.
@@ -211,47 +187,33 @@ class IdleTask {
   virtual bool idle_step() = 0;
 };
 
-/// The shared background flusher, generalized to a sized pool: N jthreads
-/// (NVC_FLUSH_WORKERS, default 1 = the original single-worker behavior),
-/// each the *home* of a subset of channels assigned round-robin at open
-/// time. Scheduling is doze-based — each worker sleeps in ~200 µs ticks and
-/// sweeps its home channels on each wake; producers only pay a
-/// condition-variable poke to the home worker when a ring crosses its high
-/// watermark (sustained eviction storm). No per-push notify: a futex wake
-/// costs more than the flush it would hide, and drain()'s helping consumer
-/// already bounds the worst-case latency.
-///
-/// Work stealing: a worker whose own sweep came up empty helps pop any
-/// other channel's ring, and a producer blocked in wait_drained() while the
-/// consumer lock is held steals from sibling channels rather than just
-/// yielding. Both go through the same per-channel consumer spinlock as the
-/// home worker, so exactly-once retirement and per-channel FIFO order are
-/// preserved no matter who pops (DESIGN.md §11 for the full argument).
-/// Manual channels are invisible to every pool thread, so pool size cannot
-/// perturb a deterministic fuzzer schedule.
+/// The shared background flusher: one jthread serving every registered
+/// channel. Scheduling is doze-based — the worker sleeps in ~200 µs ticks
+/// and sweeps every channel on each wake; producers only pay a
+/// condition-variable poke when a ring crosses its high watermark
+/// (sustained eviction storm). No per-push notify: a futex wake costs more
+/// than the flush it would hide, and drain()'s helping consumer already
+/// bounds the worst-case latency. The worker and a helping drain pop the
+/// same ring through its consumer lock, so every line retires exactly
+/// once and in push order (DESIGN.md §8). Manual channels are invisible
+/// to the worker, so it cannot perturb a deterministic fuzzer schedule.
 class FlushWorker {
  public:
-  /// Pool size from NVC_FLUSH_WORKERS (default 1; 0 = one per NUMA node;
-  /// clamped to [1, kMaxPool]). NVC_PIN=1 pins each worker to its
-  /// topology-placed CPU (see core::place_workers).
   FlushWorker();
-  /// Fixed pool size (tests / benchmarks); env is ignored except NVC_PIN.
-  explicit FlushWorker(std::size_t pool_size);
-  ~FlushWorker();
 
   FlushWorker(const FlushWorker&) = delete;
   FlushWorker& operator=(const FlushWorker&) = delete;
 
-  /// The process-wide pool used by async runtimes (sized from the
-  /// environment at first use).
+  /// The process-wide worker used by async runtimes. Its thread inherits
+  /// the affinity mask of the thread that first calls this.
   static FlushWorker& shared();
 
-  /// Open a producer channel homed on the next pool worker (round-robin).
-  /// The channel owns `sink`; `capacity` must be a power of two.
+  /// Open a producer channel the worker sweeps. The channel owns `sink`;
+  /// `capacity` must be a power of two.
   std::shared_ptr<FlushChannel> open_channel(std::unique_ptr<FlushSink> sink,
                                              std::size_t capacity);
 
-  /// Open a channel NO pool worker will ever sweep: write-backs happen only
+  /// Open a channel the worker will never sweep: write-backs happen only
   /// when the owner calls FlushChannel::pump_one() or a drain helps. The
   /// crash fuzzer uses this to explore worker/application interleavings
   /// deterministically from a seed (a virtual scheduler decides when the
@@ -259,13 +221,13 @@ class FlushWorker {
   std::shared_ptr<FlushChannel> open_manual_channel(
       std::unique_ptr<FlushSink> sink, std::size_t capacity);
 
-  /// Wake every pool worker now (tests, shutdown nudge). Watermark pokes
-  /// from producers go to the channel's home worker only.
+  /// Wake the worker now (watermark crossings, tests, shutdown nudge).
   void poke();
 
-  /// Register background work for idle workers (see IdleTask). Tasks run on
-  /// pool threads only — manual channels and their deterministic schedules
-  /// never see them. Expired tasks are pruned lazily.
+  /// Register background work for the idle worker (see IdleTask). Tasks
+  /// run on the worker thread only — manual channels and their
+  /// deterministic schedules never see them. Expired tasks are pruned
+  /// lazily.
   void register_idle_task(std::weak_ptr<IdleTask> task);
 
   /// Idle-task invocations that reported useful work (diagnostic).
@@ -273,63 +235,29 @@ class FlushWorker {
     return idle_steps_.load(std::memory_order_relaxed);
   }
 
-  /// Number of pool threads (>= 1).
-  std::size_t pool_size() const noexcept { return workers_.size(); }
-
-  /// Write-backs performed by pool threads (home sweeps and steals, not
-  /// helping producers; test/diagnostic hook).
-  std::uint64_t worker_flushes() const noexcept {
-    return worker_flushes_.load(std::memory_order_relaxed);
-  }
-
-  /// Lines retired by a consumer other than the channel's home worker: an
-  /// idle worker's steal sweep or a drain()-blocked producer helping a
-  /// sibling channel. Diagnostic; proves the stealing path engaged.
-  std::uint64_t steals() const noexcept {
-    return steals_.load(std::memory_order_relaxed);
-  }
-
   static constexpr std::size_t kDefaultQueueDepth = 1024;
-  static constexpr std::size_t kMaxPool = 64;
 
  private:
-  friend class FlushChannel;
-
-  struct Worker {
-    std::condition_variable_any cv;
-    bool poked = false;         // guarded by FlushWorker::mutex_
-    std::jthread thread;        // started after every Worker exists
-  };
-
-  void start();
-  void poke_home(std::size_t w);
   /// Run one registered idle task's step (round-robin), pruning expired
-  /// registrations. Called off-mutex by a worker whose sweep came up empty;
-  /// returns what the task's idle_step returned (false = nothing ran).
+  /// registrations. Called off-mutex by the worker when its sweep came up
+  /// empty; returns what the task's idle_step returned (false = nothing
+  /// ran).
   bool run_idle_task();
-  /// Steal one line from any registered channel other than `self` (used by
-  /// a producer blocked in wait_drained). Returns true when a line was
-  /// retired somewhere.
-  bool steal_one(const FlushChannel* self);
-  void run(std::stop_token st, std::size_t w);
+  void run(std::stop_token st);
   /// One pass over the channels; returns lines retired. `spinning` applies
   /// the post-work spin rule (small backlogs are left to their producer).
-  std::size_t sweep(std::size_t w,
-                    const std::vector<std::shared_ptr<FlushChannel>>& channels,
+  std::size_t sweep(const std::vector<std::shared_ptr<FlushChannel>>& channels,
                     bool spinning);
 
-  const bool pin_;
-  std::mutex mutex_;  // guards channels_, next_home_ and Worker::poked
+  std::mutex mutex_;  // guards channels_, poked_ and the idle-task list
+  std::condition_variable_any cv_;
+  bool poked_ = false;
   std::vector<std::shared_ptr<FlushChannel>> channels_;
-  std::size_t next_home_ = 0;
-  std::vector<int> worker_cpu_;  // placement map, fixed at construction
-  std::atomic<std::uint64_t> worker_flushes_{0};
-  std::atomic<std::uint64_t> steals_{0};
-  std::vector<std::weak_ptr<IdleTask>> idle_tasks_;  // guarded by mutex_
-  std::size_t idle_cursor_ = 0;                      // guarded by mutex_
+  std::vector<std::weak_ptr<IdleTask>> idle_tasks_;
+  std::size_t idle_cursor_ = 0;
   std::atomic<std::uint64_t> idle_steps_{0};
-  /// Last member: jthreads stop and join before the rest is destroyed.
-  std::vector<std::unique_ptr<Worker>> workers_;
+  /// Last member: the jthread stops and joins before the rest is destroyed.
+  std::jthread thread_;
 };
 
 /// Pipelined-device timing model for AsyncFlushSink, active only for the

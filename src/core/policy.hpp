@@ -267,11 +267,8 @@ class SoftCachePolicy final : public Policy {
 
   /// Manual-analysis mode (SamplerConfig::manual_analysis): run one
   /// handed-off burst analysis now, on this thread. The deterministic
-  /// stand-in for the background pool's scheduling; `worker` is the virtual
-  /// pool-worker index the schedule charges the analysis to.
-  bool pump_analysis(std::size_t worker = 0) {
-    return sampler_.pump_analysis(worker);
-  }
+  /// stand-in for the background worker's scheduling.
+  bool pump_analysis() { return sampler_.pump_analysis(); }
 
   const WriteCache& cache() const noexcept { return cache_; }
   const BurstSampler& sampler() const noexcept { return sampler_; }

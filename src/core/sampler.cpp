@@ -101,8 +101,8 @@ void BurstSampler::drain() {
   if (channel_) channel_->drain();
 }
 
-bool BurstSampler::pump_analysis(std::size_t worker) {
-  return channel_ && channel_->manual() && channel_->pump_one(worker);
+bool BurstSampler::pump_analysis() {
+  return channel_ && channel_->manual() && channel_->pump_one();
 }
 
 bool BurstSampler::analysis_in_flight() const {

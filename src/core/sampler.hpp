@@ -85,10 +85,8 @@ class BurstSampler {
   void drain();
 
   /// Manual-analysis mode: run one handed-off burst analysis now, on this
-  /// thread (true when a job ran). No-op in the other modes. `worker` is
-  /// the virtual pool-worker identity a simulated schedule attributes the
-  /// analysis to (defaults to 0, the single-worker schedule).
-  bool pump_analysis(std::size_t worker = 0);
+  /// thread (true when a job ran). No-op in the other modes.
+  bool pump_analysis();
 
   /// Async mode: true while a handed-off burst has not been analyzed yet.
   bool analysis_in_flight() const;

@@ -84,40 +84,4 @@ ThreadGroups group_threads(const std::vector<Mrc>& per_thread_mrcs,
   return result;
 }
 
-ShardPlacement place_workers(std::size_t workers, const CpuTopology& topo) {
-  ShardPlacement placement;
-  placement.worker_cpu.reserve(workers);
-  placement.worker_node.reserve(workers);
-  // Node-major CPU order: all of node 0, then node 1, ... A pool smaller
-  // than one node never crosses it; a pool larger than the machine wraps.
-  std::vector<int> order;
-  std::vector<int> order_node;
-  for (int node = 0; node < topo.numa_nodes; ++node) {
-    for (int cpu : topo.cpus_on_node(node)) {
-      order.push_back(cpu);
-      order_node.push_back(node);
-    }
-  }
-  if (order.empty()) {  // defensive: a topology with an empty cpu map
-    order.push_back(0);
-    order_node.push_back(0);
-  }
-  for (std::size_t w = 0; w < workers; ++w) {
-    placement.worker_cpu.push_back(order[w % order.size()]);
-    placement.worker_node.push_back(order_node[w % order.size()]);
-  }
-  return placement;
-}
-
-std::vector<std::size_t> place_shards(std::size_t shards, std::size_t workers) {
-  NVC_REQUIRE(workers > 0);
-  std::vector<std::size_t> home(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    // Block distribution: floor(s * W / S) yields contiguous runs of equal
-    // (±1) length, never exceeding workers-1.
-    home[s] = shards == 0 ? 0 : s * workers / shards;
-  }
-  return home;
-}
-
 }  // namespace nvc::core

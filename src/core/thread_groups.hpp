@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/cpu.hpp"
 #include "core/knee.hpp"
 #include "core/mrc.hpp"
 
@@ -41,32 +40,5 @@ double mrc_distance(const Mrc& a, const Mrc& b);
 /// Cluster per-thread MRCs and select one cache size per group.
 ThreadGroups group_threads(const std::vector<Mrc>& per_thread_mrcs,
                            const ThreadGroupConfig& config = {});
-
-/// Topology-aware placement for the flush/analysis worker pools: where each
-/// pool thread should run, and which pool thread serves each producer shard.
-/// "Writes Hurt" (PAPERS.md) rewards few, batched issue streams per device,
-/// so workers fill a NUMA node before spilling to the next (node-major)
-/// rather than striping — a small pool stays co-located with the node whose
-/// producers it serves.
-struct ShardPlacement {
-  /// worker_cpu[w] = preferred logical CPU of pool thread w (node-major,
-  /// wrapping when the pool exceeds the machine). Pinning is opt-in
-  /// (NVC_PIN); unpinned pools still use the map's node assignment.
-  std::vector<int> worker_cpu;
-  /// worker_node[w] = NUMA node of worker_cpu[w].
-  std::vector<int> worker_node;
-};
-
-/// Place `workers` pool threads onto the probed topology (see above).
-/// Always returns `workers` entries; on a flat machine every node is 0.
-ShardPlacement place_workers(std::size_t workers, const CpuTopology& topo);
-
-/// Home assignment for a known shard count: block-distribute `shards`
-/// producer shards over `workers` homes (shard s -> s*workers/shards), so
-/// consecutive shards — adjacent producers, typically co-located — share a
-/// home worker and its node. Dynamic channel arrival (unknown final count)
-/// uses round-robin instead; this is the static variant used when the
-/// producer set is known up front (benchmarks, tests, fig5).
-std::vector<std::size_t> place_shards(std::size_t shards, std::size_t workers);
 
 }  // namespace nvc::core

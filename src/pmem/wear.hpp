@@ -42,8 +42,8 @@ class WearTracker {
   void record(LineAddr line);
 
   /// Race-free total without taking the map mutex (release-published by
-  /// record(), acquire-read here) — the cheap counter worker-pool stats
-  /// aggregation polls.
+  /// record(), acquire-read here) — the cheap counter stats aggregation
+  /// polls while the flush worker writes back.
   std::uint64_t line_writes() const noexcept {
     return total_.load(std::memory_order_acquire);
   }

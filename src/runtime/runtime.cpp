@@ -156,13 +156,14 @@ Runtime::Runtime(RuntimeConfig config, Medium* medium)
       std::lock_guard<std::mutex> lock(alloc_mutex_);
       scrubber_->refresh_header_mirror();
     }
-    // The pool holds only a weak_ptr: resetting scrubber_ is deregistration.
+    // The worker holds only a weak_ptr: resetting scrubber_ is
+    // deregistration.
     core::FlushWorker::shared().register_idle_task(scrubber_);
   }
 }
 
 Runtime::~Runtime() {
-  // A pool worker may be mid-slice holding a locked shared_ptr; the weak_ptr
+  // The flush worker may be mid-slice holding a locked shared_ptr; the weak_ptr
   // expiring cannot interrupt that, so stop the scrubber and wait out any
   // in-flight slice before the region can be unmapped below.
   if (scrubber_ != nullptr) scrubber_->shutdown();
@@ -293,14 +294,14 @@ void Runtime::bind_context(std::size_t slot) {
   tl_instance = instance_id_;
 }
 
-bool Runtime::pump_flush(std::size_t slot, std::size_t worker) {
-  return context_at(slot).route.pump_one(worker);
+bool Runtime::pump_flush(std::size_t slot) {
+  return context_at(slot).route.pump_one();
 }
 
-bool Runtime::pump_analysis(std::size_t slot, std::size_t worker) {
+bool Runtime::pump_analysis(std::size_t slot) {
   core::Policy& policy = *context_at(slot).policy;
   return policy.kind() == core::PolicyKind::kSoftCache &&
-         static_cast<core::SoftCachePolicy&>(policy).pump_analysis(worker);
+         static_cast<core::SoftCachePolicy&>(policy).pump_analysis();
 }
 
 void* Runtime::pm_alloc(std::size_t size) {
@@ -586,7 +587,7 @@ void Runtime::destroy_storage() {
   const std::string log_name = config_.region_name + ".log";
   if (scrubber_ != nullptr) {
     // Stop slices (and wait out an in-flight one) before the mappings go
-    // away; resetting drops the pool's weak_ptr registration.
+    // away; resetting drops the worker's weak_ptr registration.
     scrubber_->shutdown();
     scrubber_.reset();
   }

@@ -106,7 +106,7 @@ struct RuntimeConfig {
   bool verify_data = false;
 
   /// Online scrubbing (NVC_SCRUB=1, DESIGN.md §14): register a background
-  /// Scrubber on the flush-worker pool's idle hook — it re-reads the image
+  /// Scrubber on the flush worker's idle hook — it re-reads the image
   /// when the write-back rings are empty, repairs detectably corrupt
   /// metadata from redundant copies, and quarantines lines the fault
   /// model marks bad. Requires nothing else; combines with verify_data for
@@ -172,7 +172,7 @@ class Medium : public pmem::FlushMedium {
   /// pstore's data write: after the undo record and the hazard check,
   /// before the policy sees the store.
   virtual void store(void* dst, const void* src, std::size_t len) = 0;
-  /// Open flush channels no pool worker sweeps: queued write-backs then run
+  /// Open flush channels the worker never sweeps: queued write-backs then run
   /// only under pump_flush() and the helping drain.
   virtual bool manual_flush() const = 0;
 };
@@ -277,7 +277,8 @@ class Runtime {
     return verify_table_.get();
   }
   /// The online scrubber (null unless config.scrub). Exposed so tests and
-  /// benchmarks can pump slices manually instead of waiting for pool idle.
+  /// benchmarks can pump slices manually instead of waiting for an idle
+  /// worker.
   Scrubber* scrubber() noexcept { return scrubber_.get(); }
   /// Scrubber counters (all zero when scrubbing is off).
   ScrubStats scrub_stats() const;
@@ -292,12 +293,11 @@ class Runtime {
   /// the next bind, or until the thread uses another Runtime.
   void bind_context(std::size_t slot);
   /// Write back one queued line of slot `slot`'s flush ring (manual
-  /// channels; false when none). `worker` is the virtual pool worker a
-  /// simulated schedule charges the write-back to.
-  bool pump_flush(std::size_t slot, std::size_t worker = 0);
+  /// channels; false when none).
+  bool pump_flush(std::size_t slot);
   /// Run one handed-off burst analysis of slot `slot`'s sampler
   /// (policy_config.sampler.manual_analysis; false when none ran).
-  bool pump_analysis(std::size_t slot, std::size_t worker = 0);
+  bool pump_analysis(std::size_t slot);
   /// The media-fault injector (null unless config.fault.enabled()).
   const std::shared_ptr<pmem::FaultInjector>& fault_injector() const noexcept {
     return injector_;
@@ -350,11 +350,11 @@ class Runtime {
   std::uint64_t instance_id_;
   /// Commit-time data-line checksums (null unless config_.verify_data).
   /// Shared: the scrubber holds a reference and is itself kept alive by the
-  /// worker pool only through a weak_ptr, but belt-and-braces beats a
+  /// flush worker only through a weak_ptr, but belt-and-braces beats a
   /// dangle.
   std::shared_ptr<LineVerifyTable> verify_table_;
   /// Online scrubber (null unless config_.scrub). shared_ptr because the
-  /// pool's idle hook tracks it via weak_ptr — destruction is deregistration.
+  /// worker's idle hook tracks it via weak_ptr — destruction is deregistration.
   std::shared_ptr<Scrubber> scrubber_;
   /// Quarantine destination for scrub discoveries (allocated only when an
   /// armed injector exists). Separate from the per-context FaultStats —

@@ -1,6 +1,6 @@
 // Online scrubbing (DESIGN.md §14): a background pass that re-reads the
 // persistent image while the runtime serves traffic, piggybacked on the
-// flush-worker pool's idle hook (core::IdleTask) so it costs nothing while
+// flush worker's idle hook (core::IdleTask) so it costs nothing while
 // write-back rings hold work.
 //
 // Each slice (one idle_step) does a bounded amount of work:
@@ -19,11 +19,11 @@
 //     against their commit-time CRC32C; mismatches are counted and reported
 //     (data has no redundant copy to repair from; honesty over heroics).
 //
-// Thread-safety: slices self-serialize on a try-lock (two pool workers never
-// scrub concurrently; a busy scrubber is simply skipped), the heap-header
-// check runs under the Runtime's allocation lock so it can never race a
-// legitimate mutation, and the verify table's dirty bits suppress checks on
-// lines with in-flight stores.
+// Thread-safety: slices self-serialize on a try-lock (the worker's idle
+// slice and a manual step() never scrub concurrently; a busy scrubber is
+// simply skipped), the heap-header check runs under the Runtime's
+// allocation lock so it can never race a legitimate mutation, and the
+// verify table's dirty bits suppress checks on lines with in-flight stores.
 #pragma once
 
 #include <atomic>
@@ -103,7 +103,7 @@ class Scrubber final : public core::IdleTask {
 
   /// Stop scrubbing and wait out any in-flight slice. After this returns no
   /// step will touch the region again — the owner calls it before unmapping
-  /// (a pool worker may hold a locked shared_ptr mid-slice; the weak_ptr
+  /// (the flush worker may hold a locked shared_ptr mid-slice; the weak_ptr
   /// expiring alone cannot interrupt that).
   void shutdown();
 
@@ -126,8 +126,8 @@ class Scrubber final : public core::IdleTask {
   std::shared_ptr<core::FaultStats> fault_stats_;
   std::shared_ptr<pmem::WearTracker> wear_;
 
-  /// Serializes slices across pool workers (try-lock: a busy scrubber is
-  /// skipped, never waited on).
+  /// Serializes the worker's slices with manual steps (try-lock: a busy
+  /// scrubber is skipped, never waited on).
   std::mutex slice_mutex_;
   std::atomic<bool> stopped_{false};
   /// Heap-header mirror (refreshed by the owner under header_lock_).

@@ -47,11 +47,11 @@ WriteBackRoute::WriteBackRoute(WriteBackSpec spec)
       worker = std::make_unique<core::RetiringSink>(std::move(worker),
                                                     elision_);
     }
-    core::FlushWorker& pool = core::FlushWorker::shared();
+    core::FlushWorker& flusher = core::FlushWorker::shared();
     channel_ =
         spec.manual_channel
-            ? pool.open_manual_channel(std::move(worker), spec.ring_depth)
-            : pool.open_channel(std::move(worker), spec.ring_depth);
+            ? flusher.open_manual_channel(std::move(worker), spec.ring_depth)
+            : flusher.open_channel(std::move(worker), spec.ring_depth);
     // A full ring writes back locally, bypassing the worker-side retire:
     // that owner path must retire too.
     core::FlushSink* overflow = sync_;

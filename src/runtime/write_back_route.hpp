@@ -40,7 +40,7 @@ struct WriteBackSpec {
   /// channel takes ownership, because it may outlive the route.
   std::unique_ptr<core::FlushSink> worker_sink;
   std::size_t ring_depth = core::FlushWorker::kDefaultQueueDepth;  // pow2
-  /// Open a channel no pool worker sweeps (deterministic tests).
+  /// Open a channel the worker never sweeps (deterministic tests).
   bool manual_channel = false;
   core::FlushDeviceModel device;
   /// Undo log of this context (not owned). Null: no log-order stage.
@@ -97,9 +97,7 @@ class WriteBackRoute {
   void order_store(LineAddr first, LineAddr last);
 
   /// Write back one queued line (manual channels; false when none).
-  bool pump_one(std::size_t worker) {
-    return channel_ != nullptr && channel_->pump_one(worker);
-  }
+  bool pump_one() { return channel_ != nullptr && channel_->pump_one(); }
   /// Wait until every line ever queued has been written back.
   void wait_drained() {
     if (channel_ != nullptr) channel_->wait_drained();

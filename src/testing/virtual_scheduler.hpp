@@ -1,11 +1,11 @@
 // Deterministic stand-in for the OS scheduler in crash-fuzzing runs.
 //
-// The production flush-behind pipeline and async burst analysis hand work
-// to real background threads; which write-backs have completed at a crash
-// is then decided by the OS scheduler and not reproducible. For fuzzing,
-// the rig opens *manual* channels instead (FlushWorker::open_manual_channel,
-// AnalysisWorker::open_manual_channel): the background threads never touch
-// them, and the handed-off work runs only when the driver pumps it. This
+// The production flush-behind pipeline and async burst analysis each hand
+// work to one real background thread; which write-backs have completed at a
+// crash is then decided by the OS scheduler and not reproducible. For
+// fuzzing, the rig opens *manual* channels instead
+// (FlushWorker::open_manual_channel, AnalysisWorker::open_manual_channel):
+// the two workers never touch them, and the handed-off work runs only when the driver pumps it. This
 // scheduler makes those pump decisions from a seed — after every program
 // op it draws how many queued write-backs the virtual flush worker performs
 // and whether the virtual analysis worker gets a quantum — so the entire

@@ -80,12 +80,10 @@ void CrashRig::pstore(std::size_t ctx, PmAddr addr, const void* bytes,
 
 void CrashRig::persist_barrier(std::size_t ctx) { on(ctx).persist_barrier(); }
 
-bool CrashRig::pump_flush(std::size_t ctx, std::size_t worker) {
-  return rt_->pump_flush(ctx, worker);
-}
+bool CrashRig::pump_flush(std::size_t ctx) { return rt_->pump_flush(ctx); }
 
-bool CrashRig::pump_analysis(std::size_t ctx, std::size_t worker) {
-  return rt_->pump_analysis(ctx, worker);
+bool CrashRig::pump_analysis(std::size_t ctx) {
+  return rt_->pump_analysis(ctx);
 }
 
 void* CrashRig::data_region(std::size_t size) {

@@ -80,8 +80,8 @@ class CrashRig final : public runtime::Medium {
   void persist_barrier(std::size_t ctx = 0);
 
   /// Manual-mode scheduler hooks: Runtime::pump_flush / pump_analysis.
-  bool pump_flush(std::size_t ctx = 0, std::size_t worker = 0);
-  bool pump_analysis(std::size_t ctx = 0, std::size_t worker = 0);
+  bool pump_flush(std::size_t ctx = 0);
+  bool pump_analysis(std::size_t ctx = 0);
 
   // --- crash injection -------------------------------------------------------
 

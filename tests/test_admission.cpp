@@ -4,7 +4,7 @@
 // burst-boundary republish, the make_policy attachment rules, the exact
 // byte accounting of the ablation microworkloads (including the ≥30%
 // write-once reduction bound the bench gates), and the WearTracker's
-// race-free totals under the flush-behind worker pools (the *Pool* cases
+// race-free totals under the flush-behind worker (the WearFlushBehind cases
 // carry the tsan label).
 
 #include <gtest/gtest.h>
@@ -383,14 +383,14 @@ TEST(WearTracker, BypassedStoresSurfaceInRuntimeStats) {
   rt.destroy_storage();
 }
 
-// --- wear determinism under worker pools (tsan label) ------------------------
+// --- wear determinism under flush-behind (tsan label) ------------------------
 
 namespace {
 
 /// Fixed multi-threaded store schedule; returns (media_line_writes,
 /// media_bytes_written) from the shared tracker.
-std::pair<std::uint64_t, std::uint64_t> pool_wear_run(const std::string& name,
-                                                      bool async_flush) {
+std::pair<std::uint64_t, std::uint64_t> wear_run(const std::string& name,
+                                                 bool async_flush) {
   runtime::RuntimeConfig config;
   config.region_name = name;
   config.flush = pmem::FlushKind::kCountOnly;
@@ -436,13 +436,14 @@ std::pair<std::uint64_t, std::uint64_t> pool_wear_run(const std::string& name,
 
 }  // namespace
 
-TEST(WearPool, CountersAreExactAndDeterministicUnderWorkerPools) {
+TEST(WearFlushBehind, CountersAreExactAndDeterministicUnderFlushBehind) {
   // Exactly-once flush traffic (DESIGN.md §8) means the media sees the same
-  // write-backs whether lines drain synchronously or through the pool, and
-  // the release-published tracker totals must agree run to run.
-  const auto sync_run = pool_wear_run("test-admit-pool-sync", false);
-  const auto async_a = pool_wear_run("test-admit-pool-async-a", true);
-  const auto async_b = pool_wear_run("test-admit-pool-async-b", true);
+  // write-backs whether lines drain synchronously or through the flush
+  // worker and helping drains, and the release-published tracker totals
+  // must agree run to run.
+  const auto sync_run = wear_run("test-admit-wear-sync", false);
+  const auto async_a = wear_run("test-admit-wear-async-a", true);
+  const auto async_b = wear_run("test-admit-wear-async-b", true);
   EXPECT_GT(sync_run.first, 0u);
   EXPECT_EQ(async_a.first, sync_run.first);
   EXPECT_EQ(async_a.second, sync_run.second);

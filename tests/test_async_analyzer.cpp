@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -98,6 +99,48 @@ TEST(AnalysisWorker, ServesManyJobsFromOneChannel) {
   EXPECT_EQ(channel->completed(), accepted);
   EXPECT_TRUE(channel->idle());
   channel->close();
+}
+
+TEST(AnalysisWorker, ChannelsCompleteEverySubmission) {
+  // Two producers, one private worker: every submission on each channel is
+  // analyzed and published, and each channel's last result is available.
+  AnalysisWorker worker;
+  auto ch0 = worker.open_channel();
+  auto ch1 = worker.open_channel();
+
+  constexpr int kJobs = 6;
+  const auto produce = [](AnalysisChannel& ch, LineAddr working_set) {
+    for (int j = 0; j < kJobs; ++j) {
+      auto burst = cyclic_trace(256, working_set);
+      while (!ch.submit(std::move(burst), KneeConfig{})) {
+        std::this_thread::yield();
+      }
+    }
+    ch.drain();
+  };
+  std::thread p0([&] { produce(*ch0, 16); });
+  std::thread p1([&] { produce(*ch1, 8); });
+  p0.join();
+  p1.join();
+
+  for (const auto& ch : {ch0, ch1}) {
+    EXPECT_TRUE(ch->idle());
+    EXPECT_EQ(ch->completed(), static_cast<std::uint64_t>(kJobs));
+    EXPECT_TRUE(ch->take_result().has_value());
+    ch->close();
+  }
+}
+
+TEST(AnalysisWorker, ManualChannelInvisibleToTheWorker) {
+  AnalysisWorker worker;
+  auto manual = worker.open_manual_channel();
+  ASSERT_TRUE(manual->submit(cyclic_trace(128, 8), KneeConfig{}));
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(manual->completed(), 0u) << "the worker served a manual channel";
+  EXPECT_TRUE(manual->pump_one());
+  EXPECT_EQ(manual->completed(), 1u);
+  EXPECT_EQ(manual->last_analysis_thread(), std::this_thread::get_id());
+  manual->close();
 }
 
 // --- BurstSampler async mode --------------------------------------------------

@@ -7,9 +7,16 @@
 #include <set>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "common/barrier.hpp"
+#include "common/cpu.hpp"
 #include "common/env.hpp"
 #include "common/flat_hash.hpp"
 #include "common/rng.hpp"
@@ -111,53 +118,47 @@ TEST(Rng, UniformInUnitInterval) {
   EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
 }
 
-TEST(RunningStat, MeanAndVariance) {
-  RunningStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8u);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStat, MergeMatchesSequential) {
-  RunningStat all, a, b;
-  Rng rng(3);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform() * 10;
-    all.add(x);
-    (i % 2 == 0 ? a : b).add(x);
+#if defined(__linux__)
+/// CPUs in the calling thread's affinity mask, and the lowest of them.
+std::pair<int, int> affinity_of_this_thread() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (pthread_getaffinity_np(pthread_self(), sizeof set, &set) != 0) {
+    return {0, -1};
   }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
+  int first = 0;
+  while (first < CPU_SETSIZE && !CPU_ISSET(first, &set)) ++first;
+  return {CPU_COUNT(&set), first};
 }
 
-TEST(RunningStat, MergeWithEmpty) {
-  RunningStat a, empty;
-  a.add(1.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 1.0);
+// The flush worker's spin rule (DESIGN.md §8) asks from its own thread
+// whether spinning can leave the producer a CPU. The answer must follow
+// that thread's affinity mask, not the machine's online CPU count: a
+// process started under `taskset -c 0` on a many-CPU host must not spin.
+TEST(CpuAffinity, ThreadPinnedToOneCpuCannotSpin) {
+  bool pinned = false;
+  bool spin = true;
+  std::thread probe([&] {
+    pinned = pin_thread_to_cpu(affinity_of_this_thread().second);
+    spin = can_spin();
+  });
+  probe.join();
+  ASSERT_TRUE(pinned);
+  EXPECT_FALSE(spin);
 }
 
-TEST(Log2Histogram, BucketsByMagnitude) {
-  Log2Histogram h;
-  h.add(0);
-  h.add(1);
-  h.add(2);
-  h.add(3);
-  h.add(1024);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bucket(0), 1u);  // value 0
-  EXPECT_EQ(h.bucket(1), 1u);  // value 1
-  EXPECT_EQ(h.bucket(2), 2u);  // values 2..3
-  EXPECT_EQ(h.bucket(11), 1u); // 1024
+TEST(CpuAffinity, UnpinnedThreadSpinsIffItsMaskHasSeveralCpus) {
+  int allowed = 0;
+  bool spin = false;
+  std::thread probe([&] {
+    allowed = affinity_of_this_thread().first;
+    spin = can_spin();
+  });
+  probe.join();
+  ASSERT_GE(allowed, 1);
+  EXPECT_EQ(spin, allowed > 1);
 }
+#endif
 
 TEST(MeanSummary, ArithmeticAndGeometric) {
   const auto s = summarize_means({1.0, 4.0});

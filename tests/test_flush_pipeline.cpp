@@ -1,7 +1,9 @@
 // The flush-behind pipeline (DESIGN.md §8): FlushChannel / FlushWorker /
-// AsyncFlushSink. Runs under the `tsan` ctest label — configure with
-// -DNVC_SANITIZE=thread to check the producer/worker handoff, the helping
-// consumer, and the stats aggregation under ThreadSanitizer.
+// AsyncFlushSink, including exactly-once and FIFO retirement with N
+// producers, one worker and helping drains. Runs under the `tsan` ctest
+// label — configure with -DNVC_SANITIZE=thread to check the producer/worker
+// handoff, the helping consumer, and the stats aggregation under
+// ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -291,19 +293,65 @@ TEST(FlushPipelineRuntime, StatsNeverRaceWithTheWorker) {
   rt.destroy_storage();
 }
 
-TEST(FlushPool, SlowSinksNProducersMWorkersExactlyOnce) {
-  // N producers x M pool workers with deliberately slow sinks: rings fill,
-  // producers overflow into request_wake storms, home workers wedge in
-  // flush_line long enough for steal sweeps and helping drains to engage.
-  // Every line must still retire exactly once, and the release-published
-  // flushed() counters must equal the producer-side pushed() counts.
+// --- one worker, N producers, helping drains --------------------------------
+
+TEST(FlushWorker, ProducersRetireEveryLineExactlyOnce) {
+  // N producers push into private rings that one worker sweeps while each
+  // producer's wait_drained helps; every line retires exactly once and the
+  // release-published flushed() counts match the producer-side pushes.
+  constexpr std::size_t kProducers = 4;
+  constexpr std::uint64_t kLinesEach = 512;
+  FlushWorker worker;
+  RecordingSink record;
+
+  std::vector<std::thread> producers;
+  std::vector<std::shared_ptr<FlushChannel>> channels(kProducers);
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    channels[p] =
+        worker.open_channel(std::make_unique<ForwardSink>(&record), 64);
+  }
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      auto& ch = *channels[p];
+      for (std::uint64_t i = 0; i < kLinesEach; ++i) {
+        const LineAddr tag = (static_cast<LineAddr>(p) << 32) | i;
+        while (!ch.try_push(tag)) {
+          ch.request_wake();  // ring full: let the worker catch up
+          std::this_thread::yield();
+        }
+        if (ch.depth() >= 32) ch.request_wake();
+      }
+      ch.wait_drained();
+    });
+  }
+  for (auto& t : producers) t.join();
+
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    EXPECT_EQ(channels[p]->flushed(), kLinesEach);
+    EXPECT_EQ(channels[p]->pushed(), kLinesEach);
+    channels[p]->close();
+  }
+  auto lines = record.snapshot();
+  ASSERT_EQ(lines.size(), kProducers * kLinesEach);
+  std::sort(lines.begin(), lines.end());
+  EXPECT_EQ(std::adjacent_find(lines.begin(), lines.end()), lines.end())
+      << "a line was flushed twice";
+}
+
+TEST(FlushWorker, SlowSinksNProducersExactlyOnce) {
+  // N producers and one worker with deliberately slow sinks: rings fill,
+  // producers overflow into request_wake storms, the worker sits in
+  // flush_line long enough for helping drains to find the consumer lock
+  // held. Every line must still retire exactly once, and the
+  // release-published flushed() counters must equal the producer-side
+  // pushed() counts.
   constexpr std::size_t kProducers = 3;
   constexpr std::uint64_t kLinesEach = 96;
-  FlushWorker pool(2);
+  FlushWorker worker;
   RecordingSink record;
   std::vector<std::shared_ptr<FlushChannel>> channels(kProducers);
   for (std::size_t p = 0; p < kProducers; ++p) {
-    channels[p] = pool.open_channel(std::make_unique<SlowSink>(&record), 16);
+    channels[p] = worker.open_channel(std::make_unique<SlowSink>(&record), 16);
   }
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
@@ -334,21 +382,18 @@ TEST(FlushPool, SlowSinksNProducersMWorkersExactlyOnce) {
       << "a line was flushed twice";
 }
 
-TEST(FlushPool, BatchedHomeSweepsStayFifoAgainstHelpersAndThieves) {
-  // Channel A homes on worker 0, B on worker 1. A's producer pushes bursts
-  // past the spin batch (half of A's 64-slot ring), so worker 0 retires
-  // them in batches while it spins, and drains each burst as a helping
-  // consumer. B's producer keeps its own ring short and drains constantly,
-  // so worker 1 idles into steal sweeps of A, and B's wait_drained steals
-  // from A while it waits. Every consumer of A goes through A's lock: each
+TEST(FlushWorker, BatchedSweepsStayFifoAgainstHelpingDrains) {
+  // A's producer pushes bursts past the spin batch (half of A's 64-slot
+  // ring), so the worker retires them in batches while it spins, and
+  // drains each burst as a helping consumer. B's producer keeps its own
+  // ring short and drains constantly, so the worker's sweeps interleave
+  // both channels. Every consumer of a ring goes through its lock: each
   // line retires exactly once, in push order.
-  FlushWorker pool(2);
+  FlushWorker worker;
   RecordingSink record_a;
   RecordingSink record_b;
-  auto a = pool.open_channel(std::make_unique<ForwardSink>(&record_a), 64);
-  auto b = pool.open_channel(std::make_unique<ForwardSink>(&record_b), 64);
-  ASSERT_EQ(a->home(), 0u);
-  ASSERT_EQ(b->home(), 1u);
+  auto a = worker.open_channel(std::make_unique<ForwardSink>(&record_a), 64);
+  auto b = worker.open_channel(std::make_unique<ForwardSink>(&record_b), 64);
   constexpr std::uint64_t kBursts = 200;
   const auto produce = [](FlushChannel& ch, std::uint64_t burst_lines) {
     LineAddr next = 0;
@@ -380,6 +425,25 @@ TEST(FlushPool, BatchedHomeSweepsStayFifoAgainstHelpersAndThieves) {
     }
     ch->close();
   }
+}
+
+TEST(FlushWorker, ManualChannelInvisibleToTheWorker) {
+  FlushWorker worker;
+  RecordingSink record;
+  auto manual =
+      worker.open_manual_channel(std::make_unique<ForwardSink>(&record), 16);
+  for (LineAddr l = 1; l <= 4; ++l) ASSERT_TRUE(manual->try_push(l));
+  manual->request_wake();  // no-op by contract
+  worker.poke();           // even an explicit poke must not reach it
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(manual->flushed(), 0u) << "the worker swept a manual channel";
+  // The deterministic scheduler's pump runs on the calling thread.
+  EXPECT_TRUE(manual->pump_one());
+  EXPECT_EQ(manual->flushed(), 1u);
+  EXPECT_EQ(manual->last_flush_thread(), std::this_thread::get_id());
+  manual->wait_drained();
+  EXPECT_EQ(record.snapshot(), (std::vector<LineAddr>{1, 2, 3, 4}));
+  manual->close();
 }
 
 }  // namespace

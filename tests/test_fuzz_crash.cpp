@@ -405,17 +405,17 @@ INSTANTIATE_TEST_SUITE_P(AllModes, RepeatLaneFuzzCrash,
                          ::testing::ValuesIn(kAllModes), test_name);
 
 // --------------------------------------------------------------------------
-// Pool-independence of the deterministic schedule (DESIGN.md §11).
+// Worker-independence of the deterministic schedule (DESIGN.md §8).
 // --------------------------------------------------------------------------
 
-TEST(FuzzDeterminism, WorkerPoolsCannotPerturbManualReplays) {
+TEST(FuzzDeterminism, WorkersCannotPerturbManualReplays) {
   // The fuzzer's whole value rests on manual channels being invisible to
-  // every pool thread: replays must be byte-identical no matter how many
-  // flush/analysis workers exist or how busy they are. Run the same program
-  // twice in the fully-async manual mode — the second time while local
-  // 4-worker flush and analysis pools churn real channels (sweeps, steals,
-  // pokes all active) — and require the same event count and the same
-  // durable image, byte for byte.
+  // the background workers: replays must be byte-identical no matter how
+  // busy those workers are. Run the same program twice in the fully-async
+  // manual mode — the second time while a private flush worker and
+  // analysis worker churn real channels (sweeps, pokes, analyses all
+  // active) — and require the same event count and the same durable
+  // image, byte for byte.
   const FuzzMode mode{runtime::LogSyncMode::kBatched, true, true};
   const std::uint64_t seed = derive_seed(kDefaultBaseSeed, 0);
   const FuzzProgram program = generate_program(seed);
@@ -428,14 +428,14 @@ TEST(FuzzDeterminism, WorkerPoolsCannotPerturbManualReplays) {
     quiet_images.push_back(quiet.durable_data(c));
   }
 
-  core::FlushWorker flush_pool(4);
-  core::AnalysisWorker analysis_pool(4);
+  core::FlushWorker flush_worker;
+  core::AnalysisWorker analysis_worker;
   struct NullSink final : core::FlushSink {
     bool flush_line(LineAddr) override { return true; }
   };
   auto noisy_flush =
-      flush_pool.open_channel(std::make_unique<NullSink>(), 64);
-  auto noisy_analysis = analysis_pool.open_channel();
+      flush_worker.open_channel(std::make_unique<NullSink>(), 64);
+  auto noisy_analysis = analysis_worker.open_channel();
   std::atomic<bool> done{false};
   std::thread churn([&] {
     std::vector<LineAddr> burst(128);
@@ -456,10 +456,10 @@ TEST(FuzzDeterminism, WorkerPoolsCannotPerturbManualReplays) {
   CrashRig noisy(fuzz_runtime_config(program, mode), fuzz_medium(program));
   run_program(noisy, program);
   EXPECT_EQ(noisy.events(), quiet_events)
-      << "pool activity changed the deterministic event schedule";
+      << "worker activity changed the deterministic event schedule";
   for (std::size_t c = 0; c < program.contexts; ++c) {
     EXPECT_EQ(noisy.durable_data(c), quiet_images[c])
-        << "ctx " << c << ": replay no longer byte-identical under pools\n  "
+        << "ctx " << c << ": replay no longer byte-identical under busy workers\n  "
         << fuzz_replay_line(seed, mode_name(mode), quiet_events);
   }
 

@@ -158,7 +158,7 @@ void run_mode(const Mode& m) {
   };
   check_hazard();
   if (m.async) {
-    ASSERT_TRUE(route.pump_one(0));  // FIFO: line 1 leaves the ring
+    ASSERT_TRUE(route.pump_one());  // FIFO: line 1 leaves the ring
     queued.erase(1);
     EXPECT_TRUE(media.has(1));
     EXPECT_FALSE(media.has(2));
