@@ -143,6 +143,86 @@ TEST(AnalysisWorker, ManualChannelInvisibleToTheWorker) {
   manual->close();
 }
 
+TEST(AnalysisWorker, ResultSlotHoldsTheNewestAnalysis) {
+  // Three bursts with different working sets go through one channel; after
+  // the drain the slot holds the last one's analysis, not an earlier one.
+  KneeConfig knee;
+  knee.max_size = 50;
+  auto channel = AnalysisWorker::shared().open_channel();
+  for (const LineAddr period : {4, 13, 29}) {
+    ASSERT_TRUE(channel->submit(cyclic_trace(512, period), knee));
+  }
+  channel->drain();
+  EXPECT_EQ(channel->completed(), 3u);
+  const BurstAnalysis newest = analyze_burst(cyclic_trace(512, 29), knee);
+  auto result = channel->take_result();
+  ASSERT_TRUE(result.has_value());
+  expect_same_analysis(result->mrc, newest.mrc, result->selection,
+                       newest.selection);
+  channel->close();
+}
+
+TEST(AnalysisWorker, FullRingHandsTheTraceBack) {
+  // On a manual channel nothing consumes until the owner pumps, so the
+  // ring fills exactly: the next submit fails and returns the burst intact
+  // for the synchronous fallback, and a pump frees one slot.
+  AnalysisWorker worker;
+  auto manual = worker.open_manual_channel();
+  std::uint64_t accepted = 0;
+  std::vector<LineAddr> trace = cyclic_trace(64, 5);
+  while (manual->submit(std::move(trace), KneeConfig{})) {
+    ++accepted;
+    ASSERT_LE(accepted, 1024u) << "the analysis ring never filled";
+    trace = cyclic_trace(64, 5);
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_EQ(trace, cyclic_trace(64, 5)) << "a rejected burst was not returned";
+  EXPECT_FALSE(manual->idle());
+  EXPECT_TRUE(manual->pump_one());
+  EXPECT_TRUE(manual->submit(std::move(trace), KneeConfig{}));
+  manual->drain();
+  EXPECT_EQ(manual->completed(), accepted + 1);
+  manual->close();
+}
+
+TEST(AnalysisWorker, ManualDrainRunsEveryJobOnTheCallingThread) {
+  // With no worker serving it, a manual channel's drain() is the consumer:
+  // it pumps every queued job on the caller's thread rather than waiting.
+  AnalysisWorker worker;
+  auto manual = worker.open_manual_channel();
+  for (const LineAddr period : {3, 6, 9}) {
+    ASSERT_TRUE(manual->submit(cyclic_trace(128, period), KneeConfig{}));
+  }
+  manual->drain();
+  EXPECT_TRUE(manual->idle());
+  EXPECT_EQ(manual->completed(), 3u);
+  EXPECT_EQ(manual->last_analysis_thread(), std::this_thread::get_id());
+  EXPECT_TRUE(manual->take_result().has_value());
+  manual->close();
+}
+
+TEST(AnalysisWorker, ChannelDroppedWithAJobInFlightIsServedThenPruned) {
+  // A producer may go away with a burst still queued: the worker keeps the
+  // channel alive, serves the job, and drops the closed channel at a later
+  // pass. The worker wakes only for jobs, so a second producer's bursts
+  // drive those passes.
+  AnalysisWorker worker;
+  auto channel = worker.open_channel();
+  auto keeper = worker.open_channel();
+  const std::weak_ptr<AnalysisChannel> ref = channel;
+  ASSERT_TRUE(channel->submit(cyclic_trace(256, 11), KneeConfig{}));
+  channel->close();
+  channel.reset();
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(20);
+  while (!ref.expired() && std::chrono::steady_clock::now() < deadline) {
+    ASSERT_TRUE(keeper->submit(cyclic_trace(32, 3), KneeConfig{}));
+    keeper->drain();
+  }
+  EXPECT_TRUE(ref.expired()) << "the worker kept a closed channel alive";
+  keeper->close();
+}
+
 // --- BurstSampler async mode --------------------------------------------------
 
 TEST(AsyncSampler, MatchesSyncByteIdentical) {

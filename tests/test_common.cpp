@@ -147,6 +147,38 @@ TEST(CpuAffinity, ThreadPinnedToOneCpuCannotSpin) {
   EXPECT_FALSE(spin);
 }
 
+// The flush worker asks from its own thread because a new thread starts
+// on its creator's mask: a worker created by a pinned thread cannot spin.
+TEST(CpuAffinity, ThreadCreatedByAPinnedThreadCannotSpin) {
+  bool pinned = false;
+  bool child_spin = true;
+  std::thread parent([&] {
+    pinned = pin_thread_to_cpu(affinity_of_this_thread().second);
+    std::thread child([&] { child_spin = can_spin(); });
+    child.join();
+  });
+  parent.join();
+  ASSERT_TRUE(pinned);
+  EXPECT_FALSE(child_spin);
+}
+
+TEST(CpuAffinity, OutOfRangePinIsRejectedAndKeepsTheMask) {
+  int before = 0;
+  int after = 0;
+  bool negative = true;
+  bool too_large = true;
+  std::thread probe([&] {
+    before = affinity_of_this_thread().first;
+    negative = pin_thread_to_cpu(-1);
+    too_large = pin_thread_to_cpu(CPU_SETSIZE);
+    after = affinity_of_this_thread().first;
+  });
+  probe.join();
+  EXPECT_FALSE(negative);
+  EXPECT_FALSE(too_large);
+  EXPECT_EQ(after, before);
+}
+
 TEST(CpuAffinity, UnpinnedThreadSpinsIffItsMaskHasSeveralCpus) {
   int allowed = 0;
   bool spin = false;

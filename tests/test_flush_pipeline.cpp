@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -49,6 +50,47 @@ struct ForwardSink final : FlushSink {
   void drain() override { target->drain(); }
   FlushSink* target;
 };
+
+/// First flush parks until released: wedges whichever consumer pops it
+/// while that consumer holds the channel's consumer lock.
+struct GateSink final : FlushSink {
+  explicit GateSink(FlushSink* t) : target(t) {}
+  bool flush_line(LineAddr line) override {
+    entered.store(true, std::memory_order_release);
+    while (!release.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    return target->flush_line(line);
+  }
+  void drain() override {}
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  FlushSink* target;
+};
+
+/// Forwards like ForwardSink and raises a flag when the channel that owns
+/// it destroys it.
+struct DestructionFlagSink final : FlushSink {
+  DestructionFlagSink(FlushSink* t, std::atomic<bool>* flag)
+      : target(t), destroyed(flag) {}
+  ~DestructionFlagSink() override {
+    destroyed->store(true, std::memory_order_release);
+  }
+  bool flush_line(LineAddr line) override { return target->flush_line(line); }
+  void drain() override {}
+  FlushSink* target;
+  std::atomic<bool>* destroyed;
+};
+
+bool wait_until(const std::function<bool()>& done,
+                std::chrono::seconds budget = std::chrono::seconds(20)) {
+  const auto deadline = std::chrono::steady_clock::now() + budget;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
 
 /// Sink whose flushes take a while — fills the ring faster than it drains.
 struct SlowSink final : FlushSink {
@@ -444,6 +486,175 @@ TEST(FlushWorker, ManualChannelInvisibleToTheWorker) {
   manual->wait_drained();
   EXPECT_EQ(record.snapshot(), (std::vector<LineAddr>{1, 2, 3, 4}));
   manual->close();
+}
+
+TEST(FlushWorker, HelpingDrainRetiresItsRingWhileTheWorkerIsWedged) {
+  // The one worker sits inside a gated flush on channel W, holding W's
+  // consumer lock. Another producer's drain must not depend on it: the
+  // helping drain retires that producer's own ring, in order, on its own
+  // thread.
+  FlushWorker worker;
+  RecordingSink record_w;
+  RecordingSink record_p;
+  auto gate_sink = std::make_unique<GateSink>(&record_w);
+  GateSink* gate = gate_sink.get();
+  auto wedged = worker.open_channel(std::move(gate_sink), 16);
+  auto producer =
+      worker.open_channel(std::make_unique<ForwardSink>(&record_p), 16);
+  ASSERT_TRUE(wedged->try_push(1));
+  wedged->request_wake();
+  ASSERT_TRUE(wait_until(
+      [&] { return gate->entered.load(std::memory_order_acquire); }))
+      << "the worker never picked up the gated line";
+
+  for (LineAddr l = 1; l <= 8; ++l) ASSERT_TRUE(producer->try_push(l));
+  producer->wait_drained();
+  EXPECT_EQ(producer->flushed(), 8u);
+  EXPECT_EQ(producer->last_flush_thread(), std::this_thread::get_id())
+      << "a wedged worker retired another channel's lines";
+  EXPECT_EQ(record_p.snapshot(),
+            (std::vector<LineAddr>{1, 2, 3, 4, 5, 6, 7, 8}));
+
+  gate->release.store(true, std::memory_order_release);
+  wedged->wait_drained();
+  EXPECT_EQ(wedged->flushed(), 1u);
+  EXPECT_NE(wedged->last_flush_thread(), std::this_thread::get_id());
+  producer->close();
+  wedged->close();
+}
+
+TEST(FlushWorker, DrainWaitsForTheWedgedHolderInsteadOfSkippingAhead) {
+  // Line 1 is in flight on the worker (gated) while 2..5 sit queued behind
+  // it. A helping drain cannot take the ring while the worker holds it, so
+  // it must not complete early, and once the gate opens every line retires
+  // exactly once in push order.
+  FlushWorker worker;
+  RecordingSink record;
+  auto gate_sink = std::make_unique<GateSink>(&record);
+  GateSink* gate = gate_sink.get();
+  auto channel = worker.open_channel(std::move(gate_sink), 16);
+  ASSERT_TRUE(channel->try_push(1));
+  channel->request_wake();
+  ASSERT_TRUE(wait_until(
+      [&] { return gate->entered.load(std::memory_order_acquire); }));
+  for (LineAddr l = 2; l <= 5; ++l) ASSERT_TRUE(channel->try_push(l));
+
+  std::atomic<bool> drained{false};
+  std::thread drainer([&] {
+    channel->wait_drained();
+    drained.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_FALSE(drained.load(std::memory_order_acquire))
+      << "the drain completed while line 1 was still in flight";
+  EXPECT_EQ(channel->flushed(), 0u);
+  gate->release.store(true, std::memory_order_release);
+  drainer.join();
+  EXPECT_EQ(channel->flushed(), 5u);
+  EXPECT_EQ(record.snapshot(), (std::vector<LineAddr>{1, 2, 3, 4, 5}));
+  channel->close();
+}
+
+TEST(FlushWorker, ClosedDrainedChannelIsPrunedAndReleasesItsSink) {
+  // The channel owns its sink so the worker never dangles; once the
+  // producer has drained, closed and let go, the worker's next pass drops
+  // the channel and with it the sink.
+  FlushWorker worker;
+  RecordingSink record;
+  std::atomic<bool> destroyed{false};
+  auto channel = worker.open_channel(
+      std::make_unique<DestructionFlagSink>(&record, &destroyed), 16);
+  for (LineAddr l = 1; l <= 4; ++l) ASSERT_TRUE(channel->try_push(l));
+  channel->wait_drained();
+  channel->close();
+  channel.reset();
+  EXPECT_TRUE(wait_until(
+      [&] { return destroyed.load(std::memory_order_acquire); }))
+      << "the worker kept a closed, drained channel alive";
+  EXPECT_EQ(record.snapshot().size(), 4u);
+}
+
+/// Idle task that records which threads ran it; reports work while
+/// `budget` lasts.
+struct CountingIdleTask final : IdleTask {
+  explicit CountingIdleTask(int work_steps) : budget(work_steps) {}
+  bool idle_step() override {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      threads.push_back(std::this_thread::get_id());
+    }
+    const bool worked = budget.fetch_sub(1, std::memory_order_relaxed) > 0;
+    calls.fetch_add(1, std::memory_order_release);
+    return worked;
+  }
+  std::vector<std::thread::id> thread_ids() const {
+    std::lock_guard<std::mutex> lock(mutex);
+    return threads;
+  }
+  std::atomic<int> budget;
+  std::atomic<int> calls{0};
+  mutable std::mutex mutex;
+  std::vector<std::thread::id> threads;
+};
+
+TEST(FlushWorker, IdleTaskRunsOnlyOnTheWorkerThread) {
+  // The scrubber's hook: idle slices run on the worker when its sweeps come
+  // up empty, and idle_steps() counts only the slices that did work. A
+  // manual channel's pump and drain on the caller's thread never run one.
+  FlushWorker worker;
+  auto task = std::make_shared<CountingIdleTask>(3);
+  worker.register_idle_task(task);
+  RecordingSink record;
+  auto manual =
+      worker.open_manual_channel(std::make_unique<ForwardSink>(&record), 16);
+  for (LineAddr l = 1; l <= 4; ++l) ASSERT_TRUE(manual->try_push(l));
+  EXPECT_TRUE(manual->pump_one());
+  manual->wait_drained();
+  ASSERT_TRUE(wait_until(
+      [&] { return task->calls.load(std::memory_order_acquire) > 3; }));
+  EXPECT_EQ(worker.idle_steps(), 3u);
+  for (const std::thread::id id : task->thread_ids()) {
+    EXPECT_NE(id, std::this_thread::get_id());
+  }
+  manual->close();
+}
+
+TEST(FlushWorker, IdleTasksTakeTurnsAndExpiredOnesArePruned) {
+  // Two tasks that always report work must both keep getting slices (a
+  // busy task cannot starve the next), and a registration whose owner is
+  // gone is dropped rather than run. The expired registration aliases a
+  // task object the test keeps alive, so "never ran" stays observable.
+  FlushWorker worker;
+  auto first = std::make_shared<CountingIdleTask>(1 << 30);
+  auto second = std::make_shared<CountingIdleTask>(1 << 30);
+  CountingIdleTask orphan(1 << 30);
+  std::weak_ptr<IdleTask> orphan_ref;
+  {
+    const std::shared_ptr<IdleTask> owner(std::make_shared<int>(0), &orphan);
+    orphan_ref = owner;
+  }
+  ASSERT_TRUE(orphan_ref.expired());
+  worker.register_idle_task(first);
+  worker.register_idle_task(orphan_ref);
+  worker.register_idle_task(second);
+  EXPECT_TRUE(wait_until([&] {
+    return first->calls.load(std::memory_order_acquire) >= 3 &&
+           second->calls.load(std::memory_order_acquire) >= 3;
+  })) << "an always-busy idle task starved the other";
+  EXPECT_EQ(orphan.calls.load(std::memory_order_acquire), 0)
+      << "an expired idle task was run";
+}
+
+TEST(FlushWorker, SharedWorkerIsOneInstanceAcrossThreads) {
+  // Every async runtime hands its channels to the same worker, whichever
+  // thread asks first.
+  FlushWorker* seen[2] = {nullptr, nullptr};
+  std::thread a([&] { seen[0] = &FlushWorker::shared(); });
+  std::thread b([&] { seen[1] = &FlushWorker::shared(); });
+  a.join();
+  b.join();
+  EXPECT_EQ(seen[0], seen[1]);
+  EXPECT_EQ(seen[0], &FlushWorker::shared());
 }
 
 }  // namespace
