@@ -119,9 +119,6 @@ LiveResult run_live(const std::string& workload, core::PolicyKind kind,
   config.flush_queue_depth = static_cast<std::size_t>(
       env_int("NVC_FLUSH_QUEUE",
               static_cast<std::int64_t>(config.flush_queue_depth)));
-  config.simulated_flush_issue_ns = static_cast<std::uint32_t>(
-      env_int("NVC_FLUSH_ISSUE_NS",
-              static_cast<std::int64_t>(config.simulated_flush_issue_ns)));
   // NVC_LOG=1 turns on durable undo logging; NVC_LOG_SYNC=strict|batched
   // picks the durability protocol (DESIGN.md §7).
   config.undo_logging = env_int("NVC_LOG", 0) != 0;
@@ -140,13 +137,9 @@ LiveResult run_live(const std::string& workload, core::PolicyKind kind,
   // NVC_VERIFY_DATA=1 publishes a CRC32C per committed data line; the
   // recovery pipeline's verify stage and the scrubber check against it.
   // NVC_SCRUB=1 registers the online scrubber on the flush worker's idle
-  // hook; NVC_SCRUB_BATCH / NVC_SCRUB_REPAIR tune it (DESIGN.md §14).
+  // hook (DESIGN.md §14).
   config.verify_data = env_int("NVC_VERIFY_DATA", 0) != 0;
   config.scrub = env_int("NVC_SCRUB", 0) != 0;
-  config.scrub_batch_lines = static_cast<std::size_t>(
-      env_int("NVC_SCRUB_BATCH",
-              static_cast<std::int64_t>(config.scrub_batch_lines)));
-  config.scrub_repair = env_int("NVC_SCRUB_REPAIR", 1) != 0;
 
   runtime::Runtime rt(config);
   workloads::RuntimeApi api(rt);

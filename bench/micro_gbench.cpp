@@ -294,9 +294,6 @@ void apply_flush_env(runtime::RuntimeConfig& config) {
       env_int("NVC_FLUSH_NS", config.simulated_flush_ns));
   config.flush_queue_depth = static_cast<std::size_t>(env_int(
       "NVC_FLUSH_QUEUE", static_cast<std::int64_t>(config.flush_queue_depth)));
-  config.simulated_flush_issue_ns = static_cast<std::uint32_t>(
-      env_int("NVC_FLUSH_ISSUE_NS",
-              static_cast<std::int64_t>(config.simulated_flush_issue_ns)));
 }
 
 void run_pstore_fase(benchmark::State& state, bool fault_idle) {
@@ -831,7 +828,7 @@ BENCHMARK(BM_FlushInstruction)
 
 /// Shared queue fixture, same handshake as the worker benchmarks above.
 struct QueueFixture {
-  structures::HeapPSpace ps;
+  structures::PSpace ps;
   structures::DurableQueue q;
   explicit QueueFixture(std::size_t bytes)
       : ps(bytes, nvc::env_int("NVC_ELIDE", 1) != 0), q(ps) {}
@@ -880,7 +877,7 @@ void BM_ElisionHitRate(benchmark::State& state) {
   const bool elide = state.range(0) != 0;
   constexpr std::uint64_t kSeed = 20260808;
   const auto run_once = [](bool on) {
-    auto ps = std::make_unique<structures::HeapPSpace>(1u << 20, on);
+    auto ps = std::make_unique<structures::PSpace>(1u << 20, on);
     structures::DurableQueue q(*ps);
     nvc::testing::InterleaveScheduler sched(kSeed);
     ps->set_yield_hook(sched.hook());

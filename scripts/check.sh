@@ -9,10 +9,11 @@
 #                               + asan pass of the recovery tier (undo-log
 #                                 units, image-corruption fuzzer + salvage
 #                                 units, `ctest -L recovery`)
-#                               + asan pass of the crash tier (crash matrix,
-#                                 crash-state fuzzer, image-corruption
-#                                 fuzzer, fault suite; `ctest -L
-#                                 'crash|fault'`)
+#                               + asan pass of the crash tier (every
+#                                 `crash`/`fault` target: MDB crash suite,
+#                                 crash matrix, write-back route, fuzzers,
+#                                 fault suite; `ctest -L 'crash|fault'`,
+#                                 case count checked against tier-1)
 #                               + tsan pass of the concurrency suites (the
 #                                 `tsan` label: flush-behind ring with N
 #                                 producers and helping drains, async
@@ -80,12 +81,26 @@ if [ "$run_asan" = 1 ]; then
       --target test_undo_log test_recovery_units test_recovery_fuzz
   ctest --test-dir build-asan -L recovery -j "$jobs" --output-on-failure
 
-  # The crash suites drive the production Runtime over the crash rig's
-  # shadow medium, so an out-of-bounds access anywhere in the FASE/pstore
-  # shell, the write-back route or recovery shows up here.
-  echo "== asan: crash tier (crash matrix, fuzzers, fault suite) =="
-  cmake --build build-asan -j "$(nproc)" --target test_crash_matrix \
-      test_fault_injection test_fuzz_crash test_recovery_fuzz
+  # The crash suites drive the production Runtime over the shadow
+  # power-failure model, so an out-of-bounds access anywhere in the
+  # FASE/pstore shell, the write-back route or recovery shows up here.
+  # gtest discovery lists only the cases of binaries that were built, so
+  # every target carrying a `crash` or `fault` label is built, and the tier
+  # fails if it lists fewer cases than the full build.
+  echo "== asan: crash tier (crash suites, fuzzers, fault suite) =="
+  cmake --build build-asan -j "$(nproc)" --target test_mdb_crash \
+      test_crash_matrix test_write_back_route test_fault_injection \
+      test_fuzz_crash test_recovery_fuzz test_structures_fuzz
+  crash_cases() {
+    ctest --test-dir "$1" -N -L 'crash|fault' | sed -n 's/^Total Tests: //p'
+  }
+  full_cases=$(crash_cases build)
+  asan_cases=$(crash_cases build-asan)
+  if [ "$asan_cases" != "$full_cases" ]; then
+    echo "asan crash tier lists $asan_cases crash|fault cases," \
+         "the full build $full_cases: build the missing targets" >&2
+    exit 1
+  fi
   ctest --test-dir build-asan -L 'crash|fault' -j "$jobs" --output-on-failure
 fi
 

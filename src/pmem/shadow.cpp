@@ -19,13 +19,18 @@ ShadowPmem::AlignedImage ShadowPmem::make_image(std::size_t size) {
   return AlignedImage(p, &std::free);
 }
 
-ShadowPmem::ShadowPmem(std::size_t size)
-    : size_(size), volatile_(make_image(size)), durable_(make_image(size)) {
+ShadowPmem::ShadowPmem(std::size_t size, std::size_t tear_burst)
+    : size_(size),
+      tear_burst_(tear_burst),
+      volatile_(make_image(size)),
+      durable_(make_image(size)) {
   NVC_REQUIRE(size > 0);
 }
 
 void ShadowPmem::store(PmAddr addr, const void* data, std::size_t len) {
   NVC_REQUIRE(addr + len <= size_, "store out of region");
+  std::lock_guard<std::mutex> lock(mutex_);
+  claim_locked();
   std::memcpy(volatile_.get() + addr, data, len);
   ++stores_;
   const LineAddr first = line_of(addr);
@@ -39,7 +44,13 @@ void ShadowPmem::load(PmAddr addr, void* out, std::size_t len) const {
 }
 
 bool ShadowPmem::flush_line(LineAddr line) {
-  if (frozen_) return true;  // power is off: the write-back never happens
+  std::lock_guard<std::mutex> lock(mutex_);
+  const std::uint64_t e = claim_locked();
+  if (e > freeze_event_) {
+    // Power is off: the line never persists, unless it lands torn.
+    tear_locked(line, e);
+    return true;
+  }
   ++flushes_;
   const PmAddr base = line_base(line);
   if (base >= size_) return true;  // flush of a line we never mapped
@@ -58,6 +69,11 @@ bool ShadowPmem::flush_line(LineAddr line) {
 void ShadowPmem::flush_line_torn(LineAddr line, std::size_t bytes) {
   NVC_REQUIRE(bytes > 0 && bytes < kCacheLineSize && bytes % 8 == 0,
               "torn length must be a multiple of 8 below a full line");
+  std::lock_guard<std::mutex> lock(mutex_);
+  flush_torn_locked(line, bytes);
+}
+
+void ShadowPmem::flush_torn_locked(LineAddr line, std::size_t bytes) {
   const PmAddr base = line_base(line);
   if (base >= size_) return;
   ++torn_flushes_;
@@ -69,16 +85,75 @@ void ShadowPmem::flush_line_torn(LineAddr line, std::size_t bytes) {
   ++line_writes_[line];
 }
 
+void ShadowPmem::fence() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (events_.load(std::memory_order_relaxed) > freeze_event_ &&
+      tear_depth_ > 0) {
+    tear_closed_ = true;
+  }
+}
+
 void ShadowPmem::flush_all() {
   // Copy to avoid iterating a set while erasing from it.
-  std::vector<LineAddr> lines(dirty_.begin(), dirty_.end());
+  std::vector<LineAddr> lines;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    lines.assign(dirty_.begin(), dirty_.end());
+  }
   for (LineAddr line : lines) flush_line(line);
 }
 
 void ShadowPmem::crash() {
-  frozen_ = false;  // the restarted machine has power again
+  std::lock_guard<std::mutex> lock(mutex_);
+  // The restarted machine has power again.
+  freeze_event_ = ~std::uint64_t{0};
+  tear_depth_ = 0;
+  tear_last_event_ = 0;
+  tear_closed_ = false;
   std::memcpy(volatile_.get(), durable_.get(), size_);
   dirty_.clear();
+}
+
+void ShadowPmem::set_clock(bool running) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  clock_running_ = running;
+}
+
+std::uint64_t ShadowPmem::claim_event() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return claim_locked();
+}
+
+void ShadowPmem::freeze_at(std::uint64_t event) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  freeze_event_ = event;
+}
+
+std::uint64_t ShadowPmem::claim_locked() {
+  if (!clock_running_) return 0;
+  const std::uint64_t e = events_.load(std::memory_order_relaxed) + 1;
+  events_.store(e, std::memory_order_relaxed);
+  return e;
+}
+
+void ShadowPmem::tear_locked(LineAddr line, std::uint64_t event) {
+  // The tear window (see flush_line): open at the first post-cut event,
+  // grow by gapless events up to tear_burst_ lines, close for good on a
+  // gap, a fence or the burst limit.
+  if (injector_ == nullptr || event == 0 || tear_closed_) return;
+  if (event == freeze_event_ + 1) {
+    tear_depth_ = 1;
+  } else if (tear_depth_ > 0 && event == tear_last_event_ + 1 &&
+             tear_depth_ < tear_burst_) {
+    ++tear_depth_;
+  } else {
+    if (tear_depth_ > 0) tear_closed_ = true;
+    return;
+  }
+  tear_last_event_ = event;
+  const std::size_t bytes = injector_->torn_bytes(line);
+  if (bytes == 0) return;  // this line drops entirely instead of tearing
+  flush_torn_locked(line, bytes);
 }
 
 WearStats ShadowPmem::wear_stats() const {

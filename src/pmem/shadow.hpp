@@ -1,33 +1,47 @@
-// Shadow persistent-memory model for crash-consistency testing.
+// Shadow persistent-memory model: the one power-failure model of the crash
+// suites (DESIGN.md §9).
 //
 // Real hardware keeps recently written lines in the (volatile) CPU cache;
 // only flushed lines are guaranteed durable. ShadowPmem makes that split
 // explicit: every store lands in the volatile image, a flush copies the
 // affected cache line into the durable image, and crash() discards all
-// unflushed state. Tests drive a policy against this model and then check
-// what an actual power failure would have left in NVRAM.
+// unflushed state.
+//
+// It also owns the power cut: every store and write-back claims the next
+// index on one event clock (history recorders claim on it too), and
+// freeze_at(e) cuts the power at e. Claim and apply happen under one lock,
+// so event order is apply order whatever thread issues the write-back. As
+// a pmem::FlushMedium it takes write-backs by address within its volatile
+// image, so a runtime::Runtime whose regions live there runs over it
+// unchanged (tests/support/crash_rig.hpp).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/types.hpp"
+#include "pmem/flush.hpp"
 #include "pmem/wear.hpp"
 
 namespace nvc::pmem {
 
 class FaultInjector;
 
-class ShadowPmem {
+class ShadowPmem final : public FlushMedium {
  public:
-  explicit ShadowPmem(std::size_t size);
+  /// `tear_burst`: the most post-cut write-backs that may land torn (the
+  /// modeled write-queue depth; see flush_line()).
+  explicit ShadowPmem(std::size_t size, std::size_t tear_burst = 8);
 
   std::size_t size() const noexcept { return size_; }
 
-  /// Write `len` bytes at byte offset `addr` into the volatile image.
+  /// Write `len` bytes at byte offset `addr` into the volatile image. Claims
+  /// an event.
   void store(PmAddr addr, const void* data, std::size_t len);
 
   /// Convenience: store a trivially-copyable value.
@@ -46,11 +60,22 @@ class ShadowPmem {
     return v;
   }
 
-  /// Persist one cache line: copy it from volatile to durable. Dropped
-  /// (volatile image untouched, flush not counted) while frozen. Returns
-  /// false when an attached FaultInjector failed the attempt (the durable
-  /// image is untouched); frozen drops return true — power is off, so no
-  /// software could observe the failure anyway.
+  /// Persist one cache line: claim an event, then copy the line from
+  /// volatile to durable. Returns false when an attached FaultInjector
+  /// failed the attempt (the durable image is untouched).
+  ///
+  /// Past the cut the write-back is lost (not counted) and returns true —
+  /// power is off, so no software could observe the failure — unless it
+  /// lands torn. With an injector attached, the gapless run of events
+  /// freeze+1, freeze+2, … sat in one in-flight burst, and each of its
+  /// lines drops or lands torn per the injector's pure per-line decision.
+  /// Recovery stays sound because the window closes for good on an event
+  /// gap (the burst was over), on a post-cut fence (nothing ordered behind
+  /// it was ever issued — a batched log sync's fence sits between the
+  /// records and the data write-backs it orders), and at `tear_burst`
+  /// lines. So every log sync ordered before the burst is durable, torn-in
+  /// data bytes are covered by durable undo records, and torn log lines
+  /// fail their check words.
   bool flush_line(LineAddr line);
 
   /// Torn write-back: persist only the first `bytes` bytes of `line`
@@ -61,6 +86,15 @@ class ShadowPmem {
 
   /// Persist the line containing byte offset `addr`.
   void flush_addr(PmAddr addr) { flush_line(line_of(addr)); }
+
+  // --- pmem::FlushMedium: write-backs by address in the volatile image -----
+
+  bool write_back(const void* addr) override {
+    return flush_line(line_of(static_cast<PmAddr>(
+        static_cast<const std::uint8_t*>(addr) - volatile_.get())));
+  }
+  /// A post-cut fence closes the tear window.
+  void fence() override;
 
   /// Route every flush_line decision through `injector` (nullptr detaches).
   /// Not owned. Recovery paths detach before re-reading the image.
@@ -74,15 +108,27 @@ class ShadowPmem {
 
   /// Power failure: all unflushed lines are lost; the volatile image is
   /// reloaded from the durable image (as a restarted process would see).
-  /// Power is back after the restart: a preceding freeze() is cleared.
+  /// Power is back after the restart: the cut is cleared; the clock keeps
+  /// its count and its running state.
   void crash();
 
-  /// Power is off from this instant: every subsequent flush is dropped —
-  /// nothing can reach the durable image until crash() restarts the
-  /// machine. Crash-injection rigs call this at their freeze point so no
-  /// write-back path, however indirect, can leak past the power cut.
-  void freeze() noexcept { frozen_ = true; }
-  bool frozen() const noexcept { return frozen_; }
+  // --- the power cut ---------------------------------------------------------
+
+  /// Start or stop the event clock (running from construction). While it
+  /// is stopped nothing claims an event, so nothing can be frozen away:
+  /// setup traffic, and the restarted machine after crash().
+  void set_clock(bool running);
+  /// Claim the next event index (0 while the clock is stopped). Stores and
+  /// write-backs claim internally; history recorders call this for
+  /// invocations and responses.
+  std::uint64_t claim_event();
+  std::uint64_t events() const noexcept {
+    return events_.load(std::memory_order_relaxed);
+  }
+  /// Power fails once the clock passes `event` (freeze_at(events()): from
+  /// this instant): every write-back claiming a later event is lost, until
+  /// crash() restarts the machine.
+  void freeze_at(std::uint64_t event);
 
   /// Read from the durable image (what recovery would see after a crash).
   void load_durable(PmAddr addr, void* out, std::size_t len) const;
@@ -126,10 +172,28 @@ class ShadowPmem {
   using AlignedImage = std::unique_ptr<std::uint8_t[], decltype(&std::free)>;
   static AlignedImage make_image(std::size_t size);
 
+  // All under mutex_.
+  std::uint64_t claim_locked();
+  void tear_locked(LineAddr line, std::uint64_t event);
+  void flush_torn_locked(LineAddr line, std::size_t bytes);
+
   std::size_t size_;
+  std::size_t tear_burst_;
   AlignedImage volatile_;
   AlignedImage durable_;
-  bool frozen_ = false;
+  /// Serializes image access and the clock: a worker's write-back may race
+  /// the application thread's store to the same line (on hardware the
+  /// coherent cache arbitrates). Which one lands first stays
+  /// nondeterministic — that is the interleaving the crash matrix sweeps.
+  std::mutex mutex_;
+  bool clock_running_ = true;
+  std::atomic<std::uint64_t> events_{0};
+  std::uint64_t freeze_event_ = ~std::uint64_t{0};
+  /// Tear window: post-cut write-backs so far, the last one's event, and
+  /// whether the window has closed for good.
+  std::size_t tear_depth_ = 0;
+  std::uint64_t tear_last_event_ = 0;
+  bool tear_closed_ = false;
   FaultInjector* injector_ = nullptr;
   std::unordered_set<LineAddr> dirty_;
   std::unordered_map<LineAddr, std::uint64_t> line_writes_;

@@ -133,11 +133,9 @@ Runtime::Runtime(RuntimeConfig config, Medium* medium)
   }
 
   if (config_.scrub) {
-    ScrubConfig sc;
-    sc.batch_lines = config_.scrub_batch_lines;
-    sc.repair_metadata = config_.scrub_repair;
     scrubber_ = std::make_shared<Scrubber>(
-        sc, allocator_->region().base(), allocator_->region().size(),
+        make_backend(/*metered=*/false), allocator_->region().base(),
+        allocator_->region().size(),
         log_region_.valid() ? log_region_.base() : nullptr,
         config_.log_segment_size,
         log_region_.valid() ? config_.max_threads : 0);
@@ -223,15 +221,13 @@ WriteBackSpec Runtime::route_spec(core::FlushSink* sync_sink,
     // tracker records through atomics, so stats() stays race-free.
     auto issue = std::make_unique<IssueSink>(make_backend(/*metered=*/true));
     // Device timing model for the simulated kind only (hardware kinds
-    // self-time). Occupancy defaults to a quarter of the write latency: a
-    // pipelined device accepts lines ~4x faster than one synchronous
-    // strongly-ordered flush completes (see DESIGN.md §8).
+    // self-time). Occupancy is a quarter of the write latency: a pipelined
+    // device accepts lines ~4x faster than one synchronous strongly-ordered
+    // flush completes (see DESIGN.md §8).
     if (issue->backend().kind() == pmem::FlushKind::kSimulated) {
       spec.device.latency_ns = config_.simulated_flush_ns;
-      spec.device.issue_ns = config_.simulated_flush_issue_ns != 0
-                                 ? config_.simulated_flush_issue_ns
-                                 : std::max<std::uint32_t>(
-                                       1, config_.simulated_flush_ns / 4);
+      spec.device.issue_ns =
+          std::max<std::uint32_t>(1, config_.simulated_flush_ns / 4);
     }
     spec.worker_sink = std::move(issue);
   }

@@ -63,9 +63,6 @@ struct RuntimeConfig {
   /// Per-thread flush ring capacity in lines (NVC_FLUSH_QUEUE; power of
   /// two). A full ring falls back to a synchronous local flush.
   std::size_t flush_queue_depth = 1024;
-  /// Simulated backend only: modeled per-line device occupancy (pipelined
-  /// issue interval) used by the async path. 0 = simulated_flush_ns / 4.
-  std::uint32_t simulated_flush_issue_ns = 0;
 
   /// Durable undo logging (off for pure flush-counting experiments).
   bool undo_logging = false;
@@ -112,11 +109,6 @@ struct RuntimeConfig {
   /// model marks bad. Requires nothing else; combines with verify_data for
   /// data-line checking.
   bool scrub = false;
-  /// Data lines re-read per idle slice (NVC_SCRUB_BATCH).
-  std::size_t scrub_batch_lines = 64;
-  /// Restore detectably corrupt metadata in place (NVC_SCRUB_REPAIR;
-  /// 0 = detect and count only).
-  bool scrub_repair = true;
 };
 
 /// Statistics aggregated over all thread contexts.
@@ -318,7 +310,9 @@ class Runtime {
   /// Append the next context slot (contexts_mutex_ held).
   ThreadContext& add_context();
   /// Every flush backend the runtime builds. Metered ones (per-context data,
-  /// log and worker side) carry the fault injector and the wear tracker.
+  /// log and worker side) carry the fault injector and the wear tracker;
+  /// unmetered ones (heap header, log format, recovery, scrub repairs) only
+  /// reach the medium.
   pmem::FlushBackend make_backend(bool metered) const;
   /// One context's write-back route (runtime/write_back_route.hpp).
   WriteBackSpec route_spec(core::FlushSink* sync_sink, UndoLog* log) const;

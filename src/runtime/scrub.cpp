@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "pmem/pmem_alloc.hpp"
 #include "runtime/undo_log.hpp"
 
 namespace nvc::runtime {
 
-Scrubber::Scrubber(ScrubConfig config, void* data, std::size_t data_size,
-                   void* logs, std::size_t log_segment_size,
-                   std::size_t log_segments)
-    : config_(config),
+Scrubber::Scrubber(pmem::FlushBackend backend, void* data,
+                   std::size_t data_size, void* logs,
+                   std::size_t log_segment_size, std::size_t log_segments)
+    : backend_(std::move(backend)),
       data_(static_cast<char*>(data)),
       data_size_(data_size),
       logs_(static_cast<char*>(logs)),
@@ -42,18 +43,10 @@ void Scrubber::scrub_metadata() {
     const bool corrupt = !st.magic_ok || !st.version_ok || !st.bump_plausible;
     if (corrupt) {
       ++checksum_mismatches_;  // detected either way
-      if (config_.repair_metadata && mirror_valid_) {
+      if (mirror_valid_) {
         std::memcpy(data_, header_mirror_.data(), header_mirror_.size());
+        persist_repair(data_, header_mirror_.size());
         metadata_repairs_.fetch_add(1, std::memory_order_relaxed);
-        if (wear_ != nullptr) {
-          // A repair is a media write like any other.
-          const LineAddr first = line_of(reinterpret_cast<PmAddr>(data_));
-          const LineAddr last = line_of(reinterpret_cast<PmAddr>(
-              data_ + header_mirror_.size() - 1));
-          for (LineAddr line = first; line <= last; ++line) {
-            wear_->record(line);
-          }
-        }
       }
     }
   }
@@ -62,7 +55,7 @@ void Scrubber::scrub_metadata() {
   // compile-time constant IS the redundant copy. The state word mutates on
   // every sync/commit and cannot be checked online. All-zero headers are
   // stillborn slots, not corruption.
-  if (logs_ != nullptr && config_.repair_metadata) {
+  if (logs_ != nullptr) {
     for (std::size_t s = 0; s < log_segments_; ++s) {
       char* seg = logs_ + s * log_segment_size_;
       std::uint64_t magic;
@@ -70,18 +63,28 @@ void Scrubber::scrub_metadata() {
       if (magic == UndoLog::kMagic || magic == 0) continue;
       const std::uint64_t fixed = UndoLog::kMagic;
       std::memcpy(seg, &fixed, sizeof(fixed));
+      persist_repair(seg, sizeof(fixed));
       metadata_repairs_.fetch_add(1, std::memory_order_relaxed);
-      if (wear_ != nullptr) {
-        wear_->record(line_of(reinterpret_cast<PmAddr>(seg)));
-      }
     }
   }
+}
+
+void Scrubber::persist_repair(const char* p, std::size_t len) {
+  // A repair is a media write like any other: without the write-back it
+  // would sit in the cache, lost at a crash.
+  const LineAddr first = line_of(reinterpret_cast<PmAddr>(p));
+  const LineAddr last = line_of(reinterpret_cast<PmAddr>(p + len - 1));
+  for (LineAddr line = first; line <= last; ++line) {
+    backend_.flush(reinterpret_cast<const void*>(line_base(line)));
+    if (wear_ != nullptr) wear_->record(line);
+  }
+  backend_.fence();
 }
 
 void Scrubber::scrub_data_batch() {
   if (data_ == nullptr || data_size_ < kCacheLineSize) return;
   const std::size_t total_lines = data_size_ / kCacheLineSize;
-  const std::size_t batch = std::min(config_.batch_lines, total_lines);
+  const std::size_t batch = std::min(kBatchLines, total_lines);
   const bool check_media = injector_ != nullptr && fault_stats_ != nullptr;
   for (std::size_t i = 0; i < batch; ++i) {
     const std::size_t idx = cursor_;

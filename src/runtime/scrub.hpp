@@ -10,8 +10,9 @@
 //     Runtime refreshes under its allocation lock at every legitimate
 //     mutation (so the mirror is authoritative by construction), and the
 //     compile-time log magic constant. Detectably corrupt metadata is
-//     *repaired* in place and counted.
-//   data lines — a batch of NVC_SCRUB_BATCH lines is swept per slice:
+//     *repaired* in place, written back and fenced (so the repair survives
+//     a crash), and counted.
+//   data lines — a batch of kBatchLines lines is swept per slice:
 //     lines the FaultInjector's persistent-fault model marks bad are
 //     quarantined into the PR 5 FaultStats machinery (commit suspension and
 //     HealthReport pick them up exactly as write-path quarantines), and —
@@ -37,18 +38,11 @@
 #include "core/fault_sink.hpp"
 #include "core/flush_pipeline.hpp"
 #include "pmem/fault.hpp"
+#include "pmem/flush.hpp"
 #include "pmem/wear.hpp"
 #include "runtime/recovery.hpp"
 
 namespace nvc::runtime {
-
-struct ScrubConfig {
-  /// Data lines re-read per idle slice (NVC_SCRUB_BATCH).
-  std::size_t batch_lines = 64;
-  /// Restore detectably corrupt metadata from redundant copies
-  /// (NVC_SCRUB_REPAIR; off = detect and count only).
-  bool repair_metadata = true;
-};
 
 struct ScrubStats {
   std::uint64_t slices = 0;          // idle steps that did work
@@ -61,8 +55,14 @@ struct ScrubStats {
 
 class Scrubber final : public core::IdleTask {
  public:
-  Scrubber(ScrubConfig config, void* data, std::size_t data_size, void* logs,
-           std::size_t log_segment_size, std::size_t log_segments);
+  /// Data lines re-read per slice.
+  static constexpr std::size_t kBatchLines = 64;
+
+  /// `backend` writes repairs back (used only inside slices, which are
+  /// serialized).
+  Scrubber(pmem::FlushBackend backend, void* data, std::size_t data_size,
+           void* logs, std::size_t log_segment_size,
+           std::size_t log_segments);
 
   // --- wiring (all optional; call before the first slice) -------------------
 
@@ -112,8 +112,11 @@ class Scrubber final : public core::IdleTask {
  private:
   void scrub_metadata();
   void scrub_data_batch();
+  /// Write back and fence the repaired bytes [p, p+len), and count their
+  /// lines as media writes.
+  void persist_repair(const char* p, std::size_t len);
 
-  const ScrubConfig config_;
+  pmem::FlushBackend backend_;
   char* const data_;
   const std::size_t data_size_;
   char* const logs_;

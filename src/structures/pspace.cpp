@@ -6,7 +6,34 @@
 
 namespace nvc::structures {
 
-PSpace::PSpace(bool elide) : elide_(elide) {}
+PSpace::PSpace(std::size_t bytes, bool elide, pmem::ShadowPmem* shadow,
+               pmem::WearTracker* wear)
+    : size_(bytes), shadow_(shadow), wear_(wear), elide_(elide) {
+  NVC_REQUIRE(bytes >= 2 * kCacheLineSize);
+  if (shadow_ != nullptr) {
+    NVC_REQUIRE(bytes <= shadow_->size(), "arena past the shadow image");
+    base_ = shadow_->volatile_base();
+  } else {
+    heap_ = std::make_unique<std::uint8_t[]>(bytes + kCacheLineSize);
+    base_ = reinterpret_cast<std::uint8_t*>(align_up(
+        reinterpret_cast<std::uintptr_t>(heap_.get()), kCacheLineSize));
+    std::memset(base_, 0, bytes);
+  }
+}
+
+std::uint64_t PSpace::durable_u64(POffset off) const {
+  if (shadow_ != nullptr) return shadow_->durable_value<std::uint64_t>(off);
+  std::uint64_t v;
+  std::memcpy(&v, base_ + off, sizeof v);
+  return v;
+}
+
+void PSpace::flush_line(LineAddr line) {
+  // Over a shadow model the write-back claims an event on its clock and is
+  // lost past the power cut.
+  if (shadow_ != nullptr) shadow_->flush_line(line);
+  if (wear_ != nullptr) wear_->record(line);
+}
 
 POffset PSpace::alloc_lines(std::size_t lines) {
   NVC_REQUIRE(lines > 0);
@@ -29,7 +56,7 @@ void PSpace::flush_range(POffset off, std::size_t len, bool writer) {
       const core::FlushElisionTable::Tag tag = flit_.tag(line);
       if (bug_early_untag_) flit_.untag(line, tag);  // seeded bug
       yield();  // the window the turnstile parks writers in
-      flush_line_impl(line);
+      flush_line(line);
       media_writes_.fetch_add(1, std::memory_order_relaxed);
       writer_flushes_.fetch_add(1, std::memory_order_relaxed);
       if (!bug_early_untag_) flit_.untag(line, tag);
@@ -41,7 +68,7 @@ void PSpace::flush_range(POffset off, std::size_t len, bool writer) {
         helper_elisions_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      flush_line_impl(line);
+      flush_line(line);
       media_writes_.fetch_add(1, std::memory_order_relaxed);
       helper_flushes_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -69,7 +96,7 @@ bool PSpace::cas_persist(POffset off, std::uint64_t expected,
   }
   if (bug_early_untag_) flit_.untag(line, tag);  // seeded bug
   yield();  // the window the turnstile parks writers in
-  flush_line_impl(line);
+  flush_line(line);
   media_writes_.fetch_add(1, std::memory_order_relaxed);
   writer_flushes_.fetch_add(1, std::memory_order_relaxed);
   if (!bug_early_untag_) flit_.untag(line, tag);
@@ -78,49 +105,6 @@ bool PSpace::cas_persist(POffset off, std::uint64_t expected,
 
 void PSpace::persist_help(POffset off, std::size_t len) {
   flush_range(off, len, /*writer=*/false);
-}
-
-// --- HeapPSpace -------------------------------------------------------------
-
-HeapPSpace::HeapPSpace(std::size_t bytes, bool elide, pmem::WearTracker* wear)
-    : PSpace(elide), size_(bytes), wear_(wear) {
-  NVC_REQUIRE(bytes >= 2 * kCacheLineSize);
-  arena_ = std::make_unique<std::uint8_t[]>(bytes + kCacheLineSize);
-  const auto raw = reinterpret_cast<std::uintptr_t>(arena_.get());
-  aligned_ = reinterpret_cast<std::uint8_t*>(
-      align_up(raw, kCacheLineSize));
-  std::memset(aligned_, 0, bytes);
-}
-
-std::uint64_t HeapPSpace::durable_u64(POffset off) const {
-  std::uint64_t v;
-  std::memcpy(&v, aligned_ + off, sizeof v);
-  return v;
-}
-
-void HeapPSpace::flush_line_impl(LineAddr line) {
-  if (wear_ != nullptr) wear_->record(line);
-}
-
-// --- ShadowPSpace -----------------------------------------------------------
-
-ShadowPSpace::ShadowPSpace(std::size_t bytes, bool elide)
-    : PSpace(elide), shadow_(bytes) {}
-
-std::uint64_t ShadowPSpace::claim_event() {
-  return events_.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-void ShadowPSpace::flush_line_impl(LineAddr line) {
-  const std::uint64_t e = claim_event();
-  if (e > freeze_event_) {
-    // Power failed before this write-back: it never reaches the durable
-    // image. Cut the shadow's own power too (belt and braces, exactly as
-    // the crash rig's deterministic mode does) so no later path leaks.
-    if (!shadow_.frozen()) shadow_.freeze();
-    return;
-  }
-  shadow_.flush_line(line);
 }
 
 }  // namespace nvc::structures

@@ -30,16 +30,13 @@
 // tag→flush→untag window is exactly where elision bugs live, so the
 // scheduler must be able to park a writer inside it.
 //
-// Two backends:
-//   HeapPSpace   — plain heap arena, media writes only counted (optionally
-//                  into a shared pmem::WearTracker). Thread-safe; used by
-//                  the free-running tsan stress tests and the benchmarks.
-//   ShadowPSpace — pmem::ShadowPmem arena with the event-clock power-cut
-//                  model of the crash rig: every media write-back claims a
-//                  monotonically increasing event index, freeze_at(e) drops
-//                  all later write-backs, and the durable image is what a
-//                  restarted process would see. Single-threaded by design
-//                  (the turnstile scheduler serializes virtual threads).
+// The arena is either a plain heap block whose media writes are only
+// counted (optionally into a shared pmem::WearTracker) — thread-safe, for
+// the free-running tsan stress tests and the benchmarks — or the volatile
+// image of a pmem::ShadowPmem, the crash suites' power-failure model:
+// every write-back claims an event on the model's clock, freeze_at(e) on
+// the model drops all later ones, and the model's durable image is what a
+// restarted process would see.
 //
 // The seeded-bug hook set_bug_early_untag() reorders the writer protocol to
 // tag→untag→flush: a helper arriving inside that window reads the counter
@@ -66,18 +63,21 @@ using POffset = std::uint64_t;
 
 class PSpace {
  public:
-  /// `elide`: arm FliT-style helper elision (NVC_ELIDE=1). Off = every
-  /// persist_help flushes.
-  explicit PSpace(bool elide);
-  virtual ~PSpace() = default;
+  /// A `bytes` arena. `elide`: arm FliT-style helper elision
+  /// (NVC_ELIDE=1); off = every persist_help flushes. `shadow` (not owned;
+  /// outlives the space): place the arena at the start of that model's
+  /// volatile image and write back through it; null = a heap arena.
+  /// `wear`: record every media write-back there too.
+  PSpace(std::size_t bytes, bool elide, pmem::ShadowPmem* shadow = nullptr,
+         pmem::WearTracker* wear = nullptr);
 
   PSpace(const PSpace&) = delete;
   PSpace& operator=(const PSpace&) = delete;
 
   // --- arena ----------------------------------------------------------------
 
-  virtual std::uint8_t* base() noexcept = 0;
-  virtual std::size_t size() const noexcept = 0;
+  std::uint8_t* base() noexcept { return base_; }
+  std::size_t size() const noexcept { return size_; }
 
   /// Bump-allocate `lines` whole cache lines (thread-safe). Returns the
   /// byte offset of the first line. Throws nothing; asserts on exhaustion
@@ -95,8 +95,8 @@ class PSpace {
   }
 
   /// Durable view (recovery): what a crash at this instant would leave.
-  /// HeapPSpace has no crash model, so durable == volatile.
-  virtual std::uint64_t durable_u64(POffset off) const = 0;
+  /// A heap arena has no crash model, so durable == volatile.
+  std::uint64_t durable_u64(POffset off) const;
 
   // --- persist protocols ----------------------------------------------------
 
@@ -162,14 +162,16 @@ class PSpace {
     return helper_elisions_.load(std::memory_order_relaxed);
   }
 
- protected:
-  /// One media write-back of the line (line = arena byte offset >> 6).
-  /// Must be thread-safe in free-running backends.
-  virtual void flush_line_impl(LineAddr line) = 0;
-
  private:
   void flush_range(POffset off, std::size_t len, bool writer);
+  /// One media write-back of the line (line = arena byte offset >> 6).
+  void flush_line(LineAddr line);
 
+  std::size_t size_;
+  std::unique_ptr<std::uint8_t[]> heap_;  // null over a shadow model
+  std::uint8_t* base_;
+  pmem::ShadowPmem* shadow_;
+  pmem::WearTracker* wear_;
   bool elide_;
   bool bug_early_untag_ = false;
   core::FlushElisionTable flit_;
@@ -179,62 +181,6 @@ class PSpace {
   std::atomic<std::uint64_t> writer_flushes_{0};
   std::atomic<std::uint64_t> helper_flushes_{0};
   std::atomic<std::uint64_t> helper_elisions_{0};
-};
-
-/// Heap arena: media writes are counted, not modeled. For real-thread
-/// stress tests (tsan) and benchmarks.
-class HeapPSpace final : public PSpace {
- public:
-  HeapPSpace(std::size_t bytes, bool elide,
-             pmem::WearTracker* wear = nullptr);
-
-  std::uint8_t* base() noexcept override { return aligned_; }
-  std::size_t size() const noexcept override { return size_; }
-  std::uint64_t durable_u64(POffset off) const override;
-
- protected:
-  void flush_line_impl(LineAddr line) override;
-
- private:
-  std::size_t size_;
-  std::unique_ptr<std::uint8_t[]> arena_;
-  std::uint8_t* aligned_;
-  pmem::WearTracker* wear_;
-};
-
-/// ShadowPmem arena with the crash rig's event-clock power-cut model.
-/// Single-threaded (turnstile-scheduled virtual threads only).
-class ShadowPSpace final : public PSpace {
- public:
-  ShadowPSpace(std::size_t bytes, bool elide);
-
-  std::uint8_t* base() noexcept override { return shadow_.volatile_base(); }
-  std::size_t size() const noexcept override { return shadow_.size(); }
-  std::uint64_t durable_u64(POffset off) const override {
-    return shadow_.durable_value<std::uint64_t>(off);
-  }
-
-  /// Claim the next event index. Media write-backs claim internally; the
-  /// history recorder claims for invocations/returns so crash cuts and
-  /// flush drops live on ONE clock.
-  std::uint64_t claim_event();
-  std::uint64_t events() const noexcept {
-    return events_.load(std::memory_order_relaxed);
-  }
-
-  /// Power fails once the clock passes `event`: later write-backs drop.
-  void freeze_at(std::uint64_t event) noexcept { freeze_event_ = event; }
-
-  pmem::ShadowPmem& shadow() noexcept { return shadow_; }
-  const pmem::ShadowPmem& shadow() const noexcept { return shadow_; }
-
- protected:
-  void flush_line_impl(LineAddr line) override;
-
- private:
-  pmem::ShadowPmem shadow_;
-  std::atomic<std::uint64_t> events_{0};
-  std::uint64_t freeze_event_ = ~std::uint64_t{0};
 };
 
 }  // namespace nvc::structures

@@ -1,9 +1,9 @@
 // Operation histories for the linearizability + durability harness.
 //
 // Each structure operation is recorded as an invocation/response pair of
-// timestamps drawn from a pluggable clock. Under the crash rig the clock is
-// ShadowPSpace::claim_event — the SAME event counter that media write-backs
-// claim — so a crash cut at event e cleanly partitions the history:
+// timestamps drawn from a pluggable clock. Under a crash model the clock is
+// pmem::ShadowPmem::claim_event — the SAME event counter that media
+// write-backs claim — so a crash cut at event e cleanly partitions the history:
 //
 //   res <= e          completed before the cut (its effect must survive)
 //   inv <= e < res    pending at the cut (may or may not have taken effect;
@@ -59,8 +59,8 @@ class HistoryRecorder {
   using Clock = std::function<std::uint64_t()>;
 
   /// With no clock, an internal atomic counter is used (free-running mode).
-  /// Under the crash rig pass [&ps] { return ps.claim_event(); } so history
-  /// timestamps and flush events share one total order.
+  /// Under a crash model pass [&shadow] { return shadow.claim_event(); } so
+  /// history timestamps and flush events share one total order.
   explicit HistoryRecorder(std::size_t threads, Clock clock = {});
 
   /// Record an invocation on `thread`'s lane; returns the lane index to

@@ -5,8 +5,8 @@
 // calls yield(), and at each yield the scheduler picks — from a seeded RNG
 // — which runnable thread proceeds. The interleaving is therefore a pure
 // function of (seed, bodies): a failing schedule replays from its seed, and
-// single-threaded backends (ShadowPSpace's crash model) are safe under it
-// because the turnstile is mutual exclusion.
+// a PSpace over a pmem::ShadowPmem crash model runs under it exactly as it
+// would single-threaded.
 //
 // The yield points sit exactly where the FliT protocol is vulnerable — a
 // writer can be parked between tagging a line and completing its write-back
@@ -15,7 +15,7 @@
 //
 // free_running=true turns yield() into a no-op and releases all threads at
 // once: the same test bodies become a genuine tsan stress test over the
-// thread-safe HeapPSpace backend.
+// thread-safe heap-arena PSpace.
 #pragma once
 
 #include <condition_variable>

@@ -41,11 +41,15 @@ CrashRig::CrashRig(runtime::RuntimeConfig config, const CrashRigConfig& medium)
     : config_(std::move(config)),
       medium_(medium),
       region_bytes_(region_bytes_for(config_.max_threads, data_bytes())),
-      shadow_(region_bytes_ + config_.max_threads * config_.log_segment_size) {
-  NVC_REQUIRE(config_.undo_logging, "the rig recovers through the undo log");
+      shadow_(region_bytes_ +
+                  (config_.undo_logging
+                       ? config_.max_threads * config_.log_segment_size
+                       : 0),
+              medium_.tear_burst) {
   NVC_REQUIRE(medium_.data_lines >= 1);
   config_.region_size = region_bytes_;
   config_.fresh = true;
+  shadow_.set_clock(false);  // setup traffic cannot be frozen away
   rt_ = std::make_unique<runtime::Runtime>(config_, this);
   for (std::size_t c = 0; c < config_.max_threads; ++c) {
     on(c);  // claims slot c
@@ -63,7 +67,7 @@ CrashRig::CrashRig(runtime::RuntimeConfig config, const CrashRigConfig& medium)
   // Media faults start with the script.
   injector_ = rt_->fault_injector();
   shadow_.set_fault_injector(injector_.get());
-  counting_ = true;
+  shadow_.set_clock(true);
 }
 
 CrashRig::~CrashRig() = default;
@@ -79,6 +83,10 @@ void CrashRig::pstore(std::size_t ctx, PmAddr addr, const void* bytes,
 }
 
 void CrashRig::persist_barrier(std::size_t ctx) { on(ctx).persist_barrier(); }
+
+void CrashRig::pwrote(std::size_t ctx, const void* addr, std::size_t len) {
+  on(ctx).pwrote(addr, len);
+}
 
 bool CrashRig::pump_flush(std::size_t ctx) { return rt_->pump_flush(ctx); }
 
@@ -97,73 +105,7 @@ void* CrashRig::log_region(std::size_t size) {
 }
 
 void CrashRig::store(void* dst, const void* src, std::size_t len) {
-  {
-    std::lock_guard<std::mutex> lock(shadow_mutex_);
-    shadow_.store(image_offset(dst), src, len);
-  }
-  claim_event();
-}
-
-bool CrashRig::write_back(const void* addr) {
-  const LineAddr line = line_of(image_offset(addr));
-  // An atomic claim: in real-worker async mode the worker and the
-  // application thread race for event slots.
-  const std::uint64_t e = claim_event();
-  if (!powered(e)) {
-    // Power is off: the line never persists, unless it lands torn. Either
-    // way report success: no software before the cut can observe this.
-    maybe_tear(line, e);
-    return true;
-  }
-  std::lock_guard<std::mutex> lock(shadow_mutex_);
-  return shadow_.flush_line(line);
-}
-
-void CrashRig::fence() {
-  if (powered(events())) return;  // a post-cut fence closes the tear window
-  std::lock_guard<std::mutex> lock(shadow_mutex_);
-  if (tear_depth_ > 0) tear_closed_ = true;
-}
-
-void CrashRig::maybe_tear(LineAddr line, std::uint64_t event) {
-  // The write queue racing the power cut can hold several lines: the
-  // gapless run of post-cut events freeze+1, freeze+2, … sat in one
-  // in-flight burst, and each of its lines drops or lands torn per the
-  // injector's pure per-line decision. Recovery stays sound because the
-  // window closes for good on an event gap (the burst was over), on a
-  // post-cut fence (nothing ordered behind it was ever issued — a batched
-  // log sync's fence sits between the records and the data write-backs it
-  // orders), and at medium_.tear_burst lines. So every log sync ordered
-  // before the burst is durable, torn-in data bytes are covered by durable
-  // undo records, and torn log lines fail their check words.
-  if (!injector_) return;
-  std::lock_guard<std::mutex> lock(shadow_mutex_);
-  if (tear_closed_) return;
-  if (event == freeze_event_ + 1) {
-    tear_depth_ = 1;
-  } else if (tear_depth_ > 0 && event == tear_last_event_ + 1 &&
-             tear_depth_ < medium_.tear_burst) {
-    ++tear_depth_;
-  } else {
-    if (tear_depth_ > 0) tear_closed_ = true;
-    return;
-  }
-  tear_last_event_ = event;
-  const std::size_t bytes = injector_->torn_bytes(line);
-  if (bytes == 0) return;  // this line drops entirely instead of tearing
-  shadow_.flush_line_torn(line, bytes);
-}
-
-std::uint64_t CrashRig::claim_event() {
-  if (!counting_) return 0;
-  const std::uint64_t e = events_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (!powered(e) && deterministic() && !shadow_.frozen()) {
-    // Deterministic runs execute entirely on this thread, so the first
-    // post-freeze event is a single well-defined instant: cut the shadow
-    // image's power too, closing every conceivable write-back path.
-    shadow_.freeze();
-  }
-  return e;
+  shadow_.store(image_offset(dst), src, len);
 }
 
 void CrashRig::restart() {
@@ -178,7 +120,7 @@ void CrashRig::restart() {
   // own write-backs must not fail, or a crashed-again-during-recovery
   // model would leak into every oracle check (testing recovery-time faults
   // is a separate scenario, driven explicitly).
-  counting_ = false;
+  shadow_.set_clock(false);
   shadow_.set_fault_injector(nullptr);
   runtime::RuntimeConfig reopen = config_;
   reopen.fresh = false;
@@ -188,6 +130,7 @@ void CrashRig::restart() {
 }
 
 std::vector<std::uint8_t> CrashRig::recovered_data(std::size_t ctx) {
+  NVC_REQUIRE(config_.undo_logging, "the rig recovers through the undo log");
   restart();
   return durable_data(ctx);
 }

@@ -2,27 +2,22 @@
 //
 // A thin adapter: the production runtime::Runtime runs over a crash medium
 // the rig provides (runtime::Medium), and script calls bind the calling
-// thread to a context slot and forward to it. The rig owns only the
-// power-failure model. One ShadowPmem image holds the heap region and the
-// log segments; every pstore data write and every attempted write-back —
-// from any backend the Runtime builds — claims the next *event index*, and
-// freeze_at(e) drops every write-back claiming a later one, as write-backs
-// in flight at a power cut never persist. recovered_data() then restarts
-// the way a process would: tear the Runtime down while the power is still
-// off, crash() the image, reopen a Runtime with fresh=false over it, and
-// run Runtime::recover().
+// thread to a context slot and forward to it. The power-failure model is
+// pmem::ShadowPmem's: one image holds the heap region and the log
+// segments, every pstore data write and every attempted write-back — from
+// any backend the Runtime builds — goes to it and claims the next *event
+// index* on its clock, and freeze_at(e) cuts the power there.
+// recovered_data() then restarts the way a process would: tear the Runtime
+// down while the power is still off, crash() the image, reopen a Runtime
+// with fresh=false over it, and run Runtime::recover().
 //
 // Setup traffic (heap and log formats, one pm_alloc'ed data block per
 // context, written back) runs before the clock starts and before media
-// faults attach. Deterministic configurations (sync flushing, or
-// manual_pipeline) run entirely on the calling thread, and the rig then
-// also freezes the image itself at the first post-freeze event.
+// faults attach.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "pmem/shadow.hpp"
@@ -35,7 +30,8 @@ struct CrashRigConfig {
   /// Per-context data block, in lines.
   std::size_t data_lines = 8;
   /// Max lines of the write-back burst racing the power cut that may land
-  /// torn/dropped (the modeled write-queue depth; see CrashRig::maybe_tear).
+  /// torn/dropped (the modeled write-queue depth; see
+  /// pmem::ShadowPmem::flush_line).
   std::size_t tear_burst = 8;
   /// With RuntimeConfig::async_flush: manual channels, written back only
   /// by pump_flush() and the helping drain (the fuzzer's configuration).
@@ -55,7 +51,7 @@ runtime::RuntimeConfig rig_runtime_config(std::size_t contexts = 1);
 class CrashRig final : public runtime::Medium {
  public:
   /// `config.max_threads` is the context count. The rig sizes the heap
-  /// region itself (region_size) and requires undo logging.
+  /// region itself (region_size).
   explicit CrashRig(runtime::RuntimeConfig config,
                     const CrashRigConfig& medium = {});
   ~CrashRig() override;
@@ -78,6 +74,13 @@ class CrashRig final : public runtime::Medium {
     pstore(ctx, cell * sizeof(std::uint64_t), &value, sizeof value);
   }
   void persist_barrier(std::size_t ctx = 0);
+  /// Runtime::pwrote: the caller wrote [addr, addr+len) of data(ctx)
+  /// directly.
+  void pwrote(std::size_t ctx, const void* addr, std::size_t len);
+  /// Volatile view of `ctx`'s data block (what the running program sees).
+  void* data(std::size_t ctx) noexcept {
+    return shadow_.volatile_base() + blocks_[ctx];
+  }
 
   /// Manual-mode scheduler hooks: Runtime::pump_flush / pump_analysis.
   bool pump_flush(std::size_t ctx = 0);
@@ -85,14 +88,12 @@ class CrashRig final : public runtime::Medium {
 
   // --- crash injection -------------------------------------------------------
 
-  /// Power fails once `events()` reaches `event`: later write-backs are lost.
-  void freeze_at(std::uint64_t event) { freeze_event_ = event; }
-  std::uint64_t events() const noexcept {
-    return events_.load(std::memory_order_relaxed);
-  }
+  /// Power fails once `events()` passes `event`: later write-backs are lost.
+  void freeze_at(std::uint64_t event) { shadow_.freeze_at(event); }
+  std::uint64_t events() const noexcept { return shadow_.events(); }
 
   /// Restart after the power failure (once; see the file comment) and
-  /// return the durable bytes of `ctx`'s data block.
+  /// return the durable bytes of `ctx`'s data block. Needs undo logging.
   std::vector<std::uint8_t> recovered_data(std::size_t ctx = 0);
 
   /// Durable bytes of `ctx`'s data block, no crash/recovery.
@@ -135,8 +136,10 @@ class CrashRig final : public runtime::Medium {
   void* log_region(std::size_t size) override;
   void store(void* dst, const void* src, std::size_t len) override;
   bool manual_flush() const override { return medium_.manual_pipeline; }
-  bool write_back(const void* addr) override;
-  void fence() override;
+  bool write_back(const void* addr) override {
+    return shadow_.write_back(addr);
+  }
+  void fence() override { shadow_.fence(); }
 
   PmAddr image_offset(const void* p) noexcept {
     return static_cast<PmAddr>(static_cast<const std::uint8_t*>(p) -
@@ -146,22 +149,6 @@ class CrashRig final : public runtime::Medium {
   runtime::Runtime& on(std::size_t ctx) {
     rt_->bind_context(ctx);
     return *rt_;
-  }
-
-  /// Claim the next event index (0 while the clock is stopped: setup and
-  /// the restarted machine, which cannot be frozen away).
-  std::uint64_t claim_event();
-
-  /// Torn-write hook for post-freeze write-backs (the tear window; see the
-  /// .cpp comment for why its closing rules keep recovery sound).
-  void maybe_tear(LineAddr line, std::uint64_t event);
-
-  bool powered(std::uint64_t event) const noexcept {
-    return event <= freeze_event_;
-  }
-  /// No background worker in the interleaving.
-  bool deterministic() const noexcept {
-    return !config_.async_flush || medium_.manual_pipeline;
   }
   void restart();
 
@@ -174,21 +161,7 @@ class CrashRig final : public runtime::Medium {
   /// Kept from the original Runtime so they outlive the restart.
   std::shared_ptr<pmem::FaultInjector> injector_;
   std::shared_ptr<core::FlushElisionTable> elision_;
-  bool counting_ = false;
   bool restarted_ = false;
-  std::atomic<std::uint64_t> events_{0};
-  std::uint64_t freeze_event_ = ~std::uint64_t{0};
-  /// Tear-window state (guarded by shadow_mutex_; see maybe_tear).
-  std::size_t tear_depth_ = 0;
-  std::uint64_t tear_last_event_ = 0;
-  bool tear_closed_ = false;
-  /// Serializes shadow-image access: in real-worker async mode the worker's
-  /// write-back of a queued line may race the application thread's store to
-  /// the same line (on hardware the coherent cache arbitrates; the shadow
-  /// model needs a lock). Ordering between the two stays nondeterministic —
-  /// that is the interleaving the crash matrix sweeps; the fuzzer removes
-  /// it with manual_pipeline instead.
-  std::mutex shadow_mutex_;
   /// Declared last: destroyed (drained, sealed) while the image is alive.
   std::unique_ptr<runtime::Runtime> rt_;
 };

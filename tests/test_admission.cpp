@@ -321,7 +321,7 @@ TEST(WearTracker, ShadowPmemCountsBytesIncludingTornPrefixes) {
   EXPECT_EQ(s.lines_touched, 2u);
   EXPECT_EQ(s.max_line_writes, 2u);
   // Frozen flushes must not wear the media: power is off.
-  shadow.freeze();
+  shadow.freeze_at(shadow.events());
   shadow.flush_line(0);
   EXPECT_EQ(shadow.line_write_count(0), 2u);
 }

@@ -12,6 +12,7 @@
 #include "common/env.hpp"
 #include "common/rng.hpp"
 #include "structures/durable_map.hpp"
+#include "pmem/shadow.hpp"
 #include "structures/pspace.hpp"
 #include "testing/history.hpp"
 #include "testing/interleave.hpp"
@@ -22,8 +23,7 @@ namespace {
 
 using nvc::Rng;
 using nvc::structures::DurableMap;
-using nvc::structures::HeapPSpace;
-using nvc::structures::ShadowPSpace;
+using nvc::structures::PSpace;
 using nvc::testing::check_linearizable;
 using nvc::testing::HistoryRecorder;
 using nvc::testing::InterleaveScheduler;
@@ -61,7 +61,8 @@ std::map<std::uint64_t, std::uint64_t> as_map(
 }
 
 TEST(DurableMap, BasicOpsAndRecovery) {
-  ShadowPSpace ps(64 * 1024, /*elide=*/true);
+  nvc::pmem::ShadowPmem shadow(64 * 1024);
+  PSpace ps(shadow.size(), /*elide=*/true, &shadow);
   DurableMap m(ps, /*buckets=*/16);
   EXPECT_TRUE(m.insert(1, 10));
   EXPECT_TRUE(m.insert(17, 170));  // same bucket as 1 (mod 16)
@@ -96,7 +97,7 @@ TEST(DurableMap, TurnstileInterleavingsAreLinearizable) {
   for (int iter = 0; iter < 12; ++iter) {
     const std::uint64_t seed = base + static_cast<std::uint64_t>(iter);
     SCOPED_TRACE(replay_hint("NVC_SEED", seed));
-    HeapPSpace ps(256 * 1024, /*elide=*/true);
+    PSpace ps(256 * 1024, /*elide=*/true);
     DurableMap m(ps, 8);
     InterleaveScheduler sched(seed);
     ps.set_yield_hook(sched.hook());
@@ -143,7 +144,7 @@ TEST(DurableMap, FreeRunningStressIsLinearizable) {
   for (int round = 0; round < 4; ++round) {
     const std::uint64_t seed = base + static_cast<std::uint64_t>(round);
     SCOPED_TRACE(replay_hint("NVC_SEED", seed));
-    HeapPSpace ps(512 * 1024, /*elide=*/true);
+    PSpace ps(512 * 1024, /*elide=*/true);
     DurableMap m(ps, 8);
     InterleaveScheduler sched(seed, /*free_running=*/true);
     ps.set_yield_hook(sched.hook());

@@ -18,6 +18,7 @@
 #include "common/env.hpp"
 #include "common/rng.hpp"
 #include "structures/durable_queue.hpp"
+#include "pmem/shadow.hpp"
 #include "structures/pspace.hpp"
 #include "testing/history.hpp"
 #include "testing/interleave.hpp"
@@ -28,8 +29,7 @@ namespace {
 
 using nvc::Rng;
 using nvc::structures::DurableQueue;
-using nvc::structures::HeapPSpace;
-using nvc::structures::ShadowPSpace;
+using nvc::structures::PSpace;
 using nvc::testing::check_linearizable;
 using nvc::testing::HistoryRecorder;
 using nvc::testing::InterleaveScheduler;
@@ -56,7 +56,8 @@ void recorded_dequeue(DurableQueue& q, HistoryRecorder& rec,
 }
 
 TEST(DurableQueue, SingleThreadedFifoAndRecovery) {
-  ShadowPSpace ps(64 * 1024, /*elide=*/true);
+  nvc::pmem::ShadowPmem shadow(64 * 1024);
+  PSpace ps(shadow.size(), /*elide=*/true, &shadow);
   DurableQueue q(ps);
   for (std::uint64_t v = 1; v <= 5; ++v) q.enqueue(v);
   std::uint64_t v = 0;
@@ -78,7 +79,7 @@ TEST(DurableQueue, TurnstileInterleavingsAreLinearizable) {
   for (int iter = 0; iter < 12; ++iter) {
     const std::uint64_t seed = base + static_cast<std::uint64_t>(iter);
     SCOPED_TRACE(replay_hint("NVC_SEED", seed));
-    HeapPSpace ps(256 * 1024, /*elide=*/true);
+    PSpace ps(256 * 1024, /*elide=*/true);
     DurableQueue q(ps);
     InterleaveScheduler sched(seed);
     ps.set_yield_hook(sched.hook());
@@ -106,7 +107,7 @@ TEST(DurableQueue, ElisionCutsMediaWritesOnHelpedSchedules) {
   for (int iter = 0; iter < 16; ++iter) {
     const std::uint64_t seed = base + static_cast<std::uint64_t>(iter);
     for (const bool elide : {true, false}) {
-      HeapPSpace ps(256 * 1024, elide);
+      PSpace ps(256 * 1024, elide);
       DurableQueue q(ps);
       InterleaveScheduler sched(seed);  // same schedule either way
       ps.set_yield_hook(sched.hook());
@@ -141,7 +142,7 @@ TEST(DurableQueue, FreeRunningStressIsLinearizable) {
   for (int round = 0; round < 4; ++round) {
     const std::uint64_t seed = base + static_cast<std::uint64_t>(round);
     SCOPED_TRACE(replay_hint("NVC_SEED", seed));
-    HeapPSpace ps((per * threads + 8) * 64 * 2, /*elide=*/true);
+    PSpace ps((per * threads + 8) * 64 * 2, /*elide=*/true);
     DurableQueue q(ps);
     InterleaveScheduler sched(seed, /*free_running=*/true);
     ps.set_yield_hook(sched.hook());  // no-ops: genuine concurrency

@@ -13,6 +13,7 @@
 #include "common/env.hpp"
 #include "common/rng.hpp"
 #include "structures/durable_skiplist.hpp"
+#include "pmem/shadow.hpp"
 #include "structures/pspace.hpp"
 #include "testing/history.hpp"
 #include "testing/interleave.hpp"
@@ -23,8 +24,7 @@ namespace {
 
 using nvc::Rng;
 using nvc::structures::DurableSkiplist;
-using nvc::structures::HeapPSpace;
-using nvc::structures::ShadowPSpace;
+using nvc::structures::PSpace;
 using nvc::testing::check_linearizable;
 using nvc::testing::HistoryRecorder;
 using nvc::testing::InterleaveScheduler;
@@ -35,7 +35,8 @@ using nvc::testing::replay_hint;
 using nvc::testing::seed_from_env;
 
 TEST(DurableSkiplist, BasicOpsAndSortedRecovery) {
-  ShadowPSpace ps(64 * 1024, /*elide=*/true);
+  nvc::pmem::ShadowPmem shadow(64 * 1024);
+  PSpace ps(shadow.size(), /*elide=*/true, &shadow);
   DurableSkiplist sl(ps);
   for (const std::uint64_t k : {42u, 7u, 99u, 13u, 58u}) {
     EXPECT_TRUE(sl.insert(k, k * 10));
@@ -70,7 +71,8 @@ TEST(DurableSkiplist, TowerHeightsAreDeterministicAndCapped) {
 }
 
 TEST(DurableSkiplist, StaleTowersAfterEraseStayHarmless) {
-  ShadowPSpace ps(64 * 1024, /*elide=*/true);
+  nvc::pmem::ShadowPmem shadow(64 * 1024);
+  PSpace ps(shadow.size(), /*elide=*/true, &shadow);
   DurableSkiplist sl(ps);
   for (std::uint64_t k = 1; k <= 32; ++k) ASSERT_TRUE(sl.insert(k, k));
   // Erase a band in the middle: their towers stay linked and point at
@@ -94,7 +96,7 @@ TEST(DurableSkiplist, TurnstileInterleavingsAreLinearizable) {
   for (int iter = 0; iter < 8; ++iter) {
     const std::uint64_t seed = base + static_cast<std::uint64_t>(iter);
     SCOPED_TRACE(replay_hint("NVC_SEED", seed));
-    HeapPSpace ps(256 * 1024, /*elide=*/true);
+    PSpace ps(256 * 1024, /*elide=*/true);
     DurableSkiplist sl(ps);
     InterleaveScheduler sched(seed);
     ps.set_yield_hook(sched.hook());
@@ -145,7 +147,7 @@ TEST(DurableSkiplist, FreeRunningStressIsLinearizable) {
   for (int round = 0; round < 3; ++round) {
     const std::uint64_t seed = base + static_cast<std::uint64_t>(round);
     SCOPED_TRACE(replay_hint("NVC_SEED", seed));
-    HeapPSpace ps(512 * 1024, /*elide=*/true);
+    PSpace ps(512 * 1024, /*elide=*/true);
     DurableSkiplist sl(ps);
     InterleaveScheduler sched(seed, /*free_running=*/true);
     ps.set_yield_hook(sched.hook());

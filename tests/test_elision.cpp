@@ -5,9 +5,10 @@
 //     announce/retire), collision fallback conservatism, the seeded
 //     revert-retire bug hook, pending_count() quiescence probe;
 //   - the exactly-once property sweep: seeded turnstile interleavings of
-//     writers + helpers over a HeapPSpace, asserting every dirty line hits
-//     media EXACTLY once with elision on (cross-checked against the shared
-//     WearTracker) and exactly 1 + helpers times with elision off;
+//     writers + helpers over a heap-arena PSpace, asserting every dirty
+//     line hits media EXACTLY once with elision on (cross-checked against
+//     the shared WearTracker) and exactly 1 + helpers times with elision
+//     off;
 //   - the mid-helping freeze regression: on ShadowPmem, sweep power cuts
 //     across a helper that ELIDED a flush and then durably published a
 //     dependent value — whenever the dependent is durable the elided
@@ -22,6 +23,7 @@
 
 #include "common/env.hpp"
 #include "core/elision.hpp"
+#include "pmem/shadow.hpp"
 #include "pmem/wear.hpp"
 #include "structures/pspace.hpp"
 #include "testing/interleave.hpp"
@@ -30,9 +32,8 @@
 namespace {
 
 using nvc::core::FlushElisionTable;
-using nvc::structures::HeapPSpace;
 using nvc::structures::POffset;
-using nvc::structures::ShadowPSpace;
+using nvc::structures::PSpace;
 using nvc::testing::InterleaveScheduler;
 using nvc::testing::replay_hint;
 using nvc::testing::seed_from_env;
@@ -127,7 +128,7 @@ SweepResult run_writer_helper_sweep(std::uint64_t seed, bool elide,
                                     std::vector<nvc::LineAddr>* dirty) {
   constexpr std::size_t kThreads = 4;
   constexpr std::size_t kLinesPer = 8;
-  HeapPSpace ps(64 * 1024, elide, wear);
+  PSpace ps(64 * 1024, elide, nullptr, wear);
   InterleaveScheduler sched(seed);
   ps.set_yield_hook(sched.hook());
 
@@ -222,9 +223,10 @@ struct FreezeProbe {
 // while X is not.
 FreezeProbe run_dependent_publish(std::uint64_t seed, bool bug_early_untag,
                                   std::uint64_t freeze_event) {
-  ShadowPSpace ps(4 * 1024, /*elide=*/true);
+  nvc::pmem::ShadowPmem shadow(4 * 1024);
+  shadow.freeze_at(freeze_event);
+  PSpace ps(shadow.size(), /*elide=*/true, &shadow);
   ps.set_bug_early_untag(bug_early_untag);
-  ps.freeze_at(freeze_event);
   InterleaveScheduler sched(seed);
   ps.set_yield_hook(sched.hook());
   const POffset x = ps.alloc_lines(1);
@@ -239,7 +241,7 @@ FreezeProbe run_dependent_publish(std::uint64_t seed, bool bug_early_untag,
   });
   sched.run(bodies);
 
-  return {ps.events(), ps.helper_elisions(), ps.durable_u64(x),
+  return {shadow.events(), ps.helper_elisions(), ps.durable_u64(x),
           ps.durable_u64(y)};
 }
 

@@ -231,7 +231,7 @@ TEST(ShadowPmemFaults, TornFlushPersistsAlignedPrefixAndKeepsLineDirty) {
 
   // While frozen, a full flush is dropped but the torn path still lands —
   // it models the write-back racing the power cut itself.
-  shadow.freeze();
+  shadow.freeze_at(shadow.events());
   EXPECT_TRUE(shadow.flush_line(1));  // dropped, unobservably "ok"
   shadow.flush_line_torn(1, 8);
   EXPECT_EQ(shadow.torn_flushes(), 2u);

@@ -1,115 +1,76 @@
 // Crash-consistency tests for the full MDB stack: COW pages + barrier-
 // ordered commit + checksummed alternating metas, running under each valid
-// persistence policy against the ShadowPmem crash model.
+// persistence policy on the production runtime::Runtime over the crash
+// rig's shadow medium (tests/support/crash_rig.hpp), with undo logging off
+// as MDB ships (its own metas are the commit record).
 //
-// Method: the store runs against a PersistApi whose flushes land in a
-// shadow durable image. At a chosen event index the durable image is
-// *frozen* (no further flushes take effect) — exactly what a power failure
-// at that instant would leave in NVRAM. The test then interprets the frozen
-// image with Db::read_image and asserts that it is a structurally intact
-// tree whose contents equal the state after some committed transaction
-// (all-or-nothing per write transaction, the FASE guarantee).
+// Method: Db's PersistApi hands it the rig's data block and forwards its
+// reports to the Runtime, whose write-backs land in the shadow durable
+// image. At a chosen event index the power fails (no further write-back
+// takes effect) — exactly what a power failure at that instant would leave
+// in NVRAM. The test then interprets the durable image with Db::read_image
+// and asserts that it is a structurally intact tree whose contents equal
+// the state after some committed transaction (all-or-nothing per write
+// transaction, the FASE guarantee).
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <cstdlib>
 #include <cstring>
 #include <map>
-#include <memory>
 #include <ostream>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/policy.hpp"
 #include "mdb/btree.hpp"
-#include "pmem/shadow.hpp"
+#include "support/crash_rig.hpp"
 #include "workloads/api.hpp"
 
 namespace nvc::mdb {
 namespace {
 
-/// PersistApi over ShadowPmem: app writes go to a real buffer (so the Db
-/// functions normally), wrote() mirrors the bytes into the shadow volatile
-/// image, and policy flushes persist shadow lines — unless frozen.
-class ShadowApi final : public workloads::PersistApi {
+using testing::CrashRig;
+
+/// PersistApi over a CrashRig: Db's one allocation is context 0's data
+/// block; writes, FASEs and barriers go to the rig's Runtime.
+class RigApi final : public workloads::PersistApi {
  public:
-  ShadowApi(std::size_t bytes, core::PolicyKind kind,
-            const core::PolicyConfig& config)
-      : buffer_(static_cast<char*>(std::aligned_alloc(64, bytes)),
-                &std::free),
-        shadow_(bytes),
-        sink_(this),
-        policy_(core::make_policy(kind, config)),
-        capacity_(bytes) {
-    std::memset(buffer_.get(), 0, bytes);
-  }
+  explicit RigApi(CrashRig& rig) : rig_(rig) {}
 
   void* alloc(std::size_t, std::size_t size) override {
-    const std::size_t off = align_up(cursor_, kCacheLineSize);
-    NVC_REQUIRE(off + size <= capacity_, "shadow arena exhausted");
-    cursor_ = off + size;
-    return buffer_.get() + off;
+    NVC_REQUIRE(size <= rig_.data_bytes(), "slab past the data block");
+    return rig_.data(0);
   }
-
-  void fase_begin(std::size_t) override { policy_->on_fase_begin(sink_); }
-  void fase_end(std::size_t) override {
-    ++events_;
-    policy_->on_fase_end(sink_);
-  }
-  void persist_barrier(std::size_t) override {
-    ++events_;
-    policy_->flush_buffered(sink_);  // flush everything, FASE stays open
-  }
-
+  void fase_begin(std::size_t) override { rig_.fase_begin(0); }
+  void fase_end(std::size_t) override { rig_.fase_end(0); }
   void wrote(std::size_t, const void* addr, std::size_t len) override {
-    ++events_;
-    const std::size_t off =
-        static_cast<std::size_t>(static_cast<const char*>(addr) -
-                                 buffer_.get());
-    shadow_.store(off, addr, len);
-    const LineAddr first = line_of(off);
-    const LineAddr last = line_of(off + len - 1);
-    for (LineAddr line = first; line <= last; ++line) {
-      policy_->on_store(line, sink_);
-    }
+    rig_.pwrote(0, addr, len);
   }
-
-  /// Stop persisting: everything not yet flushed is lost, as at power-off.
-  void freeze_at(std::uint64_t event) { freeze_event_ = event; }
-  std::uint64_t events() const noexcept { return events_; }
-
-  /// The durable image a restarted process would map.
-  std::vector<std::uint8_t> durable_image() const {
-    std::vector<std::uint8_t> image(capacity_);
-    shadow_.load_durable(0, image.data(), capacity_);
-    return image;
-  }
+  void persist_barrier(std::size_t) override { rig_.persist_barrier(0); }
 
  private:
-  class Sink final : public core::FlushSink {
-   public:
-    explicit Sink(ShadowApi* owner) : owner_(owner) {}
-    bool flush_line(LineAddr line) override {
-      if (owner_->events_ >= owner_->freeze_event_) return true;  // power off
-      return owner_->shadow_.flush_line(line);
-    }
-
-   private:
-    ShadowApi* owner_;
-  };
-
-  std::unique_ptr<char, decltype(&std::free)> buffer_;
-  pmem::ShadowPmem shadow_;
-  Sink sink_;
-  std::unique_ptr<core::Policy> policy_;
-  std::size_t capacity_;
-  std::size_t cursor_ = 0;
-  std::uint64_t events_ = 0;
-  std::uint64_t freeze_event_ = ~std::uint64_t{0};
+  CrashRig& rig_;
 };
 
 constexpr std::size_t kSlabPages = 192;
 constexpr std::size_t kSlabBytes = kSlabPages * kPageSize;
+/// Script length: long enough that every policy's run claims over 1000
+/// events on the rig's clock (Db writes in place and reports them, so only
+/// write-backs claim).
+constexpr int kTxns = 50;
+
+/// A rig running `kind` with undo logging off, sized to the slab;
+/// `flush_behind` runs the write-backs through manual flush channels.
+CrashRig make_rig(core::PolicyKind kind, const core::PolicyConfig& policy,
+                  bool flush_behind = false) {
+  runtime::RuntimeConfig config = testing::rig_runtime_config();
+  config.policy = kind;
+  config.policy_config = policy;
+  config.undo_logging = false;
+  config.async_flush = flush_behind;
+  return CrashRig(config, {.data_lines = kSlabBytes / kCacheLineSize,
+                           .manual_pipeline = flush_behind});
+}
 
 /// Deterministic transaction script; returns per-committed-txn snapshots.
 std::map<TxnId, std::map<Key, Value>> run_script(workloads::PersistApi& api,
@@ -164,19 +125,21 @@ TEST_P(MdbCrash, FrozenImageIsACommittedSnapshot) {
   config.sampler.burst_length = 1u << 20;  // never adapts mid-test
 
   // Dry run: learn the event count and the per-txn expected snapshots.
-  ShadowApi dry(kSlabBytes + (64u << 10), param.kind, config);
-  const auto snapshots = run_script(dry, 40);
+  CrashRig dry = make_rig(param.kind, config);
+  RigApi dry_api(dry);
+  const auto snapshots = run_script(dry_api, kTxns);
   const std::uint64_t total_events = dry.events();
   ASSERT_GT(total_events, 1000u);
 
   // Crash run: same script, durability frozen mid-stream.
   const auto freeze_at = static_cast<std::uint64_t>(
       param.crash_fraction * static_cast<double>(total_events));
-  ShadowApi crashed(kSlabBytes + (64u << 10), param.kind, config);
+  CrashRig crashed = make_rig(param.kind, config);
   crashed.freeze_at(freeze_at);
-  (void)run_script(crashed, 40);
+  RigApi crashed_api(crashed);
+  (void)run_script(crashed_api, kTxns);
 
-  const auto image = crashed.durable_image();
+  const auto image = crashed.durable_data(0);
   const Db::ImageContents contents =
       Db::read_image(image.data(), kSlabBytes);
 
@@ -208,27 +171,29 @@ INSTANTIATE_TEST_SUITE_P(
         CrashCase{core::PolicyKind::kSoftCacheOffline, 0.65},
         CrashCase{core::PolicyKind::kSoftCacheOffline, 0.99}));
 
-TEST(MdbCrash, ManyRandomCrashPointsUnderSc) {
-  // Dense sweep under the paper's policy: 25 crash points spread across the
-  // run, every one must yield a committed snapshot.
+/// Dense sweep under the paper's policy: 25 crash points spread across the
+/// run, every one must yield a committed snapshot.
+void sweep_sc_crash_points(bool flush_behind) {
   core::PolicyConfig config;
   config.cache_size = 20;
-  ShadowApi dry(kSlabBytes + (64u << 10), core::PolicyKind::kSoftCacheOffline,
-                config);
-  const auto snapshots = run_script(dry, 40);
+  CrashRig dry =
+      make_rig(core::PolicyKind::kSoftCacheOffline, config, flush_behind);
+  RigApi dry_api(dry);
+  const auto snapshots = run_script(dry_api, kTxns);
   const std::uint64_t total_events = dry.events();
 
   Rng rng(77);
   for (int round = 0; round < 25; ++round) {
-    // Crash any time after the store was formatted (the ctor's first ~6
+    // Crash any time after the store was formatted (the ctor's first few
     // events persist the initial metas; before that there is no store to
     // recover, just as an interrupted mkfs leaves no filesystem).
     const std::uint64_t freeze_at = 10 + rng.below(total_events - 10);
-    ShadowApi crashed(kSlabBytes + (64u << 10),
-                      core::PolicyKind::kSoftCacheOffline, config);
+    CrashRig crashed =
+        make_rig(core::PolicyKind::kSoftCacheOffline, config, flush_behind);
     crashed.freeze_at(freeze_at);
-    (void)run_script(crashed, 40);
-    const auto image = crashed.durable_image();
+    RigApi crashed_api(crashed);
+    (void)run_script(crashed_api, kTxns);
+    const auto image = crashed.durable_data(0);
     const Db::ImageContents contents =
         Db::read_image(image.data(), kSlabBytes);
     const auto it = snapshots.find(contents.txn);
@@ -237,13 +202,23 @@ TEST(MdbCrash, ManyRandomCrashPointsUnderSc) {
   }
 }
 
+TEST(MdbCrash, ManyRandomCrashPointsUnderSc) { sweep_sc_crash_points(false); }
+
+TEST(MdbCrash, ManyRandomCrashPointsUnderScWithFlushBehind) {
+  // The same sweep with the write-backs queued on flush-behind rings,
+  // written back only when a ring overflows or a FASE end or barrier
+  // drains it.
+  sweep_sc_crash_points(true);
+}
+
 TEST(MdbCrash, BestPolicyLosesEverything) {
   // Sanity: under BEST (no flushes ever), a crash leaves no intact meta.
   core::PolicyConfig config;
-  ShadowApi api(kSlabBytes + (64u << 10), core::PolicyKind::kBest, config);
-  api.freeze_at(0);  // nothing ever durable
+  CrashRig rig = make_rig(core::PolicyKind::kBest, config);
+  rig.freeze_at(0);  // nothing ever durable
+  RigApi api(rig);
   (void)run_script(api, 5);
-  const auto image = api.durable_image();
+  const auto image = rig.durable_data(0);
   EXPECT_DEATH((void)Db::read_image(image.data(), kSlabBytes),
                "no intact meta");
 }

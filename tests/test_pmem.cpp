@@ -288,6 +288,25 @@ TEST(ShadowPmem, FlushAllPersistsEverything) {
   for (PmAddr a = 0; a < 4096; a += 64) EXPECT_EQ(mem.load_value<int>(a), 5);
 }
 
+TEST(ShadowPmem, EventClockCutsPowerAtTheFreezePoint) {
+  ShadowPmem mem(4096);
+  mem.set_clock(false);
+  mem.store_value<int>(0, 1);  // setup traffic: off the clock
+  EXPECT_EQ(mem.events(), 0u);
+  mem.set_clock(true);
+  mem.freeze_at(2);
+  mem.store_value<int>(64, 2);                            // event 1
+  EXPECT_TRUE(mem.write_back(mem.volatile_base() + 64));  // event 2 lands
+  EXPECT_TRUE(mem.flush_line(0));  // event 3: power is off, silently lost
+  EXPECT_EQ(mem.events(), 3u);
+  EXPECT_EQ(mem.durable_value<int>(64), 2);
+  EXPECT_EQ(mem.durable_value<int>(0), 0);
+  mem.crash();  // power is back
+  mem.store_value<int>(0, 3);
+  mem.flush_line(0);
+  EXPECT_EQ(mem.durable_value<int>(0), 3);
+}
+
 TEST(ShadowPmem, CountsStoresAndFlushes) {
   ShadowPmem mem(1024);
   mem.store_value<int>(0, 1);

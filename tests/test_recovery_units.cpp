@@ -4,15 +4,20 @@
 // bytes, and the region-open diagnostics for truncated / empty / foreign /
 // version-mismatched image files. The common thread: every routine here is
 // fed arbitrary garbage somewhere below and must classify, throw, or return
-// a status — never abort, crash, or read out of bounds.
+// a status — never abort, crash, or read out of bounds. The last section
+// drives the two integrity features of a live Runtime — the online
+// scrubber (NVC_SCRUB) and recover()'s verify stage (NVC_VERIFY_DATA) —
+// over real regions and over the crash rig's shadow medium.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <array>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/checksum.hpp"
@@ -20,7 +25,10 @@
 #include "pmem/pmem_alloc.hpp"
 #include "pmem/pmem_region.hpp"
 #include "runtime/recovery.hpp"
+#include "runtime/runtime.hpp"
+#include "runtime/scrub.hpp"
 #include "runtime/undo_log.hpp"
+#include "support/crash_rig.hpp"
 
 namespace nvc {
 namespace {
@@ -396,6 +404,221 @@ TEST(UndoLogInspect, CertifiesHandcraftedChainAndStopsAtCorruption) {
   EXPECT_TRUE(ins.formatted);
   EXPECT_FALSE(ins.state_plausible);
   EXPECT_FALSE(ins.tail_covered);
+}
+
+// --- online scrubber and the verify stage ----------------------------------
+
+runtime::RuntimeConfig scrub_config(const char* name) {
+  runtime::RuntimeConfig config;
+  config.region_name = name;
+  config.region_size = 64u << 10;
+  config.flush = pmem::FlushKind::kCountOnly;
+  config.max_threads = 1;
+  config.scrub = true;
+  return config;
+}
+
+/// Run one slice on this thread. The flush worker runs slices too whenever
+/// it idles, and a step that finds one running returns false: retry until
+/// one of ours ran.
+void own_slice(runtime::Scrubber& scrubber) {
+  while (!scrubber.step()) std::this_thread::yield();
+}
+
+/// Slice until the sweep has wrapped twice: every data line was scanned
+/// after this call began.
+void full_sweep(runtime::Scrubber& scrubber) {
+  const std::uint64_t target = scrubber.stats().passes + 2;
+  while (scrubber.stats().passes < target) own_slice(scrubber);
+}
+
+constexpr std::uint64_t kJunk = 0xBADC0FFEE0DDF00Dull;
+
+/// Overwrite the word at `p` (in the rig's image) with kJunk and write it
+/// back, until the junk is durable: a worker slice may repair it first.
+void corrupt_durably(testing::CrashRig& rig, std::uint8_t* p) {
+  pmem::FlushMedium& medium = rig;
+  const auto base = static_cast<std::uint8_t*>(
+      rig.runtime().allocator().region().base());
+  std::uint64_t durable = 0;
+  do {
+    std::memcpy(p, &kJunk, sizeof kJunk);
+    medium.write_back(p);
+    medium.fence();
+    std::memcpy(&durable, rig.durable_image().data() + (p - base),
+                sizeof durable);
+  } while (durable != kJunk);
+}
+
+TEST(Scrubber, RepairsACorruptHeaderAndCountsIt) {
+  runtime::Runtime rt(scrub_config("test-scrub-header"));
+  auto* base = static_cast<std::uint8_t*>(rt.allocator().region().base());
+  const std::size_t n = pmem::PmemAllocator::header_size();
+  const std::vector<std::uint8_t> good(base, base + n);
+  std::memcpy(base, &kJunk, sizeof kJunk);
+  own_slice(*rt.scrubber());
+  EXPECT_EQ(rt.scrub_stats().metadata_repairs, 1u);
+  EXPECT_EQ(rt.health().scrub_metadata_repairs, 1u);
+  EXPECT_EQ(std::memcmp(base, good.data(), n), 0);
+  rt.destroy_storage();
+}
+
+TEST(Scrubber, HeaderRepairReachesTheDurableImage) {
+  runtime::RuntimeConfig config = testing::rig_runtime_config();
+  config.scrub = true;
+  testing::CrashRig rig(config);
+  auto* base = static_cast<std::uint8_t*>(
+      rig.runtime().allocator().region().base());
+  const std::size_t n = pmem::PmemAllocator::header_size();
+  const std::vector<std::uint8_t> good(base, base + n);
+  corrupt_durably(rig, base);
+  own_slice(*rig.runtime().scrubber());
+  const std::vector<std::uint8_t> image = rig.durable_image();
+  EXPECT_EQ(std::memcmp(image.data(), good.data(), n), 0)
+      << "the repaired header never reached media";
+}
+
+TEST(Scrubber, RepairsALogMagicDurably) {
+  runtime::RuntimeConfig config = testing::rig_runtime_config();
+  config.scrub = true;
+  testing::CrashRig rig(config);
+  auto* log = static_cast<std::uint8_t*>(
+                  rig.runtime().allocator().region().base()) +
+              rig.image_log_offset(0);
+  corrupt_durably(rig, log);
+  own_slice(*rig.runtime().scrubber());
+  // Worker slices may have repaired earlier attempts of corrupt_durably.
+  EXPECT_GE(rig.runtime().scrub_stats().metadata_repairs, 1u);
+  std::uint64_t magic = 0;
+  std::memcpy(&magic, log, sizeof magic);
+  EXPECT_EQ(magic, runtime::UndoLog::kMagic);
+  std::memcpy(&magic, rig.durable_image().data() + rig.image_log_offset(0),
+              sizeof magic);
+  EXPECT_EQ(magic, runtime::UndoLog::kMagic)
+      << "the repaired log magic never reached media";
+}
+
+TEST(Scrubber, QuarantinesBadMediaLinesAndForgoesTheSeal) {
+  // One run per media: healthy media seals at shutdown; media the fault
+  // model marks bad is quarantined by the sweep, and the destructor then
+  // leaves the heap unsealed.
+  for (const bool bad_media : {false, true}) {
+    SCOPED_TRACE(bad_media ? "bad media" : "healthy media");
+    runtime::RuntimeConfig config = scrub_config("test-scrub-quarantine");
+    if (bad_media) {
+      config.fault.bad_line_rate = 0.05;
+      config.fault.seed = 7;
+    }
+    {
+      runtime::Runtime rt(config);
+      full_sweep(*rt.scrubber());
+      const runtime::ScrubStats stats = rt.scrub_stats();
+      const runtime::HealthReport health = rt.health();
+      EXPECT_EQ(health.quarantined_lines.size(), stats.media_quarantines);
+      EXPECT_EQ(health.scrub_media_quarantines, stats.media_quarantines);
+      if (bad_media) {
+        EXPECT_GT(stats.media_quarantines, 0u);
+      } else {
+        EXPECT_EQ(stats.media_quarantines, 0u);
+      }
+    }
+    {
+      const pmem::PmemRegion region =
+          pmem::PmemRegion::open(config.region_name);
+      const auto st =
+          pmem::PmemAllocator::inspect(region.base(), region.size());
+      EXPECT_EQ(st.seal_valid, !bad_media);
+    }
+    pmem::PmemRegion::destroy(config.region_name);
+  }
+}
+
+TEST(Scrubber, CountsACommittedLineCorruptedAtRest) {
+  runtime::RuntimeConfig config = scrub_config("test-scrub-at-rest");
+  config.verify_data = true;
+  runtime::Runtime rt(config);
+  auto* p = static_cast<std::uint64_t*>(rt.pm_alloc(kCacheLineSize));
+  rt.fase_begin();
+  rt.pstore(p[0], std::uint64_t{42});
+  ASSERT_TRUE(rt.fase_end());
+  full_sweep(*rt.scrubber());
+  EXPECT_EQ(rt.scrub_stats().checksum_mismatches, 0u);
+  p[0] = 43;  // flipped at rest: no store reported it
+  full_sweep(*rt.scrubber());
+  EXPECT_GE(rt.scrub_stats().checksum_mismatches, 1u);
+  EXPECT_GE(rt.health().scrub_checksum_mismatches, 1u);
+  rt.destroy_storage();
+}
+
+TEST(Scrubber, SkipsLinesOfAnOpenFase) {
+  runtime::RuntimeConfig config = scrub_config("test-scrub-open-fase");
+  config.verify_data = true;
+  runtime::Runtime rt(config);
+  auto* p = static_cast<std::uint64_t*>(rt.pm_alloc(kCacheLineSize));
+  rt.fase_begin();
+  rt.pstore(p[0], std::uint64_t{42});
+  ASSERT_TRUE(rt.fase_end());
+  // In flight: the bytes differ from the committed checksum, but the
+  // line is dirty, so no check may fire.
+  rt.fase_begin();
+  rt.pstore(p[0], std::uint64_t{43});
+  full_sweep(*rt.scrubber());
+  EXPECT_EQ(rt.scrub_stats().checksum_mismatches, 0u);
+  ASSERT_TRUE(rt.fase_end());
+  full_sweep(*rt.scrubber());
+  EXPECT_EQ(rt.scrub_stats().checksum_mismatches, 0u);
+  rt.destroy_storage();
+}
+
+TEST(Scrubber, PassesAdvanceAfterAFullSweep) {
+  const runtime::RuntimeConfig config = scrub_config("test-scrub-passes");
+  runtime::Runtime rt(config);
+  const std::size_t lines = config.region_size / kCacheLineSize;
+  const std::size_t slices =
+      (lines + runtime::Scrubber::kBatchLines - 1) /
+      runtime::Scrubber::kBatchLines;
+  for (std::size_t i = 0; i < slices; ++i) own_slice(*rt.scrubber());
+  EXPECT_GE(rt.scrub_stats().passes, 1u);
+  EXPECT_GE(rt.scrub_stats().lines_scanned, lines);
+  rt.destroy_storage();
+}
+
+TEST(Scrubber, ShutdownStopsSlices) {
+  runtime::Runtime rt(scrub_config("test-scrub-shutdown"));
+  own_slice(*rt.scrubber());
+  rt.scrubber()->shutdown();
+  const std::uint64_t slices = rt.scrub_stats().slices;
+  EXPECT_FALSE(rt.scrubber()->step());
+  // The flush worker idles every 200 us: give it many chances.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(rt.scrub_stats().slices, slices);
+  rt.destroy_storage();
+}
+
+TEST(VerifyStage, RecoverFlagsACorruptedCommittedLine) {
+  runtime::RuntimeConfig config;
+  config.region_name = "test-verify-stage";
+  config.region_size = 64u << 10;
+  config.flush = pmem::FlushKind::kCountOnly;
+  config.max_threads = 1;
+  config.undo_logging = true;
+  config.log_segment_size = 32u << 10;
+  config.verify_data = true;
+  runtime::Runtime rt(config);
+  auto* p = static_cast<std::uint64_t*>(rt.pm_alloc(kCacheLineSize));
+  rt.fase_begin();
+  rt.pstore(p[0], std::uint64_t{42});
+  ASSERT_TRUE(rt.fase_end());
+  rt.recover();
+  EXPECT_EQ(rt.last_recovery().data_lines_failed_verify, 0u);
+  p[0] = 43;  // flipped at rest
+  rt.recover();
+  const runtime::RecoveryReport report = rt.last_recovery();
+  EXPECT_EQ(report.data_lines_failed_verify, 1u);
+  ASSERT_FALSE(report.defects.empty());
+  EXPECT_NE(report.defects.back().find("fails its commit-time checksum"),
+            std::string::npos);
+  rt.destroy_storage();
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Crash-state fuzzer for the durable structure suite (`ctest -L
 // structures` / `-L fuzz`): seeded turnstile interleavings over
-// ShadowPSpace, a power-cut sweep across the shared event clock, and the
+// a PSpace over pmem::ShadowPmem, a power-cut sweep across the shared event clock, and the
 // durable-linearizability oracle on every cut.
 //
 // For each (structure, seed):
@@ -33,6 +33,7 @@
 
 #include "common/env.hpp"
 #include "common/rng.hpp"
+#include "pmem/shadow.hpp"
 #include "structures/durable_map.hpp"
 #include "structures/durable_queue.hpp"
 #include "structures/durable_skiplist.hpp"
@@ -48,7 +49,7 @@ using nvc::Rng;
 using nvc::structures::DurableMap;
 using nvc::structures::DurableQueue;
 using nvc::structures::DurableSkiplist;
-using nvc::structures::ShadowPSpace;
+using nvc::structures::PSpace;
 using nvc::testing::check_durable;
 using nvc::testing::check_linearizable;
 using nvc::testing::HistoryRecorder;
@@ -86,12 +87,13 @@ struct RunOutcome {
 template <typename MakeStructure, typename OpBody>
 RunOutcome run_case(std::uint64_t seed, std::uint64_t freeze,
                     bool bug_early_untag, MakeStructure make, OpBody op_body) {
-  ShadowPSpace ps(512 * 1024, elide_enabled());
+  nvc::pmem::ShadowPmem shadow(512 * 1024);
+  shadow.freeze_at(freeze);
+  PSpace ps(shadow.size(), elide_enabled(), &shadow);
   ps.set_bug_early_untag(bug_early_untag);
-  ps.freeze_at(freeze);
   InterleaveScheduler sched(seed);
   ps.set_yield_hook(sched.hook());
-  HistoryRecorder rec(kThreads, [&ps] { return ps.claim_event(); });
+  HistoryRecorder rec(kThreads, [&shadow] { return shadow.claim_event(); });
 
   auto structure = make(ps);
   std::vector<std::function<void(std::size_t)>> bodies;
@@ -106,7 +108,7 @@ RunOutcome run_case(std::uint64_t seed, std::uint64_t freeze,
   sched.run(bodies);
 
   RunOutcome out;
-  out.events = ps.events();
+  out.events = shadow.events();
   out.elisions = ps.helper_elisions();
   out.table_pending = ps.table().pending_count();
   out.history = rec.cut(freeze == kNoFreeze ? out.events + 1 : freeze);
@@ -116,7 +118,7 @@ RunOutcome run_case(std::uint64_t seed, std::uint64_t freeze,
 
 // Thin adapters so run_case can stay structure-agnostic.
 struct QueueUnderTest {
-  explicit QueueUnderTest(ShadowPSpace& ps) : q(ps) {}
+  explicit QueueUnderTest(PSpace& ps) : q(ps) {}
   DurableQueue q;
   void fill_recovered(RunOutcome& out) const {
     for (const std::uint64_t v : q.recovered_contents()) {
@@ -126,7 +128,7 @@ struct QueueUnderTest {
 };
 
 struct MapUnderTest {
-  explicit MapUnderTest(ShadowPSpace& ps) : m(ps, 8) {}
+  explicit MapUnderTest(PSpace& ps) : m(ps, 8) {}
   DurableMap m;
   void fill_recovered(RunOutcome& out) const {
     for (const auto& [k, v] : m.recovered_contents()) {
@@ -136,7 +138,7 @@ struct MapUnderTest {
 };
 
 struct SkiplistUnderTest {
-  explicit SkiplistUnderTest(ShadowPSpace& ps) : sl(ps) {}
+  explicit SkiplistUnderTest(PSpace& ps) : sl(ps) {}
   DurableSkiplist sl;
   void fill_recovered(RunOutcome& out) const {
     for (const auto& [k, v] : sl.recovered_contents()) {
@@ -263,7 +265,7 @@ void sweep_structure(const char* name, MakeStructure make, OpBody op_body,
 TEST(StructFuzz, QueueSurvivesEveryPowerCut) {
   sweep_structure<QueueModel>(
       "queue",
-      [](ShadowPSpace& ps) { return std::make_unique<QueueUnderTest>(ps); },
+      [](PSpace& ps) { return std::make_unique<QueueUnderTest>(ps); },
       [](QueueUnderTest& s, HistoryRecorder& rec, std::size_t t,
          std::size_t k, Rng& rng) { queue_op(s, rec, t, k, rng); },
       &RunOutcome::queue_recovered);
@@ -272,7 +274,7 @@ TEST(StructFuzz, QueueSurvivesEveryPowerCut) {
 TEST(StructFuzz, MapSurvivesEveryPowerCut) {
   sweep_structure<MapModel>(
       "map",
-      [](ShadowPSpace& ps) { return std::make_unique<MapUnderTest>(ps); },
+      [](PSpace& ps) { return std::make_unique<MapUnderTest>(ps); },
       [](MapUnderTest& s, HistoryRecorder& rec, std::size_t t, std::size_t k,
          Rng& rng) { map_like_op(s.m, rec, t, k, rng); },
       &RunOutcome::map_recovered);
@@ -281,7 +283,7 @@ TEST(StructFuzz, MapSurvivesEveryPowerCut) {
 TEST(StructFuzz, SkiplistSurvivesEveryPowerCut) {
   sweep_structure<MapModel>(
       "skiplist",
-      [](ShadowPSpace& ps) {
+      [](PSpace& ps) {
         return std::make_unique<SkiplistUnderTest>(ps);
       },
       [](SkiplistUnderTest& s, HistoryRecorder& rec, std::size_t t,
@@ -306,7 +308,7 @@ TEST(StructFuzz, SeededElisionBugIsCaught) {
     // seed x freeze campaign to guarantee the violating schedule exists.
     GTEST_SKIP() << "NVC_FUZZ_* replay pin active";
   }
-  auto make = [](ShadowPSpace& ps) {
+  auto make = [](PSpace& ps) {
     return std::make_unique<QueueUnderTest>(ps);
   };
   auto body = [](QueueUnderTest& s, HistoryRecorder& rec, std::size_t t,
