@@ -77,9 +77,7 @@ core::PolicyConfig default_policy_config() {
   // selection is applied at the next FASE boundary (see DESIGN.md).
   config.sampler.async_analysis = env_int("NVC_ASYNC", 0) != 0;
   // NVC_ADMIT=always|write-once|reuse selects the write-admission policy
-  // (DESIGN.md §12); NVC_ADMIT_WINDOW sizes the doorkeeper tag table and
-  // NVC_ADMIT_THRESHOLD sets the hit-ratio bound below which the reuse
-  // verdict arms the bypass.
+  // (DESIGN.md §12).
   const std::string admit = env_str("NVC_ADMIT", "always");
   if (const auto mode = core::parse_admit_mode(admit)) {
     config.admission.mode = *mode;
@@ -87,10 +85,6 @@ core::PolicyConfig default_policy_config() {
     std::fprintf(stderr, "NVC_ADMIT: unknown mode '%s' (want always|write-once|reuse)\n",
                  admit.c_str());
   }
-  config.admission.window = static_cast<std::size_t>(env_int(
-      "NVC_ADMIT_WINDOW", static_cast<std::int64_t>(config.admission.window)));
-  config.admission.reuse_threshold =
-      env_double("NVC_ADMIT_THRESHOLD", config.admission.reuse_threshold);
   return config;
 }
 
@@ -114,11 +108,9 @@ LiveResult run_live(const std::string& workload, core::PolicyKind kind,
   config.simulated_flush_ns =
       static_cast<std::uint32_t>(env_int("NVC_FLUSH_NS", 250));
   // NVC_FLUSH_ASYNC=1 routes data-line write-backs through the flush-behind
-  // pipeline (DESIGN.md §8); NVC_FLUSH_QUEUE sets the per-thread ring depth.
+  // pipeline (DESIGN.md §8), which also elides write-backs of lines already
+  // queued (DESIGN.md §13).
   config.async_flush = env_int("NVC_FLUSH_ASYNC", 0) != 0;
-  config.flush_queue_depth = static_cast<std::size_t>(
-      env_int("NVC_FLUSH_QUEUE",
-              static_cast<std::int64_t>(config.flush_queue_depth)));
   // NVC_LOG=1 turns on durable undo logging; NVC_LOG_SYNC=strict|batched
   // picks the durability protocol (DESIGN.md §7).
   config.undo_logging = env_int("NVC_LOG", 0) != 0;
@@ -130,10 +122,6 @@ LiveResult run_live(const std::string& workload, core::PolicyKind kind,
   // NVC_WEAR=1 attaches the endurance tracker: per-line media write counts
   // surfaced as wear statistics in RuntimeStats/HealthReport (DESIGN.md §12).
   config.wear_tracking = env_int("NVC_WEAR", 0) != 0;
-  // NVC_ELIDE=1 arms FliT-style flush elision: a shared per-line
-  // pending-counter table dedups already-scheduled write-backs across
-  // contexts (DESIGN.md §13).
-  config.elide = env_int("NVC_ELIDE", 0) != 0;
   // NVC_VERIFY_DATA=1 publishes a CRC32C per committed data line; the
   // recovery pipeline's verify stage and the scrubber check against it.
   // NVC_SCRUB=1 registers the online scrubber on the flush worker's idle

@@ -292,8 +292,6 @@ void apply_flush_env(runtime::RuntimeConfig& config) {
   config.flush = flush_kind_from_env();
   config.simulated_flush_ns = static_cast<std::uint32_t>(
       env_int("NVC_FLUSH_NS", config.simulated_flush_ns));
-  config.flush_queue_depth = static_cast<std::size_t>(env_int(
-      "NVC_FLUSH_QUEUE", static_cast<std::int64_t>(config.flush_queue_depth)));
 }
 
 void run_pstore_fase(benchmark::State& state, bool fault_idle) {
@@ -623,8 +621,6 @@ void BM_FlushPipelineFase(benchmark::State& state) {
   config.flush = pmem::FlushKind::kSimulated;
   config.simulated_flush_ns =
       static_cast<std::uint32_t>(env_int("NVC_FLUSH_NS", 100));
-  config.flush_queue_depth = static_cast<std::size_t>(env_int(
-      "NVC_FLUSH_QUEUE", static_cast<std::int64_t>(config.flush_queue_depth)));
   config.async_flush = async;
   config.undo_logging = true;
   config.log_sync = runtime::LogSyncMode::kBatched;

@@ -16,9 +16,10 @@
 #                                 case count checked against tier-1)
 #                               + tsan pass of the concurrency suites (the
 #                                 `tsan` label: flush-behind ring with N
-#                                 producers and helping drains, async
-#                                 analysis, durable structures;
-#                                 `ctest --preset tsan`)
+#                                 producers and helping drains, flush
+#                                 elision with real threads and a real
+#                                 worker, async analysis, durable
+#                                 structures; `ctest --preset tsan`)
 #                               + the bench regression gate when a fresh
 #                                 BENCH_micro.json exists at the repo root
 #   scripts/check.sh --e2e      the above + the end-to-end benchmark built

@@ -158,15 +158,19 @@ class FlushElisionTable {
   std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;
   /// Shared conservative fallback: collisions and overflow count here, so
   /// pending() stays true for every line while any fallback tag is live.
-  std::atomic<std::uint64_t> shared_{0};
+  /// Every pending() probe reads it, and the dedup face never writes it,
+  /// so it sits apart from the counters the announcing threads write.
+  alignas(kCacheLineSize) std::atomic<std::uint64_t> shared_{0};
   bool bug_revert_retire_ = false;
 
-  mutable std::atomic<std::uint64_t> tags_{0};
+  alignas(kCacheLineSize) mutable std::atomic<std::uint64_t> tags_{0};
   mutable std::atomic<std::uint64_t> announces_{0};
   mutable std::atomic<std::uint64_t> owners_{0};
   mutable std::atomic<std::uint64_t> elisions_{0};
-  mutable std::atomic<std::uint64_t> retires_{0};
   mutable std::atomic<std::uint64_t> collisions_{0};
+  /// Written by whichever thread executes a write-back (the flush worker,
+  /// behind a ring), so apart from the announcers' counters.
+  alignas(kCacheLineSize) mutable std::atomic<std::uint64_t> retires_{0};
 };
 
 }  // namespace nvc::core

@@ -1,27 +1,27 @@
 // FlushSink decorators around FlushElisionTable's scheduling-dedup face
-// (DESIGN.md §13).
+// (DESIGN.md §13). Elision is part of flush-behind: both decorators sit
+// around the flush-behind ring and nowhere else.
 //
 // ElidingSink sits on the application-thread write-back path, directly
 // below the LogOrderedSink (the log sync for a data line must run whether
 // or not the media write is elided — the log-before-data invariant of §7
-// is decided above this layer). It consults announce() per line: owners
-// forward to the inner sink (a synchronous backend sink, or the
-// AsyncFlushSink feeding the flush-behind ring), elided lines are skipped
-// and remembered. drain() — the commit-point barrier — re-checks every
-// line elided since the last drain: one still pending means the owning
-// write-back has not started yet (it may live in another thread's ring,
-// which our drain ticket does not cover), so the line is flushed locally
-// before the commit proceeds. This closes the cross-thread durability
-// hole under the same in-model assumption as §7/§8: an *issued*
-// write-back is durable (simulated/shadow backends; eADR-class hardware
-// where the flush is ordering-only).
+// is decided above this layer) and above the AsyncFlushSink feeding the
+// ring. It consults announce() per line: owners forward to the ring,
+// elided lines are skipped and remembered. drain() — the commit-point
+// barrier — re-checks every line elided since the last drain: one still
+// pending means the owning write-back has not started yet (it may live in
+// another thread's ring, which our drain ticket does not cover), so the
+// line is written back and drained before the commit proceeds. This closes
+// the cross-thread durability hole under the same in-model assumption as
+// §7/§8: an *issued* write-back is durable (simulated/shadow backends;
+// eADR-class hardware where the flush is ordering-only).
 //
 // RetiringSink is the executor-side counterpart: it retires the line
 // immediately BEFORE forwarding to the real write-back — the
 // decrement-before-write order the table's soundness argument requires.
-// In the flush-behind composition it wraps the worker-side sink inside
-// the FlushChannel (below the ring, above FaultTolerantSink/IssueSink);
-// in the synchronous composition ElidingSink retires inline.
+// It wraps the worker-side sink inside the FlushChannel (below the ring,
+// above FaultTolerantSink/IssueSink) and the ring's overflow path, the
+// two places an owner's write-back executes.
 #pragma once
 
 #include <algorithm>
@@ -42,7 +42,7 @@ class RetiringSink final : public FlushSink {
       : owned_(std::move(inner)), inner_(owned_.get()),
         table_(std::move(table)) {}
 
-  /// Non-owning inner (application-thread/rig paths).
+  /// Non-owning inner (the ring's overflow path).
   RetiringSink(FlushSink* inner, std::shared_ptr<FlushElisionTable> table)
       : inner_(inner), table_(std::move(table)) {}
 
@@ -61,32 +61,22 @@ class RetiringSink final : public FlushSink {
 /// Producer-side decorator: skip write-backs that are already scheduled.
 class ElidingSink final : public FlushSink {
  public:
-  /// `immediate`: the inner sink executes the write-back synchronously
-  /// inside flush_line (no ring below), so the owner retires inline right
-  /// before forwarding. With a ring below (AsyncFlushSink inner), pass
-  /// false and wrap the worker-side sink in a RetiringSink instead.
-  ElidingSink(FlushSink* inner, std::shared_ptr<FlushElisionTable> table,
-              bool immediate)
-      : inner_(inner), table_(std::move(table)), immediate_(immediate) {}
+  /// `inner` queues the write-back (the AsyncFlushSink); whatever
+  /// executes it retires the line through a RetiringSink.
+  ElidingSink(FlushSink* inner, std::shared_ptr<FlushElisionTable> table)
+      : inner_(inner), table_(std::move(table)) {}
 
   bool flush_line(LineAddr line) override {
-    switch (table_->announce(line)) {
-      case FlushElisionTable::Announce::kOwner:
-        if (immediate_) table_->retire(line);
-        return inner_->flush_line(line);
-      case FlushElisionTable::Announce::kElided:
-        if (elided_.size() >= kMaxTracked) {
-          // Tracking full (drain is overdue): stop eliding rather than
-          // lose the commit-time re-check for this line.
-          return inner_->flush_line(line);
-        }
-        elided_.push_back(line);
-        elided_count_++;
-        return true;
-      case FlushElisionTable::Announce::kUntracked:
-        return inner_->flush_line(line);
+    // Owners and untracked announces schedule their own write-back. With
+    // tracking full (drain is overdue) an elider schedules one too rather
+    // than lose the commit-time re-check for this line.
+    if (table_->announce(line) != FlushElisionTable::Announce::kElided ||
+        elided_.size() >= kMaxTracked) {
+      return inner_->flush_line(line);
     }
-    return inner_->flush_line(line);  // unreachable
+    elided_.push_back(line);
+    elided_count_++;
+    return true;
   }
 
   void drain() override {
@@ -98,8 +88,8 @@ class ElidingSink final : public FlushSink {
     for (const LineAddr line : elided_) {
       // Still pending at the barrier: the owning write-back has not started
       // (or the retire was lost — the seeded-bug dimension), so our bytes
-      // are not on their way to the media. Flush locally, bypassing the
-      // table: correctness beats a duplicate write here.
+      // are not on their way to the media. Write it back without
+      // announcing: correctness beats a duplicate write here.
       if (table_->pending(line)) {
         inner_->flush_line(line);
         reflushed = true;
@@ -120,7 +110,6 @@ class ElidingSink final : public FlushSink {
 
   FlushSink* inner_;
   std::shared_ptr<FlushElisionTable> table_;
-  bool immediate_;
   /// Lines elided since the last drain (producer-thread private).
   std::vector<LineAddr> elided_;
   std::uint64_t elided_count_ = 0;

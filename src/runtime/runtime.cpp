@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstring>
 #include <unordered_map>
 
@@ -96,12 +95,12 @@ Runtime::Runtime(RuntimeConfig config, Medium* medium)
   // Contexts hash admission-doorkeeper slots, and the elision table its
   // slots, relative to the region base, so their decisions replay
   // bit-for-bit across processes (ASLR moves the mapping; line offsets
-  // within the region do not).
+  // within the region do not). Elision rides flush-behind (DESIGN.md §13).
   const LineAddr base_line =
       reinterpret_cast<std::uintptr_t>(allocator_->region().base()) /
       kCacheLineSize;
   config_.policy_config.admission.line_base = base_line;
-  if (config_.elide) {
+  if (config_.async_flush) {
     elision_ = std::make_shared<core::FlushElisionTable>(
         core::FlushElisionTable::kDefaultSlots, base_line);
   }
@@ -207,14 +206,10 @@ WriteBackSpec Runtime::route_spec(core::FlushSink* sync_sink,
   WriteBackSpec spec;
   spec.sync_sink = sync_sink;
   spec.log = log;
-  spec.elision = elision_;
   spec.arm_faults(injector_.get(), config_.fault);
   if (config_.async_flush) {
-    // The depth arrives from NVC_FLUSH_QUEUE in the harness: clamp it to a
-    // sane range and round up to the power of two the ring requires,
-    // instead of aborting on a typo.
-    spec.ring_depth = std::bit_ceil(std::clamp<std::size_t>(
-        config_.flush_queue_depth, 8, std::size_t{1} << 20));
+    spec.elision = elision_;
+    spec.ring_depth = config_.flush_queue_depth;
     spec.manual_channel = medium_ != nullptr && medium_->manual_flush();
     // Posted write-backs on a private backend. It shares ownership of the
     // injector and tracker (the channel may outlive the Runtime); the
@@ -376,12 +371,15 @@ void Runtime::pstore(void* dst, const void* src, std::size_t len) {
     const auto a = reinterpret_cast<PmAddr>(dst);
     c.route.order_store(line_of(a), line_of(a + len - 1));
   }
+  // Dirty before the write: a scrub slice between the two would otherwise
+  // check new bytes against the old commit's checksum.
+  if (verify_table_ != nullptr) mark_dirty(c, dst, len);
   if (medium_ != nullptr) {
     medium_->store(dst, src, len);
   } else {
     std::memcpy(dst, src, len);
   }
-  pwrote_in(c, dst, len);
+  report(c, dst, len);
 }
 
 void Runtime::persist_barrier() {
@@ -394,31 +392,33 @@ void Runtime::persist_barrier() {
 
 void Runtime::pwrote(const void* addr, std::size_t len) {
   NVC_REQUIRE(len > 0);
-  pwrote_in(ctx(), addr, len);
+  ThreadContext& c = ctx();
+  if (verify_table_ != nullptr) mark_dirty(c, addr, len);
+  report(c, addr, len);
 }
 
-void Runtime::pwrote_in(ThreadContext& c, const void* addr, std::size_t len) {
+void Runtime::mark_dirty(ThreadContext& c, const void* addr,
+                         std::size_t len) {
+  // NVC_VERIFY_DATA: dirty every touched line (suppressing scrub checks
+  // while content is in flight). Lines touched inside a FASE are recorded
+  // so fase_end can publish their checksums at the commit point; stores
+  // outside any FASE leave the line permanently dirty — there is no commit
+  // whose content a checksum could vouch for.
   const auto a = reinterpret_cast<PmAddr>(addr);
-  const LineAddr first = line_of(a);
-  const LineAddr last = line_of(a + len - 1);
-  if (verify_table_ != nullptr) {
-    // NVC_VERIFY_DATA: dirty every touched line (suppressing scrub checks
-    // while content is in flight). Lines touched inside a FASE are recorded
-    // so fase_end can publish their checksums at the commit point; stores
-    // outside any FASE leave the line permanently dirty — there is no commit
-    // whose content a checksum could vouch for.
-    const auto base = reinterpret_cast<PmAddr>(allocator_->region().base());
-    if (a >= base && a + len <= base + allocator_->region().size()) {
-      const LineAddr base_line = line_of(base);
-      for (LineAddr line = first; line <= last; ++line) {
-        const auto idx = static_cast<std::size_t>(line - base_line);
-        verify_table_->mark_dirty(idx);
-        if (c.fase_depth > 0) c.touched_lines.push_back(idx);
-      }
-    }
+  const auto base = reinterpret_cast<PmAddr>(allocator_->region().base());
+  if (a < base || a + len > base + allocator_->region().size()) return;
+  const LineAddr base_line = line_of(base);
+  for (LineAddr line = line_of(a); line <= line_of(a + len - 1); ++line) {
+    const auto idx = static_cast<std::size_t>(line - base_line);
+    verify_table_->mark_dirty(idx);
+    if (c.fase_depth > 0) c.touched_lines.push_back(idx);
   }
+}
+
+void Runtime::report(ThreadContext& c, const void* addr, std::size_t len) {
+  const auto a = reinterpret_cast<PmAddr>(addr);
   core::FlushSink& sink = c.route.sink();
-  for (LineAddr line = first; line <= last; ++line) {
+  for (LineAddr line = line_of(a); line <= line_of(a + len - 1); ++line) {
     c.policy->on_store(line, sink);
   }
 }

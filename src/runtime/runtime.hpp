@@ -59,9 +59,13 @@ struct RuntimeConfig {
   /// enqueued to the shared background FlushWorker instead of executing on
   /// the application thread; commit points (drain) wait on a completion
   /// ticket. Synchronous flushing stays the default (DESIGN.md §8).
+  /// Flush-behind carries FliT-style flush elision (DESIGN.md §13): one
+  /// shared core::FlushElisionTable skips an eviction of a line whose
+  /// write-back is already queued and not yet started, and every
+  /// commit-point drain re-checks its elided lines.
   bool async_flush = false;
-  /// Per-thread flush ring capacity in lines (NVC_FLUSH_QUEUE; power of
-  /// two). A full ring falls back to a synchronous local flush.
+  /// Per-thread flush ring capacity in lines (a power of two). A full ring
+  /// falls back to a synchronous local flush.
   std::size_t flush_queue_depth = 1024;
 
   /// Durable undo logging (off for pure flush-counting experiments).
@@ -87,13 +91,6 @@ struct RuntimeConfig {
   /// and per-line wear. Off by default: the write-back hot path then keeps
   /// a single null-pointer test.
   bool wear_tracking = false;
-
-  /// FliT-style flush elision (NVC_ELIDE=1, DESIGN.md §13): one shared
-  /// core::FlushElisionTable dedups scheduled write-backs across contexts —
-  /// an eviction of a line whose write-back is already announced and not
-  /// yet started is skipped, and every commit-point drain re-checks its
-  /// elided lines. Off by default: the write-back route has no elide stage.
-  bool elide = false;
 
   /// Commit-granularity data verification (NVC_VERIFY_DATA=1, DESIGN.md
   /// §14): every FASE commit publishes a CRC32C per touched data line into
@@ -132,7 +129,7 @@ struct RuntimeStats {
   std::uint64_t log_degrades = 0;      // contexts latched batched -> strict
   // Write admission (NVC_ADMIT; zero under the default `always` mode):
   std::uint64_t bypassed_stores = 0;   // stores written through past a cache
-  // Flush elision (NVC_ELIDE=1; zero when off):
+  // Flush elision (flush-behind only; zero under synchronous flushing):
   std::uint64_t elided_flushes = 0;     // scheduled write-backs skipped
   std::uint64_t elision_reflushes = 0;  // drain re-checks that flushed
   // Endurance accounting (NVC_WEAR=1; all zero when tracking is off):
@@ -294,7 +291,7 @@ class Runtime {
   const std::shared_ptr<pmem::FaultInjector>& fault_injector() const noexcept {
     return injector_;
   }
-  /// The shared flush-elision table (null unless config.elide).
+  /// The shared flush-elision table (null unless config.async_flush).
   const std::shared_ptr<core::FlushElisionTable>& elision_table()
       const noexcept {
     return elision_;
@@ -319,7 +316,11 @@ class Runtime {
   /// Write the heap header back (format, reopen, set_root, seal): the
   /// allocator only mutates the mapping.
   void persist_header();
-  void pwrote_in(ThreadContext& c, const void* addr, std::size_t len);
+  /// Dirty the verify-table lines of [addr, addr+len) (needs the
+  /// NVC_VERIFY_DATA table). pstore calls it before its data write.
+  void mark_dirty(ThreadContext& c, const void* addr, std::size_t len);
+  /// Report [addr, addr+len) to the policy, line by line.
+  void report(ThreadContext& c, const void* addr, std::size_t len);
   /// Publish commit-time checksums for the FASE's touched lines
   /// (NVC_VERIFY_DATA; no-op otherwise).
   void publish_commit(ThreadContext& c);
@@ -335,9 +336,9 @@ class Runtime {
   /// Endurance accounting (null unless config_.wear_tracking). Shared for
   /// the same lifetime reason: worker-side backends hold a reference.
   std::shared_ptr<pmem::WearTracker> wear_;
-  /// Flush-elision table (null unless config_.elide). One table for all
-  /// contexts — cross-thread dedup is the point — and shared because the
-  /// worker-side retire stage inside a FlushChannel may outlive us.
+  /// Flush-elision table (null unless config_.async_flush). One table for
+  /// all contexts — cross-thread dedup is the point — and shared because
+  /// the worker-side retire stage inside a FlushChannel may outlive us.
   std::shared_ptr<core::FlushElisionTable> elision_;
   std::unique_ptr<pmem::PmemAllocator> allocator_;
   pmem::PmemRegion log_region_;

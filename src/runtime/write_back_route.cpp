@@ -21,6 +21,8 @@ WriteBackRoute::WriteBackRoute(WriteBackSpec spec)
       degrade_after_(spec.degrade_after),
       sync_(spec.sync_sink) {
   NVC_REQUIRE(sync_ != nullptr);
+  NVC_REQUIRE((elision_ != nullptr) == (spec.worker_sink != nullptr),
+              "flush elision rides the flush-behind ring");
   if (faults_ != nullptr) {
     retry_sync_ =
         std::make_unique<core::FaultTolerantSink>(sync_, faults_, spec.retry);
@@ -43,10 +45,8 @@ WriteBackRoute::WriteBackRoute(WriteBackSpec spec)
       worker = std::make_unique<core::FaultTolerantSink>(std::move(worker),
                                                          faults_, spec.retry);
     }
-    if (elision_ != nullptr) {
-      worker = std::make_unique<core::RetiringSink>(std::move(worker),
-                                                    elision_);
-    }
+    worker =
+        std::make_unique<core::RetiringSink>(std::move(worker), elision_);
     core::FlushWorker& flusher = core::FlushWorker::shared();
     channel_ =
         spec.manual_channel
@@ -54,21 +54,11 @@ WriteBackRoute::WriteBackRoute(WriteBackSpec spec)
             : flusher.open_channel(std::move(worker), spec.ring_depth);
     // A full ring writes back locally, bypassing the worker-side retire:
     // that owner path must retire too.
-    core::FlushSink* overflow = sync_;
-    if (elision_ != nullptr) {
-      retire_overflow_ = std::make_unique<core::RetiringSink>(sync_, elision_);
-      overflow = retire_overflow_.get();
-    }
-    async_ = std::make_unique<core::AsyncFlushSink>(channel_, overflow,
-                                                    spec.device);
+    retire_overflow_ = std::make_unique<core::RetiringSink>(sync_, elision_);
+    async_ = std::make_unique<core::AsyncFlushSink>(
+        channel_, retire_overflow_.get(), spec.device);
     ring_ = async_.get();
-    data = ring_;
-  }
-  if (elision_ != nullptr) {
-    // Without a ring the owner's write-back runs inside flush_line, so it
-    // retires inline.
-    eliding_ = std::make_unique<core::ElidingSink>(
-        data, elision_, /*immediate=*/ring_ == nullptr);
+    eliding_ = std::make_unique<core::ElidingSink>(ring_, elision_);
     data = eliding_.get();
   }
   if (log_ != nullptr) {
@@ -84,10 +74,10 @@ void WriteBackRoute::maybe_degrade() {
     return;
   }
   if (ring_ != nullptr) {
-    // Async->sync: drain so no line is stranded behind the reroute, then
-    // bypass ring and elision for good — a failing medium wants fewer
-    // write-backs in flight, and none deduped away.
-    ring_->drain();
+    // Async->sync: drain (re-checking elided lines) so no line is stranded
+    // behind the reroute, then bypass ring and elision for good — a failing
+    // medium wants fewer write-backs in flight, and none deduped away.
+    eliding_->drain();
     ring_ = nullptr;
     if (log_ != nullptr) {
       degraded_ = std::make_unique<core::LogOrderedSink>(sync_, log_);

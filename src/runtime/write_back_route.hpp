@@ -4,15 +4,19 @@
 // A policy sees one FlushSink — route.sink(). Behind it sit the stages the
 // configuration asks for, in this fixed order:
 //
-//   application side   log-order -> elide -> ring push | sync write-back
-//                      -> retry/quarantine -> media
+//   application side   log-order -> elide -> ring push
+//                                 | sync write-back -> retry/quarantine
+//                                   -> media
 //   worker side        retire -> retry/quarantine -> issue
 //   (inside the FlushChannel)
 //
-// A stage that is off is never constructed: the bare synchronous route is
-// the caller's sync sink itself. sink() returns one cached pointer, and the
-// async->sync degradation latch swaps it exactly once, to the degraded
-// route (log-order over the retrying sync path, skipping ring and elision).
+// Flush elision is part of flush-behind: the elide stage and both retire
+// stages (worker side, and the ring's overflow to the sync path) exist
+// exactly when the ring does. A stage that is off is never constructed:
+// the bare synchronous route is the caller's sync sink itself. sink()
+// returns one cached pointer, and the async->sync degradation latch swaps
+// it exactly once, to the degraded route (log-order over the retrying sync
+// path, skipping ring and elision).
 // The route also owns the degradation and commit-suspension latches, the
 // write-after-enqueue hazard check a pstore runs before its data write, the
 // channel's pump/wait hooks, and the elision and ring counters.
@@ -36,8 +40,9 @@ struct WriteBackSpec {
   /// Application-side synchronous data sink (not owned; must outlive the
   /// route). Ring overflow and the degraded route write back through it.
   core::FlushSink* sync_sink = nullptr;
-  /// Worker-side base sink. Non-null turns the flush-behind ring on; the
-  /// channel takes ownership, because it may outlive the route.
+  /// Worker-side base sink. Non-null turns the flush-behind ring, and with
+  /// it flush elision, on; the channel takes ownership, because it may
+  /// outlive the route.
   std::unique_ptr<core::FlushSink> worker_sink;
   std::size_t ring_depth = core::FlushWorker::kDefaultQueueDepth;  // pow2
   /// Open a channel the worker never sweeps (deterministic tests).
@@ -45,7 +50,7 @@ struct WriteBackSpec {
   core::FlushDeviceModel device;
   /// Undo log of this context (not owned). Null: no log-order stage.
   UndoLog* log = nullptr;
-  /// Shared flush-elision table. Null: no elide/retire stages.
+  /// Shared flush-elision table: required with a ring, refused without.
   std::shared_ptr<core::FlushElisionTable> elision;
   /// Fault accounting. Non-null arms the retry/quarantine stages and the
   /// latches (see arm_faults).

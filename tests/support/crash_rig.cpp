@@ -61,7 +61,8 @@ CrashRig::CrashRig(runtime::RuntimeConfig config, const CrashRigConfig& medium)
   }
   elision_ = rt_->elision_table();
   if (medium_.elide_bug_revert_retire) {
-    NVC_REQUIRE(elision_ != nullptr, "the seeded elision bug needs elide");
+    NVC_REQUIRE(elision_ != nullptr,
+                "the seeded elision bug needs async_flush");
     elision_->set_bug_revert_retire(true);
   }
   // Media faults start with the script.

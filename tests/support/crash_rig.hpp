@@ -36,8 +36,8 @@ struct CrashRigConfig {
   /// With RuntimeConfig::async_flush: manual channels, written back only
   /// by pump_flush() and the helping drain (the fuzzer's configuration).
   bool manual_pipeline = false;
-  /// Checker validation (needs RuntimeConfig::elide): arm the elision
-  /// table's seeded "reverted flush-pending decrement" bug.
+  /// Checker validation (needs RuntimeConfig::async_flush): arm the
+  /// elision table's seeded "reverted flush-pending decrement" bug.
   bool elide_bug_revert_retire = false;
 };
 
@@ -118,8 +118,9 @@ class CrashRig final : public runtime::Medium {
   runtime::Runtime& runtime() noexcept { return *rt_; }
   /// Counters of runtime(): read them before recovered_data().
   runtime::RuntimeStats stats() const { return rt_->stats(); }
-  /// The original Runtime's elision table (null unless elide), kept past
-  /// the restart so quiescence can be checked after the teardown drain.
+  /// The original Runtime's elision table (null unless async_flush), kept
+  /// past the restart so quiescence can be checked after the teardown
+  /// drain.
   const core::FlushElisionTable* elision_table() const noexcept {
     return elision_.get();
   }

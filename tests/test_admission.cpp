@@ -387,10 +387,9 @@ TEST(WearTracker, BypassedStoresSurfaceInRuntimeStats) {
 
 namespace {
 
-/// Fixed multi-threaded store schedule; returns (media_line_writes,
-/// media_bytes_written) from the shared tracker.
-std::pair<std::uint64_t, std::uint64_t> wear_run(const std::string& name,
-                                                 bool async_flush) {
+/// Fixed multi-threaded store schedule; returns the stats with the shared
+/// tracker's media_line_writes and media_bytes_written.
+runtime::RuntimeStats wear_run(const std::string& name, bool async_flush) {
   runtime::RuntimeConfig config;
   config.region_name = name;
   config.flush = pmem::FlushKind::kCountOnly;
@@ -431,7 +430,7 @@ std::pair<std::uint64_t, std::uint64_t> wear_run(const std::string& name,
 
   const runtime::RuntimeStats s = rt.stats();
   rt.destroy_storage();
-  return {s.media_line_writes, s.media_bytes_written};
+  return s;
 }
 
 }  // namespace
@@ -439,16 +438,25 @@ std::pair<std::uint64_t, std::uint64_t> wear_run(const std::string& name,
 TEST(WearFlushBehind, CountersAreExactAndDeterministicUnderFlushBehind) {
   // Exactly-once flush traffic (DESIGN.md §8) means the media sees the same
   // write-backs whether lines drain synchronously or through the flush
-  // worker and helping drains, and the release-published tracker totals
-  // must agree run to run.
-  const auto sync_run = wear_run("test-admit-wear-sync", false);
-  const auto async_a = wear_run("test-admit-wear-async-a", true);
-  const auto async_b = wear_run("test-admit-wear-async-b", true);
-  EXPECT_GT(sync_run.first, 0u);
-  EXPECT_EQ(async_a.first, sync_run.first);
-  EXPECT_EQ(async_a.second, sync_run.second);
-  EXPECT_EQ(async_b.first, async_a.first);
-  EXPECT_EQ(async_b.second, async_a.second);
+  // worker and helping drains, less those flush elision skipped (how many
+  // depends on the worker's timing): the release-published tracker totals
+  // must match the sync run's, write for write, in every async run.
+  const runtime::RuntimeStats sync_run =
+      wear_run("test-admit-wear-sync", false);
+  EXPECT_GT(sync_run.media_line_writes, 0u);
+  EXPECT_EQ(sync_run.media_bytes_written,
+            sync_run.media_line_writes * kCacheLineSize);
+  for (const char* name :
+       {"test-admit-wear-async-a", "test-admit-wear-async-b"}) {
+    const runtime::RuntimeStats async_run = wear_run(name, true);
+    EXPECT_EQ(sync_run.media_line_writes,
+              async_run.media_line_writes + async_run.elided_flushes -
+                  async_run.elision_reflushes)
+        << name;
+    EXPECT_EQ(async_run.media_bytes_written,
+              async_run.media_line_writes * kCacheLineSize)
+        << name;
+  }
 }
 
 }  // namespace

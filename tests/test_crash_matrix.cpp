@@ -22,7 +22,8 @@
 // are still queued — those write-backs claim later event indices and are
 // dropped, exactly modeling power failing with writes still in flight. The
 // sweep asserts recovery lands on a committed FASE at *every* freeze point,
-// and an equivalence test asserts async data traffic is identical to sync.
+// and an equivalence test asserts async data traffic is identical to sync
+// once flush elision's skipped write-backs are counted back in.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -178,9 +179,11 @@ TEST(CrashEquivalence, StrictAndBatchedConvergeWithFewerLogFences) {
 }
 
 TEST(CrashEquivalence, AsyncDataTrafficIsIdenticalToSync) {
-  // The pipeline moves write-backs in time, never adds or drops any: for
-  // both log protocols, the async engine must produce exactly the sync
-  // engine's durable image, per-FASE snapshots, and data-flush count.
+  // The pipeline moves write-backs in time and elides only those another
+  // queued write-back carries: for both log protocols, the async engine
+  // must produce exactly the sync engine's durable image and per-FASE
+  // snapshots, and every sync write-back is an async one or an elision
+  // (less the elided lines the commit-point drain wrote back after all).
   for (const LogSyncMode mode :
        {LogSyncMode::kStrict, LogSyncMode::kBatched}) {
     CrashRig sync_rig(matrix_config(mode, /*async=*/false), kMedium);
@@ -190,7 +193,10 @@ TEST(CrashEquivalence, AsyncDataTrafficIsIdenticalToSync) {
     ASSERT_EQ(sync_snaps, async_snaps) << to_string(mode);
     EXPECT_EQ(sync_rig.durable_data(), async_rig.durable_data())
         << to_string(mode);
-    EXPECT_EQ(sync_rig.stats().flushes, async_rig.stats().flushes)
+    const RuntimeStats async_stats = async_rig.stats();
+    EXPECT_EQ(sync_rig.stats().flushes,
+              async_stats.flushes + async_stats.elided_flushes -
+                  async_stats.elision_reflushes)
         << to_string(mode);
   }
 }

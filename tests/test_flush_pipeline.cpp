@@ -287,9 +287,12 @@ TEST(FlushPipelineRuntime, AsyncModeMatchesSyncFlushAccounting) {
   const runtime::RuntimeStats sync_stats = run(false);
   const runtime::RuntimeStats async_stats = run(true);
   // Identical store streams => identical data traffic, fences, log records:
-  // the pipeline moves write-backs in time, never adds or drops any.
+  // the pipeline moves write-backs in time and drops only those flush
+  // elision proved another queued write-back carries.
   EXPECT_EQ(sync_stats.stores, async_stats.stores);
-  EXPECT_EQ(sync_stats.flushes, async_stats.flushes);
+  EXPECT_EQ(sync_stats.flushes, async_stats.flushes +
+                                    async_stats.elided_flushes -
+                                    async_stats.elision_reflushes);
   EXPECT_EQ(sync_stats.fences, async_stats.fences);
   EXPECT_EQ(sync_stats.log_records, async_stats.log_records);
   EXPECT_GT(async_stats.flushes, 0u);
@@ -298,10 +301,11 @@ TEST(FlushPipelineRuntime, AsyncModeMatchesSyncFlushAccounting) {
 TEST(FlushPipelineRuntime, StatsNeverRaceWithTheWorker) {
   // Enqueue write-backs with no commit point in sight (pwrote outside any
   // FASE never drains), then poll stats() while the background worker is
-  // still popping the ring — the satellite's "stats() never races with the
-  // worker" guarantee in executable form under -DNVC_SANITIZE=thread:
-  // aggregation only reads the channel's release-ordered counter, never the
-  // worker-owned backend's plain counters.
+  // still popping the ring — the "stats() never races with the worker"
+  // guarantee in executable form under -DNVC_SANITIZE=thread: aggregation
+  // only reads the channel's release-ordered counter, never the
+  // worker-owned backend's plain counters. A store to a line still queued
+  // is elided, so every store is a write-back or an elision.
   runtime::RuntimeConfig config;
   config.region_name = "flushpipe.race";
   config.region_size = 1u << 20;
@@ -320,17 +324,21 @@ TEST(FlushPipelineRuntime, StatsNeverRaceWithTheWorker) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   std::uint64_t last = 0;
+  std::uint64_t elided = 0;
   for (;;) {
     const runtime::RuntimeStats s = rt.stats();
     EXPECT_GE(s.flushes, last);  // monotone: merged counters never rewind
     last = s.flushes;
-    if (s.flushes >= kStores ||
+    elided = s.elided_flushes;  // no drain ran: nothing was re-flushed
+    EXPECT_EQ(s.elision_reflushes, 0u);
+    if (last + elided >= kStores ||
         std::chrono::steady_clock::now() > deadline) {
       break;
     }
     std::this_thread::yield();
   }
-  EXPECT_EQ(last, kStores);  // exactly-once: pops + overflow fallbacks
+  // Exactly-once: pops + overflow fallbacks + elisions.
+  EXPECT_EQ(last + elided, kStores);
   rt.thread_flush();
   rt.destroy_storage();
 }

@@ -7,7 +7,7 @@
 // durability mode axes —
 //
 //     log protocol      strict | batched     (LogSyncMode)
-//     data write-backs  sync   | flush-behind pipeline
+//     data write-backs  sync   | flush-behind pipeline (with flush elision)
 //     burst analysis    sync   | async (handed-off)
 //
 // — with the durable image frozen at randomized event indices. For every
@@ -95,7 +95,7 @@ SeedPlan seed_plan(std::uint64_t default_iters) {
 }
 
 // --------------------------------------------------------------------------
-// The 2x2x2 mode matrix.
+// The 2x2x2 mode matrix (async flush carries flush elision).
 // --------------------------------------------------------------------------
 
 struct FuzzMode {
@@ -258,6 +258,13 @@ void sweep_freeze_points(const runtime::RuntimeConfig& config,
 class FuzzCrash : public ::testing::TestWithParam<FuzzMode> {};
 
 TEST_P(FuzzCrash, EveryCrashStateIsACommittedFasePrefix) {
+  // In flush-behind modes the route also elides write-backs of lines whose
+  // queued write-back has not started (DESIGN.md §13). Elision may only
+  // drop a write-back another one will carry, so the oracle is unchanged;
+  // two invariants ride along there: a fully drained run leaves the
+  // elision table quiesced (every announce retired — the seeded
+  // revert-retire bug is exactly a violation of this), and the elision
+  // counters balance (owners + elisions never exceed the announces).
   const FuzzMode mode = GetParam();
   const std::string only = env_str("NVC_FUZZ_MODE", "");
   if (!only.empty() && only != mode_name(mode)) {
@@ -265,6 +272,7 @@ TEST_P(FuzzCrash, EveryCrashStateIsACommittedFasePrefix) {
   }
 
   const SeedPlan plan = seed_plan(/*default_iters=*/8);
+  std::uint64_t elided_total = 0;
   for (std::uint64_t iter = 0; iter < plan.iters; ++iter) {
     const std::uint64_t seed = plan.seed(iter);
     const FuzzProgram program = generate_program(seed);
@@ -277,10 +285,26 @@ TEST_P(FuzzCrash, EveryCrashStateIsACommittedFasePrefix) {
     CrashRig probe(fuzz_runtime_config(program, mode), fuzz_medium(program));
     run_program(probe, program);
     const std::uint64_t total = probe.events();
+    elided_total += probe.stats().elided_flushes;
     for (std::size_t c = 0; c < program.contexts; ++c) {
       ASSERT_EQ(probe.recovered_data(c), oracle.final_committed(c))
           << "ctx " << c << ": uninterrupted run lost committed data\n  "
           << fuzz_replay_line(seed, mode_name(mode), total);
+    }
+    if (mode.async_flush) {
+      // recovered_data() drained every channel.
+      ASSERT_EQ(probe.elision_table()->pending_count(), 0u)
+          << "elision table not quiescent after a fully drained run — some "
+          << "announced write-back never retired\n  "
+          << fuzz_replay_line(seed, mode_name(mode), total);
+      const core::FlushElisionTable::Stats st =
+          probe.elision_table()->stats();
+      ASSERT_GE(st.announces, st.owners + st.elisions)
+          << "elision counters do not balance\n  "
+          << fuzz_replay_line(seed, mode_name(mode), total);
+    } else {
+      ASSERT_EQ(probe.elision_table(), nullptr)
+          << "synchronous flushing built an elision table";
     }
 
     std::vector<int> last_index;
@@ -297,6 +321,19 @@ TEST_P(FuzzCrash, EveryCrashStateIsACommittedFasePrefix) {
             << fuzz_replay_line(seed, mode_name(mode), total);
       }
     }
+  }
+
+  // Campaign coverage (deterministic seeds): the manual ring holds
+  // write-backs across ops, so re-evictions of a queued line must actually
+  // elide somewhere — otherwise elision goes untested. Skipped on pinned
+  // replays, where the campaign is deliberately partial.
+  const bool pinned = env_int("NVC_FUZZ_SEED", -1) >= 0 ||
+                      env_int("NVC_FUZZ_FREEZE", -1) >= 0 ||
+                      env_int("NVC_FUZZ_ITERS", -1) >= 0;
+  if (mode.async_flush && !pinned) {
+    EXPECT_GT(elided_total, 0u)
+        << "the fuzz campaign never elided a write-back; the flush-behind "
+        << "ring no longer holds lines long enough to dedup";
   }
 }
 
@@ -656,88 +693,8 @@ INSTANTIATE_TEST_SUITE_P(AllModes, AdmitFuzzCrash,
                          ::testing::ValuesIn(kAllModes), test_name);
 
 // --------------------------------------------------------------------------
-// The elision dimension: the same sweep with FliT-style write-back dedup.
+// Flush elision's seeded bug: the quiescence check above has teeth.
 // --------------------------------------------------------------------------
-
-class ElideFuzzCrash : public ::testing::TestWithParam<FuzzMode> {};
-
-TEST_P(ElideFuzzCrash, ElidedWriteBacksKeepTheDurabilityContract) {
-  // Flush elision (DESIGN.md §13) may drop a write-back only when an
-  // already-announced, not-yet-started write-back of the same line will
-  // carry its bytes — so WHAT a crash can leave behind must not change:
-  // same oracle, same monotone durability, every mode combo. Two extra
-  // invariants ride along: a fully drained run leaves the elision table
-  // quiesced (every announce retired — the seeded revert-retire bug is
-  // exactly a violation of this), and the elision counters balance
-  // (owners + elisions + untracked announces account for every probe).
-  const FuzzMode mode = GetParam();
-  const std::string only = env_str("NVC_FUZZ_MODE", "");
-  if (!only.empty() && only != mode_name(mode)) {
-    GTEST_SKIP() << "NVC_FUZZ_MODE=" << only << " filters out this combo";
-  }
-
-  const std::string elide_env = "NVC_ELIDE=1";
-  const SeedPlan plan = seed_plan(/*default_iters=*/4);
-  std::uint64_t elided_total = 0;
-  for (std::uint64_t iter = 0; iter < plan.iters; ++iter) {
-    const std::uint64_t seed = plan.seed(iter);
-    const FuzzProgram program = generate_program(seed);
-    const DurabilityOracle oracle(program);
-
-    runtime::RuntimeConfig rig_config = fuzz_runtime_config(program, mode);
-    rig_config.elide = true;
-
-    // Probe run, never frozen: the uninterrupted run must recover the
-    // final commit, and — after recovered_data() drained every channel —
-    // the table must hold no pending entry.
-    CrashRig probe(rig_config, fuzz_medium(program));
-    run_program(probe, program);
-    const std::uint64_t total = probe.events();
-    elided_total += probe.stats().elided_flushes;
-    for (std::size_t c = 0; c < program.contexts; ++c) {
-      ASSERT_EQ(probe.recovered_data(c), oracle.final_committed(c))
-          << "ctx " << c << ": uninterrupted run with elision lost "
-          << "committed data\n  "
-          << fuzz_replay_line(seed, mode_name(mode), total, elide_env);
-    }
-    ASSERT_EQ(probe.elision_table()->pending_count(), 0u)
-        << "elision table not quiescent after a fully drained run — some "
-        << "announced write-back never retired\n  "
-        << fuzz_replay_line(seed, mode_name(mode), total, elide_env);
-    const core::FlushElisionTable::Stats st = probe.elision_table()->stats();
-    ASSERT_GE(st.announces, st.owners + st.elisions)
-        << "elision counters do not balance\n  "
-        << fuzz_replay_line(seed, mode_name(mode), total, elide_env);
-
-    std::vector<int> last_index;
-    sweep_freeze_points(rig_config, fuzz_medium(program), program, oracle,
-                        total, mode_name(mode), " with flush elision",
-                        elide_env, last_index);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-
-  // Campaign coverage (deterministic seeds): in flush-behind modes the
-  // manual ring holds write-backs across ops, so re-evictions of a queued
-  // line must actually elide somewhere — otherwise the dimension tests
-  // nothing. Skipped on pinned replays.
-  const bool pinned = env_int("NVC_FUZZ_SEED", -1) >= 0 ||
-                      env_int("NVC_FUZZ_FREEZE", -1) >= 0 ||
-                      env_int("NVC_FUZZ_ITERS", -1) >= 0;
-  if (pinned) return;
-  if (mode.async_flush) {
-    EXPECT_GT(elided_total, 0u)
-        << "elision campaign never elided a write-back; the flush-behind "
-        << "ring no longer holds lines long enough to dedup";
-  } else {
-    // Sync mode retires inline: an announce can never find a pending
-    // owner, so elision must be exactly zero (the dimension degenerates
-    // to counter bookkeeping, and durability must be untouched).
-    EXPECT_EQ(elided_total, 0u);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllModes, ElideFuzzCrash,
-                         ::testing::ValuesIn(kAllModes), test_name);
 
 TEST(ElideFuzzBug, SeededRevertRetireBugIsCaught) {
   // Checker validation (the acceptance bar for the elision dimension): arm
@@ -752,8 +709,8 @@ TEST(ElideFuzzBug, SeededRevertRetireBugIsCaught) {
   const std::uint64_t seed = derive_seed(kDefaultBaseSeed, 0);
   const FuzzProgram program = generate_program(seed);
 
-  runtime::RuntimeConfig rig_config = fuzz_runtime_config(program, mode);
-  rig_config.elide = true;
+  const runtime::RuntimeConfig rig_config =
+      fuzz_runtime_config(program, mode);
   CrashRigConfig medium = fuzz_medium(program);
   medium.elide_bug_revert_retire = true;
 
@@ -768,7 +725,7 @@ TEST(ElideFuzzBug, SeededRevertRetireBugIsCaught) {
   EXPECT_GT(rig.elision_table()->pending_count(), 0u)
       << "the quiescence checker no longer detects a reverted retire; "
       << "a real elide-forever bug would ship undetected ("
-      << fuzz_replay_line(seed, mode_name(mode), total, "NVC_ELIDE=1")
+      << fuzz_replay_line(seed, mode_name(mode), total)
       << ")";
   // Defense in depth held: the drain re-check flushed the stranded lines,
   // so even under the bug the uninterrupted run lost nothing.

@@ -5,6 +5,7 @@
 
 #include <unistd.h>
 
+#include <cstdio>
 #include <set>
 #include <string>
 
@@ -131,6 +132,52 @@ TEST(LiveIntegration, MdbRunsLiveWithUndoLogging) {
   EXPECT_GT(stats.fases, 100u);
   EXPECT_LT(stats.flush_ratio(), 0.7);  // write combining must help COW
   rt.destroy_storage();
+}
+
+TEST(LiveIntegration, FlushElisionIdentityOnLiveWorkloads) {
+  // Flush elision rides flush-behind (DESIGN.md §13): the same SC run,
+  // synchronous and with the ring, must write back the same lines once
+  // elided write-backs are counted back in, and the ring must actually
+  // elide some. The configuration is the bench harness's quick default
+  // (simulated 250 ns flushes, 4096-store burst, mdb at 20000 puts); the
+  // printed counts are the EXPERIMENTS.md table.
+  auto run = [](const std::string& workload, bool async) {
+    runtime::RuntimeConfig config;
+    config.region_name = unique_name("itest-elide");
+    config.region_size = 256u << 20;
+    config.policy = core::PolicyKind::kSoftCache;
+    config.policy_config.sampler.burst_length = 1u << 12;
+    config.policy_config.sampler.skip_fases = 1;
+    config.flush = pmem::FlushKind::kSimulated;
+    config.simulated_flush_ns = 250;
+    config.async_flush = async;
+    runtime::Runtime rt(config);
+    workloads::RuntimeApi api(rt);
+    mdb::MtestConfig mtest;
+    mtest.inserts_quick = 20000;
+    (workload == "mdb" ? mdb::make_mdb_workload(mtest)
+                       : workloads::make_workload(workload))
+        ->run(api, workloads::WorkloadParams{});
+    const runtime::RuntimeStats stats = rt.stats();
+    rt.destroy_storage();
+    return stats;
+  };
+  for (const char* workload : {"water-spatial", "mdb"}) {
+    const runtime::RuntimeStats sync = run(workload, false);
+    const runtime::RuntimeStats async = run(workload, true);
+    std::printf("%s: sync %llu flushes; async %llu flushes, %llu elided, "
+                "%llu re-flushed\n",
+                workload, static_cast<unsigned long long>(sync.flushes),
+                static_cast<unsigned long long>(async.flushes),
+                static_cast<unsigned long long>(async.elided_flushes),
+                static_cast<unsigned long long>(async.elision_reflushes));
+    EXPECT_EQ(sync.stores, async.stores) << workload;
+    EXPECT_EQ(sync.elided_flushes, 0u) << workload;
+    EXPECT_EQ(sync.flushes, async.flushes + async.elided_flushes -
+                                async.elision_reflushes)
+        << workload;
+    EXPECT_GT(async.elided_flushes, 0u) << workload;
+  }
 }
 
 // --- trace -> analysis -> size pipeline ---------------------------------------------------

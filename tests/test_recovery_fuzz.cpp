@@ -1,11 +1,11 @@
 // Image-corruption fuzzer for the salvage-mode recovery pipeline
 // (DESIGN.md §14).
 //
-// For every combination of the three durability axes —
+// For every combination of the two durability axes —
 //
 //     log protocol   strict | batched      (LogSyncMode)
-//     data flushing  sync   | async        (manual flush-behind pipeline)
-//     flush elision  off    | on           (shared FliT table)
+//     data flushing  sync   | async        (manual flush-behind pipeline,
+//                                           which carries flush elision)
 //
 // — a seeded workload runs on the Runtime over the crash rig's shadow
 // medium, power fails at a seeded event, and the frozen durable image (the
@@ -51,29 +51,23 @@ using testing::ImageCorruptor;
 using testing::ImageLayout;
 using testing::rig_runtime_config;
 
-// The 2x2x2 mode matrix. async always uses the manual pipeline so the whole
+// The 2x2 mode matrix. async always uses the manual pipeline so the whole
 // interleaving replays deterministically from the seed on one OS thread.
 struct RecMode {
   runtime::LogSyncMode log;
   bool async_flush;
-  bool elide;
 };
 
 std::string mode_name(const RecMode& mode) {
   return std::string(runtime::to_string(mode.log)) + "-" +
-         (mode.async_flush ? "asyncflush" : "syncflush") + "-" +
-         (mode.elide ? "elide" : "noelide");
+         (mode.async_flush ? "asyncflush" : "syncflush");
 }
 
 const RecMode kAllModes[] = {
-    {runtime::LogSyncMode::kStrict, false, false},
-    {runtime::LogSyncMode::kStrict, false, true},
-    {runtime::LogSyncMode::kStrict, true, false},
-    {runtime::LogSyncMode::kStrict, true, true},
-    {runtime::LogSyncMode::kBatched, false, false},
-    {runtime::LogSyncMode::kBatched, false, true},
-    {runtime::LogSyncMode::kBatched, true, false},
-    {runtime::LogSyncMode::kBatched, true, true},
+    {runtime::LogSyncMode::kStrict, false},
+    {runtime::LogSyncMode::kStrict, true},
+    {runtime::LogSyncMode::kBatched, false},
+    {runtime::LogSyncMode::kBatched, true},
 };
 
 constexpr std::size_t kContexts = 2;
@@ -86,7 +80,6 @@ runtime::RuntimeConfig rig_config(const RecMode& mode) {
   runtime::RuntimeConfig config = rig_runtime_config(kContexts);
   config.log_sync = mode.log;
   config.async_flush = mode.async_flush;
-  config.elide = mode.elide;
   config.log_segment_size = kLogBytes;
   return config;
 }
@@ -456,7 +449,7 @@ TEST(RecoveryFuzzBug, DurableDataRecordRotIsUnrecoverableWithoutVerifyTable) {
   // write-back published a tail covering every record, so losing the
   // newest one loses undo bytes for durable data. The tail check alone
   // must flag it — no verify table — in both log protocols.
-  for (const RecMode& mode : {kAllModes[0], kAllModes[4]}) {
+  for (const RecMode& mode : {kAllModes[0], kAllModes[2]}) {
     CrashRig rig(rig_config(mode), rig_medium(mode));
     run_open_fase(rig, testing::seed_from_env("NVC_FUZZ_SEED", 0xbadull),
                   /*barrier=*/true);

@@ -14,7 +14,9 @@
 
 #include <array>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -568,6 +570,54 @@ TEST(Scrubber, SkipsLinesOfAnOpenFase) {
   full_sweep(*rt.scrubber());
   EXPECT_EQ(rt.scrub_stats().checksum_mismatches, 0u);
   rt.destroy_storage();
+}
+
+/// A heap-backed medium whose data write lets one scrub slice land right
+/// after the bytes change: the window a pstore keeps closed by dirtying
+/// the line in the verify table before writing it.
+class ScrubAfterStoreMedium final : public runtime::Medium {
+ public:
+  void* data_region(std::size_t size) override {
+    data_.reset(static_cast<char*>(std::aligned_alloc(4096, size)));
+    std::memset(data_.get(), 0, size);
+    return data_.get();
+  }
+  void* log_region(std::size_t) override { return nullptr; }  // no log
+  void store(void* dst, const void* src, std::size_t len) override {
+    std::memcpy(dst, src, len);
+    if (rt != nullptr) own_slice(*rt->scrubber());
+  }
+  bool manual_flush() const override { return false; }
+  bool write_back(const void*) override { return true; }
+  void fence() override {}
+
+  runtime::Runtime* rt = nullptr;
+
+ private:
+  std::unique_ptr<char, decltype(&std::free)> data_{nullptr, &std::free};
+};
+
+TEST(Scrubber, ASliceRightAfterAStoreSeesTheLineDirty) {
+  // One batch covers the whole 64-line region, so the slice inside
+  // store() checks the stored line whatever the cursor.
+  runtime::RuntimeConfig config = scrub_config("test-scrub-store-window");
+  config.region_size = runtime::Scrubber::kBatchLines * kCacheLineSize;
+  config.verify_data = true;
+  ScrubAfterStoreMedium medium;
+  runtime::Runtime rt(config, &medium);
+  auto* p = static_cast<std::uint64_t*>(rt.pm_alloc(kCacheLineSize));
+  medium.rt = &rt;
+  rt.fase_begin();
+  rt.pstore(p[0], std::uint64_t{42});
+  ASSERT_TRUE(rt.fase_end());
+  // Committed at 42; the next store's bytes land before its commit.
+  rt.fase_begin();
+  rt.pstore(p[0], std::uint64_t{43});
+  ASSERT_TRUE(rt.fase_end());
+  EXPECT_EQ(rt.scrub_stats().checksum_mismatches, 0u)
+      << "a slice between the data write and the dirty mark checked new "
+      << "bytes against the old commit's checksum";
+  medium.rt = nullptr;
 }
 
 TEST(Scrubber, PassesAdvanceAfterAFullSweep) {

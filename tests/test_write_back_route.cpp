@@ -1,12 +1,13 @@
 // WriteBackRoute (runtime/write_back_route.hpp, DESIGN.md §8 stage table):
 // one table-driven test over every stage combination —
-// {no log, strict, batched} x {sync, async on a manual channel} x
-// {elide off, on} x {faults off, armed} — with recording sinks standing in
-// for the media. Each combination checks the route's four promises:
+// {no log, strict, batched} x {sync, async on a manual channel, which
+// carries flush elision} x {faults off, armed} — with recording sinks
+// standing in for the media. Each combination checks the route's four promises:
 //   * every data write-back that reaches the media follows a log sync of
 //     the records covering its line;
 //   * a line still queued, or elided while its owner is pending, is
-//     written back by the next drain;
+//     written back by the next drain, and every announce retires — also
+//     on the ring's overflow path;
 //   * once the async->sync latch fires, nothing more enters the ring or
 //     the elision table;
 //   * the hazard check is true exactly for lines still queued or pending.
@@ -74,7 +75,6 @@ enum class Log { kNone, kStrict, kBatched };
 struct Mode {
   Log log;
   bool async;
-  bool elide;
   bool faults;
 };
 
@@ -83,7 +83,7 @@ std::string describe(const Mode& m) {
                     : m.log == Log::kStrict ? "strict"
                                             : "batched";
   return std::string(log) + (m.async ? "/async" : "/sync") +
-         (m.elide ? "/elide" : "") + (m.faults ? "/faults" : "");
+         (m.faults ? "/faults" : "");
 }
 
 constexpr std::size_t kRing = 8;
@@ -105,7 +105,7 @@ void run_mode(const Mode& m) {
     log->format();
     media.log = log.get();
   }
-  auto table = m.elide ? std::make_shared<core::FlushElisionTable>() : nullptr;
+  auto table = m.async ? std::make_shared<core::FlushElisionTable>() : nullptr;
 
   WriteBackSpec spec;
   spec.sync_sink = &media;
@@ -186,7 +186,18 @@ void run_mode(const Mode& m) {
   check_hazard();
   // Async: the six queued lines, plus the elided line the drain re-flushed
   // through the ring.
-  EXPECT_EQ(route.ring_flushes(), !m.async ? 0u : table != nullptr ? 7u : 6u);
+  EXPECT_EQ(route.ring_flushes(), m.async ? 7u : 0u);
+
+  // A full ring writes the next line back at once, through the overflow
+  // retire stage: once drained, no announce stays pending.
+  if (m.async) {
+    for (LineAddr line = 300; line <= 300 + kRing; ++line) {
+      store_and_flush(line);
+    }
+    EXPECT_TRUE(media.has(300 + kRing));
+    route.sink().drain();
+    EXPECT_EQ(table->pending_count(), 0u);
+  }
 
   // Transient failures up to the latch threshold; retries absorb them when
   // the retry stage is armed.
@@ -214,16 +225,13 @@ void run_mode(const Mode& m) {
     // Degraded: straight to the retrying sync path — no ring push, no
     // elision-table traffic, the media sees the line at once.
     const std::uint64_t ring_before = route.ring_flushes();
-    const auto announces_before =
-        table != nullptr ? table->stats().announces : 0;
+    const std::uint64_t announces_before = table->stats().announces;
     store_and_flush(500);
     EXPECT_TRUE(media.has(500));
     EXPECT_FALSE(route.inflight(500));
     route.sink().drain();
     EXPECT_EQ(route.ring_flushes(), ring_before);
-    if (table != nullptr) {
-      EXPECT_EQ(table->stats().announces, announces_before);
-    }
+    EXPECT_EQ(table->stats().announces, announces_before);
   }
 
   // A line that can never be written: quarantine suspends commits for good
@@ -243,13 +251,35 @@ void run_mode(const Mode& m) {
 TEST(WriteBackRoute, EveryStageCombinationKeepsTheRouteContract) {
   for (const Log log : {Log::kNone, Log::kStrict, Log::kBatched}) {
     for (const bool async : {false, true}) {
-      for (const bool elide : {false, true}) {
-        for (const bool faults : {false, true}) {
-          run_mode(Mode{log, async, elide, faults});
-        }
+      for (const bool faults : {false, true}) {
+        run_mode(Mode{log, async, faults});
       }
     }
   }
+}
+
+TEST(WriteBackRoute, ElisionAndTheRingComeOnlyTogether) {
+  // Flush elision is part of flush-behind: a table without a ring (a
+  // synchronous elide stage) and a ring without a table are both refused.
+  MediaSink media;
+  EXPECT_DEATH(
+      {
+        WriteBackSpec spec;
+        spec.sync_sink = &media;
+        spec.elision = std::make_shared<core::FlushElisionTable>();
+        WriteBackRoute route(std::move(spec));
+      },
+      "flush elision rides the flush-behind ring");
+  EXPECT_DEATH(
+      {
+        WriteBackSpec spec;
+        spec.sync_sink = &media;
+        spec.worker_sink = std::make_unique<ForwardSink>(&media);
+        spec.ring_depth = kRing;
+        spec.manual_channel = true;
+        WriteBackRoute route(std::move(spec));
+      },
+      "flush elision rides the flush-behind ring");
 }
 
 }  // namespace
