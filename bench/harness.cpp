@@ -1,9 +1,47 @@
 #include "harness.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <unistd.h>
 
 namespace nvc::bench {
+
+namespace {
+
+/// NVC_FULL=1 runs paper-scale inputs (the defaults are scaled down).
+bool full_scale() { return env_int("NVC_FULL", 0) != 0; }
+
+/// Exit 2 when the enum knob `name` is set to a value its parser does not
+/// round-trip (`to_string(parse(v)) == v`). The parsers fall back to a
+/// default on an unknown name, so a misspelling would otherwise run and
+/// measure something else.
+template <typename RoundTrip>
+void check_enum_knob(const char* name, const char* allowed,
+                     RoundTrip round_trip) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || round_trip(value) == value) return;
+  std::fprintf(stderr, "%s: unknown value '%s' (want %s)\n", name, value,
+               allowed);
+  std::exit(2);
+}
+
+}  // namespace
+
+void check_enum_knobs() {
+  check_enum_knob("NVC_FLUSH", "clflush|clflushopt|clwb|sim|count",
+                  [](const char* v) -> std::string {
+                    return pmem::to_string(pmem::parse_flush_kind(v));
+                  });
+  check_enum_knob("NVC_LOG_SYNC", "strict|batched",
+                  [](const char* v) -> std::string {
+                    return runtime::to_string(runtime::parse_log_sync_mode(v));
+                  });
+  check_enum_knob("NVC_ADMIT", "always|write-once|reuse",
+                  [](const char* v) -> std::string {
+                    const auto mode = core::parse_admit_mode(v);
+                    return mode ? core::to_string(*mode) : "";
+                  });
+}
 
 std::vector<std::string> all_workloads() {
   auto names = workloads::workload_names();
@@ -77,14 +115,9 @@ core::PolicyConfig default_policy_config() {
   // selection is applied at the next FASE boundary (see DESIGN.md).
   config.sampler.async_analysis = env_int("NVC_ASYNC", 0) != 0;
   // NVC_ADMIT=always|write-once|reuse selects the write-admission policy
-  // (DESIGN.md §12).
-  const std::string admit = env_str("NVC_ADMIT", "always");
-  if (const auto mode = core::parse_admit_mode(admit)) {
-    config.admission.mode = *mode;
-  } else {
-    std::fprintf(stderr, "NVC_ADMIT: unknown mode '%s' (want always|write-once|reuse)\n",
-                 admit.c_str());
-  }
+  // (DESIGN.md §12); print_banner has already refused any other value.
+  config.admission.mode =
+      core::parse_admit_mode(env_str("NVC_ADMIT", "always")).value();
   return config;
 }
 
@@ -116,18 +149,6 @@ LiveResult run_live(const std::string& workload, core::PolicyKind kind,
   config.undo_logging = env_int("NVC_LOG", 0) != 0;
   config.log_sync =
       runtime::parse_log_sync_mode(env_str("NVC_LOG_SYNC", "strict").c_str());
-  // NVC_FAULT_* attaches the media-fault injector and configures the retry/
-  // degradation machinery (DESIGN.md §10); all-defaults = disabled.
-  config.fault = pmem::FaultConfig::from_env();
-  // NVC_WEAR=1 attaches the endurance tracker: per-line media write counts
-  // surfaced as wear statistics in RuntimeStats/HealthReport (DESIGN.md §12).
-  config.wear_tracking = env_int("NVC_WEAR", 0) != 0;
-  // NVC_VERIFY_DATA=1 publishes a CRC32C per committed data line; the
-  // recovery pipeline's verify stage and the scrubber check against it.
-  // NVC_SCRUB=1 registers the online scrubber on the flush worker's idle
-  // hook (DESIGN.md §14).
-  config.verify_data = env_int("NVC_VERIFY_DATA", 0) != 0;
-  config.scrub = env_int("NVC_SCRUB", 0) != 0;
 
   runtime::Runtime rt(config);
   workloads::RuntimeApi api(rt);
@@ -171,6 +192,7 @@ workloads::SimConfig sim_config_for_threads(std::size_t threads,
 
 void print_banner(const std::string& experiment,
                   const std::string& paper_ref) {
+  check_enum_knobs();
   std::printf("=== %s ===\n", experiment.c_str());
   std::printf("paper: %s\n", paper_ref.c_str());
   std::printf("mode: %s | flush backend: %s | seed %lld\n\n",

@@ -8,7 +8,9 @@
 //    the thread-scaling figures since this host exposes one core).
 //
 // Every binary honors NVC_FULL=1 (paper-scale inputs), NVC_THREADS,
-// NVC_SEED, and NVC_FLUSH (clflush|clflushopt|clwb|sim|count).
+// NVC_SEED, and NVC_FLUSH (clflush|clflushopt|clwb|sim|count). This is the
+// only code that turns knobs into a RuntimeConfig; the libraries take every
+// setting from their caller.
 #pragma once
 
 #include <map>
@@ -78,7 +80,12 @@ core::PolicyConfig default_policy_config();
 workloads::SimConfig sim_config_for_threads(std::size_t threads,
                                             const core::PolicyConfig& pc);
 
-/// Print the standard header every bench emits.
+/// Exit 2, naming the allowed values, when NVC_FLUSH, NVC_LOG_SYNC or
+/// NVC_ADMIT is set to anything but one of them.
+void check_enum_knobs();
+
+/// Print the standard header every bench emits, after check_enum_knobs():
+/// every bench binary calls this before any work.
 void print_banner(const std::string& experiment, const std::string& paper_ref);
 
 }  // namespace nvc::bench

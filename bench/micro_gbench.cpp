@@ -23,6 +23,7 @@
 #include "core/sampler.hpp"
 #include "core/write_cache.hpp"
 #include "core/admission.hpp"
+#include "harness.hpp"
 #include "pmem/flush.hpp"
 #include "runtime/recovery.hpp"
 #include "runtime/runtime.hpp"
@@ -279,9 +280,10 @@ std::string unique_region() {
          std::to_string(counter++);
 }
 
-/// NVC_FLUSH selects the flush backend like every harness binary does;
-/// unset keeps the historical default (best real instruction on this CPU)
-/// so committed baselines stay comparable. NVC_FLUSH_NS tunes kSimulated.
+/// NVC_FLUSH selects the flush backend like every harness binary does (main
+/// refuses an unknown name); unset keeps the historical default (best real
+/// instruction on this CPU) so committed baselines stay comparable.
+/// NVC_FLUSH_NS tunes kSimulated.
 pmem::FlushKind flush_kind_from_env() {
   const std::string name = env_str("NVC_FLUSH", "");
   return name.empty() ? pmem::default_flush_kind()
@@ -367,11 +369,11 @@ BENCHMARK(BM_PstoreFaseFaultIdle)->ArgsProduct({{0, 1, 2}, {0, 1}, {0, 1}});
 // --- hardened recovery (DESIGN.md §14) --------------------------------------
 
 void BM_PstoreFaseScrubIdle(benchmark::State& state) {
-  // Foreground cost of the hardening knobs on the BM_PstoreFase shape
+  // Foreground cost of the hardening settings on the BM_PstoreFase shape
   // (log=strict, SC-offline, sync flush = BM_PstoreFase/1/1/0). Arg0:
-  //   0  NVC_VERIFY_DATA only — prices the commit-time CRC publish plus the
+  //   0  verify_data only — prices the commit-time CRC publish plus the
   //      per-store dirty marking;
-  //   1  NVC_SCRUB only — the scrubber runs on the flush worker's idle hook
+  //   1  scrub only — the scrubber runs on the flush worker's idle hook
   //      while this thread commits FASEs; the delta is the interference of
   //      background image re-reads with the foreground store path;
   //   2  both.
@@ -927,6 +929,7 @@ BENCHMARK(BM_ElisionHitRate)->Arg(0)->Arg(1)->UseRealTime();
 #define NVC_BENCH_DEFAULT_JSON "BENCH_micro.json"
 #endif
 int main(int argc, char** argv) {
+  nvc::bench::check_enum_knobs();
   std::vector<char*> args(argv, argv + argc);
   const std::string json_path =
       nvc::env_str("NVC_BENCH_JSON", NVC_BENCH_DEFAULT_JSON);

@@ -27,6 +27,11 @@
 #                                 does) and its quick ctest: every workload
 #                                 at --quick size and every planted bug
 #
+# Rule the tier-1 sweep enforces (`knob_table`): the libraries read no
+# environment. Under src/, outside the test helpers in src/testing/, the
+# only "NVC_*" literal is NVC_PMEM_DIR; every other setting is a config
+# field that bench/harness.cpp or a test sets.
+#
 # Flags / env:
 #   --no-asan        skip the asan tiers (e.g. hosts without the rt)
 #   --no-tsan        skip the tsan concurrency tier

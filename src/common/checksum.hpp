@@ -10,7 +10,7 @@
 //                      logs written before this module existed still
 //                      certify after reopen.
 //   CRC32C (Castagnoli) — region/heap metadata seals and data-line
-//                      verification (NVC_VERIFY_DATA, the online scrubber).
+//                      verification (verify_data, the online scrubber).
 //                      Detects burst errors FNV can miss; the polynomial
 //                      real NVRAM/storage stacks use (iSCSI, ext4, NVMe).
 //

@@ -27,10 +27,4 @@ std::string env_str(const char* name, const std::string& fallback) {
   return v != nullptr ? std::string(v) : fallback;
 }
 
-bool full_scale() { return env_int("NVC_FULL", 0) != 0; }
-
-std::int64_t scaled(std::int64_t quick, std::int64_t full) {
-  return full_scale() ? full : quick;
-}
-
 }  // namespace nvc

@@ -1,8 +1,6 @@
-// Environment-variable based configuration for the benchmark harness.
-// Every bench binary honors:
-//   NVC_FULL=1        run paper-scale problem sizes (defaults are scaled down)
-//   NVC_THREADS=...   cap the thread sweep
-//   NVC_SEED=...      workload RNG seed
+// Environment-variable readers for the code that parses knobs: the bench
+// harness and the tests. The libraries take every setting from their
+// callers; the one exception is the region directory (pmem_region.cpp).
 #pragma once
 
 #include <cstdint>
@@ -19,11 +17,5 @@ double env_double(const char* name, double fallback);
 
 /// Read a string environment variable, or `fallback` if unset.
 std::string env_str(const char* name, const std::string& fallback);
-
-/// True when NVC_FULL is set to a nonzero value: run paper-scale inputs.
-bool full_scale();
-
-/// Scale a problem size: full-scale value when NVC_FULL=1, else the default.
-std::int64_t scaled(std::int64_t quick, std::int64_t full);
 
 }  // namespace nvc

@@ -6,7 +6,6 @@
 
 #include "common/assert.hpp"
 #include "common/cpu.hpp"
-#include "common/env.hpp"
 
 namespace nvc::core {
 
@@ -55,9 +54,6 @@ FlushChannel::FlushChannel(FlushWorker* worker, std::unique_ptr<FlushSink> sink,
     : worker_(worker),
       sink_(std::move(sink)),
       manual_(manual),
-      drain_timeout_ns_(static_cast<std::uint64_t>(std::max<std::int64_t>(
-                            0, env_int("NVC_FLUSH_DRAIN_TIMEOUT_MS", 0))) *
-                        1000000ULL),
       queue_(capacity) {}
 
 bool FlushChannel::try_push(LineAddr line) {
@@ -100,9 +96,11 @@ void FlushChannel::wait_drained() {
   const std::uint64_t target = pushed();
   // Watchdog arm: "progress" is the retired-line counter moving. The only
   // way this loop fails to make progress itself is the consumer lock being
-  // held continuously by a wedged worker (e.g. a backend stuck in a
-  // latency spike or a debugger) — detect that, diagnose once per timeout
-  // period, and keep helping so a recovered worker still completes us.
+  // held continuously by a wedged worker (e.g. a backend stalled by the
+  // media or a debugger) — detect that, diagnose once per watchdog period,
+  // and keep helping so a recovered worker still completes us. The clock
+  // is read only on iterations that retired nothing.
+  constexpr std::uint64_t kWatchdogNs = kDrainWatchdogMs * 1000000ULL;
   std::uint64_t last_flushed = flushed_.load(std::memory_order_acquire);
   std::uint64_t stall_since_ns = 0;
   while (last_flushed < target) {
@@ -121,21 +119,20 @@ void FlushChannel::wait_drained() {
       stall_since_ns = 0;
       continue;
     }
-    if (drain_timeout_ns_ == 0) continue;
     const std::uint64_t now = steady_now_ns();
     if (stall_since_ns == 0) {
       stall_since_ns = now;
-    } else if (now - stall_since_ns >= drain_timeout_ns_) {
+    } else if (now - stall_since_ns >= kWatchdogNs) {
       stall_warnings_.fetch_add(1, std::memory_order_relaxed);
       std::fprintf(
           stderr,
           "[nvc] flush drain watchdog: no write-back progress for %llu ms "
           "(queue depth=%zu pushed=%llu flushed=%llu); continuing as "
           "helping consumer\n",
-          static_cast<unsigned long long>(drain_timeout_ns_ / 1000000ULL),
+          static_cast<unsigned long long>(kDrainWatchdogMs),
           queue_.size(), static_cast<unsigned long long>(target),
           static_cast<unsigned long long>(now_flushed));
-      stall_since_ns = now;  // re-arm: one diagnostic per timeout period
+      stall_since_ns = now;  // re-arm: one diagnostic per watchdog period
     }
   }
 }

@@ -71,14 +71,15 @@ class FlushChannel {
 
   /// Producer: completion ticket — wait until every line pushed so far has
   /// been written back through the sink. The waiter helps consume, so this
-  /// makes progress even if the worker thread never runs. A watchdog
-  /// (NVC_FLUSH_DRAIN_TIMEOUT_MS, read when the channel was opened; 0
-  /// disables) fires when no line retires for that long — e.g. the worker
-  /// wedged mid-flush while holding the consumer lock: it logs one
-  /// diagnostic with the queue depth, bumps stall_warnings(), and keeps
-  /// helping rather than aborting, so a recovered worker still completes
-  /// the drain.
+  /// makes progress even if the worker thread never runs. A watchdog fires
+  /// when no line retires for kDrainWatchdogMs — e.g. the worker wedged
+  /// mid-flush while holding the consumer lock: it logs one diagnostic with
+  /// the queue depth, bumps stall_warnings(), and keeps helping rather than
+  /// aborting, so a recovered worker still completes the drain.
   void wait_drained();
+
+  /// Drain-watchdog period: no retired line for this long is a stall.
+  static constexpr std::uint64_t kDrainWatchdogMs = 1000;
 
   /// Times the drain watchdog fired (see wait_drained).
   std::uint64_t stall_warnings() const noexcept {
@@ -157,10 +158,8 @@ class FlushChannel {
   /// (an idle sweep just reads it). Keeps poke() amortized O(1) per burst
   /// of evictions instead of one mutex round-trip per push.
   std::atomic<bool> wake_requested_{false};
-  /// Drain-watchdog state: timeout captured from the environment at open
-  /// time (per-channel, so tests can vary it), warning count relaxed — it
-  /// is a diagnostic, not a synchronization point.
-  std::uint64_t drain_timeout_ns_ = 0;
+  /// Drain-watchdog warning count, relaxed — it is a diagnostic, not a
+  /// synchronization point.
   std::atomic<std::uint64_t> stall_warnings_{0};
 
   // --- The ring. Its tail cursor doubles as the producer's push count.

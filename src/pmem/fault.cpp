@@ -1,20 +1,16 @@
 #include "pmem/fault.hpp"
 
-#include <cstdio>
-
-#include "common/env.hpp"
 #include "common/rng.hpp"
 
 namespace nvc::pmem {
 
 namespace {
 
-// Salts keep the independent decision streams (transient / bad / torn /
-// spike) uncorrelated even though they share one seed.
+// Salts keep the independent decision streams (transient / bad / torn)
+// uncorrelated even though they share one seed.
 constexpr std::uint64_t kTransientSalt = 0x7261746520666c75ULL;
 constexpr std::uint64_t kBadSalt = 0x6261646c696e6573ULL;
 constexpr std::uint64_t kTornSalt = 0x746f726e77726974ULL;
-constexpr std::uint64_t kSpikeSalt = 0x7370696b656c6174ULL;
 
 /// Stateless mix of up to three words through splitmix64; the basis of
 /// every injector decision (pure => replayable).
@@ -32,44 +28,10 @@ double unit(std::uint64_t h) noexcept {
 
 }  // namespace
 
-FaultConfig FaultConfig::from_env() {
-  FaultConfig c;
-  c.rate = env_double("NVC_FAULT_RATE", c.rate);
-  c.bad_line_rate = env_double("NVC_FAULT_BAD_LINES", c.bad_line_rate);
-  c.torn_rate = env_double("NVC_FAULT_TORN", c.torn_rate);
-  c.latency_ns = static_cast<std::uint32_t>(
-      env_int("NVC_FAULT_LATENCY_NS", c.latency_ns));
-  c.latency_rate = env_double("NVC_FAULT_LATENCY_RATE", c.latency_rate);
-  c.max_retries = static_cast<std::uint32_t>(
-      env_int("NVC_FAULT_RETRIES", c.max_retries));
-  c.backoff_ns = static_cast<std::uint64_t>(
-      env_int("NVC_FAULT_BACKOFF_NS", static_cast<std::int64_t>(c.backoff_ns)));
-  c.backoff_cap_ns = static_cast<std::uint64_t>(env_int(
-      "NVC_FAULT_BACKOFF_CAP_NS", static_cast<std::int64_t>(c.backoff_cap_ns)));
-  c.degrade_after = static_cast<std::uint32_t>(
-      env_int("NVC_FAULT_DEGRADE_AFTER", c.degrade_after));
-  c.seed = static_cast<std::uint64_t>(
-      env_int("NVC_FAULT_SEED", env_int("NVC_SEED", 1)));
-  return c;
-}
-
-std::string FaultConfig::describe() const {
-  if (!enabled()) return "";
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "NVC_FAULT_RATE=%g NVC_FAULT_BAD_LINES=%g NVC_FAULT_TORN=%g "
-                "NVC_FAULT_RETRIES=%u NVC_FAULT_DEGRADE_AFTER=%u "
-                "NVC_FAULT_SEED=%llu",
-                rate, bad_line_rate, torn_rate, max_retries, degrade_after,
-                static_cast<unsigned long long>(seed));
-  return buf;
-}
-
 FaultInjector::FaultInjector(const FaultConfig& config) : config_(config) {
   explicit_bad_.insert(config_.bad_lines.begin(), config_.bad_lines.end());
   idle_ = config_.rate <= 0.0 && config_.bad_line_rate <= 0.0 &&
-          explicit_bad_.empty() &&
-          !(config_.latency_ns > 0 && config_.latency_rate > 0.0);
+          explicit_bad_.empty();
 }
 
 bool FaultInjector::line_bad(LineAddr line) const noexcept {
@@ -105,13 +67,6 @@ FaultDecision FaultInjector::on_flush_attempt(LineAddr line) {
       unit(mix(config_.seed ^ kTransientSalt, line, ordinal)) < config_.rate) {
     d.fail = true;
     transients_.fetch_add(1, std::memory_order_release);
-    return d;
-  }
-  if (config_.latency_ns > 0 && config_.latency_rate > 0.0 &&
-      unit(mix(config_.seed ^ kSpikeSalt, line, ordinal)) <
-          config_.latency_rate) {
-    d.spike_ns = config_.latency_ns;
-    spikes_.fetch_add(1, std::memory_order_release);
   }
   return d;
 }
@@ -119,7 +74,6 @@ FaultDecision FaultInjector::on_flush_attempt(LineAddr line) {
 void FaultInjector::reset_counters() noexcept {
   transients_.store(0, std::memory_order_release);
   bad_hits_.store(0, std::memory_order_release);
-  spikes_.store(0, std::memory_order_release);
 }
 
 }  // namespace nvc::pmem

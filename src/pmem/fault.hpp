@@ -1,15 +1,13 @@
 // Deterministic NVRAM media-fault injection.
 //
 // Real NVRAM write paths fail in ways the paper's model ignores: transient
-// flush errors (media busy, thermal throttling — "Writes Hurt" documents
-// Optane latency spikes that look exactly like this to software), lines that
-// go permanently bad, and write-backs torn mid-line by a power cut. The
-// FaultInjector makes those failure classes reproducible: every decision is
-// a pure function of (seed, line, per-line attempt ordinal), so a fuzzing
-// campaign replays bit-for-bit from NVC_FAULT_SEED and a crash-injection
-// sweep sees identical pre-freeze fault outcomes at every freeze point
-// (the ordinal sequence of the common prefix never depends on where the
-// power cut lands).
+// flush errors (media busy, thermal throttling), lines that go permanently
+// bad, and write-backs torn mid-line by a power cut. The FaultInjector makes
+// those failure classes reproducible: every decision is a pure function of
+// (seed, line, per-line attempt ordinal), so a fuzzing campaign replays
+// bit-for-bit from its seed and a crash-injection sweep sees identical
+// pre-freeze fault outcomes at every freeze point (the ordinal sequence of
+// the common prefix never depends on where the power cut lands).
 //
 // Fault classes:
 //  - transient: this attempt fails; a retry (next ordinal) may succeed.
@@ -19,14 +17,11 @@
 //    persist a prefix of the line. Torn lengths are multiples of 8 bytes,
 //    matching the 8-byte power-fail atomicity unit real platforms (ADR)
 //    guarantee — a packed 8-byte header word can never itself tear.
-//  - latency spike: an attempt is delayed but succeeds; consumers decide
-//    whether to spin (hardware backends) or just count (shadow model).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -35,17 +30,15 @@
 
 namespace nvc::pmem {
 
-/// Knobs for the injector, all settable through NVC_FAULT_* (see from_env).
+/// Settings for the injector, set by the caller (RuntimeConfig::fault).
 /// Retry/degradation policy lives here too: the runtime copies those fields
-/// into its (pmem-agnostic) core retry machinery so one env surface controls
+/// into its (pmem-agnostic) core retry machinery so one struct controls
 /// both sides.
 struct FaultConfig {
   double rate = 0.0;            // P(transient failure) per flush attempt
   double bad_line_rate = 0.0;   // P(a given line is permanently bad)
   std::vector<LineAddr> bad_lines;  // explicit bad set (tests), additive
   double torn_rate = 0.0;       // P(the crash-point write-back tears)
-  std::uint32_t latency_ns = 0;     // spike magnitude (0 disables spikes)
-  double latency_rate = 0.0;        // P(spike) per flush attempt
   std::uint32_t max_retries = 8;    // attempts after the first failure
   std::uint64_t backoff_ns = 200;       // first retry backoff
   std::uint64_t backoff_cap_ns = 10000;  // exponential backoff ceiling
@@ -57,24 +50,14 @@ struct FaultConfig {
   /// only at a modeled power cut, never on a live write-back.
   bool enabled() const noexcept {
     return rate > 0.0 || bad_line_rate > 0.0 || !bad_lines.empty() ||
-           torn_rate > 0.0 || (latency_ns > 0 && latency_rate > 0.0);
+           torn_rate > 0.0;
   }
-
-  /// Read NVC_FAULT_RATE / _BAD_LINES / _TORN / _LATENCY_NS / _LATENCY_RATE /
-  /// _RETRIES / _BACKOFF_NS / _BACKOFF_CAP_NS / _DEGRADE_AFTER / _SEED
-  /// (defaults to NVC_SEED).
-  static FaultConfig from_env();
-
-  /// One-line "NVC_FAULT_RATE=... NVC_FAULT_SEED=..." fragment for replay
-  /// commands; empty when no fault class is enabled.
-  std::string describe() const;
 };
 
 /// Verdict for one flush attempt.
 struct FaultDecision {
-  bool fail = false;           // the line does not persist this attempt
-  bool bad = false;            // permanent: set only together with fail
-  std::uint32_t spike_ns = 0;  // artificial latency to model (0 = none)
+  bool fail = false;  // the line does not persist this attempt
+  bool bad = false;   // permanent: set only together with fail
 };
 
 /// Shared, thread-safe decision source consulted by ShadowPmem and
@@ -98,7 +81,7 @@ class FaultInjector {
 
   const FaultConfig& config() const noexcept { return config_; }
 
-  /// True when no write-back decision can ever fail or spike (a torn-only
+  /// True when no write-back decision can ever fail (a torn-only
   /// config). Callers on the flush hot path check this before consulting,
   /// so an attached-but-idle injector costs one predictable branch per
   /// flush.
@@ -109,9 +92,6 @@ class FaultInjector {
   }
   std::uint64_t bad_hits() const noexcept {
     return bad_hits_.load(std::memory_order_acquire);
-  }
-  std::uint64_t spikes() const noexcept {
-    return spikes_.load(std::memory_order_acquire);
   }
   void reset_counters() noexcept;
 
@@ -125,7 +105,6 @@ class FaultInjector {
   bool idle_ = false;
   std::atomic<std::uint64_t> transients_{0};
   std::atomic<std::uint64_t> bad_hits_{0};
-  std::atomic<std::uint64_t> spikes_{0};
   mutable std::mutex mu_;
   std::unordered_map<LineAddr, std::uint64_t> attempts_;
 };

@@ -93,11 +93,8 @@ FlushBackend::FlushBackend(FlushKind kind, std::uint32_t simulated_latency_ns)
 }
 
 FlushResult FlushBackend::consult_injector(const void* addr) noexcept {
-  // kCountOnly backends skip the spike spin: they exist for pure counting
-  // where wall-clock fidelity is explicitly not wanted.
   const auto line = line_of(reinterpret_cast<PmAddr>(addr));
   const FaultDecision d = injector_->on_flush_attempt(line);
-  if (d.spike_ns > 0 && kind_ != FlushKind::kCountOnly) spin_ns(d.spike_ns);
   if (!d.fail) return FlushResult::kOk;
   ++faults_;
   return d.bad ? FlushResult::kBadLine : FlushResult::kTransient;

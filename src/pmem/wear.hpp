@@ -9,8 +9,8 @@
 // exactly like the PR 3 flushed counters: stats() never reads a plain
 // counter another thread may be mutating.
 //
-// Opt-in (NVC_WEAR): with no tracker attached, the backends' write-back path
-// keeps a single null-pointer test.
+// Opt-in (RuntimeConfig::wear_tracking): with no tracker attached, the
+// backends' write-back path keeps a single null-pointer test.
 #pragma once
 
 #include <atomic>

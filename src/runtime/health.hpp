@@ -1,6 +1,6 @@
 // Media-health introspection for the FASE runtime.
 //
-// When a FaultInjector is attached (NVC_FAULT_* knobs, or a real fallible
+// When a FaultInjector is attached (RuntimeConfig::fault, or a real fallible
 // backend in spirit), the retry/quarantine machinery of core::FaultTolerantSink
 // accumulates per-thread FaultStats; Runtime::health() aggregates them into
 // one report an operator (or a test) can poll: how much transient noise the
@@ -47,7 +47,7 @@ struct HealthReport {
   /// Contexts that stopped committing FASEs because of quarantined lines.
   std::size_t commit_suspended_contexts = 0;
 
-  /// A WearTracker is wired into the flush paths (NVC_WEAR=1).
+  /// A WearTracker is wired into the flush paths (wear_tracking).
   bool wear_attached = false;
   /// Endurance accounting snapshot (all zero unless wear_attached):
   std::uint64_t media_bytes_written = 0;
@@ -65,7 +65,7 @@ struct HealthReport {
   std::uint64_t recovery_records_undone = 0;
   std::uint64_t recovery_defects = 0;
 
-  /// Online scrubber (runtime/scrub.hpp): zero unless NVC_SCRUB armed it.
+  /// Online scrubber (runtime/scrub.hpp): zero unless `scrub` armed it.
   bool scrub_attached = false;
   std::uint64_t scrub_lines_scanned = 0;
   std::uint64_t scrub_metadata_repairs = 0;  // restored from redundant copies

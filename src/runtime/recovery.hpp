@@ -17,7 +17,7 @@
 //                          region; unrecoverable segments are reformatted
 //                          only after their defects are reported
 //   4. verify result     — optional per-line CRC32C check of the data image
-//                          against commit-time checksums (NVC_VERIFY_DATA)
+//                          against commit-time checksums (verify_data)
 //
 // No stage ever aborts or UBs on arbitrary bytes: every corruption is
 // *classified* into the RecoveryReport (clean / salvaged / unrecoverable,
@@ -40,13 +40,14 @@
 
 namespace nvc::runtime {
 
-/// Commit-granularity data-line checksums (NVC_VERIFY_DATA). One slot per
-/// cache line of the data region packing known|dirty|CRC32C into a single
-/// atomic word. Committing threads publish a line's checksum at FASE end;
-/// lines mid-mutation carry the dirty bit so the scrubber and the verify
-/// stage never flag a legitimately in-flight line. Volatile by design: it is
-/// rebuilt as FASEs commit, and crash tests supply their own table built
-/// from committed snapshots (modeling a persisted checksum arena).
+/// Commit-granularity data-line checksums (RuntimeConfig::verify_data).
+/// One slot per cache line of the data region packing known|dirty|CRC32C
+/// into a single atomic word. Committing threads publish a line's checksum
+/// at FASE end; lines mid-mutation carry the dirty bit so the scrubber and
+/// the verify stage never flag a legitimately in-flight line. Volatile by
+/// design: it is rebuilt as FASEs commit, and crash tests supply their own
+/// table built from committed snapshots (modeling a persisted checksum
+/// arena).
 class LineVerifyTable {
  public:
   explicit LineVerifyTable(std::size_t region_bytes)

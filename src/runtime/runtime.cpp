@@ -53,7 +53,7 @@ struct Runtime::ThreadContext {
   /// region is still mapped (contexts die before the allocator).
   WriteBackRoute route;
   std::uint32_t fase_depth = 0;
-  /// Data-region line indices this FASE has touched (NVC_VERIFY_DATA only;
+  /// Data-region line indices this FASE has touched (verify_data only;
   /// stays empty otherwise). fase_end publishes their commit-time checksums
   /// into the shared LineVerifyTable after a successful log commit.
   std::vector<std::size_t> touched_lines;
@@ -399,7 +399,7 @@ void Runtime::pwrote(const void* addr, std::size_t len) {
 
 void Runtime::mark_dirty(ThreadContext& c, const void* addr,
                          std::size_t len) {
-  // NVC_VERIFY_DATA: dirty every touched line (suppressing scrub checks
+  // verify_data: dirty every touched line (suppressing scrub checks
   // while content is in flight). Lines touched inside a FASE are recorded
   // so fase_end can publish their checksums at the commit point; stores
   // outside any FASE leave the line permanently dirty — there is no commit

@@ -77,7 +77,7 @@ struct RuntimeConfig {
   std::size_t log_segment_size = 1u << 20;
   std::size_t max_threads = 64;
 
-  /// Media-fault injection and tolerance (NVC_FAULT_*, DESIGN.md §10). When
+  /// Media-fault injection and tolerance (DESIGN.md §10). When
   /// fault.enabled() the runtime owns a FaultInjector consulted by every
   /// flush backend; when it can fail a write-back, the write-back route
   /// gains its retry/quarantine stages and degradation latches (async→sync
@@ -85,21 +85,21 @@ struct RuntimeConfig {
   /// the fault-free hot path is untouched.
   pmem::FaultConfig fault;
 
-  /// Endurance accounting (NVC_WEAR, DESIGN.md §12): attach one shared
+  /// Endurance accounting (DESIGN.md §12): attach one shared
   /// pmem::WearTracker to every flush backend — application-thread and
   /// worker-side — so stats()/health() can report bytes written to media
   /// and per-line wear. Off by default: the write-back hot path then keeps
   /// a single null-pointer test.
   bool wear_tracking = false;
 
-  /// Commit-granularity data verification (NVC_VERIFY_DATA=1, DESIGN.md
-  /// §14): every FASE commit publishes a CRC32C per touched data line into
-  /// a shared LineVerifyTable; the online scrubber and the recovery
-  /// pipeline's verify stage check lines against it. Off by default: the
-  /// store path keeps a single null-pointer test.
+  /// Commit-granularity data verification (DESIGN.md §14): every FASE
+  /// commit publishes a CRC32C per touched data line into a shared
+  /// LineVerifyTable; the online scrubber and the recovery pipeline's
+  /// verify stage check lines against it. Off by default: the store path
+  /// keeps a single null-pointer test.
   bool verify_data = false;
 
-  /// Online scrubbing (NVC_SCRUB=1, DESIGN.md §14): register a background
+  /// Online scrubbing (DESIGN.md §14): register a background
   /// Scrubber on the flush worker's idle hook — it re-reads the image
   /// when the write-back rings are empty, repairs detectably corrupt
   /// metadata from redundant copies, and quarantines lines the fault
@@ -132,7 +132,7 @@ struct RuntimeStats {
   // Flush elision (flush-behind only; zero under synchronous flushing):
   std::uint64_t elided_flushes = 0;     // scheduled write-backs skipped
   std::uint64_t elision_reflushes = 0;  // drain re-checks that flushed
-  // Endurance accounting (NVC_WEAR=1; all zero when tracking is off):
+  // Endurance accounting (wear_tracking; all zero when tracking is off):
   std::uint64_t media_line_writes = 0;   // write-backs that reached media
   std::uint64_t media_bytes_written = 0; // media_line_writes * line size
   std::uint64_t wear_lines_touched = 0;  // distinct lines written
@@ -317,12 +317,12 @@ class Runtime {
   /// allocator only mutates the mapping.
   void persist_header();
   /// Dirty the verify-table lines of [addr, addr+len) (needs the
-  /// NVC_VERIFY_DATA table). pstore calls it before its data write.
+  /// verify_data table). pstore calls it before its data write.
   void mark_dirty(ThreadContext& c, const void* addr, std::size_t len);
   /// Report [addr, addr+len) to the policy, line by line.
   void report(ThreadContext& c, const void* addr, std::size_t len);
   /// Publish commit-time checksums for the FASE's touched lines
-  /// (NVC_VERIFY_DATA; no-op otherwise).
+  /// (verify_data; no-op otherwise).
   void publish_commit(ThreadContext& c);
   /// Raw-memory view of the live regions for the recovery pipeline.
   RegionView region_view(core::FlushSink* sink) const;

@@ -16,7 +16,7 @@
 //     lines the FaultInjector's persistent-fault model marks bad are
 //     quarantined into the PR 5 FaultStats machinery (commit suspension and
 //     HealthReport pick them up exactly as write-path quarantines), and —
-//     when NVC_VERIFY_DATA is on — clean, committed lines are verified
+//     when verify_data is on — clean, committed lines are verified
 //     against their commit-time CRC32C; mismatches are counted and reported
 //     (data has no redundant copy to repair from; honesty over heroics).
 //
@@ -70,7 +70,7 @@ class Scrubber final : public core::IdleTask {
   /// mutex). Header checks/repairs run under it; without one the header
   /// phase is skipped (no way to exclude a racing legitimate mutation).
   void set_header_lock(std::mutex* lock) { header_lock_ = lock; }
-  /// Commit-time data checksums (NVC_VERIFY_DATA).
+  /// Commit-time data checksums (RuntimeConfig::verify_data).
   void set_verify_table(std::shared_ptr<const LineVerifyTable> table) {
     table_ = std::move(table);
   }

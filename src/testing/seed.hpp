@@ -4,12 +4,14 @@
 // output alone: when a property fails, the line that gtest prints has to
 // contain the exact environment that reproduces it. These helpers read the
 // seed knobs (NVC_SEED for the property suites, NVC_FUZZ_SEED for the
-// crash fuzzer) and format the replay hints the tests attach via
-// SCOPED_TRACE / assertion messages.
+// crash fuzzer, NVC_FAULT_* for the fault campaign) and format the replay
+// hints the tests attach via SCOPED_TRACE / assertion messages.
 #pragma once
 
 #include <cstdint>
 #include <string>
+
+#include "pmem/fault.hpp"
 
 namespace nvc::testing {
 
@@ -24,12 +26,22 @@ std::string replay_hint(const char* env_var, std::uint64_t seed);
 
 /// The fuzzer's one-line replay command: environment + ctest invocation
 /// that deterministically reproduces one (seed, mode, freeze) crash case.
-/// `fault_env` is the active NVC_FAULT_* fragment (FaultConfig::describe())
+/// `fault_env` is the active NVC_FAULT_* fragment (fault_replay_env())
 /// when the run injects media faults — empty keeps the line unchanged.
 std::string fuzz_replay_line(std::uint64_t program_seed,
                              const std::string& mode_name,
                              std::uint64_t freeze_event,
                              const std::string& fault_env = "");
+
+/// The fault campaign named by the environment: NVC_FAULT_RATE / _BAD_LINES /
+/// _TORN / _RETRIES / _DEGRADE_AFTER / _SEED (falling back to NVC_SEED) over
+/// FaultConfig's defaults — exactly the fields fault_replay_env() prints.
+pmem::FaultConfig fault_config_from_env();
+
+/// The "NVC_FAULT_RATE=... NVC_FAULT_SEED=..." fragment that
+/// fault_config_from_env() reads back into `fault`; empty when no fault
+/// class is enabled.
+std::string fault_replay_env(const pmem::FaultConfig& fault);
 
 /// Same idea for the durable-structure fuzzer (test_structures_fuzz): one
 /// line reproducing a (seed, structure, freeze-event) case. `env_fragment`

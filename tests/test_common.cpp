@@ -576,13 +576,5 @@ TEST(SpscQueue, RandomPushPopMatchesModel) {
   }
 }
 
-TEST(Env, ScaledRespectsFullFlag) {
-  ::unsetenv("NVC_FULL");
-  EXPECT_EQ(scaled(10, 100), 10);
-  ::setenv("NVC_FULL", "1", 1);
-  EXPECT_EQ(scaled(10, 100), 100);
-  ::unsetenv("NVC_FULL");
-}
-
 }  // namespace
 }  // namespace nvc

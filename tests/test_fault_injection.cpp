@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "pmem/shadow.hpp"
 #include "runtime/runtime.hpp"
 #include "support/crash_rig.hpp"
+#include "testing/seed.hpp"
 
 namespace nvc::testing {
 namespace {
@@ -30,6 +32,50 @@ std::string unique_region(const char* base) {
   static int counter = 0;
   return std::string(base) + "." + std::to_string(::getpid()) + "." +
          std::to_string(counter++);
+}
+
+// --------------------------------------------------------------------------
+// Replay fragment: the NVC_FAULT_* words a failing fuzz case prints.
+// --------------------------------------------------------------------------
+
+TEST(FaultReplay, FragmentRoundTripsEveryField) {
+  // A replay line reproduces the campaign only if every field the fragment
+  // carries parses back exactly — rates whose shortest decimal form is long
+  // and a seed above INT64_MAX included.
+  pmem::FaultConfig want;
+  want.rate = 1.0 / 3.0;
+  want.bad_line_rate = 0.05;
+  want.torn_rate = 0.1 + 0.2;
+  want.max_retries = 3;
+  want.degrade_after = 7;
+  want.seed = 0xfa17c0defa17c0deULL;
+  const pmem::FaultConfig defaults;
+  ASSERT_NE(want.rate, defaults.rate);
+  ASSERT_NE(want.bad_line_rate, defaults.bad_line_rate);
+  ASSERT_NE(want.torn_rate, defaults.torn_rate);
+  ASSERT_NE(want.max_retries, defaults.max_retries);
+  ASSERT_NE(want.degrade_after, defaults.degrade_after);
+  ASSERT_NE(want.seed, defaults.seed);
+
+  std::vector<std::string> names;
+  std::istringstream words(fault_replay_env(want));
+  for (std::string word; words >> word;) {
+    const std::size_t eq = word.find('=');
+    ASSERT_NE(eq, std::string::npos) << word;
+    names.push_back(word.substr(0, eq));
+    ::setenv(names.back().c_str(), word.substr(eq + 1).c_str(), 1);
+  }
+  const pmem::FaultConfig got = fault_config_from_env();
+  for (const std::string& name : names) ::unsetenv(name.c_str());
+
+  EXPECT_EQ(names.size(), 6u);
+  EXPECT_EQ(got.rate, want.rate);
+  EXPECT_EQ(got.bad_line_rate, want.bad_line_rate);
+  EXPECT_EQ(got.torn_rate, want.torn_rate);
+  EXPECT_EQ(got.max_retries, want.max_retries);
+  EXPECT_EQ(got.degrade_after, want.degrade_after);
+  EXPECT_EQ(got.seed, want.seed);
+  EXPECT_EQ(fault_replay_env(defaults), "");  // no campaign, no fragment
 }
 
 // --------------------------------------------------------------------------
@@ -451,13 +497,12 @@ struct WedgedSink final : core::FlushSink {
 };
 
 TEST(FlushDrainWatchdog, DiagnosesStalledConsumerAndKeepsHelping) {
-  // The timeout knob is read when the channel is opened.
-  ::setenv("NVC_FLUSH_DRAIN_TIMEOUT_MS", "50", 1);
+  // The watchdog is always armed at FlushChannel::kDrainWatchdogMs, so this
+  // case takes about one period.
   auto owned = std::make_unique<WedgedSink>();
   WedgedSink* wedged = owned.get();
   auto channel =
       core::FlushWorker::shared().open_manual_channel(std::move(owned), 16);
-  ::unsetenv("NVC_FLUSH_DRAIN_TIMEOUT_MS");
   wedged->channel.store(channel.get(), std::memory_order_release);
 
   for (LineAddr l = 1; l <= 4; ++l) ASSERT_TRUE(channel->try_push(l));
@@ -484,7 +529,7 @@ struct AcceptSink final : core::FlushSink {
   void drain() override {}
 };
 
-TEST(FlushDrainWatchdog, DisabledByDefaultAndSilentWhenDraining) {
+TEST(FlushDrainWatchdog, SilentWhenDraining) {
   auto channel = core::FlushWorker::shared().open_manual_channel(
       std::make_unique<AcceptSink>(), 16);
   for (LineAddr l = 1; l <= 8; ++l) ASSERT_TRUE(channel->try_push(l));

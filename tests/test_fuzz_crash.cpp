@@ -517,7 +517,7 @@ TEST(FuzzDeterminism, WorkersCannotPerturbManualReplays) {
 /// seed derives from the program seed so each iteration explores different
 /// fault placements yet replays bit-for-bit.
 pmem::FaultConfig fault_fuzz_config(std::uint64_t program_seed) {
-  pmem::FaultConfig fault = pmem::FaultConfig::from_env();
+  pmem::FaultConfig fault = fault_config_from_env();
   if (!fault.enabled()) {
     fault.rate = 0.08;           // transient per-attempt failure probability
     fault.bad_line_rate = 0.05;  // permanently bad media lines
@@ -558,7 +558,7 @@ TEST_P(FaultFuzzCrash, DegradedRunsStillRecoverCommittedPrefixes) {
     const FuzzProgram program = generate_program(seed);
     const DurabilityOracle oracle(program);
     const pmem::FaultConfig fault = fault_fuzz_config(seed);
-    const std::string fault_env = fault.describe();
+    const std::string fault_env = fault_replay_env(fault);
 
     runtime::RuntimeConfig rig_config = fuzz_runtime_config(program, mode);
     rig_config.fault = fault;
@@ -597,7 +597,7 @@ TEST_P(FaultFuzzCrash, DegradedRunsStillRecoverCommittedPrefixes) {
   // campaign is deliberately partial.
   const bool pinned = env_int("NVC_FUZZ_SEED", -1) >= 0 ||
                       env_int("NVC_FUZZ_FREEZE", -1) >= 0 ||
-                      pmem::FaultConfig::from_env().enabled() ||
+                      fault_config_from_env().enabled() ||
                       !env_str("NVC_SEED", "").empty() ||
                       env_int("NVC_FUZZ_ITERS", -1) >= 0;
   if (pinned) return;

@@ -2,6 +2,7 @@
 // regions, the persistent allocator, and the shadow crash model.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <unistd.h>
@@ -128,6 +129,34 @@ TEST(PmemRegion, MoveTransfersOwnership) {
   EXPECT_TRUE(b.valid());
   EXPECT_EQ(b.base(), base);
   b.close_and_destroy();
+}
+
+TEST(PmemRegion, PmemDirEnvPlacesTheBackingFile) {
+  // NVC_PMEM_DIR is the deployment path the e2e benchmark sets; every
+  // region file of the process lands in it.
+  const char* outer = std::getenv("NVC_PMEM_DIR");
+  const std::string outer_dir = outer != nullptr ? outer : "";
+  const std::string default_dir = region_dir();
+  std::string tmpl = default_dir + "/nvc-pmem-dir.XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
+  const std::string dir = tmpl;
+  ::setenv("NVC_PMEM_DIR", dir.c_str(), 1);
+  EXPECT_EQ(region_dir(), dir);
+  const std::string name = unique_name("region-dir");
+  {
+    PmemRegion r = PmemRegion::create(name, 1 << 16);
+    EXPECT_EQ(r.path(), dir + "/nvcache." + name + ".pmem");
+    EXPECT_EQ(::access(r.path().c_str(), F_OK), 0);
+    EXPECT_TRUE(PmemRegion::exists(name));
+    r.close_and_destroy();
+  }
+  if (outer != nullptr) {
+    ::setenv("NVC_PMEM_DIR", outer_dir.c_str(), 1);
+  } else {
+    ::unsetenv("NVC_PMEM_DIR");
+  }
+  EXPECT_EQ(region_dir(), default_dir);
+  EXPECT_EQ(::rmdir(dir.c_str()), 0);  // empty: the file went nowhere else
 }
 
 TEST(PmemRegion, OpenMissingThrows) {

@@ -6,7 +6,7 @@
 // fed arbitrary garbage somewhere below and must classify, throw, or return
 // a status — never abort, crash, or read out of bounds. The last section
 // drives the two integrity features of a live Runtime — the online
-// scrubber (NVC_SCRUB) and recover()'s verify stage (NVC_VERIFY_DATA) —
+// scrubber (`scrub`) and recover()'s verify stage (`verify_data`) —
 // over real regions and over the crash rig's shadow medium.
 #include <gtest/gtest.h>
 
