@@ -228,7 +228,7 @@ void SoftCachePolicy::sample_store(LineAddr line, FlushSink& sink) {
     // as does the admission verdict this burst implies.
     counters_.instructions +=
         kInstrSamplerAnalysisPerWrite * sampler_.burst_length();
-    cache_.resize(*selected, sink);
+    apply_selection(*selected, sink);
     if (admission_ != nullptr) admission_->publish_verdict(sampler_);
   } else if (sampler_.async() && was_sampling && !sampler_.sampling()) {
     // The burst was handed to the background worker in O(1); the old
@@ -241,11 +241,49 @@ void SoftCachePolicy::apply_pending_selection(FlushSink& sink) {
   if (!online_ || !sampler_.async()) return;
   if (const auto selected = sampler_.poll_selection()) {
     counters_.instructions += kInstrAsyncApply;
-    cache_.resize(*selected, sink);
+    apply_selection(*selected, sink);
   }
   // Burst-boundary republish, same cadence as the size selection: a burst
   // polled at this boundary also refreshes the reuse verdict.
   if (admission_ != nullptr) admission_->publish_verdict(sampler_);
+}
+
+void SoftCachePolicy::apply_selection(std::size_t selected,
+                                      FlushSink& sink) {
+  if (fired_) {
+    // The re-sample's selection only ever grows the cache.
+    cache_.resize(std::max(selected, cache_.capacity()), sink);
+    return;
+  }
+  cache_.resize(selected, sink);
+  // With counted hibernation the sampler re-samples on its own; the check
+  // is for the paper's analyze-once configuration only.
+  if (!sampler_.dormant()) return;
+  predicted_ = sampler_.last_mrc().at(selected);
+  open_window();
+}
+
+void SoftCachePolicy::open_window() {
+  window_flushes_ = cache_.stats().flushes();
+  window_stores_ = cached_stores();
+}
+
+void SoftCachePolicy::check_prediction() {
+  if (!predicted_ || fired_) return;
+  const std::uint64_t stores = cached_stores() - window_stores_;
+  if (stores < sampler_.burst_length()) return;
+  const std::uint64_t flushes = cache_.stats().flushes() - window_flushes_;
+  const double observed =
+      static_cast<double>(flushes) / static_cast<double>(stores);
+  if (observed > kResampleSlack * *predicted_ + kResampleFloor) {
+    // The prediction was armed on a dormant sampler by the selection it
+    // applied, so no analysis is in flight and the burst always starts.
+    const bool started = sampler_.resample();
+    NVC_ENSURE(started, "the MRC check found its sampler busy");
+    fired_ = ResampleCheck{cache_.capacity(), *predicted_, observed};
+    return;
+  }
+  open_window();
 }
 
 void SoftCachePolicy::do_fase_begin(FlushSink& sink) {
@@ -268,6 +306,7 @@ void SoftCachePolicy::do_fase_end(FlushSink& sink) {
   const std::uint64_t flushed = cache_.size();
   counters_.instructions += kInstrPerFlushIssue * flushed;
   cache_.flush_all(sink);
+  if (online_) check_prediction();
   // The cache is empty right after the FASE flush, so applying a freshly
   // landed selection here is free.
   apply_pending_selection(sink);

@@ -240,6 +240,15 @@ class AtlasPolicy final : public Policy {
   std::uint64_t clock_ = 0;
 };
 
+/// SC's check of its MRC against its own flush counter that fired a
+/// re-sample: the size the first burst applied, the miss ratio the MRC
+/// predicted there, and the flush ratio the cache showed instead.
+struct ResampleCheck {
+  std::size_t size = 0;
+  double predicted = 0.0;
+  double observed = 0.0;
+};
+
 /// SC / SC-offline: the adaptive software write-combining cache.
 ///
 /// With `SamplerConfig::async_analysis` the burst analysis runs on the
@@ -248,8 +257,20 @@ class AtlasPolicy final : public Policy {
 /// about to be flushed) at a boundary, so a resize there is free and the
 /// FASE-clearing semantics the MRC was computed under are preserved. Until
 /// the selection lands, the old cache size stays in effect.
+///
+/// MRC check (DESIGN.md §5): with forever-hibernation, SC compares the
+/// flush ratio its cache shows over each window of at least one burst of
+/// stores, closed at an outermost FASE end, with the miss ratio the MRC
+/// predicted at the applied size. The first window that exceeds
+/// kResampleSlack × predicted + kResampleFloor starts one more burst; its
+/// selection applies as max(new, old), so the cache never shrinks and, by
+/// LRU inclusion, never flushes more than the first choice would have. At
+/// most one re-sample per policy.
 class SoftCachePolicy final : public Policy {
  public:
+  static constexpr double kResampleSlack = 1.25;
+  static constexpr double kResampleFloor = 0.01;
+
   /// `online`: true = SC (bursty sampling + resize), false = SC-offline
   /// (fixed, profiled size).
   SoftCachePolicy(const PolicyConfig& config, bool online);
@@ -273,6 +294,13 @@ class SoftCachePolicy final : public Policy {
   const WriteCache& cache() const noexcept { return cache_; }
   const BurstSampler& sampler() const noexcept { return sampler_; }
 
+  /// Re-samples started by the MRC check (0 or 1), and the check that
+  /// started one.
+  std::uint32_t resamples() const noexcept { return fired_ ? 1 : 0; }
+  const std::optional<ResampleCheck>& fired_check() const noexcept {
+    return fired_;
+  }
+
  private:
   bool do_store(LineAddr line, FlushSink& sink) override;
   void do_fase_begin(FlushSink& sink) override;
@@ -281,10 +309,24 @@ class SoftCachePolicy final : public Policy {
   void do_finish(FlushSink& sink) override;
   void apply_pending_selection(FlushSink& sink);
   void sample_store(LineAddr line, FlushSink& sink);
+  void apply_selection(std::size_t selected, FlushSink& sink);
+  void check_prediction();
+  void open_window();
+  std::uint64_t cached_stores() const noexcept {
+    const PolicyCounters c = counters();
+    return c.stores - c.bypassed;
+  }
 
   WriteCache cache_;
   BurstSampler sampler_;
   bool online_;
+  // MRC check state: the prediction at the applied size (set by the first
+  // selection) and the cache's flush and store counts where the current
+  // window opened.
+  std::optional<double> predicted_;
+  std::uint64_t window_flushes_ = 0;
+  std::uint64_t window_stores_ = 0;
+  std::optional<ResampleCheck> fired_;
 };
 
 /// BEST: never flush. Invalid as a persistence technique; used as the upper

@@ -41,14 +41,7 @@ std::optional<std::size_t> BurstSampler::on_store(LineAddr line) {
       // Don't start a new burst while the previous one is still being
       // analyzed in the background; keep hibernating until it lands.
       if (channel_ && !channel_->idle()) return std::nullopt;
-      sampling_ = true;
-      hibernated_ = 0;
-      renamer_.reset();
-      burst_trace_.clear();
-      // The buffer was released at burst end (shrink_to_fit / move into the
-      // analysis channel); re-reserve so the burst doesn't re-grow from
-      // capacity 0 through repeated reallocation.
-      burst_trace_.reserve(static_cast<std::size_t>(config_.burst_length));
+      start_burst();
     } else {
       return std::nullopt;
     }
@@ -56,6 +49,23 @@ std::optional<std::size_t> BurstSampler::on_store(LineAddr line) {
   burst_trace_.push_back(renamer_.rename(line));
   if (burst_trace_.size() >= config_.burst_length) return finish_burst();
   return std::nullopt;
+}
+
+void BurstSampler::start_burst() {
+  sampling_ = true;
+  hibernated_ = 0;
+  renamer_.reset();
+  burst_trace_.clear();
+  // The buffer was released at burst end (shrink_to_fit / move into the
+  // analysis channel); re-reserve so the burst doesn't re-grow from
+  // capacity 0 through repeated reallocation.
+  burst_trace_.reserve(static_cast<std::size_t>(config_.burst_length));
+}
+
+bool BurstSampler::resample() {
+  if (!dormant() || analysis_in_flight()) return false;
+  start_burst();
+  return true;
 }
 
 void BurstSampler::apply_analysis(BurstAnalysis&& analysis) {

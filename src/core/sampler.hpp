@@ -7,7 +7,9 @@
 // ("we found it is sufficient to analyze MRC just once"); both knobs are
 // configurable here, including periodic re-sampling for phase-changing
 // programs (listed as future work in the paper, implemented here as an
-// extension).
+// extension). With forever-hibernation the SC policy can also ask for one
+// more burst on demand (resample()) when its own flush counter contradicts
+// the MRC (DESIGN.md §5).
 //
 // Two analysis modes:
 //   * synchronous (default): the analysis runs inside the on_store() that
@@ -91,6 +93,13 @@ class BurstSampler {
   /// Async mode: true while a handed-off burst has not been analyzed yet.
   bool analysis_in_flight() const;
 
+  /// Start one more burst now, without a warmup skip. Works only on a
+  /// dormant sampler whose last burst has been analyzed: false, and
+  /// nothing changes, while sampling or while an analysis is in flight.
+  /// The burst ends as any other — its selection is returned by on_store()
+  /// or polled — and the sampler is dormant again afterwards.
+  bool resample();
+
   bool sampling() const noexcept { return sampling_; }
   /// True when on_store() ignores stores for good: the first burst is over
   /// (sampling() stays true through the warmup skip) and hibernation is
@@ -120,6 +129,7 @@ class BurstSampler {
                                     const KneeConfig& knee, Mrc* mrc_out);
 
  private:
+  void start_burst();
   std::optional<std::size_t> finish_burst();
   void apply_analysis(BurstAnalysis&& analysis);
 

@@ -506,6 +506,13 @@ RuntimeStats Runtime::stats() const {
     if (const std::size_t size = c->policy->current_cache_size(); size > 0) {
       s.cache_sizes.push_back(size);
     }
+    if (c->policy->kind() == core::PolicyKind::kSoftCache) {
+      const auto& sc = static_cast<const core::SoftCachePolicy&>(*c->policy);
+      s.sampler_resamples += sc.resamples();
+      if (const auto& check = sc.fired_check()) {
+        s.resample_checks.push_back(*check);
+      }
+    }
   }
   if (wear_ != nullptr) {
     // Thread-safe by construction: the tracker's totals are release-

@@ -141,6 +141,10 @@ struct RuntimeStats {
   double wear_leveling_skew = 0.0;       // max/mean - 1 (0 = leveled)
   std::size_t threads = 0;
   std::vector<std::size_t> cache_sizes;  // per-thread selected sizes (SC)
+  // SC's MRC check (DESIGN.md §5): re-samples it started, summed over
+  // contexts, and for each re-sampled context the check that fired.
+  std::uint64_t sampler_resamples = 0;
+  std::vector<core::ResampleCheck> resample_checks;
 
   double flush_ratio() const noexcept {
     return stores == 0

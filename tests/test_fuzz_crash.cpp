@@ -62,8 +62,9 @@ namespace {
 constexpr std::uint64_t kDefaultBaseSeed = 20260806;
 
 /// Per-iteration program seed: derived from the base by splitmix64 so
-/// consecutive iterations explore unrelated programs; masked to int64 range
-/// so the printed replay value round-trips through env_int().
+/// consecutive iterations explore unrelated programs. The int64 mask only
+/// keeps the default campaign's programs what they have always been; a
+/// pinned NVC_FUZZ_SEED parses unsigned, so any 64-bit seed replays.
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t iter) {
   std::uint64_t sm = base + iter;
   return splitmix64(sm) & 0x7fffffffffffffffULL;
@@ -81,11 +82,16 @@ struct SeedPlan {
   }
 };
 
+/// True when NVC_FUZZ_SEED names a seed (any unsigned 64-bit value).
+bool fuzz_seed_pinned() {
+  return seed_from_env("NVC_FUZZ_SEED", 0) ==
+         seed_from_env("NVC_FUZZ_SEED", 1);
+}
+
 SeedPlan seed_plan(std::uint64_t default_iters) {
-  const std::int64_t env_seed = env_int("NVC_FUZZ_SEED", -1);
   SeedPlan plan;
-  plan.pinned = env_seed >= 0;
-  plan.override_seed = plan.pinned ? static_cast<std::uint64_t>(env_seed) : 0;
+  plan.pinned = fuzz_seed_pinned();
+  plan.override_seed = seed_from_env("NVC_FUZZ_SEED", 0);
   plan.iters =
       plan.pinned
           ? 1
@@ -327,7 +333,7 @@ TEST_P(FuzzCrash, EveryCrashStateIsACommittedFasePrefix) {
   // write-backs across ops, so re-evictions of a queued line must actually
   // elide somewhere — otherwise elision goes untested. Skipped on pinned
   // replays, where the campaign is deliberately partial.
-  const bool pinned = env_int("NVC_FUZZ_SEED", -1) >= 0 ||
+  const bool pinned = fuzz_seed_pinned() ||
                       env_int("NVC_FUZZ_FREEZE", -1) >= 0 ||
                       env_int("NVC_FUZZ_ITERS", -1) >= 0;
   if (mode.async_flush && !pinned) {
@@ -431,7 +437,7 @@ TEST_P(RepeatLaneFuzzCrash, RedirtiedLinesAreWrittenBackBeforeCommit) {
                         "", last_index);
     if (::testing::Test::HasFatalFailure()) return;
   }
-  if (env_int("NVC_FUZZ_SEED", -1) < 0 && env_int("NVC_FUZZ_ITERS", -1) < 0) {
+  if (!fuzz_seed_pinned() && env_int("NVC_FUZZ_ITERS", -1) < 0) {
     EXPECT_GT(redirtied, 0u)
         << "no program re-dirtied a just-flushed line; the generator's "
         << "same-line runs are gone";
@@ -444,6 +450,25 @@ INSTANTIATE_TEST_SUITE_P(AllModes, RepeatLaneFuzzCrash,
 // --------------------------------------------------------------------------
 // Worker-independence of the deterministic schedule (DESIGN.md §8).
 // --------------------------------------------------------------------------
+
+TEST(FuzzSeedPlan, PinnedSeedKeepsAll64Bits) {
+  // A replay line may name any 64-bit program seed; a signed parse would
+  // clamp this one to INT64_MAX and replay another program.
+  const std::string saved = env_str("NVC_FUZZ_SEED", "");
+  ::setenv("NVC_FUZZ_SEED", "18446744073709551557", 1);
+  const SeedPlan plan = seed_plan(/*default_iters=*/8);
+  ::unsetenv("NVC_FUZZ_SEED");
+  const SeedPlan campaign = seed_plan(/*default_iters=*/8);
+  if (!saved.empty()) ::setenv("NVC_FUZZ_SEED", saved.c_str(), 1);
+
+  EXPECT_TRUE(plan.pinned);
+  EXPECT_EQ(plan.iters, 1u);
+  EXPECT_EQ(plan.seed(0), 18446744073709551557ULL);
+  // Unpinned, the campaign's seeds are the masked derivations.
+  EXPECT_FALSE(campaign.pinned);
+  EXPECT_EQ(campaign.seed(3), derive_seed(kDefaultBaseSeed, 3));
+  EXPECT_LE(campaign.seed(3), 0x7fffffffffffffffULL);
+}
 
 TEST(FuzzDeterminism, WorkersCannotPerturbManualReplays) {
   // The fuzzer's whole value rests on manual channels being invisible to
@@ -595,7 +620,7 @@ TEST_P(FaultFuzzCrash, DegradedRunsStillRecoverCommittedPrefixes) {
   // Campaign-coverage asserts (deterministic: seeds derive from the fixed
   // base). Skipped on pinned replays / operator overrides, where the
   // campaign is deliberately partial.
-  const bool pinned = env_int("NVC_FUZZ_SEED", -1) >= 0 ||
+  const bool pinned = fuzz_seed_pinned() ||
                       env_int("NVC_FUZZ_FREEZE", -1) >= 0 ||
                       fault_config_from_env().enabled() ||
                       !env_str("NVC_SEED", "").empty() ||
@@ -679,7 +704,7 @@ TEST_P(AdmitFuzzCrash, BypassedLinesKeepTheDurabilityContract) {
   // Campaign coverage (deterministic seeds): the sweep is only meaningful
   // if the doorkeeper actually bypassed stores somewhere. Skipped on
   // pinned replays, where the campaign is deliberately partial.
-  const bool pinned = env_int("NVC_FUZZ_SEED", -1) >= 0 ||
+  const bool pinned = fuzz_seed_pinned() ||
                       env_int("NVC_FUZZ_FREEZE", -1) >= 0 ||
                       env_int("NVC_FUZZ_ITERS", -1) >= 0 ||
                       !admit_pin.empty();

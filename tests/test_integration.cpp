@@ -205,6 +205,49 @@ INSTANTIATE_TEST_SUITE_P(LiveIntegration, FlushElisionIdentity,
                          ::testing::ValuesIn(elision_workloads()),
                          workload_test_name);
 
+// SC's MRC check on live workloads (DESIGN.md §5): whether or not a check
+// fires, the final size is never below the first burst's selection, and
+// a fired check names a real miss. The printed lines are the EXPERIMENTS.md
+// table.
+class SamplerResample : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SamplerResample, FinalSizeNeverBelowFirstSelection) {
+  const std::string& workload = GetParam();
+  const runtime::RuntimeStats stats = run_elision(workload, false);
+  ASSERT_EQ(stats.cache_sizes.size(), 1u);  // one thread at quick scale
+  ASSERT_EQ(stats.resample_checks.size(), stats.sampler_resamples);
+  ASSERT_LE(stats.sampler_resamples, 1u);
+  // raytrace, whose one burst is representative, never re-samples.
+  if (workload == "raytrace") {
+    EXPECT_EQ(stats.sampler_resamples, 0u);
+  }
+  if (stats.resample_checks.empty()) {
+    std::printf("%s: size %zu, no re-sample\n", workload.c_str(),
+                stats.cache_sizes[0]);
+    return;
+  }
+  const core::ResampleCheck& check = stats.resample_checks[0];
+  std::printf("%s: size %zu -> %zu, predicted %.4f observed %.4f (%.2fx)\n",
+              workload.c_str(), check.size, stats.cache_sizes[0],
+              check.predicted, check.observed,
+              check.observed / check.predicted);
+  EXPECT_GE(stats.cache_sizes[0], check.size);
+  EXPECT_GT(check.observed,
+            core::SoftCachePolicy::kResampleSlack * check.predicted +
+                core::SoftCachePolicy::kResampleFloor);
+  if (workload == "ocean") {
+    // The burst samples the initialization fill; the sweeps miss 3.3x more.
+    EXPECT_EQ(check.size, 2u);
+    EXPECT_NEAR(check.predicted, 0.1246, 1e-4);
+    EXPECT_NEAR(check.observed, 0.4136, 1e-4);
+    EXPECT_EQ(stats.cache_sizes[0], 4u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(LiveIntegration, SamplerResample,
+                         ::testing::ValuesIn(elision_workloads()),
+                         workload_test_name);
+
 // --- trace -> analysis -> size pipeline ---------------------------------------------------
 
 TEST(Pipeline, TraceModeAndLiveModeAgreeOnFlushCounts) {

@@ -126,6 +126,52 @@ TEST(BurstSampler, InfiniteHibernationNeverResamples) {
   EXPECT_EQ(selections, 1);
 }
 
+TEST(BurstSampler, ResampleStartsOneBurstOnADormantSampler) {
+  BurstSampler sampler(quick_sampler(100));
+  EXPECT_FALSE(sampler.resample());  // still sampling the first burst
+  for (int i = 0; i < 100; ++i) {
+    (void)sampler.on_store(static_cast<LineAddr>(i % 5));
+  }
+  ASSERT_TRUE(sampler.dormant());
+  // Dormant: the re-sample starts at once (no warmup skip) and ends after
+  // exactly one more burst, dormant again.
+  ASSERT_TRUE(sampler.resample());
+  EXPECT_TRUE(sampler.sampling());
+  EXPECT_FALSE(sampler.resample());
+  std::optional<std::size_t> selected;
+  for (int i = 0; i < 100; ++i) {
+    selected = sampler.on_store(static_cast<LineAddr>(i % 9));
+  }
+  ASSERT_TRUE(selected.has_value());
+  EXPECT_EQ(sampler.bursts_completed(), 2u);
+  EXPECT_NEAR(static_cast<double>(*selected), 9.0, 2.0);
+  EXPECT_TRUE(sampler.dormant());
+
+  // A counted hibernation is never dormant, so it never takes a re-sample.
+  SamplerConfig hibernating = quick_sampler(100);
+  hibernating.hibernation_length = 50;
+  BurstSampler periodic(hibernating);
+  for (int i = 0; i < 100; ++i) {
+    (void)periodic.on_store(static_cast<LineAddr>(i % 5));
+  }
+  EXPECT_FALSE(periodic.resample());
+}
+
+TEST(BurstSampler, ResampleWaitsForTheInFlightAnalysis) {
+  SamplerConfig config = quick_sampler(100);
+  config.manual_analysis = true;
+  BurstSampler sampler(config);
+  for (int i = 0; i < 100; ++i) {
+    (void)sampler.on_store(static_cast<LineAddr>(i % 5));
+  }
+  ASSERT_TRUE(sampler.analysis_in_flight());
+  EXPECT_FALSE(sampler.resample());
+  EXPECT_FALSE(sampler.sampling());
+  ASSERT_TRUE(sampler.pump_analysis());
+  ASSERT_TRUE(sampler.poll_selection().has_value());
+  EXPECT_TRUE(sampler.resample());
+}
+
 TEST(BurstSampler, PeriodicResamplingExtension) {
   SamplerConfig config = quick_sampler(100);
   config.hibernation_length = 400;  // re-sample every 400 writes

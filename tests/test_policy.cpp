@@ -8,7 +8,9 @@
 #include <cstddef>
 #include <cstring>
 #include <deque>
+#include <initializer_list>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <string>
@@ -290,6 +292,143 @@ TEST(SoftCachePolicy, FlushBufferedDefersAsyncResizeToFaseBoundary) {
   EXPECT_NEAR(static_cast<double>(p.current_cache_size()), 14.0, 3.0);
 }
 
+// --- SC's MRC check and its one re-sample (DESIGN.md §5) ---------------------------
+
+// The burst samples inside a first FASE longer than four bursts (the warmup
+// skip gives up after 4 x 512 stores), as in ocean's initialization.
+constexpr std::uint64_t kCheckBurst = 512;
+constexpr LineAddr kHotA = 1, kHotB = 2, kHotC = 3;
+
+PolicyConfig check_config() {
+  PolicyConfig config;
+  config.cache_size = 8;
+  config.sampler.burst_length = kCheckBurst;
+  config.sampler.skip_fases = 1;
+  config.sampler.knee.max_size = 16;
+  return config;
+}
+
+/// Drives one SC policy through FASEs that cycle over hot lines, each cycle
+/// ending in a line written once (a fill's fresh line).
+struct CycleStream {
+  explicit CycleStream(PolicyConfig config, bool online = true)
+      : policy(config, online) {}
+
+  void stores(std::initializer_list<LineAddr> hot, std::uint64_t count) {
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const std::uint64_t at = i % (hot.size() + 1);
+      policy.on_store(at < hot.size() ? hot.begin()[at] : fresh++, sink);
+    }
+  }
+  void fase(std::initializer_list<LineAddr> hot, std::uint64_t count) {
+    policy.on_fase_begin(sink);
+    stores(hot, count);
+    policy.on_fase_end(sink);
+  }
+  /// The initialization FASE: 8 bursts of (A, B, fresh), knee at 3.
+  void init() { fase({kHotA, kHotB}, 8 * kCheckBurst); }
+
+  SoftCachePolicy policy;
+  CountingSink sink;
+  LineAddr fresh = 1000;
+};
+
+TEST(SoftCacheResample, UnrepresentativeBurstResamplesOnceAndGrows) {
+  // The steady FASEs add a third hot line: at the first choice (3) every
+  // store of a 4-line cycle misses, far above the burst's prediction.
+  CycleStream sc(check_config());
+  sc.init();
+  ASSERT_EQ(sc.policy.current_cache_size(), 3u);
+  EXPECT_EQ(sc.policy.resamples(), 0u);  // the prediction held in init
+  for (int f = 0; f < 12; ++f) sc.fase({kHotA, kHotB, kHotC}, 1024);
+
+  EXPECT_EQ(sc.policy.resamples(), 1u);
+  EXPECT_EQ(sc.policy.sampler().bursts_completed(), 2u);
+  EXPECT_EQ(sc.policy.current_cache_size(), 4u);
+  ASSERT_TRUE(sc.policy.fired_check().has_value());
+  const ResampleCheck& check = *sc.policy.fired_check();
+  EXPECT_EQ(check.size, 3u);
+  EXPECT_NEAR(check.predicted, 1.0 / 3.0, 0.01);
+  EXPECT_NEAR(check.observed, 1.0, 0.01);  // the first steady FASE
+  EXPECT_GT(check.observed, SoftCachePolicy::kResampleSlack * check.predicted +
+                                SoftCachePolicy::kResampleFloor);
+
+  // The first choice, kept for the whole run, flushes more.
+  PolicyConfig first = check_config();
+  first.cache_size = check.size;
+  CycleStream fixed(first, /*online=*/false);
+  fixed.init();
+  for (int f = 0; f < 12; ++f) fixed.fase({kHotA, kHotB, kHotC}, 1024);
+  EXPECT_EQ(sc.policy.counters().stores, fixed.policy.counters().stores);
+  EXPECT_LT(sc.sink.count(), fixed.sink.count() / 2);
+}
+
+TEST(SoftCacheResample, HeldPredictionNeverResamples) {
+  // Steady FASEs with the burst's own shape: observed matches predicted,
+  // so SC runs exactly as the analyze-once policy: size 3 from the burst
+  // on, 1/3 of the steady stores flushed.
+  CycleStream sc(check_config());
+  sc.init();
+  for (int f = 0; f < 12; ++f) sc.fase({kHotA, kHotB}, 1026);
+  EXPECT_EQ(sc.policy.resamples(), 0u);
+  EXPECT_FALSE(sc.policy.fired_check().has_value());
+  EXPECT_EQ(sc.policy.sampler().bursts_completed(), 1u);
+  EXPECT_EQ(sc.policy.current_cache_size(), 3u);
+  EXPECT_EQ(sc.policy.counters().stores, 8 * kCheckBurst + 12 * 1026);
+  // As an analyze-once SC with no check: 1367 in the initialization FASE,
+  // then per FASE 341 evicted fresh lines plus the 3 flushed at its end.
+  EXPECT_EQ(sc.sink.count(), 1367u + 12u * 344u);
+}
+
+TEST(SoftCacheResample, ResampleNeverShrinksTheCache) {
+  // Steady FASEs of (A, fresh): at size 3 half the stores flush, above the
+  // prediction, and the re-sampled MRC's knee is at 2. max(2, 3) keeps 3.
+  CycleStream sc(check_config());
+  sc.init();
+  for (int f = 0; f < 12; ++f) sc.fase({kHotA}, 1024);
+  EXPECT_EQ(sc.policy.resamples(), 1u);  // one, although every window misses
+  EXPECT_EQ(sc.policy.sampler().bursts_completed(), 2u);
+  EXPECT_EQ(sc.policy.sampler().last_selection().chosen_size, 2u);
+  EXPECT_EQ(sc.policy.current_cache_size(), 3u);
+}
+
+TEST(SoftCacheResample, ManualAnalysisResampleAppliesAtAFaseBoundary) {
+  PolicyConfig config = check_config();
+  config.sampler.manual_analysis = true;
+  CycleStream sc(config);
+  sc.init();
+  // The first burst is handed off and waits for its job: no size, no check.
+  ASSERT_TRUE(sc.policy.sampler().analysis_in_flight());
+  EXPECT_EQ(sc.policy.current_cache_size(), 8u);
+  sc.fase({kHotA, kHotB, kHotC}, 1024);
+  EXPECT_EQ(sc.policy.resamples(), 0u);
+  ASSERT_TRUE(sc.policy.pump_analysis());
+  EXPECT_EQ(sc.policy.current_cache_size(), 8u);
+  // The next FASE begin applies 3 and opens the window; its end fires.
+  sc.fase({kHotA, kHotB, kHotC}, 1024);
+  EXPECT_EQ(sc.policy.current_cache_size(), 3u);
+  ASSERT_EQ(sc.policy.resamples(), 1u);
+  EXPECT_NEAR(sc.policy.fired_check()->observed, 1.0, 0.01);
+  EXPECT_TRUE(sc.policy.sampler().sampling());
+
+  // The re-sample's burst ends mid-FASE and its job waits; the pump runs
+  // it mid-FASE, but the size changes only at the FASE end.
+  sc.policy.on_fase_begin(sc.sink);
+  sc.stores({kHotA, kHotB, kHotC}, kCheckBurst);
+  ASSERT_TRUE(sc.policy.sampler().analysis_in_flight());
+  sc.policy.on_fase_end(sc.sink);
+  EXPECT_EQ(sc.policy.current_cache_size(), 3u);
+  sc.policy.on_fase_begin(sc.sink);
+  sc.stores({kHotA, kHotB, kHotC}, 100);
+  ASSERT_TRUE(sc.policy.pump_analysis());
+  sc.stores({kHotA, kHotB, kHotC}, 100);
+  EXPECT_EQ(sc.policy.current_cache_size(), 3u);
+  sc.policy.on_fase_end(sc.sink);
+  EXPECT_EQ(sc.policy.current_cache_size(), 4u);
+  EXPECT_EQ(sc.policy.resamples(), 1u);
+  EXPECT_EQ(sc.policy.sampler().bursts_completed(), 2u);
+}
+
 TEST(BestPolicy, NeverFlushes) {
   auto p = make_policy(PolicyKind::kBest);
   RecordingSink sink;
@@ -445,6 +584,7 @@ class ReferencePolicy {
   void fase_end() {
     if (sampler_ != nullptr) sampler_->on_fase_boundary();
     flush_buffered();
+    if (predicted_ && !resampled_) check_prediction();
   }
 
   void flush_buffered() {
@@ -472,6 +612,7 @@ class ReferencePolicy {
   }
   const AdmissionFilter* filter() const { return filter_.get(); }
   const BurstSampler* sampler() const { return sampler_.get(); }
+  std::uint32_t resamples() const { return resampled_ ? 1 : 0; }
 
   std::vector<LineAddr> flushed;
   int drains = 0;
@@ -484,9 +625,45 @@ class ReferencePolicy {
     if (const auto selected = sampler_->on_store(line)) {
       counters.instructions +=
           kRefSamplerAnalysisPerWrite * sampler_->burst_length();
-      lru_.resize(*selected, &flushed);
+      if (resampled_) {
+        lru_.resize(std::max(*selected, lru_.capacity()), &flushed);
+      } else {
+        lru_.resize(*selected, &flushed);
+        if (sampler_->dormant()) {
+          predicted_ = sampler_->last_mrc().at(*selected);
+          open_window();
+        }
+      }
       if (filter_ != nullptr) filter_->publish_verdict(*sampler_);
     }
+  }
+
+  // SC's MRC check over the model's own counts: the cache flushed every
+  // recorded line except the bypassed stores, and cached every store
+  // except those.
+  std::uint64_t cache_flushes() const {
+    return flushed.size() - counters.bypassed;
+  }
+  std::uint64_t cache_stores() const {
+    return counters.stores - counters.bypassed;
+  }
+  void open_window() {
+    window_flushes_ = cache_flushes();
+    window_stores_ = cache_stores();
+  }
+  void check_prediction() {
+    const std::uint64_t stores = cache_stores() - window_stores_;
+    if (stores < sampler_->burst_length()) return;
+    const double observed =
+        static_cast<double>(cache_flushes() - window_flushes_) /
+        static_cast<double>(stores);
+    if (observed > SoftCachePolicy::kResampleSlack * *predicted_ +
+                       SoftCachePolicy::kResampleFloor) {
+      resampled_ = sampler_->resample();
+      ASSERT_TRUE(resampled_);
+      return;
+    }
+    open_window();
   }
 
   // Atlas: slots fill in way order; a full set replaces its LRU line.
@@ -523,6 +700,10 @@ class ReferencePolicy {
   std::size_t ways_;
   std::vector<LineAddr> slots_;       // sets_ x ways_, 0 = empty
   std::vector<std::deque<LineAddr>> recency_;  // per set, front = LRU
+  std::optional<double> predicted_;   // SC: MRC miss ratio at first size
+  std::uint64_t window_flushes_ = 0;
+  std::uint64_t window_stores_ = 0;
+  bool resampled_ = false;
 };
 
 struct LaneCase {
@@ -591,6 +772,7 @@ TEST_P(RepeatLane, MatchesLaneFreeReference) {
   const bool admits = admission_attaches(lc.kind, mode);
 
   std::uint64_t lane_stores = 0;  // stores to the previous store's line
+  std::uint64_t resamples = 0;    // SC: MRC checks that fired
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     auto policy = make_policy(lc.kind, config);
     ASSERT_EQ(policy->admission() != nullptr, admits);
@@ -661,15 +843,27 @@ TEST_P(RepeatLane, MatchesLaneFreeReference) {
         ASSERT_EQ(sc.sampler().last_selection().chosen_size,
                   ref.sampler()->last_selection().chosen_size)
             << at;
+        ASSERT_EQ(sc.resamples(), ref.resamples()) << at;
       }
       if (::testing::Test::HasFailure()) return;
     }
     if (ref.sampler() != nullptr) {
       // The warmup and at least one burst end passed inside the trace.
       EXPECT_GE(ref.sampler()->bursts_completed(), 1u) << "seed " << seed;
+      resamples += ref.resamples();
     }
   }
   EXPECT_GT(lane_stores, 0u);  // the traces do exercise repeats
+  // Random lines miss the MRC's prediction, so the analyze-once case does
+  // re-sample and the models agree on the re-sampled tail too; a counted
+  // hibernation re-samples on its own and never runs the check.
+  if (lc.kind == PolicyKind::kSoftCache) {
+    if (lc.hibernation == 0) {
+      EXPECT_GT(resamples, 0u);
+    } else {
+      EXPECT_EQ(resamples, 0u);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
