@@ -88,12 +88,17 @@ workloads::TraceApi record_trace(const std::string& name,
 }
 
 core::KneeResult offline_knee(const workloads::TraceApi& traces,
-                              core::Mrc* mrc_out) {
+                              core::Mrc* mrc_out, core::Mrc* exact_out) {
   std::vector<LineAddr> stores;
   std::vector<std::size_t> boundaries;
   traces.trace(0).store_trace(&stores, &boundaries);
-  return core::BurstSampler::analyze_offline(stores, boundaries,
-                                             core::KneeConfig{}, mrc_out);
+  return core::BurstSampler::analyze_offline(
+      stores, boundaries, core::KneeConfig{}, mrc_out, exact_out);
+}
+
+double flush_regret(const core::Mrc& exact, std::size_t size) {
+  const double fewest = exact.at(exact.max_size());
+  return fewest > 0.0 ? exact.at(size) / fewest - 1.0 : 0.0;
 }
 
 core::PolicyConfig default_policy_config() {

@@ -51,8 +51,15 @@ workloads::TraceApi record_trace(const std::string& name,
 
 /// Offline analysis of a recorded trace: best cache size per paper rules
 /// (thread 0's trace, as SC-offline profiles one representative thread).
+/// `exact_out` receives that trace's exact write-cache MRC.
 core::KneeResult offline_knee(const workloads::TraceApi& traces,
-                              core::Mrc* mrc_out = nullptr);
+                              core::Mrc* mrc_out = nullptr,
+                              core::Mrc* exact_out = nullptr);
+
+/// Flush regret of cache size `size`: its flushes over the fewest any size
+/// up to the MRC's largest gets (that largest size, by LRU inclusion),
+/// minus 1, read off an exact write-cache MRC.
+double flush_regret(const core::Mrc& exact, std::size_t size);
 
 struct LiveResult {
   double seconds = 0.0;

@@ -97,4 +97,25 @@ inline __m256i splitmix64x4(__m256i x) noexcept {
 
 #endif  // NVC_SIMD_AVX2
 
+/// group[k] -= 1 for every lane k < lane of a 16-entry group (the exact
+/// MRC's counting tree, core/mrc.cpp). Integer arithmetic, so both paths
+/// agree exactly.
+inline void decrement_below_u32x16(std::uint32_t* group,
+                                   std::uint32_t lane) noexcept {
+#if NVC_SIMD_AVX2
+  const __m256i at = _mm256_set1_epi32(static_cast<int>(lane));
+  const __m256i lanes_lo = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i lanes_hi = _mm256_setr_epi32(8, 9, 10, 11, 12, 13, 14, 15);
+  auto* lo = reinterpret_cast<__m256i*>(group);
+  auto* hi = reinterpret_cast<__m256i*>(group + 8);
+  // cmpgt yields -1 in the lanes below `lane`: adding it decrements them.
+  _mm256_storeu_si256(lo, _mm256_add_epi32(_mm256_loadu_si256(lo),
+                                           _mm256_cmpgt_epi32(at, lanes_lo)));
+  _mm256_storeu_si256(hi, _mm256_add_epi32(_mm256_loadu_si256(hi),
+                                           _mm256_cmpgt_epi32(at, lanes_hi)));
+#else
+  for (std::uint32_t k = 0; k < lane; ++k) --group[k];
+#endif
+}
+
 }  // namespace nvc

@@ -16,7 +16,11 @@ BurstAnalysis analyze_burst(std::span<const LineAddr> renamed_trace,
   const ReuseCurve reuse = compute_reuse_all_k(intervals, n);
   BurstAnalysis out;
   out.mrc = mrc_from_reuse(reuse, knee.max_size);
+  out.exact = mrc_exact_from_intervals(intervals, n, knee.max_size);
   out.selection = KneeFinder(knee).select(out.mrc);
+  out.selection.model_size = out.selection.chosen_size;
+  out.selection.chosen_size =
+      place_knee(out.mrc, out.exact, out.selection.chosen_size);
   return out;
 }
 

@@ -11,7 +11,7 @@
 //   record burst trace
 //   burst ends: move the trace  --->  SPSC ring (AnalysisChannel)
 //   into the channel, O(1)            pop job, run analyze_burst()
-//   keep running with the old         publish {Mrc, KneeResult} into the
+//   keep running with the old         publish the BurstAnalysis into the
 //   cache size                        channel's result slot (mutex-guarded
 //   at the next FASE boundary,        payload + release-ordered counter)
 //   poll the slot and resize
@@ -43,13 +43,16 @@ namespace nvc::core {
 
 /// Result of analyzing one (already FASE-renamed) burst trace.
 struct BurstAnalysis {
-  Mrc mrc;
+  Mrc mrc;    // the paper's timescale model
+  Mrc exact;  // the burst's exact write-cache MRC (stack distances)
   KneeResult selection;
 };
 
 /// The full burst analysis: reuse intervals (dense path — renamed ids lie in
-/// [0, trace.size())) -> reuse(k) for all k -> MRC -> knee selection.
-/// Deterministic: the async and synchronous paths call exactly this.
+/// [0, trace.size())) -> reuse(k) for all k -> MRC -> knee selection, then
+/// one exact stack-distance pass over the same trace on which the knee is
+/// placed (place_knee). Deterministic: the async, synchronous and offline
+/// paths call exactly this.
 BurstAnalysis analyze_burst(std::span<const LineAddr> renamed_trace,
                             const KneeConfig& knee);
 

@@ -48,4 +48,14 @@ KneeResult KneeFinder::select(const Mrc& mrc) const {
   return result;
 }
 
+std::size_t place_knee(const Mrc& model, const Mrc& exact, std::size_t knee) {
+  const std::size_t max = model.max_size();
+  NVC_REQUIRE(exact.max_size() == max, "model and exact MRCs differ in range");
+  NVC_REQUIRE(knee >= 1 && knee <= max);
+  const double allowed = model.at(knee) - model.at(max) + kPlacementSlack;
+  std::size_t s = knee;
+  while (s < max && exact.at(s) - exact.at(max) > allowed) ++s;
+  return s;
+}
+
 }  // namespace nvc::core

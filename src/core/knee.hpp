@@ -29,7 +29,23 @@ struct KneeResult {
   std::size_t chosen_size = 0;
   std::vector<std::size_t> candidates;  // ranked by gradient, best first
   bool had_knees = false;               // false => fell back to max_size
+  /// The knee on the model MRC before place_knee() moved it (analyze_burst
+  /// sets it; chosen_size >= model_size).
+  std::size_t model_size = 0;
 };
+
+/// Knee placement tolerance: how far, in miss ratio, the exact MRC may sit
+/// above its value at the largest size where the model's knee says it has
+/// reached bottom.
+inline constexpr double kPlacementSlack = 0.01;
+
+/// Knee placement (DESIGN.md §5 item 8): move the model's knee `knee` right,
+/// never left, to the smallest size s >= knee with
+///   exact(s) - exact(max) <= model(knee) - model(max) + kPlacementSlack,
+/// where max is the MRCs' common largest size. The timescale model puts a
+/// sharp cliff a few sizes early; the exact MRC of the same burst says where
+/// the cliff really is. A knee the exact MRC confirms stays put.
+std::size_t place_knee(const Mrc& model, const Mrc& exact, std::size_t knee);
 
 class KneeFinder {
  public:

@@ -4,7 +4,8 @@
 //   1. the reuse-theory model (Eq. 3): hr(c) = reuse(k+1) - reuse(k) at
 //      c = k - reuse(k) — the paper's linear-time contribution;
 //   2. exact fully-associative LRU via stack distances (the classic Mattson
-//      one-pass algorithm) — the "actual MRC" baseline of Fig. 7;
+//      one-pass algorithm) — the "actual MRC" baseline of Fig. 7, and, over
+//      a renamed burst, what SC places its knee on (DESIGN.md §5);
 //   3. direct simulation of the WriteCache at each size with FASE clearing —
 //      the ground truth including FASE-end compulsory misses.
 #pragma once
@@ -48,9 +49,18 @@ class Mrc {
 Mrc mrc_from_reuse(const ReuseCurve& reuse, std::size_t max_size);
 
 /// Exact fully-associative LRU MRC by Mattson stack distances, computed in
-/// one pass with a Fenwick tree (O(n log n)). Cold misses count as misses at
-/// every size.
+/// one pass with a counting tree (O(n log n), whatever max_size is). Cold
+/// misses count as misses at every size.
 Mrc mrc_exact_lru(std::span<const LineAddr> trace, std::size_t max_size);
+
+/// The same pass over a length-n trace given by its reuse intervals, in
+/// order of their ends (as intervals_of_trace and intervals_of_dense_trace
+/// return them). On a FASE-renamed trace every FASE's lines have fresh ids,
+/// so the result is the write cache's exact flush ratio with FASE-end
+/// flushes included (= mrc_simulate_write_cache on the unrenamed trace and
+/// the same boundaries).
+Mrc mrc_exact_from_intervals(std::span<const ReuseInterval> intervals,
+                             LogicalTime n, std::size_t max_size);
 
 /// Ground truth for the write-combining cache: replay the trace through a
 /// WriteCache of each size in [1, max_size], flushing at every FASE boundary

@@ -259,7 +259,8 @@ void SoftCachePolicy::apply_selection(std::size_t selected,
   // With counted hibernation the sampler re-samples on its own; the check
   // is for the paper's analyze-once configuration only.
   if (!sampler_.dormant()) return;
-  predicted_ = sampler_.last_mrc().at(selected);
+  // The burst's exact MRC counts FASE-end flushes; the model does not.
+  predicted_ = sampler_.last_exact_mrc().at(selected);
   open_window();
 }
 

@@ -241,8 +241,8 @@ class AtlasPolicy final : public Policy {
 };
 
 /// SC's check of its MRC against its own flush counter that fired a
-/// re-sample: the size the first burst applied, the miss ratio the MRC
-/// predicted there, and the flush ratio the cache showed instead.
+/// re-sample: the size the first burst applied, the miss ratio the burst's
+/// exact MRC predicted there, and the flush ratio the cache showed instead.
 struct ResampleCheck {
   std::size_t size = 0;
   double predicted = 0.0;
@@ -260,12 +260,13 @@ struct ResampleCheck {
 ///
 /// MRC check (DESIGN.md §5): with forever-hibernation, SC compares the
 /// flush ratio its cache shows over each window of at least one burst of
-/// stores, closed at an outermost FASE end, with the miss ratio the MRC
-/// predicted at the applied size. The first window that exceeds
-/// kResampleSlack × predicted + kResampleFloor starts one more burst; its
-/// selection applies as max(new, old), so the cache never shrinks and, by
-/// LRU inclusion, never flushes more than the first choice would have. At
-/// most one re-sample per policy.
+/// stores, closed at an outermost FASE end, with the miss ratio the burst's
+/// exact MRC (FASE-end flushes included) predicted at the applied size.
+/// The first window that exceeds kResampleSlack × predicted +
+/// kResampleFloor starts one more burst; its selection applies as
+/// max(new, old), so the cache never shrinks and, by LRU inclusion, never
+/// flushes more than the first choice would have. At most one re-sample
+/// per policy.
 class SoftCachePolicy final : public Policy {
  public:
   static constexpr double kResampleSlack = 1.25;

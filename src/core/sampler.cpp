@@ -70,6 +70,7 @@ bool BurstSampler::resample() {
 
 void BurstSampler::apply_analysis(BurstAnalysis&& analysis) {
   last_mrc_ = std::move(analysis.mrc);
+  last_exact_mrc_ = std::move(analysis.exact);
   last_selection_ = analysis.selection;
 }
 
@@ -122,11 +123,12 @@ bool BurstSampler::analysis_in_flight() const {
 KneeResult BurstSampler::analyze_offline(
     const std::vector<LineAddr>& trace,
     const std::vector<std::size_t>& boundaries, const KneeConfig& knee,
-    Mrc* mrc_out) {
+    Mrc* mrc_out, Mrc* exact_out) {
   NVC_REQUIRE(!trace.empty());
   const std::vector<LineAddr> renamed = rename_trace(trace, boundaries);
   BurstAnalysis analysis = analyze_burst(renamed, knee);
   if (mrc_out != nullptr) *mrc_out = std::move(analysis.mrc);
+  if (exact_out != nullptr) *exact_out = std::move(analysis.exact);
   return analysis.selection;
 }
 

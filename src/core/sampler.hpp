@@ -117,16 +117,20 @@ class BurstSampler {
     return burst_trace_.capacity();
   }
 
-  /// Results of the most recent completed burst (empty before the first).
+  /// Results of the most recent completed burst (empty before the first):
+  /// the model MRC, the burst's exact MRC, and the placed selection.
   const Mrc& last_mrc() const noexcept { return last_mrc_; }
+  const Mrc& last_exact_mrc() const noexcept { return last_exact_mrc_; }
   const KneeResult& last_selection() const noexcept { return last_selection_; }
   std::uint64_t bursts_completed() const noexcept { return bursts_; }
 
   /// Analyze a complete trace offline and select a size (used by SC-offline
   /// and by the accuracy experiments). `boundaries` as in rename_trace().
+  /// `exact_out` receives the whole trace's exact write-cache MRC.
   static KneeResult analyze_offline(const std::vector<LineAddr>& trace,
                                     const std::vector<std::size_t>& boundaries,
-                                    const KneeConfig& knee, Mrc* mrc_out);
+                                    const KneeConfig& knee, Mrc* mrc_out,
+                                    Mrc* exact_out = nullptr);
 
  private:
   void start_burst();
@@ -142,6 +146,7 @@ class BurstSampler {
   std::uint64_t hibernated_ = 0;
   std::uint64_t bursts_ = 0;
   Mrc last_mrc_;
+  Mrc last_exact_mrc_;
   KneeResult last_selection_;
   std::shared_ptr<AnalysisChannel> channel_;  // async mode only
   std::uint64_t results_consumed_ = 0;

@@ -36,17 +36,28 @@ SamplerConfig sampler_config(std::uint64_t burst, bool async) {
   return config;
 }
 
-void expect_same_analysis(const Mrc& a, const Mrc& b, const KneeResult& ra,
-                          const KneeResult& rb) {
+void expect_same_mrc(const Mrc& a, const Mrc& b) {
   ASSERT_EQ(a.max_size(), b.max_size());
   const auto va = a.values();
   const auto vb = b.values();
   // Byte-identical, not approximately equal: both paths must run exactly the
   // same pipeline on exactly the same renamed trace.
   EXPECT_TRUE(std::equal(va.begin(), va.end(), vb.begin()));
-  EXPECT_EQ(ra.chosen_size, rb.chosen_size);
-  EXPECT_EQ(ra.had_knees, rb.had_knees);
-  EXPECT_EQ(ra.candidates, rb.candidates);
+}
+
+/// Same model MRC, same exact MRC, same knee and the same placement.
+void expect_same_analysis(const BurstAnalysis& a, const BurstAnalysis& b) {
+  expect_same_mrc(a.mrc, b.mrc);
+  expect_same_mrc(a.exact, b.exact);
+  EXPECT_EQ(a.selection.chosen_size, b.selection.chosen_size);
+  EXPECT_EQ(a.selection.model_size, b.selection.model_size);
+  EXPECT_EQ(a.selection.had_knees, b.selection.had_knees);
+  EXPECT_EQ(a.selection.candidates, b.selection.candidates);
+}
+
+BurstAnalysis last_analysis(const BurstSampler& sampler) {
+  return {sampler.last_mrc(), sampler.last_exact_mrc(),
+          sampler.last_selection()};
 }
 
 // --- AnalysisWorker / AnalysisChannel ----------------------------------------
@@ -64,8 +75,7 @@ TEST(AnalysisWorker, WorkerResultMatchesDirectAnalysis) {
   EXPECT_EQ(channel->completed(), 1u);
   auto result = channel->take_result();
   ASSERT_TRUE(result.has_value());
-  expect_same_analysis(result->mrc, direct.mrc, result->selection,
-                       direct.selection);
+  expect_same_analysis(*result, direct);
   EXPECT_FALSE(channel->take_result().has_value());  // consumed
   channel->close();
 }
@@ -157,8 +167,7 @@ TEST(AnalysisWorker, ResultSlotHoldsTheNewestAnalysis) {
   const BurstAnalysis newest = analyze_burst(cyclic_trace(512, 29), knee);
   auto result = channel->take_result();
   ASSERT_TRUE(result.has_value());
-  expect_same_analysis(result->mrc, newest.mrc, result->selection,
-                       newest.selection);
+  expect_same_analysis(*result, newest);
   channel->close();
 }
 
@@ -247,9 +256,8 @@ TEST(AsyncSampler, MatchesSyncByteIdentical) {
   ASSERT_TRUE(async_selected.has_value());
   EXPECT_EQ(*async_selected, *sync_selected);
   EXPECT_EQ(async_sampler.bursts_completed(), 1u);
-  expect_same_analysis(async_sampler.last_mrc(), sync_sampler.last_mrc(),
-                       async_sampler.last_selection(),
-                       sync_sampler.last_selection());
+  expect_same_analysis(last_analysis(async_sampler),
+                       last_analysis(sync_sampler));
 }
 
 TEST(AsyncSampler, MultiBurstEquivalenceWithHibernation) {
@@ -273,9 +281,8 @@ TEST(AsyncSampler, MultiBurstEquivalenceWithHibernation) {
       const auto async_sel = async_sampler.poll_selection();
       ASSERT_TRUE(async_sel.has_value());
       EXPECT_EQ(*async_sel, *sync_sel);
-      expect_same_analysis(async_sampler.last_mrc(), sync_sampler.last_mrc(),
-                           async_sampler.last_selection(),
-                           sync_sampler.last_selection());
+      expect_same_analysis(last_analysis(async_sampler),
+                           last_analysis(sync_sampler));
       ++bursts_seen;
     }
     if (i % 64 == 63) {
@@ -286,6 +293,46 @@ TEST(AsyncSampler, MultiBurstEquivalenceWithHibernation) {
   EXPECT_GE(bursts_seen, 3);
   EXPECT_EQ(async_sampler.bursts_completed(),
             sync_sampler.bursts_completed());
+}
+
+TEST(KneePlacement, SyncAsyncAndOfflinePlaceIdentically) {
+  // FASEs in two phases (a 2-line loop, then a 10-line loop): the model's
+  // knee is left of the exact cliff, so every path must move it the same
+  // way, from the same exact MRC.
+  std::vector<LineAddr> trace;
+  std::vector<std::size_t> boundaries;
+  for (int f = 0; f < 6; ++f) {
+    for (LineAddr i = 0; i < 1000; ++i) trace.push_back(100 + i % 2);
+    for (LineAddr i = 0; i < 1500; ++i) trace.push_back(200 + i % 10);
+    boundaries.push_back(trace.size());
+  }
+  boundaries.pop_back();  // the trace ends inside its last FASE
+  const auto burst = static_cast<std::uint64_t>(trace.size());
+  BurstSampler sync_sampler(sampler_config(burst, false));
+  BurstSampler async_sampler(sampler_config(burst, true));
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (next < boundaries.size() && boundaries[next] == i) {
+      sync_sampler.on_fase_boundary();
+      async_sampler.on_fase_boundary();
+      ++next;
+    }
+    sync_sampler.on_store(trace[i]);
+    async_sampler.on_store(trace[i]);
+  }
+  async_sampler.drain();
+  ASSERT_TRUE(async_sampler.poll_selection().has_value());
+  ASSERT_EQ(sync_sampler.bursts_completed(), 1u);
+
+  BurstAnalysis offline;
+  offline.selection = BurstSampler::analyze_offline(
+      trace, boundaries, sampler_config(burst, false).knee, &offline.mrc,
+      &offline.exact);
+
+  const BurstAnalysis sync = last_analysis(sync_sampler);
+  EXPECT_LT(sync.selection.model_size, sync.selection.chosen_size);
+  expect_same_analysis(last_analysis(async_sampler), sync);
+  expect_same_analysis(offline, sync);
 }
 
 TEST(AsyncSampler, PollIsEmptyInSyncMode) {

@@ -814,20 +814,28 @@ TEST(FuzzDifferential, AnalysisPipelineMatchesBruteForceReferences) {
     }
 
     // End to end: analyze_burst must equal the pipeline recomposed from the
-    // brute-force reuse curve — same MRC, same knee selection.
+    // brute-force reuse curve and a per-size LRU simulation — same MRCs,
+    // same knee, same placement.
     const core::KneeConfig knee;
     const core::BurstAnalysis analysis = core::analyze_burst(trace, knee);
     const core::Mrc mrc_ref = core::mrc_from_reuse(reuse_ref, knee.max_size);
+    const core::Mrc exact_ref =
+        core::mrc_simulate_write_cache(trace, {}, knee.max_size);
     ASSERT_EQ(analysis.mrc.max_size(), mrc_ref.max_size());
+    ASSERT_EQ(analysis.exact.max_size(), exact_ref.max_size());
     for (std::size_t c = 1; c <= mrc_ref.max_size(); ++c) {
       ASSERT_NEAR(analysis.mrc.at(c), mrc_ref.at(c), 1e-7) << "size " << c;
+      ASSERT_NEAR(analysis.exact.at(c), exact_ref.at(c), 1e-12)
+          << "size " << c;
       if (c >= 2) {  // LRU inclusion: the published MRC is non-increasing
         ASSERT_LE(analysis.mrc.at(c), analysis.mrc.at(c - 1) + 1e-12);
       }
     }
     const core::KneeResult selection =
         core::KneeFinder(knee).select(mrc_ref);
-    EXPECT_EQ(analysis.selection.chosen_size, selection.chosen_size);
+    EXPECT_EQ(analysis.selection.model_size, selection.chosen_size);
+    EXPECT_EQ(analysis.selection.chosen_size,
+              core::place_knee(mrc_ref, exact_ref, selection.chosen_size));
     EXPECT_EQ(analysis.selection.had_knees, selection.had_knees);
     EXPECT_EQ(analysis.selection.candidates, selection.candidates);
   }

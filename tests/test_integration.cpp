@@ -238,9 +238,10 @@ TEST_P(SamplerResample, FinalSizeNeverBelowFirstSelection) {
   if (workload == "ocean") {
     // The burst samples the initialization fill; the sweeps miss 3.3x more.
     EXPECT_EQ(check.size, 2u);
-    EXPECT_NEAR(check.predicted, 0.1246, 1e-4);
+    EXPECT_NEAR(check.predicted, 0.1250, 1e-4);
     EXPECT_NEAR(check.observed, 0.4136, 1e-4);
-    EXPECT_EQ(stats.cache_sizes[0], 4u);
+    // The re-sample's model knee is 4; the sweeps' exact MRC places it at 5.
+    EXPECT_EQ(stats.cache_sizes[0], 5u);
   }
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "core/analyzer.hpp"
 #include "core/knee.hpp"
 #include "core/sampler.hpp"
 
@@ -285,6 +286,86 @@ TEST(BurstSampler, OfflineAnalysisMatchesOnlineOnStationaryTrace) {
   }
   ASSERT_TRUE(selected.has_value());
   EXPECT_EQ(*selected, offline.chosen_size);
+}
+
+// --- knee placement on the burst's exact MRC ---------------------------------
+
+/// One FASE in two phases: 6000 stores cycling 2 lines, then 8000 cycling
+/// 10 others. The first phase's windows hold few distinct lines, so the
+/// timescale model's average footprint puts the second phase's cliff at 7;
+/// every one of its reuses really has stack distance 10.
+std::vector<LineAddr> two_phase_burst() {
+  std::vector<LineAddr> trace;
+  for (LineAddr i = 0; i < 6000; ++i) trace.push_back(i % 2);
+  for (LineAddr i = 0; i < 8000; ++i) trace.push_back(2 + i % 10);
+  return trace;
+}
+
+KneeConfig placement_knee() {
+  KneeConfig knee;
+  knee.max_size = 16;
+  return knee;
+}
+
+TEST(KneePlacement, ModelCliffLeftOfTheExactOneMovesToTheExactCliff) {
+  const BurstAnalysis a = analyze_burst(two_phase_burst(), placement_knee());
+  EXPECT_EQ(a.selection.model_size, 7u);
+  EXPECT_LT(a.mrc.at(7), 0.01);  // the model has reached bottom at 7
+  EXPECT_GT(a.exact.at(9), 0.5);  // the cache has not
+  EXPECT_LT(a.exact.at(10), 0.01);
+  EXPECT_EQ(a.selection.chosen_size, 10u);
+  EXPECT_EQ(place_knee(a.mrc, a.exact, 7), 10u);
+}
+
+TEST(KneePlacement, FlatCurveStaysAtMaxSize) {
+  // A stream of fresh lines: both MRCs read 1.0 everywhere.
+  std::vector<LineAddr> trace(2000);
+  for (LineAddr i = 0; i < trace.size(); ++i) trace[i] = i;
+  const BurstAnalysis a = analyze_burst(trace, placement_knee());
+  EXPECT_FALSE(a.selection.had_knees);
+  EXPECT_EQ(a.selection.model_size, 16u);
+  EXPECT_EQ(a.selection.chosen_size, 16u);
+  EXPECT_DOUBLE_EQ(a.exact.at(1), 1.0);
+  EXPECT_DOUBLE_EQ(a.exact.at(16), 1.0);
+}
+
+TEST(KneePlacement, KneeTheExactMrcConfirmsStaysPut) {
+  // A 6-line loop: model and exact cliff both at 6.
+  std::vector<LineAddr> trace(3000);
+  for (LineAddr i = 0; i < trace.size(); ++i) trace[i] = i % 6;
+  const BurstAnalysis a = analyze_burst(trace, placement_knee());
+  EXPECT_EQ(a.selection.model_size, 6u);
+  EXPECT_EQ(a.selection.chosen_size, 6u);
+}
+
+TEST(KneePlacement, SlackKeepsAKneeAboveAShallowExactTail) {
+  // The exact curve still falls 0.008 past the knee: within the slack.
+  const Mrc model = step_mrc(16, {{3, 0.9}, {16, 0.1}});
+  const Mrc exact = step_mrc(16, {{3, 0.9}, {9, 0.108}, {16, 0.1}});
+  EXPECT_EQ(place_knee(model, exact, 4), 4u);
+  // 0.02 is not: the knee moves to where the tail ends.
+  const Mrc steeper = step_mrc(16, {{3, 0.9}, {9, 0.12}, {16, 0.1}});
+  EXPECT_EQ(place_knee(model, steeper, 4), 10u);
+}
+
+TEST(KneePlacement, NeverMovesLeft) {
+  // The exact cliff sits left of the model's knee: the knee stays.
+  const Mrc model = step_mrc(16, {{7, 0.8}, {16, 0.2}});
+  const Mrc exact = step_mrc(16, {{3, 0.8}, {16, 0.2}});
+  EXPECT_EQ(place_knee(model, exact, 8), 8u);
+  // And over random bursts, whatever the two curves say.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const LineAddr ids = rng.range(2, 40);
+    std::vector<LineAddr> trace(rng.range(200, 2000));
+    for (LineAddr& t : trace) t = rng.below(ids);
+    const BurstAnalysis a = analyze_burst(trace, placement_knee());
+    EXPECT_GE(a.selection.chosen_size, a.selection.model_size)
+        << "seed " << seed;
+    EXPECT_EQ(a.selection.chosen_size,
+              place_knee(a.mrc, a.exact, a.selection.model_size))
+        << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // clearing — plus cross-validation between the three.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <vector>
 
@@ -77,6 +78,71 @@ TEST(MrcExactLru, MonotoneInSize) {
   const Mrc mrc = mrc_exact_lru(trace, 50);
   for (std::size_t c = 2; c <= 50; ++c) {
     EXPECT_LE(mrc.at(c), mrc.at(c - 1) + 1e-12);
+  }
+}
+
+TEST(MrcExactLru, LongTraceMatchesAMoveToFrontStack) {
+  // 2^17 stores: the counting tree under the pass has three levels, and
+  // distances run past one 64-time word and past one 16-word group.
+  const std::uint64_t seed = seed_from_env("NVC_SEED", 33);
+  SCOPED_TRACE(replay_hint("NVC_SEED", seed));
+  Rng rng(seed);
+  std::vector<LineAddr> trace(std::size_t{1} << 17);
+  for (LineAddr& a : trace) {
+    // Half the stores to 40 hot lines, half to 1500: short and long reuses.
+    a = rng.below(2) == 0 ? rng.below(40) : 40 + rng.below(1500);
+  }
+  constexpr std::size_t kMax = 1600;
+  // Reference distances from an explicit LRU stack, most recent first.
+  std::vector<std::uint64_t> within(kMax + 1, 0);  // distance histogram
+  std::uint64_t misses_anywhere = 0;                // cold or beyond kMax
+  std::vector<LineAddr> stack;
+  for (const LineAddr a : trace) {
+    const auto it = std::find(stack.begin(), stack.end(), a);
+    const auto dist = static_cast<std::size_t>(it - stack.begin()) + 1;
+    if (it == stack.end() || dist > kMax) {
+      ++misses_anywhere;
+    } else {
+      ++within[dist];
+    }
+    if (it != stack.end()) stack.erase(it);
+    stack.insert(stack.begin(), a);
+  }
+  const Mrc mrc = mrc_exact_lru(trace, kMax);
+  std::uint64_t hits = 0;
+  for (std::size_t c = 1; c <= kMax; ++c) {
+    hits += within[c];
+    const double expected =
+        static_cast<double>(trace.size() - hits) /
+        static_cast<double>(trace.size());
+    ASSERT_DOUBLE_EQ(mrc.at(c), expected) << "size " << c;
+  }
+  EXPECT_GT(misses_anywhere, 0u);
+}
+
+TEST(MrcExactLru, RenamedTraceIsTheWriteCacheFlushRatio) {
+  // FASE renaming gives every FASE's lines fresh ids, so the exact pass
+  // over the renamed trace counts FASE-end flushes as the compulsory
+  // misses they are: it equals the write cache simulated with clearing.
+  const std::uint64_t seed = seed_from_env("NVC_SEED", 5);
+  SCOPED_TRACE(replay_hint("NVC_SEED", seed));
+  Rng rng(seed);
+  std::vector<LineAddr> trace;
+  std::vector<std::size_t> boundaries;
+  for (int f = 0; f < 40; ++f) {
+    const std::uint64_t len = rng.range(1, 200);
+    for (std::uint64_t i = 0; i < len; ++i) trace.push_back(rng.below(24));
+    boundaries.push_back(trace.size());
+  }
+  const auto renamed = rename_trace(trace, boundaries);
+  const auto n = static_cast<LogicalTime>(renamed.size());
+  const Mrc exact = mrc_exact_lru(renamed, 30);
+  const Mrc dense = mrc_exact_from_intervals(
+      intervals_of_dense_trace(renamed, static_cast<LineAddr>(n)), n, 30);
+  const Mrc sim = mrc_simulate_write_cache(trace, boundaries, 30);
+  for (std::size_t c = 1; c <= 30; ++c) {
+    EXPECT_NEAR(exact.at(c), sim.at(c), 1e-12) << "size " << c;
+    EXPECT_DOUBLE_EQ(dense.at(c), exact.at(c)) << "size " << c;
   }
 }
 

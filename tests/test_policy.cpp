@@ -380,6 +380,31 @@ TEST(SoftCacheResample, HeldPredictionNeverResamples) {
   EXPECT_EQ(sc.sink.count(), 1367u + 12u * 344u);
 }
 
+TEST(SoftCacheResample, FaseEndFlushesAloneNeverFireTheCheck) {
+  // FASEs of 64 rounds over two hot lines: the cache holds them, so the
+  // only flushes are the two at each FASE end (2/128 = 1.6% of stores).
+  // The timescale model reads 0.0 there; the burst's exact MRC counts
+  // those flushes, so the check predicts what the cache shows and stays
+  // quiet.
+  PolicyConfig config = check_config();
+  SoftCachePolicy policy(config, /*online=*/true);
+  CountingSink sink;
+  for (int f = 0; f < 40; ++f) {
+    policy.on_fase_begin(sink);
+    for (int i = 0; i < 128; ++i) policy.on_store(kHotA + i % 2, sink);
+    policy.on_fase_end(sink);
+  }
+  ASSERT_EQ(policy.sampler().bursts_completed(), 1u);
+  EXPECT_LT(policy.sampler().last_mrc().at(policy.current_cache_size()),
+            0.001);
+  EXPECT_NEAR(policy.sampler().last_exact_mrc().at(
+                  policy.current_cache_size()),
+              2.0 / 128, 1e-3);
+  EXPECT_EQ(sink.count(), 40u * 2u);
+  EXPECT_EQ(policy.resamples(), 0u);
+  EXPECT_FALSE(policy.fired_check().has_value());
+}
+
 TEST(SoftCacheResample, ResampleNeverShrinksTheCache) {
   // Steady FASEs of (A, fresh): at size 3 half the stores flush, above the
   // prediction, and the re-sampled MRC's knee is at 2. max(2, 3) keeps 3.
@@ -630,7 +655,7 @@ class ReferencePolicy {
       } else {
         lru_.resize(*selected, &flushed);
         if (sampler_->dormant()) {
-          predicted_ = sampler_->last_mrc().at(*selected);
+          predicted_ = sampler_->last_exact_mrc().at(*selected);
           open_window();
         }
       }
@@ -700,7 +725,7 @@ class ReferencePolicy {
   std::size_t ways_;
   std::vector<LineAddr> slots_;       // sets_ x ways_, 0 = empty
   std::vector<std::deque<LineAddr>> recency_;  // per set, front = LRU
-  std::optional<double> predicted_;   // SC: MRC miss ratio at first size
+  std::optional<double> predicted_;   // SC: exact miss ratio at first size
   std::uint64_t window_flushes_ = 0;
   std::uint64_t window_stores_ = 0;
   bool resampled_ = false;
