@@ -33,6 +33,10 @@ GOLDENS = [
     ("table3_log_batched.txt", "table3_flush_ratios",
      {"NVC_LOG": "1", "NVC_LOG_SYNC": "batched"}),
     ("fig7.txt", "fig7_mrc_accuracy", {}),
+    ("fig2.txt", "fig2_mrc_waterspatial", {}),
+    ("table4.txt", "table4_waterspatial_detail", {}),
+    ("ablation_cache_size_sweep.txt", "ablation_cache_size_sweep", {}),
+    ("ablation_knee_policy.txt", "ablation_knee_policy", {}),
 ]
 
 
