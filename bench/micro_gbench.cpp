@@ -61,6 +61,9 @@ std::vector<LineAddr> sparse_trace(std::size_t n, std::size_t distinct,
   return trace;
 }
 
+// Walks every buffered line in turn, so each hit is at the LRU end: the
+// write cache's deepest search and longest shift, a shape no workload has
+// (BM_ScPolicyStoreInterleaved is ocean's).
 void BM_WriteCacheHit(benchmark::State& state) {
   WriteCache cache(static_cast<std::size_t>(state.range(0)));
   CountingSink sink;
@@ -74,7 +77,7 @@ void BM_WriteCacheHit(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_WriteCacheHit)->Arg(8)->Arg(50)->Arg(1024);
+BENCHMARK(BM_WriteCacheHit)->Arg(8)->Arg(50)->Arg(64);
 
 void BM_WriteCacheMissEvict(benchmark::State& state) {
   WriteCache cache(static_cast<std::size_t>(state.range(0)));
@@ -85,7 +88,7 @@ void BM_WriteCacheMissEvict(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_WriteCacheMissEvict)->Arg(8)->Arg(50)->Arg(1024);
+BENCHMARK(BM_WriteCacheMissEvict)->Arg(8)->Arg(50)->Arg(64);
 
 void BM_AtlasTableStore(benchmark::State& state) {
   auto policy = make_policy(PolicyKind::kAtlas);
@@ -132,6 +135,37 @@ void BM_ScPolicyRepeatStore(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ScPolicyRepeatStore);
+
+// Ocean's store shape: two grids written in lockstep one double at a time
+// (psi and vort), plus a third line on every 8th store, into SC-offline at
+// ocean's selected size 5. Consecutive stores never repeat a line, so the
+// repeat-store lane never fires and every store searches the cache; hits
+// land one or two lines deep and each grid moves to a new line every 8
+// elements.
+void BM_ScPolicyStoreInterleaved(benchmark::State& state) {
+  PolicyConfig config;
+  config.cache_size = 5;
+  auto policy = make_policy(PolicyKind::kSoftCacheOffline, config);
+  CountingSink sink;
+  constexpr LineAddr kGridA = 1ull << 40;
+  constexpr LineAddr kGridB = 2ull << 40;
+  constexpr LineAddr kThird = 1;
+  std::uint64_t n = 0;
+  std::uint64_t grid_stores = 0;
+  for (auto _ : state) {
+    if (n++ % 8 == 7) {
+      policy->on_store(kThird, sink);
+    } else {
+      // Element grid_stores / 2 of either grid; 8 doubles per line.
+      const LineAddr base = grid_stores % 2 == 0 ? kGridA : kGridB;
+      policy->on_store(base + grid_stores / 16, sink);
+      ++grid_stores;
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ScPolicyStoreInterleaved);
 
 void BM_ReuseAllK(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

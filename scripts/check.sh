@@ -14,6 +14,12 @@
 #                                 crash matrix, write-back route, fuzzers,
 #                                 fault suite; `ctest -L 'crash|fault'`,
 #                                 case count checked against tier-1)
+#                               + scalar build (NVC_NO_SIMD=ON) of the
+#                                 policy tier and the paper goldens: the
+#                                 write cache's search and shift and the
+#                                 analysis kernels must match their AVX2
+#                                 paths bit for bit (`ctest -L policy`,
+#                                 `ctest -R paper_golden`)
 #                               + tsan pass of the concurrency suites (the
 #                                 `tsan` label: flush-behind ring with N
 #                                 producers and helping drains, flush
@@ -34,6 +40,7 @@
 #
 # Flags / env:
 #   --no-asan        skip the asan tiers (e.g. hosts without the rt)
+#   --no-scalar      skip the scalar-kernel tier
 #   --no-tsan        skip the tsan concurrency tier
 #   --no-bench       skip the compare.py gate
 #   --e2e            also build and test bench/e2e (opt-in; under a minute
@@ -44,17 +51,19 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 jobs="${CTEST_PARALLEL:-$(nproc)}"
 run_asan=1
+run_scalar=1
 run_tsan=1
 run_bench=1
 run_e2e=0
 for arg in "$@"; do
   case "$arg" in
     --no-asan) run_asan=0 ;;
+    --no-scalar) run_scalar=0 ;;
     --no-tsan) run_tsan=0 ;;
     --no-bench) run_bench=0 ;;
     --e2e) run_e2e=1 ;;
-    *) echo "usage: scripts/check.sh [--no-asan] [--no-tsan] [--no-bench]" \
-            "[--e2e]" >&2
+    *) echo "usage: scripts/check.sh [--no-asan] [--no-scalar] [--no-tsan]" \
+            "[--no-bench] [--e2e]" >&2
        exit 2 ;;
   esac
 done
@@ -108,6 +117,21 @@ if [ "$run_asan" = 1 ]; then
     exit 1
   fi
   ctest --test-dir build-asan -L 'crash|fault' -j "$jobs" --output-on-failure
+fi
+
+# Every AVX2 path (the write cache's four-wide search and shift, the
+# analysis kernels of common/simd.hpp) promises a bit-identical scalar
+# fallback, which only an NVC_NO_SIMD build compiles. The goldens replay
+# whole workloads through both the cache and the analysis pipeline.
+if [ "$run_scalar" = 1 ]; then
+  echo "== scalar: policy tier + paper goldens (NVC_NO_SIMD=ON) =="
+  cmake --preset scalar >/dev/null
+  cmake --build build-scalar -j "$(nproc)" \
+      --target test_write_cache test_policy test_admission test_fuzz_crash \
+      table3_flush_ratios fig2_mrc_waterspatial table4_waterspatial_detail \
+      fig7_mrc_accuracy ablation_cache_size_sweep ablation_knee_policy
+  ctest --test-dir build-scalar -L policy -j "$jobs" --output-on-failure
+  ctest --test-dir build-scalar -R paper_golden --output-on-failure
 fi
 
 # The lock-free handoffs (SPSC rings, the flush ring's consumer lock shared

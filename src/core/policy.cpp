@@ -188,7 +188,12 @@ SoftCachePolicy::SoftCachePolicy(const PolicyConfig& config, bool online)
                             .instructions = WriteCache::kInstrPerHit}),
       cache_(config.cache_size),
       sampler_(config.sampler),
-      online_(online) {}
+      online_(online) {
+  // The cache itself refuses cache_size; the sampler may select any size
+  // up to knee.max_size, so that bound is refused here, before a burst.
+  NVC_REQUIRE(config.sampler.knee.max_size <= WriteCache::kMaxCapacity,
+              "knee.max_size exceeds the write cache's capacity bound");
+}
 
 bool SoftCachePolicy::do_store(LineAddr line, FlushSink& sink) {
   // A dormant sampler ignores stores, so this store cannot resize the cache
@@ -203,7 +208,7 @@ bool SoftCachePolicy::do_store(LineAddr line, FlushSink& sink) {
     // The sampler still sees bypassed stores: the MRC (and so the size
     // selection and the reuse verdict) must describe the full write stream,
     // not the post-filter residue.
-    if (online_) sample_store(line, sink);
+    if (!dormant) sample_store(line, sink);
     return false;  // written through, not buffered
   }
   ++counters_.stores;
@@ -215,7 +220,8 @@ bool SoftCachePolicy::do_store(LineAddr line, FlushSink& sink) {
     counters_.instructions += WriteCache::kInstrPerInsert;
   }
 
-  if (online_) sample_store(line, sink);
+  // A dormant sampler ignores every store, so the call is skipped.
+  if (!dormant) sample_store(line, sink);
   return dormant;
 }
 

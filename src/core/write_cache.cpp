@@ -1,188 +1,105 @@
 #include "core/write_cache.hpp"
 
-#include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "common/assert.hpp"
+#include "common/simd.hpp"
 
 namespace nvc::core {
 
+static_assert(WriteCache::kMaxCapacity % 4 == 0,
+              "the four-wide search reads whole groups of four slots");
+
 WriteCache::WriteCache(std::size_t capacity) : capacity_(capacity) {
   NVC_REQUIRE(capacity >= 1 && capacity <= kMaxCapacity);
-  nodes_.reserve(capacity);
-  rehash(capacity * 2);
+  lines_.fill(kNoLine);
 }
 
-std::uint64_t WriteCache::mix(LineAddr line) noexcept {
-  // Fibonacci hashing with an extra xor-shift; line addresses are often
-  // sequential, which plain masking would cluster badly.
-  std::uint64_t x = line;
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  return x;
-}
-
-void WriteCache::rehash(std::size_t min_slots) {
-  std::size_t n = 8;
-  while (n < min_slots * 2) n <<= 1;  // keep load factor <= 0.5
-  slots_.assign(n, kEmptySlot);
-  slot_mask_ = n - 1;
-  for (std::uint32_t idx = 0; idx < nodes_.size(); ++idx) {
-    // Skip pooled-but-free nodes.
-    if (std::find(free_nodes_.begin(), free_nodes_.end(), idx) !=
-        free_nodes_.end()) {
-      continue;
-    }
-    std::size_t slot = mix(nodes_[idx].line) & slot_mask_;
-    while (slots_[slot] != kEmptySlot) slot = (slot + 1) & slot_mask_;
-    slots_[slot] = idx;
+inline std::size_t WriteCache::find(LineAddr line) const noexcept {
+#if NVC_SIMD_AVX2
+  const __m256i key = _mm256_set1_epi64x(static_cast<long long>(line));
+  for (std::size_t i = 0; i < size_; i += 4) {
+    const __m256i group = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(lines_.data() + i));
+    const auto mask = static_cast<unsigned>(_mm256_movemask_pd(
+        _mm256_castsi256_pd(_mm256_cmpeq_epi64(group, key))));
+    if (mask != 0) return i + static_cast<std::size_t>(std::countr_zero(mask));
   }
+  return size_;
+#else
+  std::size_t i = 0;
+  while (i < size_ && lines_[i] != line) ++i;
+  return i;
+#endif
 }
 
-std::uint32_t WriteCache::hash_find(LineAddr line) const noexcept {
-  std::size_t slot = mix(line) & slot_mask_;
-  while (slots_[slot] != kEmptySlot) {
-    const std::uint32_t idx = slots_[slot];
-    if (nodes_[idx].line == line) return idx;
-    slot = (slot + 1) & slot_mask_;
+inline void WriteCache::push_front(LineAddr line,
+                                   std::size_t depth) noexcept {
+  // Plain loops, no memmove call: the usual depth is a handful of lines,
+  // where the call costs more than the copy.
+  std::size_t i = depth;
+#if NVC_SIMD_AVX2
+  // Four lines down one slot per step, deepest first: a step reads only
+  // slots below every slot an earlier step wrote.
+  for (; i >= 4; i -= 4) {
+    const __m256i four = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(lines_.data() + i - 4));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(lines_.data() + i - 3),
+                        four);
   }
-  return kNil;
+#endif
+  // Carry each remaining line one slot down (a shifting loop would be
+  // compiled into a memmove call).
+  LineAddr carry = line;
+  for (std::size_t k = 0; k <= i; ++k) std::swap(carry, lines_[k]);
 }
 
-void WriteCache::hash_insert(LineAddr line, std::uint32_t idx) {
-  std::size_t slot = mix(line) & slot_mask_;
-  while (slots_[slot] != kEmptySlot) slot = (slot + 1) & slot_mask_;
-  slots_[slot] = idx;
-}
-
-void WriteCache::hash_erase(LineAddr line) noexcept {
-  std::size_t slot = mix(line) & slot_mask_;
-  while (slots_[slot] != kEmptySlot) {
-    if (nodes_[slots_[slot]].line == line) break;
-    slot = (slot + 1) & slot_mask_;
-  }
-  NVC_ASSERT(slots_[slot] != kEmptySlot, "erasing a line not in the map");
-
-  // Backward-shift deletion keeps probe chains tombstone-free.
-  std::size_t hole = slot;
-  std::size_t probe = (hole + 1) & slot_mask_;
-  while (slots_[probe] != kEmptySlot) {
-    const std::size_t home = mix(nodes_[slots_[probe]].line) & slot_mask_;
-    // Move the entry back if its home position does not lie in (hole, probe].
-    const bool movable = ((probe - home) & slot_mask_) >=
-                         ((probe - hole) & slot_mask_);
-    if (movable) {
-      slots_[hole] = slots_[probe];
-      hole = probe;
-    }
-    probe = (probe + 1) & slot_mask_;
-  }
-  slots_[hole] = kEmptySlot;
-}
-
-void WriteCache::list_push_front(std::uint32_t idx) noexcept {
-  nodes_[idx].prev = kNil;
-  nodes_[idx].next = head_;
-  if (head_ != kNil) nodes_[head_].prev = idx;
-  head_ = idx;
-  if (tail_ == kNil) tail_ = idx;
-}
-
-void WriteCache::list_unlink(std::uint32_t idx) noexcept {
-  const Node& n = nodes_[idx];
-  if (n.prev != kNil) {
-    nodes_[n.prev].next = n.next;
-  } else {
-    head_ = n.next;
-  }
-  if (n.next != kNil) {
-    nodes_[n.next].prev = n.prev;
-  } else {
-    tail_ = n.prev;
-  }
-}
-
-void WriteCache::move_to_front(std::uint32_t idx) noexcept {
-  if (head_ == idx) return;
-  list_unlink(idx);
-  list_push_front(idx);
-}
-
-std::uint32_t WriteCache::evict_lru(FlushSink& sink) {
-  NVC_ASSERT(tail_ != kNil);
-  const std::uint32_t victim = tail_;
-  const LineAddr line = nodes_[victim].line;
-  list_unlink(victim);
-  hash_erase(line);
-  --size_;
+inline void WriteCache::evict_lru(FlushSink& sink) {
+  NVC_ASSERT(size_ > 0);
+  const LineAddr line = lines_[--size_];
+  lines_[size_] = kNoLine;
   ++stats_.evictions;
   sink.flush_line(line);
-  return victim;
 }
 
 bool WriteCache::access(LineAddr line, FlushSink& sink) {
+  NVC_ASSERT(line != kNoLine);
   ++stats_.accesses;
-  const std::uint32_t found = hash_find(line);
-  if (found != kNil) {
+  const std::size_t depth = find(line);
+  if (depth < size_) {
     ++stats_.hits;
-    move_to_front(found);
+    push_front(line, depth);
     return true;
   }
-
-  std::uint32_t idx;
-  if (size_ == capacity_) {
-    idx = evict_lru(sink);  // reuse the victim's node
-  } else if (!free_nodes_.empty()) {
-    idx = free_nodes_.back();
-    free_nodes_.pop_back();
-  } else {
-    // Rehash before appending: rehash() walks the node pool, so the new
-    // (still uninitialized) node must not be visible to it yet.
-    if ((nodes_.size() + 1) * 2 > slots_.size()) rehash(nodes_.size() + 1);
-    idx = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.push_back(Node{});
-  }
-  nodes_[idx].line = line;
-  hash_insert(line, idx);
-  list_push_front(idx);
+  if (size_ == capacity_) evict_lru(sink);
+  push_front(line, size_);
   ++size_;
   return false;
 }
 
 void WriteCache::flush_all(FlushSink& sink) {
-  while (tail_ != kNil) {
-    const std::uint32_t victim = tail_;
-    const LineAddr line = nodes_[victim].line;
-    list_unlink(victim);
-    hash_erase(line);
-    free_nodes_.push_back(victim);
-    --size_;
+  while (size_ > 0) {
+    const LineAddr line = lines_[--size_];
+    lines_[size_] = kNoLine;
     ++stats_.fase_flushes;
     sink.flush_line(line);
   }
-  NVC_ASSERT(size_ == 0);
 }
 
 void WriteCache::resize(std::size_t new_capacity, FlushSink& sink) {
   NVC_REQUIRE(new_capacity >= 1 && new_capacity <= kMaxCapacity);
-  while (size_ > new_capacity) {
-    const std::uint32_t victim = evict_lru(sink);
-    free_nodes_.push_back(victim);
-  }
+  while (size_ > new_capacity) evict_lru(sink);
   capacity_ = new_capacity;
 }
 
 bool WriteCache::contains(LineAddr line) const noexcept {
-  return hash_find(line) != kNil;
+  return find(line) < size_;
 }
 
 std::vector<LineAddr> WriteCache::lru_order() const {
-  std::vector<LineAddr> order;
-  order.reserve(size_);
-  for (std::uint32_t idx = tail_; idx != kNil; idx = nodes_[idx].prev) {
-    order.push_back(nodes_[idx].line);
-  }
-  return order;
+  return {lines_.rbegin() + static_cast<std::ptrdiff_t>(kMaxCapacity - size_),
+          lines_.rend()};
 }
 
 }  // namespace nvc::core

@@ -6,13 +6,19 @@
 // full) or at FASE end, the owner flushes the evicted line from the hardware
 // cache to NVRAM.
 //
-// Structure follows the paper: a hash map for O(1) search plus a doubly
-// linked list for O(1) LRU update/insert/delete. The hash map here is a
-// cache-friendly open-addressing table with backward-shift deletion, and the
-// list is intrusive over a pooled node array, so a cache operation touches at
-// most two small allocations-free structures.
+// Departure from the paper's structure: the paper pairs a hash map with a
+// doubly linked list so that every operation is O(1). This cache is one
+// array of line addresses in recency order (MRU first), searched four lines
+// per AVX2 compare (a scalar loop under NVC_NO_SIMD); a hit at depth d
+// shifts the d more recent lines down one slot. The capacity is bounded by
+// kMaxCapacity = 64, just above the knee rule's 50-line bound on the
+// FASE-end stall, and at such sizes (5 on ocean, 7 on raytrace) a short
+// scan of one or two cache lines beats a hash probe plus a list relink.
+// The replacement order is the paper's LRU exactly, so every flush
+// sequence is unchanged.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -93,48 +99,33 @@ class WriteCache {
   const WriteCacheStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = {}; }
 
-  /// Rough x86 instruction footprint of one cache operation; used by the
-  /// cost model to account for the software cache's instruction overhead
-  /// (paper Table IV: SC executes ~8% more instructions than AT).
+  /// Rough x86 instruction footprint of one operation of the paper's
+  /// hash map + list structure; used by the cost model to account for the
+  /// software cache's instruction overhead (paper Table IV: SC executes ~8%
+  /// more instructions than AT). The model keeps the paper's figures.
   static constexpr std::uint64_t kInstrPerHit = 18;    // probe + list move
   static constexpr std::uint64_t kInstrPerInsert = 24; // probe + link
   static constexpr std::uint64_t kInstrPerEvict = 14;  // unlink + delete
 
   static constexpr std::size_t kDefaultCapacity = 8;  // paper Section III-C
-  static constexpr std::size_t kMaxCapacity = 4096;   // implementation bound
+  /// A linear search is short only while the cache is: policies refuse a
+  /// size above this bound at construction.
+  static constexpr std::size_t kMaxCapacity = 64;
 
  private:
-  struct Node {
-    LineAddr line = 0;
-    std::uint32_t prev = kNil;
-    std::uint32_t next = kNil;
-  };
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-  static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
+  /// Fills every slot at and past size_, so a four-wide compare may read
+  /// past the last line without matching (no line address is ~0).
+  static constexpr LineAddr kNoLine = ~LineAddr{0};
 
-  // --- intrusive LRU list over the node pool ---
-  void list_push_front(std::uint32_t idx) noexcept;  // MRU end
-  void list_unlink(std::uint32_t idx) noexcept;
-  void move_to_front(std::uint32_t idx) noexcept;
-
-  // --- open-addressing hash map: line -> node index ---
-  std::uint32_t* hash_slot(LineAddr line) noexcept;
-  std::uint32_t hash_find(LineAddr line) const noexcept;  // node idx or kNil
-  void hash_insert(LineAddr line, std::uint32_t idx);
-  void hash_erase(LineAddr line) noexcept;
-  void rehash(std::size_t min_slots);
-  static std::uint64_t mix(LineAddr line) noexcept;
-
-  std::uint32_t evict_lru(FlushSink& sink);
+  /// Depth of `line` (0 = MRU), or size_ when it is not buffered.
+  std::size_t find(LineAddr line) const noexcept;
+  /// Move lines_[0, depth) down one slot and put `line` first.
+  void push_front(LineAddr line, std::size_t depth) noexcept;
+  void evict_lru(FlushSink& sink);
 
   std::size_t capacity_;
   std::size_t size_ = 0;
-  std::uint32_t head_ = kNil;  // MRU
-  std::uint32_t tail_ = kNil;  // LRU
-  std::vector<Node> nodes_;
-  std::vector<std::uint32_t> free_nodes_;
-  std::vector<std::uint32_t> slots_;  // node indices or kEmptySlot
-  std::size_t slot_mask_ = 0;
+  alignas(64) std::array<LineAddr, kMaxCapacity> lines_;
   WriteCacheStats stats_;
 };
 

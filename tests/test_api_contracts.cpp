@@ -53,6 +53,27 @@ TEST(WriteCacheContract, CapacityBoundsEnforced) {
   EXPECT_DEATH(core::WriteCache(core::WriteCache::kMaxCapacity + 1), "");
 }
 
+TEST(SoftCacheContract, SizesAboveTheCacheBoundRefused) {
+  // The sampler may select any size up to knee.max_size, so SC refuses a
+  // bound the cache could not take before the first burst, not at it.
+  core::PolicyConfig knee_too_large;
+  knee_too_large.sampler.knee.max_size = core::WriteCache::kMaxCapacity + 1;
+  EXPECT_DEATH(
+      (void)core::make_policy(core::PolicyKind::kSoftCache, knee_too_large),
+      "knee.max_size");
+  core::PolicyConfig cache_too_large;
+  cache_too_large.cache_size = core::WriteCache::kMaxCapacity + 1;
+  EXPECT_DEATH((void)core::make_policy(core::PolicyKind::kSoftCacheOffline,
+                                       cache_too_large),
+               "");
+  core::PolicyConfig at_bound;
+  at_bound.cache_size = core::WriteCache::kMaxCapacity;
+  at_bound.sampler.knee.max_size = core::WriteCache::kMaxCapacity;
+  EXPECT_EQ(core::make_policy(core::PolicyKind::kSoftCache, at_bound)
+                ->current_cache_size(),
+            core::WriteCache::kMaxCapacity);
+}
+
 TEST(WriteCacheStats, DerivedQuantitiesConsistent) {
   core::WriteCache cache(2);
   core::CountingSink sink;

@@ -1,7 +1,8 @@
 // Unit and property tests for the software write-combining cache
-// (paper Sections II-B and III-C: fully associative, LRU, O(1), resizable).
+// (paper Sections II-B and III-C: fully associative, LRU, resizable).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <unordered_map>
 #include <vector>
@@ -194,32 +195,52 @@ struct FuzzParams {
   std::size_t address_space;
 };
 
+/// The cache and the reference model side by side; every operation is
+/// applied to both and the flush sequences must stay equal.
+struct LockstepLru {
+  explicit LockstepLru(std::size_t capacity) : cache(capacity), ref(capacity) {}
+
+  void access(LineAddr line) {
+    const bool hit = cache.access(line, sink);
+    ASSERT_EQ(hit, ref.access(line, &ref_flushed)) << "line " << line;
+    ASSERT_EQ(sink.flushed, ref_flushed);
+  }
+  void resize(std::size_t capacity) {
+    cache.resize(capacity, sink);
+    ref.resize(capacity, &ref_flushed);
+    ASSERT_EQ(sink.flushed, ref_flushed) << "resize to " << capacity;
+  }
+  void flush_all() {
+    cache.flush_all(sink);
+    ref.flush_all(&ref_flushed);
+    ASSERT_EQ(sink.flushed, ref_flushed);
+  }
+
+  WriteCache cache;
+  ReferenceLru ref;
+  RecordingSink sink;
+  std::vector<LineAddr> ref_flushed;
+};
+
 class WriteCacheFuzz : public ::testing::TestWithParam<FuzzParams> {};
 
 TEST_P(WriteCacheFuzz, MatchesReferenceModel) {
   const FuzzParams p = GetParam();
-  WriteCache cache(p.capacity);
-  ReferenceLru ref(p.capacity);
-  RecordingSink sink;
-  std::vector<LineAddr> ref_flushed;
+  LockstepLru lru(p.capacity);
+  const std::size_t max_resize =
+      std::min(2 * p.capacity, WriteCache::kMaxCapacity);
   Rng rng(p.seed);
 
   for (int step = 0; step < 20000; ++step) {
+    SCOPED_TRACE(step);
     const double roll = rng.uniform();
     if (roll < 0.90) {
-      const LineAddr line = rng.below(p.address_space) + 1;
-      const bool hit = cache.access(line, sink);
-      const bool ref_hit = ref.access(line, &ref_flushed);
-      ASSERT_EQ(hit, ref_hit) << "step " << step;
+      ASSERT_NO_FATAL_FAILURE(lru.access(rng.below(p.address_space) + 1));
     } else if (roll < 0.95) {
-      const std::size_t new_cap = rng.range(1, 2 * p.capacity);
-      cache.resize(new_cap, sink);
-      ref.resize(new_cap, &ref_flushed);
+      ASSERT_NO_FATAL_FAILURE(lru.resize(rng.range(1, max_resize)));
     } else {
-      cache.flush_all(sink);
-      ref.flush_all(&ref_flushed);
+      ASSERT_NO_FATAL_FAILURE(lru.flush_all());
     }
-    ASSERT_EQ(sink.flushed, ref_flushed) << "step " << step;
   }
 }
 
@@ -228,7 +249,42 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(FuzzParams{1, 1, 4}, FuzzParams{2, 2, 8},
                       FuzzParams{3, 8, 16}, FuzzParams{4, 8, 200},
                       FuzzParams{5, 23, 60}, FuzzParams{6, 50, 50},
-                      FuzzParams{7, 50, 1000}, FuzzParams{8, 128, 256}));
+                      FuzzParams{7, 50, 1000}, FuzzParams{8, 64, 256}));
+
+/// Short runs of accesses between resizes that alternately grow the cache
+/// (up to kMaxCapacity) and shrink it (down to 1) around its starting
+/// capacity, so lines are evicted from, and later inserted into, every
+/// depth. The address space is twice the capacity: the cache is mostly full
+/// when it shrinks. Capacities 5 and 7 move the size across the search's
+/// four-line groups in both directions.
+class WriteCacheGrowShrinkFuzz : public ::testing::TestWithParam<std::size_t> {
+};
+
+TEST_P(WriteCacheGrowShrinkFuzz, MatchesReferenceModel) {
+  const std::size_t capacity = GetParam();
+  LockstepLru lru(capacity);
+  Rng rng(capacity);
+
+  for (int round = 0; round < 2000; ++round) {
+    SCOPED_TRACE(round);
+    const std::size_t run = rng.range(1, 16);
+    for (std::size_t i = 0; i < run; ++i) {
+      ASSERT_NO_FATAL_FAILURE(lru.access(rng.below(2 * capacity) + 1));
+    }
+    const std::size_t next =
+        round % 2 == 0 ? rng.range(capacity, WriteCache::kMaxCapacity)
+                       : rng.range(1, capacity);
+    ASSERT_NO_FATAL_FAILURE(lru.resize(next));
+    if (round % 50 == 49) {
+      ASSERT_NO_FATAL_FAILURE(lru.flush_all());
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(lru.flush_all());
+  EXPECT_EQ(lru.cache.size(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, WriteCacheGrowShrinkFuzz,
+                         ::testing::Values(1, 5, 7, 50, 64));
 
 }  // namespace
 }  // namespace nvc::core
