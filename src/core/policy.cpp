@@ -196,9 +196,9 @@ SoftCachePolicy::SoftCachePolicy(const PolicyConfig& config, bool online)
 }
 
 bool SoftCachePolicy::do_store(LineAddr line, FlushSink& sink) {
-  // A dormant sampler ignores stores, so this store cannot resize the cache
-  // and a repeat would be a plain hit on the MRU line. Admission is
-  // consulted only on misses, so it does not disarm the lane.
+  // A dormant sampler ignores stores, so this store skips it, cannot resize
+  // the cache, and a repeat would be a plain hit on the MRU line. Admission
+  // is consulted only on misses, so it does not disarm the lane.
   const bool dormant = !online_ || sampler_.dormant();
   // Admission runs only on cache misses: a line the cache already buffers
   // combines more cheaply than any write-through, whatever the doorkeeper
@@ -220,7 +220,6 @@ bool SoftCachePolicy::do_store(LineAddr line, FlushSink& sink) {
     counters_.instructions += WriteCache::kInstrPerInsert;
   }
 
-  // A dormant sampler ignores every store, so the call is skipped.
   if (!dormant) sample_store(line, sink);
   return dormant;
 }

@@ -105,7 +105,6 @@ class WriteCache {
   /// more instructions than AT). The model keeps the paper's figures.
   static constexpr std::uint64_t kInstrPerHit = 18;    // probe + list move
   static constexpr std::uint64_t kInstrPerInsert = 24; // probe + link
-  static constexpr std::uint64_t kInstrPerEvict = 14;  // unlink + delete
 
   static constexpr std::size_t kDefaultCapacity = 8;  // paper Section III-C
   /// A linear search is short only while the cache is: policies refuse a
@@ -125,6 +124,7 @@ class WriteCache {
 
   std::size_t capacity_;
   std::size_t size_ = 0;
+  // Cache-line aligned, so no group of four lines straddles two lines.
   alignas(64) std::array<LineAddr, kMaxCapacity> lines_;
   WriteCacheStats stats_;
 };
