@@ -129,7 +129,8 @@ if [ "$run_scalar" = 1 ]; then
   cmake --build build-scalar -j "$(nproc)" \
       --target test_write_cache test_policy test_admission test_fuzz_crash \
       table3_flush_ratios fig2_mrc_waterspatial table4_waterspatial_detail \
-      fig7_mrc_accuracy ablation_cache_size_sweep ablation_knee_policy
+      fig6_sc_vs_best fig7_mrc_accuracy ablation_cache_size_sweep \
+      ablation_knee_policy
   ctest --test-dir build-scalar -L policy -j "$jobs" --output-on-failure
   ctest --test-dir build-scalar -R paper_golden --output-on-failure
 fi

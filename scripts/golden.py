@@ -35,6 +35,7 @@ GOLDENS = [
     ("fig7.txt", "fig7_mrc_accuracy", {}),
     ("fig2.txt", "fig2_mrc_waterspatial", {}),
     ("table4.txt", "table4_waterspatial_detail", {}),
+    ("fig6.txt", "fig6_sc_vs_best", {}),
     ("ablation_cache_size_sweep.txt", "ablation_cache_size_sweep", {}),
     ("ablation_knee_policy.txt", "ablation_knee_policy", {}),
 ]
