@@ -116,9 +116,6 @@ core::PolicyConfig default_policy_config() {
   // sample-from-the-start behavior).
   config.sampler.skip_fases =
       static_cast<std::uint32_t>(env_int("NVC_SKIP_FASES", 1));
-  // NVC_ASYNC=1 hands burst analysis to the shared background worker; the
-  // selection is applied at the next FASE boundary (see DESIGN.md).
-  config.sampler.async_analysis = env_int("NVC_ASYNC", 0) != 0;
   // NVC_ADMIT=always|write-once|reuse selects the write-admission policy
   // (DESIGN.md §12); print_banner has already refused any other value.
   config.admission.mode =

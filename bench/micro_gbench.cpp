@@ -216,7 +216,7 @@ void BM_MattsonExactLru(benchmark::State& state) {
 }
 BENCHMARK(BM_MattsonExactLru)->Range(1 << 12, 1 << 18);
 
-// --- burst-analysis throughput (the async pipeline's kernels) ---------------
+// --- burst-analysis throughput (the sampler's burst-end kernels) ------------
 
 void BM_IntervalExtractionSparse(benchmark::State& state) {
   // Raw (unrenamed) addresses: the flat-hash path of intervals_of_trace.
@@ -264,12 +264,13 @@ void BM_AnalyzeOffline1M(benchmark::State& state) {
 BENCHMARK(BM_AnalyzeOffline1M)->Unit(benchmark::kMillisecond);
 
 void BM_SyncBurstAnalysis(benchmark::State& state) {
-  // What the application thread pays at burst end in synchronous mode:
-  // the whole analysis, O(n) in the burst length.
+  // What the storing thread pays at burst end: the whole analysis, O(n) in
+  // the burst length, at the default knee bound of 50 (SC refuses a bound
+  // above WriteCache::kMaxCapacity).
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto burst = random_trace(n, n / 16);  // renamed ids are dense
   KneeConfig knee;
-  knee.max_size = 1 << 10;
+  knee.max_size = 50;
   for (auto _ : state) {
     benchmark::DoNotOptimize(analyze_burst(burst, knee));
   }
@@ -278,33 +279,6 @@ void BM_SyncBurstAnalysis(benchmark::State& state) {
 BENCHMARK(BM_SyncBurstAnalysis)
     ->Range(1 << 12, 1 << 20)
     ->Complexity(benchmark::oN);
-
-void BM_AsyncBurstHandoff(benchmark::State& state) {
-  // What the application thread pays at burst end in async mode: one vector
-  // move into the SPSC ring plus a wakeup — flat across burst sizes.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto burst = random_trace(n, n / 16);
-  KneeConfig knee;
-  knee.max_size = 1 << 10;
-  auto channel = AnalysisWorker::shared().open_channel();
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::vector<LineAddr> copy = burst;
-    channel->drain();  // keep the ring empty so every submit succeeds
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(channel->submit(std::move(copy), knee));
-  }
-  channel->drain();
-  channel->close();
-  state.SetComplexityN(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_AsyncBurstHandoff)
-    ->Range(1 << 12, 1 << 20)
-    // Fixed iteration count: the untimed per-iteration work (copying the
-    // burst, draining the worker) would otherwise dwarf the timed ~µs
-    // handoff and let the auto-tuner pick runaway iteration counts.
-    ->Iterations(300)
-    ->Complexity(benchmark::o1);
 
 // --- full-runtime pstore latency (the per-store constants) ------------------
 
@@ -724,7 +698,7 @@ void BM_AsyncCommitHandoff(benchmark::State& state) {
 }
 BENCHMARK(BM_AsyncCommitHandoff)->Arg(0)->Arg(1);
 
-// --- the flush and analysis workers (DESIGN.md §6, §8) ----------------------
+// --- the flush worker (DESIGN.md §8) ----------------------------------------
 
 /// Shared-fixture handshake for the multi-threaded worker benchmarks: thread
 /// 0 publishes the fixture, every thread spins for it, and the last thread
@@ -781,40 +755,6 @@ BENCHMARK(BM_FlushPipelineDrainPool)
     ->Threads(8)
     ->Threads(32)
     ->Threads(64)
-    ->UseRealTime();
-
-void BM_AnalysisPoolDrain(benchmark::State& state) {
-  // Same shape for the analysis worker: N producer threads each submit one
-  // 4 KiB renamed burst per iteration and drain. The Arg is the worker
-  // count, always 1.
-  static std::atomic<AnalysisWorker*> shared_worker{nullptr};
-  static std::atomic<int> done_threads{0};
-  if (state.thread_index() == 0) done_threads.store(0);
-  AnalysisWorker* worker = await_fixture(state, shared_worker);
-  auto channel = worker->open_channel();
-  const auto burst = random_trace(4096, 256);
-  KneeConfig knee;
-  knee.max_size = 1 << 8;
-  for (auto _ : state) {
-    std::vector<LineAddr> copy = burst;
-    if (!channel->submit(std::move(copy), knee)) {
-      benchmark::DoNotOptimize(analyze_burst(burst, knee));  // ring full
-    }
-    channel->drain();
-  }
-  channel->close();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  if (done_threads.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-      state.threads()) {
-    delete worker;
-    shared_worker.store(nullptr, std::memory_order_release);
-  }
-}
-BENCHMARK(BM_AnalysisPoolDrain)
-    ->Arg(1)
-    ->Threads(1)
-    ->Threads(8)
-    ->Threads(32)
     ->UseRealTime();
 
 void BM_FaseNoop(benchmark::State& state) {

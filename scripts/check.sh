@@ -24,8 +24,8 @@
 #                                 `tsan` label: flush-behind ring with N
 #                                 producers and helping drains, flush
 #                                 elision with real threads and a real
-#                                 worker, async analysis, durable
-#                                 structures; `ctest --preset tsan`)
+#                                 worker, durable structures;
+#                                 `ctest --preset tsan`)
 #                               + the bench regression gate when a fresh
 #                                 BENCH_micro.json exists at the repo root
 #   scripts/check.sh --e2e      the above + the end-to-end benchmark built

@@ -1,7 +1,6 @@
 // Bounded lock-free single-producer / single-consumer ring buffer.
 //
-// Used to hand completed burst traces from an application thread to the
-// shared background analysis worker, and evicted line addresses to the
+// Used to hand evicted line addresses from an application thread to the
 // flush-behind worker: the producing thread only writes its own tail index
 // and the consumer only writes its own head index, so a push is wait-free —
 // one slot move plus one release store. Capacity is a power of two fixed at

@@ -89,9 +89,8 @@ class AdmissionFilter {
   bool should_bypass(LineAddr line) noexcept;
 
   /// kReuse: consume a newly completed burst's MRC (no-op when the sampler
-  /// has not finished a burst since the last publish). Called at the same
-  /// points the cache-size selection lands: synchronously at burst end, or
-  /// at the FASE boundary that polls an async selection.
+  /// has not finished a burst since the last publish). Called where the
+  /// cache-size selection lands: in the store that ends the burst.
   void publish_verdict(const BurstSampler& sampler);
 
   AdmitMode mode() const noexcept { return config_.mode; }

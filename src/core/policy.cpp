@@ -18,11 +18,6 @@ constexpr std::uint64_t kInstrAtlasReplace = 6;
 constexpr std::uint64_t kInstrPerFlushIssue = 4;
 constexpr std::uint64_t kInstrSamplerStore = 9;
 constexpr std::uint64_t kInstrSamplerAnalysisPerWrite = 30;
-// Async mode: the analysis runs on the background worker, so the app thread
-// only pays the O(1) handoff at burst end and a poll + resize when the
-// selection is applied at a FASE boundary.
-constexpr std::uint64_t kInstrAsyncHandoff = 40;
-constexpr std::uint64_t kInstrAsyncApply = 25;
 }  // namespace
 
 const char* to_string(PolicyKind kind) {
@@ -225,32 +220,16 @@ bool SoftCachePolicy::do_store(LineAddr line, FlushSink& sink) {
 }
 
 void SoftCachePolicy::sample_store(LineAddr line, FlushSink& sink) {
-  const bool was_sampling = sampler_.sampling();
-  if (was_sampling) counters_.instructions += kInstrSamplerStore;
+  if (sampler_.sampling()) counters_.instructions += kInstrSamplerStore;
   if (const auto selected = sampler_.on_store(line)) {
-    // Synchronous analysis (or async ring-full fallback): the full
-    // pipeline ran on this thread and the selection applies immediately —
-    // as does the admission verdict this burst implies.
+    // The burst ended: the full pipeline ran on this thread and the
+    // selection applies immediately — as does the admission verdict this
+    // burst implies.
     counters_.instructions +=
         kInstrSamplerAnalysisPerWrite * sampler_.burst_length();
     apply_selection(*selected, sink);
     if (admission_ != nullptr) admission_->publish_verdict(sampler_);
-  } else if (sampler_.async() && was_sampling && !sampler_.sampling()) {
-    // The burst was handed to the background worker in O(1); the old
-    // cache size stays until the selection lands at a FASE boundary.
-    counters_.instructions += kInstrAsyncHandoff;
   }
-}
-
-void SoftCachePolicy::apply_pending_selection(FlushSink& sink) {
-  if (!online_ || !sampler_.async()) return;
-  if (const auto selected = sampler_.poll_selection()) {
-    counters_.instructions += kInstrAsyncApply;
-    apply_selection(*selected, sink);
-  }
-  // Burst-boundary republish, same cadence as the size selection: a burst
-  // polled at this boundary also refreshes the reuse verdict.
-  if (admission_ != nullptr) admission_->publish_verdict(sampler_);
 }
 
 void SoftCachePolicy::apply_selection(std::size_t selected,
@@ -283,7 +262,7 @@ void SoftCachePolicy::check_prediction() {
       static_cast<double>(flushes) / static_cast<double>(stores);
   if (observed > kResampleSlack * *predicted_ + kResampleFloor) {
     // The prediction was armed on a dormant sampler by the selection it
-    // applied, so no analysis is in flight and the burst always starts.
+    // applied, so the burst always starts.
     const bool started = sampler_.resample();
     NVC_ENSURE(started, "the MRC check found its sampler busy");
     fired_ = ResampleCheck{cache_.capacity(), *predicted_, observed};
@@ -292,15 +271,9 @@ void SoftCachePolicy::check_prediction() {
   open_window();
 }
 
-void SoftCachePolicy::do_fase_begin(FlushSink& sink) {
-  apply_pending_selection(sink);
-}
-
 void SoftCachePolicy::do_flush_buffered(FlushSink& sink) {
-  // Mid-FASE barrier: flush the cache, nothing else. No sampler boundary
-  // (the renamer epoch is a FASE property, not a flush property) and no
-  // pending-selection application (a resize must never land mid-FASE —
-  // every FASE runs start-to-finish under one size, DESIGN.md §6).
+  // Mid-FASE barrier: flush the cache, nothing else. No sampler boundary:
+  // the renamer epoch is a FASE property, not a flush property.
   const std::uint64_t flushed = cache_.size();
   counters_.instructions += kInstrPerFlushIssue * flushed;
   cache_.flush_all(sink);
@@ -313,19 +286,10 @@ void SoftCachePolicy::do_fase_end(FlushSink& sink) {
   counters_.instructions += kInstrPerFlushIssue * flushed;
   cache_.flush_all(sink);
   if (online_) check_prediction();
-  // The cache is empty right after the FASE flush, so applying a freshly
-  // landed selection here is free.
-  apply_pending_selection(sink);
   sink.drain();
 }
 
 void SoftCachePolicy::do_finish(FlushSink& sink) {
-  // Shutdown: wait for any in-flight background analysis so its selection
-  // is not lost, then apply it before the final flush.
-  if (online_ && sampler_.async()) {
-    sampler_.drain();
-    apply_pending_selection(sink);
-  }
   const std::uint64_t flushed = cache_.size();
   counters_.instructions += kInstrPerFlushIssue * flushed;
   cache_.flush_all(sink);

@@ -96,11 +96,11 @@ class Policy {
   }
 
   /// Outermost FASE boundaries. (Nested FASEs are handled by the runtime;
-  /// policies only see outermost begin/end, as in Atlas.)
-  void on_fase_begin(FlushSink& sink) {
+  /// policies only see outermost begin/end, as in Atlas.) A begin only
+  /// counts the FASE and disarms the repeat lane.
+  void on_fase_begin(FlushSink&) {
     repeat_line_ = kNoRepeat;
     ++counters_.fases;
-    do_fase_begin(sink);
   }
   void on_fase_end(FlushSink& sink) {
     repeat_line_ = kNoRepeat;
@@ -110,8 +110,8 @@ class Policy {
   /// Mid-FASE persistence barrier: flush everything buffered and drain,
   /// WITHOUT signalling a FASE boundary. For stateless-at-boundary policies
   /// this is the same flushing work as on_fase_end (the default forwards),
-  /// but the sampling policy must not advance its renamer epoch or apply a
-  /// deferred resize here — the FASE is still open.
+  /// but the sampling policy must not advance its renamer epoch here — the
+  /// FASE is still open.
   void flush_buffered(FlushSink& sink) {
     repeat_line_ = kNoRepeat;
     do_flush_buffered(sink);
@@ -160,7 +160,6 @@ class Policy {
   /// it before the next boundary would change nothing but counters_ (by
   /// repeat_cost_) — no flush, no structure or sampler/admission state.
   virtual bool do_store(LineAddr line, FlushSink& sink) = 0;
-  virtual void do_fase_begin(FlushSink&) {}
   virtual void do_fase_end(FlushSink& sink) { sink.drain(); }
   virtual void do_flush_buffered(FlushSink& sink) { do_fase_end(sink); }
   virtual void do_finish(FlushSink& sink) { sink.drain(); }
@@ -249,14 +248,9 @@ struct ResampleCheck {
   double observed = 0.0;
 };
 
-/// SC / SC-offline: the adaptive software write-combining cache.
-///
-/// With `SamplerConfig::async_analysis` the burst analysis runs on the
-/// shared background worker and the selected size is *applied at the next
-/// FASE boundary* (begin or end), never mid-FASE: the cache is empty (or
-/// about to be flushed) at a boundary, so a resize there is free and the
-/// FASE-clearing semantics the MRC was computed under are preserved. Until
-/// the selection lands, the old cache size stays in effect.
+/// SC / SC-offline: the adaptive software write-combining cache. SC's
+/// burst analysis runs inside the store that ends the burst, and the
+/// selected size applies there (DESIGN.md §6).
 ///
 /// MRC check (DESIGN.md §5): with forever-hibernation, SC compares the
 /// flush ratio its cache shows over each window of at least one burst of
@@ -282,16 +276,6 @@ class SoftCachePolicy final : public Policy {
     return cache_.capacity();
   }
 
-  /// Block until an in-flight background analysis (if any) completes; the
-  /// next FASE boundary will then apply its selection (test hook — finish()
-  /// already drains and applies).
-  void drain_analysis() { sampler_.drain(); }
-
-  /// Manual-analysis mode (SamplerConfig::manual_analysis): run one
-  /// handed-off burst analysis now, on this thread. The deterministic
-  /// stand-in for the background worker's scheduling.
-  bool pump_analysis() { return sampler_.pump_analysis(); }
-
   const WriteCache& cache() const noexcept { return cache_; }
   const BurstSampler& sampler() const noexcept { return sampler_; }
 
@@ -304,11 +288,9 @@ class SoftCachePolicy final : public Policy {
 
  private:
   bool do_store(LineAddr line, FlushSink& sink) override;
-  void do_fase_begin(FlushSink& sink) override;
   void do_fase_end(FlushSink& sink) override;
   void do_flush_buffered(FlushSink& sink) override;
   void do_finish(FlushSink& sink) override;
-  void apply_pending_selection(FlushSink& sink);
   void sample_store(LineAddr line, FlushSink& sink);
   void apply_selection(std::size_t selected, FlushSink& sink);
   void check_prediction();

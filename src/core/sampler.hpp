@@ -11,20 +11,13 @@
 // more burst on demand (resample()) when its own flush counter contradicts
 // the MRC (DESIGN.md §5).
 //
-// Two analysis modes:
-//   * synchronous (default): the analysis runs inside the on_store() that
-//     completes the burst and the selection is returned from that call —
-//     deterministic, used by the accuracy experiments (Fig. 7/8);
-//   * asynchronous (SamplerConfig::async_analysis): the completed burst is
-//     handed to the shared background AnalysisWorker in O(1) and on_store()
-//     never blocks; the selection is picked up later via poll_selection()
-//     (the SC policy polls at FASE boundaries, which preserves the paper's
-//     semantics — the cache size only ever changes at a point where the
-//     cache is empty anyway).
+// The analysis runs inside the on_store() that completes the burst, on the
+// storing thread, and the selection is returned from that call: one
+// deterministic decision path for SC, the accuracy experiments (Fig. 7/8)
+// and the crash fuzzers (DESIGN.md §6).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -50,54 +43,32 @@ struct SamplerConfig {
   /// anyway (after four bursts worth of writes), so single-FASE programs
   /// still get analyzed. 0 = the paper's sample-from-the-start behavior.
   std::uint32_t skip_fases = 0;
-  /// Run the burst analysis on the shared background worker instead of
-  /// synchronously inside on_store() (see file comment).
+  /// Must stay false: BurstSampler refuses true. Burst analysis always runs
+  /// on the storing thread (see file comment). The field is kept only
+  /// because the end-to-end benchmark's source assigns it; the next change
+  /// to that benchmark deletes this field together with the assignment.
   bool async_analysis = false;
-  /// Deterministic-test variant of async_analysis: the channel is never
-  /// served by the background worker — handed-off bursts run only when the
-  /// test's scheduler calls pump_analysis(). Lets the crash fuzzer replay
-  /// the async analysis interleaving from a seed. Implies async_analysis.
-  bool manual_analysis = false;
   KneeConfig knee;
 };
 
 class BurstSampler {
  public:
   explicit BurstSampler(SamplerConfig config = {});
-  ~BurstSampler();
 
   BurstSampler(const BurstSampler&) = delete;
   BurstSampler& operator=(const BurstSampler&) = delete;
 
-  /// Observe one persistent write. Returns a newly selected cache size when
-  /// this write completes a burst *in synchronous mode*; in async mode the
-  /// burst is handed off and the selection arrives via poll_selection().
+  /// Observe one persistent write. Returns the newly selected cache size
+  /// when this write completes a burst (the analysis ran in this call).
   std::optional<std::size_t> on_store(LineAddr line);
 
   /// Observe a FASE boundary (needed for the renaming transform).
   void on_fase_boundary();
 
-  /// Async mode: pick up a background selection if one has landed since the
-  /// last poll (updates last_mrc()/last_selection()/bursts_completed()).
-  /// Synchronous mode: always empty. O(1) when nothing is ready.
-  std::optional<std::size_t> poll_selection();
-
-  /// Async mode: block until any in-flight analysis completes (shutdown
-  /// drain — the selection is then available to poll_selection()).
-  void drain();
-
-  /// Manual-analysis mode: run one handed-off burst analysis now, on this
-  /// thread (true when a job ran). No-op in the other modes.
-  bool pump_analysis();
-
-  /// Async mode: true while a handed-off burst has not been analyzed yet.
-  bool analysis_in_flight() const;
-
   /// Start one more burst now, without a warmup skip. Works only on a
-  /// dormant sampler whose last burst has been analyzed: false, and
-  /// nothing changes, while sampling or while an analysis is in flight.
-  /// The burst ends as any other — its selection is returned by on_store()
-  /// or polled — and the sampler is dormant again afterwards.
+  /// dormant sampler: false, and nothing changes, otherwise. The burst
+  /// ends as any other — on_store() returns its selection — and the sampler
+  /// is dormant again afterwards.
   bool resample();
 
   bool sampling() const noexcept { return sampling_; }
@@ -109,7 +80,6 @@ class BurstSampler {
     return !sampling_ && config_.hibernation_length == 0;
   }
   std::uint64_t burst_length() const noexcept { return config_.burst_length; }
-  bool async() const noexcept { return config_.async_analysis; }
 
   /// Reserved capacity of the burst trace buffer (test hook for the
   /// hibernation re-reserve behavior).
@@ -134,8 +104,7 @@ class BurstSampler {
 
  private:
   void start_burst();
-  std::optional<std::size_t> finish_burst();
-  void apply_analysis(BurstAnalysis&& analysis);
+  std::size_t finish_burst();
 
   SamplerConfig config_;
   std::uint32_t fases_to_skip_ = 0;
@@ -148,8 +117,6 @@ class BurstSampler {
   Mrc last_mrc_;
   Mrc last_exact_mrc_;
   KneeResult last_selection_;
-  std::shared_ptr<AnalysisChannel> channel_;  // async mode only
-  std::uint64_t results_consumed_ = 0;
 };
 
 }  // namespace nvc::core

@@ -289,12 +289,6 @@ bool Runtime::pump_flush(std::size_t slot) {
   return context_at(slot).route.pump_one();
 }
 
-bool Runtime::pump_analysis(std::size_t slot) {
-  core::Policy& policy = *context_at(slot).policy;
-  return policy.kind() == core::PolicyKind::kSoftCache &&
-         static_cast<core::SoftCachePolicy&>(policy).pump_analysis();
-}
-
 void* Runtime::pm_alloc(std::size_t size) {
   std::lock_guard<std::mutex> lock(alloc_mutex_);
   const pmem::POffset off = allocator_->allocate(size);
@@ -386,7 +380,7 @@ void Runtime::persist_barrier() {
   ThreadContext& c = ctx();
   // Flush everything the policy has buffered and drain — without signalling
   // a FASE boundary (the FASE stays open; the sampling policy's renamer
-  // epoch and deferred resize application must not fire mid-FASE).
+  // epoch must not advance mid-FASE).
   c.policy->flush_buffered(c.route.sink());
 }
 

@@ -288,9 +288,6 @@ class Runtime {
   /// Write back one queued line of slot `slot`'s flush ring (manual
   /// channels; false when none).
   bool pump_flush(std::size_t slot);
-  /// Run one handed-off burst analysis of slot `slot`'s sampler
-  /// (policy_config.sampler.manual_analysis; false when none ran).
-  bool pump_analysis(std::size_t slot);
   /// The media-fault injector (null unless config.fault.enabled()).
   const std::shared_ptr<pmem::FaultInjector>& fault_injector() const noexcept {
     return injector_;

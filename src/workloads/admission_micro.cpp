@@ -67,13 +67,12 @@ AdmissionMicroResult run_admission_micro(core::PolicyKind policy,
   config.policy_config.admission.mode = admit;
   if (policy == core::PolicyKind::kSoftCache) {
     // Online sampling, scaled so the first burst (and with it the kReuse
-    // verdict) lands after two FASEs; synchronous analysis keeps the run
-    // deterministic. The knee selection is capped at the base capacity so
-    // the stall bound — not the cache — has to absorb the stream: without
-    // the cap the online policy simply grows the cache past the hot set's
-    // reuse distance and the admission dimension measures nothing.
+    // verdict) lands after two FASEs. The knee selection is capped at the
+    // base capacity so the stall bound — not the cache — has to absorb the
+    // stream: without the cap the online policy simply grows the cache past
+    // the hot set's reuse distance and the admission dimension measures
+    // nothing.
     config.policy_config.sampler.burst_length = 256;
-    config.policy_config.sampler.async_analysis = false;
     config.policy_config.sampler.knee.max_size = 8;
   }
 

@@ -91,10 +91,6 @@ void CrashRig::pwrote(std::size_t ctx, const void* addr, std::size_t len) {
 
 bool CrashRig::pump_flush(std::size_t ctx) { return rt_->pump_flush(ctx); }
 
-bool CrashRig::pump_analysis(std::size_t ctx) {
-  return rt_->pump_analysis(ctx);
-}
-
 void* CrashRig::data_region(std::size_t size) {
   NVC_REQUIRE(size == region_bytes_);
   return shadow_.volatile_base();

@@ -82,9 +82,8 @@ class CrashRig final : public runtime::Medium {
     return shadow_.volatile_base() + blocks_[ctx];
   }
 
-  /// Manual-mode scheduler hooks: Runtime::pump_flush / pump_analysis.
+  /// Manual-mode scheduler hook: Runtime::pump_flush.
   bool pump_flush(std::size_t ctx = 0);
-  bool pump_analysis(std::size_t ctx = 0);
 
   // --- crash injection -------------------------------------------------------
 

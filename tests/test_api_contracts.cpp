@@ -5,6 +5,7 @@
 #include "common/table.hpp"
 #include "core/mrc.hpp"
 #include "core/policy.hpp"
+#include "core/sampler.hpp"
 #include "core/write_cache.hpp"
 
 namespace nvc {
@@ -72,6 +73,18 @@ TEST(SoftCacheContract, SizesAboveTheCacheBoundRefused) {
   EXPECT_EQ(core::make_policy(core::PolicyKind::kSoftCache, at_bound)
                 ->current_cache_size(),
             core::WriteCache::kMaxCapacity);
+}
+
+TEST(SamplerContract, AsyncAnalysisRefused) {
+  // Burst analysis has one path, on the storing thread; the leftover config
+  // field must not silently select a second one.
+  core::SamplerConfig async;
+  async.async_analysis = true;
+  EXPECT_DEATH(core::BurstSampler{async}, "storing thread");
+  core::PolicyConfig sc;
+  sc.sampler.async_analysis = true;
+  EXPECT_DEATH((void)core::make_policy(core::PolicyKind::kSoftCache, sc),
+               "storing thread");
 }
 
 TEST(WriteCacheStats, DerivedQuantitiesConsistent) {

@@ -3,19 +3,20 @@
 //
 // Seeded random FASE programs (src/testing/fuzz_program.hpp) run on the
 // production Runtime over the freeze/restart rig's shadow medium
-// (tests/support/crash_rig.hpp) under every combination of the three
+// (tests/support/crash_rig.hpp) under every combination of the two
 // durability mode axes —
 //
 //     log protocol      strict | batched     (LogSyncMode)
 //     data write-backs  sync   | flush-behind pipeline (with flush elision)
-//     burst analysis    sync   | async (handed-off)
 //
-// — with the durable image frozen at randomized event indices. For every
+// — and, under injected faults and write admission, both sampler
+// hibernations (the rig's counted one and the shipped forever one) — with
+// the durable image frozen at randomized event indices. For every
 // crash point, the DurabilityOracle gives the only legal outcomes: each
 // context must recover to the image after SOME committed outermost FASE of
 // that context, and — because the whole run is deterministic (manual
 // channels + the seeded virtual scheduler stand in for the background
-// workers) — the recovered commit index must be monotone in the freeze
+// flush worker) — the recovered commit index must be monotone in the freeze
 // index. EVERY failure message carries a one-line replay command
 // (NVC_FUZZ_SEED + NVC_FUZZ_MODE + NVC_FUZZ_FREEZE) that reproduces the
 // exact program, interleaving, and crash point.
@@ -23,13 +24,13 @@
 // Knobs (all optional):
 //   NVC_FUZZ_SEED=N    run exactly one program, generated from seed N
 //   NVC_FUZZ_ITERS=N   programs per mode (default 8; nightly runs raise it)
-//   NVC_FUZZ_MODE=S    only the named mode combo, e.g. batched-asyncflush-syncanalysis
+//   NVC_FUZZ_MODE=S    only the named mode combo, e.g. batched-asyncflush-forever
 //   NVC_FUZZ_FREEZE=N  only the named freeze event (with SEED: one exact case)
 //
 // Two differential companions ride along: the analyze/MRC/knee pipeline is
 // checked against its brute-force references on random traces, and the
 // generated programs are replayed on the Runtime's real regions (real
-// threads, real background workers, pm_alloc/pm_free) with every live
+// threads, a real flush worker, pm_alloc/pm_free) with every live
 // object's final bytes checked against the oracle.
 #include <gtest/gtest.h>
 
@@ -101,19 +102,24 @@ SeedPlan seed_plan(std::uint64_t default_iters) {
 }
 
 // --------------------------------------------------------------------------
-// The 2x2x2 mode matrix (async flush carries flush elision).
+// The 2x2 mode matrix (async flush carries flush elision), and the same
+// matrix under both sampler hibernations.
 // --------------------------------------------------------------------------
 
 struct FuzzMode {
   runtime::LogSyncMode log;
   bool async_flush;
-  bool async_analysis;
+  /// Forever-hibernation, the shipped default: after its burst the sampler
+  /// is dormant, the repeat-store lane is armed and SC's MRC check is live.
+  /// Otherwise the rig's counted hibernation starts a new burst after every
+  /// 32 hibernating stores.
+  bool forever = false;
 };
 
 std::string mode_name(const FuzzMode& mode) {
   return std::string(runtime::to_string(mode.log)) + "-" +
-         (mode.async_flush ? "asyncflush" : "syncflush") + "-" +
-         (mode.async_analysis ? "asyncanalysis" : "syncanalysis");
+         (mode.async_flush ? "asyncflush" : "syncflush") +
+         (mode.forever ? "-forever" : "");
 }
 
 /// gtest case name of a mode: mode_name() without the dashes.
@@ -124,6 +130,13 @@ std::string test_name(const ::testing::TestParamInfo<FuzzMode>& info) {
 }
 
 const FuzzMode kAllModes[] = {
+    {runtime::LogSyncMode::kStrict, false},
+    {runtime::LogSyncMode::kStrict, true},
+    {runtime::LogSyncMode::kBatched, false},
+    {runtime::LogSyncMode::kBatched, true},
+};
+
+const FuzzMode kHibernationModes[] = {
     {runtime::LogSyncMode::kStrict, false, false},
     {runtime::LogSyncMode::kStrict, false, true},
     {runtime::LogSyncMode::kStrict, true, false},
@@ -139,10 +152,10 @@ runtime::RuntimeConfig fuzz_runtime_config(const FuzzProgram& program,
   runtime::RuntimeConfig config = rig_runtime_config(program.contexts);
   config.log_sync = mode.log;
   config.async_flush = mode.async_flush;
-  // The analysis axis needs a sampling policy; async analysis uses a
-  // manual analysis channel, pumped only by the virtual scheduler below.
+  // Online SC: its bursts end, and resize the cache, inside the programs'
+  // stores.
   config.policy = core::PolicyKind::kSoftCache;
-  config.policy_config.sampler.manual_analysis = mode.async_analysis;
+  if (mode.forever) config.policy_config.sampler.hibernation_length = 0;
   return config;
 }
 
@@ -153,13 +166,12 @@ CrashRigConfig fuzz_medium(const FuzzProgram& program) {
 }
 
 /// Interpret the program on the rig. After every op the seeded virtual
-/// scheduler decides how much "background" work happens — how many queued
-/// write-backs each context's virtual flush worker performs, and whether
-/// its virtual analysis worker gets a quantum. All scheduler draws depend
-/// only on the program seed, never on the freeze point, so every freeze
-/// value observes the same execution and the same event indexing.
+/// scheduler decides how many queued write-backs each context's virtual
+/// flush worker performs. All scheduler draws depend only on the program
+/// seed, never on the freeze point, so every freeze value observes the same
+/// execution and the same event indexing.
 /// `after_op`, when set, runs right after each op, before the scheduler's
-/// background quanta.
+/// flush quanta.
 void run_program(CrashRig& rig, const FuzzProgram& program,
                  const std::function<void(const FuzzOp&)>& after_op = {}) {
   std::uint64_t sm = program.seed ^ 0x5ced0123abcd7777ULL;
@@ -192,7 +204,6 @@ void run_program(CrashRig& rig, const FuzzProgram& program,
       for (std::uint32_t n = scheduler.flush_quantum(); n > 0; --n) {
         if (!rig.pump_flush(c)) break;
       }
-      if (scheduler.analysis_quantum()) (void)rig.pump_analysis(c);
     }
   }
 }
@@ -258,7 +269,7 @@ void sweep_freeze_points(const runtime::RuntimeConfig& config,
 }
 
 // --------------------------------------------------------------------------
-// The tentpole: crash sweep across all eight mode combinations.
+// The crash sweep across all four mode combinations.
 // --------------------------------------------------------------------------
 
 class FuzzCrash : public ::testing::TestWithParam<FuzzMode> {};
@@ -472,13 +483,12 @@ TEST(FuzzSeedPlan, PinnedSeedKeepsAll64Bits) {
 
 TEST(FuzzDeterminism, WorkersCannotPerturbManualReplays) {
   // The fuzzer's whole value rests on manual channels being invisible to
-  // the background workers: replays must be byte-identical no matter how
-  // busy those workers are. Run the same program twice in the fully-async
-  // manual mode — the second time while a private flush worker and
-  // analysis worker churn real channels (sweeps, pokes, analyses all
-  // active) — and require the same event count and the same durable
-  // image, byte for byte.
-  const FuzzMode mode{runtime::LogSyncMode::kBatched, true, true};
+  // the background flush worker: replays must be byte-identical no matter
+  // how busy it is. Run the same program twice in the flush-behind manual
+  // mode — the second time while a private flush worker churns a real
+  // channel (sweeps and pokes active) — and require the same event count
+  // and the same durable image, byte for byte.
+  const FuzzMode mode{runtime::LogSyncMode::kBatched, true};
   const std::uint64_t seed = derive_seed(kDefaultBaseSeed, 0);
   const FuzzProgram program = generate_program(seed);
 
@@ -491,28 +501,19 @@ TEST(FuzzDeterminism, WorkersCannotPerturbManualReplays) {
   }
 
   core::FlushWorker flush_worker;
-  core::AnalysisWorker analysis_worker;
   struct NullSink final : core::FlushSink {
     bool flush_line(LineAddr) override { return true; }
   };
   auto noisy_flush =
       flush_worker.open_channel(std::make_unique<NullSink>(), 64);
-  auto noisy_analysis = analysis_worker.open_channel();
   std::atomic<bool> done{false};
   std::thread churn([&] {
-    std::vector<LineAddr> burst(128);
-    for (std::size_t i = 0; i < burst.size(); ++i) {
-      burst[i] = static_cast<LineAddr>(i % 16);
-    }
     while (!done.load(std::memory_order_acquire)) {
       for (LineAddr l = 0; l < 32; ++l) (void)noisy_flush->try_push(l);
       noisy_flush->request_wake();
-      auto copy = burst;
-      (void)noisy_analysis->submit(std::move(copy), core::KneeConfig{});
       std::this_thread::yield();
     }
     noisy_flush->wait_drained();
-    noisy_analysis->drain();
   });
 
   CrashRig noisy(fuzz_runtime_config(program, mode), fuzz_medium(program));
@@ -528,7 +529,6 @@ TEST(FuzzDeterminism, WorkersCannotPerturbManualReplays) {
   done.store(true, std::memory_order_release);
   churn.join();
   noisy_flush->close();
-  noisy_analysis->close();
 }
 
 // --------------------------------------------------------------------------
@@ -642,7 +642,7 @@ TEST_P(FaultFuzzCrash, DegradedRunsStillRecoverCommittedPrefixes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, FaultFuzzCrash,
-                         ::testing::ValuesIn(kAllModes), test_name);
+                         ::testing::ValuesIn(kHibernationModes), test_name);
 
 // --------------------------------------------------------------------------
 // The admission dimension: the same sweep with write-through bypasses.
@@ -654,8 +654,8 @@ TEST_P(AdmitFuzzCrash, BypassedLinesKeepTheDurabilityContract) {
   // Write-admission (DESIGN.md §12) changes WHERE a store's write-back
   // happens — immediately through the LogOrderedSink instead of at
   // eviction/FASE end — but must not change WHAT a crash can leave behind:
-  // the same oracle, the same monotone durability, under every mode combo
-  // and both non-trivial admission modes. NVC_ADMIT pins one admission
+  // the same oracle, the same monotone durability, under every mode combo,
+  // both hibernations and both non-trivial admission modes. NVC_ADMIT pins one admission
   // mode for replay (failure lines carry the fragment).
   const FuzzMode mode = GetParam();
   const std::string only = env_str("NVC_FUZZ_MODE", "");
@@ -715,7 +715,7 @@ TEST_P(AdmitFuzzCrash, BypassedLinesKeepTheDurabilityContract) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, AdmitFuzzCrash,
-                         ::testing::ValuesIn(kAllModes), test_name);
+                         ::testing::ValuesIn(kHibernationModes), test_name);
 
 // --------------------------------------------------------------------------
 // Flush elision's seeded bug: the quiescence check above has teeth.
@@ -730,7 +730,7 @@ TEST(ElideFuzzBug, SeededRevertRetireBugIsCaught) {
   // remains scheduled; only the commit-point drain re-check stands between
   // that and silent data loss, which is exactly why the invariant must
   // stay armed in the sweep above.
-  const FuzzMode mode{runtime::LogSyncMode::kStrict, true, false};
+  const FuzzMode mode{runtime::LogSyncMode::kStrict, true};
   const std::uint64_t seed = derive_seed(kDefaultBaseSeed, 0);
   const FuzzProgram program = generate_program(seed);
 
@@ -854,8 +854,8 @@ std::string unique_region(const char* base) {
 TEST(FuzzRuntimeDifferential, LiveObjectsMatchTheOracleAfterRealThreads) {
   // The crash sweep runs the Runtime deterministically on one thread over
   // the rig's medium; this companion replays the same generated programs on
-  // its real regions — one real OS thread per context, real background
-  // flush/analysis workers, the real allocator — and checks every live
+  // its real regions — one real OS thread per context, the real background
+  // flush worker, the real allocator — and checks every live
   // object's final bytes against the oracle, plus the log's
   // committed-at-exit invariant. (No crash injection
   // here: the real backends cannot freeze; nondeterministic interleavings
@@ -863,11 +863,10 @@ TEST(FuzzRuntimeDifferential, LiveObjectsMatchTheOracleAfterRealThreads) {
   struct RtMode {
     runtime::LogSyncMode log;
     bool async_flush;
-    bool async_analysis;
   };
   const RtMode rt_modes[] = {
-      {runtime::LogSyncMode::kStrict, false, false},
-      {runtime::LogSyncMode::kBatched, true, true},
+      {runtime::LogSyncMode::kStrict, false},
+      {runtime::LogSyncMode::kBatched, true},
   };
   const SeedPlan plan = seed_plan(/*default_iters=*/4);
   for (std::uint64_t iter = 0; iter < plan.iters; ++iter) {
@@ -877,8 +876,7 @@ TEST(FuzzRuntimeDifferential, LiveObjectsMatchTheOracleAfterRealThreads) {
     const DurabilityOracle oracle(program);
     for (const RtMode& mode : rt_modes) {
       SCOPED_TRACE(std::string("log=") + runtime::to_string(mode.log) +
-                   (mode.async_flush ? " asyncflush" : " syncflush") +
-                   (mode.async_analysis ? " asyncanalysis" : ""));
+                   (mode.async_flush ? " asyncflush" : " syncflush"));
       runtime::RuntimeConfig config;
       config.region_name = unique_region("fuzzrt");
       config.region_size = 1u << 20;
@@ -886,7 +884,6 @@ TEST(FuzzRuntimeDifferential, LiveObjectsMatchTheOracleAfterRealThreads) {
       config.policy_config.cache_size = 4;
       config.policy_config.sampler.burst_length = 64;
       config.policy_config.sampler.hibernation_length = 32;
-      config.policy_config.sampler.async_analysis = mode.async_analysis;
       config.flush = pmem::FlushKind::kCountOnly;
       config.undo_logging = true;
       config.log_sync = mode.log;

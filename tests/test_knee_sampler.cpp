@@ -2,10 +2,12 @@
 // online bursty sampler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/analyzer.hpp"
+#include "core/fase_trace.hpp"
 #include "core/knee.hpp"
 #include "core/sampler.hpp"
 
@@ -92,6 +94,30 @@ SamplerConfig quick_sampler(std::uint64_t burst) {
   return config;
 }
 
+void expect_same_mrc(const Mrc& a, const Mrc& b) {
+  ASSERT_EQ(a.max_size(), b.max_size());
+  const auto va = a.values();
+  const auto vb = b.values();
+  // Byte-identical, not approximately equal: both paths must run exactly the
+  // same pipeline on exactly the same renamed trace.
+  EXPECT_TRUE(std::equal(va.begin(), va.end(), vb.begin()));
+}
+
+/// Same model MRC, same exact MRC, same knee and the same placement.
+void expect_same_analysis(const BurstAnalysis& a, const BurstAnalysis& b) {
+  expect_same_mrc(a.mrc, b.mrc);
+  expect_same_mrc(a.exact, b.exact);
+  EXPECT_EQ(a.selection.chosen_size, b.selection.chosen_size);
+  EXPECT_EQ(a.selection.model_size, b.selection.model_size);
+  EXPECT_EQ(a.selection.had_knees, b.selection.had_knees);
+  EXPECT_EQ(a.selection.candidates, b.selection.candidates);
+}
+
+BurstAnalysis last_analysis(const BurstSampler& sampler) {
+  return {sampler.last_mrc(), sampler.last_exact_mrc(),
+          sampler.last_selection()};
+}
+
 TEST(BurstSampler, SelectsAfterExactlyOneBurst) {
   BurstSampler sampler(quick_sampler(1000));
   std::optional<std::size_t> selected;
@@ -158,21 +184,6 @@ TEST(BurstSampler, ResampleStartsOneBurstOnADormantSampler) {
   EXPECT_FALSE(periodic.resample());
 }
 
-TEST(BurstSampler, ResampleWaitsForTheInFlightAnalysis) {
-  SamplerConfig config = quick_sampler(100);
-  config.manual_analysis = true;
-  BurstSampler sampler(config);
-  for (int i = 0; i < 100; ++i) {
-    (void)sampler.on_store(static_cast<LineAddr>(i % 5));
-  }
-  ASSERT_TRUE(sampler.analysis_in_flight());
-  EXPECT_FALSE(sampler.resample());
-  EXPECT_FALSE(sampler.sampling());
-  ASSERT_TRUE(sampler.pump_analysis());
-  ASSERT_TRUE(sampler.poll_selection().has_value());
-  EXPECT_TRUE(sampler.resample());
-}
-
 TEST(BurstSampler, PeriodicResamplingExtension) {
   SamplerConfig config = quick_sampler(100);
   config.hibernation_length = 400;  // re-sample every 400 writes
@@ -183,6 +194,62 @@ TEST(BurstSampler, PeriodicResamplingExtension) {
   }
   // bursts at writes 100, 600, 1100, 1600, 2100.
   EXPECT_GE(selections, 4);
+}
+
+TEST(BurstSampler, EachCountedBurstAnalyzesItsOwnRenamedTrace) {
+  // Counted hibernation, a working set that grows every 1000 stores and a
+  // FASE every 64: each burst's selection (and both MRCs) must be exactly
+  // analyze_burst on that burst's stores, renamed at its own FASE
+  // boundaries — nothing carried over from hibernation or earlier bursts.
+  SamplerConfig config = quick_sampler(300);
+  config.hibernation_length = 150;
+  BurstSampler sampler(config);
+  std::vector<LineAddr> burst;
+  std::vector<std::size_t> boundaries;
+  std::vector<std::size_t> selections;
+  for (std::uint64_t i = 0; i < 3000; ++i) {
+    const LineAddr line = static_cast<LineAddr>(i % (8 + 4 * (i / 1000)));
+    const auto selected = sampler.on_store(line);
+    if (sampler.sampling() || selected) burst.push_back(line);
+    if (selected) {
+      const BurstAnalysis expected =
+          analyze_burst(rename_trace(burst, boundaries), config.knee);
+      EXPECT_EQ(*selected, expected.selection.chosen_size)
+          << "burst " << selections.size();
+      expect_same_analysis(last_analysis(sampler), expected);
+      selections.push_back(*selected);
+      burst.clear();
+      boundaries.clear();
+    }
+    if (i % 64 == 63) {
+      if (sampler.sampling()) boundaries.push_back(burst.size());
+      sampler.on_fase_boundary();
+    }
+  }
+  EXPECT_EQ(sampler.bursts_completed(), selections.size());
+  ASSERT_GE(selections.size(), 3u);
+  // The shifting working set must move the selection, or equal selections
+  // could hide a burst analyzed on a stale trace.
+  EXPECT_NE(selections.front(), selections.back());
+}
+
+TEST(BurstSampler, HibernationReEnableReReservesTraceBuffer) {
+  SamplerConfig config = quick_sampler(128);
+  config.hibernation_length = 64;
+  BurstSampler sampler(config);
+  EXPECT_GE(sampler.trace_capacity(), 128u);
+  for (int i = 0; i < 128; ++i) {
+    sampler.on_store(static_cast<LineAddr>(i % 6));
+  }
+  // Burst over: the buffer was shrunk, so the capacity is gone.
+  EXPECT_EQ(sampler.trace_capacity(), 0u);
+  for (int i = 0; i < 64; ++i) {
+    sampler.on_store(static_cast<LineAddr>(i % 6));
+  }
+  // Sampling re-enabled: the full burst reservation must be back so the
+  // new burst does not re-grow through repeated reallocation.
+  EXPECT_TRUE(sampler.sampling());
+  EXPECT_GE(sampler.trace_capacity(), 128u);
 }
 
 TEST(BurstSampler, FaseBoundariesInvalidateCrossFaseReuse) {
@@ -315,6 +382,39 @@ TEST(KneePlacement, ModelCliffLeftOfTheExactOneMovesToTheExactCliff) {
   EXPECT_LT(a.exact.at(10), 0.01);
   EXPECT_EQ(a.selection.chosen_size, 10u);
   EXPECT_EQ(place_knee(a.mrc, a.exact, 7), 10u);
+}
+
+TEST(KneePlacement, SyncAndOfflinePlaceIdentically) {
+  // FASEs in two phases (a 2-line loop, then a 10-line loop): the model's
+  // knee is left of the exact cliff, so the sampler and the offline path
+  // must move it the same way, from the same exact MRC.
+  std::vector<LineAddr> trace;
+  std::vector<std::size_t> boundaries;
+  for (int f = 0; f < 6; ++f) {
+    for (LineAddr i = 0; i < 1000; ++i) trace.push_back(100 + i % 2);
+    for (LineAddr i = 0; i < 1500; ++i) trace.push_back(200 + i % 10);
+    boundaries.push_back(trace.size());
+  }
+  boundaries.pop_back();  // the trace ends inside its last FASE
+  const SamplerConfig config = quick_sampler(trace.size());
+  BurstSampler sampler(config);
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (next < boundaries.size() && boundaries[next] == i) {
+      sampler.on_fase_boundary();
+      ++next;
+    }
+    sampler.on_store(trace[i]);
+  }
+  ASSERT_EQ(sampler.bursts_completed(), 1u);
+
+  BurstAnalysis offline;
+  offline.selection = BurstSampler::analyze_offline(
+      trace, boundaries, config.knee, &offline.mrc, &offline.exact);
+
+  const BurstAnalysis online = last_analysis(sampler);
+  EXPECT_LT(online.selection.model_size, online.selection.chosen_size);
+  expect_same_analysis(offline, online);
 }
 
 TEST(KneePlacement, FlatCurveStaysAtMaxSize) {

@@ -270,28 +270,6 @@ TEST(SoftCachePolicy, FlushBufferedIsNotASamplerFaseBoundary) {
   EXPECT_EQ(fases.sampler().bursts_completed(), 1u);
 }
 
-TEST(SoftCachePolicy, FlushBufferedDefersAsyncResizeToFaseBoundary) {
-  // An async burst selection that lands mid-FASE must wait at the barrier
-  // (a resize must never happen inside a FASE, DESIGN.md §6) and apply at
-  // the next real boundary.
-  PolicyConfig config;
-  config.cache_size = 8;
-  config.sampler.burst_length = 2000;
-  config.sampler.knee.max_size = 50;
-  config.sampler.async_analysis = true;
-  SoftCachePolicy p(config, /*online=*/true);
-  RecordingSink sink;
-  p.on_fase_begin(sink);
-  for (int i = 0; i < 2000; ++i) {
-    p.on_store(static_cast<LineAddr>(i % 14 + 1), sink);
-  }
-  p.drain_analysis();  // the background selection has landed by now
-  p.flush_buffered(sink);
-  EXPECT_EQ(p.current_cache_size(), 8u);  // unchanged mid-FASE
-  p.on_fase_end(sink);
-  EXPECT_NEAR(static_cast<double>(p.current_cache_size()), 14.0, 3.0);
-}
-
 // --- SC's MRC check and its one re-sample (DESIGN.md §5) ---------------------------
 
 // The burst samples inside a first FASE longer than four bursts (the warmup
@@ -415,43 +393,6 @@ TEST(SoftCacheResample, ResampleNeverShrinksTheCache) {
   EXPECT_EQ(sc.policy.sampler().bursts_completed(), 2u);
   EXPECT_EQ(sc.policy.sampler().last_selection().chosen_size, 2u);
   EXPECT_EQ(sc.policy.current_cache_size(), 3u);
-}
-
-TEST(SoftCacheResample, ManualAnalysisResampleAppliesAtAFaseBoundary) {
-  PolicyConfig config = check_config();
-  config.sampler.manual_analysis = true;
-  CycleStream sc(config);
-  sc.init();
-  // The first burst is handed off and waits for its job: no size, no check.
-  ASSERT_TRUE(sc.policy.sampler().analysis_in_flight());
-  EXPECT_EQ(sc.policy.current_cache_size(), 8u);
-  sc.fase({kHotA, kHotB, kHotC}, 1024);
-  EXPECT_EQ(sc.policy.resamples(), 0u);
-  ASSERT_TRUE(sc.policy.pump_analysis());
-  EXPECT_EQ(sc.policy.current_cache_size(), 8u);
-  // The next FASE begin applies 3 and opens the window; its end fires.
-  sc.fase({kHotA, kHotB, kHotC}, 1024);
-  EXPECT_EQ(sc.policy.current_cache_size(), 3u);
-  ASSERT_EQ(sc.policy.resamples(), 1u);
-  EXPECT_NEAR(sc.policy.fired_check()->observed, 1.0, 0.01);
-  EXPECT_TRUE(sc.policy.sampler().sampling());
-
-  // The re-sample's burst ends mid-FASE and its job waits; the pump runs
-  // it mid-FASE, but the size changes only at the FASE end.
-  sc.policy.on_fase_begin(sc.sink);
-  sc.stores({kHotA, kHotB, kHotC}, kCheckBurst);
-  ASSERT_TRUE(sc.policy.sampler().analysis_in_flight());
-  sc.policy.on_fase_end(sc.sink);
-  EXPECT_EQ(sc.policy.current_cache_size(), 3u);
-  sc.policy.on_fase_begin(sc.sink);
-  sc.stores({kHotA, kHotB, kHotC}, 100);
-  ASSERT_TRUE(sc.policy.pump_analysis());
-  sc.stores({kHotA, kHotB, kHotC}, 100);
-  EXPECT_EQ(sc.policy.current_cache_size(), 3u);
-  sc.policy.on_fase_end(sc.sink);
-  EXPECT_EQ(sc.policy.current_cache_size(), 4u);
-  EXPECT_EQ(sc.policy.resamples(), 1u);
-  EXPECT_EQ(sc.policy.sampler().bursts_completed(), 2u);
 }
 
 TEST(BestPolicy, NeverFlushes) {
