@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -252,6 +254,72 @@ TEST(BurstSampler, HibernationReEnableReReservesTraceBuffer) {
   EXPECT_GE(sampler.trace_capacity(), 128u);
 }
 
+TEST(BurstSampler, ForeverHibernationReleasesTheTraceBuffer) {
+  // After the paper's single burst the sampler ignores stores for good: the
+  // trace buffer must be gone and stay gone, until a re-sample needs it.
+  BurstSampler sampler(quick_sampler(256));
+  for (int i = 0; i < 256; ++i) {
+    (void)sampler.on_store(static_cast<LineAddr>(i % 6));
+  }
+  ASSERT_TRUE(sampler.dormant());
+  EXPECT_EQ(sampler.trace_capacity(), 0u);
+  for (int i = 0; i < 5000; ++i) {
+    EXPECT_FALSE(sampler.on_store(static_cast<LineAddr>(i % 6)).has_value());
+  }
+  EXPECT_EQ(sampler.trace_capacity(), 0u);
+  ASSERT_TRUE(sampler.resample());
+  EXPECT_GE(sampler.trace_capacity(), 256u);
+}
+
+TEST(BurstSampler, ResampleDuringABurstDoesNotRestartIt) {
+  // resample() mid-burst is refused and changes nothing: the burst still
+  // ends on its own burst_length-th store, on the trace it began with.
+  BurstSampler sampler(quick_sampler(100));
+  BurstSampler reference(quick_sampler(100));
+  for (int i = 0; i < 60; ++i) {
+    (void)sampler.on_store(static_cast<LineAddr>(i % 5));
+    (void)reference.on_store(static_cast<LineAddr>(i % 5));
+  }
+  EXPECT_FALSE(sampler.resample());
+  EXPECT_TRUE(sampler.sampling());
+  for (int i = 60; i < 99; ++i) {
+    EXPECT_FALSE(sampler.on_store(static_cast<LineAddr>(i % 5)).has_value());
+    (void)reference.on_store(static_cast<LineAddr>(i % 5));
+  }
+  const auto selected = sampler.on_store(99 % 5);
+  ASSERT_TRUE(selected.has_value());
+  ASSERT_TRUE(reference.on_store(99 % 5).has_value());
+  EXPECT_EQ(sampler.bursts_completed(), 1u);
+  expect_same_analysis(last_analysis(sampler), last_analysis(reference));
+}
+
+TEST(BurstSampler, IdenticalStreamsGiveByteIdenticalAnalyses) {
+  // One decision path, no thread in it: two samplers fed the same stores
+  // and FASE boundaries select the same sizes from the same curves, burst
+  // after burst.
+  SamplerConfig config = quick_sampler(700);
+  config.hibernation_length = 300;
+  BurstSampler a(config);
+  BurstSampler b(config);
+  Rng rng(41);
+  int selections = 0;
+  for (int i = 0; i < 6000; ++i) {
+    const LineAddr line = rng.below(6 + static_cast<LineAddr>(i / 1500) * 5);
+    const auto sa = a.on_store(line);
+    const auto sb = b.on_store(line);
+    ASSERT_EQ(sa, sb) << "store " << i;
+    if (sa) {
+      ++selections;
+      expect_same_analysis(last_analysis(a), last_analysis(b));
+    }
+    if (i % 90 == 89) {
+      a.on_fase_boundary();
+      b.on_fase_boundary();
+    }
+  }
+  EXPECT_GE(selections, 5);
+}
+
 TEST(BurstSampler, FaseBoundariesInvalidateCrossFaseReuse) {
   // "ab|ab|ab..." must select nothing small-and-perfect: with boundaries
   // after every pair, every write is compulsory, the curve is flat, and the
@@ -354,6 +422,181 @@ TEST(BurstSampler, OfflineAnalysisMatchesOnlineOnStationaryTrace) {
   ASSERT_TRUE(selected.has_value());
   EXPECT_EQ(*selected, offline.chosen_size);
 }
+
+// --- the online decision path over a sweep of stream shapes ------------------
+
+enum class Shape {
+  kLoop,     // i % ws
+  kPhases,   // loop over ws lines, then over ws2 other lines
+  kGrowing,  // the working set grows by 4 lines every 1000 stores
+  kRandom,   // uniform over ws lines
+  kZipfish,  // squared uniform over ws lines: a few hot, a long tail
+  kHotCold,  // 90% uniform over ws hot lines, 10% over 8 * ws cold ones
+  kStream,   // a fresh line every store
+};
+
+struct SamplerCase {
+  const char* name;
+  Shape shape;
+  LineAddr ws;
+  LineAddr ws2 = 0;
+  std::uint64_t burst = 1000;
+  std::uint64_t hibernation = 0;  // 0 = forever
+  std::uint32_t skip_fases = 0;
+  std::uint64_t fase_length = 0;  // stores per FASE; 0 = one FASE
+  std::uint64_t stores = 4000;
+  std::uint64_t seed = 1;
+  std::size_t min_bursts = 1;
+};
+
+LineAddr shape_line(const SamplerCase& c, std::uint64_t i, Rng& rng) {
+  switch (c.shape) {
+    case Shape::kLoop:
+      return i % c.ws;
+    case Shape::kPhases:
+      return i < c.stores / 2 ? i % c.ws : 1000 + i % c.ws2;
+    case Shape::kGrowing:
+      return i % (c.ws + 4 * (i / 1000));
+    case Shape::kRandom:
+      return rng.below(c.ws);
+    case Shape::kZipfish: {
+      const double u = rng.uniform();
+      return static_cast<LineAddr>(u * u * static_cast<double>(c.ws));
+    }
+    case Shape::kHotCold:
+      return rng.chance(0.9) ? rng.below(c.ws) : 10000 + rng.below(8 * c.ws);
+    case Shape::kStream:
+      return 100000 + i;
+  }
+  return 0;
+}
+
+/// Print a case by its name alone: the default dump of the struct's bytes
+/// would put a pointer, and so a different ctest name, into every build.
+void PrintTo(const SamplerCase& c, std::ostream* os) { *os << c.name; }
+
+std::string sampler_case_name(
+    const ::testing::TestParamInfo<SamplerCase>& param) {
+  return param.param.name;
+}
+
+class SamplerSweep : public ::testing::TestWithParam<SamplerCase> {};
+
+TEST_P(SamplerSweep, EachSelectionIsAnalyzeBurstOfTheStoresItSaw) {
+  // The sampler's only output is the selection its burst-ending store
+  // returns. Against an oracle that keeps its own copy of every burst (the
+  // warmup skip and the hibernations replayed from the config): each
+  // selection must arrive on the burst_length-th recorded store, and must
+  // equal both analyze_burst on that burst renamed at its own FASE
+  // boundaries and the offline path on the raw burst — curves included.
+  const SamplerCase& c = GetParam();
+  SamplerConfig config = quick_sampler(c.burst);
+  config.hibernation_length = c.hibernation;
+  config.skip_fases = c.skip_fases;
+  BurstSampler sampler(config);
+  Rng rng(c.seed);
+
+  std::uint32_t to_skip = c.skip_fases;
+  std::uint64_t warmup = 0;
+  std::vector<LineAddr> burst;
+  std::vector<std::size_t> boundaries;
+  std::size_t selections = 0;
+  for (std::uint64_t i = 0; i < c.stores; ++i) {
+    const LineAddr line = shape_line(c, i, rng);
+    const bool warming = to_skip > 0;
+    if (warming && ++warmup >= 4 * c.burst) to_skip = 0;
+    const auto selected = sampler.on_store(line);
+    if (!warming && (sampler.sampling() || selected)) burst.push_back(line);
+    if (selected) {
+      ++selections;
+      SCOPED_TRACE(::testing::Message() << "burst " << selections);
+      ASSERT_EQ(burst.size(), c.burst);
+      const BurstAnalysis expected =
+          analyze_burst(rename_trace(burst, boundaries), config.knee);
+      EXPECT_EQ(*selected, expected.selection.chosen_size);
+      expect_same_analysis(last_analysis(sampler), expected);
+      BurstAnalysis offline;
+      offline.selection = BurstSampler::analyze_offline(
+          burst, boundaries, config.knee, &offline.mrc, &offline.exact);
+      expect_same_analysis(offline, expected);
+      EXPECT_GE(*selected, 1u);
+      EXPECT_LE(*selected, config.knee.max_size);
+      burst.clear();
+      boundaries.clear();
+    } else if (!warming && sampler.sampling()) {
+      ASSERT_LT(burst.size(), c.burst) << "a full burst returned nothing";
+    }
+    if (c.fase_length > 0 && i % c.fase_length == c.fase_length - 1) {
+      if (to_skip > 0) {
+        --to_skip;
+      } else if (sampler.sampling()) {
+        boundaries.push_back(burst.size());
+      }
+      sampler.on_fase_boundary();
+    }
+  }
+  EXPECT_EQ(sampler.bursts_completed(), selections);
+  EXPECT_GE(selections, c.min_bursts);
+  if (c.hibernation == 0 && selections > 0) {
+    EXPECT_TRUE(sampler.dormant());
+    EXPECT_EQ(selections, 1u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SamplerSweep,
+    ::testing::Values(
+        SamplerCase{.name = "loop12_onefase", .shape = Shape::kLoop,
+                    .ws = 12, .burst = 1200},
+        SamplerCase{.name = "loop8_fase64", .shape = Shape::kLoop, .ws = 8,
+                    .fase_length = 64},
+        SamplerCase{.name = "loop30_fase16", .shape = Shape::kLoop, .ws = 30,
+                    .burst = 2000, .fase_length = 16},
+        SamplerCase{.name = "pingpong_fase2", .shape = Shape::kLoop, .ws = 2,
+                    .burst = 400, .fase_length = 2},
+        SamplerCase{.name = "loop60_beyond_max_size", .shape = Shape::kLoop,
+                    .ws = 60, .burst = 3000, .fase_length = 600},
+        SamplerCase{.name = "phases_2_then_10", .shape = Shape::kPhases,
+                    .ws = 2, .ws2 = 10, .burst = 3000, .fase_length = 500,
+                    .stores = 5000},
+        SamplerCase{.name = "phases_counted", .shape = Shape::kPhases,
+                    .ws = 4, .ws2 = 20, .burst = 800, .hibernation = 700,
+                    .fase_length = 100, .stores = 8000, .min_bursts = 4},
+        SamplerCase{.name = "growing_counted", .shape = Shape::kGrowing,
+                    .ws = 8, .burst = 300, .hibernation = 150,
+                    .fase_length = 64, .stores = 3000, .min_bursts = 3},
+        SamplerCase{.name = "random20", .shape = Shape::kRandom, .ws = 20,
+                    .burst = 2000, .fase_length = 256, .seed = 3},
+        SamplerCase{.name = "random64_fase256", .shape = Shape::kRandom,
+                    .ws = 64, .burst = 4000, .fase_length = 256,
+                    .stores = 5000, .seed = 4},
+        SamplerCase{.name = "random20_counted", .shape = Shape::kRandom,
+                    .ws = 20, .burst = 500, .hibernation = 1000,
+                    .stores = 6000, .seed = 5, .min_bursts = 4},
+        SamplerCase{.name = "zipfish40", .shape = Shape::kZipfish, .ws = 40,
+                    .burst = 3000, .fase_length = 128, .seed = 6},
+        SamplerCase{.name = "zipfish40_counted", .shape = Shape::kZipfish,
+                    .ws = 40, .burst = 600, .hibernation = 400,
+                    .fase_length = 97, .stores = 6000, .seed = 7,
+                    .min_bursts = 5},
+        SamplerCase{.name = "hotcold6", .shape = Shape::kHotCold, .ws = 6,
+                    .burst = 2000, .fase_length = 100, .seed = 8},
+        SamplerCase{.name = "stream", .shape = Shape::kStream, .ws = 1},
+        SamplerCase{.name = "stream_counted", .shape = Shape::kStream,
+                    .ws = 1, .burst = 200, .hibernation = 100,
+                    .fase_length = 50, .stores = 2000, .min_bursts = 6},
+        SamplerCase{.name = "skip1_loop9", .shape = Shape::kLoop, .ws = 9,
+                    .burst = 600, .skip_fases = 1, .fase_length = 100},
+        SamplerCase{.name = "skip3_onefase_gives_up", .shape = Shape::kLoop,
+                    .ws = 9, .burst = 500, .skip_fases = 3, .stores = 2600},
+        SamplerCase{.name = "skip2_random16_counted",
+                    .shape = Shape::kRandom, .ws = 16, .burst = 400,
+                    .hibernation = 300, .skip_fases = 2, .fase_length = 50,
+                    .stores = 5000, .seed = 9, .min_bursts = 5},
+        SamplerCase{.name = "minimal_burst", .shape = Shape::kLoop, .ws = 3,
+                    .burst = 2, .hibernation = 1, .stores = 50,
+                    .min_bursts = 10}),
+    sampler_case_name);
 
 // --- knee placement on the burst's exact MRC ---------------------------------
 

@@ -270,6 +270,157 @@ TEST(SoftCachePolicy, FlushBufferedIsNotASamplerFaseBoundary) {
   EXPECT_EQ(fases.sampler().bursts_completed(), 1u);
 }
 
+// --- SC resizes in the store that ends a burst (DESIGN.md §6) -----------------------
+
+TEST(SoftCachePolicy, ResizeLandsInTheStoreThatEndsTheBurst) {
+  // The selection applies inside the burst's last store, mid-FASE; neither
+  // a barrier nor the FASE end moves it afterwards.
+  PolicyConfig config;
+  config.cache_size = 8;
+  config.sampler.burst_length = 2000;
+  config.sampler.knee.max_size = 50;
+  SoftCachePolicy p(config, /*online=*/true);
+  RecordingSink sink;
+  p.on_fase_begin(sink);
+  for (int i = 0; i < 1999; ++i) {
+    p.on_store(static_cast<LineAddr>(i % 14 + 1), sink);
+    ASSERT_EQ(p.current_cache_size(), 8u) << "store " << i;
+  }
+  ASSERT_EQ(p.sampler().bursts_completed(), 0u);
+  p.on_store(1999 % 14 + 1, sink);
+  ASSERT_EQ(p.sampler().bursts_completed(), 1u);
+  const std::size_t chosen = p.sampler().last_selection().chosen_size;
+  EXPECT_EQ(p.current_cache_size(), chosen);
+  EXPECT_NEAR(static_cast<double>(chosen), 14.0, 3.0);
+  p.flush_buffered(sink);
+  EXPECT_EQ(p.current_cache_size(), chosen);
+  p.on_fase_end(sink);
+  EXPECT_EQ(p.current_cache_size(), chosen);
+}
+
+TEST(SoftCachePolicy, ShrinkingResizeFlushesItsEvictionsInTheEndingStore) {
+  // Four hot lines and a fresh line every fifth store fill a 40-line cache;
+  // the burst selects about 5, so its last store must write back the lines
+  // the shrink drops, before returning, and keep the rest buffered.
+  PolicyConfig config;
+  config.cache_size = 40;
+  config.sampler.burst_length = 1000;
+  config.sampler.knee.max_size = 50;
+  SoftCachePolicy p(config, /*online=*/true);
+  RecordingSink sink;
+  LineAddr fresh = 1000;
+  auto line_at = [&](int i) { return i % 5 < 4 ? LineAddr(i % 5) : fresh++; };
+  p.on_fase_begin(sink);
+  for (int i = 0; i < 999; ++i) p.on_store(line_at(i), sink);
+  ASSERT_EQ(p.cache().size(), 40u);
+  std::vector<LineAddr> before = p.cache().lru_order();
+  const LineAddr last = line_at(999);
+  before.push_back(last);
+  const std::size_t flushed_before = sink.flushed.size();
+
+  p.on_store(last, sink);
+  ASSERT_EQ(p.sampler().bursts_completed(), 1u);
+  const std::size_t chosen = p.current_cache_size();
+  EXPECT_LT(chosen, 10u);
+  EXPECT_EQ(p.cache().size(), chosen);
+  std::vector<LineAddr> accounted(sink.flushed.begin() + flushed_before,
+                                  sink.flushed.end());
+  EXPECT_GE(accounted.size(), 40u - chosen);
+  for (const LineAddr l : p.cache().lru_order()) {
+    EXPECT_EQ(std::count(accounted.begin(), accounted.end(), l), 0)
+        << "line " << l << " both flushed and still buffered";
+    accounted.push_back(l);
+  }
+  std::sort(before.begin(), before.end());
+  std::sort(accounted.begin(), accounted.end());
+  EXPECT_EQ(accounted, before);
+  for (LineAddr hot = 0; hot < 4; ++hot) EXPECT_TRUE(p.cache().contains(hot));
+  p.on_fase_end(sink);
+  EXPECT_EQ(p.cache().size(), 0u);
+}
+
+TEST(SoftCachePolicy, CountedBurstsResizeOnlyInTheirEndingStores) {
+  // Counted hibernation re-samples on its own: the size may change in the
+  // store that ends a burst, to exactly that burst's selection, and in no
+  // other store, barrier or FASE end.
+  PolicyConfig config;
+  config.cache_size = 8;
+  config.sampler.burst_length = 400;
+  config.sampler.hibernation_length = 600;
+  config.sampler.knee.max_size = 50;
+  SoftCachePolicy p(config, /*online=*/true);
+  CountingSink sink;
+  std::size_t resizes = 0;
+  for (int f = 0; f < 60; ++f) {
+    const std::size_t at_begin = p.current_cache_size();
+    p.on_fase_begin(sink);
+    ASSERT_EQ(p.current_cache_size(), at_begin);
+    const LineAddr ws = f < 30 ? 6 : 21;  // one phase change
+    for (int i = 0; i < 100; ++i) {
+      const std::uint64_t bursts = p.sampler().bursts_completed();
+      const std::size_t size = p.current_cache_size();
+      p.on_store(static_cast<LineAddr>(i % ws), sink);
+      if (p.sampler().bursts_completed() == bursts) {
+        ASSERT_EQ(p.current_cache_size(), size) << "FASE " << f;
+        continue;
+      }
+      EXPECT_EQ(p.current_cache_size(),
+                p.sampler().last_selection().chosen_size)
+          << "FASE " << f;
+      if (p.current_cache_size() != size) ++resizes;
+    }
+    const std::size_t at_end = p.current_cache_size();
+    if (f % 7 == 3) p.flush_buffered(sink);
+    p.on_fase_end(sink);
+    ASSERT_EQ(p.current_cache_size(), at_end);
+  }
+  EXPECT_GE(p.sampler().bursts_completed(), 5u);
+  EXPECT_GE(resizes, 2u);  // the first selection and the phase change
+  EXPECT_EQ(p.resamples(), 0u);
+}
+
+TEST(SoftCachePolicy, IdenticalRunsFlushIdentically) {
+  // SC's one decision path has no thread in it: two policies fed the same
+  // FASEs issue the same write-backs in the same order and resize alike.
+  PolicyConfig config;
+  config.cache_size = 8;
+  config.sampler.burst_length = 700;
+  config.sampler.hibernation_length = 900;
+  config.sampler.knee.max_size = 50;
+  SoftCachePolicy a(config, /*online=*/true);
+  SoftCachePolicy b(config, /*online=*/true);
+  RecordingSink sink_a;
+  RecordingSink sink_b;
+  Rng rng(5);
+  std::set<std::size_t> sizes;
+  for (int f = 0; f < 80; ++f) {
+    a.on_fase_begin(sink_a);
+    b.on_fase_begin(sink_b);
+    const LineAddr ws = 4 + static_cast<LineAddr>(f / 20) * 9;
+    for (int i = 0; i < 90; ++i) {
+      const LineAddr line = rng.below(ws);
+      a.on_store(line, sink_a);
+      b.on_store(line, sink_b);
+    }
+    if (f % 5 == 0) {
+      a.flush_buffered(sink_a);
+      b.flush_buffered(sink_b);
+    }
+    a.on_fase_end(sink_a);
+    b.on_fase_end(sink_b);
+    ASSERT_EQ(a.current_cache_size(), b.current_cache_size()) << "FASE " << f;
+    sizes.insert(a.current_cache_size());
+  }
+  a.finish(sink_a);
+  b.finish(sink_b);
+  EXPECT_EQ(sink_a.flushed, sink_b.flushed);
+  EXPECT_EQ(sink_a.drains, sink_b.drains);
+  EXPECT_EQ(a.counters().instructions, b.counters().instructions);
+  EXPECT_EQ(a.sampler().bursts_completed(), b.sampler().bursts_completed());
+  EXPECT_GE(a.sampler().bursts_completed(), 5u);
+  EXPECT_GE(sizes.size(), 2u);  // the runs did resize
+}
+
 // --- SC's MRC check and its one re-sample (DESIGN.md §5) ---------------------------
 
 // The burst samples inside a first FASE longer than four bursts (the warmup
@@ -393,6 +544,34 @@ TEST(SoftCacheResample, ResampleNeverShrinksTheCache) {
   EXPECT_EQ(sc.policy.sampler().bursts_completed(), 2u);
   EXPECT_EQ(sc.policy.sampler().last_selection().chosen_size, 2u);
   EXPECT_EQ(sc.policy.current_cache_size(), 3u);
+}
+
+TEST(SoftCacheResample, ResampleBurstResizesInTheStoreThatEndsIt) {
+  // The check fires at the first steady FASE's end and starts the burst;
+  // the burst fills inside the next FASE, and its selection (4) applies in
+  // its 512th store, before that FASE ends.
+  CycleStream sc(check_config());
+  sc.init();
+  ASSERT_EQ(sc.policy.current_cache_size(), 3u);
+  sc.fase({kHotA, kHotB, kHotC}, 1024);
+  ASSERT_EQ(sc.policy.resamples(), 1u);
+  ASSERT_TRUE(sc.policy.sampler().sampling());
+  EXPECT_EQ(sc.policy.current_cache_size(), 3u);
+
+  const LineAddr hot[] = {kHotA, kHotB, kHotC};
+  sc.policy.on_fase_begin(sc.sink);
+  for (std::uint64_t i = 0; i < 1024; ++i) {
+    const std::uint64_t at = i % 4;
+    sc.policy.on_store(at < 3 ? hot[at] : sc.fresh++, sc.sink);
+    const bool ended = sc.policy.sampler().bursts_completed() == 2;
+    ASSERT_EQ(ended, i + 1 >= kCheckBurst) << "store " << i;
+    ASSERT_EQ(sc.policy.current_cache_size(), ended ? 4u : 3u)
+        << "store " << i;
+  }
+  sc.policy.on_fase_end(sc.sink);
+  EXPECT_EQ(sc.policy.current_cache_size(), 4u);
+  EXPECT_EQ(sc.policy.resamples(), 1u);
+  EXPECT_TRUE(sc.policy.sampler().dormant());
 }
 
 TEST(BestPolicy, NeverFlushes) {
@@ -682,6 +861,10 @@ struct LaneCase {
   std::uint32_t skip_fases = 0;
   std::uint64_t lines = 12;        // address space of the trace
 };
+
+// The default dump of the struct's bytes would print the name's pointer,
+// and so give each case a different ctest name in every build.
+void PrintTo(const LaneCase& c, std::ostream* os) { *os << c.name; }
 
 const LaneCase kLaneCases[] = {
     {"ER", PolicyKind::kEager},

@@ -3,6 +3,7 @@
 // formula against brute force, and the duality reuse(k) + fp(k) = k (Eq. 5).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string_view>
 #include <vector>
 
@@ -159,6 +160,14 @@ struct LocalityCase {
   std::size_t distinct;
   const char* pattern;  // "random", "sequential", "strided", "zipf-ish"
 };
+
+/// Print a case by its fields: the default dump of the struct's bytes would
+/// put the pattern's pointer, and so a different ctest name, into every
+/// build.
+void PrintTo(const LocalityCase& c, std::ostream* os) {
+  *os << c.pattern << " seed " << c.seed << " length " << c.length
+      << " distinct " << c.distinct;
+}
 
 std::vector<LineAddr> synthesize(const LocalityCase& c) {
   Rng rng(c.seed);
