@@ -317,6 +317,10 @@ void run_pstore_fase(benchmark::State& state, bool fault_idle) {
   // hooks sit on the flush path but can never fail a live write-back (so no
   // retry stage is built), and the delta against the plain variant is the
   // pure cost of the hooks.
+  // exact_log_flushes_per_fase counts the undo-log lines written back per
+  // FASE (entries plus header). Every FASE logs the same records into a
+  // freshly truncated log, so the count is exact; one untimed FASE first
+  // keeps the segment's format() write-back out of it.
   const int log_mode = static_cast<int>(state.range(0));
   const bool soft_cache = state.range(1) == 1;
   const bool async = state.range(2) == 1;
@@ -337,16 +341,22 @@ void run_pstore_fase(benchmark::State& state, bool fault_idle) {
   auto* arr = static_cast<std::uint64_t*>(
       rt.pm_alloc(kStoresPerFase * kCacheLineSize));
   std::uint64_t v = 0;
-  for (auto _ : state) {
+  const auto fase = [&] {
     rt.fase_begin();
     for (int s = 0; s < kStoresPerFase; ++s) {
       rt.pstore(arr[s * 8], v++);
     }
     rt.fase_end();
-  }
+  };
+  fase();
+  const std::uint64_t log_flushes_before = rt.stats().log_flushes;
+  for (auto _ : state) fase();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kStoresPerFase);
   const runtime::RuntimeStats stats = rt.stats();
+  state.counters["exact_log_flushes_per_fase"] = benchmark::Counter(
+      static_cast<double>(stats.log_flushes - log_flushes_before) /
+      static_cast<double>(state.iterations()));
   state.counters["flushes"] =
       benchmark::Counter(static_cast<double>(stats.flushes));
   state.counters["fences"] =

@@ -7,10 +7,15 @@ to the paper's results.
 
     scripts/golden.py [--bench-dir build/bench]          regenerate the files
     scripts/golden.py --check [--bench-dir build/bench]  diff against them
+    scripts/golden.py --targets                          list the binaries
 
 `--check` is the `paper_golden` ctest: it exits 1 and prints a unified diff
 for every golden whose output moved. A change that moves a golden on
 purpose regenerates it in the same commit and says why in CHANGES.md.
+
+`--targets` prints the distinct bench binaries of GOLDENS, one per line:
+the build targets `--check` needs (scripts/check.sh builds them, and
+tests/CMakeLists.txt registers `paper_golden` only when all exist).
 
 Every NVC_* variable of the calling environment is dropped (except
 NVC_PMEM_DIR, which only says where persistent regions live), so a stray
@@ -58,7 +63,13 @@ def main():
     parser.add_argument("--bench-dir", default=os.path.join(REPO, "build", "bench"))
     parser.add_argument("--check", action="store_true",
                         help="diff against the goldens instead of writing them")
+    parser.add_argument("--targets", action="store_true",
+                        help="print the bench binaries the goldens run")
     args = parser.parse_args()
+
+    if args.targets:
+        print("\n".join(dict.fromkeys(binary for _, binary, _ in GOLDENS)))
+        return 0
 
     moved = 0
     for name, binary, extra_env in GOLDENS:

@@ -11,10 +11,10 @@ namespace nvc::runtime {
 
 namespace {
 
-/// Records replayed in bug-skip mode trust length fields alone: walk the
-/// segment accepting any in-bounds entry shape without certifying a single
-/// check word. This is the seeded verification-skip bug the corruption
-/// fuzzer must catch — it replays whatever bytes the image holds.
+/// Records replayed in bug-skip mode trust length and pad fields alone:
+/// walk the segment accepting any in-bounds entry shape without certifying
+/// a single check word. This is the seeded verification-skip bug the
+/// corruption fuzzer must catch — it replays whatever bytes the image holds.
 std::vector<std::uint64_t> trusting_walk(const char* seg, std::size_t size) {
   std::vector<std::uint64_t> offsets;
   std::uint64_t off = UndoLog::kHeaderSize;
@@ -22,11 +22,10 @@ std::vector<std::uint64_t> trusting_walk(const char* seg, std::size_t size) {
     UndoLog::EntryHead head;
     std::memcpy(&head, seg + off, sizeof(head));
     if (head.len < 1 || head.len > UndoLog::kMaxPayload) break;
-    const std::uint64_t entry_size =
-        sizeof(UndoLog::EntryHead) + align_up(head.len, 8);
-    if (off + entry_size > size) break;
+    const std::uint64_t next = off + UndoLog::entry_size(head);
+    if (next > size) break;
     offsets.push_back(off);
-    off += entry_size;
+    off = next;
   }
   return offsets;
 }

@@ -47,8 +47,7 @@ UndoLog::UndoLog(void* base, std::size_t size, core::FlushSink* sink,
     if (!offsets.empty()) {
       const auto* head =
           reinterpret_cast<const EntryHead*>(base_ + offsets.back());
-      appended_tail_ = offsets.back() + sizeof(EntryHead) +
-                       align_up(head->len, 8);
+      appended_tail_ = offsets.back() + entry_size(*head);
     }
   }
 }
@@ -82,16 +81,17 @@ bool UndoLog::publish_state(std::uint32_t gen, std::uint64_t tail) {
 }
 
 std::uint32_t UndoLog::entry_check(std::uint64_t addr_token, std::uint32_t len,
-                                   std::uint32_t gen,
-                                   const void* payload) noexcept {
-  // FNV-1a over token, length, generation, and the payload bytes. The
-  // generation term invalidates stale entries after commit(); the payload
-  // term catches torn entries whose head line persisted without the data.
-  // The mix order (token LE, len LE, gen LE, payload) is the durable format
-  // from PR 2 — common/checksum.hpp reproduces it bit-for-bit.
+                                   std::uint32_t gen, const void* payload,
+                                   std::uint16_t pad) noexcept {
+  // FNV-1a over token, length and pad, generation, and the payload bytes.
+  // The generation term invalidates stale entries after commit(); the
+  // payload term catches torn entries whose head line persisted without the
+  // data. The mix order (token LE, len|pad<<16 LE, gen LE, payload) is the
+  // durable format; with pad 0 it is the original u32-length word, which
+  // common/checksum.hpp reproduces bit-for-bit.
   Fnv32 h;
   h.mix_le(addr_token);
-  h.mix_le(len);
+  h.mix_le(len | static_cast<std::uint32_t>(pad) << 16);
   h.mix_le(gen);
   h.mix_bytes(payload, len);
   return h.value();
@@ -135,14 +135,22 @@ UndoLog::Inspection UndoLog::inspect(const void* base, std::size_t size) {
     EntryHead entry;
     std::memcpy(&entry, bytes + off, sizeof(entry));
     if (entry.len < 1 || entry.len > kMaxPayload) break;
-    const std::uint64_t entry_size = sizeof(EntryHead) + align_up(entry.len, 8);
-    if (off + entry_size > size) break;
+    const std::uint64_t next = off + entry_size(entry);
+    // A pad only ever runs to the end of the entry's last line: refuse any
+    // other shape before trusting the check word. (Entries start 8-aligned,
+    // so a pad that ends a line is a multiple of 8.)
+    if (entry.pad != 0 &&
+        (entry.pad >= kCacheLineSize || next % kCacheLineSize != 0)) {
+      break;
+    }
+    if (next > size) break;
     if (entry.check != entry_check(entry.addr_token, entry.len, out.gen,
-                                   bytes + off + sizeof(EntryHead))) {
+                                   bytes + off + sizeof(EntryHead),
+                                   entry.pad)) {
       break;
     }
     out.offsets.push_back(off);
-    off += entry_size;
+    off = next;
   }
   out.certified_extent = off;
   // Everything below the durable tail was synced (flushed + fenced) before
@@ -166,21 +174,31 @@ void UndoLog::record(std::uint64_t addr_token, const void* current_bytes,
   for (std::size_t done = 0; done < len;) {
     const auto piece = static_cast<std::uint32_t>(
         std::min<std::size_t>(len - done, kMaxPayload));
-    const std::uint64_t entry_size = sizeof(EntryHead) + align_up(piece, 8);
-    NVC_REQUIRE(appended_tail_ + entry_size <= size_,
-                "undo log segment overflow");
+    const std::uint64_t bytes_used = sizeof(EntryHead) + align_up(piece, 8);
+    const std::uint64_t end = appended_tail_ + bytes_used;
+    NVC_REQUIRE(end <= size_, "undo log segment overflow");
+    // Strict: when the room left in this entry's last line could not hold
+    // another entry of its size, pad to the line end so the next record
+    // starts line-aligned and persists with one line write-back.
+    std::uint64_t pad = 0;
+    if (mode_ == LogSyncMode::kStrict) {
+      const std::uint64_t room = align_up(end, kCacheLineSize) - end;
+      if (room < bytes_used && end + room <= size_) pad = room;
+    }
 
     char* entry = base_ + appended_tail_;
     char* payload = entry + sizeof(EntryHead);
     std::memcpy(payload, bytes + done, piece);
     auto* head = reinterpret_cast<EntryHead*>(entry);
     head->addr_token = addr_token + done;
-    head->len = piece;
-    head->check = entry_check(head->addr_token, piece, gen_, payload);
+    head->len = static_cast<std::uint16_t>(piece);
+    head->pad = static_cast<std::uint16_t>(pad);
+    head->check =
+        entry_check(head->addr_token, piece, gen_, payload, head->pad);
 
-    appended_tail_ += entry_size;
+    appended_tail_ = end + pad;
     ++records_;
-    bytes_logged_ += entry_size;
+    bytes_logged_ += bytes_used;
     done += piece;
 
     // Strict mode: the entry must be durable before the caller's in-place

@@ -29,8 +29,18 @@
 // it covers every record whose data line software may have written back.
 // The two modes differ only in whether record() persists the entry at once.
 //
+// Entry layout (DESIGN.md §7): a 16-byte EntryHead {u64 addr_token; u16 len;
+// u16 pad; u32 check}, the payload padded to 8 bytes, then `pad` skipped
+// bytes. Batched entries never pad, so they pack back to back. A strict
+// entry that leaves less room in its last line than its own size pads to
+// the end of that line, so the next record starts line-aligned and every
+// strict record of up to 64 B that is no larger than the one before it
+// persists with exactly one line write-back. The pad is decided after the
+// entry, never before the next one: the previous entry is already durable,
+// and moving a new entry forward would need a marker in a flushed line.
+//
 // Entries are *self-certifying*: each carries a check word mixing the
-// address token, length, payload bytes, and the log generation. Recovery
+// address token, length, pad, payload bytes, and the log generation. Recovery
 // does not trust the tail beyond its durable value — it walks the entry
 // chain forward and replays exactly the records whose check words validate
 // against the current generation, so a tail that lags the appended entries
@@ -59,7 +69,7 @@ const char* to_string(LogSyncMode mode);
 
 /// One log segment: a fixed [base, base+size) slice of a persistent region.
 /// Layout: a 64-byte header (magic + packed generation/tail state) followed
-/// by entries, each [EntryHead][payload padded to 8].
+/// by entries, each [EntryHead][payload padded to 8][pad] (file comment).
 class UndoLog final : public core::EpochLog {
  public:
   /// `base` must be 64-byte aligned; `size` covers header + payload.
@@ -131,6 +141,7 @@ class UndoLog final : public core::EpochLog {
 
   std::size_t capacity() const noexcept { return size_; }
   std::uint64_t records() const noexcept { return records_; }
+  /// Entry bytes appended (heads and payloads; strict line pads excluded).
   std::uint64_t bytes_logged() const noexcept { return bytes_logged_; }
   /// Number of entry persists (flush range + fence) — one per record in
   /// strict mode, one per epoch in batched mode. Tail publishes are not
@@ -155,9 +166,11 @@ class UndoLog final : public core::EpochLog {
   };
   struct EntryHead {
     std::uint64_t addr_token;
-    std::uint32_t len;
-    std::uint32_t check;  // self-certifying word over token/len/gen/payload
+    std::uint16_t len;
+    std::uint16_t pad;    // bytes skipped after the payload (strict only)
+    std::uint32_t check;  // self-certifying word over token/len/pad/gen/payload
   };
+  static_assert(sizeof(EntryHead) == 16);
   static constexpr std::uint64_t kMagic = 0x4e5643554e444f4cULL;  // NVCUNDOL
 
   static std::uint64_t pack_state(std::uint32_t gen,
@@ -171,11 +184,18 @@ class UndoLog final : public core::EpochLog {
     return state & 0xffffffffULL;
   }
 
-  /// Self-certifying check word over token/len/generation/payload (FNV-1a
-  /// via common/checksum.hpp; the mix order is the durable format).
+  /// Bytes from an entry's head to the next entry's head.
+  static std::uint64_t entry_size(const EntryHead& head) noexcept {
+    return sizeof(EntryHead) + align_up(head.len, 8) + head.pad;
+  }
+
+  /// Self-certifying check word over token/len/pad/generation/payload
+  /// (FNV-1a via common/checksum.hpp; the mix order is the durable format).
+  /// `len | pad << 16` is mixed as one 32-bit word, so an unpadded entry
+  /// certifies exactly as the older u32-length format did.
   static std::uint32_t entry_check(std::uint64_t addr_token, std::uint32_t len,
-                                   std::uint32_t gen,
-                                   const void* payload) noexcept;
+                                   std::uint32_t gen, const void* payload,
+                                   std::uint16_t pad = 0) noexcept;
 
   /// Untrusted read of a raw log segment: never aborts, never reads outside
   /// [base, base+size). The salvage pipeline's view of a segment whose

@@ -28,6 +28,8 @@ const char* to_string(CorruptionKind kind) {
       return "stale-generation";
     case CorruptionKind::kHeaderMutation:
       return "header-mutation";
+    case CorruptionKind::kLogMagic:
+      return "log-magic";
   }
   return "?";
 }
@@ -73,6 +75,8 @@ std::string ImageCorruptor::corrupt(CorruptionKind kind,
       return stale_generation(image, stale);
     case CorruptionKind::kHeaderMutation:
       return header_mutation(image);
+    case CorruptionKind::kLogMagic:
+      return log_magic(image);
   }
   return "?";
 }
@@ -187,6 +191,17 @@ std::string ImageCorruptor::header_mutation(std::vector<std::uint8_t>& image) {
     }
   }
   return what;
+}
+
+std::string ImageCorruptor::log_magic(std::vector<std::uint8_t>& image) {
+  if (layout_.log_segments == 0) return bit_flips(image);
+  const std::size_t slot = next_below(layout_.log_segments);
+  std::uint64_t value = next();
+  if (value == runtime::UndoLog::kMagic) value = ~value;
+  std::memcpy(image.data() + layout_.log_offset +
+                  slot * layout_.log_segment_size,
+              &value, sizeof(value));
+  return "log-magic: slot " + std::to_string(slot) + " magic destroyed";
 }
 
 }  // namespace nvc::testing

@@ -4,7 +4,7 @@
 // spec and applies one *class* of damage, deterministically derived from a
 // splitmix64 seed — so every corrupted image a CI run ever saw reproduces
 // from the one-line NVC_FUZZ_SEED / NVC_CORRUPT_* replay command the test
-// prints. Six classes model the distinct ways a persistent image rots:
+// prints. Seven classes model the distinct ways a persistent image rots:
 //
 //   bit-flips        — media bit rot anywhere in the image
 //   line-scribble    — whole cache lines overwritten with garbage (a wild
@@ -17,6 +17,8 @@
 //                      itself (firmware write reordering / lost erase: old
 //                      generation bytes where new ones should be)
 //   header-mutation  — targeted log-header damage (magic, state word)
+//   log-magic        — one log segment's magic destroyed outright, so
+//                      salvage must classify and reformat the slot
 //
 // The corruptor returns a description of every mutation it made, so a
 // failing oracle names the exact bytes that were hit.
@@ -36,9 +38,10 @@ enum class CorruptionKind : std::uint8_t {
   kTornTear,
   kStaleGeneration,
   kHeaderMutation,
+  kLogMagic,
 };
 
-inline constexpr std::size_t kCorruptionKinds = 6;
+inline constexpr std::size_t kCorruptionKinds = 7;
 
 /// Kind by sweep index (0..kCorruptionKinds-1).
 CorruptionKind corruption_kind(std::size_t index);
@@ -84,6 +87,7 @@ class ImageCorruptor {
   std::string stale_generation(std::vector<std::uint8_t>& image,
                                const std::vector<std::uint8_t>* stale);
   std::string header_mutation(std::vector<std::uint8_t>& image);
+  std::string log_magic(std::vector<std::uint8_t>& image);
 
   CorruptorConfig config_;
   ImageLayout layout_;

@@ -10,7 +10,7 @@
 // — a seeded workload runs on the Runtime over the crash rig's shadow
 // medium, power fails at a seeded event, and the frozen durable image (the
 // heap region, allocator header included, then the log segments) is
-// snapshotted. Each of the six
+// snapshotted. Each of the seven
 // corruption classes (testing/corruptor.hpp) then mutates a copy of that
 // image and the copy goes through RecoveryManager. The oracle:
 //
@@ -442,6 +442,48 @@ TEST(RecoveryFuzzBug, SeededVerificationSkipIsCaught) {
     EXPECT_TRUE(buggy.run().ok())
         << "bug armed but verification still ran";
   }
+}
+
+TEST(RecoveryFuzzTargets, DestroyedLogMagicIsReportedAndTheSlotReformatted) {
+  // The log-magic target on the segment of an open FASE whose records and
+  // data line are durable: the undo bytes are out of reach, so salvage must
+  // report the slot unrecoverable (never clean over uncommitted data),
+  // replay nothing from it, and leave it freshly formatted for reuse.
+  CrashRig rig(rig_config(kAllModes[0]), rig_medium(kAllModes[0]));
+  run_open_fase(rig, testing::seed_from_env("NVC_FUZZ_SEED", 0xbadull),
+                /*barrier=*/true);
+  const ImageLayout layout = layout_of(rig);
+  std::vector<std::uint8_t> img = rig.durable_image();
+  const auto slot0 = [&] {
+    return runtime::UndoLog::inspect(img.data() + layout.log_offset,
+                                     layout.log_segment_size);
+  };
+  ASSERT_FALSE(slot0().offsets.empty());
+
+  ImageLayout first_slot = layout;
+  first_slot.log_segments = 1;
+  ImageCorruptor corruptor({0x1ab, 1}, first_slot);
+  const std::string what =
+      corruptor.corrupt(CorruptionKind::kLogMagic, img);
+  SCOPED_TRACE(what);
+  ASSERT_FALSE(slot0().formatted);
+
+  runtime::RecoveryManager mgr(view_of(img, layout));
+  const runtime::RecoveryReport report = mgr.run();
+  EXPECT_EQ(report.outcome, runtime::RecoveryOutcome::kUnrecoverable)
+      << report.summary();
+  ASSERT_EQ(report.segments.size(), kContexts);
+  const runtime::SegmentReport& seg = report.segments[0];
+  EXPECT_EQ(seg.outcome, runtime::SegmentOutcome::kUnrecoverable);
+  EXPECT_EQ(seg.records_applied, 0u);
+  EXPECT_NE(seg.detail.find("magic"), std::string::npos) << seg.detail;
+  EXPECT_FALSE(report.defects.empty());
+
+  const runtime::UndoLog::Inspection after = slot0();
+  EXPECT_TRUE(after.formatted);
+  EXPECT_EQ(after.gen, 1u);
+  EXPECT_EQ(after.durable_tail, runtime::UndoLog::kHeaderSize);
+  EXPECT_TRUE(after.offsets.empty());
 }
 
 TEST(RecoveryFuzzBug, DurableDataRecordRotIsUnrecoverableWithoutVerifyTable) {

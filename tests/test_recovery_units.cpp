@@ -14,6 +14,7 @@
 
 #include <array>
 #include <chrono>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -24,8 +25,10 @@
 
 #include "common/checksum.hpp"
 #include "common/types.hpp"
+#include "pmem/flush.hpp"
 #include "pmem/pmem_alloc.hpp"
 #include "pmem/pmem_region.hpp"
+#include "runtime/backend_sink.hpp"
 #include "runtime/recovery.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/scrub.hpp"
@@ -406,6 +409,62 @@ TEST(UndoLogInspect, CertifiesHandcraftedChainAndStopsAtCorruption) {
   EXPECT_TRUE(ins.formatted);
   EXPECT_FALSE(ins.state_plausible);
   EXPECT_FALSE(ins.tail_covered);
+}
+
+TEST(UndoLogInspect, PadBitFlipEndsTheCertifiedChain) {
+  // A strict segment of 8-byte records: entries 1, 3 and 5 pad 16 bytes to
+  // their line end. Flipping any bit of an entry's pad, padded or not, ends
+  // the certified chain at that entry: the structural pad check refuses
+  // most flips, and the check word, which covers the pad, the rest (16 -> 0).
+  alignas(64) std::uint8_t seg[1024] = {};
+  pmem::FlushBackend backend(pmem::FlushKind::kCountOnly);
+  runtime::BackendSink sink(&backend);
+  UndoLog log(seg, sizeof(seg), &sink, runtime::LogSyncMode::kStrict);
+  log.format();
+  for (std::uint64_t i = 0; i < 6; ++i) log.record(8 * i, &i, sizeof i);
+  const UndoLog::Inspection ins = UndoLog::inspect(seg, sizeof(seg));
+  ASSERT_EQ(ins.offsets,
+            (std::vector<std::uint64_t>{64, 88, 128, 152, 192, 216}));
+  for (const std::size_t victim : {std::size_t{1}, std::size_t{2}}) {
+    const std::size_t pad_at =
+        ins.offsets[victim] + offsetof(UndoLog::EntryHead, pad);
+    for (unsigned bit = 0; bit < 16; ++bit) {
+      std::vector<std::uint8_t> copy(seg, seg + sizeof(seg));
+      copy[pad_at + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      const UndoLog::Inspection hit =
+          UndoLog::inspect(copy.data(), copy.size());
+      EXPECT_EQ(hit.offsets.size(), victim)
+          << "entry " << victim << " bit " << bit;
+      EXPECT_EQ(hit.certified_extent, ins.offsets[victim])
+          << "entry " << victim << " bit " << bit;
+    }
+  }
+}
+
+TEST(UndoLogInspect, RefusesMalformedPadsWhoseCheckWordValidates) {
+  // The pad rule is structural, checked beside the check word: a pad that
+  // does not end the entry's line, or that is a line or longer, is refused
+  // even when the check word was computed over it.
+  alignas(64) std::uint8_t seg[1024] = {};
+  const UndoLog::LogHeader header{UndoLog::kMagic,
+                                  UndoLog::pack_state(5, UndoLog::kHeaderSize)};
+  std::memcpy(seg, &header, sizeof(header));
+  const std::uint64_t token = 0x40;
+  const std::uint64_t payload = 0x0123456789abcdefull;
+  const auto certified_with_pad = [&](std::uint16_t pad) {
+    const UndoLog::EntryHead entry{
+        token, sizeof(payload), pad,
+        UndoLog::entry_check(token, sizeof(payload), 5, &payload, pad)};
+    std::memcpy(seg + UndoLog::kHeaderSize, &entry, sizeof(entry));
+    std::memcpy(seg + UndoLog::kHeaderSize + sizeof(entry), &payload,
+                sizeof(payload));
+    return UndoLog::inspect(seg, sizeof(seg)).offsets.size();
+  };
+  EXPECT_EQ(certified_with_pad(0), 1u);
+  EXPECT_EQ(certified_with_pad(40), 1u);   // 64 + 24 + 40 = 128, a line end
+  EXPECT_EQ(certified_with_pad(8), 0u);    // ends at 96, mid-line
+  EXPECT_EQ(certified_with_pad(4), 0u);    // not a multiple of 8: mid-line
+  EXPECT_EQ(certified_with_pad(104), 0u);  // ends a line (192), but >= 64
 }
 
 // --- online scrubber and the verify stage ----------------------------------

@@ -1,18 +1,20 @@
 // Direct unit tests for the durable undo log (runtime/undo_log), including
 // the strict per-record and batched per-epoch durability protocols, the
 // once-per-epoch tail publish both share (checked against a ShadowPmem
-// durable image), and the self-certifying entry format the recovery walk
-// depends on.
+// durable image), the line-aligned strict layout, and the self-certifying
+// entry format the recovery walk depends on.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <map>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "pmem/flush.hpp"
 #include "pmem/shadow.hpp"
 #include "runtime/backend_sink.hpp"
+#include "runtime/recovery.hpp"
 #include "runtime/undo_log.hpp"
 
 namespace nvc::runtime {
@@ -400,6 +402,263 @@ TEST_F(LogFixture, NewGenerationRecordsAfterRecommitAreFound) {
     tokens.push_back(token);
   });
   EXPECT_EQ(tokens, (std::vector<std::uint64_t>{200}));
+}
+
+// --- entry layout: line-aligned strict entries -------------------------------
+
+std::uint64_t entry_bytes(std::size_t len) {
+  return sizeof(UndoLog::EntryHead) + align_up(len, 8);
+}
+
+/// How many of the entries at `offsets` carry a line pad.
+std::size_t padded_entries(const char* seg,
+                           const std::vector<std::uint64_t>& offsets) {
+  std::size_t padded = 0;
+  for (const std::uint64_t at : offsets) {
+    UndoLog::EntryHead head;
+    std::memcpy(&head, seg + at, sizeof(head));
+    padded += head.pad != 0 ? 1 : 0;
+  }
+  return padded;
+}
+
+/// Append an entry in the packed layout that predates line alignment, head
+/// {u64 token; u32 len; u32 check} with the check word mixing the u32
+/// length, computed here without UndoLog. Returns the next entry's offset.
+std::uint64_t append_packed_entry(char* seg, std::uint64_t off,
+                                  std::uint64_t token, const void* payload,
+                                  std::uint32_t len, std::uint32_t gen) {
+  struct PackedHead {
+    std::uint64_t addr_token;
+    std::uint32_t len;
+    std::uint32_t check;
+  };
+  Fnv32 h;
+  h.mix_le(token);
+  h.mix_le(len);
+  h.mix_le(gen);
+  h.mix_bytes(payload, len);
+  const PackedHead head{token, len, h.value()};
+  std::memcpy(seg + off, &head, sizeof(head));
+  std::memcpy(seg + off + sizeof(head), payload, len);
+  return off + entry_bytes(len);
+}
+
+TEST(UndoLogLayout, SixteenStrictEightByteRecordsWriteBackSixteenLines) {
+  // Two 24-byte entries share each line and the second pads to its end, so
+  // no entry straddles: 16 records, 16 entry-line write-backs (the packed
+  // layout took 20), two per line over lines 1..8.
+  ShadowLog s(LogSyncMode::kStrict);
+  s.log.format();
+  s.sink.lines.clear();
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    s.log.record(8 * i, &i, sizeof i);
+    EXPECT_EQ(s.sink.lines.size(), i + 1) << i;
+  }
+  for (LineAddr line = 1; line <= 8; ++line) {
+    EXPECT_EQ(s.shadow.line_write_count(line), 2u) << line;
+  }
+  EXPECT_EQ(s.shadow.line_write_count(9), 0u);
+  EXPECT_EQ(s.log.appended_tail(), UndoLog::kHeaderSize + 8 * kCacheLineSize);
+  const UndoLog::Inspection ins = s.durable();
+  ASSERT_EQ(ins.offsets.size(), 16u);
+  for (std::size_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(ins.offsets[i],
+              UndoLog::kHeaderSize + (i / 2) * kCacheLineSize + (i % 2) * 24)
+        << i;
+  }
+}
+
+TEST(UndoLogLayout, StrictEntriesOfUpToALineNeverSpanTwoLines) {
+  // Equal sizes: every record of every size whose entry fits one line
+  // writes back exactly one line.
+  for (std::size_t len = 1; entry_bytes(len) <= kCacheLineSize; ++len) {
+    ShadowLog s(LogSyncMode::kStrict);
+    s.log.format();
+    const std::vector<char> value(len, 'e');
+    for (int r = 0; r < 20; ++r) {
+      s.sink.lines.clear();
+      s.log.record(0, value.data(), len);
+      ASSERT_EQ(s.sink.lines.size(), 1u) << "len " << len << " record " << r;
+    }
+  }
+  // Mixed sizes: the pad is sized by the entry before, so an entry that is
+  // no larger than it (or that starts a line) fits the room left.
+  ShadowLog s(LogSyncMode::kStrict);
+  s.log.format();
+  Rng rng(27);
+  const std::vector<char> value(48, 'm');
+  std::uint64_t previous = kCacheLineSize;
+  std::size_t checked = 0;
+  for (int r = 0; r < 2000; ++r) {
+    if (s.log.appended_tail() + kCacheLineSize > ShadowLog::kSize) {
+      ASSERT_TRUE(s.log.commit());
+    }
+    const std::size_t len = 1 + rng.below(48);
+    const std::uint64_t at = s.log.appended_tail();
+    s.sink.lines.clear();
+    s.log.record(0, value.data(), len);
+    if (entry_bytes(len) <= previous || at % kCacheLineSize == 0) {
+      ASSERT_EQ(s.sink.lines.size(), 1u) << "record " << r << " len " << len;
+      ++checked;
+    }
+    previous = entry_bytes(len);
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
+TEST_F(LogFixture, BatchedEntriesKeepThePackedLayout) {
+  // Batched mode never pads: a fixed record sequence produces exactly the
+  // bytes of the packed format, entry after entry.
+  UndoLog log = make_log(LogSyncMode::kBatched);
+  log.format();
+  std::vector<char> expected(kSize, 0);
+  std::uint64_t off = UndoLog::kHeaderSize;
+  Rng rng(31);
+  std::vector<char> payload(UndoLog::kMaxPayload);
+  for (const std::uint32_t len : {8u, 8u, 13u, 1u, 40u, 8u, 256u, 24u, 8u, 48u,
+                                  100u, 8u, 8u}) {
+    for (char& b : payload) b = static_cast<char>(rng());
+    const std::uint64_t token = 8 * rng.below(512);
+    log.record(token, payload.data(), len);
+    off = append_packed_entry(expected.data(), off, token, payload.data(), len,
+                              /*gen=*/1);
+  }
+  EXPECT_TRUE(log.sync());
+  ASSERT_EQ(log.appended_tail(), off);
+  EXPECT_EQ(std::memcmp(buffer.get() + UndoLog::kHeaderSize,
+                        expected.data() + UndoLog::kHeaderSize,
+                        off - UndoLog::kHeaderSize),
+            0);
+  const UndoLog::Inspection ins = UndoLog::inspect(buffer.get(), kSize);
+  EXPECT_EQ(ins.offsets.size(), 13u);
+  EXPECT_EQ(padded_entries(buffer.get(), ins.offsets), 0u);
+}
+
+TEST_F(LogFixture, BatchedLogDegradedMidFaseRollsBackEveryRecord) {
+  // The degradation latch turns a batched log strict inside a FASE: packed
+  // entries, then padded ones, in one chain that walks and rolls back whole.
+  UndoLog log = make_log(LogSyncMode::kBatched);
+  log.format();
+  std::vector<std::uint64_t> tokens;
+  std::vector<char> payload(40, 'd');
+  const auto append = [&](std::size_t len) {
+    tokens.push_back(64 * tokens.size());
+    log.record(tokens.back(), payload.data(), len);
+  };
+  for (int i = 0; i < 5; ++i) append(8);
+  EXPECT_TRUE(log.sync());
+  log.degrade_to_strict();
+  for (const std::size_t len : {8, 8, 8, 40, 8, 13, 40, 8}) append(len);
+
+  const UndoLog::Inspection ins = UndoLog::inspect(buffer.get(), kSize);
+  ASSERT_EQ(ins.offsets.size(), tokens.size());
+  EXPECT_EQ(ins.certified_extent, log.appended_tail());
+  EXPECT_GE(padded_entries(buffer.get(), ins.offsets), 2u);
+
+  std::vector<std::uint64_t> rolled;
+  EXPECT_EQ(log.rollback([&](std::uint64_t token, const void*,
+                             std::uint32_t) { rolled.push_back(token); }),
+            tokens.size());
+  EXPECT_EQ(rolled, std::vector<std::uint64_t>(tokens.rbegin(), tokens.rend()));
+}
+
+TEST_F(LogFixture, InspectTrustingWalkAndRollbackAgreeOnPaddedSegments) {
+  // A strict segment of mixed sizes, pads included. inspect() certifies one
+  // offset per record; salvage with and without check words (the bug-skip
+  // path walks on len and pad alone) certifies as many and restores the
+  // same bytes that rollback() restores.
+  UndoLog log = make_log(LogSyncMode::kStrict);
+  log.format();
+  constexpr std::size_t kData = 4096;
+  Rng rng(41);
+  std::vector<char> payload(UndoLog::kMaxPayload);
+  std::size_t records = 0;
+  for (const std::size_t len : {8, 8, 8, 24, 40, 8, 1, 48, 48, 16, 8, 200, 8}) {
+    for (char& b : payload) b = static_cast<char>(rng());
+    log.record(8 * rng.below((kData - UndoLog::kMaxPayload) / 8),
+               payload.data(), len);
+    ++records;
+  }
+  const UndoLog::Inspection ins = UndoLog::inspect(buffer.get(), kSize);
+  ASSERT_EQ(ins.offsets.size(), records);
+  EXPECT_GE(padded_entries(buffer.get(), ins.offsets), 3u);
+
+  const std::vector<char> segment(buffer.get(), buffer.get() + kSize);
+  std::vector<char> data0(kData);
+  for (char& b : data0) b = static_cast<char>(rng());
+  const auto salvage = [&](bool skip_verification, std::vector<char>& data) {
+    std::vector<char> seg = segment;
+    runtime::RegionView view;
+    view.data = data.data();
+    view.data_size = data.size();
+    view.logs = seg.data();
+    view.log_segment_size = seg.size();
+    view.log_segments = 1;
+    view.heap_header = false;
+    runtime::RecoveryManager mgr(view);
+    mgr.set_bug_skip_verification(skip_verification);
+    return mgr.run();
+  };
+  std::vector<char> honest = data0;
+  std::vector<char> trusting = data0;
+  const runtime::RecoveryReport a = salvage(false, honest);
+  const runtime::RecoveryReport b = salvage(true, trusting);
+  ASSERT_EQ(a.segments.size(), 1u);
+  ASSERT_EQ(b.segments.size(), 1u);
+  EXPECT_EQ(a.segments[0].records_certified, records);
+  EXPECT_EQ(b.segments[0].records_certified, records);
+  EXPECT_EQ(a.records_undone, records);
+  EXPECT_EQ(honest, trusting);
+
+  std::vector<char> rolled = data0;
+  std::vector<std::uint64_t> order;
+  EXPECT_EQ(log.rollback([&](std::uint64_t token, const void* bytes,
+                             std::uint32_t len) {
+    order.push_back(token);
+    std::memcpy(rolled.data() + token, bytes, len);
+  }),
+            records);
+  EXPECT_EQ(rolled, honest);
+  ASSERT_EQ(order.size(), records);
+  for (std::size_t i = 0; i < records; ++i) {
+    UndoLog::EntryHead head;
+    std::memcpy(&head, segment.data() + ins.offsets[records - 1 - i],
+                sizeof(head));
+    EXPECT_EQ(order[i], head.addr_token) << i;
+  }
+}
+
+TEST_F(LogFixture, PackedEntriesWrittenBeforeLineAlignmentStillCertify) {
+  // An image written by the packed format (u32 len, no pad field) reopens:
+  // its entries certify and roll back unchanged.
+  char* seg = buffer.get();
+  const std::uint64_t a = 0x1111, b = 0x2222;
+  const char c[13] = "thirteen byt";
+  std::uint64_t off = UndoLog::kHeaderSize;
+  off = append_packed_entry(seg, off, 8, &a, sizeof a, /*gen=*/3);
+  off = append_packed_entry(seg, off, 16, &b, sizeof b, 3);
+  off = append_packed_entry(seg, off, 32, c, sizeof c, 3);
+  const UndoLog::LogHeader header{UndoLog::kMagic,
+                                  UndoLog::pack_state(3, off)};
+  std::memcpy(seg, &header, sizeof(header));
+
+  const UndoLog::Inspection ins = UndoLog::inspect(seg, kSize);
+  EXPECT_TRUE(ins.tail_covered);
+  EXPECT_EQ(ins.offsets, (std::vector<std::uint64_t>{64, 88, 112}));
+  EXPECT_EQ(ins.certified_extent, off);
+
+  UndoLog reopened = make_log();
+  EXPECT_TRUE(reopened.needs_recovery());
+  EXPECT_EQ(reopened.appended_tail(), off);
+  std::vector<std::uint64_t> tokens;
+  std::vector<std::uint32_t> lens;
+  reopened.rollback([&](std::uint64_t token, const void*, std::uint32_t len) {
+    tokens.push_back(token);
+    lens.push_back(len);
+  });
+  EXPECT_EQ(tokens, (std::vector<std::uint64_t>{32, 16, 8}));
+  EXPECT_EQ(lens, (std::vector<std::uint32_t>{13, 8, 8}));
 }
 
 TEST_F(LogFixture, ParseLogSyncMode) {
