@@ -384,6 +384,57 @@ void BM_PstoreFaseFaultIdle(benchmark::State& state) {
 }
 BENCHMARK(BM_PstoreFaseFaultIdle)->ArgsProduct({{0, 1, 2}, {0, 1}, {0, 1}});
 
+void BM_PstoreFaseRuns(benchmark::State& state) {
+  // The BM_PstoreFase path (SC-offline, sync flush) on FASEs of 16 8-byte
+  // stores laid out contiguously, where batched records coalesce into
+  // growing entries (DESIGN.md §7). Arg0: 1 = strict, 2 = batched logging.
+  // Arg1 selects the shape: 0 = kv's pairs (8 lines, two adjacent stores
+  // each), 1 = one contiguous 128-byte run. exact_log_records_per_fase
+  // counts undo-log entries and exact_log_flushes_per_fase undo-log line
+  // write-backs, both per FASE after one untimed FASE (the segment's
+  // format() write-back stays out).
+  const bool batched = state.range(0) == 2;
+  const bool run = state.range(1) == 1;
+  runtime::RuntimeConfig config;
+  config.region_name = unique_region();
+  config.region_size = 4u << 20;
+  config.policy = core::PolicyKind::kSoftCacheOffline;
+  config.policy_config.cache_size = 23;
+  apply_flush_env(config);
+  config.undo_logging = true;
+  config.log_sync = batched ? runtime::LogSyncMode::kBatched
+                            : runtime::LogSyncMode::kStrict;
+  runtime::Runtime rt(config);
+  constexpr int kStoresPerFase = 16;
+  auto* arr = static_cast<std::uint64_t*>(
+      rt.pm_alloc(kStoresPerFase / 2 * kCacheLineSize));
+  std::uint64_t v = 0;
+  const auto fase = [&] {
+    rt.fase_begin();
+    for (int s = 0; s < kStoresPerFase; ++s) {
+      rt.pstore(arr[run ? s : (s / 2) * 8 + s % 2], v++);
+    }
+    rt.fase_end();
+  };
+  fase();
+  const runtime::RuntimeStats before = rt.stats();
+  for (auto _ : state) fase();
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kStoresPerFase);
+  const runtime::RuntimeStats stats = rt.stats();
+  const auto iterations = static_cast<double>(state.iterations());
+  state.counters["exact_log_flushes_per_fase"] = benchmark::Counter(
+      static_cast<double>(stats.log_flushes - before.log_flushes) /
+      iterations);
+  state.counters["exact_log_records_per_fase"] = benchmark::Counter(
+      static_cast<double>(stats.log_records - before.log_records) /
+      iterations);
+  state.SetLabel(std::string(batched ? "log=batched" : "log=strict") +
+                 (run ? "/run" : "/pairs"));
+  rt.destroy_storage();
+}
+BENCHMARK(BM_PstoreFaseRuns)->ArgsProduct({{1, 2}, {0, 1}});
+
 // --- hardened recovery (DESIGN.md §14) --------------------------------------
 
 void BM_PstoreFaseScrubIdle(benchmark::State& state) {

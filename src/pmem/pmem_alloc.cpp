@@ -223,6 +223,14 @@ PmemAllocator::HeaderStatus PmemAllocator::inspect(const void* base,
   return st;
 }
 
+std::size_t PmemAllocator::version_offset() noexcept {
+  return offsetof(Header, version);
+}
+
+std::size_t PmemAllocator::bump_offset() noexcept {
+  return offsetof(Header, bump);
+}
+
 std::size_t PmemAllocator::seal_offset() noexcept {
   return offsetof(Header, seal);
 }

@@ -105,7 +105,10 @@ class PmemAllocator {
   static constexpr std::uint32_t kVersion = 1;
   static constexpr std::size_t kNumClasses = 12;  // 16B .. 32KiB
   static constexpr std::size_t kMinBlock = 16;
-  /// Region offset of the 8-byte seal word (the corruptor targets it).
+  /// Region offsets of the header fields recovery validates (the image
+  /// corruptor targets them; the magic is the first word).
+  static std::size_t version_offset() noexcept;
+  static std::size_t bump_offset() noexcept;
   static std::size_t seal_offset() noexcept;
   static std::size_t header_size() noexcept;
 

@@ -118,7 +118,8 @@ struct RuntimeStats {
   std::uint64_t fences = 0;
   std::uint64_t log_fences = 0;    // fences on the undo-log path
   std::uint64_t instructions = 0;  // policy bookkeeping estimate
-  std::uint64_t log_records = 0;
+  std::uint64_t log_records = 0;   // undo-log entries (a coalesced store
+                                   // adds none, DESIGN.md §7)
   std::uint64_t log_bytes = 0;
   std::uint64_t log_syncs = 0;     // log entry persists (epochs in kBatched)
   // Media-fault tolerance (all zero when no injector is attached):

@@ -1,6 +1,8 @@
 #include "runtime/undo_log.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cstddef>
 #include <cstring>
 #include <string_view>
 
@@ -103,6 +105,7 @@ void UndoLog::format() {
   gen_ = 1;
   h->state = pack_state(gen_, kHeaderSize);
   appended_tail_ = synced_tail_ = published_tail_ = kHeaderSize;
+  open_entry_ = kNoOpenEntry;
   persist(h, sizeof(LogHeader));
 }
 
@@ -167,10 +170,55 @@ std::vector<std::uint64_t> UndoLog::walk_entries() const {
   return std::move(ins.offsets);
 }
 
+bool UndoLog::extend_open_entry(std::uint64_t addr_token, const char* bytes,
+                                std::size_t len) {
+  if (open_entry_ == kNoOpenEntry) return false;
+  NVC_ASSERT(mode_ == LogSyncMode::kBatched && open_entry_ >= synced_tail_);
+  char* entry = base_ + open_entry_;
+  const auto* head = reinterpret_cast<const EntryHead*>(entry);
+  const std::size_t merged = head->len + len;
+  if (head->addr_token + head->len != addr_token ||
+      merged > kMaxCoalescedPayload) {
+    return false;
+  }
+  const std::uint64_t end =
+      open_entry_ + sizeof(EntryHead) + align_up(merged, 8);
+  if (end > size_) return false;
+
+  // A killed process leaves these bytes in the file, so every instant must
+  // certify the old entry or the grown one: the new payload bytes first
+  // (past the old len, so the old check word still holds), then len, pad
+  // and check together in one aligned 8-byte store.
+  char* payload = entry + sizeof(EntryHead);
+  std::memcpy(payload + head->len, bytes, len);
+  struct LenPadCheck {
+    std::uint16_t len;
+    std::uint16_t pad;
+    std::uint32_t check;
+  };
+  static_assert(sizeof(LenPadCheck) == 8 && offsetof(EntryHead, len) == 8 &&
+                offsetof(EntryHead, check) == 12);
+  const LenPadCheck grown{
+      static_cast<std::uint16_t>(merged), 0,
+      entry_check(head->addr_token, static_cast<std::uint32_t>(merged), gen_,
+                  payload)};
+  std::uint64_t word;
+  std::memcpy(&word, &grown, sizeof(word));
+  std::atomic_signal_fence(std::memory_order_release);
+  std::atomic_ref<std::uint64_t>(
+      *reinterpret_cast<std::uint64_t*>(entry + offsetof(EntryHead, len)))
+      .store(word, std::memory_order_relaxed);
+
+  bytes_logged_ += end - appended_tail_;
+  appended_tail_ = end;
+  return true;
+}
+
 void UndoLog::record(std::uint64_t addr_token, const void* current_bytes,
                      std::size_t len) {
   NVC_REQUIRE(len >= 1);
   const auto* bytes = static_cast<const char*>(current_bytes);
+  if (extend_open_entry(addr_token, bytes, len)) return;
   for (std::size_t done = 0; done < len;) {
     const auto piece = static_cast<std::uint32_t>(
         std::min<std::size_t>(len - done, kMaxPayload));
@@ -186,6 +234,10 @@ void UndoLog::record(std::uint64_t addr_token, const void* current_bytes,
       if (room < bytes_used && end + room <= size_) pad = room;
     }
 
+    // Only a batched entry stays open to extension (no persist covers it
+    // until the next sync); a strict entry is persisted below.
+    open_entry_ =
+        mode_ == LogSyncMode::kBatched ? appended_tail_ : kNoOpenEntry;
     char* entry = base_ + appended_tail_;
     char* payload = entry + sizeof(EntryHead);
     std::memcpy(payload, bytes + done, piece);
@@ -211,6 +263,9 @@ void UndoLog::record(std::uint64_t addr_token, const void* current_bytes,
 }
 
 bool UndoLog::persist_entries() {
+  // Whatever the outcome, a persist may have written the open entry back:
+  // it must never grow again.
+  open_entry_ = kNoOpenEntry;
   if (appended_tail_ == synced_tail_) return true;
   // A failed entry flush leaves the synced state untouched so the next
   // persist (or a retry above us) covers the same range again.
@@ -234,6 +289,7 @@ bool UndoLog::sync() {
 bool UndoLog::commit() {
   // Advancing the generation de-certifies every entry of this FASE in one
   // atomic durable store; unsynced entries are simply discarded.
+  open_entry_ = kNoOpenEntry;
   if (!publish_state(gen_ + 1, kHeaderSize)) {
     // The durable header still certifies this generation's records; keep
     // the volatile generation in step so recovery (which would roll the

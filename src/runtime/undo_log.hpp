@@ -39,6 +39,14 @@
 // entry, never before the next one: the previous entry is already durable,
 // and moving a new entry forward would need a marker in a flushed line.
 //
+// Batched records coalesce (DESIGN.md §7): a record whose range starts
+// where the newest entry's range ends extends that entry instead of
+// appending one, while no persist has covered it and the grown entry's
+// payload stays within kMaxCoalescedPayload (one line with its head). A
+// grown entry is an ordinary entry with a larger len; the durable format
+// does not change. Strict entries are durable as they are written, so they
+// never grow.
+//
 // Entries are *self-certifying*: each carries a check word mixing the
 // address token, length, pad, payload bytes, and the log generation. Recovery
 // does not trust the tail beyond its durable value — it walks the entry
@@ -89,10 +97,13 @@ class UndoLog final : public core::EpochLog {
   /// any entry of the current generation self-certifies.
   bool needs_recovery() const;
 
-  /// Append the current content of [addr, addr+len) as undo records, one
-  /// per kMaxPayload piece. kStrict: each piece's entry durable (one flush
+  /// Log the current content of [addr, addr+len) as undo records.
+  /// kStrict: one entry per kMaxPayload piece, each durable (one flush
   /// range, one fence) before the next is appended; the tail covering it
-  /// is published at the next sync(). kBatched: durable at the next sync().
+  /// is published at the next sync(). kBatched: durable at the next sync();
+  /// a record that continues the newest entry's range extends that entry
+  /// while it is unsynced and its payload fits kMaxCoalescedPayload, and
+  /// otherwise appends one entry per kMaxPayload piece.
   /// `addr_token` is the position-independent token of the first byte (the
   /// caller maps pointers to region offsets).
   void record(std::uint64_t addr_token, const void* current_bytes,
@@ -116,8 +127,12 @@ class UndoLog final : public core::EpochLog {
 
   /// Graceful degradation latch: switch a batched log to strict, per-record
   /// durability. Callers sync() first so no appended entry is left behind
-  /// under the old discipline. Irreversible by design.
-  void degrade_to_strict() noexcept { mode_ = LogSyncMode::kStrict; }
+  /// under the old discipline; no entry grows after the latch.
+  /// Irreversible by design.
+  void degrade_to_strict() noexcept {
+    mode_ = LogSyncMode::kStrict;
+    open_entry_ = kNoOpenEntry;
+  }
 
   /// Roll back every uncommitted record, newest first. `apply` restores the
   /// payload bytes at the location identified by the token. Walks the entry
@@ -140,8 +155,11 @@ class UndoLog final : public core::EpochLog {
   std::uint64_t appended_tail() const noexcept { return appended_tail_; }
 
   std::size_t capacity() const noexcept { return size_; }
+  /// Entries appended: a batched record that extends the newest entry
+  /// adds none.
   std::uint64_t records() const noexcept { return records_; }
   /// Entry bytes appended (heads and payloads; strict line pads excluded).
+  /// An extended entry adds its growth, payload rounded up to 8 bytes.
   std::uint64_t bytes_logged() const noexcept { return bytes_logged_; }
   /// Number of entry persists (flush range + fence) — one per record in
   /// strict mode, one per epoch in batched mode. Tail publishes are not
@@ -155,6 +173,9 @@ class UndoLog final : public core::EpochLog {
   void set_sink(core::FlushSink* sink) noexcept { sink_ = sink; }
 
   static constexpr std::uint32_t kMaxPayload = 256;
+  /// Largest payload a batched entry grows to by coalescing: head and
+  /// payload fit one cache line.
+  static constexpr std::uint32_t kMaxCoalescedPayload = 48;
   static constexpr std::size_t kHeaderSize = kCacheLineSize;
 
   // The durable layout is public: the salvage-mode RecoveryManager and the
@@ -171,6 +192,7 @@ class UndoLog final : public core::EpochLog {
     std::uint32_t check;  // self-certifying word over token/len/pad/gen/payload
   };
   static_assert(sizeof(EntryHead) == 16);
+  static_assert(sizeof(EntryHead) + kMaxCoalescedPayload == kCacheLineSize);
   static constexpr std::uint64_t kMagic = 0x4e5643554e444f4cULL;  // NVCUNDOL
 
   static std::uint64_t pack_state(std::uint32_t gen,
@@ -216,7 +238,12 @@ class UndoLog final : public core::EpochLog {
   bool persist(const void* p, std::size_t len);
   bool publish_state(std::uint32_t gen, std::uint64_t tail);
   /// Flush + fence the appended-but-not-durable entries; no tail publish.
+  /// Closes the open entry whatever the outcome.
   bool persist_entries();
+  /// Batched coalescing: grow the open entry by [bytes, bytes+len) when the
+  /// record continues its range and fits (file comment). False: append.
+  bool extend_open_entry(std::uint64_t addr_token, const char* bytes,
+                         std::size_t len);
 
   /// Offsets of every entry of the current generation that self-certifies,
   /// oldest first, starting at kHeaderSize; stops at the first entry that
@@ -232,6 +259,11 @@ class UndoLog final : public core::EpochLog {
   std::uint64_t appended_tail_ = kHeaderSize;   // includes unsynced entries
   std::uint64_t synced_tail_ = kHeaderSize;     // durable entry prefix
   std::uint64_t published_tail_ = kHeaderSize;  // tail in the durable header
+  /// Offset of the newest entry while it may still grow: set only by a
+  /// batched append, cleared by every persist attempt, commit(), format()
+  /// and degrade_to_strict(). Entries start past the header, so 0 is none.
+  static constexpr std::uint64_t kNoOpenEntry = 0;
+  std::uint64_t open_entry_ = kNoOpenEntry;
   std::uint64_t records_ = 0;
   std::uint64_t bytes_logged_ = 0;
   std::uint64_t sync_points_ = 0;

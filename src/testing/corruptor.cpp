@@ -5,6 +5,7 @@
 
 #include "common/assert.hpp"
 #include "common/types.hpp"
+#include "pmem/pmem_alloc.hpp"
 #include "runtime/undo_log.hpp"
 
 namespace nvc::testing {
@@ -30,6 +31,8 @@ const char* to_string(CorruptionKind kind) {
       return "header-mutation";
     case CorruptionKind::kLogMagic:
       return "log-magic";
+    case CorruptionKind::kHeapHeader:
+      return "heap-header";
   }
   return "?";
 }
@@ -77,6 +80,8 @@ std::string ImageCorruptor::corrupt(CorruptionKind kind,
       return header_mutation(image);
     case CorruptionKind::kLogMagic:
       return log_magic(image);
+    case CorruptionKind::kHeapHeader:
+      return heap_header(image);
   }
   return "?";
 }
@@ -202,6 +207,46 @@ std::string ImageCorruptor::log_magic(std::vector<std::uint8_t>& image) {
                   slot * layout_.log_segment_size,
               &value, sizeof(value));
   return "log-magic: slot " + std::to_string(slot) + " magic destroyed";
+}
+
+std::string ImageCorruptor::heap_header(std::vector<std::uint8_t>& image) {
+  using pmem::PmemAllocator;
+  const std::size_t base = layout_.data_offset;
+  if (layout_.data_size < PmemAllocator::header_size() ||
+      base + PmemAllocator::header_size() > image.size()) {
+    return bit_flips(image);
+  }
+  std::uint8_t* header = image.data() + base;
+  switch (next_below(4)) {
+    case 0: {  // destroy the magic
+      std::uint64_t value = next();
+      if (value == PmemAllocator::kMagic) value = ~value;
+      std::memcpy(header, &value, sizeof(value));
+      return "heap-header: magic";
+    }
+    case 1: {  // a layout version this build does not read
+      auto value = static_cast<std::uint32_t>(next());
+      if (value == PmemAllocator::kVersion) value = ~value;
+      std::memcpy(header + PmemAllocator::version_offset(), &value,
+                  sizeof(value));
+      return "heap-header: version " + std::to_string(value);
+    }
+    case 2: {  // a bump frontier past the region's end
+      const std::uint64_t value =
+          layout_.data_size + 8 * (1 + next_below(std::uint64_t{1} << 20));
+      std::memcpy(header + PmemAllocator::bump_offset(), &value,
+                  sizeof(value));
+      return "heap-header: bump " + std::to_string(value) + " of " +
+             std::to_string(layout_.data_size);
+    }
+    default: {  // a seal word that vouches for nothing
+      std::uint64_t value = next();
+      if (value == 0) value = 1;
+      std::memcpy(header + PmemAllocator::seal_offset(), &value,
+                  sizeof(value));
+      return "heap-header: seal";
+    }
+  }
 }
 
 }  // namespace nvc::testing

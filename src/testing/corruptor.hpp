@@ -4,7 +4,7 @@
 // spec and applies one *class* of damage, deterministically derived from a
 // splitmix64 seed — so every corrupted image a CI run ever saw reproduces
 // from the one-line NVC_FUZZ_SEED / NVC_CORRUPT_* replay command the test
-// prints. Seven classes model the distinct ways a persistent image rots:
+// prints. Eight classes model the distinct ways a persistent image rots:
 //
 //   bit-flips        — media bit rot anywhere in the image
 //   line-scribble    — whole cache lines overwritten with garbage (a wild
@@ -19,6 +19,9 @@
 //   header-mutation  — targeted log-header damage (magic, state word)
 //   log-magic        — one log segment's magic destroyed outright, so
 //                      salvage must classify and reformat the slot
+//   heap-header      — one field of the data region's heap header: its
+//                      magic, layout version, bump frontier (moved past the
+//                      region's end) or clean-shutdown seal
 //
 // The corruptor returns a description of every mutation it made, so a
 // failing oracle names the exact bytes that were hit.
@@ -39,9 +42,10 @@ enum class CorruptionKind : std::uint8_t {
   kStaleGeneration,
   kHeaderMutation,
   kLogMagic,
+  kHeapHeader,
 };
 
-inline constexpr std::size_t kCorruptionKinds = 7;
+inline constexpr std::size_t kCorruptionKinds = 8;
 
 /// Kind by sweep index (0..kCorruptionKinds-1).
 CorruptionKind corruption_kind(std::size_t index);
@@ -52,7 +56,7 @@ bool parse_corruption_kind(const char* name, CorruptionKind& kind);
 
 /// Where the interesting structures live inside the flat image.
 struct ImageLayout {
-  std::size_t data_offset = 0;  // data region (per-context regions packed)
+  std::size_t data_offset = 0;  // data region, heap header first
   std::size_t data_size = 0;
   std::size_t log_offset = 0;   // first log segment
   std::size_t log_segment_size = 0;
@@ -88,6 +92,7 @@ class ImageCorruptor {
                                const std::vector<std::uint8_t>* stale);
   std::string header_mutation(std::vector<std::uint8_t>& image);
   std::string log_magic(std::vector<std::uint8_t>& image);
+  std::string heap_header(std::vector<std::uint8_t>& image);
 
   CorruptorConfig config_;
   ImageLayout layout_;

@@ -153,6 +153,92 @@ INSTANTIATE_TEST_SUITE_P(
              (param_info.param.async ? "Async" : "Sync");
     });
 
+// --- contiguous store runs: batched entries that grow ------------------------
+
+/// Batched FASEs of contiguous 8-byte store runs, whose records coalesce
+/// into growing entries (DESIGN.md §7): kv's adjacent pairs, a run past
+/// the 48-byte payload cap, a run across a data-line boundary, and a run
+/// split by a mid-FASE eviction. The write cache holds two lines, and each
+/// FASE starts a fresh log at the header, so the split run's first entry
+/// always straddles log lines 1 and 2 when the eviction syncs it: an
+/// entry that grew after that sync would leave its new length in a line
+/// no later persist covers. Returns the expected image after each commit.
+std::vector<DataImage> run_runs_script(CrashRig& rig) {
+  std::vector<DataImage> snapshots;
+  DataImage state{};
+  snapshots.push_back(state);
+  Rng rng(28);
+  const auto store_run = [&](std::size_t first_cell, std::size_t cells) {
+    for (std::size_t cell = first_cell; cell < first_cell + cells; ++cell) {
+      const std::uint64_t value = rng();
+      rig.pstore_u64(0, cell, value);
+      state[cell] = value;
+    }
+  };
+  for (int f = 0; f < kFases; ++f) {
+    rig.fase_begin();
+    switch (f % 4) {
+      case 0:  // adjacent pairs on three lines
+        for (int p = 0; p < 3; ++p) {
+          store_run(8 * rng.below(kDataLines) + 2 * rng.below(4), 2);
+        }
+        break;
+      case 1:  // eight cells: one full 48-byte entry and a second one
+        store_run(8 * rng.below(kDataLines), 8);
+        break;
+      case 2:  // six cells across a line boundary
+        store_run(8 * (1 + rng.below(kDataLines - 1)) - 3, 6);
+        break;
+      default:  // two lines fill the cache, then a run from line 2 into 3
+        store_run(0, 1);
+        store_run(8, 1);
+        store_run(23, 3);
+        break;
+    }
+    rig.fase_end();
+    snapshots.push_back(state);
+  }
+  return snapshots;
+}
+
+class CrashMatrixRuns : public ::testing::TestWithParam<bool> {};
+
+TEST_P(CrashMatrixRuns, EveryFreezePointRecoversContiguousRuns) {
+  const bool async = GetParam();
+  const RuntimeConfig config = matrix_config(LogSyncMode::kBatched, async);
+  CrashRig dry(config, kMedium);
+  const auto snapshots = run_runs_script(dry);
+  const std::uint64_t total = dry.events();
+  ASSERT_GT(total, 100u) << "script too small to exercise boundaries";
+  // The script must coalesce, and must sync inside FASEs (evictions).
+  const RuntimeStats stats = dry.stats();
+  EXPECT_LT(stats.log_records, stats.stores);
+  EXPECT_GT(stats.log_syncs, static_cast<std::uint64_t>(kFases));
+
+  const std::uint64_t sweep_end = async ? total + 256 : total;
+  int max_recovered = -1;
+  for (std::uint64_t e = 0; e <= sweep_end; ++e) {
+    CrashRig rig(config, kMedium);
+    rig.freeze_at(e);
+    (void)run_runs_script(rig);
+    const int idx =
+        snapshot_index(snapshots, to_image(rig.recovered_data()));
+    ASSERT_GE(idx, 0) << (async ? "async" : "sync") << ": freeze at event "
+                      << e << "/" << total
+                      << " recovered a state matching no committed FASE";
+    if (!async) {
+      ASSERT_GE(idx, max_recovered) << "freeze " << e;
+    }
+    max_recovered = std::max(max_recovered, idx);
+  }
+  EXPECT_EQ(max_recovered, kFases);
+}
+
+INSTANTIATE_TEST_SUITE_P(Batched, CrashMatrixRuns, ::testing::Bool(),
+                         [](const auto& param_info) {
+                           return param_info.param ? "Async" : "Sync";
+                         });
+
 TEST(CrashEquivalence, StrictAndBatchedConvergeWithFewerLogFences) {
   CrashRig strict(matrix_config(LogSyncMode::kStrict, false), kMedium);
   const auto strict_snaps = run_script(strict);

@@ -10,7 +10,7 @@
 // — a seeded workload runs on the Runtime over the crash rig's shadow
 // medium, power fails at a seeded event, and the frozen durable image (the
 // heap region, allocator header included, then the log segments) is
-// snapshotted. Each of the seven
+// snapshotted. Each of the eight
 // corruption classes (testing/corruptor.hpp) then mutates a copy of that
 // image and the copy goes through RecoveryManager. The oracle:
 //
@@ -484,6 +484,90 @@ TEST(RecoveryFuzzTargets, DestroyedLogMagicIsReportedAndTheSlotReformatted) {
   EXPECT_EQ(after.gen, 1u);
   EXPECT_EQ(after.durable_tail, runtime::UndoLog::kHeaderSize);
   EXPECT_TRUE(after.offsets.empty());
+}
+
+/// The heap-header target on the image of an open FASE whose records and
+/// data line are durable, with the first corruptor seed whose mutation
+/// names `field`; returns the salvage report (no verify table, so stage 1
+/// alone judges the header).
+runtime::RecoveryReport salvage_heap_header(const std::string& field) {
+  CrashRig rig(rig_config(kAllModes[0]), rig_medium(kAllModes[0]));
+  run_open_fase(rig, testing::seed_from_env("NVC_FUZZ_SEED", 0xbadull),
+                /*barrier=*/true);
+  const ImageLayout layout = layout_of(rig);
+  const std::vector<std::uint8_t> img0 = rig.durable_image();
+  {
+    // The uncorrupted image salvages with a sound, unsealed header.
+    std::vector<std::uint8_t> img = img0;
+    const runtime::RecoveryReport base =
+        runtime::RecoveryManager(view_of(img, layout)).run();
+    EXPECT_EQ(base.outcome, runtime::RecoveryOutcome::kSalvaged)
+        << base.summary();
+    EXPECT_TRUE(base.heap_header_ok);
+    EXPECT_TRUE(base.heap_bump_plausible);
+    EXPECT_TRUE(base.defects.empty()) << base.summary();
+  }
+  for (std::uint64_t seed = 1; seed < 64; ++seed) {
+    std::vector<std::uint8_t> img = img0;
+    ImageCorruptor corruptor({seed, 1}, layout);
+    const std::string what = corruptor.corrupt(CorruptionKind::kHeapHeader,
+                                               img);
+    if (what.find(field) == std::string::npos) continue;
+    SCOPED_TRACE(what);
+    EXPECT_NE(img, img0);
+    return runtime::RecoveryManager(view_of(img, layout)).run();
+  }
+  ADD_FAILURE() << "no seed below 64 mutates the heap header's " << field;
+  return {};
+}
+
+bool names_defect(const runtime::RecoveryReport& report, const char* word) {
+  for (const std::string& defect : report.defects) {
+    if (defect.find(word) != std::string::npos) return true;
+  }
+  return false;
+}
+
+TEST(RecoveryFuzzTargets, DestroyedHeapMagicIsUnrecoverable) {
+  const runtime::RecoveryReport report = salvage_heap_header("magic");
+  EXPECT_FALSE(report.heap_header_ok);
+  EXPECT_FALSE(report.clean_shutdown);
+  EXPECT_EQ(report.outcome, runtime::RecoveryOutcome::kUnrecoverable)
+      << report.summary();
+  EXPECT_TRUE(names_defect(report, "magic")) << report.summary();
+}
+
+TEST(RecoveryFuzzTargets, ForeignHeapVersionIsUnrecoverable) {
+  const runtime::RecoveryReport report = salvage_heap_header("version");
+  EXPECT_FALSE(report.heap_header_ok);
+  EXPECT_TRUE(report.heap_bump_plausible);
+  EXPECT_FALSE(report.clean_shutdown);
+  EXPECT_EQ(report.outcome, runtime::RecoveryOutcome::kUnrecoverable)
+      << report.summary();
+  EXPECT_TRUE(names_defect(report, "version")) << report.summary();
+}
+
+TEST(RecoveryFuzzTargets, HeapBumpPastTheRegionIsUnrecoverable) {
+  const runtime::RecoveryReport report = salvage_heap_header("bump");
+  EXPECT_TRUE(report.heap_header_ok);
+  EXPECT_FALSE(report.heap_bump_plausible);
+  EXPECT_FALSE(report.clean_shutdown);
+  EXPECT_EQ(report.outcome, runtime::RecoveryOutcome::kUnrecoverable)
+      << report.summary();
+  EXPECT_TRUE(names_defect(report, "bump")) << report.summary();
+}
+
+TEST(RecoveryFuzzTargets, ForgedHeapSealIsReportedNotTrusted) {
+  // A seal that does not match the header vouches for nothing: the region
+  // is still salvaged from its logs, but never reported as a clean
+  // shutdown, and the forged seal is named.
+  const runtime::RecoveryReport report = salvage_heap_header("seal");
+  EXPECT_TRUE(report.heap_header_ok);
+  EXPECT_TRUE(report.heap_bump_plausible);
+  EXPECT_FALSE(report.clean_shutdown);
+  EXPECT_EQ(report.outcome, runtime::RecoveryOutcome::kSalvaged)
+      << report.summary();
+  EXPECT_TRUE(names_defect(report, "seal")) << report.summary();
 }
 
 TEST(RecoveryFuzzBug, DurableDataRecordRotIsUnrecoverableWithoutVerifyTable) {

@@ -7,6 +7,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <string>
 #include <thread>
 
@@ -345,6 +346,58 @@ TEST_F(RuntimeTest, BatchedRecoveryAcrossRealProcessCrash) {
   auto* x = static_cast<std::uint64_t*>(rt.get_root());
   EXPECT_EQ(*x, 1000u);
   rt.destroy_storage();
+}
+
+TEST_F(RuntimeTest, BatchedAdjacentPairSurvivesSigkillAfterEitherStore) {
+  // kv's record update under the batched protocol: two adjacent 8-byte
+  // stores whose undo records share one growing entry. SIGKILL the child
+  // right after the first store (the entry holds one value) and right
+  // after the second (the entry grew in place): the file must certify the
+  // entry either way, and recovery restores both committed values.
+  for (const int stores : {1, 2}) {
+    SCOPED_TRACE(stores);
+    const std::string region = name_ + "." + std::to_string(stores);
+    RuntimeConfig config = quick_config(region);
+    config.undo_logging = true;
+    config.log_sync = LogSyncMode::kBatched;
+    config.flush = pmem::default_flush_kind();
+    {
+      Runtime rt(config);
+      auto* pair = static_cast<std::uint64_t*>(rt.pm_alloc(16));
+      rt.set_root(pair);
+      FaseScope fase(rt);
+      rt.pstore(pair[0], std::uint64_t{1000});
+      rt.pstore(pair[1], std::uint64_t{1001});
+    }
+
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      RuntimeConfig child = config;
+      child.fresh = false;
+      Runtime rt(child);
+      auto* pair = static_cast<std::uint64_t*>(rt.get_root());
+      rt.fase_begin();
+      rt.pstore(pair[0], std::uint64_t{2000});
+      if (stores == 2) rt.pstore(pair[1], std::uint64_t{2001});
+      ::raise(SIGKILL);
+      ::_exit(1);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFSIGNALED(status));
+    EXPECT_EQ(WTERMSIG(status), SIGKILL);
+
+    RuntimeConfig reopen = config;
+    reopen.fresh = false;
+    Runtime rt(reopen);
+    EXPECT_TRUE(rt.needs_recovery());
+    EXPECT_EQ(rt.recover(), 1u);  // one entry, grown or not
+    auto* pair = static_cast<std::uint64_t*>(rt.get_root());
+    EXPECT_EQ(pair[0], 1000u);
+    EXPECT_EQ(pair[1], 1001u);
+    rt.destroy_storage();
+  }
 }
 
 TEST_F(RuntimeTest, ContextFastPathSurvivesAlternatingRuntimes) {

@@ -1,8 +1,9 @@
 // Direct unit tests for the durable undo log (runtime/undo_log), including
 // the strict per-record and batched per-epoch durability protocols, the
 // once-per-epoch tail publish both share (checked against a ShadowPmem
-// durable image), the line-aligned strict layout, and the self-certifying
-// entry format the recovery walk depends on.
+// durable image), the line-aligned strict layout, batched coalescing of
+// contiguous records, and the self-certifying entry format the recovery
+// walk depends on.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -330,7 +331,9 @@ TEST_F(LogFixture, BatchedRecordIssuesNoFlushesUntilSync) {
 TEST_F(LogFixture, BatchedUnsyncedEntriesSelfCertifyAcrossReopen) {
   // A crash before any sync leaves the durable tail at the header, but the
   // appended entries are found by the footer-walk (in the tmpfs/eADR model
-  // the bytes are present; the check word certifies them).
+  // the bytes are present; the check word certifies them). Tokens 0 and 8
+  // are adjacent, so the second record grew the first entry: one entry
+  // restores both old values.
   {
     UndoLog log = make_log(LogSyncMode::kBatched);
     log.format();
@@ -344,10 +347,36 @@ TEST_F(LogFixture, BatchedUnsyncedEntriesSelfCertifyAcrossReopen) {
   EXPECT_EQ(reopened.tail(), UndoLog::kHeaderSize);
   EXPECT_GT(reopened.appended_tail(), UndoLog::kHeaderSize);
   std::vector<std::uint64_t> tokens;
+  std::vector<std::uint64_t> values;
+  reopened.rollback([&](std::uint64_t token, const void* bytes,
+                        std::uint32_t len) {
+    tokens.push_back(token);
+    ASSERT_EQ(len, 16u);
+    values.resize(2);
+    std::memcpy(values.data(), bytes, len);
+  });
+  EXPECT_EQ(tokens, (std::vector<std::uint64_t>{0}));
+  EXPECT_EQ(values, (std::vector<std::uint64_t>{0xA, 0xB}));
+}
+
+TEST_F(LogFixture, BatchedUnsyncedSeparateEntriesSelfCertifyAcrossReopen) {
+  // The same crash with records that do not touch: two entries, rolled
+  // back newest first.
+  {
+    UndoLog log = make_log(LogSyncMode::kBatched);
+    log.format();
+    const std::uint64_t a = 0xA, b = 0xB;
+    log.record(0, &a, sizeof a);
+    log.record(16, &b, sizeof b);
+  }
+  UndoLog reopened = make_log(LogSyncMode::kBatched);
+  EXPECT_TRUE(reopened.needs_recovery());
+  EXPECT_EQ(reopened.tail(), UndoLog::kHeaderSize);
+  std::vector<std::uint64_t> tokens;
   reopened.rollback([&](std::uint64_t token, const void*, std::uint32_t) {
     tokens.push_back(token);
   });
-  EXPECT_EQ(tokens, (std::vector<std::uint64_t>{8, 0}));  // newest first
+  EXPECT_EQ(tokens, (std::vector<std::uint64_t>{16, 0}));  // newest first
 }
 
 TEST_F(LogFixture, CommittedGenerationEntriesAreNotReplayed) {
@@ -563,6 +592,24 @@ TEST_F(LogFixture, BatchedLogDegradedMidFaseRollsBackEveryRecord) {
   EXPECT_EQ(rolled, std::vector<std::uint64_t>(tokens.rbegin(), tokens.rend()));
 }
 
+/// Salvage a copy of one log segment over the headerless raw cells `data`,
+/// with check words (honest) or on len and pad alone (the bug-skip walk).
+runtime::RecoveryReport salvage(const std::vector<char>& segment,
+                                std::vector<char>& data,
+                                bool skip_verification) {
+  std::vector<char> seg = segment;
+  runtime::RegionView view;
+  view.data = data.data();
+  view.data_size = data.size();
+  view.logs = seg.data();
+  view.log_segment_size = seg.size();
+  view.log_segments = 1;
+  view.heap_header = false;
+  runtime::RecoveryManager mgr(view);
+  mgr.set_bug_skip_verification(skip_verification);
+  return mgr.run();
+}
+
 TEST_F(LogFixture, InspectTrustingWalkAndRollbackAgreeOnPaddedSegments) {
   // A strict segment of mixed sizes, pads included. inspect() certifies one
   // offset per record; salvage with and without check words (the bug-skip
@@ -587,23 +634,10 @@ TEST_F(LogFixture, InspectTrustingWalkAndRollbackAgreeOnPaddedSegments) {
   const std::vector<char> segment(buffer.get(), buffer.get() + kSize);
   std::vector<char> data0(kData);
   for (char& b : data0) b = static_cast<char>(rng());
-  const auto salvage = [&](bool skip_verification, std::vector<char>& data) {
-    std::vector<char> seg = segment;
-    runtime::RegionView view;
-    view.data = data.data();
-    view.data_size = data.size();
-    view.logs = seg.data();
-    view.log_segment_size = seg.size();
-    view.log_segments = 1;
-    view.heap_header = false;
-    runtime::RecoveryManager mgr(view);
-    mgr.set_bug_skip_verification(skip_verification);
-    return mgr.run();
-  };
   std::vector<char> honest = data0;
   std::vector<char> trusting = data0;
-  const runtime::RecoveryReport a = salvage(false, honest);
-  const runtime::RecoveryReport b = salvage(true, trusting);
+  const runtime::RecoveryReport a = salvage(segment, honest, false);
+  const runtime::RecoveryReport b = salvage(segment, trusting, true);
   ASSERT_EQ(a.segments.size(), 1u);
   ASSERT_EQ(b.segments.size(), 1u);
   EXPECT_EQ(a.segments[0].records_certified, records);
@@ -659,6 +693,341 @@ TEST_F(LogFixture, PackedEntriesWrittenBeforeLineAlignmentStillCertify) {
   });
   EXPECT_EQ(tokens, (std::vector<std::uint64_t>{32, 16, 8}));
   EXPECT_EQ(lens, (std::vector<std::uint32_t>{13, 8, 8}));
+}
+
+// --- batched coalescing: one entry per contiguous run -----------------------
+
+/// The certified entry heads of a segment, oldest first.
+std::vector<UndoLog::EntryHead> entry_heads(const char* seg, std::size_t size) {
+  std::vector<UndoLog::EntryHead> heads;
+  for (const std::uint64_t at : UndoLog::inspect(seg, size).offsets) {
+    UndoLog::EntryHead head;
+    std::memcpy(&head, seg + at, sizeof(head));
+    heads.push_back(head);
+  }
+  return heads;
+}
+
+/// Payload lengths of the certified entries, oldest first.
+std::vector<std::uint32_t> entry_lens(const char* seg, std::size_t size) {
+  std::vector<std::uint32_t> lens;
+  for (const UndoLog::EntryHead& head : entry_heads(seg, size)) {
+    lens.push_back(head.len);
+  }
+  return lens;
+}
+
+/// A sink whose write-backs can be made to fail.
+struct FailingSink final : core::FlushSink {
+  bool flush_line(LineAddr) override { return !fail; }
+  void drain() override {}
+  bool fail = false;
+};
+
+TEST_F(LogFixture, BatchedAdjacentRecordsCoalesceIntoOneEntry) {
+  UndoLog log = make_log(LogSyncMode::kBatched);
+  log.format();
+  const std::uint64_t a = 0xA1A1, b = 0xB2B2;
+  log.record(64, &a, sizeof a);
+  log.record(72, &b, sizeof b);
+  EXPECT_EQ(log.records(), 1u);
+  EXPECT_EQ(log.bytes_logged(), 32u);
+  EXPECT_EQ(log.appended_tail(), UndoLog::kHeaderSize + 32);
+
+  const std::vector<UndoLog::EntryHead> heads =
+      entry_heads(buffer.get(), kSize);
+  ASSERT_EQ(heads.size(), 1u);
+  EXPECT_EQ(heads[0].addr_token, 64u);
+  EXPECT_EQ(heads[0].len, 16u);
+  EXPECT_EQ(heads[0].pad, 0u);
+  std::uint64_t payload[2];
+  std::memcpy(payload, buffer.get() + UndoLog::kHeaderSize + 16,
+              sizeof payload);
+  EXPECT_EQ(payload[0], a);
+  EXPECT_EQ(payload[1], b);
+  // The grown entry is an ordinary one: its check word is the format's.
+  EXPECT_EQ(heads[0].check, UndoLog::entry_check(64, 16, 1, payload));
+}
+
+TEST_F(LogFixture, BatchedCoalescingStopsAtEachLimit) {
+  const std::vector<char> v(UndoLog::kMaxPayload, 'c');
+  const auto lens_after = [&](const auto& script) {
+    std::memset(buffer.get(), 0, kSize);
+    UndoLog log = make_log(LogSyncMode::kBatched);
+    log.format();
+    script(log);
+    return entry_lens(buffer.get(), kSize);
+  };
+  using Lens = std::vector<std::uint32_t>;
+  // A gap, an overlap, the same token again, a record that ends where the
+  // entry starts: each appends.
+  for (const std::uint64_t second : {16u, 4u, 0u}) {
+    EXPECT_EQ(lens_after([&](UndoLog& log) {
+                log.record(0, v.data(), 8);
+                log.record(second, v.data(), 8);
+              }),
+              (Lens{8, 8}))
+        << second;
+  }
+  EXPECT_EQ(lens_after([&](UndoLog& log) {
+              log.record(8, v.data(), 8);
+              log.record(0, v.data(), 8);
+            }),
+            (Lens{8, 8}));
+  // Odd lengths continue on the exact byte.
+  EXPECT_EQ(lens_after([&](UndoLog& log) {
+              log.record(0, v.data(), 13);
+              log.record(13, v.data(), 3);
+              log.record(16, v.data(), 1);
+            }),
+            (Lens{17}));
+  // The grown payload stops at 48 bytes: a run of eight 8-byte records is
+  // one full entry and a second one.
+  EXPECT_EQ(lens_after([&](UndoLog& log) {
+              for (std::uint64_t i = 0; i < 8; ++i) {
+                log.record(8 * i, v.data(), 8);
+              }
+            }),
+            (Lens{48, 16}));
+  EXPECT_EQ(lens_after([&](UndoLog& log) {
+              log.record(0, v.data(), 40);
+              log.record(40, v.data(), 8);
+              log.record(48, v.data(), 1);
+            }),
+            (Lens{48, 1}));
+  EXPECT_EQ(lens_after([&](UndoLog& log) {
+              log.record(0, v.data(), 41);
+              log.record(41, v.data(), 8);
+            }),
+            (Lens{41, 8}));
+  // A sync persists the entry; commit() ends its generation; a failed sync
+  // may have written it back too.
+  EXPECT_EQ(lens_after([&](UndoLog& log) {
+              log.record(0, v.data(), 8);
+              EXPECT_TRUE(log.sync());
+              log.record(8, v.data(), 8);
+            }),
+            (Lens{8, 8}));
+  EXPECT_EQ(lens_after([&](UndoLog& log) {
+              log.record(0, v.data(), 8);
+              EXPECT_TRUE(log.commit());
+              log.record(8, v.data(), 8);
+              log.record(16, v.data(), 8);
+            }),
+            (Lens{16}));
+  FailingSink failing;
+  EXPECT_EQ(lens_after([&](UndoLog& log) {
+              log.set_sink(&failing);
+              log.record(0, v.data(), 8);
+              failing.fail = true;
+              EXPECT_FALSE(log.sync());
+              failing.fail = false;
+              log.record(8, v.data(), 8);
+              log.set_sink(&sink);
+            }),
+            (Lens{8, 8}));
+  // The grown entry must stay inside the segment: a record that would grow
+  // the last entry past the end appends instead (and overflows).
+  UndoLog tight(buffer.get(), UndoLog::kHeaderSize + UndoLog::kMaxPayload +
+                                  sizeof(UndoLog::EntryHead) + 24,
+                &sink, LogSyncMode::kBatched);
+  tight.format();
+  tight.record(0, v.data(), UndoLog::kMaxPayload);
+  tight.record(1000, v.data(), 8);
+  EXPECT_EQ(tight.records(), 2u);
+  EXPECT_DEATH(tight.record(1008, v.data(), 8), "overflow");
+}
+
+TEST_F(LogFixture, BatchedSplitRecordNeverMergesItsFirstPiece) {
+  // A record longer than kMaxPayload splits into pieces; the 256-byte
+  // first piece never joins the open entry before it, and only a short
+  // last piece stays open to the records after it.
+  UndoLog log = make_log(LogSyncMode::kBatched);
+  log.format();
+  const std::vector<char> v(600, 's');
+  log.record(0, v.data(), 8);
+  log.record(8, v.data(), 300);
+  EXPECT_EQ(entry_lens(buffer.get(), kSize),
+            (std::vector<std::uint32_t>{8, 256, 44}));
+  log.record(308, v.data(), 4);
+  log.record(312, v.data(), 1);
+  EXPECT_EQ(entry_lens(buffer.get(), kSize),
+            (std::vector<std::uint32_t>{8, 256, 48, 1}));
+  EXPECT_EQ(log.records(), 4u);
+  std::vector<std::uint64_t> tokens;
+  log.rollback([&](std::uint64_t token, const void*, std::uint32_t) {
+    tokens.push_back(token);
+  });
+  EXPECT_EQ(tokens, (std::vector<std::uint64_t>{312, 264, 8, 0}));
+}
+
+TEST_F(LogFixture, BatchedLogDegradedMidFaseExtendsNoEntry) {
+  // After the degradation latch every record is a strict, persisted entry,
+  // even one that continues the entry appended just before the latch.
+  UndoLog log = make_log(LogSyncMode::kBatched);
+  log.format();
+  const std::vector<char> v(8, 'd');
+  log.record(0, v.data(), 8);
+  log.record(8, v.data(), 8);
+  log.degrade_to_strict();
+  log.record(16, v.data(), 8);
+  log.record(24, v.data(), 8);
+  log.record(32, v.data(), 8);
+  EXPECT_EQ(entry_lens(buffer.get(), kSize),
+            (std::vector<std::uint32_t>{16, 8, 8, 8}));
+  EXPECT_EQ(log.records(), 4u);
+}
+
+TEST_F(LogFixture, StrictAdjacentRecordsKeepTheLineAlignedLayout) {
+  // Strict entries are durable as written and never grow: the adjacent
+  // 8-byte sequence that coalesces in batched mode produces exactly the
+  // line-aligned bytes built here by hand, one entry per record.
+  UndoLog log = make_log(LogSyncMode::kStrict);
+  log.format();
+  std::vector<char> expected(kSize, 0);
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    const std::uint64_t value = 0x5100 + i;
+    log.record(8 * i, &value, sizeof value);
+    // Two 24-byte entries per line; the second pads the line's last 16.
+    const std::uint64_t off =
+        UndoLog::kHeaderSize + (i / 2) * kCacheLineSize + (i % 2) * 24;
+    const std::uint16_t pad = i % 2 == 1 ? 16 : 0;
+    const UndoLog::EntryHead head{
+        8 * i, 8, pad, UndoLog::entry_check(8 * i, 8, 1, &value, pad)};
+    std::memcpy(expected.data() + off, &head, sizeof head);
+    std::memcpy(expected.data() + off + sizeof head, &value, sizeof value);
+  }
+  EXPECT_EQ(log.records(), 16u);
+  EXPECT_EQ(log.bytes_logged(), 16u * 24);
+  ASSERT_EQ(log.appended_tail(), UndoLog::kHeaderSize + 8 * kCacheLineSize);
+  EXPECT_EQ(std::memcmp(buffer.get() + UndoLog::kHeaderSize,
+                        expected.data() + UndoLog::kHeaderSize,
+                        8 * kCacheLineSize),
+            0);
+}
+
+TEST(UndoLogDurability, BatchedCoalescedEntriesPersistWithFewerLines) {
+  // kv's shape: eight records of 8 + 8 adjacent bytes, one per line. The
+  // sync writes back four entry lines (eight 32-byte entries) and the
+  // durable image certifies the eight grown entries.
+  ShadowLog s(LogSyncMode::kBatched);
+  s.log.format();
+  s.sink.lines.clear();
+  for (std::uint64_t r = 0; r < 8; ++r) {
+    const std::uint64_t balance = r, stamp = ~r;
+    s.log.record(64 * r, &balance, sizeof balance);
+    s.log.record(64 * r + 8, &stamp, sizeof stamp);
+  }
+  EXPECT_TRUE(s.sink.lines.empty());
+  EXPECT_TRUE(s.durable().offsets.empty());
+  EXPECT_TRUE(s.log.sync());
+  EXPECT_EQ(s.sink.lines, (std::vector<LineAddr>{1, 2, 3, 4, 0}));
+  const UndoLog::Inspection ins = s.durable();
+  EXPECT_TRUE(ins.tail_covered);
+  EXPECT_EQ(ins.offsets.size(), 8u);
+  EXPECT_EQ(ins.certified_extent, UndoLog::kHeaderSize + 8 * 32);
+  EXPECT_EQ(s.log.records(), 8u);
+}
+
+TEST_F(LogFixture, CoalescedEntriesRestoreWhatUncoalescedOnesDo) {
+  // One store script, logged by a batched log (which coalesces) and a
+  // strict one (which never does): inspect(), honest and bug-skip salvage
+  // and rollback() of either log restore the same pre-FASE bytes.
+  constexpr std::size_t kData = 2048;
+  Rng rng(28);
+  std::vector<char> data0(kData);
+  for (char& b : data0) b = static_cast<char>(rng());
+
+  std::unique_ptr<char, decltype(&std::free)> strict_buffer(
+      static_cast<char*>(std::aligned_alloc(64, kSize)), &std::free);
+  std::memset(strict_buffer.get(), 0, kSize);
+  UndoLog batched(buffer.get(), kSize, &sink, LogSyncMode::kBatched);
+  UndoLog strict(strict_buffer.get(), kSize, &sink, LogSyncMode::kStrict);
+  batched.format();
+  strict.format();
+  std::vector<char> data = data0;
+  std::uint64_t at = 0;
+  for (int r = 0; r < 120; ++r) {
+    // Mostly runs of adjacent stores of mixed sizes, with jumps, overlaps
+    // and a mid-script sync.
+    const std::size_t len = 1 + rng.below(24);
+    switch (rng.below(6)) {
+      case 0:
+        at = rng.below(kData - 64);
+        break;
+      case 1:
+        at -= std::min<std::uint64_t>(at, rng.below(8));
+        break;
+      default:
+        break;
+    }
+    if (at + len > kData) at = 0;
+    batched.record(at, data.data() + at, len);
+    strict.record(at, data.data() + at, len);
+    for (std::size_t i = 0; i < len; ++i) {
+      data[at + i] = static_cast<char>(rng());
+    }
+    at += len;
+    if (r == 60) {
+      EXPECT_TRUE(batched.sync());
+    }
+  }
+  EXPECT_LT(batched.records(), strict.records() / 2);
+  EXPECT_EQ(UndoLog::inspect(buffer.get(), kSize).offsets.size(),
+            batched.records());
+
+  for (const char* seg : {buffer.get(), strict_buffer.get()}) {
+    for (const bool skip : {false, true}) {
+      std::vector<char> salvaged = data;
+      const runtime::RecoveryReport report =
+          salvage(std::vector<char>(seg, seg + kSize), salvaged, skip);
+      EXPECT_TRUE(report.ok()) << report.summary();
+      EXPECT_EQ(salvaged, data0) << (seg == buffer.get()) << skip;
+    }
+  }
+  for (UndoLog* log : {&batched, &strict}) {
+    std::vector<char> rolled = data;
+    log->rollback([&](std::uint64_t token, const void* bytes,
+                      std::uint32_t len) {
+      std::memcpy(rolled.data() + token, bytes, len);
+    });
+    EXPECT_EQ(rolled, data0) << to_string(log->mode());
+  }
+}
+
+TEST_F(LogFixture, SeparateAdjacentEntriesWrittenBeforeCoalescingStillCertify) {
+  // An image from a log that appended one entry per record: two entries
+  // whose ranges touch certify and roll back as two, and a reopened log
+  // never grows an entry it did not append itself.
+  char* seg = buffer.get();
+  const std::uint64_t a = 0x1111, b = 0x2222;
+  std::uint64_t off = UndoLog::kHeaderSize;
+  off = append_packed_entry(seg, off, 0, &a, sizeof a, /*gen=*/2);
+  off = append_packed_entry(seg, off, 8, &b, sizeof b, 2);
+  const UndoLog::LogHeader header{UndoLog::kMagic,
+                                  UndoLog::pack_state(2, UndoLog::kHeaderSize)};
+  std::memcpy(seg, &header, sizeof(header));
+  EXPECT_EQ(UndoLog::inspect(seg, kSize).offsets,
+            (std::vector<std::uint64_t>{64, 88}));
+
+  UndoLog reopened = make_log(LogSyncMode::kBatched);
+  EXPECT_TRUE(reopened.needs_recovery());
+  EXPECT_EQ(reopened.appended_tail(), off);
+  const std::uint64_t c = 0x3333;
+  reopened.record(16, &c, sizeof c);
+  EXPECT_EQ(entry_lens(seg, kSize), (std::vector<std::uint32_t>{8, 8, 8}));
+
+  std::uint64_t cells[3] = {0xAAAA, 0xBBBB, 0xCCCC};
+  std::vector<std::uint64_t> tokens;
+  reopened.rollback([&](std::uint64_t token, const void* bytes,
+                        std::uint32_t len) {
+    tokens.push_back(token);
+    std::memcpy(reinterpret_cast<char*>(cells) + token, bytes, len);
+  });
+  EXPECT_EQ(tokens, (std::vector<std::uint64_t>{16, 8, 0}));
+  EXPECT_EQ(cells[0], a);
+  EXPECT_EQ(cells[1], b);
+  EXPECT_EQ(cells[2], c);
 }
 
 TEST_F(LogFixture, ParseLogSyncMode) {
