@@ -29,9 +29,6 @@
 #include "runtime/runtime.hpp"
 #include "runtime/scrub.hpp"
 #include "runtime/undo_log.hpp"
-#include "structures/durable_queue.hpp"
-#include "structures/pspace.hpp"
-#include "testing/interleave.hpp"
 #include "workloads/admission_micro.hpp"
 
 namespace {
@@ -765,11 +762,10 @@ BENCHMARK(BM_AsyncCommitHandoff)->Arg(0)->Arg(1);
 /// 0 publishes the fixture, every thread spins for it, and the last thread
 /// out tears it down (google-benchmark joins all threads between runs, so
 /// the statics cycle cleanly run to run).
-template <typename Fixture, typename... Args>
-Fixture* await_fixture(benchmark::State& state, std::atomic<Fixture*>& slot,
-                    Args... args) {
+template <typename Fixture>
+Fixture* await_fixture(benchmark::State& state, std::atomic<Fixture*>& slot) {
   if (state.thread_index() == 0) {
-    slot.store(new Fixture(args...), std::memory_order_release);
+    slot.store(new Fixture(), std::memory_order_release);
   }
   Fixture* fixture;
   while ((fixture = slot.load(std::memory_order_acquire)) == nullptr) {
@@ -856,99 +852,6 @@ BENCHMARK(BM_FlushInstruction)
     ->Arg(static_cast<int>(pmem::FlushKind::kClflushopt))
     ->Arg(static_cast<int>(pmem::FlushKind::kClwb))
     ->Arg(static_cast<int>(pmem::FlushKind::kCountOnly));
-
-// --- durable structures (DESIGN.md §13) -------------------------------------
-
-/// Shared queue fixture, same handshake as the worker benchmarks above.
-struct QueueFixture {
-  structures::PSpace ps;
-  structures::DurableQueue q;
-  explicit QueueFixture(std::size_t bytes)
-      : ps(bytes, nvc::env_int("NVC_ELIDE", 1) != 0), q(ps) {}
-};
-
-void BM_DurableQueue(benchmark::State& state) {
-  // N free-running threads, one enqueue + one dequeue per iteration: the
-  // hot path of the durable MPMC queue with FliT persistence (pload per
-  // hop, cas_persist at publications). Iterations are pinned because every
-  // enqueue bump-allocates a node line from the shared arena.
-  static std::atomic<QueueFixture*> shared{nullptr};
-  static std::atomic<int> done_threads{0};
-  if (state.thread_index() == 0) done_threads.store(0);
-  QueueFixture* fx = await_fixture(state, shared, std::size_t{16} << 20);
-  std::uint64_t v = 0;
-  for (auto _ : state) {
-    fx->q.enqueue(v);
-    fx->q.dequeue(&v);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2);
-  if (done_threads.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-      state.threads()) {
-    state.counters["media_writes"] =
-        benchmark::Counter(static_cast<double>(fx->ps.media_writes()));
-    state.counters["helper_elisions"] =
-        benchmark::Counter(static_cast<double>(fx->ps.helper_elisions()));
-    delete fx;
-    shared.store(nullptr, std::memory_order_release);
-  }
-}
-BENCHMARK(BM_DurableQueue)
-    ->Iterations(8192)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->UseRealTime();
-
-void BM_ElisionHitRate(benchmark::State& state) {
-  // The elision lever, measured: the SAME seeded turnstile schedule (3
-  // virtual threads x 16 queue ops, deterministic switch sequence) with
-  // helper flush elision off (Arg 0, the flush-everything durable-structure
-  // baseline) vs on (Arg 1, FliT). The exact_* counters come from one
-  // deterministic replay outside the timing loop, so compare.py gates them
-  // with zero tolerance: media writes drop and every skipped helper flush
-  // shows up as an elision.
-  const bool elide = state.range(0) != 0;
-  constexpr std::uint64_t kSeed = 20260808;
-  const auto run_once = [](bool on) {
-    auto ps = std::make_unique<structures::PSpace>(1u << 20, on);
-    structures::DurableQueue q(*ps);
-    nvc::testing::InterleaveScheduler sched(kSeed);
-    ps->set_yield_hook(sched.hook());
-    std::vector<std::function<void(std::size_t)>> bodies;
-    for (std::size_t i = 0; i < 3; ++i) {
-      bodies.push_back([&q, i](std::size_t) {
-        Rng rng(kSeed ^ (0x9E3779B9ULL * (i + 1)));
-        for (int k = 0; k < 16; ++k) {
-          if (rng.chance(0.6)) {
-            q.enqueue(100 * (i + 1) + static_cast<std::uint64_t>(k));
-          } else {
-            std::uint64_t v = 0;
-            q.dequeue(&v);
-          }
-        }
-      });
-    }
-    sched.run(bodies);
-    return ps;
-  };
-  {
-    const auto ps = run_once(elide);
-    state.counters["exact_media_writes"] =
-        benchmark::Counter(static_cast<double>(ps->media_writes()));
-    state.counters["exact_helper_elisions"] =
-        benchmark::Counter(static_cast<double>(ps->helper_elisions()));
-    state.counters["exact_helper_flushes"] =
-        benchmark::Counter(static_cast<double>(ps->helper_flushes()));
-    state.counters["exact_writer_flushes"] =
-        benchmark::Counter(static_cast<double>(ps->writer_flushes()));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_once(elide));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 48);
-  state.SetLabel(elide ? "elide=on" : "elide=off");
-}
-BENCHMARK(BM_ElisionHitRate)->Arg(0)->Arg(1)->UseRealTime();
 
 }  // namespace
 

@@ -11,7 +11,8 @@
 #                                 units, `ctest -L recovery`)
 #                               + asan pass of the crash tier (every
 #                                 `crash`/`fault` target: MDB crash suite,
-#                                 crash matrix, write-back route, fuzzers,
+#                                 crash matrix, write-back route, the
+#                                 crash-state and image-corruption fuzzers,
 #                                 fault suite; `ctest -L 'crash|fault'`,
 #                                 case count checked against tier-1)
 #                               + scalar build (NVC_NO_SIMD=ON) of the
@@ -22,9 +23,10 @@
 #                                 `ctest -R paper_golden`)
 #                               + tsan pass of the concurrency suites (the
 #                                 `tsan` label: flush-behind ring with N
-#                                 producers and helping drains, flush
-#                                 elision with real threads and a real
-#                                 worker, durable structures;
+#                                 producers and helping drains, the flush
+#                                 elision table's producers against one
+#                                 retiring executor, the fuzz differential
+#                                 with real threads and a real worker;
 #                                 `ctest --preset tsan`)
 #                               + the bench regression gate when a fresh
 #                                 BENCH_micro.json exists at the repo root
@@ -73,14 +75,6 @@ cmake --preset default >/dev/null
 cmake --build build -j "$(nproc)"
 ctest --test-dir build -j "$jobs" --output-on-failure
 
-# The durable-structure tier runs again with FliT elision DISABLED: the
-# flush-everything baseline is a distinct protocol dimension (every
-# persist_help hits media), so the linearizability + power-cut oracles get
-# one fuzzer iteration against it too.
-echo "== structures: durable suite, elision off (NVC_ELIDE=0) =="
-NVC_ELIDE=0 NVC_FUZZ_ITERS=1 \
-  ctest --test-dir build -L structures -j "$jobs" --output-on-failure
-
 if [ "$run_asan" = 1 ]; then
   echo "== asan: policy tier (write cache, policies, admission + wear) =="
   cmake --preset asan >/dev/null
@@ -105,7 +99,7 @@ if [ "$run_asan" = 1 ]; then
   echo "== asan: crash tier (crash suites, fuzzers, fault suite) =="
   cmake --build build-asan -j "$(nproc)" --target test_mdb_crash \
       test_crash_matrix test_write_back_route test_fault_injection \
-      test_fuzz_crash test_recovery_fuzz test_structures_fuzz
+      test_fuzz_crash test_recovery_fuzz
   crash_cases() {
     ctest --test-dir "$1" -N -L 'crash|fault' | sed -n 's/^Total Tests: //p'
   }

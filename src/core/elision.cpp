@@ -22,63 +22,8 @@ std::uint64_t FlushElisionTable::splitmix64_hash(LineAddr line) noexcept {
   return splitmix64_mix(line);
 }
 
-FlushElisionTable::Tag FlushElisionTable::tag(LineAddr line) {
-  tags_.fetch_add(1, std::memory_order_relaxed);
-  if (line >= kMaxLine) {
-    shared_.fetch_add(1, std::memory_order_acq_rel);
-    return Tag::kShared;
-  }
-  std::atomic<std::uint64_t>& slot = slot_for(line);
-  std::uint64_t cur = slot.load(std::memory_order_acquire);
-  for (;;) {
-    if (cur == 0) {
-      if (slot.compare_exchange_weak(cur, pack(line, 1),
-                                     std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-        return Tag::kSlot;
-      }
-      continue;  // cur reloaded by the failed CAS
-    }
-    if (slot_line(cur) == line) {
-      if (slot_count_of(cur) == kCountMask) break;  // saturated: fall back
-      if (slot.compare_exchange_weak(cur, cur + 1, std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-        return Tag::kSlot;
-      }
-      continue;
-    }
-    collisions_.fetch_add(1, std::memory_order_relaxed);
-    break;
-  }
-  // Collision or saturation: count in the shared fallback, which keeps
-  // pending() conservatively true for every line until the untag.
-  shared_.fetch_add(1, std::memory_order_acq_rel);
-  return Tag::kShared;
-}
-
-void FlushElisionTable::untag(LineAddr line, Tag where) {
-  if (where == Tag::kShared) {
-    [[maybe_unused]] const std::uint64_t prev =
-        shared_.fetch_sub(1, std::memory_order_acq_rel);
-    NVC_ASSERT(prev > 0);
-    return;
-  }
-  std::atomic<std::uint64_t>& slot = slot_for(line);
-  std::uint64_t cur = slot.load(std::memory_order_acquire);
-  for (;;) {
-    NVC_ASSERT(slot_line(cur) == line && slot_count_of(cur) > 0,
-               "untag of a line this table never slot-tagged");
-    const std::uint64_t next = slot_count_of(cur) == 1 ? 0 : cur - 1;
-    if (slot.compare_exchange_weak(cur, next, std::memory_order_acq_rel,
-                                   std::memory_order_acquire)) {
-      return;
-    }
-  }
-}
-
 bool FlushElisionTable::pending(LineAddr line) const {
-  if (shared_.load(std::memory_order_acquire) != 0) return true;
-  if (line >= kMaxLine) return false;  // shared-only lines were counted above
+  if (line >= kMaxLine) return false;
   const std::uint64_t cur = slot_for(line).load(std::memory_order_acquire);
   return cur != 0 && slot_line(cur) == line;
 }
@@ -133,7 +78,7 @@ std::uint32_t FlushElisionTable::retire(LineAddr line) {
 }
 
 std::size_t FlushElisionTable::pending_count() const {
-  std::size_t n = shared_.load(std::memory_order_acquire) != 0 ? 1 : 0;
+  std::size_t n = 0;
   for (std::size_t i = 0; i <= mask_; ++i) {
     if (slots_[i].load(std::memory_order_acquire) != 0) ++n;
   }
@@ -142,7 +87,6 @@ std::size_t FlushElisionTable::pending_count() const {
 
 FlushElisionTable::Stats FlushElisionTable::stats() const {
   Stats s;
-  s.tags = tags_.load(std::memory_order_relaxed);
   s.announces = announces_.load(std::memory_order_relaxed);
   s.owners = owners_.load(std::memory_order_relaxed);
   s.elisions = elisions_.load(std::memory_order_relaxed);

@@ -1,43 +1,32 @@
-// FliT-style flush elision: per-line flush-pending counters (DESIGN.md §13).
+// Write-back dedup: per-line pending counters for scheduled write-backs
+// (DESIGN.md §13).
 //
-// FliT (PAPERS.md) observes that persistent lock-free structures flush the
-// same cache line many times: the thread that wrote a location flushes it,
-// and every concurrent helper that *depends* on that write flushes it again
-// before proceeding, because it cannot know whether the writer's flush has
-// happened yet. A per-location counter removes the redundancy: the writer
-// tags the line for the duration of its write-back and untags it after, so
-// a helper that reads the counter at zero knows the line is already durable
-// and skips ("elides") its flush. On Optane-class media, where duplicate
-// writes dominate cost ("Writes Hurt", PAPERS.md), this is the main lever.
+// FliT (PAPERS.md) observes that persistent code flushes the same cache
+// line many times, and that a per-line counter of in-flight write-backs
+// lets a thread skip ("elide") a flush another thread already owes. On
+// Optane-class media, where duplicate writes dominate cost ("Writes Hurt",
+// PAPERS.md), that is the lever. The runtime keeps only FliT's dedup idea,
+// applied to write-back *scheduling* on its eviction route:
 //
-// The table exposes two protocols over the same slot array:
+//   announce(line) answers "is a write-back of this line already scheduled
+//   and not yet started?". The first announcer becomes the owner and must
+//   schedule the flush; later announcers are elided — the owner's
+//   still-unstarted write-back will read the line through cache coherence
+//   and carry their bytes.
 //
-//   FliT face — tag(line) / untag(line) around a writer's flush, and
-//   pending(line) for helpers. Elision direction: a helper skips only when
-//   the counter is ZERO (no write-back in flight => the line is durable).
-//   A nonzero counter means some writer is mid-protocol, so the helper
-//   flushes conservatively. Collisions and overflow fall back to a shared
-//   counter that keeps pending() conservative: hash-colliding lines can
-//   only cause spurious flushes, never a wrong elision.
-//
-//   Dedup face — announce(line) / retire(line) for write-back *scheduling*
-//   paths (the runtime's eviction route). announce() answers "is a
-//   write-back of this line already scheduled and not yet started?": the
-//   first announcer becomes the owner and must schedule the flush; later
-//   announcers are elided — the owner's still-unstarted write-back will
-//   read the line through cache coherence and carry their bytes. The
-//   executor calls retire(line) immediately BEFORE performing the media
+//   retire(line) is called by the executor immediately BEFORE the media
 //   write. That order is what makes elision sound: the slot's RMWs are
 //   totally ordered, so an elider whose increment preceded the retire has
 //   its payload store ordered before the executor's read of the line
 //   (acq_rel on the slot), while an elider that loses the race finds the
-//   slot empty and becomes the next owner itself. Collisions return
-//   kUntracked: the caller schedules its own flush and never retires.
+//   slot empty and becomes the next owner itself.
 //
-// The two faces share slot encoding but are never mixed on one table
-// instance (a retire() clears the whole count, which would strand FliT
-// taggers). Each deployment — a runtime's sink stack, a structure suite's
-// persistence space — owns its own table.
+//   A line whose slot holds another line (a hash collision), whose count is
+//   saturated, or that lies beyond the 48-bit slot encoding is kUntracked:
+//   the caller schedules its own flush and never retires. Collisions only
+//   cost duplicate write-backs, never a wrong elision.
+//
+// Each runtime's sink stack owns its own table.
 #pragma once
 
 #include <atomic>
@@ -52,13 +41,7 @@ class FlushElisionTable {
  public:
   static constexpr std::size_t kDefaultSlots = 4096;  // power of two
 
-  /// Where a tag() landed; untag() must hand it back.
-  enum class Tag : std::uint8_t {
-    kSlot,    // counted in the line's own slot
-    kShared,  // collision/overflow: counted in the shared fallback
-  };
-
-  /// announce() verdicts for the scheduling-dedup face.
+  /// announce() verdicts.
   enum class Announce : std::uint8_t {
     kOwner,      // first announcer: schedule the write-back, retire() later
     kElided,     // an unstarted write-back is already scheduled: skip
@@ -66,10 +49,9 @@ class FlushElisionTable {
   };
 
   struct Stats {
-    std::uint64_t tags = 0;        // FliT-face writer tags
-    std::uint64_t announces = 0;   // dedup-face scheduling probes
+    std::uint64_t announces = 0;   // scheduling probes
     std::uint64_t owners = 0;      // announces that must schedule
-    std::uint64_t elisions = 0;    // dedup-face skipped write-backs
+    std::uint64_t elisions = 0;    // skipped write-backs
     std::uint64_t retires = 0;     // write-backs that cleared a pending slot
     std::uint64_t collisions = 0;  // slot held a different line
   };
@@ -78,24 +60,6 @@ class FlushElisionTable {
   /// replay bit-for-bit wherever the region is mapped.
   explicit FlushElisionTable(std::size_t slots = kDefaultSlots,
                              LineAddr line_base = 0);
-
-  // --- FliT face (writer tagging + helper elision) --------------------------
-
-  /// A writer is about to flush `line`: raise its pending count. The
-  /// returned token says where the count landed and must be passed back to
-  /// untag() after the flush completed.
-  Tag tag(LineAddr line);
-
-  /// The writer's flush completed: drop the count raised by tag().
-  void untag(LineAddr line, Tag where);
-
-  /// Helper probe: true while any write-back of `line` may be in flight.
-  /// False means every tagged flush of the line completed — a helper that
-  /// needs the line durable may elide its own flush. Conservative under
-  /// collisions/overflow (shared fallback nonzero => true for all lines).
-  bool pending(LineAddr line) const;
-
-  // --- Dedup face (write-back scheduling) -----------------------------------
 
   /// Probe-and-mark for a path about to schedule a write-back of `line`.
   Announce announce(LineAddr line);
@@ -106,13 +70,18 @@ class FlushElisionTable {
   /// held no pending count for `line`, e.g. after an untracked announce).
   std::uint32_t retire(LineAddr line);
 
+  /// True from an owner's announce() of `line` until the retire() of its
+  /// write-back: a write-back of the line is scheduled and has not started.
+  /// False for untracked lines.
+  bool pending(LineAddr line) const;
+
   // --- Introspection --------------------------------------------------------
 
   Stats stats() const;
   std::size_t slot_count() const noexcept { return mask_ + 1; }
 
-  /// Lines with a nonzero pending count right now (slot scan + shared
-  /// fallback). Quiescence invariant for the harnesses: once every ring is
+  /// Lines with a nonzero pending count right now (a slot scan).
+  /// Quiescence invariant for the harnesses: once every ring is
   /// drained and every sink's drain() ran, this must be zero — a stuck
   /// entry means some announced write-back never retired (exactly what the
   /// seeded revert-retire bug produces).
@@ -122,15 +91,14 @@ class FlushElisionTable {
   /// production wiring): retire() reports the satisfied count but leaves
   /// the pending count in place — the "reverted decrement". Every later
   /// announce of the line is then elided although no write-back remains
-  /// scheduled, so the line's newest bytes never reach the media and the
-  /// durable-linearizability oracle must flag the recovered state.
+  /// scheduled; only the ElidingSink's drain re-check still writes the line
+  /// back, and the fuzzers' quiescence check (pending_count()) must fail.
   void set_bug_revert_retire(bool on) noexcept { bug_revert_retire_ = on; }
   bool bug_revert_retire() const noexcept { return bug_revert_retire_; }
 
  private:
   // Slot word: line in the high 48 bits, pending count in the low 16.
-  // Lines at or above 2^48 (byte addresses >= 2^54) use the shared
-  // fallback; count saturation does too.
+  // Lines at or above 2^48 (byte addresses >= 2^54) are untracked.
   static constexpr std::uint64_t kCountBits = 16;
   static constexpr std::uint64_t kCountMask = (1ULL << kCountBits) - 1;
   static constexpr std::uint64_t kMaxLine = 1ULL << 48;
@@ -156,21 +124,17 @@ class FlushElisionTable {
   std::size_t mask_;
   LineAddr line_base_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;
-  /// Shared conservative fallback: collisions and overflow count here, so
-  /// pending() stays true for every line while any fallback tag is live.
-  /// Every pending() probe reads it, and the dedup face never writes it,
-  /// so it sits apart from the counters the announcing threads write.
-  alignas(kCacheLineSize) std::atomic<std::uint64_t> shared_{0};
   bool bug_revert_retire_ = false;
 
-  alignas(kCacheLineSize) mutable std::atomic<std::uint64_t> tags_{0};
-  mutable std::atomic<std::uint64_t> announces_{0};
-  mutable std::atomic<std::uint64_t> owners_{0};
-  mutable std::atomic<std::uint64_t> elisions_{0};
-  mutable std::atomic<std::uint64_t> collisions_{0};
+  /// Written by the announcing threads, so apart from the read-only fields
+  /// above that every probe reads.
+  alignas(kCacheLineSize) std::atomic<std::uint64_t> announces_{0};
+  std::atomic<std::uint64_t> owners_{0};
+  std::atomic<std::uint64_t> elisions_{0};
+  std::atomic<std::uint64_t> collisions_{0};
   /// Written by whichever thread executes a write-back (the flush worker,
   /// behind a ring), so apart from the announcers' counters.
-  alignas(kCacheLineSize) mutable std::atomic<std::uint64_t> retires_{0};
+  alignas(kCacheLineSize) std::atomic<std::uint64_t> retires_{0};
 };
 
 }  // namespace nvc::core

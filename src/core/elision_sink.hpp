@@ -1,6 +1,6 @@
-// FlushSink decorators around FlushElisionTable's scheduling-dedup face
-// (DESIGN.md §13). Elision is part of flush-behind: both decorators sit
-// around the flush-behind ring and nowhere else.
+// FlushSink decorators around FlushElisionTable's write-back dedup
+// protocol (DESIGN.md §13). Elision is part of flush-behind: both
+// decorators sit around the flush-behind ring and nowhere else.
 //
 // ElidingSink sits on the application-thread write-back path, directly
 // below the LogOrderedSink (the log sync for a data line must run whether

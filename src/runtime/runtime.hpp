@@ -59,9 +59,10 @@ struct RuntimeConfig {
   /// enqueued to the shared background FlushWorker instead of executing on
   /// the application thread; commit points (drain) wait on a completion
   /// ticket. Synchronous flushing stays the default (DESIGN.md §8).
-  /// Flush-behind carries FliT-style flush elision (DESIGN.md §13): one
-  /// shared core::FlushElisionTable skips an eviction of a line whose
-  /// write-back is already queued and not yet started, and every
+  /// Flush-behind carries write-back dedup (DESIGN.md §13): one shared
+  /// core::FlushElisionTable skips an eviction of a line whose write-back
+  /// is already queued and not yet started (announce on the application
+  /// thread, retire on the worker right before the write), and every
   /// commit-point drain re-checks its elided lines.
   bool async_flush = false;
   /// Per-thread flush ring capacity in lines (a power of two). A full ring

@@ -66,16 +66,4 @@ std::string fault_replay_env(const pmem::FaultConfig& fault) {
   return out.str();
 }
 
-std::string struct_replay_line(std::uint64_t seed,
-                               const std::string& structure,
-                               std::uint64_t freeze_event,
-                               const std::string& env_fragment) {
-  std::ostringstream out;
-  out << "replay: NVC_FUZZ_SEED=" << seed << " NVC_FUZZ_STRUCT=" << structure
-      << " NVC_FUZZ_FREEZE=" << freeze_event;
-  if (!env_fragment.empty()) out << " " << env_fragment;
-  out << " ctest -R test_structures_fuzz --output-on-failure";
-  return out.str();
-}
-
 }  // namespace nvc::testing

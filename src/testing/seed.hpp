@@ -43,12 +43,4 @@ pmem::FaultConfig fault_config_from_env();
 /// class is enabled.
 std::string fault_replay_env(const pmem::FaultConfig& fault);
 
-/// Same idea for the durable-structure fuzzer (test_structures_fuzz): one
-/// line reproducing a (seed, structure, freeze-event) case. `env_fragment`
-/// carries extra active knobs (e.g. "NVC_ELIDE=0").
-std::string struct_replay_line(std::uint64_t seed,
-                               const std::string& structure,
-                               std::uint64_t freeze_event,
-                               const std::string& env_fragment = "");
-
 }  // namespace nvc::testing

@@ -1,91 +1,36 @@
-// FlushElisionTable + PSpace elision protocol tests (`ctest -L structures`).
+// FlushElisionTable: the write-back dedup protocol (DESIGN.md §13).
 //
-// Three tiers:
-//   - table unit tests: both faces (FliT tag/untag/pending, dedup
-//     announce/retire), collision fallback conservatism, the seeded
-//     revert-retire bug hook, pending_count() quiescence probe;
-//   - the exactly-once property sweep: seeded turnstile interleavings of
-//     writers + helpers over a heap-arena PSpace, asserting every dirty
-//     line hits media EXACTLY once with elision on (cross-checked against
-//     the shared WearTracker) and exactly 1 + helpers times with elision
-//     off;
-//   - the mid-helping freeze regression: on ShadowPmem, sweep power cuts
-//     across a helper that ELIDED a flush and then durably published a
-//     dependent value — whenever the dependent is durable the elided
-//     antecedent must be too. With the seeded early-untag protocol bug the
-//     same sweep must find a violation (the checker has teeth).
+// Two tiers:
+//   - unit cases: owner/elided/untracked verdicts, the pending window from
+//     an owner's announce to its retire, collisions, count saturation,
+//     lines beyond the slot encoding, the seeded revert-retire bug hook;
+//   - a real-thread property test (`ctest -L tsan`): producers announce
+//     over a shared line set while one executor retires each owner's
+//     write-back immediately before performing it. Every elided announce
+//     must be covered by a later retire and its bytes must reach the
+//     simulated media.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
-#include <functional>
-#include <utility>
+#include <cstdint>
+#include <memory>
+#include <thread>
 #include <vector>
 
-#include "common/env.hpp"
+#include "common/spsc_queue.hpp"
 #include "core/elision.hpp"
-#include "pmem/shadow.hpp"
-#include "pmem/wear.hpp"
-#include "structures/pspace.hpp"
-#include "testing/interleave.hpp"
-#include "testing/seed.hpp"
 
 namespace {
 
+using nvc::LineAddr;
 using nvc::core::FlushElisionTable;
-using nvc::structures::POffset;
-using nvc::structures::PSpace;
-using nvc::testing::InterleaveScheduler;
-using nvc::testing::replay_hint;
-using nvc::testing::seed_from_env;
-
-using Tag = FlushElisionTable::Tag;
 using Announce = FlushElisionTable::Announce;
 
-// --- table unit tests --------------------------------------------------------
+// The slot word's pending-count field is 16 bits wide (core/elision.hpp).
+constexpr std::uint32_t kMaxPending = 0xFFFF;
 
-TEST(ElisionTable, TagRaisesPendingUntilUntag) {
-  FlushElisionTable t;
-  EXPECT_FALSE(t.pending(7));
-  const Tag a = t.tag(7);
-  EXPECT_TRUE(t.pending(7));
-  EXPECT_FALSE(t.pending(8));
-  const Tag b = t.tag(7);  // two writers mid-protocol
-  t.untag(7, a);
-  EXPECT_TRUE(t.pending(7));  // one write-back still in flight
-  t.untag(7, b);
-  EXPECT_FALSE(t.pending(7));
-  EXPECT_EQ(t.pending_count(), 0u);
-}
-
-TEST(ElisionTable, CollisionFallbackIsConservativeForEveryLine) {
-  // Two slots (the minimum): by pigeonhole some line among 2..63 hashes
-  // into one of the occupied slots and falls back to the shared counter.
-  FlushElisionTable t(/*slots=*/2);
-  std::vector<std::pair<nvc::LineAddr, Tag>> held;
-  held.emplace_back(1, t.tag(1));
-  nvc::LineAddr collider = 0;
-  Tag ctag = Tag::kSlot;
-  for (nvc::LineAddr k = 2; k < 64; ++k) {
-    const Tag tk = t.tag(k);
-    if (tk == Tag::kShared) {
-      collider = k;
-      ctag = tk;
-      break;
-    }
-    held.emplace_back(k, tk);
-  }
-  ASSERT_NE(collider, 0u) << "no collision in 2 slots?";
-  // The shared fallback keeps pending() true for ALL lines: a collision may
-  // only cause spurious helper flushes, never an unsound elision.
-  EXPECT_TRUE(t.pending(collider));
-  EXPECT_TRUE(t.pending(1));
-  EXPECT_TRUE(t.pending(99));  // even a line nobody ever tagged
-  t.untag(collider, ctag);
-  EXPECT_FALSE(t.pending(99));  // shared fallback drained
-  EXPECT_TRUE(t.pending(1));    // slot tags still pin their own lines
-  for (const auto& [line, tag] : held) t.untag(line, tag);
-  EXPECT_EQ(t.pending_count(), 0u);
-}
+// --- unit cases --------------------------------------------------------------
 
 TEST(ElisionTable, AnnounceRetireDedupesScheduledWriteBacks) {
   FlushElisionTable t;
@@ -97,6 +42,87 @@ TEST(ElisionTable, AnnounceRetireDedupesScheduledWriteBacks) {
   EXPECT_EQ(t.announce(5), Announce::kOwner);  // cycle restarts cleanly
   EXPECT_EQ(t.retire(5), 1u);
   EXPECT_EQ(t.pending_count(), 0u);
+}
+
+TEST(ElisionTable, PendingFromAnnounceUntilRetire) {
+  FlushElisionTable t;
+  EXPECT_FALSE(t.pending(7));
+  ASSERT_EQ(t.announce(7), Announce::kOwner);
+  EXPECT_TRUE(t.pending(7));
+  EXPECT_FALSE(t.pending(8));
+  ASSERT_EQ(t.announce(7), Announce::kElided);
+  EXPECT_TRUE(t.pending(7));
+  EXPECT_EQ(t.retire(7), 2u);
+  EXPECT_FALSE(t.pending(7));
+  ASSERT_EQ(t.announce(7), Announce::kOwner);
+  EXPECT_TRUE(t.pending(7));
+  EXPECT_EQ(t.retire(7), 1u);
+  EXPECT_FALSE(t.pending(7));
+  EXPECT_EQ(t.pending_count(), 0u);
+}
+
+TEST(ElisionTable, CollidingLineIsUntrackedAndLeavesTheOwnerAlone) {
+  // Two slots (the minimum): by pigeonhole some line among 2..63 hashes
+  // into the slot line 1 holds.
+  FlushElisionTable t(/*slots=*/2);
+  ASSERT_EQ(t.announce(1), Announce::kOwner);
+  ASSERT_EQ(t.announce(1), Announce::kElided);
+  std::vector<LineAddr> other_owners;
+  LineAddr collider = 0;
+  for (LineAddr k = 2; k < 64 && collider == 0; ++k) {
+    const Announce a = t.announce(k);
+    if (a == Announce::kUntracked) collider = k;
+    if (a == Announce::kOwner) other_owners.push_back(k);
+  }
+  ASSERT_NE(collider, 0u) << "no collision in 2 slots?";
+  EXPECT_GE(t.stats().collisions, 1u);
+  EXPECT_FALSE(t.pending(collider));
+  // The collider flushes on its own and never owned a count: its retire
+  // satisfies nothing and must not clear the slot line 1 holds.
+  EXPECT_EQ(t.retire(collider), 0u);
+  EXPECT_TRUE(t.pending(1));
+  EXPECT_EQ(t.retire(1), 2u) << "the owner's count changed";
+  EXPECT_FALSE(t.pending(1));
+  for (const LineAddr k : other_owners) EXPECT_EQ(t.retire(k), 1u);
+  EXPECT_EQ(t.pending_count(), 0u);
+}
+
+TEST(ElisionTable, SaturatedCountAnswersUntrackedAndNeverWraps) {
+  FlushElisionTable t;
+  constexpr LineAddr kLine = 5;
+  ASSERT_EQ(t.announce(kLine), Announce::kOwner);
+  for (std::uint32_t i = 1; i < kMaxPending; ++i) {
+    ASSERT_EQ(t.announce(kLine), Announce::kElided) << "announce " << i;
+  }
+  // The count field is full: one more increment would carry into the line
+  // bits and make the slot name another line.
+  EXPECT_EQ(t.announce(kLine), Announce::kUntracked);
+  EXPECT_EQ(t.announce(kLine), Announce::kUntracked);
+  EXPECT_TRUE(t.pending(kLine));
+  EXPECT_FALSE(t.pending(kLine + 1));
+  EXPECT_EQ(t.pending_count(), 1u);
+  EXPECT_EQ(t.retire(kLine), kMaxPending);
+  EXPECT_FALSE(t.pending(kLine));
+  EXPECT_EQ(t.pending_count(), 0u);
+  const FlushElisionTable::Stats s = t.stats();
+  EXPECT_EQ(s.owners, 1u);
+  EXPECT_EQ(s.elisions, kMaxPending - 1);
+  EXPECT_EQ(s.announces, kMaxPending + 2);
+}
+
+TEST(ElisionTable, LinesBeyondTheSlotEncodingAreUntracked) {
+  FlushElisionTable t;
+  for (const LineAddr line :
+       {LineAddr{1} << 48, (LineAddr{1} << 48) + 7, ~LineAddr{0}}) {
+    EXPECT_EQ(t.announce(line), Announce::kUntracked) << line;
+    EXPECT_EQ(t.announce(line), Announce::kUntracked) << line;
+    EXPECT_FALSE(t.pending(line)) << line;
+    EXPECT_EQ(t.retire(line), 0u) << line;
+  }
+  EXPECT_EQ(t.pending_count(), 0u);
+  const FlushElisionTable::Stats s = t.stats();
+  EXPECT_EQ(s.announces, 6u);
+  EXPECT_EQ(s.owners + s.elisions + s.retires, 0u);
 }
 
 TEST(ElisionTable, RevertRetireBugLeavesThePendingCountStuck) {
@@ -111,181 +137,133 @@ TEST(ElisionTable, RevertRetireBugLeavesThePendingCountStuck) {
   EXPECT_EQ(t.announce(9), Announce::kElided);
 }
 
-// --- exactly-once property sweep (seeded interleavings) ----------------------
+// --- real-thread property test -------------------------------------------------
 
-struct SweepResult {
-  std::uint64_t media_writes;
-  std::uint64_t helper_flushes;
-  std::uint64_t helper_elisions;
-};
+TEST(ElisionTableThreads, EveryElidedAnnounceIsCoveredByALaterRetire) {
+  constexpr std::size_t kProducers = 3;
+  constexpr std::size_t kLines = 24;
+  constexpr std::size_t kSlots = 16;  // fewer than kLines: collisions happen
+  constexpr std::uint64_t kRounds = 400;
+  constexpr LineAddr kBase = 1000;
 
-// kThreads writers each dirty kLinesPer private lines and persist them
-// (writer protocol), then publish "done". Each thread then HELPS its
-// neighbour's lines — strictly after observing done, so every tagged
-// write-back completed and elision is legal at every one of them.
-SweepResult run_writer_helper_sweep(std::uint64_t seed, bool elide,
-                                    nvc::pmem::WearTracker* wear,
-                                    std::vector<nvc::LineAddr>* dirty) {
-  constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kLinesPer = 8;
-  PSpace ps(64 * 1024, elide, nullptr, wear);
-  InterleaveScheduler sched(seed);
-  ps.set_yield_hook(sched.hook());
-
-  std::vector<std::vector<POffset>> lines(kThreads);
-  for (auto& mine : lines) {
-    for (std::size_t l = 0; l < kLinesPer; ++l) {
-      mine.push_back(ps.alloc_lines(1));
+  FlushElisionTable table(kSlots, kBase);
+  // Each line holds one word per producer, so a write-back of the line
+  // carries every producer's bytes; "media" keeps the newest written value.
+  using Line = std::array<std::atomic<std::uint64_t>, kProducers>;
+  std::vector<Line> payload(kLines);
+  std::vector<Line> media(kLines);
+  for (std::size_t l = 0; l < kLines; ++l) {
+    for (std::size_t p = 0; p < kProducers; ++p) {
+      payload[l][p].store(0);
+      media[l][p].store(0);
     }
   }
-  std::vector<std::atomic<bool>> done(kThreads);
-  for (auto& d : done) d.store(false);
+  const auto write_back = [&](std::size_t l) {
+    for (std::size_t p = 0; p < kProducers; ++p) {
+      const std::uint64_t v = payload[l][p].load(std::memory_order_relaxed);
+      std::uint64_t cur = media[l][p].load(std::memory_order_relaxed);
+      while (cur < v && !media[l][p].compare_exchange_weak(cur, v)) {
+      }
+    }
+  };
 
-  std::vector<std::function<void(std::size_t)>> bodies;
-  for (std::size_t i = 0; i < kThreads; ++i) {
-    bodies.push_back([&, i](std::size_t) {
-      for (const POffset off : lines[i]) {
-        ps.word(off).store(0xD1A7 + i, std::memory_order_release);
-        ps.persist(off, sizeof(std::uint64_t));
+  struct Tally {
+    std::vector<std::uint64_t> owners = std::vector<std::uint64_t>(kLines);
+    std::vector<std::uint64_t> elided = std::vector<std::uint64_t>(kLines);
+    std::uint64_t untracked = 0;
+  };
+  std::vector<Tally> tallies(kProducers);
+  std::vector<std::unique_ptr<nvc::SpscQueue<std::size_t>>> rings;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    rings.push_back(std::make_unique<nvc::SpscQueue<std::size_t>>(64));
+  }
+  // The executor starts once every producer announced each line once, so
+  // the first round elides and collides no matter how threads are placed.
+  std::atomic<std::size_t> first_round_done{0};
+  std::atomic<std::size_t> producers_done{0};
+
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      Tally& tally = tallies[p];
+      for (std::uint64_t round = 1; round <= kRounds; ++round) {
+        for (std::size_t i = 0; i < kLines; ++i) {
+          const std::size_t l = (i + p * 7) % kLines;
+          payload[l][p].store(round, std::memory_order_relaxed);
+          switch (table.announce(kBase + l)) {
+            case Announce::kOwner:
+              tally.owners[l]++;
+              // A failed push leaves the value intact for the retry.
+              for (std::size_t v = l; !rings[p]->try_push(std::move(v));) {
+                std::this_thread::yield();
+              }
+              break;
+            case Announce::kElided:
+              tally.elided[l]++;
+              break;
+            case Announce::kUntracked:
+              tally.untracked++;
+              write_back(l);
+              break;
+          }
+        }
+        if (round == 1) first_round_done.fetch_add(1);
       }
-      done[i].store(true, std::memory_order_release);
-      const std::size_t peer = (i + 1) % kThreads;
-      while (!done[peer].load(std::memory_order_acquire)) ps.yield();
-      for (const POffset off : lines[peer]) {
-        ps.persist_help(off, sizeof(std::uint64_t));
-      }
+      producers_done.fetch_add(1);
     });
   }
-  sched.run(bodies);
 
-  EXPECT_EQ(ps.table().pending_count(), 0u) << "writer tags leaked";
-  if (dirty != nullptr) {
-    for (const auto& mine : lines) {
-      for (const POffset off : mine) dirty->push_back(nvc::line_of(off));
-    }
-  }
-  return {ps.media_writes(), ps.helper_flushes(), ps.helper_elisions()};
-}
-
-TEST(ElisionProperty, ExactlyOnceWriteBackPerDirtyLine) {
-  const std::uint64_t base = seed_from_env("NVC_SEED", 20260808);
-  for (int iter = 0; iter < 16; ++iter) {
-    const std::uint64_t seed = base + static_cast<std::uint64_t>(iter);
-    SCOPED_TRACE(replay_hint("NVC_SEED", seed));
-    nvc::pmem::WearTracker wear;
-    std::vector<nvc::LineAddr> dirty;
-    const SweepResult r =
-        run_writer_helper_sweep(seed, /*elide=*/true, &wear, &dirty);
-    // Helping happens strictly after the writer finished, so EVERY help is
-    // an elision and every dirty line reaches media exactly once — under
-    // every interleaving the turnstile can produce.
-    EXPECT_EQ(r.helper_flushes, 0u);
-    EXPECT_EQ(r.helper_elisions, dirty.size());
-    EXPECT_EQ(r.media_writes, dirty.size());
-    EXPECT_EQ(wear.line_writes(), r.media_writes);  // cross-check
-    for (const nvc::LineAddr line : dirty) {
-      ASSERT_EQ(wear.line_write_count(line), 1u)
-          << "line " << line << " written more than once";
-    }
-  }
-}
-
-TEST(ElisionProperty, DisablingElisionDoublesPerLineWriteBacks) {
-  const std::uint64_t seed = seed_from_env("NVC_SEED", 20260808);
-  SCOPED_TRACE(replay_hint("NVC_SEED", seed));
-  nvc::pmem::WearTracker wear;
-  std::vector<nvc::LineAddr> dirty;
-  const SweepResult r =
-      run_writer_helper_sweep(seed, /*elide=*/false, &wear, &dirty);
-  EXPECT_EQ(r.helper_elisions, 0u);
-  EXPECT_EQ(r.helper_flushes, dirty.size());
-  EXPECT_EQ(r.media_writes, 2 * dirty.size());  // writer + helper, per line
-  for (const nvc::LineAddr line : dirty) {
-    EXPECT_EQ(wear.line_write_count(line), 2u);
-  }
-}
-
-// --- mid-helping freeze regression (ShadowPmem) ------------------------------
-
-constexpr std::uint64_t kAnte = 0xA17ECEDE;  // antecedent value (word X)
-constexpr std::uint64_t kDep = 0xDE9E7DE7;   // dependent value (word Y)
-
-struct FreezeProbe {
-  std::uint64_t events;     // clock at the end of an unfrozen run
-  std::uint64_t elisions;   // helper elisions observed
-  std::uint64_t durable_x;  // durable image after the (frozen) run
-  std::uint64_t durable_y;
-};
-
-// Writer publishes X via cas_persist; the helper waits until it SEES X
-// (volatile), help-persists it (the elidable flush), then durably publishes
-// the dependent Y. Elision soundness == at no power cut is Y durable
-// while X is not.
-FreezeProbe run_dependent_publish(std::uint64_t seed, bool bug_early_untag,
-                                  std::uint64_t freeze_event) {
-  nvc::pmem::ShadowPmem shadow(4 * 1024);
-  shadow.freeze_at(freeze_event);
-  PSpace ps(shadow.size(), /*elide=*/true, &shadow);
-  ps.set_bug_early_untag(bug_early_untag);
-  InterleaveScheduler sched(seed);
-  ps.set_yield_hook(sched.hook());
-  const POffset x = ps.alloc_lines(1);
-  const POffset y = ps.alloc_lines(1);
-
-  std::vector<std::function<void(std::size_t)>> bodies;
-  bodies.push_back([&](std::size_t) { ps.cas_persist(x, 0, kAnte); });
-  bodies.push_back([&](std::size_t) {
-    while (ps.word(x).load(std::memory_order_acquire) != kAnte) ps.yield();
-    ps.persist_help(x, sizeof(std::uint64_t));
-    ps.cas_persist(y, 0, kDep);
-  });
-  sched.run(bodies);
-
-  return {shadow.events(), ps.helper_elisions(), ps.durable_u64(x),
-          ps.durable_u64(y)};
-}
-
-TEST(ElisionRegression, FreezeAfterElidedHelpNeverStrandsTheDependent) {
-  const std::uint64_t base = seed_from_env("NVC_SEED", 20260808);
-  std::uint64_t elisions_seen = 0;
-  for (int iter = 0; iter < 32; ++iter) {
-    const std::uint64_t seed = base + static_cast<std::uint64_t>(iter);
-    SCOPED_TRACE(replay_hint("NVC_SEED", seed));
-    const FreezeProbe dry =
-        run_dependent_publish(seed, /*bug=*/false, ~std::uint64_t{0});
-    elisions_seen += dry.elisions;
-    for (std::uint64_t e = 0; e <= dry.events; ++e) {
-      const FreezeProbe p = run_dependent_publish(seed, /*bug=*/false, e);
-      if (p.durable_y == kDep) {
-        ASSERT_EQ(p.durable_x, kAnte)
-            << "power cut at event " << e
-            << ": dependent durable but its elided antecedent is not";
+  std::vector<std::uint64_t> retired(kLines);
+  std::thread executor([&] {
+    while (first_round_done.load() < kProducers) std::this_thread::yield();
+    for (;;) {
+      const bool finished = producers_done.load() == kProducers;
+      bool popped = false;
+      for (auto& ring : rings) {
+        while (const auto l = ring->try_pop()) {
+          popped = true;
+          retired[*l] += table.retire(kBase + *l);  // retire, then write
+          write_back(*l);
+        }
       }
+      if (finished && !popped) break;
+      if (!popped) std::this_thread::yield();
     }
-  }
-  // The sweep must actually exercise the elision path (some schedule lets
-  // the helper probe only after the writer's write-back completed).
-  EXPECT_GT(elisions_seen, 0u);
-}
+  });
+  for (auto& t : producers) t.join();
+  executor.join();
 
-TEST(ElisionRegression, EarlyUntagBugIsCaughtByTheSameSweep) {
-  const std::uint64_t base = seed_from_env("NVC_SEED", 20260808);
-  bool caught = false;
-  for (int iter = 0; iter < 64 && !caught; ++iter) {
-    const std::uint64_t seed = base + static_cast<std::uint64_t>(iter);
-    const FreezeProbe dry =
-        run_dependent_publish(seed, /*bug=*/true, ~std::uint64_t{0});
-    for (std::uint64_t e = 0; e <= dry.events && !caught; ++e) {
-      const FreezeProbe p = run_dependent_publish(seed, /*bug=*/true, e);
-      if (p.durable_y == kDep && p.durable_x != kAnte) caught = true;
+  std::uint64_t owners = 0;
+  std::uint64_t elided = 0;
+  std::uint64_t untracked = 0;
+  for (std::size_t l = 0; l < kLines; ++l) {
+    std::uint64_t line_owners = 0;
+    std::uint64_t line_elided = 0;
+    for (const Tally& tally : tallies) {
+      line_owners += tally.owners[l];
+      line_elided += tally.elided[l];
+    }
+    // A retire's count is its owner plus every announce elided onto it.
+    EXPECT_EQ(retired[l], line_owners + line_elided) << "line " << l;
+    owners += line_owners;
+    elided += line_elided;
+    for (std::size_t p = 0; p < kProducers; ++p) {
+      EXPECT_EQ(media[l][p].load(), kRounds)
+          << "line " << l << ", producer " << p
+          << ": an elided store never reached the media";
     }
   }
-  // With tag dropped before the write-back, some schedule lets the helper
-  // elide an unflushed line; some power cut then strands the dependent.
-  // If this ever stops failing-the-invariant, the regression test itself
-  // has gone blind — fail loudly.
-  EXPECT_TRUE(caught)
-      << "seeded early-untag bug produced no durability violation";
+  for (const Tally& tally : tallies) untracked += tally.untracked;
+  EXPECT_GT(owners, 0u);
+  EXPECT_GT(elided, 0u);
+  EXPECT_GT(untracked, 0u);
+
+  const FlushElisionTable::Stats s = table.stats();
+  EXPECT_EQ(s.announces, owners + elided + untracked);
+  EXPECT_EQ(s.owners, owners);
+  EXPECT_EQ(s.elisions, elided);
+  EXPECT_EQ(s.retires, owners);
+  EXPECT_EQ(table.pending_count(), 0u);
 }
 
 }  // namespace
