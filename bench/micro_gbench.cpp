@@ -301,7 +301,7 @@ void apply_flush_env(runtime::RuntimeConfig& config) {
       env_int("NVC_FLUSH_NS", config.simulated_flush_ns));
 }
 
-void run_pstore_fase(benchmark::State& state, bool fault_idle) {
+void BM_PstoreFase(benchmark::State& state) {
   // End-to-end pstore cost through the Runtime hot path (ctx lookup, undo
   // logging, policy, flush backend), as FASEs of 16 stores over 16 lines.
   // Arg0 selects the log protocol: 0 = logging off, 1 = strict (Atlas, one
@@ -310,10 +310,6 @@ void run_pstore_fase(benchmark::State& state, bool fault_idle) {
   // Arg1 selects the policy: 0 = ER (flush per store), 1 = SC-offline.
   // Arg2 routes data write-backs through the flush-behind pipeline
   // (DESIGN.md §8) instead of flushing inline on this thread.
-  // `fault_idle` attaches a torn-only media-fault injector: its backend
-  // hooks sit on the flush path but can never fail a live write-back (so no
-  // retry stage is built), and the delta against the plain variant is the
-  // pure cost of the hooks.
   // exact_log_flushes_per_fase counts the undo-log lines written back per
   // FASE (entries plus header). Every FASE logs the same records into a
   // freshly truncated log, so the count is exact; one untimed FASE first
@@ -332,7 +328,6 @@ void run_pstore_fase(benchmark::State& state, bool fault_idle) {
   config.undo_logging = log_mode != 0;
   config.log_sync = log_mode == 2 ? runtime::LogSyncMode::kBatched
                                   : runtime::LogSyncMode::kStrict;
-  if (fault_idle) config.fault.torn_rate = 1.0;
   runtime::Runtime rt(config);
   constexpr int kStoresPerFase = 16;
   auto* arr = static_cast<std::uint64_t*>(
@@ -365,21 +360,11 @@ void run_pstore_fase(benchmark::State& state, bool fault_idle) {
   state.SetLabel(std::string(log_mode == 0 ? "log=off"
                              : log_mode == 1 ? "log=strict"
                                              : "log=batched") +
-                 (soft_cache ? "/SC" : "/ER") + (async ? "/async" : "") +
-                 (fault_idle ? "/fault-idle" : ""));
+                 (soft_cache ? "/SC" : "/ER") + (async ? "/async" : ""));
   rt.destroy_storage();
 }
 
-void BM_PstoreFase(benchmark::State& state) { run_pstore_fase(state, false); }
 BENCHMARK(BM_PstoreFase)->ArgsProduct({{0, 1, 2}, {0, 1}, {0, 1}});
-
-void BM_PstoreFaseFaultIdle(benchmark::State& state) {
-  // Same hot path with the fault injector attached but idle (all rates
-  // zero). EXPERIMENTS.md holds the paired numbers; the acceptance bar is
-  // that this stays within 2% of BM_PstoreFase for the same args.
-  run_pstore_fase(state, true);
-}
-BENCHMARK(BM_PstoreFaseFaultIdle)->ArgsProduct({{0, 1, 2}, {0, 1}, {0, 1}});
 
 void BM_PstoreFaseRuns(benchmark::State& state) {
   // The BM_PstoreFase path (SC-offline, sync flush) on FASEs of 16 8-byte

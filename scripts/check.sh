@@ -10,11 +10,11 @@
 #                                 units, image-corruption fuzzer + salvage
 #                                 units, `ctest -L recovery`)
 #                               + asan pass of the crash tier (every
-#                                 `crash`/`fault` target: MDB crash suite,
-#                                 crash matrix, write-back route, the
-#                                 crash-state and image-corruption fuzzers,
-#                                 fault suite; `ctest -L 'crash|fault'`,
-#                                 case count checked against tier-1)
+#                                 `crash` target: MDB crash suite, crash
+#                                 matrix, write-back route, the crash-state
+#                                 and image-corruption fuzzers;
+#                                 `ctest -L crash`, case count checked
+#                                 against tier-1)
 #                               + scalar build (NVC_NO_SIMD=ON) of the
 #                                 policy tier and the paper goldens: the
 #                                 write cache's search and shift and the
@@ -94,23 +94,23 @@ if [ "$run_asan" = 1 ]; then
   # power-failure model, so an out-of-bounds access anywhere in the
   # FASE/pstore shell, the write-back route or recovery shows up here.
   # gtest discovery lists only the cases of binaries that were built, so
-  # every target carrying a `crash` or `fault` label is built, and the tier
-  # fails if it lists fewer cases than the full build.
-  echo "== asan: crash tier (crash suites, fuzzers, fault suite) =="
+  # every target carrying a `crash` label is built, and the tier fails if
+  # it lists fewer cases than the full build.
+  echo "== asan: crash tier (crash suites, fuzzers) =="
   cmake --build build-asan -j "$(nproc)" --target test_mdb_crash \
-      test_crash_matrix test_write_back_route test_fault_injection \
-      test_fuzz_crash test_recovery_fuzz
+      test_crash_matrix test_write_back_route test_fuzz_crash \
+      test_recovery_fuzz
   crash_cases() {
-    ctest --test-dir "$1" -N -L 'crash|fault' | sed -n 's/^Total Tests: //p'
+    ctest --test-dir "$1" -N -L crash | sed -n 's/^Total Tests: //p'
   }
   full_cases=$(crash_cases build)
   asan_cases=$(crash_cases build-asan)
   if [ "$asan_cases" != "$full_cases" ]; then
-    echo "asan crash tier lists $asan_cases crash|fault cases," \
+    echo "asan crash tier lists $asan_cases crash cases," \
          "the full build $full_cases: build the missing targets" >&2
     exit 1
   fi
-  ctest --test-dir build-asan -L 'crash|fault' -j "$jobs" --output-on-failure
+  ctest --test-dir build-asan -L crash -j "$jobs" --output-on-failure
 fi
 
 # Every AVX2 path (the write cache's four-wide search and shift, the

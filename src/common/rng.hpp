@@ -20,7 +20,7 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
 
 /// Stateless one-shot mixer: exactly one splitmix64 step of `x`, without
 /// advancing a stream. The single hash function behind SHARDS spatial
-/// sampling, the admission doorkeeper, fault torn-length draws, and workload
+/// sampling, the admission doorkeeper, torn-length draws, and workload
 /// address scrambling — all of which need the same bit-identical output as
 /// advancing a fresh splitmix64 stream once (simd.hpp's splitmix64x4 is the
 /// vector counterpart, lane-for-lane identical).

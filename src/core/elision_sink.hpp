@@ -20,8 +20,8 @@
 // immediately BEFORE forwarding to the real write-back — the
 // decrement-before-write order the table's soundness argument requires.
 // It wraps the worker-side sink inside the FlushChannel (below the ring,
-// above FaultTolerantSink/IssueSink) and the ring's overflow path, the
-// two places an owner's write-back executes.
+// above the IssueSink) and the ring's overflow path, the two places an
+// owner's write-back executes.
 #pragma once
 
 #include <algorithm>
@@ -46,9 +46,9 @@ class RetiringSink final : public FlushSink {
   RetiringSink(FlushSink* inner, std::shared_ptr<FlushElisionTable> table)
       : inner_(inner), table_(std::move(table)) {}
 
-  bool flush_line(LineAddr line) override {
+  void flush_line(LineAddr line) override {
     table_->retire(line);
-    return inner_->flush_line(line);
+    inner_->flush_line(line);
   }
   void drain() override { inner_->drain(); }
 
@@ -66,17 +66,17 @@ class ElidingSink final : public FlushSink {
   ElidingSink(FlushSink* inner, std::shared_ptr<FlushElisionTable> table)
       : inner_(inner), table_(std::move(table)) {}
 
-  bool flush_line(LineAddr line) override {
+  void flush_line(LineAddr line) override {
     // Owners and untracked announces schedule their own write-back. With
     // tracking full (drain is overdue) an elider schedules one too rather
     // than lose the commit-time re-check for this line.
     if (table_->announce(line) != FlushElisionTable::Announce::kElided ||
         elided_.size() >= kMaxTracked) {
-      return inner_->flush_line(line);
+      inner_->flush_line(line);
+      return;
     }
     elided_.push_back(line);
     elided_count_++;
-    return true;
   }
 
   void drain() override {

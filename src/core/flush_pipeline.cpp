@@ -72,12 +72,8 @@ std::size_t FlushChannel::consume(std::size_t max_lines) {
     ++done;
   }
   if (done != 0) {
-    // flushed_ counts lines *retired from the ring*, success or not: the
-    // drain ticket must complete even when the media rejects a line. A
-    // false outcome has already been accounted by the fault-tolerant sink
-    // below (quarantine + FaultStats), whose release stores this counter's
-    // release publish sequences after — a drain()er that sees the count
-    // also sees the quarantine.
+    // flushed_ counts lines written back from the ring; its release
+    // publish is what a drain()er's completion ticket acquires.
     last_flush_thread_ = std::this_thread::get_id();
     flushed_.fetch_add(done, std::memory_order_release);
   }
@@ -320,13 +316,14 @@ bool AsyncFlushSink::maybe_inflight(LineAddr line) const noexcept {
   return false;
 }
 
-bool AsyncFlushSink::flush_line(LineAddr line) {
+void AsyncFlushSink::flush_line(LineAddr line) {
   if (!channel_->try_push(line)) {
     // Ring full: absorb backpressure synchronously on this thread. The line
     // is flushed exactly once either way, so total data traffic is
     // identical to sync mode.
     ++overflows_;
-    return local_->flush_line(line);
+    local_->flush_line(line);
+    return;
   }
   pending_lines_.push_back(line);
   if (model_.issue_ns != 0) {
@@ -346,9 +343,6 @@ bool AsyncFlushSink::flush_line(LineAddr line) {
       channel_->depth() >= watermark_) {
     channel_->request_wake();
   }
-  // Queued: the worker-side sink decides the line's fate (retry/quarantine
-  // happen there); accepted from this producer's point of view.
-  return true;
 }
 
 void AsyncFlushSink::drain() {

@@ -282,7 +282,7 @@ class AsyncFlushSink final : public FlushSink {
                  DeviceModel model = DeviceModel());
   ~AsyncFlushSink() override;
 
-  bool flush_line(LineAddr line) override;
+  void flush_line(LineAddr line) override;
   void drain() override;
 
   /// The write-after-enqueue hazard check (DESIGN.md §8): true when `line`

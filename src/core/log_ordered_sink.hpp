@@ -32,11 +32,8 @@ class EpochLog {
   virtual ~EpochLog() = default;
 
   /// Make every entry appended so far durable (flush + fence + durable tail
-  /// publish). Must be O(1) when there is nothing pending. Returns false
-  /// when the log media rejected a write-back — the entries are NOT
-  /// durable and callers must not proceed with anything that depends on
-  /// them (see LogOrderedSink::flush_line).
-  virtual bool sync() = 0;
+  /// publish). Must be O(1) when there is nothing pending.
+  virtual void sync() = 0;
 };
 
 /// FlushSink decorator: forces `log->sync()` before each forwarded data-line
@@ -50,15 +47,9 @@ class LogOrderedSink final : public FlushSink {
     NVC_REQUIRE(inner_ != nullptr);
   }
 
-  bool flush_line(LineAddr line) override {
-    // A failed log sync means undo records covering this line may not be
-    // durable: flushing the data anyway could persist new bytes with no
-    // durable record of the old ones, breaking all-or-nothing recovery.
-    // Drop the data flush instead — the line stays volatile (lost on
-    // crash, which recovery handles), and the caller's fault accounting
-    // sees the false.
-    if (log_ != nullptr && !log_->sync()) return false;
-    return inner_->flush_line(line);
+  void flush_line(LineAddr line) override {
+    if (log_ != nullptr) log_->sync();
+    inner_->flush_line(line);
   }
 
   void drain() override { inner_->drain(); }

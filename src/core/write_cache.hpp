@@ -30,13 +30,9 @@ namespace nvc::core {
 class FlushSink {
  public:
   virtual ~FlushSink() = default;
-  /// Write back (flush) one hardware cache line. Returns true when the
-  /// line was accepted (durably written, or queued on a path that will
-  /// retry/account for it); false when the media rejected the write-back
-  /// and the line is NOT durable — fault-tolerant decorators
-  /// (core/fault_sink.hpp) turn persistent false into quarantine.
-  /// Infallible sinks simply return true.
-  virtual bool flush_line(LineAddr line) = 0;
+  /// Write back (flush) one hardware cache line. A write-back cannot fail
+  /// (DESIGN.md §10): only a power cut stops one.
+  virtual void flush_line(LineAddr line) = 0;
   /// Ordering point: wait until previously issued flushes are durable.
   virtual void drain() {}
 };
@@ -44,10 +40,7 @@ class FlushSink {
 /// Sink that only counts (used when an experiment needs flush ratios only).
 class CountingSink final : public FlushSink {
  public:
-  bool flush_line(LineAddr) override {
-    ++count_;
-    return true;
-  }
+  void flush_line(LineAddr) override { ++count_; }
   std::uint64_t count() const noexcept { return count_; }
   void reset() noexcept { count_ = 0; }
 

@@ -5,7 +5,6 @@
 
 #include "common/assert.hpp"
 #include "common/cpu.hpp"
-#include "pmem/fault.hpp"
 #include "pmem/wear.hpp"
 
 namespace nvc::pmem {
@@ -92,26 +91,11 @@ FlushBackend::FlushBackend(FlushKind kind, std::uint32_t simulated_latency_ns)
   if (!ok) kind_ = FlushKind::kSimulated;
 }
 
-FlushResult FlushBackend::consult_injector(const void* addr) noexcept {
-  const auto line = line_of(reinterpret_cast<PmAddr>(addr));
-  const FaultDecision d = injector_->on_flush_attempt(line);
-  if (!d.fail) return FlushResult::kOk;
-  ++faults_;
-  return d.bad ? FlushResult::kBadLine : FlushResult::kTransient;
-}
-
-FlushResult FlushBackend::on_medium(const void* addr) noexcept {
-  if (medium_->write_back(addr)) return FlushResult::kOk;
-  ++faults_;
-  return FlushResult::kTransient;
-}
-
-FlushResult FlushBackend::flush(const void* addr) noexcept {
+void FlushBackend::write_back(const void* addr, bool spin) noexcept {
   ++flushes_;
-  if (medium_ != nullptr) return on_medium(addr);
-  if (injector_ != nullptr && !injector_->idle()) {
-    const FlushResult r = consult_injector(addr);
-    if (r != FlushResult::kOk) return r;  // the write-back never lands
+  if (medium_ != nullptr) {
+    medium_->write_back(addr);
+    return;
   }
   switch (kind_) {
     case FlushKind::kClflush:
@@ -124,7 +108,7 @@ FlushResult FlushBackend::flush(const void* addr) noexcept {
       do_clwb(addr);
       break;
     case FlushKind::kSimulated:
-      spin_ns(simulated_latency_ns_);
+      if (spin) spin_ns(simulated_latency_ns_);
       break;
     case FlushKind::kCountOnly:
       break;
@@ -132,47 +116,23 @@ FlushResult FlushBackend::flush(const void* addr) noexcept {
   if (wear_ != nullptr) {
     wear_->record(line_of(reinterpret_cast<PmAddr>(addr)));
   }
-  return FlushResult::kOk;
 }
 
-FlushResult FlushBackend::issue(const void* addr) noexcept {
-  ++flushes_;
-  if (medium_ != nullptr) return on_medium(addr);
-  if (injector_ != nullptr && !injector_->idle()) {
-    const FlushResult r = consult_injector(addr);
-    if (r != FlushResult::kOk) return r;
-  }
-  switch (kind_) {
-    case FlushKind::kClflush:
-      do_clflush(addr);
-      break;
-    case FlushKind::kClflushopt:
-      do_clflushopt(addr);
-      break;
-    case FlushKind::kClwb:
-      do_clwb(addr);
-      break;
-    case FlushKind::kSimulated:
-    case FlushKind::kCountOnly:
-      break;
-  }
-  if (wear_ != nullptr) {
-    wear_->record(line_of(reinterpret_cast<PmAddr>(addr)));
-  }
-  return FlushResult::kOk;
+void FlushBackend::flush(const void* addr) noexcept {
+  write_back(addr, /*spin=*/true);
 }
 
-FlushResult FlushBackend::flush_range(const void* addr,
-                                      std::size_t size) noexcept {
-  FlushResult worst = FlushResult::kOk;
-  if (size == 0) return worst;
+void FlushBackend::issue(const void* addr) noexcept {
+  write_back(addr, /*spin=*/false);
+}
+
+void FlushBackend::flush_range(const void* addr, std::size_t size) noexcept {
+  if (size == 0) return;
   auto first = reinterpret_cast<std::uintptr_t>(addr) & ~(kCacheLineSize - 1);
   const auto last = reinterpret_cast<std::uintptr_t>(addr) + size - 1;
   for (std::uintptr_t line = first; line <= last; line += kCacheLineSize) {
-    const FlushResult r = flush(reinterpret_cast<const void*>(line));
-    if (static_cast<int>(r) > static_cast<int>(worst)) worst = r;
+    flush(reinterpret_cast<const void*>(line));
   }
-  return worst;
 }
 
 void FlushBackend::fence() noexcept {

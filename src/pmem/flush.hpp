@@ -37,27 +37,14 @@ FlushKind parse_flush_kind(const char* name);
 
 const char* to_string(FlushKind kind);
 
-class FaultInjector;
-
 /// Crash-model seam beneath a backend (DESIGN.md §9): every write-back and
-/// fence goes to the medium instead of the hardware path, and the medium,
-/// not the backend, consults any fault injector.
+/// fence goes to the medium instead of the hardware path.
 class FlushMedium {
  public:
   virtual ~FlushMedium() = default;
-  /// Write back the cache line holding `addr`; false = the media failed it.
-  virtual bool write_back(const void* addr) = 0;
+  /// Write back the cache line holding `addr`.
+  virtual void write_back(const void* addr) = 0;
   virtual void fence() = 0;
-};
-
-/// Outcome of one write-back attempt. Real hardware reports media errors
-/// asynchronously (machine-check / poisoned reads); the simulated backends
-/// surface them synchronously through this result so software-level retry
-/// and quarantine policy is exercisable.
-enum class FlushResult : std::uint8_t {
-  kOk,         // line accepted by the media
-  kTransient,  // this attempt failed; a retry may succeed
-  kBadLine,    // the line is permanently bad; retries are pointless
 };
 
 /// Issues cache-line write-backs and memory fences, counting both.
@@ -67,33 +54,25 @@ class FlushBackend {
                         std::uint32_t simulated_latency_ns = 100);
 
   /// Write back (and possibly invalidate) the cache line holding `addr`.
-  FlushResult flush(const void* addr) noexcept;
+  void flush(const void* addr) noexcept;
 
   /// Posted variant for the flush-behind pipeline: issue the write-back
   /// without stalling for its completion. The hardware kinds execute the
   /// (posted) instruction — the fence is where completion is awaited; the
   /// simulated kind only counts, because the async sink models the device
   /// timeline at the producer instead of spinning here on the worker.
-  FlushResult issue(const void* addr) noexcept;
+  void issue(const void* addr) noexcept;
 
-  /// Flush every line in [addr, addr+size). Returns the worst per-line
-  /// result (kBadLine > kTransient > kOk).
-  FlushResult flush_range(const void* addr, std::size_t size) noexcept;
+  /// Flush every line in [addr, addr+size).
+  void flush_range(const void* addr, std::size_t size) noexcept;
 
   /// Order previously issued weak flushes (sfence; no-op for kCountOnly).
   void fence() noexcept;
 
-  /// Route every flush/issue decision through `injector` (nullptr detaches).
-  /// Shared ownership for the same reason as the wear tracker below.
-  void set_fault_injector(std::shared_ptr<FaultInjector> injector) noexcept {
-    injector_ = std::move(injector);
-  }
-  FaultInjector* fault_injector() const noexcept { return injector_.get(); }
-
-  /// Record every successful write-back against `wear` (endurance
-  /// accounting, DESIGN.md §12; nullptr detaches). Shared ownership because
-  /// worker-side backends inside a FlushChannel may outlive the Runtime
-  /// that owns the tracker.
+  /// Record every write-back against `wear` (endurance accounting,
+  /// DESIGN.md §12; nullptr detaches). Shared ownership because worker-side
+  /// backends inside a FlushChannel may outlive the Runtime that owns the
+  /// tracker.
   void set_wear_tracker(std::shared_ptr<WearTracker> wear) noexcept {
     wear_ = std::move(wear);
   }
@@ -106,27 +85,24 @@ class FlushBackend {
   FlushKind kind() const noexcept { return kind_; }
   std::uint64_t flush_count() const noexcept { return flushes_; }
   std::uint64_t fence_count() const noexcept { return fences_; }
-  std::uint64_t fault_count() const noexcept { return faults_; }
-  /// Write-backs that actually reached the media: attempts minus injected
-  /// failures (a rejected attempt programs no cells).
-  std::uint64_t media_writes() const noexcept { return flushes_ - faults_; }
+  /// Write-backs that reached the media: every one issued.
+  std::uint64_t media_writes() const noexcept { return flushes_; }
   std::uint64_t bytes_written() const noexcept {
-    return media_writes() * kCacheLineSize;
+    return flushes_ * kCacheLineSize;
   }
-  void reset_counters() noexcept { flushes_ = fences_ = faults_ = 0; }
+  void reset_counters() noexcept { flushes_ = fences_ = 0; }
 
  private:
-  FlushResult consult_injector(const void* addr) noexcept;
-  FlushResult on_medium(const void* addr) noexcept;
+  /// The one write-back path of flush() and issue(): `spin` adds the
+  /// simulated kind's synchronous latency.
+  void write_back(const void* addr, bool spin) noexcept;
 
   FlushKind kind_;
   std::uint32_t simulated_latency_ns_;
-  std::shared_ptr<FaultInjector> injector_;
   std::shared_ptr<WearTracker> wear_;
   FlushMedium* medium_ = nullptr;
   std::uint64_t flushes_ = 0;
   std::uint64_t fences_ = 0;
-  std::uint64_t faults_ = 0;  // injected failures observed by this backend
 };
 
 }  // namespace nvc::pmem

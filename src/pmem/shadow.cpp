@@ -5,9 +5,30 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "pmem/fault.hpp"
+#include "common/rng.hpp"
 
 namespace nvc::pmem {
+
+namespace {
+
+/// Salt of the tear decision. Part of the replay contract: a tear seed
+/// names the same torn bytes in every build.
+constexpr std::uint64_t kTornSalt = 0x746f726e77726974ULL;
+
+/// Stateless mix of three words through splitmix64 (pure => replayable).
+std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c) noexcept {
+  std::uint64_t s = a ^ (b * 0x9e3779b97f4a7c15ULL) ^
+                    (c * 0x94d049bb133111ebULL);
+  std::uint64_t h = splitmix64(s);
+  return splitmix64(s) ^ h;
+}
+
+/// Uniform [0, 1) from a hash word (same construction as Rng::uniform).
+double unit(std::uint64_t h) noexcept {
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+}  // namespace
 
 ShadowPmem::AlignedImage ShadowPmem::make_image(std::size_t size) {
   // Cache-line aligned so pointer-based line arithmetic (volatile_base())
@@ -19,9 +40,12 @@ ShadowPmem::AlignedImage ShadowPmem::make_image(std::size_t size) {
   return AlignedImage(p, &std::free);
 }
 
-ShadowPmem::ShadowPmem(std::size_t size, std::size_t tear_burst)
+ShadowPmem::ShadowPmem(std::size_t size, std::size_t tear_burst,
+                       double tear_rate, std::uint64_t tear_seed)
     : size_(size),
       tear_burst_(tear_burst),
+      tear_rate_(tear_rate),
+      tear_seed_(tear_seed),
       volatile_(make_image(size)),
       durable_(make_image(size)) {
   NVC_REQUIRE(size > 0);
@@ -43,27 +67,22 @@ void ShadowPmem::load(PmAddr addr, void* out, std::size_t len) const {
   std::memcpy(out, volatile_.get() + addr, len);
 }
 
-bool ShadowPmem::flush_line(LineAddr line) {
+void ShadowPmem::flush_line(LineAddr line) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t e = claim_locked();
   if (e > freeze_event_) {
     // Power is off: the line never persists, unless it lands torn.
     tear_locked(line, e);
-    return true;
+    return;
   }
   ++flushes_;
   const PmAddr base = line_base(line);
-  if (base >= size_) return true;  // flush of a line we never mapped
-  if (injector_ != nullptr && injector_->on_flush_attempt(line).fail) {
-    ++fault_drops_;
-    return false;  // media rejected the write-back; durable image untouched
-  }
+  if (base >= size_) return;  // flush of a line we never mapped
   const std::size_t len = std::min(kCacheLineSize, size_ - base);
   std::memcpy(durable_.get() + base, volatile_.get() + base, len);
   dirty_.erase(line);
   bytes_written_ += len;
   ++line_writes_[line];
-  return true;
 }
 
 void ShadowPmem::flush_line_torn(LineAddr line, std::size_t bytes) {
@@ -71,6 +90,13 @@ void ShadowPmem::flush_line_torn(LineAddr line, std::size_t bytes) {
               "torn length must be a multiple of 8 below a full line");
   std::lock_guard<std::mutex> lock(mutex_);
   flush_torn_locked(line, bytes);
+}
+
+std::size_t ShadowPmem::torn_bytes(LineAddr line) const noexcept {
+  if (tear_rate_ <= 0.0) return 0;
+  const std::uint64_t h = mix(tear_seed_, kTornSalt, line);
+  if (unit(h) >= tear_rate_) return 0;
+  return 8 * (1 + (splitmix64_mix(h) % 7));
 }
 
 void ShadowPmem::flush_torn_locked(LineAddr line, std::size_t bytes) {
@@ -140,7 +166,7 @@ void ShadowPmem::tear_locked(LineAddr line, std::uint64_t event) {
   // The tear window (see flush_line): open at the first post-cut event,
   // grow by gapless events up to tear_burst_ lines, close for good on a
   // gap, a fence or the burst limit.
-  if (injector_ == nullptr || event == 0 || tear_closed_) return;
+  if (tear_rate_ <= 0.0 || event == 0 || tear_closed_) return;
   if (event == freeze_event_ + 1) {
     tear_depth_ = 1;
   } else if (tear_depth_ > 0 && event == tear_last_event_ + 1 &&
@@ -151,7 +177,7 @@ void ShadowPmem::tear_locked(LineAddr line, std::uint64_t event) {
     return;
   }
   tear_last_event_ = event;
-  const std::size_t bytes = injector_->torn_bytes(line);
+  const std::size_t bytes = torn_bytes(line);
   if (bytes == 0) return;  // this line drops entirely instead of tearing
   flush_torn_locked(line, bytes);
 }

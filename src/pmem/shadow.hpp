@@ -30,13 +30,14 @@
 
 namespace nvc::pmem {
 
-class FaultInjector;
-
 class ShadowPmem final : public FlushMedium {
  public:
   /// `tear_burst`: the most post-cut write-backs that may land torn (the
-  /// modeled write-queue depth; see flush_line()).
-  explicit ShadowPmem(std::size_t size, std::size_t tear_burst = 8);
+  /// modeled write-queue depth; see flush_line()). `tear_rate`: the chance
+  /// that one of them tears rather than drops, decided per line from
+  /// `tear_seed` (torn_bytes()); 0 drops every one.
+  explicit ShadowPmem(std::size_t size, std::size_t tear_burst = 8,
+                      double tear_rate = 0.0, std::uint64_t tear_seed = 1);
 
   std::size_t size() const noexcept { return size_; }
 
@@ -61,22 +62,19 @@ class ShadowPmem final : public FlushMedium {
   }
 
   /// Persist one cache line: claim an event, then copy the line from
-  /// volatile to durable. Returns false when an attached FaultInjector
-  /// failed the attempt (the durable image is untouched).
+  /// volatile to durable.
   ///
-  /// Past the cut the write-back is lost (not counted) and returns true —
-  /// power is off, so no software could observe the failure — unless it
-  /// lands torn. With an injector attached, the gapless run of events
-  /// freeze+1, freeze+2, … sat in one in-flight burst, and each of its
-  /// lines drops or lands torn per the injector's pure per-line decision.
-  /// Recovery stays sound because the window closes for good on an event
-  /// gap (the burst was over), on a post-cut fence (nothing ordered behind
-  /// it was ever issued — a batched log sync's fence sits between the
-  /// records and the data write-backs it orders), and at `tear_burst`
-  /// lines. So every log sync ordered before the burst is durable, torn-in
+  /// Past the cut the write-back is lost (not counted) unless it lands
+  /// torn. With a tear rate set, the gapless run of events freeze+1,
+  /// freeze+2, … sat in one in-flight burst, and each of its lines drops
+  /// or lands torn per the pure per-line torn_bytes(). Recovery stays
+  /// sound because the window closes for good on an event gap (the burst
+  /// was over), on a post-cut fence (nothing ordered behind it was ever
+  /// issued — a batched log sync's fence sits between the records and the
+  /// data write-backs it orders), and at `tear_burst` lines. So every log sync ordered before the burst is durable, torn-in
   /// data bytes are covered by durable undo records, and torn log lines
   /// fail their check words.
-  bool flush_line(LineAddr line);
+  void flush_line(LineAddr line);
 
   /// Torn write-back: persist only the first `bytes` bytes of `line`
   /// (a multiple of 8 < 64). Works even while frozen — this models the
@@ -84,24 +82,23 @@ class ShadowPmem final : public FlushMedium {
   /// stays dirty: its remaining bytes are still unpersisted.
   void flush_line_torn(LineAddr line, std::size_t bytes);
 
+  /// Bytes of `line` a post-cut write-back in the tear window persists:
+  /// 0 = it drops whole, else a multiple of 8 in [8, 56] — never a torn
+  /// aligned 8-byte word (ADR power-fail atomicity), never the whole line.
+  /// Pure: a function of (tear seed, line) gated by the tear rate.
+  std::size_t torn_bytes(LineAddr line) const noexcept;
+
   /// Persist the line containing byte offset `addr`.
   void flush_addr(PmAddr addr) { flush_line(line_of(addr)); }
 
   // --- pmem::FlushMedium: write-backs by address in the volatile image -----
 
-  bool write_back(const void* addr) override {
-    return flush_line(line_of(static_cast<PmAddr>(
+  void write_back(const void* addr) override {
+    flush_line(line_of(static_cast<PmAddr>(
         static_cast<const std::uint8_t*>(addr) - volatile_.get())));
   }
   /// A post-cut fence closes the tear window.
   void fence() override;
-
-  /// Route every flush_line decision through `injector` (nullptr detaches).
-  /// Not owned. Recovery paths detach before re-reading the image.
-  void set_fault_injector(FaultInjector* injector) noexcept {
-    injector_ = injector;
-  }
-  FaultInjector* fault_injector() const noexcept { return injector_; }
 
   /// Persist every dirty line (models a whole-cache flush).
   void flush_all();
@@ -145,12 +142,11 @@ class ShadowPmem final : public FlushMedium {
 
   std::uint64_t stores() const noexcept { return stores_; }
   std::uint64_t flushes() const noexcept { return flushes_; }
-  std::uint64_t fault_drops() const noexcept { return fault_drops_; }
   std::uint64_t torn_flushes() const noexcept { return torn_flushes_; }
 
   /// Endurance accounting (DESIGN.md §12): bytes that actually programmed
   /// the durable image — full lines plus torn prefixes; dropped attempts
-  /// (frozen, out-of-range, injected failure) never count.
+  /// (frozen, out-of-range) never count.
   std::uint64_t bytes_written() const noexcept { return bytes_written_; }
   /// Write-backs that programmed (part of) `line`.
   std::uint64_t line_write_count(LineAddr line) const {
@@ -179,6 +175,8 @@ class ShadowPmem final : public FlushMedium {
 
   std::size_t size_;
   std::size_t tear_burst_;
+  double tear_rate_;
+  std::uint64_t tear_seed_;
   AlignedImage volatile_;
   AlignedImage durable_;
   /// Serializes image access and the clock: a worker's write-back may race
@@ -194,12 +192,10 @@ class ShadowPmem final : public FlushMedium {
   std::size_t tear_depth_ = 0;
   std::uint64_t tear_last_event_ = 0;
   bool tear_closed_ = false;
-  FaultInjector* injector_ = nullptr;
   std::unordered_set<LineAddr> dirty_;
   std::unordered_map<LineAddr, std::uint64_t> line_writes_;
   std::uint64_t stores_ = 0;
   std::uint64_t flushes_ = 0;
-  std::uint64_t fault_drops_ = 0;
   std::uint64_t torn_flushes_ = 0;
   std::uint64_t bytes_written_ = 0;
 };

@@ -1,9 +1,8 @@
 // Endurance accounting for NVRAM media (DESIGN.md §12).
 //
 // NVRAM cells wear out per write; the interesting quantities are how many
-// bytes actually reached the media (failed injected attempts do not program
-// cells) and how evenly those writes spread over lines. A WearTracker is
-// shared by every flush backend of a Runtime — application-thread backends
+// bytes reached the media and how evenly those writes spread over lines. A
+// WearTracker is shared by every flush backend of a Runtime — application-thread backends
 // and the worker-side backends below the flush-behind rings — so the hot
 // path publishes with a release-ordered atomic and a short critical section,
 // exactly like the PR 3 flushed counters: stats() never reads a plain
@@ -34,8 +33,8 @@ struct WearStats {
   double leveling_skew = 0.0;
 };
 
-/// Thread-safe shared wear accounting; attach to FlushBackends like a
-/// FaultInjector. record() is called only for write-backs that landed.
+/// Thread-safe shared wear accounting, attached to FlushBackends.
+/// record() is called once per write-back.
 class WearTracker {
  public:
   /// Account one successful full-line write-back of `line`.

@@ -14,9 +14,8 @@ class BackendSink final : public core::FlushSink {
  public:
   explicit BackendSink(pmem::FlushBackend* backend) : backend_(backend) {}
 
-  bool flush_line(LineAddr line) override {
-    return backend_->flush(reinterpret_cast<const void*>(line_base(line))) ==
-           pmem::FlushResult::kOk;
+  void flush_line(LineAddr line) override {
+    backend_->flush(reinterpret_cast<const void*>(line_base(line)));
   }
   void drain() override { backend_->fence(); }
 
@@ -36,9 +35,8 @@ class IssueSink final : public core::FlushSink {
   explicit IssueSink(pmem::FlushBackend backend)
       : backend_(std::move(backend)) {}
 
-  bool flush_line(LineAddr line) override {
-    return backend_.issue(reinterpret_cast<const void*>(line_base(line))) ==
-           pmem::FlushResult::kOk;
+  void flush_line(LineAddr line) override {
+    backend_.issue(reinterpret_cast<const void*>(line_base(line)));
   }
   void drain() override { backend_.fence(); }
 

@@ -1,18 +1,9 @@
-// Media-health introspection for the FASE runtime.
-//
-// When a FaultInjector is attached (RuntimeConfig::fault, or a real fallible
-// backend in spirit), the retry/quarantine machinery of core::FaultTolerantSink
-// accumulates per-thread FaultStats; Runtime::health() aggregates them into
-// one report an operator (or a test) can poll: how much transient noise the
-// media produced, which lines are permanently lost, and which graceful
-// degradations have latched (DESIGN.md §10).
+// Health introspection for the FASE runtime: Runtime::health() gathers
+// endurance accounting, the last recovery's verdict and the online
+// scrubber's counters into one report an operator (or a test) can poll.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "common/types.hpp"
 
 namespace nvc::runtime {
 
@@ -25,28 +16,8 @@ enum class RecoveryOutcome : std::uint8_t {
                    // depends on — surviving bytes must not be trusted
 };
 
-/// Aggregated media-health view over every thread context of a Runtime.
+/// Aggregated health view of a Runtime.
 struct HealthReport {
-  /// A FaultInjector is wired into the flush paths (even if all-zero rates).
-  bool faults_attached = false;
-
-  /// Write-back attempts rejected transiently (before retry verdicts).
-  std::uint64_t transient_faults = 0;
-  /// Retry attempts issued by the fault-tolerant sinks.
-  std::uint64_t flush_retries = 0;
-
-  /// Union of every context's poisoned-line set, sorted. A quarantined line
-  /// exhausted its retries: its content is NOT durable and the owning
-  /// context has suspended commits (recovery pins at its last good commit).
-  std::vector<LineAddr> quarantined_lines;
-
-  /// Contexts whose flush-behind pipeline latched to synchronous flushing.
-  std::size_t flush_degraded_contexts = 0;
-  /// Contexts whose batched log latched to strict per-record durability.
-  std::size_t log_degraded_contexts = 0;
-  /// Contexts that stopped committing FASEs because of quarantined lines.
-  std::size_t commit_suspended_contexts = 0;
-
   /// A WearTracker is wired into the flush paths (wear_tracking).
   bool wear_attached = false;
   /// Endurance accounting snapshot (all zero unless wear_attached):
@@ -70,14 +41,6 @@ struct HealthReport {
   std::uint64_t scrub_lines_scanned = 0;
   std::uint64_t scrub_metadata_repairs = 0;  // restored from redundant copies
   std::uint64_t scrub_checksum_mismatches = 0;
-  std::uint64_t scrub_media_quarantines = 0;  // injector-confirmed bad lines
-
-  /// Any degradation latch fired or any line was lost.
-  bool degraded() const noexcept {
-    return flush_degraded_contexts > 0 || log_degraded_contexts > 0 ||
-           commit_suspended_contexts > 0 || !quarantined_lines.empty() ||
-           recovery_outcome == RecoveryOutcome::kUnrecoverable;
-  }
 };
 
 }  // namespace nvc::runtime

@@ -134,8 +134,7 @@ bool RecoveryManager::needs_recovery() const {
   return false;
 }
 
-void RecoveryManager::salvage_segment(std::size_t slot,
-                                      RecoveryReport& report) {
+SegmentReport RecoveryManager::salvage_segment(std::size_t slot) {
   char* seg = static_cast<char*>(view_.logs) + slot * view_.log_segment_size;
   const std::size_t seg_size = view_.log_segment_size;
 
@@ -146,9 +145,7 @@ void RecoveryManager::salvage_segment(std::size_t slot,
     // Never formatted: a thread slot that was never claimed (or a fresh
     // region). Nothing could have been logged, so nothing is lost.
     sr.outcome = SegmentOutcome::kStillborn;
-    ++report.segments_stillborn;
-    report.segments.push_back(std::move(sr));
-    return;
+    return sr;
   }
 
   UndoLog::Inspection ins = UndoLog::inspect(seg, seg_size);
@@ -231,27 +228,7 @@ void RecoveryManager::salvage_segment(std::size_t slot,
     std::memcpy(seg, &head, sizeof(head));
     persist(seg, sizeof(head));
   }
-
-  switch (sr.outcome) {
-    case SegmentOutcome::kClean:
-      ++report.segments_clean;
-      break;
-    case SegmentOutcome::kRolledBack:
-      ++report.segments_rolled_back;
-      break;
-    case SegmentOutcome::kStillborn:
-      ++report.segments_stillborn;
-      break;
-    case SegmentOutcome::kUnrecoverable:
-      ++report.segments_unrecoverable;
-      break;
-  }
-  report.records_undone += sr.records_applied;
-  if (!sr.detail.empty()) {
-    note_defect(report,
-                "log segment " + std::to_string(slot) + ": " + sr.detail);
-  }
-  report.segments.push_back(std::move(sr));
+  return sr;
 }
 
 void RecoveryManager::verify_data(RecoveryReport& report) {
@@ -316,7 +293,27 @@ RecoveryReport RecoveryManager::run() {
   // Stages 2+3: walk and salvage every log segment.
   if (view_.logs != nullptr) {
     for (std::size_t s = 0; s < view_.log_segments; ++s) {
-      salvage_segment(s, report);
+      SegmentReport sr = salvage_segment(s);
+      switch (sr.outcome) {
+        case SegmentOutcome::kClean:
+          ++report.segments_clean;
+          break;
+        case SegmentOutcome::kRolledBack:
+          ++report.segments_rolled_back;
+          break;
+        case SegmentOutcome::kStillborn:
+          ++report.segments_stillborn;
+          break;
+        case SegmentOutcome::kUnrecoverable:
+          ++report.segments_unrecoverable;
+          break;
+      }
+      report.records_undone += sr.records_applied;
+      if (!sr.detail.empty()) {
+        note_defect(report,
+                    "log segment " + std::to_string(s) + ": " + sr.detail);
+      }
+      report.segments.push_back(std::move(sr));
     }
   }
 

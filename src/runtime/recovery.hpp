@@ -175,7 +175,9 @@ class RecoveryManager {
   RecoveryReport run();
 
  private:
-  void salvage_segment(std::size_t slot, RecoveryReport& report);
+  /// Classify log segment `slot` and roll back or reformat it; run()
+  /// counts the outcome.
+  SegmentReport salvage_segment(std::size_t slot);
   void verify_data(RecoveryReport& report);
   void note_defect(RecoveryReport& report, std::string text);
   /// Persist [p, p+len) through the view's sink, if any.

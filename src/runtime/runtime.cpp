@@ -66,9 +66,6 @@ Runtime::Runtime(RuntimeConfig config, Medium* medium)
   NVC_REQUIRE(config_.region_size >= 4096);
   NVC_REQUIRE(config_.max_threads >= 1);
 
-  if (config_.fault.enabled()) {
-    injector_ = std::make_shared<pmem::FaultInjector>(config_.fault);
-  }
   if (config_.wear_tracking) {
     wear_ = std::make_shared<pmem::WearTracker>();
   }
@@ -140,14 +137,6 @@ Runtime::Runtime(RuntimeConfig config, Medium* medium)
         log_region_.valid() ? config_.max_threads : 0);
     scrubber_->set_header_lock(&alloc_mutex_);
     if (verify_table_ != nullptr) scrubber_->set_verify_table(verify_table_);
-    if (injector_ != nullptr && !injector_->idle()) {
-      // Same armed/idle rule as the per-context fault machinery: an idle
-      // injector never marks a line bad, so the media check would be dead
-      // weight on every scanned line.
-      scrub_faults_ = std::make_shared<core::FaultStats>();
-      scrubber_->set_injector(injector_);
-      scrubber_->set_fault_stats(scrub_faults_);
-    }
     if (wear_ != nullptr) scrubber_->set_wear(wear_);
     {
       std::lock_guard<std::mutex> lock(alloc_mutex_);
@@ -166,23 +155,16 @@ Runtime::~Runtime() {
   if (scrubber_ != nullptr) scrubber_->shutdown();
 
   // Seal the heap iff shutdown is provably clean: every context quiescent
-  // (no open FASE, no suspended commit) and every write-back ring drained.
-  // The seal is the recovery pipeline's clean-shutdown fast path; writing it
-  // over a dirty image would vouch for bytes still in flight.
+  // (no open FASE) and every write-back ring drained. The seal is the
+  // recovery pipeline's clean-shutdown fast path; writing it over a dirty
+  // image would vouch for bytes still in flight.
   bool quiescent = allocator_ != nullptr;
   {
     std::lock_guard<std::mutex> lock(contexts_mutex_);
     for (const auto& c : contexts_) {
       c->route.wait_drained();
-      const core::FaultStats* faults = c->route.faults();
-      if (c->fase_depth != 0 || c->route.commit_suspended() ||
-          (faults != nullptr && faults->quarantined_count() > 0)) {
-        quiescent = false;
-      }
+      if (c->fase_depth != 0) quiescent = false;
     }
-  }
-  if (scrub_faults_ != nullptr && scrub_faults_->quarantined_count() > 0) {
-    quiescent = false;
   }
   if (quiescent) {
     std::lock_guard<std::mutex> lock(alloc_mutex_);
@@ -194,10 +176,7 @@ Runtime::~Runtime() {
 pmem::FlushBackend Runtime::make_backend(bool metered) const {
   pmem::FlushBackend backend(config_.flush, config_.simulated_flush_ns);
   backend.set_medium(medium_);
-  if (metered) {
-    backend.set_fault_injector(injector_);
-    backend.set_wear_tracker(wear_);
-  }
+  if (metered) backend.set_wear_tracker(wear_);
   return backend;
 }
 
@@ -206,14 +185,13 @@ WriteBackSpec Runtime::route_spec(core::FlushSink* sync_sink,
   WriteBackSpec spec;
   spec.sync_sink = sync_sink;
   spec.log = log;
-  spec.arm_faults(injector_.get(), config_.fault);
   if (config_.async_flush) {
     spec.elision = elision_;
     spec.ring_depth = config_.flush_queue_depth;
     spec.manual_channel = medium_ != nullptr && medium_->manual_flush();
     // Posted write-backs on a private backend. It shares ownership of the
-    // injector and tracker (the channel may outlive the Runtime); the
-    // tracker records through atomics, so stats() stays race-free.
+    // tracker (the channel may outlive the Runtime); the tracker records
+    // through atomics, so stats() stays race-free.
     auto issue = std::make_unique<IssueSink>(make_backend(/*metered=*/true));
     // Device timing model for the simulated kind only (hardware kinds
     // self-time). Occupancy is a quarter of the write latency: a pipelined
@@ -319,10 +297,7 @@ void* Runtime::get_root() const {
 
 void Runtime::fase_begin() {
   ThreadContext& c = ctx();
-  if (c.fase_depth++ == 0) {
-    c.route.maybe_degrade();
-    c.policy->on_fase_begin(c.route.sink());
-  }
+  if (c.fase_depth++ == 0) c.policy->on_fase_begin(c.route.sink());
 }
 
 bool Runtime::fase_end() {
@@ -330,12 +305,10 @@ bool Runtime::fase_end() {
   NVC_REQUIRE(c.fase_depth > 0, "fase_end without matching fase_begin");
   if (--c.fase_depth != 0) return false;
   c.policy->on_fase_end(c.route.sink());
-  // The log commit is the atomic commit point. Commit suspension is checked
-  // after the policy's flushes above, which is where quarantine verdicts
-  // land; an uncommitted FASE leaves its touched lines dirty in the verify
-  // table — no checksum may vouch for content never committed. Without an
-  // undo log the FASE boundary itself is the commit point.
-  if (c.log && (!c.route.commit_allowed() || !c.log->commit())) return false;
+  // The log commit is the atomic commit point; without an undo log the
+  // FASE boundary itself is. Checksums are published only after it: no
+  // checksum may vouch for content never committed.
+  if (c.log) c.log->commit();
   publish_commit(c);
   return true;
 }
@@ -488,13 +461,6 @@ RuntimeStats Runtime::stats() const {
       s.log_bytes += c->log->bytes_logged();
       s.log_syncs += c->log->sync_points();
     }
-    if (const core::FaultStats* faults = c->route.faults()) {
-      s.transient_faults += faults->transients();
-      s.flush_retries += faults->retries();
-      s.quarantined_lines += faults->quarantined_count();
-      s.flush_degrades += c->route.flush_degraded() ? 1 : 0;
-      s.log_degrades += c->route.log_degraded() ? 1 : 0;
-    }
     s.elided_flushes += c->route.elided();
     s.elision_reflushes += c->route.reflushed();
     if (const std::size_t size = c->policy->current_cache_size(); size > 0) {
@@ -524,33 +490,7 @@ RuntimeStats Runtime::stats() const {
 }
 
 HealthReport Runtime::health() const {
-  std::lock_guard<std::mutex> lock(contexts_mutex_);
   HealthReport report;
-  report.faults_attached = injector_ != nullptr;
-  for (const auto& c : contexts_) {
-    const core::FaultStats* faults = c->route.faults();
-    if (faults == nullptr) continue;
-    report.transient_faults += faults->transients();
-    report.flush_retries += faults->retries();
-    const std::vector<LineAddr> lines = faults->quarantined_lines();
-    report.quarantined_lines.insert(report.quarantined_lines.end(),
-                                    lines.begin(), lines.end());
-    report.flush_degraded_contexts += c->route.flush_degraded() ? 1 : 0;
-    report.log_degraded_contexts += c->route.log_degraded() ? 1 : 0;
-    report.commit_suspended_contexts += c->route.commit_suspended() ? 1 : 0;
-  }
-  if (scrub_faults_ != nullptr) {
-    // Scrub-discovered media failures join the same quarantine ledger as
-    // write-path discoveries.
-    const std::vector<LineAddr> lines = scrub_faults_->quarantined_lines();
-    report.quarantined_lines.insert(report.quarantined_lines.end(),
-                                    lines.begin(), lines.end());
-  }
-  std::sort(report.quarantined_lines.begin(), report.quarantined_lines.end());
-  report.quarantined_lines.erase(
-      std::unique(report.quarantined_lines.begin(),
-                  report.quarantined_lines.end()),
-      report.quarantined_lines.end());
   report.wear_attached = wear_ != nullptr;
   if (wear_ != nullptr) {
     const pmem::WearStats ws = wear_->stats();
@@ -560,7 +500,7 @@ HealthReport Runtime::health() const {
     report.wear_leveling_skew = ws.leveling_skew;
   }
   {
-    std::lock_guard<std::mutex> rlock(recovery_mutex_);
+    std::lock_guard<std::mutex> lock(recovery_mutex_);
     report.recovery_ran = recovery_ran_;
     if (recovery_ran_) {
       report.recovery_outcome = last_recovery_.outcome;
@@ -574,7 +514,6 @@ HealthReport Runtime::health() const {
     report.scrub_lines_scanned = ss.lines_scanned;
     report.scrub_metadata_repairs = ss.metadata_repairs;
     report.scrub_checksum_mismatches = ss.checksum_mismatches;
-    report.scrub_media_quarantines = ss.media_quarantines;
   }
   return report;
 }

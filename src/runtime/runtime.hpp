@@ -27,9 +27,7 @@
 
 #include "common/types.hpp"
 #include "core/elision.hpp"
-#include "core/fault_sink.hpp"
 #include "core/policy.hpp"
-#include "pmem/fault.hpp"
 #include "pmem/flush.hpp"
 #include "pmem/pmem_alloc.hpp"
 #include "pmem/pmem_region.hpp"
@@ -78,14 +76,6 @@ struct RuntimeConfig {
   std::size_t log_segment_size = 1u << 20;
   std::size_t max_threads = 64;
 
-  /// Media-fault injection and tolerance (DESIGN.md §10). When
-  /// fault.enabled() the runtime owns a FaultInjector consulted by every
-  /// flush backend; when it can fail a write-back, the write-back route
-  /// gains its retry/quarantine stages and degradation latches (async→sync
-  /// flushing, batched→strict logging). Default-constructed = disabled:
-  /// the fault-free hot path is untouched.
-  pmem::FaultConfig fault;
-
   /// Endurance accounting (DESIGN.md §12): attach one shared
   /// pmem::WearTracker to every flush backend — application-thread and
   /// worker-side — so stats()/health() can report bytes written to media
@@ -102,10 +92,9 @@ struct RuntimeConfig {
 
   /// Online scrubbing (DESIGN.md §14): register a background
   /// Scrubber on the flush worker's idle hook — it re-reads the image
-  /// when the write-back rings are empty, repairs detectably corrupt
-  /// metadata from redundant copies, and quarantines lines the fault
-  /// model marks bad. Requires nothing else; combines with verify_data for
-  /// data-line checking.
+  /// when the write-back rings are empty and repairs detectably corrupt
+  /// metadata from redundant copies. Requires nothing else; combines with
+  /// verify_data for data-line checking.
   bool scrub = false;
 };
 
@@ -123,12 +112,6 @@ struct RuntimeStats {
                                    // adds none, DESIGN.md §7)
   std::uint64_t log_bytes = 0;
   std::uint64_t log_syncs = 0;     // log entry persists (epochs in kBatched)
-  // Media-fault tolerance (all zero when no injector is attached):
-  std::uint64_t transient_faults = 0;  // rejected write-back attempts
-  std::uint64_t flush_retries = 0;     // retry attempts issued
-  std::uint64_t quarantined_lines = 0; // lines that exhausted retries
-  std::uint64_t flush_degrades = 0;    // contexts latched async -> sync
-  std::uint64_t log_degrades = 0;      // contexts latched batched -> strict
   // Write admission (NVC_ADMIT; zero under the default `always` mode):
   std::uint64_t bypassed_stores = 0;   // stores written through past a cache
   // Flush elision (flush-behind only; zero under synchronous flushing):
@@ -203,9 +186,8 @@ class Runtime {
   void fase_begin();
 
   /// Leave a FASE; the outermost end flushes per policy and commits the log.
-  /// True when this end reached the commit point: the outermost end, with
-  /// the log commit (if logging) done. Inner ends, suspended commits
-  /// (quarantine) and failed commits return false.
+  /// True when this was the outermost end (the commit point); inner ends
+  /// return false.
   bool fase_end();
 
   /// Instrumented persistent store: logs the old value (if logging), applies
@@ -257,8 +239,8 @@ class Runtime {
   /// DESIGN.md §5 item 5) so this reader never writes a policy field.
   RuntimeStats stats() const;
 
-  /// Aggregate media-health view: fault counters, quarantined lines, and
-  /// which degradation latches have fired (runtime/health.hpp).
+  /// Aggregate health view: wear, the last recovery's verdict and the
+  /// scrubber's counters (runtime/health.hpp).
   HealthReport health() const;
 
   /// Drain this thread's context: flush anything buffered (program end).
@@ -290,10 +272,6 @@ class Runtime {
   /// Write back one queued line of slot `slot`'s flush ring (manual
   /// channels; false when none).
   bool pump_flush(std::size_t slot);
-  /// The media-fault injector (null unless config.fault.enabled()).
-  const std::shared_ptr<pmem::FaultInjector>& fault_injector() const noexcept {
-    return injector_;
-  }
   /// The shared flush-elision table (null unless config.async_flush).
   const std::shared_ptr<core::FlushElisionTable>& elision_table()
       const noexcept {
@@ -310,8 +288,7 @@ class Runtime {
   /// Append the next context slot (contexts_mutex_ held).
   ThreadContext& add_context();
   /// Every flush backend the runtime builds. Metered ones (per-context data,
-  /// log and worker side) carry the fault injector and the wear tracker;
-  /// unmetered ones (heap header, log format, recovery, scrub repairs) only
+  /// log and worker side) carry the wear tracker; unmetered ones (heap header, log format, recovery, scrub repairs) only
   /// reach the medium.
   pmem::FlushBackend make_backend(bool metered) const;
   /// One context's write-back route (runtime/write_back_route.hpp).
@@ -332,12 +309,9 @@ class Runtime {
 
   RuntimeConfig config_;
   Medium* medium_;
-  /// Media-fault decision source (null when config_.fault is disabled).
-  /// Shared: the worker-side backend inside a FlushChannel keeps a
-  /// reference, and a channel may outlive the Runtime.
-  std::shared_ptr<pmem::FaultInjector> injector_;
-  /// Endurance accounting (null unless config_.wear_tracking). Shared for
-  /// the same lifetime reason: worker-side backends hold a reference.
+  /// Endurance accounting (null unless config_.wear_tracking). Shared: the
+  /// worker-side backend inside a FlushChannel keeps a reference, and a
+  /// channel may outlive the Runtime.
   std::shared_ptr<pmem::WearTracker> wear_;
   /// Flush-elision table (null unless config_.async_flush). One table for
   /// all contexts — cross-thread dedup is the point — and shared because
@@ -354,11 +328,6 @@ class Runtime {
   /// Online scrubber (null unless config_.scrub). shared_ptr because the
   /// worker's idle hook tracks it via weak_ptr — destruction is deregistration.
   std::shared_ptr<Scrubber> scrubber_;
-  /// Quarantine destination for scrub discoveries (allocated only when an
-  /// armed injector exists). Separate from the per-context FaultStats —
-  /// scrub findings are global, not attributable to one thread — and merged
-  /// into health() alongside them.
-  std::shared_ptr<core::FaultStats> scrub_faults_;
   /// Most recent salvage report (guarded by recovery_mutex_).
   mutable std::mutex recovery_mutex_;
   RecoveryReport last_recovery_;

@@ -85,22 +85,11 @@ void Scrubber::scrub_data_batch() {
   if (data_ == nullptr || data_size_ < kCacheLineSize) return;
   const std::size_t total_lines = data_size_ / kCacheLineSize;
   const std::size_t batch = std::min(kBatchLines, total_lines);
-  const bool check_media = injector_ != nullptr && fault_stats_ != nullptr;
   for (std::size_t i = 0; i < batch; ++i) {
     const std::size_t idx = cursor_;
     cursor_ = (cursor_ + 1) % total_lines;
     if (cursor_ == 0) passes_.fetch_add(1, std::memory_order_relaxed);
     const char* line_bytes = data_ + idx * kCacheLineSize;
-    const LineAddr line = line_of(reinterpret_cast<PmAddr>(line_bytes));
-    if (check_media && injector_->line_bad(line) &&
-        !fault_stats_->quarantined(line)) {
-      // The persistent-fault model says this line's media is gone: poison
-      // it through the same FaultStats the write path uses, so commit
-      // suspension and HealthReport treat a scrub discovery exactly like a
-      // write-back discovery.
-      fault_stats_->quarantine(line);
-      media_quarantines_.fetch_add(1, std::memory_order_relaxed);
-    }
     if (table_ != nullptr && !table_->verify(idx, line_bytes)) {
       // Committed content no longer matches its commit-time checksum and
       // no store is in flight (dirty lines are not checkable). Data has no
@@ -136,7 +125,6 @@ ScrubStats Scrubber::stats() const {
   s.lines_scanned = lines_scanned_.load(std::memory_order_relaxed);
   s.metadata_repairs = metadata_repairs_.load(std::memory_order_relaxed);
   s.checksum_mismatches = checksum_mismatches_.load(std::memory_order_relaxed);
-  s.media_quarantines = media_quarantines_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -12,13 +12,10 @@
 //     compile-time log magic constant. Detectably corrupt metadata is
 //     *repaired* in place, written back and fenced (so the repair survives
 //     a crash), and counted.
-//   data lines — a batch of kBatchLines lines is swept per slice:
-//     lines the FaultInjector's persistent-fault model marks bad are
-//     quarantined into the PR 5 FaultStats machinery (commit suspension and
-//     HealthReport pick them up exactly as write-path quarantines), and —
-//     when verify_data is on — clean, committed lines are verified
-//     against their commit-time CRC32C; mismatches are counted and reported
-//     (data has no redundant copy to repair from; honesty over heroics).
+//   data lines — a batch of kBatchLines lines is swept per slice: when
+//     verify_data is on, clean, committed lines are verified against their
+//     commit-time CRC32C; mismatches are counted and reported (data has no
+//     redundant copy to repair from; honesty over heroics).
 //
 // Thread-safety: slices self-serialize on a try-lock (the worker's idle
 // slice and a manual step() never scrub concurrently; a busy scrubber is
@@ -35,9 +32,7 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "core/fault_sink.hpp"
 #include "core/flush_pipeline.hpp"
-#include "pmem/fault.hpp"
 #include "pmem/flush.hpp"
 #include "pmem/wear.hpp"
 #include "runtime/recovery.hpp"
@@ -50,7 +45,6 @@ struct ScrubStats {
   std::uint64_t lines_scanned = 0;
   std::uint64_t metadata_repairs = 0;
   std::uint64_t checksum_mismatches = 0;
-  std::uint64_t media_quarantines = 0;
 };
 
 class Scrubber final : public core::IdleTask {
@@ -73,14 +67,6 @@ class Scrubber final : public core::IdleTask {
   /// Commit-time data checksums (RuntimeConfig::verify_data).
   void set_verify_table(std::shared_ptr<const LineVerifyTable> table) {
     table_ = std::move(table);
-  }
-  /// Persistent-fault model: lines it marks bad are quarantined.
-  void set_injector(std::shared_ptr<pmem::FaultInjector> injector) {
-    injector_ = std::move(injector);
-  }
-  /// Quarantine destination (shared with the runtime's fault machinery).
-  void set_fault_stats(std::shared_ptr<core::FaultStats> stats) {
-    fault_stats_ = std::move(stats);
   }
   /// Endurance accounting: metadata repairs are media writes too.
   void set_wear(std::shared_ptr<pmem::WearTracker> wear) {
@@ -125,8 +111,6 @@ class Scrubber final : public core::IdleTask {
 
   std::mutex* header_lock_ = nullptr;
   std::shared_ptr<const LineVerifyTable> table_;
-  std::shared_ptr<pmem::FaultInjector> injector_;
-  std::shared_ptr<core::FaultStats> fault_stats_;
   std::shared_ptr<pmem::WearTracker> wear_;
 
   /// Serializes the worker's slices with manual steps (try-lock: a busy
@@ -143,7 +127,6 @@ class Scrubber final : public core::IdleTask {
   std::atomic<std::uint64_t> lines_scanned_{0};
   std::atomic<std::uint64_t> metadata_repairs_{0};
   std::atomic<std::uint64_t> checksum_mismatches_{0};
-  std::atomic<std::uint64_t> media_quarantines_{0};
 };
 
 }  // namespace nvc::runtime

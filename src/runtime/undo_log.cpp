@@ -54,32 +54,20 @@ UndoLog::UndoLog(void* base, std::size_t size, core::FlushSink* sink,
   }
 }
 
-bool UndoLog::persist(const void* p, std::size_t len) {
+void UndoLog::persist(const void* p, std::size_t len) {
   NVC_ASSERT(len > 0);
   const auto addr = reinterpret_cast<PmAddr>(p);
   const LineAddr first = line_of(addr);
   const LineAddr last = line_of(addr + len - 1);
-  bool ok = true;
-  // Attempt every line even after a failure (retry/quarantine accounting
-  // below the sink wants to see each one), then fence what did land.
-  for (LineAddr line = first; line <= last; ++line) {
-    ok = sink_->flush_line(line) && ok;
-  }
+  for (LineAddr line = first; line <= last; ++line) sink_->flush_line(line);
   sink_->drain();
-  return ok;
 }
 
-bool UndoLog::publish_state(std::uint32_t gen, std::uint64_t tail) {
+void UndoLog::publish_state(std::uint32_t gen, std::uint64_t tail) {
   // A single aligned 8-byte store: atomic with respect to power failure, so
   // generation and tail can never tear apart.
-  const std::uint64_t previous = header()->state;
   header()->state = pack_state(gen, tail);
-  if (persist(&header()->state, sizeof(header()->state))) return true;
-  // The durable header still holds `previous`: restore the volatile view
-  // to match so in-memory reads (tail(), walk_entries()) never run ahead
-  // of what a crash would leave behind.
-  header()->state = previous;
-  return false;
+  persist(&header()->state, sizeof(header()->state));
 }
 
 std::uint32_t UndoLog::entry_check(std::uint64_t addr_token, std::uint32_t len,
@@ -262,43 +250,30 @@ void UndoLog::record(std::uint64_t addr_token, const void* current_bytes,
   }
 }
 
-bool UndoLog::persist_entries() {
-  // Whatever the outcome, a persist may have written the open entry back:
-  // it must never grow again.
+void UndoLog::persist_entries() {
+  // A persist may write the open entry back: it must never grow again.
   open_entry_ = kNoOpenEntry;
-  if (appended_tail_ == synced_tail_) return true;
-  // A failed entry flush leaves the synced state untouched so the next
-  // persist (or a retry above us) covers the same range again.
-  if (!persist(base_ + synced_tail_, appended_tail_ - synced_tail_)) {
-    return false;
-  }
+  if (appended_tail_ == synced_tail_) return;
+  persist(base_ + synced_tail_, appended_tail_ - synced_tail_);
   synced_tail_ = appended_tail_;
   ++sync_points_;
-  return true;
 }
 
-bool UndoLog::sync() {
-  if (appended_tail_ == published_tail_) return true;
+void UndoLog::sync() {
+  if (appended_tail_ == published_tail_) return;
   // Entries must be durable before the tail that covers them.
-  if (!persist_entries()) return false;
-  if (!publish_state(gen_, synced_tail_)) return false;
+  persist_entries();
+  publish_state(gen_, synced_tail_);
   published_tail_ = synced_tail_;
-  return true;
 }
 
-bool UndoLog::commit() {
+void UndoLog::commit() {
   // Advancing the generation de-certifies every entry of this FASE in one
   // atomic durable store; unsynced entries are simply discarded.
   open_entry_ = kNoOpenEntry;
-  if (!publish_state(gen_ + 1, kHeaderSize)) {
-    // The durable header still certifies this generation's records; keep
-    // the volatile generation in step so recovery (which would roll the
-    // whole FASE back) and future records agree on it.
-    return false;
-  }
+  publish_state(gen_ + 1, kHeaderSize);
   ++gen_;
   appended_tail_ = synced_tail_ = published_tail_ = kHeaderSize;
-  return true;
 }
 
 }  // namespace nvc::runtime

@@ -111,28 +111,13 @@ class UndoLog final : public core::EpochLog {
 
   /// Epoch boundary (core::EpochLog): make every appended record durable
   /// and publish the durable tail covering them. O(1) no-op when nothing
-  /// has been appended since the last sync. Returns false when the log
-  /// media rejected a write-back: the pending entries (or the tail covering
-  /// them) are NOT durable, and callers must not flush data those entries
-  /// cover; the next sync retries whichever step failed.
-  bool sync() override;
+  /// has been appended since the last sync.
+  void sync() override;
 
   /// Commit: truncate the log durably and advance the generation (the
   /// FASE's updates become permanent; stale entry bytes left in the segment
-  /// no longer certify). A single flush+fence of the header word. Returns
-  /// false when the header write-back failed: the generation does NOT
-  /// advance (volatile and durable state are restored to the pre-commit
-  /// view), so the FASE stays uncommitted and recovery would roll it back.
-  bool commit();
-
-  /// Graceful degradation latch: switch a batched log to strict, per-record
-  /// durability. Callers sync() first so no appended entry is left behind
-  /// under the old discipline; no entry grows after the latch.
-  /// Irreversible by design.
-  void degrade_to_strict() noexcept {
-    mode_ = LogSyncMode::kStrict;
-    open_entry_ = kNoOpenEntry;
-  }
+  /// no longer certify). A single flush+fence of the header word.
+  void commit();
 
   /// Roll back every uncommitted record, newest first. `apply` restores the
   /// payload bytes at the location identified by the token. Walks the entry
@@ -166,11 +151,6 @@ class UndoLog final : public core::EpochLog {
   /// counted: they happen once per epoch in both modes.
   std::uint64_t sync_points() const noexcept { return sync_points_; }
   LogSyncMode mode() const noexcept { return mode_; }
-
-  /// The sink durability traffic goes through. The write-back route
-  /// interposes its retry stage here (runtime/write_back_route.hpp).
-  core::FlushSink* sink() const noexcept { return sink_; }
-  void set_sink(core::FlushSink* sink) noexcept { sink_ = sink; }
 
   static constexpr std::uint32_t kMaxPayload = 256;
   /// Largest payload a batched entry grows to by coalescing: head and
@@ -235,11 +215,11 @@ class UndoLog final : public core::EpochLog {
 
  private:
   LogHeader* header() const { return reinterpret_cast<LogHeader*>(base_); }
-  bool persist(const void* p, std::size_t len);
-  bool publish_state(std::uint32_t gen, std::uint64_t tail);
+  void persist(const void* p, std::size_t len);
+  void publish_state(std::uint32_t gen, std::uint64_t tail);
   /// Flush + fence the appended-but-not-durable entries; no tail publish.
-  /// Closes the open entry whatever the outcome.
-  bool persist_entries();
+  /// Closes the open entry.
+  void persist_entries();
   /// Batched coalescing: grow the open entry by [bytes, bytes+len) when the
   /// record continues its range and fits (file comment). False: append.
   bool extend_open_entry(std::uint64_t addr_token, const char* bytes,
@@ -260,8 +240,8 @@ class UndoLog final : public core::EpochLog {
   std::uint64_t synced_tail_ = kHeaderSize;     // durable entry prefix
   std::uint64_t published_tail_ = kHeaderSize;  // tail in the durable header
   /// Offset of the newest entry while it may still grow: set only by a
-  /// batched append, cleared by every persist attempt, commit(), format()
-  /// and degrade_to_strict(). Entries start past the header, so 0 is none.
+  /// batched append, cleared by every persist, commit() and format().
+  /// Entries start past the header, so 0 is none.
   static constexpr std::uint64_t kNoOpenEntry = 0;
   std::uint64_t open_entry_ = kNoOpenEntry;
   std::uint64_t records_ = 0;

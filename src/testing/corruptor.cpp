@@ -50,7 +50,7 @@ bool parse_corruption_kind(const char* name, CorruptionKind& kind) {
 }
 
 std::uint64_t ImageCorruptor::next() {
-  // splitmix64: the repo-wide seeded-stream idiom (see pmem/fault.hpp).
+  // splitmix64: the repo-wide seeded-stream idiom (see common/rng.hpp).
   std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ull);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;

@@ -4,14 +4,12 @@
 // output alone: when a property fails, the line that gtest prints has to
 // contain the exact environment that reproduces it. These helpers read the
 // seed knobs (NVC_SEED for the property suites, NVC_FUZZ_SEED for the
-// crash fuzzer, NVC_FAULT_* for the fault campaign) and format the replay
-// hints the tests attach via SCOPED_TRACE / assertion messages.
+// crash fuzzer) and format the replay hints the tests attach via
+// SCOPED_TRACE / assertion messages.
 #pragma once
 
 #include <cstdint>
 #include <string>
-
-#include "pmem/fault.hpp"
 
 namespace nvc::testing {
 
@@ -26,21 +24,11 @@ std::string replay_hint(const char* env_var, std::uint64_t seed);
 
 /// The fuzzer's one-line replay command: environment + ctest invocation
 /// that deterministically reproduces one (seed, mode, freeze) crash case.
-/// `fault_env` is the active NVC_FAULT_* fragment (fault_replay_env())
-/// when the run injects media faults — empty keeps the line unchanged.
+/// `env` is the campaign's own fragment (e.g. "NVC_ADMIT=reuse") when it
+/// pins a setting the replay needs — empty keeps the line unchanged.
 std::string fuzz_replay_line(std::uint64_t program_seed,
                              const std::string& mode_name,
                              std::uint64_t freeze_event,
-                             const std::string& fault_env = "");
-
-/// The fault campaign named by the environment: NVC_FAULT_RATE / _BAD_LINES /
-/// _TORN / _RETRIES / _DEGRADE_AFTER / _SEED (falling back to NVC_SEED) over
-/// FaultConfig's defaults — exactly the fields fault_replay_env() prints.
-pmem::FaultConfig fault_config_from_env();
-
-/// The "NVC_FAULT_RATE=... NVC_FAULT_SEED=..." fragment that
-/// fault_config_from_env() reads back into `fault`; empty when no fault
-/// class is enabled.
-std::string fault_replay_env(const pmem::FaultConfig& fault);
+                             const std::string& env = "");
 
 }  // namespace nvc::testing

@@ -79,10 +79,7 @@ namespace {
 class SimSink final : public core::FlushSink {
  public:
   explicit SimSink(hwsim::CoreSim* core) : core_(core) {}
-  bool flush_line(LineAddr line) override {
-    core_->flush(line);
-    return true;
-  }
+  void flush_line(LineAddr line) override { core_->flush(line); }
   void drain() override { core_->drain(); }
 
  private:

@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "common/assert.hpp"
-#include "pmem/fault.hpp"
 #include "pmem/pmem_alloc.hpp"
 
 namespace nvc::testing {
@@ -45,7 +44,7 @@ CrashRig::CrashRig(runtime::RuntimeConfig config, const CrashRigConfig& medium)
                   (config_.undo_logging
                        ? config_.max_threads * config_.log_segment_size
                        : 0),
-              medium_.tear_burst) {
+              medium_.tear_burst, medium_.tear_rate, medium_.tear_seed) {
   NVC_REQUIRE(medium_.data_lines >= 1);
   config_.region_size = region_bytes_;
   config_.fresh = true;
@@ -65,9 +64,6 @@ CrashRig::CrashRig(runtime::RuntimeConfig config, const CrashRigConfig& medium)
                 "the seeded elision bug needs async_flush");
     elision_->set_bug_revert_retire(true);
   }
-  // Media faults start with the script.
-  injector_ = rt_->fault_injector();
-  shadow_.set_fault_injector(injector_.get());
   shadow_.set_clock(true);
 }
 
@@ -113,15 +109,11 @@ void CrashRig::restart() {
   // event indices and drop — power failed with those writes in flight.
   rt_.reset();
   shadow_.crash();  // everything unflushed is gone
-  // The restarted machine runs off the clock, on fresh media: recovery's
-  // own write-backs must not fail, or a crashed-again-during-recovery
-  // model would leak into every oracle check (testing recovery-time faults
-  // is a separate scenario, driven explicitly).
+  // The restarted machine runs off the clock: nothing in recovery can be
+  // frozen away or torn.
   shadow_.set_clock(false);
-  shadow_.set_fault_injector(nullptr);
   runtime::RuntimeConfig reopen = config_;
   reopen.fresh = false;
-  reopen.fault = {};
   rt_ = std::make_unique<runtime::Runtime>(reopen, this);
   rt_->recover();
 }

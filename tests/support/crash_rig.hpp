@@ -12,8 +12,7 @@
 // with fresh=false over it, and run Runtime::recover().
 //
 // Setup traffic (heap and log formats, one pm_alloc'ed data block per
-// context, written back) runs before the clock starts and before media
-// faults attach.
+// context, written back) runs before the clock starts.
 #pragma once
 
 #include <cstdint>
@@ -33,6 +32,10 @@ struct CrashRigConfig {
   /// torn/dropped (the modeled write-queue depth; see
   /// pmem::ShadowPmem::flush_line).
   std::size_t tear_burst = 8;
+  /// Chance that a write-back in that burst lands torn rather than drops,
+  /// drawn per line from `tear_seed` (pmem::ShadowPmem::torn_bytes).
+  double tear_rate = 0.0;
+  std::uint64_t tear_seed = 1;
   /// With RuntimeConfig::async_flush: manual channels, written back only
   /// by pump_flush() and the helping drain (the fuzzer's configuration).
   bool manual_pipeline = false;
@@ -136,9 +139,7 @@ class CrashRig final : public runtime::Medium {
   void* log_region(std::size_t size) override;
   void store(void* dst, const void* src, std::size_t len) override;
   bool manual_flush() const override { return medium_.manual_pipeline; }
-  bool write_back(const void* addr) override {
-    return shadow_.write_back(addr);
-  }
+  void write_back(const void* addr) override { shadow_.write_back(addr); }
   void fence() override { shadow_.fence(); }
 
   PmAddr image_offset(const void* p) noexcept {
@@ -158,8 +159,7 @@ class CrashRig final : public runtime::Medium {
   pmem::ShadowPmem shadow_;
   /// Data block offsets in the image, one per context.
   std::vector<PmAddr> blocks_;
-  /// Kept from the original Runtime so they outlive the restart.
-  std::shared_ptr<pmem::FaultInjector> injector_;
+  /// Kept from the original Runtime so it outlives the restart.
   std::shared_ptr<core::FlushElisionTable> elision_;
   bool restarted_ = false;
   /// Declared last: destroyed (drained, sealed) while the image is alive.

@@ -292,25 +292,26 @@ TEST(CrashTearBurst, MultiLineTearWindowKeepsAllOrNothing) {
   // modeled write-queue depth, CrashRigConfig::tear_burst): a gapless run
   // of post-cut flushes freeze+1, freeze+2, ... each independently drops or
   // persists a torn prefix. Sweep every freeze point with tearing forced on
-  // (torn_rate = 1) and assert the all-or-nothing oracle survives — torn
+  // (tear_rate = 1) and assert the all-or-nothing oracle survives — torn
   // data lines are covered by undo records that were durable before the
   // flush, and torn log lines fail their check words, so neither can smuggle
   // uncommitted bytes past recovery. The sweep must also actually open a
   // multi-line window somewhere, or this test would be vacuous.
   for (const LogSyncMode mode :
        {LogSyncMode::kStrict, LogSyncMode::kBatched}) {
-    RuntimeConfig config = matrix_config(mode, false);
-    config.fault.torn_rate = 1.0;
-    config.fault.seed = 0x7ea2;
+    const RuntimeConfig config = matrix_config(mode, false);
+    CrashRigConfig medium = kMedium;
+    medium.tear_rate = 1.0;
+    medium.tear_seed = 0x7ea2;
 
-    CrashRig dry(config, kMedium);
+    CrashRig dry(config, medium);
     const auto snapshots = run_script(dry);
     const std::uint64_t total = dry.events();
     EXPECT_EQ(dry.torn_flushes(), 0u) << "no power cut, nothing may tear";
 
     std::uint64_t max_torn = 0;
     for (std::uint64_t e = 0; e <= total; ++e) {
-      CrashRig rig(config, kMedium);
+      CrashRig rig(config, medium);
       rig.freeze_at(e);
       (void)run_script(rig);
       const DataImage image = to_image(rig.recovered_data());
@@ -329,11 +330,11 @@ TEST(CrashTearBurst, MultiLineTearWindowKeepsAllOrNothing) {
 TEST(CrashTearBurst, DepthOneWindowNeverTearsTwice) {
   // tear_burst = 1 restores the historical model: only the single write-back
   // racing the cut may land torn.
-  RuntimeConfig config = matrix_config(LogSyncMode::kBatched, false);
-  config.fault.torn_rate = 1.0;
-  config.fault.seed = 0x7ea2;
+  const RuntimeConfig config = matrix_config(LogSyncMode::kBatched, false);
   CrashRigConfig medium = kMedium;
   medium.tear_burst = 1;
+  medium.tear_rate = 1.0;
+  medium.tear_seed = 0x7ea2;
 
   CrashRig dry(config, medium);
   const auto snapshots = run_script(dry);

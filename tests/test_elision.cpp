@@ -69,14 +69,13 @@ LineAddr collider_of(LineAddr held, std::size_t slots) {
 }
 
 /// Media stand-in: records each write-back it receives and whether the
-/// table still listed the line as pending at that moment; rejects
-/// `bad_line`; `on_write` runs inside each write-back.
+/// table still listed the line as pending at that moment; `on_write` runs
+/// inside each write-back.
 struct RecordingSink final : FlushSink {
-  bool flush_line(LineAddr line) override {
+  void flush_line(LineAddr line) override {
     written.push_back(line);
     if (table != nullptr) pending_at_write.push_back(table->pending(line));
     if (on_write) on_write(line);
-    return line != bad_line;
   }
   void drain() override { ++drains; }
   std::size_t writes_of(LineAddr line) const {
@@ -89,7 +88,6 @@ struct RecordingSink final : FlushSink {
   std::vector<LineAddr> written;
   std::vector<bool> pending_at_write;
   std::size_t drains = 0;
-  LineAddr bad_line = ~LineAddr{0};
 };
 
 /// One producer's flush-behind ring, run by hand: flush_line() queues,
@@ -98,10 +96,7 @@ struct RecordingSink final : FlushSink {
 /// and no other thread's.
 struct ManualRing final : FlushSink {
   explicit ManualRing(FlushSink* exec) : executor(exec) {}
-  bool flush_line(LineAddr line) override {
-    queued.push_back(line);
-    return true;
-  }
+  void flush_line(LineAddr line) override { queued.push_back(line); }
   void drain() override {
     run();
     executor->drain();
@@ -348,7 +343,7 @@ TEST(RetiringSink, RetiresBeforeTheWriteBackStarts) {
   RetiringSink sink(&media, table);
   ASSERT_EQ(table->announce(6), Announce::kOwner);
   ASSERT_EQ(table->announce(6), Announce::kElided);
-  EXPECT_TRUE(sink.flush_line(6));
+  sink.flush_line(6);
   ASSERT_EQ(media.written, std::vector<LineAddr>{6});
   EXPECT_FALSE(media.pending_at_write[0]) << "wrote before retiring";
   ASSERT_EQ(racing.size(), 1u);
@@ -357,20 +352,18 @@ TEST(RetiringSink, RetiresBeforeTheWriteBackStarts) {
   EXPECT_EQ(table->pending_count(), 0u);
 }
 
-TEST(RetiringSink, PassesTheVerdictAndDrainThroughAndStaysRetiredOnFailure) {
+TEST(RetiringSink, PassesTheDrainThroughAndAFreshAnnounceOwnsAgain) {
   auto table = std::make_shared<FlushElisionTable>();
   auto media = std::make_unique<RecordingSink>();
   RecordingSink* seen = media.get();
-  seen->bad_line = 8;
   RetiringSink sink(std::move(media), table);  // the worker side owns it
   ASSERT_EQ(table->announce(8), Announce::kOwner);
   ASSERT_EQ(table->announce(9), Announce::kOwner);
-  // A rejected write-back still retired first: the retry path rewrites the
-  // line, and an announce meanwhile owns a fresh write-back of its own.
-  EXPECT_FALSE(sink.flush_line(8));
+  // A retired line is free: the next announce owns a fresh write-back.
+  sink.flush_line(8);
   EXPECT_FALSE(table->pending(8));
   EXPECT_EQ(table->announce(8), Announce::kOwner);
-  EXPECT_TRUE(sink.flush_line(9));
+  sink.flush_line(9);
   EXPECT_FALSE(table->pending(9));
   EXPECT_EQ(seen->drains, 0u);
   sink.drain();
@@ -390,10 +383,10 @@ TEST(RetiringSink, UntrackedWriteBackLeavesTheSlotOwnerAlone) {
   ASSERT_EQ(table->announce(kHeld), Announce::kOwner);
   ASSERT_EQ(table->announce(kHeld), Announce::kElided);
   ASSERT_EQ(table->announce(other), Announce::kUntracked);
-  EXPECT_TRUE(sink.flush_line(other));
+  sink.flush_line(other);
   EXPECT_TRUE(table->pending(kHeld));
   EXPECT_EQ(table->stats().retires, 0u);
-  EXPECT_TRUE(sink.flush_line(kHeld));
+  sink.flush_line(kHeld);
   EXPECT_FALSE(table->pending(kHeld));
   EXPECT_EQ(media.written, (std::vector<LineAddr>{other, kHeld}));
   EXPECT_EQ(table->stats().retires, 1u);
@@ -405,10 +398,10 @@ TEST(ElidingSink, OwnerIsForwardedAndLaterAnnouncesAreSkipped) {
   auto table = std::make_shared<FlushElisionTable>();
   RecordingSink ring;
   ElidingSink sink(&ring, table);
-  EXPECT_TRUE(sink.flush_line(3));
-  EXPECT_TRUE(sink.flush_line(3));
-  EXPECT_TRUE(sink.flush_line(3));
-  EXPECT_TRUE(sink.flush_line(4));
+  sink.flush_line(3);
+  sink.flush_line(3);
+  sink.flush_line(3);
+  sink.flush_line(4);
   EXPECT_EQ(ring.written, (std::vector<LineAddr>{3, 4}));
   EXPECT_EQ(sink.elided_count(), 2u);
   EXPECT_EQ(sink.reflushed_count(), 0u);
@@ -437,17 +430,6 @@ TEST(ElidingSink, UntrackedLinesAreAlwaysForwarded) {
   EXPECT_EQ(sink.reflushed_count(), 0u);
   EXPECT_EQ(ring.drains, 1u);
   EXPECT_EQ(ring.written.size(), 7u);
-}
-
-TEST(ElidingSink, ReturnsTheInnerVerdictForForwardedLinesOnly) {
-  auto table = std::make_shared<FlushElisionTable>();
-  RecordingSink ring;
-  ring.bad_line = 12;
-  ElidingSink sink(&ring, table);
-  EXPECT_FALSE(sink.flush_line(12));  // owner: the ring rejected it
-  EXPECT_TRUE(sink.flush_line(12));   // elided: nothing was attempted
-  EXPECT_EQ(ring.writes_of(12), 1u);
-  EXPECT_TRUE(sink.flush_line(13));
 }
 
 TEST(ElidingSink, DrainWritesBackAnElidedLineWhoseOwnerHasNotStarted) {
@@ -785,7 +767,7 @@ TEST(ElisionPipelineThreads, EveryDrainFindsItsStoresWrittenOrIssued) {
   struct MediaWriter final : FlushSink {
     std::vector<Line>* payload;
     std::vector<Line>* media;
-    bool flush_line(LineAddr l) override {
+    void flush_line(LineAddr l) override {
       for (std::size_t p = 0; p < kProducers; ++p) {
         const std::uint64_t v =
             (*payload)[l][p].load(std::memory_order_relaxed);
@@ -793,7 +775,6 @@ TEST(ElisionPipelineThreads, EveryDrainFindsItsStoresWrittenOrIssued) {
         while (cur < v && !(*media)[l][p].compare_exchange_weak(cur, v)) {
         }
       }
-      return true;
     }
   };
   MediaWriter writer;
@@ -807,12 +788,11 @@ TEST(ElisionPipelineThreads, EveryDrainFindsItsStoresWrittenOrIssued) {
     nvc::SpscQueue<LineAddr> queue{64};
     std::uint64_t pushed = 0;
     std::atomic<std::uint64_t> executed{0};
-    bool flush_line(LineAddr line) override {
+    void flush_line(LineAddr line) override {
       for (LineAddr v = line; !queue.try_push(std::move(v));) {
         std::this_thread::yield();
       }
       ++pushed;
-      return true;
     }
     void drain() override {
       while (executed.load(std::memory_order_acquire) < pushed) {

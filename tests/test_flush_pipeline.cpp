@@ -1,9 +1,9 @@
 // The flush-behind pipeline (DESIGN.md §8): FlushChannel / FlushWorker /
 // AsyncFlushSink, including exactly-once and FIFO retirement with N
-// producers, one worker and helping drains. Runs under the `tsan` ctest
-// label — configure with -DNVC_SANITIZE=thread to check the producer/worker
-// handoff, the helping consumer, and the stats aggregation under
-// ThreadSanitizer.
+// producers, one worker and helping drains, and the drain watchdog. Runs
+// under the `tsan` ctest label — configure with -DNVC_SANITIZE=thread to
+// check the producer/worker handoff, the helping consumer, and the stats
+// aggregation under ThreadSanitizer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,10 +27,9 @@ namespace {
 /// Records every line it receives (mutex so worker and helper may both
 /// deliver); counts drains.
 struct RecordingSink final : FlushSink {
-  bool flush_line(LineAddr line) override {
+  void flush_line(LineAddr line) override {
     std::lock_guard<std::mutex> lock(mutex);
     lines.push_back(line);
-    return true;
   }
   void drain() override { ++drains; }
   std::vector<LineAddr> snapshot() const {
@@ -46,7 +45,7 @@ struct RecordingSink final : FlushSink {
 /// channel wants ownership; tests want to inspect).
 struct ForwardSink final : FlushSink {
   explicit ForwardSink(FlushSink* t) : target(t) {}
-  bool flush_line(LineAddr line) override { return target->flush_line(line); }
+  void flush_line(LineAddr line) override { target->flush_line(line); }
   void drain() override { target->drain(); }
   FlushSink* target;
 };
@@ -55,12 +54,12 @@ struct ForwardSink final : FlushSink {
 /// while that consumer holds the channel's consumer lock.
 struct GateSink final : FlushSink {
   explicit GateSink(FlushSink* t) : target(t) {}
-  bool flush_line(LineAddr line) override {
+  void flush_line(LineAddr line) override {
     entered.store(true, std::memory_order_release);
     while (!release.load(std::memory_order_acquire)) {
       std::this_thread::yield();
     }
-    return target->flush_line(line);
+    target->flush_line(line);
   }
   void drain() override {}
   std::atomic<bool> entered{false};
@@ -76,7 +75,7 @@ struct DestructionFlagSink final : FlushSink {
   ~DestructionFlagSink() override {
     destroyed->store(true, std::memory_order_release);
   }
-  bool flush_line(LineAddr line) override { return target->flush_line(line); }
+  void flush_line(LineAddr line) override { target->flush_line(line); }
   void drain() override {}
   FlushSink* target;
   std::atomic<bool>* destroyed;
@@ -95,9 +94,9 @@ bool wait_until(const std::function<bool()>& done,
 /// Sink whose flushes take a while — fills the ring faster than it drains.
 struct SlowSink final : FlushSink {
   explicit SlowSink(FlushSink* t) : target(t) {}
-  bool flush_line(LineAddr line) override {
+  void flush_line(LineAddr line) override {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
-    return target->flush_line(line);
+    target->flush_line(line);
   }
   FlushSink* target;
 };
@@ -189,7 +188,7 @@ TEST(AsyncFlushSink, InflightIsExactOnAManualChannelAcrossWraparound) {
     const LineAddr a = next++;
     const LineAddr b = next++;
     const LineAddr c = next++;
-    for (const LineAddr l : {a, b, c}) ASSERT_TRUE(sink.flush_line(l));
+    for (const LineAddr l : {a, b, c}) sink.flush_line(l);
     EXPECT_TRUE(sink.maybe_inflight(a));
     EXPECT_TRUE(sink.maybe_inflight(c));
     EXPECT_FALSE(sink.maybe_inflight(next));
@@ -235,10 +234,9 @@ TEST(AsyncFlushSink, LogSyncHappensAtEnqueueTime) {
   // LogOrderedSink wraps the async sink: the epoch-log sync must run on the
   // enqueuing thread before the line can enter the ring.
   struct CountingLog final : EpochLog {
-    bool sync() override {
+    void sync() override {
       ++syncs;
       thread = std::this_thread::get_id();
-      return true;
     }
     std::uint64_t syncs = 0;
     std::thread::id thread{};
@@ -663,6 +661,70 @@ TEST(FlushWorker, SharedWorkerIsOneInstanceAcrossThreads) {
   b.join();
   EXPECT_EQ(seen[0], seen[1]);
   EXPECT_EQ(seen[0], &FlushWorker::shared());
+}
+
+// --------------------------------------------------------------------------
+// Flush-drain watchdog: a wedged consumer is diagnosed, never aborted, and
+// the helping drain still completes.
+// --------------------------------------------------------------------------
+
+/// Blocks its first flush until the channel's drain watchdog has fired,
+/// modeling a worker wedged mid-write-back while holding the consumer lock.
+struct WedgedSink final : FlushSink {
+  void flush_line(LineAddr) override {
+    entered.store(true, std::memory_order_release);
+    const FlushChannel* ch = channel.load(std::memory_order_acquire);
+    while (ch == nullptr || ch->stall_warnings() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      ch = channel.load(std::memory_order_acquire);
+    }
+  }
+  void drain() override {}
+  std::atomic<bool> entered{false};
+  std::atomic<const FlushChannel*> channel{nullptr};
+};
+
+TEST(FlushDrainWatchdog, DiagnosesStalledConsumerAndKeepsHelping) {
+  // The watchdog is always armed at FlushChannel::kDrainWatchdogMs, so this
+  // case takes about one period.
+  auto owned = std::make_unique<WedgedSink>();
+  WedgedSink* wedged = owned.get();
+  auto channel =
+      FlushWorker::shared().open_manual_channel(std::move(owned), 16);
+  wedged->channel.store(channel.get(), std::memory_order_release);
+
+  for (LineAddr l = 1; l <= 4; ++l) ASSERT_TRUE(channel->try_push(l));
+  // The "worker": grabs the consumer lock and wedges inside the sink until
+  // the watchdog fires.
+  std::thread worker([&] { channel->pump_one(); });
+  while (!wedged->entered.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+
+  // The producer's completion ticket cannot make progress (lock held) until
+  // the watchdog unwedges the sink; it must diagnose, keep helping, and
+  // finish the drain rather than aborting.
+  channel->wait_drained();
+  worker.join();
+  EXPECT_GE(channel->stall_warnings(), 1u);
+  EXPECT_EQ(channel->flushed(), channel->pushed());
+  channel->close();
+}
+
+/// Accepts everything (the silent-path control below).
+struct AcceptSink final : FlushSink {
+  void flush_line(LineAddr) override {}
+  void drain() override {}
+};
+
+TEST(FlushDrainWatchdog, SilentWhenDraining) {
+  auto channel = FlushWorker::shared().open_manual_channel(
+      std::make_unique<AcceptSink>(), 16);
+  for (LineAddr l = 1; l <= 8; ++l) ASSERT_TRUE(channel->try_push(l));
+  channel->wait_drained();  // helping consumer drains everything itself
+  EXPECT_EQ(channel->stall_warnings(), 0u);
+  EXPECT_EQ(channel->flushed(), 8u);
+  channel->close();
 }
 
 }  // namespace

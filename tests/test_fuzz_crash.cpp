@@ -9,7 +9,7 @@
 //     log protocol      strict | batched     (LogSyncMode)
 //     data write-backs  sync   | flush-behind pipeline (with flush elision)
 //
-// — and, under injected faults and write admission, both sampler
+// — and, under torn write-backs and write admission, both sampler
 // hibernations (the rig's counted one and the shipped forever one) — with
 // the durable image frozen at randomized event indices. For every
 // crash point, the DurabilityOracle gives the only legal outcomes: each
@@ -237,16 +237,18 @@ std::vector<std::uint64_t> freeze_points(std::uint64_t total,
 /// The freeze sweep every campaign shares: at each of freeze_points(),
 /// every context must recover the image after SOME committed FASE, and —
 /// the execution being deterministic — the matched commit index must be
-/// monotone in the freeze point. `dimension` (" under injected faults", …)
+/// monotone in the freeze point. `dimension` (" with torn write-backs", …)
 /// and the replay fragment `env` go into failure messages; `last_index`
-/// receives the last commit index matched per context.
+/// receives the last commit index matched per context, and `torn` (when
+/// set) the write-backs that landed torn over the whole sweep.
 void sweep_freeze_points(const runtime::RuntimeConfig& config,
                          const CrashRigConfig& medium,
                          const FuzzProgram& program,
                          const DurabilityOracle& oracle, std::uint64_t total,
                          const std::string& mode, const std::string& dimension,
                          const std::string& env,
-                         std::vector<int>& last_index) {
+                         std::vector<int>& last_index,
+                         std::uint64_t* torn = nullptr) {
   last_index.assign(program.contexts, -1);
   for (const std::uint64_t e : freeze_points(total, program.seed)) {
     CrashRig rig(config, medium);
@@ -265,6 +267,7 @@ void sweep_freeze_points(const runtime::RuntimeConfig& config,
           << "\n  " << fuzz_replay_line(program.seed, mode, e, env);
       last_index[c] = index;
     }
+    if (torn != nullptr) *torn += rig.torn_flushes();
   }
 }
 
@@ -502,7 +505,7 @@ TEST(FuzzDeterminism, WorkersCannotPerturbManualReplays) {
 
   core::FlushWorker flush_worker;
   struct NullSink final : core::FlushSink {
-    bool flush_line(LineAddr) override { return true; }
+    void flush_line(LineAddr) override {}
   };
   auto noisy_flush =
       flush_worker.open_channel(std::make_unique<NullSink>(), 64);
@@ -532,39 +535,24 @@ TEST(FuzzDeterminism, WorkersCannotPerturbManualReplays) {
 }
 
 // --------------------------------------------------------------------------
-// The fault dimension: the same sweep under injected media faults.
+// The torn dimension: the same sweep with the write-backs racing each power
+// cut landing torn (DESIGN.md §9).
 // --------------------------------------------------------------------------
 
-/// Fault campaign configuration: NVC_FAULT_* from the environment when the
-/// operator set any (the replay path — failure messages print the active
-/// fragment), otherwise defaults noisy enough that every failure class and
-/// every degradation latch fires somewhere in the campaign. The injector
-/// seed derives from the program seed so each iteration explores different
-/// fault placements yet replays bit-for-bit.
-pmem::FaultConfig fault_fuzz_config(std::uint64_t program_seed) {
-  pmem::FaultConfig fault = fault_config_from_env();
-  if (!fault.enabled()) {
-    fault.rate = 0.08;           // transient per-attempt failure probability
-    fault.bad_line_rate = 0.05;  // permanently bad media lines
-    fault.torn_rate = 0.5;       // the crash-point write-back tears
-    fault.max_retries = 3;
-    fault.degrade_after = 4;
-  }
-  // Virtual time: a retry must not busy-wait on the fuzzing thread (with
-  // zero backoff a retry is just another deterministic attempt).
-  fault.backoff_ns = 0;
-  fault.backoff_cap_ns = 0;
-  if (env_str("NVC_FAULT_SEED", "").empty() &&
-      env_str("NVC_SEED", "").empty()) {
-    std::uint64_t sm = program_seed ^ 0xfa17c0defa17c0deULL;
-    fault.seed = splitmix64(sm);
-  }
-  return fault;
+/// The torn campaign's medium: half the write-backs in a tear window land
+/// torn. The tear seed derives from the program seed, so each program tears
+/// different lines yet replays bit-for-bit from NVC_FUZZ_SEED alone.
+CrashRigConfig torn_medium(const FuzzProgram& program) {
+  CrashRigConfig medium = fuzz_medium(program);
+  medium.tear_rate = 0.5;
+  std::uint64_t sm = program.seed ^ 0xfa17c0defa17c0deULL;
+  medium.tear_seed = splitmix64(sm);
+  return medium;
 }
 
-class FaultFuzzCrash : public ::testing::TestWithParam<FuzzMode> {};
+class TornFuzzCrash : public ::testing::TestWithParam<FuzzMode> {};
 
-TEST_P(FaultFuzzCrash, DegradedRunsStillRecoverCommittedPrefixes) {
+TEST_P(TornFuzzCrash, TornRunsStillRecoverCommittedPrefixes) {
   const FuzzMode mode = GetParam();
   const std::string only = env_str("NVC_FUZZ_MODE", "");
   if (!only.empty() && only != mode_name(mode)) {
@@ -572,76 +560,47 @@ TEST_P(FaultFuzzCrash, DegradedRunsStillRecoverCommittedPrefixes) {
   }
 
   const SeedPlan plan = seed_plan(/*default_iters=*/4);
-  // Campaign aggregates: the defaults must actually exercise quarantine and
-  // the degradation latches, not just survive them (asserted below).
-  std::uint64_t quarantined = 0;
-  std::uint64_t flush_degrades = 0;
-  std::uint64_t log_degrades = 0;
-  std::uint64_t suspensions = 0;
+  std::uint64_t torn_total = 0;
   for (std::uint64_t iter = 0; iter < plan.iters; ++iter) {
     const std::uint64_t seed = plan.seed(iter);
     const FuzzProgram program = generate_program(seed);
     const DurabilityOracle oracle(program);
-    const pmem::FaultConfig fault = fault_fuzz_config(seed);
-    const std::string fault_env = fault_replay_env(fault);
+    const runtime::RuntimeConfig rig_config =
+        fuzz_runtime_config(program, mode);
+    const CrashRigConfig medium = torn_medium(program);
 
-    runtime::RuntimeConfig rig_config = fuzz_runtime_config(program, mode);
-    rig_config.fault = fault;
-
-    // Probe run, never frozen: learns the event count and checks the
-    // no-crash contract under faults — commits may be suspended, so the
-    // recovered image matches SOME committed FASE of the context (not
-    // necessarily the last one, as in the fault-free sweep).
-    CrashRig probe(rig_config, fuzz_medium(program));
+    // Probe run, never frozen: without a power cut nothing tears, so the
+    // uninterrupted run recovers the final commit.
+    CrashRig probe(rig_config, medium);
     run_program(probe, program);
     const std::uint64_t total = probe.events();
-    const runtime::RuntimeStats st = probe.stats();
-    quarantined += st.quarantined_lines;
-    flush_degrades += st.flush_degrades;
-    log_degrades += st.log_degrades;
-    suspensions += probe.runtime().health().commit_suspended_contexts;
     for (std::size_t c = 0; c < program.contexts; ++c) {
-      ASSERT_GE(oracle.match(c, probe.recovered_data(c)), 0)
-          << "ctx " << c << ": uninterrupted faulty run recovered a state "
-          << "matching no committed FASE\n  "
-          << fuzz_replay_line(seed, mode_name(mode), total, fault_env);
+      ASSERT_EQ(probe.recovered_data(c), oracle.final_committed(c))
+          << "ctx " << c << ": uninterrupted run lost committed data\n  "
+          << fuzz_replay_line(seed, mode_name(mode), total);
     }
 
-    // Injector decisions are pure in (seed, line, attempt ordinal), so the
-    // pre-freeze execution — fault outcomes included — is identical at
-    // every freeze point and durability must still be monotone.
+    // Tear decisions are pure in (tear seed, line), so the pre-freeze
+    // execution is identical at every freeze point and durability must
+    // still be monotone.
     std::vector<int> last_index;
-    sweep_freeze_points(rig_config, fuzz_medium(program), program, oracle,
-                        total, mode_name(mode), " under injected faults",
-                        fault_env, last_index);
+    sweep_freeze_points(rig_config, medium, program, oracle, total,
+                        mode_name(mode), " with torn write-backs", "",
+                        last_index, &torn_total);
     if (::testing::Test::HasFatalFailure()) return;
   }
 
-  // Campaign-coverage asserts (deterministic: seeds derive from the fixed
-  // base). Skipped on pinned replays / operator overrides, where the
-  // campaign is deliberately partial.
-  const bool pinned = fuzz_seed_pinned() ||
-                      env_int("NVC_FUZZ_FREEZE", -1) >= 0 ||
-                      fault_config_from_env().enabled() ||
-                      !env_str("NVC_SEED", "").empty() ||
-                      env_int("NVC_FUZZ_ITERS", -1) >= 0;
-  if (pinned) return;
-  EXPECT_GT(quarantined, 0u)
-      << "fault campaign never quarantined a line; the bad-line rate no "
-      << "longer exercises retry exhaustion";
-  EXPECT_EQ(quarantined > 0, suspensions > 0)
-      << "quarantine and commit suspension must latch together";
-  if (mode.async_flush) {
-    EXPECT_GT(flush_degrades, 0u)
-        << "no context latched async->sync under a noisy medium";
-  }
-  if (mode.log == runtime::LogSyncMode::kBatched) {
-    EXPECT_GT(log_degrades, 0u)
-        << "no context latched batched->strict under a noisy medium";
+  // Campaign coverage (deterministic seeds): the sweep is only meaningful
+  // if some write-back actually landed torn. Skipped on pinned replays,
+  // where the campaign is deliberately partial.
+  if (!fuzz_seed_pinned() && env_int("NVC_FUZZ_FREEZE", -1) < 0 &&
+      env_int("NVC_FUZZ_ITERS", -1) < 0) {
+    EXPECT_GT(torn_total, 0u)
+        << "the torn campaign never tore a write-back";
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllModes, FaultFuzzCrash,
+INSTANTIATE_TEST_SUITE_P(AllModes, TornFuzzCrash,
                          ::testing::ValuesIn(kHibernationModes), test_name);
 
 // --------------------------------------------------------------------------
@@ -680,8 +639,8 @@ TEST_P(AdmitFuzzCrash, BypassedLinesKeepTheDurabilityContract) {
       runtime::RuntimeConfig rig_config = fuzz_runtime_config(program, mode);
       rig_config.policy_config.admission.mode = admit;
 
-      // Probe run, never frozen: no faults are injected, so even with
-      // bypasses the uninterrupted run must recover the final commit.
+      // Probe run, never frozen: even with bypasses the uninterrupted run
+      // must recover the final commit.
       CrashRig probe(rig_config, fuzz_medium(program));
       run_program(probe, program);
       const std::uint64_t total = probe.events();

@@ -6,7 +6,9 @@
 #include <cstring>
 #include <string>
 #include <unistd.h>
+#include <vector>
 
+#include "common/cpu.hpp"
 #include "common/types.hpp"
 #include "pmem/flush.hpp"
 #include "pmem/pmem_alloc.hpp"
@@ -56,15 +58,26 @@ TEST(FlushBackend, FlushRangeCoversEveryLine) {
 
 TEST(FlushBackend, RealInstructionsExecuteWhenSupported) {
   // Whichever hardware kind is available must execute without faulting on
-  // ordinary memory (DRAM emulation, as in the paper).
+  // ordinary memory (DRAM emulation, as in the paper), through both the
+  // synchronous flush() and the posted issue().
+  const CpuFeatures& cpu = cpu_features();
   alignas(64) volatile char buf[64] = {};
   for (FlushKind kind : {FlushKind::kClflush, FlushKind::kClflushopt,
                          FlushKind::kClwb, FlushKind::kSimulated}) {
     FlushBackend b(kind, /*simulated_latency_ns=*/10);
+    const bool reported = (kind == FlushKind::kClflush && cpu.clflush) ||
+                          (kind == FlushKind::kClflushopt && cpu.clflushopt) ||
+                          (kind == FlushKind::kClwb && cpu.clwb) ||
+                          kind == FlushKind::kSimulated;
+    EXPECT_EQ(b.kind(), reported ? kind : FlushKind::kSimulated);
     buf[0] = 1;
     b.flush(const_cast<const char*>(buf));
     b.fence();
     EXPECT_EQ(b.flush_count(), 1u);
+    buf[0] = 2;
+    b.issue(const_cast<const char*>(buf));
+    b.fence();
+    EXPECT_EQ(b.flush_count(), 2u);
   }
 }
 
@@ -325,8 +338,8 @@ TEST(ShadowPmem, EventClockCutsPowerAtTheFreezePoint) {
   mem.set_clock(true);
   mem.freeze_at(2);
   mem.store_value<int>(64, 2);                            // event 1
-  EXPECT_TRUE(mem.write_back(mem.volatile_base() + 64));  // event 2 lands
-  EXPECT_TRUE(mem.flush_line(0));  // event 3: power is off, silently lost
+  mem.write_back(mem.volatile_base() + 64);  // event 2 lands
+  mem.flush_line(0);  // event 3: power is off, silently lost
   EXPECT_EQ(mem.events(), 3u);
   EXPECT_EQ(mem.durable_value<int>(64), 2);
   EXPECT_EQ(mem.durable_value<int>(0), 0);
@@ -334,6 +347,51 @@ TEST(ShadowPmem, EventClockCutsPowerAtTheFreezePoint) {
   mem.store_value<int>(0, 3);
   mem.flush_line(0);
   EXPECT_EQ(mem.durable_value<int>(0), 3);
+}
+
+TEST(ShadowPmem, TornBytesAreAlignedPureAndGated) {
+  // Tear rate 1: every post-cut write-back in the window tears.
+  const ShadowPmem always(4 * kCacheLineSize, 8, /*tear_rate=*/1.0,
+                          /*tear_seed=*/7);
+  for (LineAddr line = 0; line < 64; ++line) {
+    const std::size_t bytes = always.torn_bytes(line);
+    EXPECT_GE(bytes, 8u) << "line " << line;
+    EXPECT_LE(bytes, 56u) << "line " << line;
+    EXPECT_EQ(bytes % 8, 0u) << "line " << line;        // ADR atomicity unit
+    EXPECT_EQ(bytes, always.torn_bytes(line));          // pure: no ordinal
+  }
+  const ShadowPmem never(4 * kCacheLineSize, 8, /*tear_rate=*/0.0,
+                         /*tear_seed=*/7);
+  for (LineAddr line = 0; line < 64; ++line) {
+    EXPECT_EQ(never.torn_bytes(line), 0u);
+  }
+}
+
+TEST(ShadowPmem, TornFlushPersistsAlignedPrefixAndKeepsLineDirty) {
+  ShadowPmem shadow(4 * kCacheLineSize);
+  std::vector<std::uint8_t> pattern(kCacheLineSize);
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<std::uint8_t>(0xA0 + i);
+  }
+  shadow.store(0, pattern.data(), pattern.size());
+  shadow.flush_line_torn(0, 16);
+  EXPECT_EQ(shadow.torn_flushes(), 1u);
+  std::vector<std::uint8_t> durable(kCacheLineSize);
+  shadow.load_durable(0, durable.data(), durable.size());
+  for (std::size_t i = 0; i < 16; ++i) {
+    EXPECT_EQ(durable[i], pattern[i]) << "torn-in byte " << i;
+  }
+  for (std::size_t i = 16; i < kCacheLineSize; ++i) {
+    EXPECT_EQ(durable[i], 0) << "byte " << i << " leaked past the tear";
+  }
+  EXPECT_TRUE(shadow.line_dirty(0));  // the rest is still unpersisted
+
+  // While frozen, a full flush is dropped but the torn path still lands —
+  // it models the write-back racing the power cut itself.
+  shadow.freeze_at(shadow.events());
+  shadow.flush_line(1);  // dropped
+  shadow.flush_line_torn(1, 8);
+  EXPECT_EQ(shadow.torn_flushes(), 2u);
 }
 
 TEST(ShadowPmem, CountsStoresAndFlushes) {

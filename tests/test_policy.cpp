@@ -26,10 +26,7 @@ namespace {
 
 class RecordingSink final : public FlushSink {
  public:
-  bool flush_line(LineAddr line) override {
-    flushed.push_back(line);
-    return true;
-  }
+  void flush_line(LineAddr line) override { flushed.push_back(line); }
   void drain() override { ++drains; }
   std::vector<LineAddr> flushed;
   int drains = 0;
@@ -1033,7 +1030,7 @@ INSTANTIATE_TEST_SUITE_P(
 class ShadowSink final : public FlushSink {
  public:
   explicit ShadowSink(pmem::ShadowPmem* mem) : mem_(mem) {}
-  bool flush_line(LineAddr line) override { return mem_->flush_line(line); }
+  void flush_line(LineAddr line) override { mem_->flush_line(line); }
 
  private:
   pmem::ShadowPmem* mem_;

@@ -47,9 +47,9 @@ struct ShadowLog {
     explicit Sink(pmem::ShadowPmem* s)
         : shadow(s),
           shift(line_of(reinterpret_cast<PmAddr>(s->volatile_base()))) {}
-    bool flush_line(LineAddr line) override {
+    void flush_line(LineAddr line) override {
       lines.push_back(line - shift);
-      return shadow->flush_line(line - shift);
+      shadow->flush_line(line - shift);
     }
     void drain() override { ++fences; }
 
@@ -102,7 +102,7 @@ TEST_F(LogFixture, RecordAdvancesTailAndNeedsRecovery) {
   EXPECT_GT(log.appended_tail(), UndoLog::kHeaderSize);
   EXPECT_EQ(log.tail(), UndoLog::kHeaderSize);
   EXPECT_EQ(log.records(), 1u);
-  EXPECT_TRUE(log.sync());
+  log.sync();
   EXPECT_EQ(log.tail(), log.appended_tail());
 }
 
@@ -205,7 +205,7 @@ TEST_F(LogFixture, StrictRecordPersistsEntryBeforeTail) {
 
   s.sink.lines.clear();
   s.sink.fences = 0;
-  EXPECT_TRUE(s.log.sync());
+  s.log.sync();
   EXPECT_EQ(s.sink.lines, std::vector<LineAddr>{0});
   EXPECT_EQ(s.sink.fences, 1u);
   EXPECT_EQ(s.log.tail(), s.log.appended_tail());
@@ -245,8 +245,8 @@ TEST(UndoLogDurability, DurableImageCertifiesEveryStrictRecordAtReturn) {
       // Most epochs end in a sync (a data write-back); some commit with
       // the tail never published past the entries.
       if (rng.below(4) != 0) {
-        EXPECT_TRUE(s.log.sync());
-        EXPECT_TRUE(s.log.sync());  // nothing pending: no header write
+        s.log.sync();
+        s.log.sync();  // nothing pending: no header write
         if (unpublished) ++epochs;
         unpublished = false;
         const UndoLog::Inspection ins = s.durable();
@@ -254,7 +254,7 @@ TEST(UndoLogDurability, DurableImageCertifiesEveryStrictRecordAtReturn) {
         EXPECT_EQ(ins.certified_extent, s.log.appended_tail()) << round;
       }
       if (rng.below(2) == 0) {
-        EXPECT_TRUE(s.log.commit());
+        s.log.commit();
         ++commits;
         records_at_commit = s.log.records();
         unpublished = false;
@@ -521,7 +521,7 @@ TEST(UndoLogLayout, StrictEntriesOfUpToALineNeverSpanTwoLines) {
   std::size_t checked = 0;
   for (int r = 0; r < 2000; ++r) {
     if (s.log.appended_tail() + kCacheLineSize > ShadowLog::kSize) {
-      ASSERT_TRUE(s.log.commit());
+      s.log.commit();
     }
     const std::size_t len = 1 + rng.below(48);
     const std::uint64_t at = s.log.appended_tail();
@@ -553,7 +553,7 @@ TEST_F(LogFixture, BatchedEntriesKeepThePackedLayout) {
     off = append_packed_entry(expected.data(), off, token, payload.data(), len,
                               /*gen=*/1);
   }
-  EXPECT_TRUE(log.sync());
+  log.sync();
   ASSERT_EQ(log.appended_tail(), off);
   EXPECT_EQ(std::memcmp(buffer.get() + UndoLog::kHeaderSize,
                         expected.data() + UndoLog::kHeaderSize,
@@ -562,34 +562,6 @@ TEST_F(LogFixture, BatchedEntriesKeepThePackedLayout) {
   const UndoLog::Inspection ins = UndoLog::inspect(buffer.get(), kSize);
   EXPECT_EQ(ins.offsets.size(), 13u);
   EXPECT_EQ(padded_entries(buffer.get(), ins.offsets), 0u);
-}
-
-TEST_F(LogFixture, BatchedLogDegradedMidFaseRollsBackEveryRecord) {
-  // The degradation latch turns a batched log strict inside a FASE: packed
-  // entries, then padded ones, in one chain that walks and rolls back whole.
-  UndoLog log = make_log(LogSyncMode::kBatched);
-  log.format();
-  std::vector<std::uint64_t> tokens;
-  std::vector<char> payload(40, 'd');
-  const auto append = [&](std::size_t len) {
-    tokens.push_back(64 * tokens.size());
-    log.record(tokens.back(), payload.data(), len);
-  };
-  for (int i = 0; i < 5; ++i) append(8);
-  EXPECT_TRUE(log.sync());
-  log.degrade_to_strict();
-  for (const std::size_t len : {8, 8, 8, 40, 8, 13, 40, 8}) append(len);
-
-  const UndoLog::Inspection ins = UndoLog::inspect(buffer.get(), kSize);
-  ASSERT_EQ(ins.offsets.size(), tokens.size());
-  EXPECT_EQ(ins.certified_extent, log.appended_tail());
-  EXPECT_GE(padded_entries(buffer.get(), ins.offsets), 2u);
-
-  std::vector<std::uint64_t> rolled;
-  EXPECT_EQ(log.rollback([&](std::uint64_t token, const void*,
-                             std::uint32_t) { rolled.push_back(token); }),
-            tokens.size());
-  EXPECT_EQ(rolled, std::vector<std::uint64_t>(tokens.rbegin(), tokens.rend()));
 }
 
 /// Salvage a copy of one log segment over the headerless raw cells `data`,
@@ -717,13 +689,6 @@ std::vector<std::uint32_t> entry_lens(const char* seg, std::size_t size) {
   return lens;
 }
 
-/// A sink whose write-backs can be made to fail.
-struct FailingSink final : core::FlushSink {
-  bool flush_line(LineAddr) override { return !fail; }
-  void drain() override {}
-  bool fail = false;
-};
-
 TEST_F(LogFixture, BatchedAdjacentRecordsCoalesceIntoOneEntry) {
   UndoLog log = make_log(LogSyncMode::kBatched);
   log.format();
@@ -800,32 +765,20 @@ TEST_F(LogFixture, BatchedCoalescingStopsAtEachLimit) {
               log.record(41, v.data(), 8);
             }),
             (Lens{41, 8}));
-  // A sync persists the entry; commit() ends its generation; a failed sync
-  // may have written it back too.
+  // A sync persists the entry; commit() ends its generation.
   EXPECT_EQ(lens_after([&](UndoLog& log) {
               log.record(0, v.data(), 8);
-              EXPECT_TRUE(log.sync());
+              log.sync();
               log.record(8, v.data(), 8);
             }),
             (Lens{8, 8}));
   EXPECT_EQ(lens_after([&](UndoLog& log) {
               log.record(0, v.data(), 8);
-              EXPECT_TRUE(log.commit());
+              log.commit();
               log.record(8, v.data(), 8);
               log.record(16, v.data(), 8);
             }),
             (Lens{16}));
-  FailingSink failing;
-  EXPECT_EQ(lens_after([&](UndoLog& log) {
-              log.set_sink(&failing);
-              log.record(0, v.data(), 8);
-              failing.fail = true;
-              EXPECT_FALSE(log.sync());
-              failing.fail = false;
-              log.record(8, v.data(), 8);
-              log.set_sink(&sink);
-            }),
-            (Lens{8, 8}));
   // The grown entry must stay inside the segment: a record that would grow
   // the last entry past the end appends instead (and overflows).
   UndoLog tight(buffer.get(), UndoLog::kHeaderSize + UndoLog::kMaxPayload +
@@ -859,23 +812,6 @@ TEST_F(LogFixture, BatchedSplitRecordNeverMergesItsFirstPiece) {
     tokens.push_back(token);
   });
   EXPECT_EQ(tokens, (std::vector<std::uint64_t>{312, 264, 8, 0}));
-}
-
-TEST_F(LogFixture, BatchedLogDegradedMidFaseExtendsNoEntry) {
-  // After the degradation latch every record is a strict, persisted entry,
-  // even one that continues the entry appended just before the latch.
-  UndoLog log = make_log(LogSyncMode::kBatched);
-  log.format();
-  const std::vector<char> v(8, 'd');
-  log.record(0, v.data(), 8);
-  log.record(8, v.data(), 8);
-  log.degrade_to_strict();
-  log.record(16, v.data(), 8);
-  log.record(24, v.data(), 8);
-  log.record(32, v.data(), 8);
-  EXPECT_EQ(entry_lens(buffer.get(), kSize),
-            (std::vector<std::uint32_t>{16, 8, 8, 8}));
-  EXPECT_EQ(log.records(), 4u);
 }
 
 TEST_F(LogFixture, StrictAdjacentRecordsKeepTheLineAlignedLayout) {
@@ -920,7 +856,7 @@ TEST(UndoLogDurability, BatchedCoalescedEntriesPersistWithFewerLines) {
   }
   EXPECT_TRUE(s.sink.lines.empty());
   EXPECT_TRUE(s.durable().offsets.empty());
-  EXPECT_TRUE(s.log.sync());
+  s.log.sync();
   EXPECT_EQ(s.sink.lines, (std::vector<LineAddr>{1, 2, 3, 4, 0}));
   const UndoLog::Inspection ins = s.durable();
   EXPECT_TRUE(ins.tail_covered);
@@ -969,7 +905,7 @@ TEST_F(LogFixture, CoalescedEntriesRestoreWhatUncoalescedOnesDo) {
     }
     at += len;
     if (r == 60) {
-      EXPECT_TRUE(batched.sync());
+      batched.sync();
     }
   }
   EXPECT_LT(batched.records(), strict.records() / 2);

@@ -1,15 +1,13 @@
 // WriteBackRoute (runtime/write_back_route.hpp, DESIGN.md §8 stage table):
 // one table-driven test over every stage combination —
 // {no log, strict, batched} x {sync, async on a manual channel, which
-// carries flush elision} x {faults off, armed} — with recording sinks
-// standing in for the media. Each combination checks the route's four promises:
+// carries flush elision} — with recording sinks standing in for the media.
+// Each combination checks the route's three promises:
 //   * every data write-back that reaches the media follows a log sync of
 //     the records covering its line;
 //   * a line still queued, or elided while its owner is pending, is
 //     written back by the next drain, and every announce retires — also
 //     on the ring's overflow path;
-//   * once the async->sync latch fires, nothing more enters the ring or
-//     the elision table;
 //   * the hazard check is true exactly for lines still queued or pending.
 #include <gtest/gtest.h>
 
@@ -26,21 +24,15 @@
 namespace nvc::runtime {
 namespace {
 
-/// Data-media stand-in: records every write-back it accepts, fails on
-/// demand, and checks the log-order invariant for each line it receives.
+/// Data-media stand-in: records every write-back it receives and checks
+/// the log-order invariant for each line.
 struct MediaSink final : core::FlushSink {
-  bool flush_line(LineAddr line) override {
-    if (line == bad_line) return false;
-    if (fail_next > 0) {
-      --fail_next;
-      return false;
-    }
+  void flush_line(LineAddr line) override {
     if (log != nullptr) {
       EXPECT_GE(log->tail(), covered[line])
           << "line " << line << " reached the media before its records";
     }
     written.push_back(line);
-    return true;
   }
   bool has(LineAddr line) const {
     for (const LineAddr l : written) {
@@ -54,20 +46,18 @@ struct MediaSink final : core::FlushSink {
   /// must cover it before the line may be written back.
   std::unordered_map<LineAddr, std::uint64_t> covered;
   std::vector<LineAddr> written;
-  int fail_next = 0;
-  LineAddr bad_line = ~LineAddr{0};
 };
 
 /// Worker-side base sink: the channel owns it, the test inspects `media`.
 struct ForwardSink final : core::FlushSink {
   explicit ForwardSink(core::FlushSink* t) : target(t) {}
-  bool flush_line(LineAddr line) override { return target->flush_line(line); }
+  void flush_line(LineAddr line) override { target->flush_line(line); }
   core::FlushSink* target;
 };
 
-/// Log-media stand-in: every write-back succeeds.
+/// Log-media stand-in.
 struct LogMedia final : core::FlushSink {
-  bool flush_line(LineAddr) override { return true; }
+  void flush_line(LineAddr) override {}
 };
 
 enum class Log { kNone, kStrict, kBatched };
@@ -75,20 +65,17 @@ enum class Log { kNone, kStrict, kBatched };
 struct Mode {
   Log log;
   bool async;
-  bool faults;
 };
 
 std::string describe(const Mode& m) {
   const char* log = m.log == Log::kNone     ? "nolog"
                     : m.log == Log::kStrict ? "strict"
                                             : "batched";
-  return std::string(log) + (m.async ? "/async" : "/sync") +
-         (m.faults ? "/faults" : "");
+  return std::string(log) + (m.async ? "/async" : "/sync");
 }
 
 constexpr std::size_t kRing = 8;
 constexpr std::size_t kLogBytes = 16u << 10;
-constexpr std::uint32_t kDegradeAfter = 2;
 
 void run_mode(const Mode& m) {
   SCOPED_TRACE(describe(m));
@@ -111,9 +98,6 @@ void run_mode(const Mode& m) {
   spec.sync_sink = &media;
   spec.log = log.get();
   spec.elision = table;
-  if (m.faults) spec.faults = std::make_shared<core::FaultStats>();
-  spec.retry = core::RetryPolicy{/*max_retries=*/3, 0, 0};
-  spec.degrade_after = kDegradeAfter;
   if (m.async) {
     spec.worker_sink = std::make_unique<ForwardSink>(&media);
     spec.ring_depth = kRing;
@@ -198,63 +182,11 @@ void run_mode(const Mode& m) {
     route.sink().drain();
     EXPECT_EQ(table->pending_count(), 0u);
   }
-
-  // Transient failures up to the latch threshold; retries absorb them when
-  // the retry stage is armed.
-  media.fail_next = kDegradeAfter;
-  store_and_flush(400);
-  route.sink().drain();
-  media.fail_next = 0;  // unarmed routes do not retry the failures away
-  route.maybe_degrade();
-  const bool flush_latch = m.faults && m.async;
-  EXPECT_EQ(route.flush_degraded(), flush_latch);
-  EXPECT_EQ(route.log_degraded(), m.faults && m.log == Log::kBatched);
-  if (log != nullptr) {
-    EXPECT_EQ(log->mode(), m.log == Log::kStrict || m.faults
-                               ? LogSyncMode::kStrict
-                               : LogSyncMode::kBatched);
-  }
-  if (m.faults) {
-    EXPECT_TRUE(media.has(400));
-    EXPECT_EQ(route.faults()->transients(), kDegradeAfter);
-  } else {
-    EXPECT_EQ(route.faults(), nullptr);
-  }
-
-  if (flush_latch) {
-    // Degraded: straight to the retrying sync path — no ring push, no
-    // elision-table traffic, the media sees the line at once.
-    const std::uint64_t ring_before = route.ring_flushes();
-    const std::uint64_t announces_before = table->stats().announces;
-    store_and_flush(500);
-    EXPECT_TRUE(media.has(500));
-    EXPECT_FALSE(route.inflight(500));
-    route.sink().drain();
-    EXPECT_EQ(route.ring_flushes(), ring_before);
-    EXPECT_EQ(table->stats().announces, announces_before);
-  }
-
-  // A line that can never be written: quarantine suspends commits for good
-  // when the retry stage is armed; otherwise the failure just propagates.
-  EXPECT_TRUE(route.commit_allowed());
-  media.bad_line = 600;
-  store_and_flush(600);
-  route.sink().drain();
-  EXPECT_EQ(route.commit_allowed(), !m.faults);
-  EXPECT_EQ(route.commit_suspended(), m.faults);
-  media.bad_line = ~LineAddr{0};
-  store_and_flush(601);
-  route.sink().drain();
-  EXPECT_EQ(route.commit_allowed(), !m.faults);
 }
 
 TEST(WriteBackRoute, EveryStageCombinationKeepsTheRouteContract) {
   for (const Log log : {Log::kNone, Log::kStrict, Log::kBatched}) {
-    for (const bool async : {false, true}) {
-      for (const bool faults : {false, true}) {
-        run_mode(Mode{log, async, faults});
-      }
-    }
+    for (const bool async : {false, true}) run_mode(Mode{log, async});
   }
 }
 

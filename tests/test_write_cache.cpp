@@ -16,10 +16,7 @@ namespace {
 /// Sink that remembers the order of flushed lines.
 class RecordingSink final : public FlushSink {
  public:
-  bool flush_line(LineAddr line) override {
-    flushed.push_back(line);
-    return true;
-  }
+  void flush_line(LineAddr line) override { flushed.push_back(line); }
   std::vector<LineAddr> flushed;
 };
 
