@@ -394,6 +394,191 @@ TEST(ShadowPmem, TornFlushPersistsAlignedPrefixAndKeepsLineDirty) {
   EXPECT_EQ(shadow.torn_flushes(), 2u);
 }
 
+// --- the tear window (ShadowPmem::flush_line past the cut) ------------------
+
+/// Store a distinct word pattern over each of lines [0, lines): word w of
+/// line l holds `salt ^ (l << 8 | w)`, so no two words of two patterns agree.
+void store_lines(ShadowPmem& mem, LineAddr lines, std::uint64_t salt) {
+  for (LineAddr line = 0; line < lines; ++line) {
+    for (std::size_t w = 0; w < kCacheLineSize / 8; ++w) {
+      mem.store_value<std::uint64_t>(line_base(line) + 8 * w,
+                                     salt ^ (line << 8 | w));
+    }
+  }
+}
+
+TEST(ShadowPmem, ZeroTearRateDropsEveryPostCutWriteBack) {
+  ShadowPmem mem(8 * kCacheLineSize, /*tear_burst=*/8, /*tear_rate=*/0.0);
+  store_lines(mem, 8, 0x5a5a);
+  mem.freeze_at(mem.events());
+  for (LineAddr line = 0; line < 8; ++line) mem.flush_line(line);
+  EXPECT_EQ(mem.torn_flushes(), 0u);
+  EXPECT_EQ(mem.flushes(), 0u);
+  EXPECT_EQ(mem.bytes_written(), 0u);
+  EXPECT_EQ(mem.dirty_line_count(), 8u);
+  for (PmAddr a = 0; a < 8 * kCacheLineSize; a += 8) {
+    EXPECT_EQ(mem.durable_value<std::uint64_t>(a), 0u) << "byte " << a;
+  }
+}
+
+TEST(ShadowPmem, TearWindowOpensOnlyAtTheFirstPostCutEvent) {
+  // The burst racing the cut is the write-backs issued right at it. When
+  // the first post-cut event is a store, no burst was in flight, and later
+  // write-backs are simply lost.
+  ShadowPmem mem(4 * kCacheLineSize, 8, /*tear_rate=*/1.0, /*tear_seed=*/3);
+  store_lines(mem, 2, 0x11);
+  mem.freeze_at(mem.events());
+  mem.store_value<std::uint64_t>(line_base(2), 9);  // event freeze + 1
+  mem.flush_line(0);
+  mem.flush_line(1);
+  EXPECT_EQ(mem.torn_flushes(), 0u);
+  EXPECT_EQ(mem.line_write_count(0), 0u);
+  EXPECT_EQ(mem.line_write_count(1), 0u);
+}
+
+TEST(ShadowPmem, TearWindowClosesAtTheBurstLimit) {
+  ShadowPmem mem(8 * kCacheLineSize, /*tear_burst=*/3, /*tear_rate=*/1.0,
+                 /*tear_seed=*/3);
+  store_lines(mem, 6, 0x22);
+  mem.freeze_at(mem.events());
+  for (LineAddr line = 0; line < 6; ++line) mem.flush_line(line);
+  EXPECT_EQ(mem.torn_flushes(), 3u);
+  for (LineAddr line = 0; line < 6; ++line) {
+    EXPECT_EQ(mem.line_write_count(line), line < 3 ? 1u : 0u) << "line " << line;
+  }
+  mem.flush_line(0);  // the window stays closed
+  EXPECT_EQ(mem.torn_flushes(), 3u);
+}
+
+TEST(ShadowPmem, TearWindowClosesForGoodOnAnEventGap) {
+  // A post-cut event between two write-backs ends the burst: nothing
+  // ordered after the gap was in flight, even if the run resumes gapless.
+  ShadowPmem mem(4 * kCacheLineSize, 8, /*tear_rate=*/1.0, /*tear_seed=*/3);
+  store_lines(mem, 4, 0x33);
+  mem.freeze_at(mem.events());
+  mem.flush_line(0);    // freeze + 1: tears
+  mem.claim_event();    // freeze + 2: the gap
+  mem.flush_line(1);    // freeze + 3: closes the window
+  mem.flush_line(2);    // freeze + 4: gapless after 3, but the window is shut
+  EXPECT_EQ(mem.torn_flushes(), 1u);
+  EXPECT_EQ(mem.line_write_count(0), 1u);
+  EXPECT_EQ(mem.line_write_count(1), 0u);
+  EXPECT_EQ(mem.line_write_count(2), 0u);
+}
+
+TEST(ShadowPmem, PostCutFenceClosesTheTearWindow) {
+  ShadowPmem mem(4 * kCacheLineSize, 8, /*tear_rate=*/1.0, /*tear_seed=*/3);
+  store_lines(mem, 3, 0x44);
+  mem.freeze_at(mem.events());
+  mem.fence();  // no event claimed, no write-back in flight: stays open
+  mem.flush_line(0);
+  EXPECT_EQ(mem.torn_flushes(), 1u);
+  mem.fence();  // nothing ordered behind this fence was ever issued
+  mem.flush_line(1);  // gapless, yet past the fence
+  mem.flush_line(2);
+  EXPECT_EQ(mem.torn_flushes(), 1u);
+  EXPECT_EQ(mem.line_write_count(1), 0u);
+  EXPECT_EQ(mem.line_write_count(2), 0u);
+}
+
+TEST(ShadowPmem, CrashReopensTheTearWindowForTheNextCut) {
+  ShadowPmem mem(4 * kCacheLineSize, /*tear_burst=*/1, /*tear_rate=*/1.0,
+                 /*tear_seed=*/3);
+  store_lines(mem, 2, 0x55);
+  mem.freeze_at(mem.events());
+  mem.flush_line(0);  // tears
+  mem.flush_line(1);  // past the burst limit: dropped
+  EXPECT_EQ(mem.torn_flushes(), 1u);
+  mem.crash();
+  store_lines(mem, 2, 0x66);
+  mem.freeze_at(mem.events());
+  mem.flush_line(1);  // first write-back past the second cut: tears
+  EXPECT_EQ(mem.torn_flushes(), 2u);
+  EXPECT_EQ(mem.line_write_count(1), 1u);
+}
+
+TEST(ShadowPmem, TornWriteBackIsANewWordPrefixOverTheOldLine) {
+  // What a post-cut write-back leaves durable: the first torn_bytes() of
+  // the new line, then the old line — whole 8-byte words on either side,
+  // never the whole new line (ADR power-fail atomicity, DESIGN.md §9).
+  constexpr LineAddr kLines = 8;
+  constexpr std::size_t kWords = kCacheLineSize / 8;
+  for (const std::uint64_t seed : {1ull, 7ull, 0x7ea2ull, 0xfeedull}) {
+    ShadowPmem mem(kLines * kCacheLineSize, kLines, /*tear_rate=*/1.0, seed);
+    store_lines(mem, kLines, /*salt=*/0xa0a0);
+    mem.flush_all();
+    store_lines(mem, kLines, /*salt=*/0xb0b0);
+    mem.freeze_at(mem.events());
+    for (LineAddr line = 0; line < kLines; ++line) mem.flush_line(line);
+    EXPECT_EQ(mem.torn_flushes(), kLines) << "seed " << seed;
+    for (LineAddr line = 0; line < kLines; ++line) {
+      const std::size_t torn = mem.torn_bytes(line) / 8;
+      ASSERT_GE(torn, 1u);
+      ASSERT_LT(torn, kWords);
+      for (std::size_t w = 0; w < kWords; ++w) {
+        const std::uint64_t salt = w < torn ? 0xb0b0 : 0xa0a0;
+        const std::uint64_t want = salt ^ (line << 8 | w);
+        EXPECT_EQ(mem.durable_value<std::uint64_t>(line_base(line) + 8 * w),
+                  want)
+            << "seed " << seed << " line " << line << " word " << w;
+      }
+      EXPECT_TRUE(mem.line_dirty(line)) << "seed " << seed << " line " << line;
+    }
+  }
+}
+
+TEST(ShadowPmem, TornWriteBackWearsTheLineButIsNotAFlush) {
+  ShadowPmem mem(4 * kCacheLineSize, 8, /*tear_rate=*/1.0, /*tear_seed=*/3);
+  store_lines(mem, 2, 0x77);
+  mem.flush_line(0);
+  ASSERT_EQ(mem.bytes_written(), kCacheLineSize);
+  mem.freeze_at(mem.events());
+  mem.flush_line(1);
+  EXPECT_EQ(mem.flushes(), 1u);  // only the pre-cut write-back
+  EXPECT_EQ(mem.torn_flushes(), 1u);
+  EXPECT_EQ(mem.bytes_written(), kCacheLineSize + mem.torn_bytes(1));
+  EXPECT_EQ(mem.line_write_count(1), 1u);
+  const WearStats wear = mem.wear_stats();
+  EXPECT_EQ(wear.lines_touched, 2u);
+  EXPECT_EQ(wear.line_writes, 2u);
+  EXPECT_EQ(wear.bytes_written, mem.bytes_written());
+}
+
+TEST(ShadowPmem, TearDecisionsAreAFunctionOfSeedAndLineAlone) {
+  // Replay contract: a tear seed names the same torn lengths in every
+  // instance, and the rate gates roughly its share of lines.
+  constexpr LineAddr kLines = 512;
+  const ShadowPmem a(kCacheLineSize, 8, /*tear_rate=*/0.5, /*tear_seed=*/11);
+  const ShadowPmem b(kCacheLineSize, 8, /*tear_rate=*/0.5, /*tear_seed=*/11);
+  const ShadowPmem other(kCacheLineSize, 8, /*tear_rate=*/0.5,
+                         /*tear_seed=*/12);
+  std::size_t torn = 0;
+  std::size_t differ = 0;
+  for (LineAddr line = 0; line < kLines; ++line) {
+    EXPECT_EQ(a.torn_bytes(line), b.torn_bytes(line)) << "line " << line;
+    if (a.torn_bytes(line) != 0) ++torn;
+    if (a.torn_bytes(line) != other.torn_bytes(line)) ++differ;
+  }
+  EXPECT_GT(torn, kLines / 4);
+  EXPECT_LT(torn, 3 * kLines / 4);
+  EXPECT_GT(differ, kLines / 4);
+}
+
+TEST(ShadowPmem, FullWriteBackCompletesATornLine) {
+  ShadowPmem mem(4 * kCacheLineSize);
+  store_lines(mem, 1, 0x88);
+  mem.flush_line_torn(0, 24);
+  ASSERT_TRUE(mem.line_dirty(0));
+  mem.flush_line(0);
+  EXPECT_FALSE(mem.line_dirty(0));
+  EXPECT_EQ(mem.line_write_count(0), 2u);
+  mem.crash();
+  for (std::size_t w = 0; w < kCacheLineSize / 8; ++w) {
+    EXPECT_EQ(mem.load_value<std::uint64_t>(8 * w), 0x88u ^ w)
+        << "word " << w;
+  }
+}
+
 TEST(ShadowPmem, CountsStoresAndFlushes) {
   ShadowPmem mem(1024);
   mem.store_value<int>(0, 1);

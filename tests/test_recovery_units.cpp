@@ -711,5 +711,167 @@ TEST(VerifyStage, RecoverFlagsACorruptedCommittedLine) {
   rt.destroy_storage();
 }
 
+TEST(VerifyStage, FailuresPastEightShareOneDefectLine) {
+  constexpr std::size_t kLines = 11;
+  runtime::RuntimeConfig config;
+  config.region_name = "test-verify-stage-many";
+  config.region_size = 64u << 10;
+  config.flush = pmem::FlushKind::kCountOnly;
+  config.max_threads = 1;
+  config.undo_logging = true;
+  config.log_segment_size = 32u << 10;
+  config.verify_data = true;
+  runtime::Runtime rt(config);
+  auto* p = static_cast<std::uint64_t*>(rt.pm_alloc(kLines * kCacheLineSize));
+  constexpr std::size_t kWordsPerLine = kCacheLineSize / sizeof(std::uint64_t);
+  rt.fase_begin();
+  for (std::size_t i = 0; i < kLines; ++i) {
+    rt.pstore(p[i * kWordsPerLine], std::uint64_t{100 + i});
+  }
+  ASSERT_TRUE(rt.fase_end());
+  for (std::size_t i = 0; i < kLines; ++i) {
+    p[i * kWordsPerLine] ^= 1;  // flipped at rest
+  }
+  rt.recover();
+  const runtime::RecoveryReport report = rt.last_recovery();
+  EXPECT_EQ(report.outcome, runtime::RecoveryOutcome::kUnrecoverable);
+  EXPECT_EQ(report.data_lines_failed_verify, kLines);
+  // Eight lines are named one by one, the rest are counted in one line.
+  ASSERT_EQ(report.defects.size(), 9u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_NE(report.defects[i].find("fails its commit-time checksum"),
+              std::string::npos)
+        << report.defects[i];
+  }
+  EXPECT_EQ(report.defects[8], "(3 more data lines fail verification)");
+  rt.destroy_storage();
+}
+
+TEST(VerifyStage, HealthHeadlinesTheLastRecovery) {
+  // A FASE cut mid-way leaves its strict undo records durable; the reopened
+  // Runtime rolls them back, and health() reports that pass.
+  testing::CrashRig rig(testing::rig_runtime_config());
+  EXPECT_FALSE(rig.runtime().health().recovery_ran);
+  rig.fase_begin();
+  rig.pstore_u64(0, 0, 42);
+  rig.pstore_u64(0, 8, 43);  // the next line
+  rig.freeze_at(rig.events());
+  (void)rig.fase_end();  // its commit never lands
+  (void)rig.recovered_data();
+  const runtime::RecoveryReport report = rig.runtime().last_recovery();
+  ASSERT_EQ(report.outcome, runtime::RecoveryOutcome::kSalvaged)
+      << report.summary();
+  ASSERT_GE(report.records_undone, 1u);
+  const runtime::HealthReport health = rig.runtime().health();
+  EXPECT_TRUE(health.recovery_ran);
+  EXPECT_EQ(health.recovery_outcome, report.outcome);
+  EXPECT_EQ(health.recovery_records_undone, report.records_undone);
+  EXPECT_EQ(health.recovery_defects, report.defects.size());
+}
+
+// --- salvage of a record that points outside the data region ---------------
+
+TEST(Salvage, RecordOutsideTheDataRegionIsRefusedAndReported) {
+  // A certified record whose bytes reach past the data region (a region
+  // truncated since it was logged) is never replayed: the segment is
+  // unrecoverable, named in the report, and reformatted; the in-region
+  // record beside it is still rolled back.
+  constexpr std::size_t kDataSize = 256;
+  constexpr std::size_t kGuard = 64;
+  alignas(64) std::uint8_t data[kDataSize + kGuard];
+  std::memset(data, 0xEE, sizeof(data));
+  alignas(64) std::uint8_t seg[1024] = {};
+  pmem::FlushBackend backend(pmem::FlushKind::kCountOnly);
+  runtime::BackendSink sink(&backend);
+  UndoLog log(seg, sizeof(seg), &sink, runtime::LogSyncMode::kStrict);
+  log.format();
+  const std::uint64_t in_old = 0x1111111111111111ull;
+  const std::uint64_t out_old = 0x2222222222222222ull;
+  log.record(0x40, &in_old, sizeof in_old);
+  log.record(kDataSize - 4, &out_old, sizeof out_old);  // 4 bytes past
+  const UndoLog::Inspection before = UndoLog::inspect(seg, sizeof(seg));
+  ASSERT_EQ(before.offsets.size(), 2u);
+
+  runtime::RegionView view;
+  view.data = data;
+  view.data_size = kDataSize;
+  view.logs = seg;
+  view.log_segment_size = sizeof(seg);
+  view.log_segments = 1;
+  view.heap_header = false;
+  runtime::RecoveryManager manager(view);
+  ASSERT_TRUE(manager.needs_recovery());
+  const runtime::RecoveryReport report = manager.run();
+
+  EXPECT_EQ(report.outcome, runtime::RecoveryOutcome::kUnrecoverable);
+  EXPECT_EQ(report.segments_unrecoverable, 1u);
+  ASSERT_EQ(report.segments.size(), 1u);
+  const runtime::SegmentReport& sr = report.segments[0];
+  EXPECT_EQ(sr.outcome, runtime::SegmentOutcome::kUnrecoverable);
+  EXPECT_EQ(sr.records_certified, 2u);
+  EXPECT_EQ(sr.records_applied, 1u);
+  EXPECT_EQ(report.records_undone, 1u);
+  ASSERT_EQ(report.defects.size(), 1u);
+  EXPECT_NE(report.defects[0].find("outside the data region (token " +
+                                   std::to_string(kDataSize - 4) + ")"),
+            std::string::npos)
+      << report.defects[0];
+
+  std::uint64_t restored = 0;
+  std::memcpy(&restored, data + 0x40, sizeof restored);
+  EXPECT_EQ(restored, in_old);
+  for (std::size_t i = kDataSize - 4; i < sizeof(data); ++i) {
+    EXPECT_EQ(data[i], 0xEE) << "byte " << i << " written";
+  }
+  const UndoLog::Inspection after = UndoLog::inspect(seg, sizeof(seg));
+  EXPECT_TRUE(after.formatted);
+  EXPECT_TRUE(after.offsets.empty());
+  EXPECT_EQ(after.gen, before.gen + 2);
+  EXPECT_EQ(after.durable_tail, UndoLog::kHeaderSize);
+}
+
+// --- the report's operator text --------------------------------------------
+
+TEST(RecoveryReport, OutcomeNamesAreDistinct) {
+  EXPECT_STREQ(runtime::to_string(runtime::SegmentOutcome::kClean), "clean");
+  EXPECT_STREQ(runtime::to_string(runtime::SegmentOutcome::kRolledBack),
+               "rolled-back");
+  EXPECT_STREQ(runtime::to_string(runtime::SegmentOutcome::kStillborn),
+               "stillborn");
+  EXPECT_STREQ(runtime::to_string(runtime::SegmentOutcome::kUnrecoverable),
+               "unrecoverable");
+  EXPECT_STREQ(runtime::to_string(runtime::RecoveryOutcome::kClean), "clean");
+  EXPECT_STREQ(runtime::to_string(runtime::RecoveryOutcome::kSalvaged),
+               "salvaged");
+  EXPECT_STREQ(runtime::to_string(runtime::RecoveryOutcome::kUnrecoverable),
+               "unrecoverable");
+}
+
+TEST(RecoveryReport, SummaryNamesTheOutcomeAndEveryNonzeroCount) {
+  runtime::RecoveryReport report;
+  report.outcome = runtime::RecoveryOutcome::kSalvaged;
+  report.records_undone = 3;
+  report.segments_rolled_back = 1;
+  report.segments.resize(4);
+  EXPECT_EQ(report.summary(),
+            "recovery: salvaged, 3 records undone, 1 rolled back / 0 "
+            "unrecoverable of 4 segments");
+
+  report.outcome = runtime::RecoveryOutcome::kUnrecoverable;
+  report.segments_unrecoverable = 2;
+  report.data_lines_failed_verify = 5;
+  report.defects = {"a", "b"};
+  EXPECT_EQ(report.summary(),
+            "recovery: unrecoverable, 3 records undone, 1 rolled back / 2 "
+            "unrecoverable of 4 segments, 5 data lines failed verification, "
+            "2 defects");
+
+  runtime::RecoveryReport sealed;
+  sealed.clean_shutdown = true;
+  EXPECT_EQ(sealed.summary(),
+            "recovery: clean (clean shutdown seal), 0 records undone, 0 "
+            "rolled back / 0 unrecoverable of 0 segments");
+}
+
 }  // namespace
 }  // namespace nvc
