@@ -37,12 +37,12 @@ regression. Counters (flushes, fences, ...) are carried through to the
 report for context but are not gated: they are exact re-runnable
 invariants covered by the test suite, while wall-clock needs slack.
 
-Exception: counters named `exact_*` (the bytes-per-FASE and line-write
-counts of the admission ablation, BM_AdmissionBytesPerFase) are
+Exception: counters named `exact_*` (the per-policy line write-backs of
+BM_PolicyLinesPerFase, the log traffic of BM_PstoreFase*) are
 bit-deterministic by construction — computed from a fixed-length replay
-outside the timing loop — so when one is present in both files it is gated
-EXACTLY, no tolerance at all. Any divergence is a byte-accounting
-regression and fails the gate; an exact counter present on only one side
+or a fixed per-FASE count, not from timing — so when one is present in
+both files it is gated EXACTLY, no tolerance at all. Any divergence is an
+accounting regression and fails the gate; an exact counter present on only one side
 is reported (EXACT?) but does not fail, mirroring the MISSING/NEW policy
 for whole benchmarks.
 

@@ -36,11 +36,6 @@ void check_enum_knobs() {
                   [](const char* v) -> std::string {
                     return runtime::to_string(runtime::parse_log_sync_mode(v));
                   });
-  check_enum_knob("NVC_ADMIT", "always|write-once|reuse",
-                  [](const char* v) -> std::string {
-                    const auto mode = core::parse_admit_mode(v);
-                    return mode ? core::to_string(*mode) : "";
-                  });
 }
 
 std::vector<std::string> all_workloads() {
@@ -116,10 +111,6 @@ core::PolicyConfig default_policy_config() {
   // sample-from-the-start behavior).
   config.sampler.skip_fases =
       static_cast<std::uint32_t>(env_int("NVC_SKIP_FASES", 1));
-  // NVC_ADMIT=always|write-once|reuse selects the write-admission policy
-  // (DESIGN.md §12); print_banner has already refused any other value.
-  config.admission.mode =
-      core::parse_admit_mode(env_str("NVC_ADMIT", "always")).value();
   return config;
 }
 

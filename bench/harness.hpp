@@ -87,8 +87,8 @@ core::PolicyConfig default_policy_config();
 workloads::SimConfig sim_config_for_threads(std::size_t threads,
                                             const core::PolicyConfig& pc);
 
-/// Exit 2, naming the allowed values, when NVC_FLUSH, NVC_LOG_SYNC or
-/// NVC_ADMIT is set to anything but one of them.
+/// Exit 2, naming the allowed values, when NVC_FLUSH or NVC_LOG_SYNC is
+/// set to anything but one of them.
 void check_enum_knobs();
 
 /// Print the standard header every bench emits, after check_enum_knobs():

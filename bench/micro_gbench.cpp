@@ -22,14 +22,13 @@
 #include "core/reuse_locality.hpp"
 #include "core/sampler.hpp"
 #include "core/write_cache.hpp"
-#include "core/admission.hpp"
 #include "harness.hpp"
 #include "pmem/flush.hpp"
 #include "runtime/recovery.hpp"
 #include "runtime/runtime.hpp"
 #include "runtime/scrub.hpp"
 #include "runtime/undo_log.hpp"
-#include "workloads/admission_micro.hpp"
+#include "workloads/policy_micro.hpp"
 
 namespace {
 
@@ -529,99 +528,35 @@ void BM_RecoveryReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_RecoveryReplay)->Arg(16)->Arg(256)->Arg(2048);
 
-// --- write-admission ablation (DESIGN.md §12) -------------------------------
+// --- line write-backs per policy ---------------------------------------------
 
-void BM_PstoreFaseAdmit(benchmark::State& state) {
-  // Admission pricing on the BM_PstoreFase shape (log=off, SC-offline,
-  // sync flush). Arg0:
-  //   0  NVC_ADMIT=always — no filter attached; the control. The delta
-  //      against BM_PstoreFase/0/1/0 is one null-pointer test per store,
-  //      the <1% idle bound from EXPERIMENTS.md.
-  //   1  write-once over the same 16 hot lines — after the first FASE every
-  //      store re-admits from the doorkeeper, so this prices the tag probe
-  //      on a hot path that never bypasses.
-  //   2  write-once over a 8192-line cycle (twice the doorkeeper window, so
-  //      tags are always evicted between revisits) — steady-state bypass:
-  //      every store writes through immediately.
-  const int mode = static_cast<int>(state.range(0));
-  constexpr int kStoresPerFase = 16;
-  constexpr std::size_t kStreamLines = 8192;
-  runtime::RuntimeConfig config;
-  config.region_name = unique_region();
-  config.region_size = 4u << 20;
-  config.policy = core::PolicyKind::kSoftCacheOffline;
-  config.policy_config.cache_size = 23;
-  config.policy_config.admission.mode =
-      mode == 0 ? core::AdmitMode::kAlways : core::AdmitMode::kWriteOnce;
-  apply_flush_env(config);
-  runtime::Runtime rt(config);
-  const std::size_t lines = mode == 2 ? kStreamLines : kStoresPerFase;
-  auto* arr =
-      static_cast<std::uint64_t*>(rt.pm_alloc(lines * kCacheLineSize));
-  std::uint64_t v = 0;
-  std::size_t next = 0;
-  for (auto _ : state) {
-    rt.fase_begin();
-    for (int s = 0; s < kStoresPerFase; ++s) {
-      rt.pstore(arr[(next % lines) * 8], v++);
-      ++next;
-    }
-    rt.fase_end();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          kStoresPerFase);
-  const runtime::RuntimeStats stats = rt.stats();
-  state.counters["flushes"] =
-      benchmark::Counter(static_cast<double>(stats.flushes));
-  state.counters["bypassed"] =
-      benchmark::Counter(static_cast<double>(stats.bypassed_stores));
-  state.SetLabel(mode == 0   ? "admit=always"
-                 : mode == 1 ? "admit=write-once/hot"
-                             : "admit=write-once/stream");
-  rt.destroy_storage();
-}
-BENCHMARK(BM_PstoreFaseAdmit)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_AdmissionBytesPerFase(benchmark::State& state) {
-  // The bytes-written-to-media ablation: policy x admission mode x traffic
-  // shape (workloads/admission_micro.hpp documents both shapes and their
-  // closed-form byte counts). The headline metrics are the exact_ counters,
-  // computed from one fixed 32-FASE run OUTSIDE the timing loop — they are
-  // bit-deterministic and iteration-count-independent, and bench/compare.py
-  // gates them exactly (no tolerance) instead of with the noisy-time
-  // envelope. The timed loop runs a short 8-FASE replay end to end so the
-  // entry also carries a real cost.
+void BM_PolicyLinesPerFase(benchmark::State& state) {
+  // Each policy's data-line write-backs on two traffic shapes
+  // (workloads/policy_micro.hpp documents both and their closed-form
+  // counts). The headline is the exact_ counter, computed from one fixed
+  // 32-FASE run OUTSIDE the timing loop: it is bit-deterministic and
+  // iteration-count-independent, and bench/compare.py gates it exactly (no
+  // tolerance) instead of with the noisy-time envelope. The timed loop
+  // runs a short 8-FASE replay end to end so the entry also carries a real
+  // cost.
   const core::PolicyKind kinds[] = {
       core::PolicyKind::kEager, core::PolicyKind::kLazy,
       core::PolicyKind::kAtlas, core::PolicyKind::kSoftCacheOffline,
       core::PolicyKind::kSoftCache};
   const auto policy = kinds[state.range(0)];
-  const auto admit = static_cast<core::AdmitMode>(state.range(1));
-  const auto shape =
-      static_cast<workloads::AdmissionWorkload>(state.range(2));
-  const auto exact = workloads::run_admission_micro(policy, admit, shape, 32);
+  const auto shape = static_cast<workloads::PolicyMicroShape>(state.range(1));
+  const auto exact = workloads::run_policy_micro(policy, shape, 32);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        workloads::run_admission_micro(policy, admit, shape, 8));
+    benchmark::DoNotOptimize(workloads::run_policy_micro(policy, shape, 8));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 8);
-  state.counters["exact_bytes_per_fase"] =
-      benchmark::Counter(exact.bytes_per_fase);
-  state.counters["exact_media_line_writes"] =
-      benchmark::Counter(static_cast<double>(exact.media_line_writes));
-  state.counters["exact_bypassed"] =
-      benchmark::Counter(static_cast<double>(exact.bypassed));
-  state.counters["wear_max_line_writes"] =
-      benchmark::Counter(static_cast<double>(exact.wear_max_line_writes));
+  state.counters["exact_line_writes"] =
+      benchmark::Counter(static_cast<double>(exact.line_writes));
   state.SetLabel(std::string(core::to_string(policy)) + "/" +
-                 core::to_string(admit) + "/" +
                  workloads::to_string(shape));
 }
-BENCHMARK(BM_AdmissionBytesPerFase)
-    // ER/LA/AT/SC-offline x {always, write-once}; kReuse needs the online
-    // sampler, so only the online SC rows carry all three modes.
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}, {0, 1}})
-    ->ArgsProduct({{4}, {0, 1, 2}, {0, 1}})
+BENCHMARK(BM_PolicyLinesPerFase)
+    ->ArgsProduct({{0, 1, 2, 3, 4}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 // --- flush-behind pipeline (DESIGN.md §8) -----------------------------------

@@ -4,8 +4,8 @@
 #   scripts/check.sh            tier-1 build + full ctest sweep
 #                               + asan build of the policy tier (write
 #                                 cache, policies and their repeat-store
-#                                 lane, admission/wear suites,
-#                                 `ctest -L policy`)
+#                                 lane, the crash-state fuzzer's policy
+#                                 sweep, `ctest -L policy`)
 #                               + asan pass of the recovery tier (undo-log
 #                                 units, image-corruption fuzzer + salvage
 #                                 units, `ctest -L recovery`)
@@ -28,8 +28,12 @@
 #                                 retiring executor, the fuzz differential
 #                                 with real threads and a real worker;
 #                                 `ctest --preset tsan`)
-#                               + the bench regression gate when a fresh
-#                                 BENCH_micro.json exists at the repo root
+#                               + the bench regression gate: a fresh
+#                                 micro_gbench run of the rows that carry
+#                                 exact_* counters (BM_PolicyLinesPerFase,
+#                                 BM_PstoreFase*) into a temp file,
+#                                 compared with the committed baseline by
+#                                 bench/compare.py (about 15 s)
 #   scripts/check.sh --e2e      the above + the end-to-end benchmark built
 #                                 into .bench_build/e2e (as bench/e2e/run.py
 #                                 does) and its quick ctest: every workload
@@ -44,7 +48,7 @@
 #   --no-asan        skip the asan tiers (e.g. hosts without the rt)
 #   --no-scalar      skip the scalar-kernel tier
 #   --no-tsan        skip the tsan concurrency tier
-#   --no-bench       skip the compare.py gate
+#   --no-bench       skip the micro_gbench run and its compare.py gate
 #   --e2e            also build and test bench/e2e (opt-in; under a minute
 #                    once built)
 #   CTEST_PARALLEL   ctest -j value (default: nproc)
@@ -76,10 +80,10 @@ cmake --build build -j "$(nproc)"
 ctest --test-dir build -j "$jobs" --output-on-failure
 
 if [ "$run_asan" = 1 ]; then
-  echo "== asan: policy tier (write cache, policies, admission + wear) =="
+  echo "== asan: policy tier (write cache, policies, repeat-store lane, policy fuzz) =="
   cmake --preset asan >/dev/null
   cmake --build build-asan -j "$(nproc)" \
-      --target test_write_cache test_policy test_admission test_fuzz_crash
+      --target test_write_cache test_policy test_fuzz_crash
   ctest --test-dir build-asan -L policy -j "$jobs" --output-on-failure
 
   # The hardened-recovery tier (DESIGN.md §14) walks deliberately hostile
@@ -121,7 +125,7 @@ if [ "$run_scalar" = 1 ]; then
   echo "== scalar: policy tier + paper goldens (NVC_NO_SIMD=ON) =="
   cmake --preset scalar >/dev/null
   cmake --build build-scalar -j "$(nproc)" \
-      --target test_write_cache test_policy test_admission test_fuzz_crash \
+      --target test_write_cache test_policy test_fuzz_crash \
       $(python3 scripts/golden.py --targets)
   ctest --test-dir build-scalar -L policy -j "$jobs" --output-on-failure
   ctest --test-dir build-scalar -R paper_golden --output-on-failure
@@ -138,14 +142,19 @@ if [ "$run_tsan" = 1 ]; then
   ctest --preset tsan -j "$jobs"
 fi
 
+# The gate measures the tree: micro_gbench runs the rows whose exact_*
+# counters compare.py checks with zero tolerance, under the simulated
+# backend and repetitions the baseline was recorded with, into a temp file
+# (never the committed BENCH_micro.json).
 if [ "$run_bench" = 1 ]; then
-  if [ -f BENCH_micro.json ]; then
-    echo "== bench: regression gate (bench/compare.py) =="
-    python3 bench/compare.py
-  else
-    echo "== bench: no BENCH_micro.json at repo root; run" \
-         "./build/bench/micro_gbench first (skipping gate) =="
-  fi
+  echo "== bench: fresh micro_gbench run + regression gate (bench/compare.py) =="
+  bench_json=$(mktemp --suffix=.json)
+  trap 'rm -f "$bench_json"' EXIT
+  NVC_FLUSH=sim NVC_FLUSH_NS=100 NVC_BENCH_JSON="$bench_json" \
+      ./build/bench/micro_gbench \
+      --benchmark_filter='BM_PolicyLinesPerFase|BM_PstoreFase' \
+      --benchmark_min_time=0.1 --benchmark_repetitions=3 >/dev/null
+  python3 bench/compare.py "$bench_json"
 fi
 
 if [ "$run_e2e" = 1 ]; then

@@ -38,19 +38,6 @@ const char* to_string(PolicyKind kind) {
   NVC_UNREACHABLE("invalid PolicyKind");
 }
 
-bool Policy::admit_bypass(LineAddr line, FlushSink& sink) {
-  counters_.instructions += AdmissionFilter::kInstrProbe;
-  if (!admission_->should_bypass(line)) return false;
-  // Write through the same sink the deferred flushes use: with a log it is
-  // the LogOrderedSink route, so a bypassed line obeys the same
-  // log-before-data ordering as an evicted one (DESIGN.md §12).
-  ++counters_.stores;
-  ++counters_.bypassed;
-  counters_.instructions += kInstrPerFlushIssue;
-  sink.flush_line(line);
-  return true;
-}
-
 // --- ER ---------------------------------------------------------------------
 
 bool EagerPolicy::do_store(LineAddr line, FlushSink& sink) {
@@ -66,8 +53,7 @@ LazyPolicy::LazyPolicy()
     : Policy(PolicyCounters{
           .stores = 1, .combined = 1, .instructions = kInstrLazyStore}) {}
 
-bool LazyPolicy::do_store(LineAddr line, FlushSink& sink) {
-  if (admission_ != nullptr && admit_bypass(line, sink)) return false;
+bool LazyPolicy::do_store(LineAddr line, FlushSink&) {
   ++counters_.stores;
   counters_.instructions += kInstrLazyStore;
   const auto [slot, inserted] = pending_.try_emplace(line, seq_);
@@ -77,9 +63,7 @@ bool LazyPolicy::do_store(LineAddr line, FlushSink& sink) {
   } else {
     ++counters_.combined;
   }
-  // The line is pending until the next boundary. With admission every
-  // store probes (and trains) the doorkeeper, so no repeat is a pure count.
-  return admission_ == nullptr;
+  return true;  // the line is pending until the next boundary
 }
 
 void LazyPolicy::flush_pending(FlushSink& sink) {
@@ -123,7 +107,6 @@ AtlasPolicy::AtlasPolicy(std::size_t table_size, std::size_t associativity)
 }
 
 bool AtlasPolicy::do_store(LineAddr line, FlushSink& sink) {
-  if (admission_ != nullptr && admit_bypass(line, sink)) return false;
   ++counters_.stores;
   counters_.instructions += kInstrAtlasProbe;
   Entry* set = &table_[(static_cast<std::size_t>(line) & (sets_ - 1)) *
@@ -134,7 +117,7 @@ bool AtlasPolicy::do_store(LineAddr line, FlushSink& sink) {
     if (set[w].line == line) {
       ++counters_.combined;  // already recorded: the write is absorbed
       set[w].stamp = clock_;
-      return admission_ == nullptr;
+      return true;
     }
     if (set[w].line == 0) {
       victim = &set[w];  // prefer an empty slot
@@ -151,8 +134,8 @@ bool AtlasPolicy::do_store(LineAddr line, FlushSink& sink) {
   victim->stamp = clock_;
   // Recorded until the next boundary; a repeat would only refresh the
   // stamp of its set's newest entry, which replacement already treats as
-  // the newest. With admission every store probes the doorkeeper.
-  return admission_ == nullptr;
+  // the newest.
+  return true;
 }
 
 void AtlasPolicy::flush_table(FlushSink& sink) {
@@ -192,20 +175,8 @@ SoftCachePolicy::SoftCachePolicy(const PolicyConfig& config, bool online)
 
 bool SoftCachePolicy::do_store(LineAddr line, FlushSink& sink) {
   // A dormant sampler ignores stores, so this store skips it, cannot resize
-  // the cache, and a repeat would be a plain hit on the MRU line. Admission
-  // is consulted only on misses, so it does not disarm the lane.
+  // the cache, and a repeat would be a plain hit on the MRU line.
   const bool dormant = !online_ || sampler_.dormant();
-  // Admission runs only on cache misses: a line the cache already buffers
-  // combines more cheaply than any write-through, whatever the doorkeeper
-  // remembers about it.
-  if (admission_ != nullptr && !cache_.contains(line) &&
-      admit_bypass(line, sink)) {
-    // The sampler still sees bypassed stores: the MRC (and so the size
-    // selection and the reuse verdict) must describe the full write stream,
-    // not the post-filter residue.
-    if (!dormant) sample_store(line, sink);
-    return false;  // written through, not buffered
-  }
   ++counters_.stores;
   const bool hit = cache_.access(line, sink);
   if (hit) {
@@ -223,12 +194,10 @@ void SoftCachePolicy::sample_store(LineAddr line, FlushSink& sink) {
   if (sampler_.sampling()) counters_.instructions += kInstrSamplerStore;
   if (const auto selected = sampler_.on_store(line)) {
     // The burst ended: the full pipeline ran on this thread and the
-    // selection applies immediately — as does the admission verdict this
-    // burst implies.
+    // selection applies immediately.
     counters_.instructions +=
         kInstrSamplerAnalysisPerWrite * sampler_.burst_length();
     apply_selection(*selected, sink);
-    if (admission_ != nullptr) admission_->publish_verdict(sampler_);
   }
 }
 
@@ -250,12 +219,12 @@ void SoftCachePolicy::apply_selection(std::size_t selected,
 
 void SoftCachePolicy::open_window() {
   window_flushes_ = cache_.stats().flushes();
-  window_stores_ = cached_stores();
+  window_stores_ = counters().stores;
 }
 
 void SoftCachePolicy::check_prediction() {
   if (!predicted_ || fired_) return;
-  const std::uint64_t stores = cached_stores() - window_stores_;
+  const std::uint64_t stores = counters().stores - window_stores_;
   if (stores < sampler_.burst_length()) return;
   const std::uint64_t flushes = cache_.stats().flushes() - window_flushes_;
   const double observed =
@@ -305,10 +274,8 @@ bool BestPolicy::do_store(LineAddr, FlushSink&) {
 
 // --- factory ------------------------------------------------------------------
 
-namespace {
-
-std::unique_ptr<Policy> make_policy_bare(PolicyKind kind,
-                                         const PolicyConfig& config) {
+std::unique_ptr<Policy> make_policy(PolicyKind kind,
+                                    const PolicyConfig& config) {
   switch (kind) {
     case PolicyKind::kEager:
       return std::make_unique<EagerPolicy>();
@@ -325,35 +292,6 @@ std::unique_ptr<Policy> make_policy_bare(PolicyKind kind,
       return std::make_unique<BestPolicy>();
   }
   NVC_UNREACHABLE("invalid PolicyKind");
-}
-
-/// ER already writes every store through and BEST never flushes — a filter
-/// would only distort their counters. The reuse predictor needs the online
-/// sampler's MRC, so kReuse attaches to SC only and degrades to `always`
-/// everywhere else (DESIGN.md §12).
-bool admission_applies(PolicyKind kind, AdmitMode mode) {
-  switch (mode) {
-    case AdmitMode::kAlways:
-      return false;
-    case AdmitMode::kWriteOnce:
-      return kind == PolicyKind::kLazy || kind == PolicyKind::kAtlas ||
-             kind == PolicyKind::kSoftCache ||
-             kind == PolicyKind::kSoftCacheOffline;
-    case AdmitMode::kReuse:
-      return kind == PolicyKind::kSoftCache;
-  }
-  NVC_UNREACHABLE("invalid AdmitMode");
-}
-
-}  // namespace
-
-std::unique_ptr<Policy> make_policy(PolicyKind kind,
-                                    const PolicyConfig& config) {
-  std::unique_ptr<Policy> policy = make_policy_bare(kind, config);
-  if (admission_applies(kind, config.admission.mode)) {
-    policy->attach_admission(config.admission);
-  }
-  return policy;
 }
 
 }  // namespace nvc::core

@@ -25,7 +25,6 @@
 
 #include "common/flat_hash.hpp"
 #include "common/types.hpp"
-#include "core/admission.hpp"
 #include "core/sampler.hpp"
 #include "core/write_cache.hpp"
 
@@ -52,11 +51,6 @@ struct PolicyConfig {
   std::size_t cache_size = WriteCache::kDefaultCapacity;
   /// SC: online sampler configuration.
   SamplerConfig sampler;
-  /// Write-admission filter (NVC_ADMIT, DESIGN.md §12). kAlways attaches no
-  /// filter at all; kWriteOnce applies to every deferred-flush policy
-  /// (LA/AT/SC/SC-offline); kReuse needs the online sampler's MRC and
-  /// therefore only attaches to SC, degrading to kAlways elsewhere.
-  AdmissionConfig admission;
 };
 
 struct PolicyCounters {
@@ -64,7 +58,6 @@ struct PolicyCounters {
   std::uint64_t combined = 0;     // stores absorbed by write combining
   std::uint64_t fases = 0;
   std::uint64_t instructions = 0; // bookkeeping instruction estimate
-  std::uint64_t bypassed = 0;     // stores written through by admission
 
   /// The paper's headline metric: flushes / stores, computed by the caller
   /// from the sink's flush count and `stores`.
@@ -138,16 +131,6 @@ class Policy {
   /// SC / SC-offline: current software-cache capacity (0 for others).
   virtual std::size_t current_cache_size() const noexcept { return 0; }
 
-  /// Attach a write-admission filter (make_policy wires this from
-  /// PolicyConfig::admission). Null — the default, NVC_ADMIT=always —
-  /// keeps the store hot path to one pointer test.
-  void attach_admission(const AdmissionConfig& config) {
-    admission_ = std::make_unique<AdmissionFilter>(config);
-  }
-  const AdmissionFilter* admission() const noexcept {
-    return admission_.get();
-  }
-
  protected:
   /// `repeat_cost`: what one repeat store adds to the counters — exactly
   /// what the policy's own store code counts for a store to the line it
@@ -158,19 +141,13 @@ class Policy {
   /// Runs every store on_store() does not count as a repeat. True arms
   /// the repeat lane for `line`: the line is buffered now, and a store to
   /// it before the next boundary would change nothing but counters_ (by
-  /// repeat_cost_) — no flush, no structure or sampler/admission state.
+  /// repeat_cost_) — no flush, no structure or sampler state.
   virtual bool do_store(LineAddr line, FlushSink& sink) = 0;
   virtual void do_fase_end(FlushSink& sink) { sink.drain(); }
   virtual void do_flush_buffered(FlushSink& sink) { do_fase_end(sink); }
   virtual void do_finish(FlushSink& sink) { sink.drain(); }
 
-  /// Probe the attached filter (caller guarantees admission_ != nullptr):
-  /// true when the store was bypassed — counted and written through `sink`
-  /// immediately, skipping the deferred-flush structure entirely.
-  bool admit_bypass(LineAddr line, FlushSink& sink);
-
   PolicyCounters counters_;
-  std::unique_ptr<AdmissionFilter> admission_;
 
  private:
   /// No line: LineAddr is a byte address >> 6, so all-ones never occurs.
@@ -295,10 +272,6 @@ class SoftCachePolicy final : public Policy {
   void apply_selection(std::size_t selected, FlushSink& sink);
   void check_prediction();
   void open_window();
-  std::uint64_t cached_stores() const noexcept {
-    const PolicyCounters c = counters();
-    return c.stores - c.bypassed;
-  }
 
   WriteCache cache_;
   BurstSampler sampler_;

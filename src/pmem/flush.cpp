@@ -5,7 +5,6 @@
 
 #include "common/assert.hpp"
 #include "common/cpu.hpp"
-#include "pmem/wear.hpp"
 
 namespace nvc::pmem {
 
@@ -112,9 +111,6 @@ void FlushBackend::write_back(const void* addr, bool spin) noexcept {
       break;
     case FlushKind::kCountOnly:
       break;
-  }
-  if (wear_ != nullptr) {
-    wear_->record(line_of(reinterpret_cast<PmAddr>(addr)));
   }
 }
 

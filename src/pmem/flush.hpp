@@ -12,13 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "common/types.hpp"
 
 namespace nvc::pmem {
-
-class WearTracker;
 
 enum class FlushKind : std::uint8_t {
   kClflush,     // flush + invalidate, strongly ordered (Atlas' choice)
@@ -69,15 +66,6 @@ class FlushBackend {
   /// Order previously issued weak flushes (sfence; no-op for kCountOnly).
   void fence() noexcept;
 
-  /// Record every write-back against `wear` (endurance accounting,
-  /// DESIGN.md §12; nullptr detaches). Shared ownership because worker-side
-  /// backends inside a FlushChannel may outlive the Runtime that owns the
-  /// tracker.
-  void set_wear_tracker(std::shared_ptr<WearTracker> wear) noexcept {
-    wear_ = std::move(wear);
-  }
-  WearTracker* wear_tracker() const noexcept { return wear_.get(); }
-
   /// Hand every write-back and fence to `medium` (nullptr detaches; not
   /// owned). Counters still count here.
   void set_medium(FlushMedium* medium) noexcept { medium_ = medium; }
@@ -85,11 +73,6 @@ class FlushBackend {
   FlushKind kind() const noexcept { return kind_; }
   std::uint64_t flush_count() const noexcept { return flushes_; }
   std::uint64_t fence_count() const noexcept { return fences_; }
-  /// Write-backs that reached the media: every one issued.
-  std::uint64_t media_writes() const noexcept { return flushes_; }
-  std::uint64_t bytes_written() const noexcept {
-    return flushes_ * kCacheLineSize;
-  }
   void reset_counters() noexcept { flushes_ = fences_ = 0; }
 
  private:
@@ -99,7 +82,6 @@ class FlushBackend {
 
   FlushKind kind_;
   std::uint32_t simulated_latency_ns_;
-  std::shared_ptr<WearTracker> wear_;
   FlushMedium* medium_ = nullptr;
   std::uint64_t flushes_ = 0;
   std::uint64_t fences_ = 0;

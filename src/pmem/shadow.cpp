@@ -182,28 +182,6 @@ void ShadowPmem::tear_locked(LineAddr line, std::uint64_t event) {
   flush_torn_locked(line, bytes);
 }
 
-WearStats ShadowPmem::wear_stats() const {
-  WearStats s;
-  s.lines_touched = line_writes_.size();
-  std::uint64_t total = 0;
-  for (const auto& [line, n] : line_writes_) {
-    (void)line;
-    total += n;
-    s.max_line_writes = std::max(s.max_line_writes, n);
-  }
-  s.line_writes = total;
-  s.bytes_written = bytes_written_;
-  if (!line_writes_.empty()) {
-    s.mean_line_writes =
-        static_cast<double>(total) / static_cast<double>(line_writes_.size());
-    if (s.mean_line_writes > 0.0) {
-      s.leveling_skew =
-          static_cast<double>(s.max_line_writes) / s.mean_line_writes - 1.0;
-    }
-  }
-  return s;
-}
-
 void ShadowPmem::load_durable(PmAddr addr, void* out, std::size_t len) const {
   NVC_REQUIRE(addr + len <= size_, "durable load out of region");
   std::memcpy(out, durable_.get() + addr, len);

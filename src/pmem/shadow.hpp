@@ -26,7 +26,6 @@
 
 #include "common/types.hpp"
 #include "pmem/flush.hpp"
-#include "pmem/wear.hpp"
 
 namespace nvc::pmem {
 
@@ -144,17 +143,14 @@ class ShadowPmem final : public FlushMedium {
   std::uint64_t flushes() const noexcept { return flushes_; }
   std::uint64_t torn_flushes() const noexcept { return torn_flushes_; }
 
-  /// Endurance accounting (DESIGN.md §12): bytes that actually programmed
-  /// the durable image — full lines plus torn prefixes; dropped attempts
-  /// (frozen, out-of-range) never count.
+  /// Bytes that actually programmed the durable image — full lines plus
+  /// torn prefixes; dropped attempts (frozen, out-of-range) never count.
   std::uint64_t bytes_written() const noexcept { return bytes_written_; }
   /// Write-backs that programmed (part of) `line`.
   std::uint64_t line_write_count(LineAddr line) const {
     const auto it = line_writes_.find(line);
     return it == line_writes_.end() ? 0 : it->second;
   }
-  /// Max/mean/leveling-skew over the per-line write counts.
-  WearStats wear_stats() const;
 
   /// Raw base of the volatile image, 64-byte aligned — lets components that
   /// write through pointers (the undo log) live inside the crash model.

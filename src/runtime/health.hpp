@@ -1,6 +1,6 @@
-// Health introspection for the FASE runtime: Runtime::health() gathers
-// endurance accounting, the last recovery's verdict and the online
-// scrubber's counters into one report an operator (or a test) can poll.
+// Health introspection for the FASE runtime: Runtime::health() gathers the
+// last recovery's verdict and the online scrubber's counters into one
+// report an operator (or a test) can poll.
 #pragma once
 
 #include <cstdint>
@@ -18,16 +18,6 @@ enum class RecoveryOutcome : std::uint8_t {
 
 /// Aggregated health view of a Runtime.
 struct HealthReport {
-  /// A WearTracker is wired into the flush paths (wear_tracking).
-  bool wear_attached = false;
-  /// Endurance accounting snapshot (all zero unless wear_attached):
-  std::uint64_t media_bytes_written = 0;
-  std::uint64_t wear_max_line_writes = 0;
-  double wear_mean_line_writes = 0.0;
-  /// max/mean - 1: 0 = perfectly leveled, large = one line absorbing a
-  /// disproportionate share of the device's endurance budget.
-  double wear_leveling_skew = 0.0;
-
   /// Salvage-mode recovery (runtime/recovery.hpp): set once Runtime::recover
   /// has run. The full classified RecoveryReport is available from
   /// Runtime::last_recovery(); this is the operator headline.

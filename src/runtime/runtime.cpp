@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "common/assert.hpp"
-#include "pmem/wear.hpp"
 #include "runtime/backend_sink.hpp"
 #include "runtime/scrub.hpp"
 #include "runtime/write_back_route.hpp"
@@ -29,8 +28,8 @@ std::uint64_t next_instance_id() {
 
 struct Runtime::ThreadContext {
   ThreadContext(const Runtime& rt, void* log_base)
-      : backend(rt.make_backend(/*metered=*/true)),
-        log_backend(rt.make_backend(/*metered=*/true)),
+      : backend(rt.make_backend()),
+        log_backend(rt.make_backend()),
         sink(&backend),
         log_sink(&log_backend),
         policy(core::make_policy(rt.config_.policy,
@@ -66,10 +65,6 @@ Runtime::Runtime(RuntimeConfig config, Medium* medium)
   NVC_REQUIRE(config_.region_size >= 4096);
   NVC_REQUIRE(config_.max_threads >= 1);
 
-  if (config_.wear_tracking) {
-    wear_ = std::make_shared<pmem::WearTracker>();
-  }
-
   pmem::PmemRegion data =
       medium_ != nullptr
           ? pmem::PmemRegion::borrow(medium_->data_region(config_.region_size),
@@ -89,15 +84,14 @@ Runtime::Runtime(RuntimeConfig config, Medium* medium)
     verify_table_ =
         std::make_shared<LineVerifyTable>(allocator_->region().size());
   }
-  // Contexts hash admission-doorkeeper slots, and the elision table its
-  // slots, relative to the region base, so their decisions replay
-  // bit-for-bit across processes (ASLR moves the mapping; line offsets
-  // within the region do not). Elision rides flush-behind (DESIGN.md §13).
-  const LineAddr base_line =
-      reinterpret_cast<std::uintptr_t>(allocator_->region().base()) /
-      kCacheLineSize;
-  config_.policy_config.admission.line_base = base_line;
+  // The elision table hashes its slots relative to the region base, so its
+  // decisions replay bit-for-bit across processes (ASLR moves the mapping;
+  // line offsets within the region do not). Elision rides flush-behind
+  // (DESIGN.md §13).
   if (config_.async_flush) {
+    const LineAddr base_line =
+        reinterpret_cast<std::uintptr_t>(allocator_->region().base()) /
+        kCacheLineSize;
     elision_ = std::make_shared<core::FlushElisionTable>(
         core::FlushElisionTable::kDefaultSlots, base_line);
   }
@@ -117,7 +111,7 @@ Runtime::Runtime(RuntimeConfig config, Medium* medium)
       log_region_ = pmem::PmemRegion::open(log_name);
     }
     if (format) {
-      pmem::FlushBackend backend = make_backend(/*metered=*/false);
+      pmem::FlushBackend backend = make_backend();
       BackendSink sink(&backend);
       for (std::size_t s = 0; s < config_.max_threads; ++s) {
         UndoLog(static_cast<char*>(log_region_.base()) +
@@ -130,14 +124,13 @@ Runtime::Runtime(RuntimeConfig config, Medium* medium)
 
   if (config_.scrub) {
     scrubber_ = std::make_shared<Scrubber>(
-        make_backend(/*metered=*/false), allocator_->region().base(),
+        make_backend(), allocator_->region().base(),
         allocator_->region().size(),
         log_region_.valid() ? log_region_.base() : nullptr,
         config_.log_segment_size,
         log_region_.valid() ? config_.max_threads : 0);
     scrubber_->set_header_lock(&alloc_mutex_);
     if (verify_table_ != nullptr) scrubber_->set_verify_table(verify_table_);
-    if (wear_ != nullptr) scrubber_->set_wear(wear_);
     {
       std::lock_guard<std::mutex> lock(alloc_mutex_);
       scrubber_->refresh_header_mirror();
@@ -173,10 +166,9 @@ Runtime::~Runtime() {
   }
 }
 
-pmem::FlushBackend Runtime::make_backend(bool metered) const {
+pmem::FlushBackend Runtime::make_backend() const {
   pmem::FlushBackend backend(config_.flush, config_.simulated_flush_ns);
   backend.set_medium(medium_);
-  if (metered) backend.set_wear_tracker(wear_);
   return backend;
 }
 
@@ -192,7 +184,7 @@ WriteBackSpec Runtime::route_spec(core::FlushSink* sync_sink,
     // Posted write-backs on a private backend. It shares ownership of the
     // tracker (the channel may outlive the Runtime); the tracker records
     // through atomics, so stats() stays race-free.
-    auto issue = std::make_unique<IssueSink>(make_backend(/*metered=*/true));
+    auto issue = std::make_unique<IssueSink>(make_backend());
     // Device timing model for the simulated kind only (hardware kinds
     // self-time). Occupancy is a quarter of the write latency: a pipelined
     // device accepts lines ~4x faster than one synchronous strongly-ordered
@@ -208,7 +200,7 @@ WriteBackSpec Runtime::route_spec(core::FlushSink* sync_sink,
 }
 
 void Runtime::persist_header() {
-  pmem::FlushBackend backend = make_backend(/*metered=*/false);
+  pmem::FlushBackend backend = make_backend();
   backend.flush_range(allocator_->region().base(),
                       pmem::PmemAllocator::header_size());
   backend.fence();
@@ -408,7 +400,7 @@ bool Runtime::needs_recovery() const {
 
 std::size_t Runtime::recover() {
   if (!config_.undo_logging || !log_region_.valid()) return 0;
-  pmem::FlushBackend backend = make_backend(/*metered=*/false);
+  pmem::FlushBackend backend = make_backend();
   BackendSink sink(&backend);
   RecoveryManager manager(region_view(&sink));
   if (verify_table_ != nullptr) manager.set_verify_table(verify_table_.get());
@@ -447,7 +439,6 @@ RuntimeStats Runtime::stats() const {
     s.combined += pc.combined;
     s.fases += pc.fases;
     s.instructions += pc.instructions;
-    s.bypassed_stores += pc.bypassed;
     // The app-side backend counts sync/overflow flushes and fences and is
     // only mutated by its owning thread. Ring write-backs come from the
     // channel's release-published count, never from the worker-side
@@ -474,31 +465,11 @@ RuntimeStats Runtime::stats() const {
       }
     }
   }
-  if (wear_ != nullptr) {
-    // Thread-safe by construction: the tracker's totals are release-
-    // published and its map is mutex-guarded, so this races with no
-    // worker-side recording.
-    const pmem::WearStats ws = wear_->stats();
-    s.media_line_writes = ws.line_writes;
-    s.media_bytes_written = ws.bytes_written;
-    s.wear_lines_touched = ws.lines_touched;
-    s.wear_max_line_writes = ws.max_line_writes;
-    s.wear_mean_line_writes = ws.mean_line_writes;
-    s.wear_leveling_skew = ws.leveling_skew;
-  }
   return s;
 }
 
 HealthReport Runtime::health() const {
   HealthReport report;
-  report.wear_attached = wear_ != nullptr;
-  if (wear_ != nullptr) {
-    const pmem::WearStats ws = wear_->stats();
-    report.media_bytes_written = ws.bytes_written;
-    report.wear_max_line_writes = ws.max_line_writes;
-    report.wear_mean_line_writes = ws.mean_line_writes;
-    report.wear_leveling_skew = ws.leveling_skew;
-  }
   {
     std::lock_guard<std::mutex> lock(recovery_mutex_);
     report.recovery_ran = recovery_ran_;

@@ -76,13 +76,6 @@ struct RuntimeConfig {
   std::size_t log_segment_size = 1u << 20;
   std::size_t max_threads = 64;
 
-  /// Endurance accounting (DESIGN.md §12): attach one shared
-  /// pmem::WearTracker to every flush backend — application-thread and
-  /// worker-side — so stats()/health() can report bytes written to media
-  /// and per-line wear. Off by default: the write-back hot path then keeps
-  /// a single null-pointer test.
-  bool wear_tracking = false;
-
   /// Commit-granularity data verification (DESIGN.md §14): every FASE
   /// commit publishes a CRC32C per touched data line into a shared
   /// LineVerifyTable; the online scrubber and the recovery pipeline's
@@ -112,18 +105,9 @@ struct RuntimeStats {
                                    // adds none, DESIGN.md §7)
   std::uint64_t log_bytes = 0;
   std::uint64_t log_syncs = 0;     // log entry persists (epochs in kBatched)
-  // Write admission (NVC_ADMIT; zero under the default `always` mode):
-  std::uint64_t bypassed_stores = 0;   // stores written through past a cache
   // Flush elision (flush-behind only; zero under synchronous flushing):
   std::uint64_t elided_flushes = 0;     // scheduled write-backs skipped
   std::uint64_t elision_reflushes = 0;  // drain re-checks that flushed
-  // Endurance accounting (wear_tracking; all zero when tracking is off):
-  std::uint64_t media_line_writes = 0;   // write-backs that reached media
-  std::uint64_t media_bytes_written = 0; // media_line_writes * line size
-  std::uint64_t wear_lines_touched = 0;  // distinct lines written
-  std::uint64_t wear_max_line_writes = 0;
-  double wear_mean_line_writes = 0.0;
-  double wear_leveling_skew = 0.0;       // max/mean - 1 (0 = leveled)
   std::size_t threads = 0;
   std::vector<std::size_t> cache_sizes;  // per-thread selected sizes (SC)
   // SC's MRC check (DESIGN.md §5): re-samples it started, summed over
@@ -239,7 +223,7 @@ class Runtime {
   /// DESIGN.md §5 item 5) so this reader never writes a policy field.
   RuntimeStats stats() const;
 
-  /// Aggregate health view: wear, the last recovery's verdict and the
+  /// Aggregate health view: the last recovery's verdict and the
   /// scrubber's counters (runtime/health.hpp).
   HealthReport health() const;
 
@@ -287,10 +271,10 @@ class Runtime {
   ThreadContext& context_at(std::size_t slot);
   /// Append the next context slot (contexts_mutex_ held).
   ThreadContext& add_context();
-  /// Every flush backend the runtime builds. Metered ones (per-context data,
-  /// log and worker side) carry the wear tracker; unmetered ones (heap header, log format, recovery, scrub repairs) only
-  /// reach the medium.
-  pmem::FlushBackend make_backend(bool metered) const;
+  /// Every flush backend the runtime builds (per-context data, log and
+  /// worker side; heap header, log format, recovery, scrub repairs): the
+  /// configured kind, reaching the medium when one is attached.
+  pmem::FlushBackend make_backend() const;
   /// One context's write-back route (runtime/write_back_route.hpp).
   WriteBackSpec route_spec(core::FlushSink* sync_sink, UndoLog* log) const;
   /// Write the heap header back (format, reopen, set_root, seal): the
@@ -309,10 +293,6 @@ class Runtime {
 
   RuntimeConfig config_;
   Medium* medium_;
-  /// Endurance accounting (null unless config_.wear_tracking). Shared: the
-  /// worker-side backend inside a FlushChannel keeps a reference, and a
-  /// channel may outlive the Runtime.
-  std::shared_ptr<pmem::WearTracker> wear_;
   /// Flush-elision table (null unless config_.async_flush). One table for
   /// all contexts — cross-thread dedup is the point — and shared because
   /// the worker-side retire stage inside a FlushChannel may outlive us.

@@ -76,7 +76,6 @@ void Scrubber::persist_repair(const char* p, std::size_t len) {
   const LineAddr last = line_of(reinterpret_cast<PmAddr>(p + len - 1));
   for (LineAddr line = first; line <= last; ++line) {
     backend_.flush(reinterpret_cast<const void*>(line_base(line)));
-    if (wear_ != nullptr) wear_->record(line);
   }
   backend_.fence();
 }

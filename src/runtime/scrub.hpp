@@ -34,7 +34,6 @@
 #include "common/types.hpp"
 #include "core/flush_pipeline.hpp"
 #include "pmem/flush.hpp"
-#include "pmem/wear.hpp"
 #include "runtime/recovery.hpp"
 
 namespace nvc::runtime {
@@ -68,10 +67,6 @@ class Scrubber final : public core::IdleTask {
   void set_verify_table(std::shared_ptr<const LineVerifyTable> table) {
     table_ = std::move(table);
   }
-  /// Endurance accounting: metadata repairs are media writes too.
-  void set_wear(std::shared_ptr<pmem::WearTracker> wear) {
-    wear_ = std::move(wear);
-  }
 
   /// Owner hook: the heap header was legitimately mutated — refresh the
   /// mirror. MUST be called under the same lock passed to set_header_lock
@@ -98,8 +93,7 @@ class Scrubber final : public core::IdleTask {
  private:
   void scrub_metadata();
   void scrub_data_batch();
-  /// Write back and fence the repaired bytes [p, p+len), and count their
-  /// lines as media writes.
+  /// Write back and fence the repaired bytes [p, p+len).
   void persist_repair(const char* p, std::size_t len);
 
   pmem::FlushBackend backend_;
@@ -111,7 +105,6 @@ class Scrubber final : public core::IdleTask {
 
   std::mutex* header_lock_ = nullptr;
   std::shared_ptr<const LineVerifyTable> table_;
-  std::shared_ptr<pmem::WearTracker> wear_;
 
   /// Serializes the worker's slices with manual steps (try-lock: a busy
   /// scrubber is skipped, never waited on).

@@ -24,13 +24,10 @@ std::string replay_hint(const char* env_var, std::uint64_t seed) {
 
 std::string fuzz_replay_line(std::uint64_t program_seed,
                              const std::string& mode_name,
-                             std::uint64_t freeze_event,
-                             const std::string& env) {
+                             std::uint64_t freeze_event) {
   std::ostringstream out;
   out << "replay: NVC_FUZZ_SEED=" << program_seed << " NVC_FUZZ_MODE="
-      << mode_name << " NVC_FUZZ_FREEZE=" << freeze_event;
-  if (!env.empty()) out << " " << env;
-  out << " ctest -R test_fuzz_crash --output-on-failure";
+      << mode_name << " NVC_FUZZ_FREEZE=" << freeze_event << " ctest -R test_fuzz_crash --output-on-failure";
   return out.str();
 }
 

@@ -24,11 +24,8 @@ std::string replay_hint(const char* env_var, std::uint64_t seed);
 
 /// The fuzzer's one-line replay command: environment + ctest invocation
 /// that deterministically reproduces one (seed, mode, freeze) crash case.
-/// `env` is the campaign's own fragment (e.g. "NVC_ADMIT=reuse") when it
-/// pins a setting the replay needs — empty keeps the line unchanged.
 std::string fuzz_replay_line(std::uint64_t program_seed,
                              const std::string& mode_name,
-                             std::uint64_t freeze_event,
-                             const std::string& env = "");
+                             std::uint64_t freeze_event);
 
 }  // namespace nvc::testing

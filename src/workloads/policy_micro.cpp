@@ -1,7 +1,8 @@
-#include "workloads/admission_micro.hpp"
+#include "workloads/policy_micro.hpp"
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -22,7 +23,7 @@ constexpr std::uint64_t kReuseStoresPerFase = 128;
 std::string unique_region_name() {
   static std::atomic<std::uint64_t> counter{0};
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "admit-micro-%d-%llu",
+  std::snprintf(buf, sizeof(buf), "policy-micro-%d-%llu",
                 static_cast<int>(::getpid()),
                 static_cast<unsigned long long>(
                     counter.fetch_add(1, std::memory_order_relaxed)));
@@ -31,7 +32,7 @@ std::string unique_region_name() {
 
 /// First 64-byte-aligned address inside an allocation of `lines` cache
 /// lines plus alignment slack, so every 64-byte-strided store touches
-/// exactly one line and the byte accounting is exact.
+/// exactly one line and the line accounting is exact.
 std::uint8_t* aligned_lines(runtime::Runtime& rt, std::uint64_t lines) {
   auto* raw = static_cast<std::uint8_t*>(
       rt.pm_alloc(lines * kCacheLineSize + kCacheLineSize));
@@ -41,20 +42,19 @@ std::uint8_t* aligned_lines(runtime::Runtime& rt, std::uint64_t lines) {
 
 }  // namespace
 
-const char* to_string(AdmissionWorkload workload) {
-  switch (workload) {
-    case AdmissionWorkload::kWriteOnceStream:
+const char* to_string(PolicyMicroShape shape) {
+  switch (shape) {
+    case PolicyMicroShape::kStream:
       return "stream";
-    case AdmissionWorkload::kReuseHeavy:
+    case PolicyMicroShape::kReuse:
       return "reuse";
   }
-  NVC_UNREACHABLE("invalid AdmissionWorkload");
+  NVC_UNREACHABLE("invalid PolicyMicroShape");
 }
 
-AdmissionMicroResult run_admission_micro(core::PolicyKind policy,
-                                         core::AdmitMode admit,
-                                         AdmissionWorkload workload,
-                                         std::uint64_t fases) {
+PolicyMicroResult run_policy_micro(core::PolicyKind policy,
+                                   PolicyMicroShape shape,
+                                   std::uint64_t fases) {
   NVC_REQUIRE(fases >= 1);
   runtime::RuntimeConfig config;
   config.region_name = unique_region_name();
@@ -63,15 +63,11 @@ AdmissionMicroResult run_admission_micro(core::PolicyKind policy,
       std::size_t{1} << 20, (stream_lines + 64) * kCacheLineSize * 2);
   config.policy = policy;
   config.flush = pmem::FlushKind::kCountOnly;
-  config.wear_tracking = true;
-  config.policy_config.admission.mode = admit;
   if (policy == core::PolicyKind::kSoftCache) {
-    // Online sampling, scaled so the first burst (and with it the kReuse
-    // verdict) lands after two FASEs. The knee selection is capped at the
-    // base capacity so the stall bound — not the cache — has to absorb the
-    // stream: without the cap the online policy simply grows the cache past
-    // the hot set's reuse distance and the admission dimension measures
-    // nothing.
+    // Online sampling, scaled so the first burst lands after two FASEs.
+    // The knee selection is capped at the base capacity: without the cap
+    // the online policy grows the cache past the hot set's reuse distance
+    // and the stream shape prices the sampler instead of the cache.
     config.policy_config.sampler.burst_length = 256;
     config.policy_config.sampler.knee.max_size = 8;
   }
@@ -85,11 +81,11 @@ AdmissionMicroResult run_admission_micro(core::PolicyKind policy,
 
     for (std::uint64_t f = 0; f < fases; ++f) {
       runtime::FaseScope fase(rt);
-      if (workload == AdmissionWorkload::kWriteOnceStream) {
+      if (shape == PolicyMicroShape::kStream) {
         // One stream store between consecutive hot-line writes: each hot
         // line's reuse distance is 15 distinct lines, just past the
-        // default capacity-8 soft cache, so under `always` the stream
-        // turns the whole hot set into eviction churn.
+        // default capacity-8 soft cache, so the stream turns the whole
+        // hot set into eviction churn.
         for (std::uint64_t step = 0; step < kStreamPerFase; ++step) {
           rt.pstore(stream + (next_stream++) * kCacheLineSize, &value,
                     sizeof(value));
@@ -107,16 +103,10 @@ AdmissionMicroResult run_admission_micro(core::PolicyKind policy,
   }
 
   const runtime::RuntimeStats s = rt.stats();
-  AdmissionMicroResult r;
+  PolicyMicroResult r;
   r.fases = s.fases;
   r.stores = s.stores;
-  r.bypassed = s.bypassed_stores;
-  r.media_line_writes = s.media_line_writes;
-  r.media_bytes = s.media_bytes_written;
-  r.wear_max_line_writes = s.wear_max_line_writes;
-  r.wear_leveling_skew = s.wear_leveling_skew;
-  r.bytes_per_fase =
-      static_cast<double>(r.media_bytes) / static_cast<double>(fases);
+  r.line_writes = s.flushes;
   rt.destroy_storage();
   return r;
 }

@@ -6,30 +6,10 @@
 
 namespace nvc::workloads {
 
-namespace {
-
-/// Trace replays build policies directly (no Runtime to stamp the admission
-/// doorkeeper's `line_base`), and the captured store addresses are raw heap
-/// lines that move with ASLR from one capture run to the next. Normalize by
-/// the trace's smallest store line — a fixed offset from the capture-run
-/// region base — so admission decisions replay bit-for-bit across runs.
-core::PolicyConfig with_trace_line_base(const ThreadTrace& trace,
-                                        core::PolicyConfig config) {
-  if (config.admission.mode == core::AdmitMode::kAlways) return config;
-  LineAddr base = ~LineAddr{0};
-  for (const TraceEvent& ev : trace.events) {
-    if (ev.kind == TraceEvent::Kind::kStore) base = std::min(base, ev.value);
-  }
-  if (base != ~LineAddr{0}) config.admission.line_base = base;
-  return config;
-}
-
-}  // namespace
-
 FlushCountResult replay_flush_count(const ThreadTrace& trace,
                                     core::PolicyKind kind,
                                     const core::PolicyConfig& config) {
-  auto policy = core::make_policy(kind, with_trace_line_base(trace, config));
+  auto policy = core::make_policy(kind, config);
   core::CountingSink sink;
   for (const TraceEvent& ev : trace.events) {
     switch (ev.kind) {
@@ -96,8 +76,7 @@ SimThreadResult replay_cost_model(const ThreadTrace& trace,
   l1.seed = seed;
   hwsim::CoreSim core(config.cost, l1);
   SimSink sink(&core);
-  auto policy =
-      core::make_policy(kind, with_trace_line_base(trace, config.policy));
+  auto policy = core::make_policy(kind, config.policy);
 
   std::uint64_t policy_instr_seen = 0;
   auto charge_policy_instructions = [&] {

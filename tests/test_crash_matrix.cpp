@@ -28,8 +28,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -68,9 +70,18 @@ DataImage to_image(const std::vector<std::uint8_t>& bytes) {
   return out;
 }
 
+/// One store of a script: the event count before the store began and the
+/// volatile data image after it.
+struct StoreStep {
+  std::uint64_t events_before;
+  DataImage state;
+};
+
 /// Deterministic script; returns the expected data image after each
-/// committed FASE (index 0 = the initial all-zero state).
-std::vector<DataImage> run_script(CrashRig& rig) {
+/// committed FASE (index 0 = the initial all-zero state). `steps`, when
+/// set, receives every store.
+std::vector<DataImage> run_script(CrashRig& rig,
+                                  std::vector<StoreStep>* steps = nullptr) {
   std::vector<DataImage> snapshots;
   DataImage state{};
   snapshots.push_back(state);
@@ -80,13 +91,23 @@ std::vector<DataImage> run_script(CrashRig& rig) {
     for (int s = 0; s < kStoresPerFase; ++s) {
       const std::size_t cell = rng.below(kCells);
       const std::uint64_t value = rng();
+      const std::uint64_t events_before = rig.events();
       rig.pstore_u64(0, cell, value);
       state[cell] = value;
+      if (steps != nullptr) steps->push_back({events_before, state});
     }
     rig.fase_end();
     snapshots.push_back(state);
   }
   return snapshots;
+}
+
+/// Whether `line` of `image` equals that line of `other`.
+bool same_line(const DataImage& image, const DataImage& other,
+               std::size_t line) {
+  const auto first = image.begin() + line * (kCacheLineSize / 8);
+  return std::equal(first, first + kCacheLineSize / 8,
+                    other.begin() + line * (kCacheLineSize / 8));
 }
 
 int snapshot_index(const std::vector<DataImage>& snapshots,
@@ -297,23 +318,78 @@ TEST(CrashTearBurst, MultiLineTearWindowKeepsAllOrNothing) {
   // flush, and torn log lines fail their check words, so neither can smuggle
   // uncommitted bytes past recovery. The sweep must also actually open a
   // multi-line window somewhere, or this test would be vacuous.
+  //
+  // Before recovery, the cut image must keep the platform's 8-byte
+  // power-fail atomicity: every word holds a value that word held at some
+  // point in the uncut run, never half of one value and half of another.
+  // The script's values differ from each word's previous value in both
+  // 32-bit halves, so a split word matches none of them. The sweep must
+  // also leave some data line partly old and partly new — equal neither to
+  // that line with the post-cut write-backs dropped (a run without
+  // tearing) nor to its volatile content when the window wrote it back —
+  // or the word check would be vacuous.
   for (const LogSyncMode mode :
        {LogSyncMode::kStrict, LogSyncMode::kBatched}) {
     const RuntimeConfig config = matrix_config(mode, false);
     CrashRigConfig medium = kMedium;
     medium.tear_rate = 1.0;
     medium.tear_seed = 0x7ea2;
+    CrashRigConfig untorn = medium;
+    untorn.tear_rate = 0.0;
 
+    std::vector<StoreStep> steps;
     CrashRig dry(config, medium);
-    const auto snapshots = run_script(dry);
+    const auto snapshots = run_script(dry, &steps);
     const std::uint64_t total = dry.events();
     EXPECT_EQ(dry.torn_flushes(), 0u) << "no power cut, nothing may tear";
 
+    std::vector<std::set<std::uint64_t>> word_values(kCells, {0});
+    DataImage previous{};
+    for (const StoreStep& step : steps) {
+      for (std::size_t cell = 0; cell < kCells; ++cell) {
+        const std::uint64_t now = step.state[cell];
+        const std::uint64_t was = previous[cell];
+        if (now == was) continue;
+        ASSERT_NE(now >> 32, was >> 32) << "cell " << cell;
+        ASSERT_NE(static_cast<std::uint32_t>(now),
+                  static_cast<std::uint32_t>(was))
+            << "cell " << cell;
+        word_values[cell].insert(now);
+      }
+      previous = step.state;
+    }
+
     std::uint64_t max_torn = 0;
+    std::uint64_t mixed_lines = 0;
+    std::size_t applied = 0;  // steps whose store began before the cut
     for (std::uint64_t e = 0; e <= total; ++e) {
       CrashRig rig(config, medium);
       rig.freeze_at(e);
       (void)run_script(rig);
+      const DataImage cut = to_image(rig.durable_data());
+      for (std::size_t cell = 0; cell < kCells; ++cell) {
+        ASSERT_TRUE(word_values[cell].contains(cut[cell]))
+            << to_string(mode) << ": freeze at event " << e << "/" << total
+            << " left word " << cell << " holding " << std::hex << cut[cell]
+            << ", a value it never held (a split 8-byte write)";
+      }
+      // The tear window's write-backs follow the cut without a store in
+      // between, so they carry every store that began before it.
+      while (applied < steps.size() && steps[applied].events_before <= e) {
+        ++applied;
+      }
+      const DataImage volatile_at_cut =
+          applied == 0 ? DataImage{} : steps[applied - 1].state;
+      CrashRig dropped(config, untorn);
+      dropped.freeze_at(e);
+      (void)run_script(dropped);
+      const DataImage no_tear = to_image(dropped.durable_data());
+      for (std::size_t line = 0; line < kDataLines; ++line) {
+        if (!same_line(cut, no_tear, line) &&
+            !same_line(cut, volatile_at_cut, line)) {
+          ++mixed_lines;
+        }
+      }
       const DataImage image = to_image(rig.recovered_data());
       ASSERT_GE(snapshot_index(snapshots, image), 0)
           << to_string(mode) << ": freeze at event " << e << "/" << total
@@ -324,6 +400,9 @@ TEST(CrashTearBurst, MultiLineTearWindowKeepsAllOrNothing) {
     EXPECT_GE(max_torn, 2u)
         << to_string(mode)
         << ": the sweep never opened a multi-line tear window";
+    EXPECT_GT(mixed_lines, 0u)
+        << to_string(mode)
+        << ": the sweep never left a data line partly old and partly new";
   }
 }
 

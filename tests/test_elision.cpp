@@ -15,7 +15,9 @@
 //     write-back immediately before performing it. Every elided announce
 //     must be covered by a later retire and its bytes must reach the
 //     simulated media; through the sinks, every drain must find the
-//     producer's stores written or their write-back issued.
+//     producer's stores written or their write-back issued. Through the
+//     Runtime and its flush worker, a flush-behind run must write back
+//     exactly the sync run's lines, less those elision skipped.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,12 +28,14 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/spsc_queue.hpp"
 #include "core/elision.hpp"
 #include "core/elision_sink.hpp"
+#include "runtime/runtime.hpp"
 
 namespace {
 
@@ -883,6 +887,71 @@ TEST(ElisionPipelineThreads, EveryDrainFindsItsStoresWrittenOrIssued) {
   std::printf("elided %llu, reflushed at a drain %llu\n",
               static_cast<unsigned long long>(elided.load()),
               static_cast<unsigned long long>(reflushed.load()));
+}
+
+/// Fixed multi-threaded store schedule through a Runtime on the count
+/// backend; returns its stats.
+nvc::runtime::RuntimeStats flush_behind_run(const std::string& name,
+                                            bool async_flush) {
+  using nvc::kCacheLineSize;
+  nvc::runtime::RuntimeConfig config;
+  config.region_name = name;
+  config.flush = nvc::pmem::FlushKind::kCountOnly;
+  config.policy = nvc::core::PolicyKind::kSoftCacheOffline;
+  config.policy_config.cache_size = 8;
+  config.async_flush = async_flush;
+  config.flush_queue_depth = 64;
+  nvc::runtime::Runtime rt(config);
+
+  constexpr int kThreads = 4;
+  constexpr std::size_t kLinesPerThread = 24;
+  auto* base = static_cast<std::uint8_t*>(
+      rt.pm_alloc(kThreads * kLinesPerThread * kCacheLineSize +
+                  kCacheLineSize));
+  const auto addr = reinterpret_cast<std::uintptr_t>(base);
+  base += nvc::align_up(addr, kCacheLineSize) - addr;
+
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&rt, base, t] {
+      std::uint8_t* mine = base + static_cast<std::size_t>(t) *
+                                      kLinesPerThread * kCacheLineSize;
+      const std::uint64_t v = 0xabcdULL + static_cast<std::uint64_t>(t);
+      for (int f = 0; f < 16; ++f) {
+        nvc::runtime::FaseScope fase(rt);
+        for (std::size_t i = 0; i < 32; ++i) {
+          const std::size_t line = (static_cast<std::size_t>(f) * 7 + i) %
+                                   kLinesPerThread;
+          rt.pstore(mine + line * kCacheLineSize, &v, sizeof(v));
+        }
+      }
+      rt.thread_flush();
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const nvc::runtime::RuntimeStats s = rt.stats();
+  rt.destroy_storage();
+  return s;
+}
+
+TEST(ElisionRuntimeThreads, FlushBehindWritesBackTheSyncRunsLinesLessElided) {
+  // Exactly-once flush traffic (DESIGN.md §8) means the same write-backs
+  // whether lines drain synchronously or through the flush worker and
+  // helping drains, less those flush elision skipped (how many depends on
+  // the worker's timing): the release-published ring counts must match the
+  // sync run's, write for write, in every async run.
+  const nvc::runtime::RuntimeStats sync_run =
+      flush_behind_run("test-elision-flush-sync", false);
+  EXPECT_GT(sync_run.flushes, 0u);
+  for (const char* name :
+       {"test-elision-flush-async-a", "test-elision-flush-async-b"}) {
+    const nvc::runtime::RuntimeStats async_run = flush_behind_run(name, true);
+    EXPECT_EQ(sync_run.flushes, async_run.flushes + async_run.elided_flushes -
+                                    async_run.elision_reflushes)
+        << name;
+  }
 }
 
 }  // namespace

@@ -9,7 +9,8 @@
 //     log protocol      strict | batched     (LogSyncMode)
 //     data write-backs  sync   | flush-behind pipeline (with flush elision)
 //
-// — and, under torn write-backs and write admission, both sampler
+// — under every crash-consistent policy (SC, and ER, LA, AT and SC-offline
+// in a sweep of their own), and, under torn write-backs, both sampler
 // hibernations (the rig's counted one and the shipped forever one) — with
 // the durable image frozen at randomized event indices. For every
 // crash point, the DurabilityOracle gives the only legal outcomes: each
@@ -25,6 +26,7 @@
 //   NVC_FUZZ_SEED=N    run exactly one program, generated from seed N
 //   NVC_FUZZ_ITERS=N   programs per mode (default 8; nightly runs raise it)
 //   NVC_FUZZ_MODE=S    only the named mode combo, e.g. batched-asyncflush-forever
+//                      (the policy sweep prefixes the policy: LA-strict-syncflush)
 //   NVC_FUZZ_FREEZE=N  only the named freeze event (with SEED: one exact case)
 //
 // Two differential companions ride along: the analyze/MRC/knee pipeline is
@@ -43,12 +45,14 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/env.hpp"
 #include "common/rng.hpp"
 #include "core/analyzer.hpp"
 #include "core/flush_pipeline.hpp"
+#include "core/policy.hpp"
 #include "pmem/pmem_region.hpp"
 #include "runtime/runtime.hpp"
 #include "support/crash_rig.hpp"
@@ -234,19 +238,39 @@ std::vector<std::uint64_t> freeze_points(std::uint64_t total,
   return points;
 }
 
+/// Run `program` unfrozen on `probe`, asserting after every outermost
+/// commit that the context's durable bytes equal its committed image: a
+/// commit leaves no stored line unflushed. It names the commit that lost a
+/// write-back, which the freeze sweep only shows at a cut point after it
+/// (and samples its cut points once a run passes 512 events).
+void run_checking_commits(CrashRig& probe, const FuzzProgram& program,
+                          const DurabilityOracle& oracle,
+                          const std::string& mode) {
+  std::vector<int> depth(program.contexts, 0);
+  std::vector<std::size_t> commits(program.contexts, 0);
+  run_program(probe, program, [&](const FuzzOp& op) {
+    if (op.kind == FuzzOpKind::kFaseBegin) ++depth[op.ctx];
+    if (op.kind != FuzzOpKind::kFaseEnd || --depth[op.ctx] > 0) return;
+    const std::size_t k = ++commits[op.ctx];
+    ASSERT_EQ(probe.durable_data(op.ctx), oracle.snapshots(op.ctx)[k])
+        << "ctx " << op.ctx << ": commit " << k << " left a stored line "
+        << "unflushed\n  "
+        << fuzz_replay_line(program.seed, mode, probe.events());
+  });
+}
+
 /// The freeze sweep every campaign shares: at each of freeze_points(),
 /// every context must recover the image after SOME committed FASE, and —
 /// the execution being deterministic — the matched commit index must be
 /// monotone in the freeze point. `dimension` (" with torn write-backs", …)
-/// and the replay fragment `env` go into failure messages; `last_index`
-/// receives the last commit index matched per context, and `torn` (when
-/// set) the write-backs that landed torn over the whole sweep.
+/// goes into failure messages; `last_index` receives the last commit index
+/// matched per context, and `torn` (when set) the write-backs that landed
+/// torn over the whole sweep.
 void sweep_freeze_points(const runtime::RuntimeConfig& config,
                          const CrashRigConfig& medium,
                          const FuzzProgram& program,
                          const DurabilityOracle& oracle, std::uint64_t total,
                          const std::string& mode, const std::string& dimension,
-                         const std::string& env,
                          std::vector<int>& last_index,
                          std::uint64_t* torn = nullptr) {
   last_index.assign(program.contexts, -1);
@@ -259,12 +283,12 @@ void sweep_freeze_points(const runtime::RuntimeConfig& config,
       ASSERT_GE(index, 0)
           << "ctx " << c << ": crash at event " << e << "/" << total
           << dimension << " recovered a state matching no committed FASE\n  "
-          << fuzz_replay_line(program.seed, mode, e, env);
+          << fuzz_replay_line(program.seed, mode, e);
       ASSERT_GE(index, last_index[c])
           << "ctx " << c << ": durability regressed" << dimension
           << " — freeze " << e << " recovered commit " << index
           << " after an earlier freeze had already reached " << last_index[c]
-          << "\n  " << fuzz_replay_line(program.seed, mode, e, env);
+          << "\n  " << fuzz_replay_line(program.seed, mode, e);
       last_index[c] = index;
     }
     if (torn != nullptr) *torn += rig.torn_flushes();
@@ -330,7 +354,7 @@ TEST_P(FuzzCrash, EveryCrashStateIsACommittedFasePrefix) {
     std::vector<int> last_index;
     sweep_freeze_points(fuzz_runtime_config(program, mode),
                         fuzz_medium(program), program, oracle, total,
-                        mode_name(mode), "", "", last_index);
+                        mode_name(mode), "", last_index);
     if (::testing::Test::HasFatalFailure()) return;
     if (env_int("NVC_FUZZ_FREEZE", -1) < 0) {
       // The unfrozen end of the sweep must have reached the final commit.
@@ -359,6 +383,98 @@ TEST_P(FuzzCrash, EveryCrashStateIsACommittedFasePrefix) {
 
 INSTANTIATE_TEST_SUITE_P(AllModes, FuzzCrash, ::testing::ValuesIn(kAllModes),
                          test_name);
+
+// --------------------------------------------------------------------------
+// The policy dimension: the same sweep under every other crash-consistent
+// policy. SC decides when a line is written back by its sampled cache size;
+// ER writes back every store at once, LA defers every line to the FASE end,
+// AT evicts by set conflicts and SC-offline keeps a fixed-size LRU. Each
+// moves the write-backs, and so the crash points, to other events, and the
+// durability contract must not depend on which one runs.
+// --------------------------------------------------------------------------
+
+using PolicyFuzzParam = std::tuple<core::PolicyKind, FuzzMode>;
+
+/// NVC_FUZZ_MODE name of a policy cell, e.g. "LA-batched-asyncflush".
+std::string policy_mode_name(const PolicyFuzzParam& param) {
+  return std::string(core::to_string(std::get<0>(param))) + "-" +
+         mode_name(std::get<1>(param));
+}
+
+class PolicyFuzzCrash : public ::testing::TestWithParam<PolicyFuzzParam> {};
+
+TEST_P(PolicyFuzzCrash, EveryCrashStateIsACommittedFasePrefix) {
+  const auto& [policy, mode] = GetParam();
+  const std::string name = policy_mode_name(GetParam());
+  const std::string only = env_str("NVC_FUZZ_MODE", "");
+  if (!only.empty() && only != name) {
+    GTEST_SKIP() << "NVC_FUZZ_MODE=" << only << " filters out this combo";
+  }
+
+  const SeedPlan plan = seed_plan(/*default_iters=*/4);
+  std::uint64_t combined_total = 0;
+  for (std::uint64_t iter = 0; iter < plan.iters; ++iter) {
+    const std::uint64_t seed = plan.seed(iter);
+    const FuzzProgram program = generate_program(seed);
+    const DurabilityOracle oracle(program);
+    runtime::RuntimeConfig rig_config = fuzz_runtime_config(program, mode);
+    rig_config.policy = policy;
+    // Small on purpose, like the rig's capacity-2 soft cache: with the
+    // default 8-entry table the programs' FASEs never conflict, and AT
+    // would write back exactly what LA does.
+    rig_config.policy_config.atlas_table_size = 2;
+
+    CrashRig probe(rig_config, fuzz_medium(program));
+    run_checking_commits(probe, program, oracle, name);
+    if (::testing::Test::HasFatalFailure()) return;
+    const std::uint64_t total = probe.events();
+    combined_total += probe.stats().combined;
+    for (std::size_t c = 0; c < program.contexts; ++c) {
+      ASSERT_EQ(probe.recovered_data(c), oracle.final_committed(c))
+          << "ctx " << c << ": uninterrupted run lost committed data\n  "
+          << fuzz_replay_line(seed, name, total);
+    }
+
+    std::vector<int> last_index;
+    sweep_freeze_points(rig_config, fuzz_medium(program), program, oracle,
+                        total, name, std::string(" under ") + name,
+                        last_index);
+    if (::testing::Test::HasFatalFailure()) return;
+    if (env_int("NVC_FUZZ_FREEZE", -1) < 0) {
+      for (std::size_t c = 0; c < program.contexts; ++c) {
+        ASSERT_EQ(static_cast<std::size_t>(last_index[c]) + 1,
+                  oracle.snapshots(c).size())
+            << "ctx " << c << ": sweep never recovered the final commit\n  "
+            << fuzz_replay_line(seed, name, total);
+      }
+    }
+  }
+
+  // The rig ran the named policy: ER combines no store, and each deferring
+  // policy combined some, so its deferred write-backs were among the
+  // crash points. Skipped on pinned replays.
+  if (fuzz_seed_pinned() || env_int("NVC_FUZZ_ITERS", -1) >= 0) return;
+  if (policy == core::PolicyKind::kEager) {
+    EXPECT_EQ(combined_total, 0u) << "ER combined a store";
+  } else {
+    EXPECT_GT(combined_total, 0u)
+        << core::to_string(policy) << " never combined a store in the "
+        << "campaign, so it deferred no write-back";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, PolicyFuzzCrash,
+    ::testing::Combine(::testing::Values(core::PolicyKind::kEager,
+                                         core::PolicyKind::kLazy,
+                                         core::PolicyKind::kAtlas,
+                                         core::PolicyKind::kSoftCacheOffline),
+                       ::testing::ValuesIn(kAllModes)),
+    [](const ::testing::TestParamInfo<PolicyFuzzParam>& param_info) {
+      std::string name = policy_mode_name(param_info.param);
+      std::erase(name, '-');
+      return name;
+    });
 
 // --------------------------------------------------------------------------
 // The repeat-store lane's disarm points (DESIGN.md §5 item 5).
@@ -431,24 +547,14 @@ TEST_P(RepeatLaneFuzzCrash, RedirtiedLinesAreWrittenBackBeforeCommit) {
     rig_config.policy_config.sampler.hibernation_length = 0;
 
     CrashRig probe(rig_config, fuzz_medium(program));
-    std::vector<int> depth(program.contexts, 0);
-    std::vector<std::size_t> commits(program.contexts, 0);
-    run_program(probe, program, [&](const FuzzOp& op) {
-      if (op.kind == FuzzOpKind::kFaseBegin) ++depth[op.ctx];
-      if (op.kind != FuzzOpKind::kFaseEnd || --depth[op.ctx] > 0) return;
-      const std::size_t k = ++commits[op.ctx];
-      ASSERT_EQ(probe.durable_data(op.ctx), oracle.snapshots(op.ctx)[k])
-          << "ctx " << op.ctx << ": commit " << k << " left a stored line "
-          << "unflushed\n  "
-          << fuzz_replay_line(seed, mode_name(mode), probe.events());
-    });
+    run_checking_commits(probe, program, oracle, mode_name(mode));
     if (::testing::Test::HasFatalFailure()) return;
     const std::uint64_t total = probe.events();
 
     std::vector<int> last_index;
     sweep_freeze_points(rig_config, fuzz_medium(program), program, oracle,
                         total, mode_name(mode), " with the repeat lane live",
-                        "", last_index);
+                        last_index);
     if (::testing::Test::HasFatalFailure()) return;
   }
   if (!fuzz_seed_pinned() && env_int("NVC_FUZZ_ITERS", -1) < 0) {
@@ -585,8 +691,8 @@ TEST_P(TornFuzzCrash, TornRunsStillRecoverCommittedPrefixes) {
     // still be monotone.
     std::vector<int> last_index;
     sweep_freeze_points(rig_config, medium, program, oracle, total,
-                        mode_name(mode), " with torn write-backs", "",
-                        last_index, &torn_total);
+                        mode_name(mode), " with torn write-backs", last_index,
+                        &torn_total);
     if (::testing::Test::HasFatalFailure()) return;
   }
 
@@ -601,79 +707,6 @@ TEST_P(TornFuzzCrash, TornRunsStillRecoverCommittedPrefixes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, TornFuzzCrash,
-                         ::testing::ValuesIn(kHibernationModes), test_name);
-
-// --------------------------------------------------------------------------
-// The admission dimension: the same sweep with write-through bypasses.
-// --------------------------------------------------------------------------
-
-class AdmitFuzzCrash : public ::testing::TestWithParam<FuzzMode> {};
-
-TEST_P(AdmitFuzzCrash, BypassedLinesKeepTheDurabilityContract) {
-  // Write-admission (DESIGN.md §12) changes WHERE a store's write-back
-  // happens — immediately through the LogOrderedSink instead of at
-  // eviction/FASE end — but must not change WHAT a crash can leave behind:
-  // the same oracle, the same monotone durability, under every mode combo,
-  // both hibernations and both non-trivial admission modes. NVC_ADMIT pins one admission
-  // mode for replay (failure lines carry the fragment).
-  const FuzzMode mode = GetParam();
-  const std::string only = env_str("NVC_FUZZ_MODE", "");
-  if (!only.empty() && only != mode_name(mode)) {
-    GTEST_SKIP() << "NVC_FUZZ_MODE=" << only << " filters out this combo";
-  }
-
-  const core::AdmitMode sweep[] = {core::AdmitMode::kWriteOnce,
-                                   core::AdmitMode::kReuse};
-  const std::string admit_pin = env_str("NVC_ADMIT", "");
-  const SeedPlan plan = seed_plan(/*default_iters=*/4);
-  std::uint64_t bypassed_total = 0;
-  for (const core::AdmitMode admit : sweep) {
-    if (!admit_pin.empty() && admit_pin != core::to_string(admit)) continue;
-    const std::string admit_env =
-        std::string("NVC_ADMIT=") + core::to_string(admit);
-    for (std::uint64_t iter = 0; iter < plan.iters; ++iter) {
-      const std::uint64_t seed = plan.seed(iter);
-      const FuzzProgram program = generate_program(seed);
-      const DurabilityOracle oracle(program);
-
-      runtime::RuntimeConfig rig_config = fuzz_runtime_config(program, mode);
-      rig_config.policy_config.admission.mode = admit;
-
-      // Probe run, never frozen: even with bypasses the uninterrupted run
-      // must recover the final commit.
-      CrashRig probe(rig_config, fuzz_medium(program));
-      run_program(probe, program);
-      const std::uint64_t total = probe.events();
-      bypassed_total += probe.stats().bypassed_stores;
-      for (std::size_t c = 0; c < program.contexts; ++c) {
-        ASSERT_EQ(probe.recovered_data(c), oracle.final_committed(c))
-            << "ctx " << c << ": uninterrupted run with admission lost "
-            << "committed data\n  "
-            << fuzz_replay_line(seed, mode_name(mode), total, admit_env);
-      }
-
-      std::vector<int> last_index;
-      sweep_freeze_points(rig_config, fuzz_medium(program), program, oracle,
-                          total, mode_name(mode), " with admission bypasses",
-                          admit_env, last_index);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-  }
-
-  // Campaign coverage (deterministic seeds): the sweep is only meaningful
-  // if the doorkeeper actually bypassed stores somewhere. Skipped on
-  // pinned replays, where the campaign is deliberately partial.
-  const bool pinned = fuzz_seed_pinned() ||
-                      env_int("NVC_FUZZ_FREEZE", -1) >= 0 ||
-                      env_int("NVC_FUZZ_ITERS", -1) >= 0 ||
-                      !admit_pin.empty();
-  if (pinned) return;
-  EXPECT_GT(bypassed_total, 0u)
-      << "admission sweep never bypassed a store; the write-once doorkeeper "
-      << "no longer sees first touches";
-}
-
-INSTANTIATE_TEST_SUITE_P(AllModes, AdmitFuzzCrash,
                          ::testing::ValuesIn(kHibernationModes), test_name);
 
 // --------------------------------------------------------------------------

@@ -538,10 +538,6 @@ TEST(ShadowPmem, TornWriteBackWearsTheLineButIsNotAFlush) {
   EXPECT_EQ(mem.torn_flushes(), 1u);
   EXPECT_EQ(mem.bytes_written(), kCacheLineSize + mem.torn_bytes(1));
   EXPECT_EQ(mem.line_write_count(1), 1u);
-  const WearStats wear = mem.wear_stats();
-  EXPECT_EQ(wear.lines_touched, 2u);
-  EXPECT_EQ(wear.line_writes, 2u);
-  EXPECT_EQ(wear.bytes_written, mem.bytes_written());
 }
 
 TEST(ShadowPmem, TearDecisionsAreAFunctionOfSeedAndLineAlone) {

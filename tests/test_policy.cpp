@@ -593,12 +593,12 @@ TEST(PolicyNames, AllSixNamed) {
 //
 // Policy::on_store only counts a store to the line the previous store left
 // buffered (DESIGN.md §5 item 5). The property: on any trace, the flush
-// sequence, the drains, the PolicyCounters snapshot, the cache size, the
-// admission counters and the sampler's selections equal those of lane-free
-// reference models, in which every store runs the full bookkeeping. The
-// references reuse the real AdmissionFilter and BurstSampler (the lane
-// lives in Policy, not in them); the cache structures are naive models in
-// the style of tests/test_write_cache.cpp's ReferenceLru.
+// sequence, the drains, the PolicyCounters snapshot, the cache size and
+// the sampler's selections equal those of lane-free reference models, in
+// which every store runs the full bookkeeping. The references reuse the
+// real BurstSampler (the lane lives in Policy, not in it); the cache
+// structures are naive models in the style of tests/test_write_cache.cpp's
+// ReferenceLru.
 
 // Instruction estimates of core/policy.cpp, restated for the references.
 constexpr std::uint64_t kRefEagerStore = 2;
@@ -613,10 +613,6 @@ constexpr std::uint64_t kRefSamplerAnalysisPerWrite = 30;
 class ReferenceLru {
  public:
   explicit ReferenceLru(std::size_t cap) : cap_(cap) {}
-
-  bool contains(LineAddr line) const {
-    return std::find(order_.begin(), order_.end(), line) != order_.end();
-  }
 
   bool access(LineAddr line, std::vector<LineAddr>* evicted) {
     const auto it = std::find(order_.begin(), order_.end(), line);
@@ -657,15 +653,13 @@ class ReferenceLru {
 /// Lane-free model of one policy (synchronous analysis only).
 class ReferencePolicy {
  public:
-  ReferencePolicy(PolicyKind kind, const PolicyConfig& config,
-                  bool admission)
+  ReferencePolicy(PolicyKind kind, const PolicyConfig& config)
       : kind_(kind),
         lru_(config.cache_size),
         sets_(config.atlas_table_size / config.atlas_associativity),
         ways_(config.atlas_associativity),
         slots_(config.atlas_table_size, 0),
         recency_(sets_) {
-    if (admission) filter_ = std::make_unique<AdmissionFilter>(config.admission);
     if (kind == PolicyKind::kSoftCache) {
       sampler_ = std::make_unique<BurstSampler>(config.sampler);
     }
@@ -681,19 +675,6 @@ class ReferencePolicy {
     if (kind_ == PolicyKind::kBest) {
       ++counters.stores;
       return;
-    }
-    const bool sc = kind_ == PolicyKind::kSoftCache ||
-                    kind_ == PolicyKind::kSoftCacheOffline;
-    if (filter_ != nullptr && (!sc || !lru_.contains(line))) {
-      counters.instructions += AdmissionFilter::kInstrProbe;
-      if (filter_->should_bypass(line)) {
-        ++counters.stores;
-        ++counters.bypassed;
-        counters.instructions += kRefFlushIssue;
-        flushed.push_back(line);
-        sample(line);
-        return;
-      }
     }
     ++counters.stores;
     switch (kind_) {
@@ -752,7 +733,6 @@ class ReferencePolicy {
                ? lru_.capacity()
                : 0;
   }
-  const AdmissionFilter* filter() const { return filter_.get(); }
   const BurstSampler* sampler() const { return sampler_.get(); }
   std::uint32_t resamples() const { return resampled_ ? 1 : 0; }
 
@@ -776,28 +756,20 @@ class ReferencePolicy {
           open_window();
         }
       }
-      if (filter_ != nullptr) filter_->publish_verdict(*sampler_);
     }
   }
 
-  // SC's MRC check over the model's own counts: the cache flushed every
-  // recorded line except the bypassed stores, and cached every store
-  // except those.
-  std::uint64_t cache_flushes() const {
-    return flushed.size() - counters.bypassed;
-  }
-  std::uint64_t cache_stores() const {
-    return counters.stores - counters.bypassed;
-  }
+  // SC's MRC check over the model's own counts: every recorded line is a
+  // cache flush.
   void open_window() {
-    window_flushes_ = cache_flushes();
-    window_stores_ = cache_stores();
+    window_flushes_ = flushed.size();
+    window_stores_ = counters.stores;
   }
   void check_prediction() {
-    const std::uint64_t stores = cache_stores() - window_stores_;
+    const std::uint64_t stores = counters.stores - window_stores_;
     if (stores < sampler_->burst_length()) return;
     const double observed =
-        static_cast<double>(cache_flushes() - window_flushes_) /
+        static_cast<double>(flushed.size() - window_flushes_) /
         static_cast<double>(stores);
     if (observed > SoftCachePolicy::kResampleSlack * *predicted_ +
                        SoftCachePolicy::kResampleFloor) {
@@ -834,7 +806,6 @@ class ReferencePolicy {
   }
 
   PolicyKind kind_;
-  std::unique_ptr<AdmissionFilter> filter_;
   std::unique_ptr<BurstSampler> sampler_;
   ReferenceLru lru_;                  // SC / SC-offline
   std::vector<LineAddr> pending_;     // LA, first-write order
@@ -880,30 +851,43 @@ const LaneCase kLaneCases[] = {
     {"BEST", PolicyKind::kBest},
 };
 
-using LaneParam = std::tuple<LaneCase, AdmitMode>;
-
-class RepeatLane : public ::testing::TestWithParam<LaneParam> {};
-
-bool admission_attaches(PolicyKind kind, AdmitMode mode) {
-  if (mode == AdmitMode::kWriteOnce) {
-    return kind == PolicyKind::kLazy || kind == PolicyKind::kAtlas ||
-           kind == PolicyKind::kSoftCache ||
-           kind == PolicyKind::kSoftCacheOffline;
-  }
-  return mode == AdmitMode::kReuse && kind == PolicyKind::kSoftCache;
-}
-
 void expect_same_counters(const PolicyCounters& got,
                           const PolicyCounters& want, const std::string& at) {
   EXPECT_EQ(got.stores, want.stores) << at;
   EXPECT_EQ(got.combined, want.combined) << at;
   EXPECT_EQ(got.fases, want.fases) << at;
   EXPECT_EQ(got.instructions, want.instructions) << at;
-  EXPECT_EQ(got.bypassed, want.bypassed) << at;
 }
 
-TEST_P(RepeatLane, MatchesLaneFreeReference) {
-  const auto& [lc, mode] = GetParam();
+/// How a trace's store ops pick their lines.
+enum class LaneTrace : std::uint8_t {
+  /// A run of 1-16 stores to one line: the lane fires on all but the first.
+  kRuns,
+  /// 2-16 stores alternating between two lines, each store repeated once
+  /// or twice: the lane arms and disarms on almost every store, and a
+  /// capacity-1 cache evicts the other line on each switch.
+  kPingPong,
+  /// A walk over 1-`lines` consecutive lines (wrapping), each stored 1-3
+  /// times: walks longer than the cache evict the LRU end while the lane
+  /// holds the MRU line.
+  kSweep,
+};
+
+const char* to_string(LaneTrace trace) {
+  switch (trace) {
+    case LaneTrace::kRuns:
+      return "runs";
+    case LaneTrace::kPingPong:
+      return "pingpong";
+    case LaneTrace::kSweep:
+      return "sweep";
+  }
+  return "?";
+}
+
+/// Drive the policy and its lane-free reference through six seeded traces
+/// of `trace`'s shape, asserting after every op that both agree.
+void expect_lane_matches_reference(const LaneCase& lc, LaneTrace trace) {
   PolicyConfig config;
   config.cache_size = lc.cache_size;
   config.atlas_table_size = 8;
@@ -912,21 +896,22 @@ TEST_P(RepeatLane, MatchesLaneFreeReference) {
   config.sampler.hibernation_length = lc.hibernation;
   config.sampler.skip_fases = lc.skip_fases;
   config.sampler.knee.max_size = 16;
-  config.admission.mode = mode;
-  config.admission.window = 8;           // small: bypasses happen often
-  config.admission.reuse_threshold = 0.95;
-  const bool admits = admission_attaches(lc.kind, mode);
 
   std::uint64_t lane_stores = 0;  // stores to the previous store's line
   std::uint64_t resamples = 0;    // SC: MRC checks that fired
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     auto policy = make_policy(lc.kind, config);
-    ASSERT_EQ(policy->admission() != nullptr, admits);
-    ReferencePolicy ref(lc.kind, config, admits);
+    ReferencePolicy ref(lc.kind, config);
     RecordingSink sink;
-    Rng rng(seed * 7919 + static_cast<std::uint64_t>(mode));
+    Rng rng(seed * 7919 + static_cast<std::uint64_t>(trace));
     bool in_fase = false;
     LineAddr prev = 0;
+    const auto store = [&](LineAddr line) {
+      if (line == prev) ++lane_stores;
+      prev = line;
+      policy->on_store(line, sink);
+      ref.store(line);
+    };
 
     for (int step = 0; step < 300; ++step) {
       const std::uint64_t roll = rng.below(100);
@@ -953,34 +938,41 @@ TEST_P(RepeatLane, MatchesLaneFreeReference) {
         policy->flush_buffered(sink);
         ref.flush_buffered();
         prev = 0;
-      } else {
-        // A run of 1-16 stores to one line (also outside FASEs, as a
-        // pwrote outside any FASE reaches the policy).
+      } else if (trace == LaneTrace::kRuns) {
+        // Stores run also outside FASEs, as a pwrote outside any FASE
+        // reaches the policy.
         const LineAddr line = 1 + rng.below(lc.lines);
         const std::uint64_t run = rng.range(1, 16);
         op = "run of " + std::to_string(run) + " x line " +
              std::to_string(line);
+        for (std::uint64_t i = 0; i < run; ++i) store(line);
+      } else if (trace == LaneTrace::kPingPong) {
+        const LineAddr a = 1 + rng.below(lc.lines);
+        const LineAddr b = 1 + (a + rng.range(0, lc.lines - 2)) % lc.lines;
+        const std::uint64_t run = rng.range(2, 16);
+        op = "ping-pong of " + std::to_string(run) + " over lines " +
+             std::to_string(a) + ", " + std::to_string(b);
         for (std::uint64_t i = 0; i < run; ++i) {
-          if (line == prev) ++lane_stores;
-          prev = line;
-          policy->on_store(line, sink);
-          ref.store(line);
+          const LineAddr line = i % 2 == 0 ? a : b;
+          for (std::uint64_t r = rng.range(1, 2); r > 0; --r) store(line);
+        }
+      } else {
+        const std::uint64_t first = rng.below(lc.lines);
+        const std::uint64_t length = rng.range(1, lc.lines);
+        op = "sweep of " + std::to_string(length) + " lines from line " +
+             std::to_string(1 + first);
+        for (std::uint64_t i = 0; i < length; ++i) {
+          const LineAddr line = 1 + (first + i) % lc.lines;
+          for (std::uint64_t r = rng.range(1, 3); r > 0; --r) store(line);
         }
       }
-      const std::string at = std::string(lc.name) + "/" + to_string(mode) +
+      const std::string at = std::string(lc.name) + " " + to_string(trace) +
                              " seed " + std::to_string(seed) + " step " +
                              std::to_string(step) + " (" + op + ")";
       ASSERT_EQ(sink.flushed, ref.flushed) << at;
       ASSERT_EQ(sink.drains, ref.drains) << at;
       expect_same_counters(policy->counters(), ref.counters, at);
       ASSERT_EQ(policy->current_cache_size(), ref.cache_size()) << at;
-      if (admits) {
-        const AdmissionCounters& got = policy->admission()->counters();
-        const AdmissionCounters& want = ref.filter()->counters();
-        ASSERT_EQ(got.bypassed, want.bypassed) << at;
-        ASSERT_EQ(got.readmitted, want.readmitted) << at;
-        ASSERT_EQ(got.verdicts, want.verdicts) << at;
-      }
       if (ref.sampler() != nullptr) {
         const auto& sc = static_cast<const SoftCachePolicy&>(*policy);
         ASSERT_EQ(sc.sampler().bursts_completed(),
@@ -995,7 +987,8 @@ TEST_P(RepeatLane, MatchesLaneFreeReference) {
     }
     if (ref.sampler() != nullptr) {
       // The warmup and at least one burst end passed inside the trace.
-      EXPECT_GE(ref.sampler()->bursts_completed(), 1u) << "seed " << seed;
+      EXPECT_GE(ref.sampler()->bursts_completed(), 1u)
+          << to_string(trace) << " seed " << seed;
       resamples += ref.resamples();
     }
   }
@@ -1012,16 +1005,25 @@ TEST_P(RepeatLane, MatchesLaneFreeReference) {
   }
 }
 
+// Every lane case on every trace shape.
+using LaneParam = std::tuple<LaneCase, LaneTrace>;
+
+class RepeatLane : public ::testing::TestWithParam<LaneParam> {};
+
+TEST_P(RepeatLane, MatchesLaneFreeReference) {
+  const auto& [lc, trace] = GetParam();
+  expect_lane_matches_reference(lc, trace);
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    PoliciesAndAdmission, RepeatLane,
+    Policies, RepeatLane,
     ::testing::Combine(::testing::ValuesIn(kLaneCases),
-                       ::testing::Values(AdmitMode::kAlways,
-                                         AdmitMode::kWriteOnce,
-                                         AdmitMode::kReuse)),
+                       ::testing::Values(LaneTrace::kRuns,
+                                         LaneTrace::kPingPong,
+                                         LaneTrace::kSweep)),
     [](const ::testing::TestParamInfo<LaneParam>& param_info) {
-      std::string mode = to_string(std::get<1>(param_info.param));
-      std::replace(mode.begin(), mode.end(), '-', '_');
-      return std::string(std::get<0>(param_info.param).name) + "_" + mode;
+      return std::string(std::get<0>(param_info.param).name) + "_" +
+             to_string(std::get<1>(param_info.param));
     });
 
 // --- crash-consistency property (ShadowPmem) -----------------------------------------

@@ -1,11 +1,15 @@
 // Tests for the workload layer: trace recording, determinism, replay through
 // policies, the cost-model replay, and the paper's qualitative per-workload
-// properties (flush-ratio ordering, FASE scaling with threads).
+// properties (flush-ratio ordering, FASE scaling with threads), and the
+// closed-form line write-backs of the policy microworkloads.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
+#include <tuple>
 
+#include "core/policy.hpp"
+#include "workloads/policy_micro.hpp"
 #include "workloads/replay.hpp"
 #include "workloads/workload.hpp"
 
@@ -261,6 +265,58 @@ TEST(CostReplay, FlushCountsMatchCountingReplay) {
   EXPECT_EQ(simulated.total_flushes(), counted.flushes);
   EXPECT_EQ(simulated.total_stores(), counted.stores);
 }
+
+// --- policy microworkloads ---------------------------------------------------------
+
+// workloads/policy_micro.hpp's closed forms, per FASE: the stream shape
+// writes back every one of its 128 stores (64 stream lines plus 64 hot-line
+// writes that each miss the capacity-8 cache), except under LA, which
+// combines the whole FASE into its 64 + 8 distinct lines; the reuse shape's
+// 128 stores to 6 lines write back 6 lines under every deferring policy
+// and 128 under ER. BM_PolicyLinesPerFase's exact_line_writes gates the
+// same counts at 32 FASEs.
+using PolicyMicroParam = std::tuple<core::PolicyKind, PolicyMicroShape>;
+
+std::uint64_t closed_form_lines_per_fase(core::PolicyKind policy,
+                                         PolicyMicroShape shape) {
+  if (shape == PolicyMicroShape::kStream) {
+    return policy == core::PolicyKind::kLazy ? 64 + 8 : 128;
+  }
+  return policy == core::PolicyKind::kEager ? 128 : 6;
+}
+
+class PolicyMicro : public ::testing::TestWithParam<PolicyMicroParam> {};
+
+TEST_P(PolicyMicro, LineWritesMatchTheClosedForm) {
+  const auto& [policy, shape] = GetParam();
+  const std::uint64_t per_fase = closed_form_lines_per_fase(policy, shape);
+  for (const std::uint64_t fases : {1u, 8u, 32u}) {
+    const PolicyMicroResult r = run_policy_micro(policy, shape, fases);
+    EXPECT_EQ(r.fases, fases);
+    EXPECT_EQ(r.stores, fases * 128) << fases << " FASEs";
+    EXPECT_EQ(r.line_writes, fases * per_fase) << fases << " FASEs";
+  }
+  // Bit-deterministic: a second run reads the same counts.
+  const PolicyMicroResult a = run_policy_micro(policy, shape, 32);
+  const PolicyMicroResult b = run_policy_micro(policy, shape, 32);
+  EXPECT_EQ(a.stores, b.stores);
+  EXPECT_EQ(a.line_writes, b.line_writes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPolicies, PolicyMicro,
+    ::testing::Combine(::testing::Values(core::PolicyKind::kEager,
+                                         core::PolicyKind::kLazy,
+                                         core::PolicyKind::kAtlas,
+                                         core::PolicyKind::kSoftCacheOffline,
+                                         core::PolicyKind::kSoftCache),
+                       ::testing::Values(PolicyMicroShape::kStream,
+                                         PolicyMicroShape::kReuse)),
+    [](const ::testing::TestParamInfo<PolicyMicroParam>& param_info) {
+      std::string name = core::to_string(std::get<0>(param_info.param));
+      std::erase(name, '-');
+      return name + "_" + to_string(std::get<1>(param_info.param));
+    });
 
 }  // namespace
 }  // namespace nvc::workloads
