@@ -28,7 +28,9 @@ Exits nonzero when any benchmark present in both files regressed by more
 than the tolerance (default 10%, override with NVC_BENCH_TOLERANCE, e.g.
 NVC_BENCH_TOLERANCE=0.25). Benchmarks only in one file are reported but are
 not failures (families come and go across PRs; the baseline is refreshed
-whenever micro_gbench changes shape).
+whenever micro_gbench changes shape). A baseline row is reported MISSING
+only when the run measured its family (the name up to the first `/`); the
+rows of families a filtered run left out are counted in one summary line.
 
 Regression = real_time above baseline * (1 + tolerance) AND above baseline
 by an absolute floor (default 20 ns, NVC_BENCH_MIN_DELTA_NS): a 3 ns shift
@@ -86,6 +88,11 @@ def load_results(path):
                 "real_time", 0.0):
             results[name] = entry
     return results
+
+
+def family(name):
+    """The benchmark family: the name up to its first argument."""
+    return name.split("/", 1)[0]
 
 
 def fmt_time(entry):
@@ -167,10 +174,15 @@ def main(argv):
     exact_failures = []
     compared = 0
     compared_exact = 0
+    measured = {family(name) for name in current}
+    unmeasured = {}  # family -> baseline rows the run left out
     for name, base in sorted(baseline.items()):
         cur = current.get(name)
         if cur is None:
-            print("MISSING  %-55s (in baseline only)" % name)
+            if family(name) in measured:
+                print("MISSING  %-55s (in baseline only)" % name)
+            else:
+                unmeasured[family(name)] = unmeasured.get(family(name), 0) + 1
             continue
         if cur.get("time_unit") != base.get("time_unit"):
             print("UNIT?    %-55s %s vs %s" % (name, cur.get("time_unit"),
@@ -209,6 +221,9 @@ def main(argv):
                       % (name, key, base_value, cur_value))
     for name in sorted(set(current) - set(baseline)):
         print("NEW      %-55s %s" % (name, fmt_time(current[name])))
+    if unmeasured:
+        print("%d baseline rows not measured (families left out: %s)"
+              % (sum(unmeasured.values()), ", ".join(sorted(unmeasured))))
 
     print()
     failed = False

@@ -537,8 +537,8 @@ void BM_PolicyLinesPerFase(benchmark::State& state) {
   // 32-FASE run OUTSIDE the timing loop: it is bit-deterministic and
   // iteration-count-independent, and bench/compare.py gates it exactly (no
   // tolerance) instead of with the noisy-time envelope. The timed loop
-  // runs a short 8-FASE replay end to end so the entry also carries a real
-  // cost.
+  // replays 8 FASEs on a Runtime set up before it, so the entry's time is
+  // the policy's and the runtime's store path, not region set-up.
   const core::PolicyKind kinds[] = {
       core::PolicyKind::kEager, core::PolicyKind::kLazy,
       core::PolicyKind::kAtlas, core::PolicyKind::kSoftCacheOffline,
@@ -546,9 +546,12 @@ void BM_PolicyLinesPerFase(benchmark::State& state) {
   const auto policy = kinds[state.range(0)];
   const auto shape = static_cast<workloads::PolicyMicroShape>(state.range(1));
   const auto exact = workloads::run_policy_micro(policy, shape, 32);
+  workloads::PolicyMicro micro(policy, shape, 8);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(workloads::run_policy_micro(policy, shape, 8));
+    micro.replay(8);
+    benchmark::ClobberMemory();
   }
+  benchmark::DoNotOptimize(micro.finish());
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 8);
   state.counters["exact_line_writes"] =
       benchmark::Counter(static_cast<double>(exact.line_writes));

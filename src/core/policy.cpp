@@ -176,7 +176,7 @@ SoftCachePolicy::SoftCachePolicy(const PolicyConfig& config, bool online)
 bool SoftCachePolicy::do_store(LineAddr line, FlushSink& sink) {
   // A dormant sampler ignores stores, so this store skips it, cannot resize
   // the cache, and a repeat would be a plain hit on the MRU line.
-  const bool dormant = !online_ || sampler_.dormant();
+  bool dormant = !online_ || sampler_.dormant();
   ++counters_.stores;
   const bool hit = cache_.access(line, sink);
   if (hit) {
@@ -184,6 +184,12 @@ bool SoftCachePolicy::do_store(LineAddr line, FlushSink& sink) {
     counters_.instructions += WriteCache::kInstrPerHit;
   } else {
     counters_.instructions += WriteCache::kInstrPerInsert;
+    // A FASE longer than a burst closes the check window at a miss. A
+    // check that fires starts the burst, and this store is its first.
+    if (counters().stores >= miss_check_at_ &&
+        check_prediction(/*mid_fase=*/true)) {
+      dormant = false;
+    }
   }
 
   if (!dormant) sample_store(line, sink);
@@ -220,12 +226,20 @@ void SoftCachePolicy::apply_selection(std::size_t selected,
 void SoftCachePolicy::open_window() {
   window_flushes_ = cache_.stats().flushes();
   window_stores_ = counters().stores;
+  arm_miss_check();
 }
 
-void SoftCachePolicy::check_prediction() {
-  if (!predicted_ || fired_) return;
+void SoftCachePolicy::arm_miss_check() {
+  miss_check_at_ = predicted_ && !fired_
+                       ? std::max(window_stores_, fase_start_) +
+                             sampler_.burst_length()
+                       : kNever;
+}
+
+bool SoftCachePolicy::check_prediction(bool mid_fase) {
+  if (!predicted_ || fired_) return false;
   const std::uint64_t stores = counters().stores - window_stores_;
-  if (stores < sampler_.burst_length()) return;
+  if (stores < sampler_.burst_length()) return false;
   const std::uint64_t flushes = cache_.stats().flushes() - window_flushes_;
   const double observed =
       static_cast<double>(flushes) / static_cast<double>(stores);
@@ -234,10 +248,13 @@ void SoftCachePolicy::check_prediction() {
     // applied, so the burst always starts.
     const bool started = sampler_.resample();
     NVC_ENSURE(started, "the MRC check found its sampler busy");
-    fired_ = ResampleCheck{cache_.capacity(), *predicted_, observed};
-    return;
+    fired_ = ResampleCheck{cache_.capacity(), *predicted_, observed, stores,
+                           mid_fase};
+    miss_check_at_ = kNever;
+    return true;
   }
   open_window();
+  return false;
 }
 
 void SoftCachePolicy::do_flush_buffered(FlushSink& sink) {
@@ -254,7 +271,11 @@ void SoftCachePolicy::do_fase_end(FlushSink& sink) {
   const std::uint64_t flushed = cache_.size();
   counters_.instructions += kInstrPerFlushIssue * flushed;
   cache_.flush_all(sink);
-  if (online_) check_prediction();
+  if (online_) {
+    check_prediction(/*mid_fase=*/false);
+    fase_start_ = counters().stores;
+    arm_miss_check();
+  }
   sink.drain();
 }
 

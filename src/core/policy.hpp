@@ -218,11 +218,15 @@ class AtlasPolicy final : public Policy {
 
 /// SC's check of its MRC against its own flush counter that fired a
 /// re-sample: the size the first burst applied, the miss ratio the burst's
-/// exact MRC predicted there, and the flush ratio the cache showed instead.
+/// exact MRC predicted there, the flush ratio the cache showed instead over
+/// the window's `stores`, and whether a miss inside a FASE longer than a
+/// burst closed the window (`mid_fase`) rather than an outermost FASE end.
 struct ResampleCheck {
   std::size_t size = 0;
   double predicted = 0.0;
   double observed = 0.0;
+  std::uint64_t stores = 0;
+  bool mid_fase = false;
 };
 
 /// SC / SC-offline: the adaptive software write-combining cache. SC's
@@ -231,13 +235,14 @@ struct ResampleCheck {
 ///
 /// MRC check (DESIGN.md §5): with forever-hibernation, SC compares the
 /// flush ratio its cache shows over each window of at least one burst of
-/// stores, closed at an outermost FASE end, with the miss ratio the burst's
-/// exact MRC (FASE-end flushes included) predicted at the applied size.
-/// The first window that exceeds kResampleSlack × predicted +
-/// kResampleFloor starts one more burst; its selection applies as
-/// max(new, old), so the cache never shrinks and, by LRU inclusion, never
-/// flushes more than the first choice would have. At most one re-sample
-/// per policy.
+/// stores with the miss ratio the burst's exact MRC (FASE-end flushes
+/// included) predicted at the applied size. A window closes at an
+/// outermost FASE end, or at a cache miss once the current FASE alone has
+/// run a burst of stores since the window opened. The first window that
+/// exceeds kResampleSlack × predicted + kResampleFloor starts one more
+/// burst; its selection applies as max(new, old), so the cache never
+/// shrinks and, by LRU inclusion, never flushes more than the first choice
+/// would have. At most one re-sample per policy.
 class SoftCachePolicy final : public Policy {
  public:
   static constexpr double kResampleSlack = 1.25;
@@ -270,18 +275,24 @@ class SoftCachePolicy final : public Policy {
   void do_finish(FlushSink& sink) override;
   void sample_store(LineAddr line, FlushSink& sink);
   void apply_selection(std::size_t selected, FlushSink& sink);
-  void check_prediction();
+  bool check_prediction(bool mid_fase);
   void open_window();
+  void arm_miss_check();
 
   WriteCache cache_;
   BurstSampler sampler_;
   bool online_;
   // MRC check state: the prediction at the applied size (set by the first
-  // selection) and the cache's flush and store counts where the current
-  // window opened.
+  // selection), the cache's flush and store counts where the current
+  // window opened, the store count where the current FASE began, and the
+  // store count from which a miss closes the window (kNever while the
+  // check is off).
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
   std::optional<double> predicted_;
   std::uint64_t window_flushes_ = 0;
   std::uint64_t window_stores_ = 0;
+  std::uint64_t fase_start_ = 0;
+  std::uint64_t miss_check_at_ = kNever;
   std::optional<ResampleCheck> fired_;
 };
 

@@ -9,13 +9,12 @@
 
 #include "common/assert.hpp"
 #include "common/types.hpp"
-#include "runtime/runtime.hpp"
 
 namespace nvc::workloads {
 
 namespace {
 
-constexpr std::uint64_t kStreamPerFase = 64;  // never-reused lines per FASE
+constexpr std::uint64_t kStreamPerFase = 64;  // lines per FASE, none reused
 constexpr std::uint64_t kHotLines = 8;        // fits the default soft cache
 constexpr std::uint64_t kReuseLines = 6;
 constexpr std::uint64_t kReuseStoresPerFase = 128;
@@ -40,25 +39,10 @@ std::uint8_t* aligned_lines(runtime::Runtime& rt, std::uint64_t lines) {
   return raw + (align_up(addr, kCacheLineSize) - addr);
 }
 
-}  // namespace
-
-const char* to_string(PolicyMicroShape shape) {
-  switch (shape) {
-    case PolicyMicroShape::kStream:
-      return "stream";
-    case PolicyMicroShape::kReuse:
-      return "reuse";
-  }
-  NVC_UNREACHABLE("invalid PolicyMicroShape");
-}
-
-PolicyMicroResult run_policy_micro(core::PolicyKind policy,
-                                   PolicyMicroShape shape,
-                                   std::uint64_t fases) {
-  NVC_REQUIRE(fases >= 1);
+runtime::RuntimeConfig micro_config(core::PolicyKind policy,
+                                    std::uint64_t stream_lines) {
   runtime::RuntimeConfig config;
   config.region_name = unique_region_name();
-  const std::uint64_t stream_lines = fases * kStreamPerFase;
   config.region_size = std::max<std::size_t>(
       std::size_t{1} << 20, (stream_lines + 64) * kCacheLineSize * 2);
   config.policy = policy;
@@ -71,44 +55,74 @@ PolicyMicroResult run_policy_micro(core::PolicyKind policy,
     config.policy_config.sampler.burst_length = 256;
     config.policy_config.sampler.knee.max_size = 8;
   }
+  return config;
+}
 
-  runtime::Runtime rt(config);
-  {
-    std::uint8_t* stream = aligned_lines(rt, stream_lines);
-    std::uint8_t* hot = aligned_lines(rt, kHotLines);
-    std::uint64_t next_stream = 0;
-    const std::uint64_t value = 0x5ca1ab1eULL;
+}  // namespace
 
-    for (std::uint64_t f = 0; f < fases; ++f) {
-      runtime::FaseScope fase(rt);
-      if (shape == PolicyMicroShape::kStream) {
-        // One stream store between consecutive hot-line writes: each hot
-        // line's reuse distance is 15 distinct lines, just past the
-        // default capacity-8 soft cache, so the stream turns the whole
-        // hot set into eviction churn.
-        for (std::uint64_t step = 0; step < kStreamPerFase; ++step) {
-          rt.pstore(stream + (next_stream++) * kCacheLineSize, &value,
-                    sizeof(value));
-          rt.pstore(hot + (step % kHotLines) * kCacheLineSize, &value,
-                    sizeof(value));
-        }
-      } else {
-        for (std::uint64_t step = 0; step < kReuseStoresPerFase; ++step) {
-          rt.pstore(hot + (step % kReuseLines) * kCacheLineSize, &value,
-                    sizeof(value));
-        }
+const char* to_string(PolicyMicroShape shape) {
+  switch (shape) {
+    case PolicyMicroShape::kStream:
+      return "stream";
+    case PolicyMicroShape::kReuse:
+      return "reuse";
+  }
+  NVC_UNREACHABLE("invalid PolicyMicroShape");
+}
+
+PolicyMicro::PolicyMicro(core::PolicyKind policy, PolicyMicroShape shape,
+                         std::uint64_t stream_fases)
+    : shape_(shape),
+      stream_lines_(stream_fases * kStreamPerFase),
+      rt_(micro_config(policy, stream_lines_)),
+      stream_(aligned_lines(rt_, stream_lines_)),
+      hot_(aligned_lines(rt_, kHotLines)) {
+  NVC_REQUIRE(stream_fases >= 1);
+}
+
+PolicyMicro::~PolicyMicro() { rt_.destroy_storage(); }
+
+void PolicyMicro::replay(std::uint64_t fases) {
+  const std::uint64_t value = 0x5ca1ab1eULL;
+  for (std::uint64_t f = 0; f < fases; ++f) {
+    runtime::FaseScope fase(rt_);
+    if (shape_ == PolicyMicroShape::kStream) {
+      // One stream store between consecutive hot-line writes: each hot
+      // line's reuse distance is 15 distinct lines, just past the
+      // default capacity-8 soft cache, so the stream turns the whole
+      // hot set into eviction churn.
+      for (std::uint64_t step = 0; step < kStreamPerFase; ++step) {
+        rt_.pstore(stream_ + next_stream_ * kCacheLineSize, &value,
+                   sizeof(value));
+        next_stream_ = (next_stream_ + 1) % stream_lines_;
+        rt_.pstore(hot_ + (step % kHotLines) * kCacheLineSize, &value,
+                   sizeof(value));
+      }
+    } else {
+      for (std::uint64_t step = 0; step < kReuseStoresPerFase; ++step) {
+        rt_.pstore(hot_ + (step % kReuseLines) * kCacheLineSize, &value,
+                   sizeof(value));
       }
     }
-    rt.thread_flush();
   }
+}
 
-  const runtime::RuntimeStats s = rt.stats();
+PolicyMicroResult PolicyMicro::finish() {
+  rt_.thread_flush();
+  const runtime::RuntimeStats s = rt_.stats();
   PolicyMicroResult r;
   r.fases = s.fases;
   r.stores = s.stores;
   r.line_writes = s.flushes;
-  rt.destroy_storage();
   return r;
+}
+
+PolicyMicroResult run_policy_micro(core::PolicyKind policy,
+                                   PolicyMicroShape shape,
+                                   std::uint64_t fases) {
+  PolicyMicro micro(policy, shape, fases);
+  micro.replay(fases);
+  return micro.finish();
 }
 
 }  // namespace nvc::workloads

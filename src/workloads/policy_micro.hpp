@@ -24,6 +24,7 @@
 #include <cstdint>
 
 #include "core/policy.hpp"
+#include "runtime/runtime.hpp"
 
 namespace nvc::workloads {
 
@@ -40,9 +41,36 @@ struct PolicyMicroResult {
   std::uint64_t line_writes = 0;  // data lines written back
 };
 
-/// Run `fases` FASEs of `shape` through a fresh Runtime (count backend,
-/// synchronous flushes, no undo log) under `policy`. Deterministic: same
-/// arguments, same result, bit for bit.
+/// One shape on its own Runtime (count backend, synchronous flushes, no
+/// undo log) under `policy`, set up once so replay() can be timed alone.
+class PolicyMicro {
+ public:
+  /// Allocates stream lines for `stream_fases` FASEs; later FASEs reuse
+  /// them from the first line on. Each FASE's end writes back everything
+  /// it buffered, so a reused stream line still costs one write-back.
+  PolicyMicro(core::PolicyKind policy, PolicyMicroShape shape,
+              std::uint64_t stream_fases);
+  ~PolicyMicro();
+
+  PolicyMicro(const PolicyMicro&) = delete;
+  PolicyMicro& operator=(const PolicyMicro&) = delete;
+
+  /// Run `fases` more FASEs of the shape.
+  void replay(std::uint64_t fases);
+  /// Release what the thread still buffers; the counts of every FASE run.
+  PolicyMicroResult finish();
+
+ private:
+  PolicyMicroShape shape_;
+  std::uint64_t stream_lines_;
+  runtime::Runtime rt_;
+  std::uint8_t* stream_;
+  std::uint8_t* hot_;
+  std::uint64_t next_stream_ = 0;
+};
+
+/// Run `fases` FASEs of `shape` through a fresh PolicyMicro. Deterministic:
+/// same arguments, same result, bit for bit.
 PolicyMicroResult run_policy_micro(core::PolicyKind policy,
                                    PolicyMicroShape shape,
                                    std::uint64_t fases = 64);

@@ -44,9 +44,27 @@ class CompareGateTest(unittest.TestCase):
         # 8 -> 14 ns is a 75% ratio but only a 6 ns delta: the absolute
         # floor keeps sub-noise micros out of the gate.
         self.assertNotIn("REGRESSED", out)
-        # Families present on only one side are reported, never failures.
+        # Rows present on only one side are reported, never failures.
         self.assertIn("MISSING", out)
         self.assertIn("NEW", out)
+
+    def test_missing_only_within_measured_families(self):
+        # The run measured BM_AnalyzeBurst/4096 but not /65536: that row is
+        # MISSING. It measured nothing of BM_RetiredFamily, so that row is
+        # only counted in the summary line, not listed.
+        code, out = run_gate("current_pass.json", "baseline.json")
+        self.assertEqual(code, 0, out)
+        self.assertIn("MISSING  BM_AnalyzeBurst/65536", out)
+        self.assertNotIn("MISSING  BM_RetiredFamily", out)
+        self.assertIn("1 baseline rows not measured "
+                      "(families left out: BM_RetiredFamily)", out)
+
+    def test_run_measuring_every_family_prints_no_summary(self):
+        # The run measures every baseline family, so no "not measured"
+        # line appears.
+        code, out = run_gate("current_exact_ok.json", "baseline_exact.json")
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("not measured", out)
 
     def test_aggregate_rows_are_skipped(self):
         # current_pass.json carries a mean row at 400 ns for a 120 ns

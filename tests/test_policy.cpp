@@ -461,7 +461,11 @@ struct CycleStream {
 
 TEST(SoftCacheResample, UnrepresentativeBurstResamplesOnceAndGrows) {
   // The steady FASEs add a third hot line: at the first choice (3) every
-  // store of a 4-line cycle misses, far above the burst's prediction.
+  // store of a 4-line cycle misses, far above the burst's prediction. The
+  // last window of the initialization FASE opened at its store 3585 (its
+  // windows close at misses, each a burst after the last) and closes at
+  // the first steady FASE's 512th store: 511 stores at 1/3, the FASE end's
+  // 3 flushes, then 512 misses.
   CycleStream sc(check_config());
   sc.init();
   ASSERT_EQ(sc.policy.current_cache_size(), 3u);
@@ -475,7 +479,9 @@ TEST(SoftCacheResample, UnrepresentativeBurstResamplesOnceAndGrows) {
   const ResampleCheck& check = *sc.policy.fired_check();
   EXPECT_EQ(check.size, 3u);
   EXPECT_NEAR(check.predicted, 1.0 / 3.0, 0.01);
-  EXPECT_NEAR(check.observed, 1.0, 0.01);  // the first steady FASE
+  EXPECT_NEAR(check.observed, 2.0 / 3.0, 0.01);
+  EXPECT_EQ(check.stores, 1023u);
+  EXPECT_TRUE(check.mid_fase);
   EXPECT_GT(check.observed, SoftCachePolicy::kResampleSlack * check.predicted +
                                 SoftCachePolicy::kResampleFloor);
 
@@ -487,6 +493,8 @@ TEST(SoftCacheResample, UnrepresentativeBurstResamplesOnceAndGrows) {
   for (int f = 0; f < 12; ++f) fixed.fase({kHotA, kHotB, kHotC}, 1024);
   EXPECT_EQ(sc.policy.counters().stores, fixed.policy.counters().stores);
   EXPECT_LT(sc.sink.count(), fixed.sink.count() / 2);
+  // A check only at FASE ends fired one FASE later: 5622 flushes.
+  EXPECT_EQ(sc.sink.count(), 5240u);
 }
 
 TEST(SoftCacheResample, HeldPredictionNeverResamples) {
@@ -544,24 +552,25 @@ TEST(SoftCacheResample, ResampleNeverShrinksTheCache) {
 }
 
 TEST(SoftCacheResample, ResampleBurstResizesInTheStoreThatEndsIt) {
-  // The check fires at the first steady FASE's end and starts the burst;
-  // the burst fills inside the next FASE, and its selection (4) applies in
-  // its 512th store, before that FASE ends.
+  // The first steady FASE runs a burst of stores at the first choice and
+  // every one misses, so its 512th store's miss fires the check and starts
+  // the burst there; the burst fills inside the same FASE, and its
+  // selection (4) applies in its 512th store, before that FASE ends.
   CycleStream sc(check_config());
   sc.init();
   ASSERT_EQ(sc.policy.current_cache_size(), 3u);
-  sc.fase({kHotA, kHotB, kHotC}, 1024);
-  ASSERT_EQ(sc.policy.resamples(), 1u);
-  ASSERT_TRUE(sc.policy.sampler().sampling());
-  EXPECT_EQ(sc.policy.current_cache_size(), 3u);
 
   const LineAddr hot[] = {kHotA, kHotB, kHotC};
   sc.policy.on_fase_begin(sc.sink);
-  for (std::uint64_t i = 0; i < 1024; ++i) {
+  for (std::uint64_t i = 0; i < 2 * kCheckBurst + 64; ++i) {
     const std::uint64_t at = i % 4;
     sc.policy.on_store(at < 3 ? hot[at] : sc.fresh++, sc.sink);
+    const bool fired = i + 1 >= kCheckBurst;
     const bool ended = sc.policy.sampler().bursts_completed() == 2;
-    ASSERT_EQ(ended, i + 1 >= kCheckBurst) << "store " << i;
+    ASSERT_EQ(sc.policy.resamples(), fired ? 1u : 0u) << "store " << i;
+    ASSERT_EQ(sc.policy.sampler().sampling(), fired && !ended)
+        << "store " << i;
+    ASSERT_EQ(ended, i + 2 >= 2 * kCheckBurst) << "store " << i;
     ASSERT_EQ(sc.policy.current_cache_size(), ended ? 4u : 3u)
         << "store " << i;
   }
@@ -569,6 +578,96 @@ TEST(SoftCacheResample, ResampleBurstResizesInTheStoreThatEndsIt) {
   EXPECT_EQ(sc.policy.current_cache_size(), 4u);
   EXPECT_EQ(sc.policy.resamples(), 1u);
   EXPECT_TRUE(sc.policy.sampler().dormant());
+  ASSERT_TRUE(sc.policy.fired_check().has_value());
+  EXPECT_TRUE(sc.policy.fired_check()->mid_fase);
+}
+
+// Ocean's shape in one FASE (DESIGN.md §5 item 7): a sequential fill of two
+// interleaved arrays that writes each line 8 times, whose tail is the burst
+// (the warmup skip gives up after 4 x 512 stores), then a sweep that stores
+// each of four lines twice in turn. At the fill's size (2) every pair's
+// first store misses.
+constexpr std::uint64_t kFillStores = 5 * kCheckBurst;
+constexpr std::uint64_t kSweepStores = 4 * kCheckBurst;
+LineAddr fill_line(std::uint64_t i) {
+  return (i % 2 == 0 ? 1000 : 5000) + i / 16;
+}
+LineAddr sweep_line(std::uint64_t j) { return 10 + (j / 2) % 4; }
+/// The sweep store whose miss fires the check: the window opened at the
+/// burst's last store, so sweep store 511 ends its burst of stores; that
+/// store repeats its line (a hit), and the next store misses.
+constexpr std::uint64_t kFiringSweepStore = kCheckBurst;
+
+TEST(SoftCacheResample, LongFaseClosesTheWindowAtTheFirstMissAfterABurst) {
+  SoftCachePolicy policy(check_config(), /*online=*/true);
+  CountingSink sink;
+  policy.on_fase_begin(sink);
+  for (std::uint64_t i = 0; i < kFillStores; ++i) {
+    policy.on_store(fill_line(i), sink);
+  }
+  ASSERT_EQ(policy.sampler().bursts_completed(), 1u);
+  const std::size_t first = policy.current_cache_size();
+  ASSERT_LT(first, 4u);  // the fill's flat MRC
+  for (std::uint64_t j = 0; j < kSweepStores; ++j) {
+    policy.on_store(sweep_line(j), sink);
+    ASSERT_EQ(policy.resamples(), j >= kFiringSweepStore ? 1u : 0u)
+        << "sweep store " << j;
+  }
+  ASSERT_TRUE(policy.fired_check().has_value());
+  const ResampleCheck& check = *policy.fired_check();
+  EXPECT_TRUE(check.mid_fase);
+  EXPECT_EQ(check.stores, kFiringSweepStore + 1);
+  EXPECT_EQ(check.size, first);
+  EXPECT_NEAR(check.predicted, 0.125, 0.01);
+  EXPECT_NEAR(check.observed, 0.5, 0.01);
+  // The re-sample records the sweep and ends inside the same FASE.
+  EXPECT_EQ(policy.sampler().bursts_completed(), 2u);
+  EXPECT_GE(policy.current_cache_size(), first);
+  policy.on_fase_end(sink);
+  for (int f = 0; f < 2; ++f) {
+    policy.on_fase_begin(sink);
+    for (std::uint64_t j = 0; j < kSweepStores; ++j) {
+      policy.on_store(sweep_line(j), sink);
+    }
+    policy.on_fase_end(sink);
+  }
+  EXPECT_EQ(policy.resamples(), 1u);
+  EXPECT_GE(policy.current_cache_size(), first);
+  // A check only at FASE ends ran the whole first sweep at the fill's size
+  // and re-sampled in the second: 1606 flushes.
+  EXPECT_EQ(sink.count(), 842u);
+}
+
+TEST(SoftCacheResample, ShortFasesCloseTheWindowOnlyAtFaseEnds) {
+  // FASEs of 400 stores, shorter than the 512-store burst: no miss ever
+  // closes a window, so every window closes at a FASE end, as before the
+  // miss-path check. The burst samples (A, B, fresh) in FASEs 1-2; from
+  // FASE 8 on a third hot line makes every store miss at size 3.
+  CycleStream sc(check_config());
+  for (int f = 0; f < 16; ++f) {
+    const std::uint32_t before = sc.policy.resamples();
+    sc.policy.on_fase_begin(sc.sink);
+    if (f < 8) {
+      sc.stores({kHotA, kHotB}, 400);
+    } else {
+      for (int cycle = 0; cycle < 100; ++cycle) {
+        sc.stores({kHotA, kHotB, kHotC}, 4);
+        ASSERT_EQ(sc.policy.resamples(), before) << "FASE " << f;
+      }
+    }
+    sc.policy.on_fase_end(sc.sink);
+    // The window that opened at FASE 7's end closes at FASE 9's.
+    EXPECT_EQ(sc.policy.resamples(), f >= 9 ? 1u : 0u) << "FASE " << f;
+  }
+  ASSERT_TRUE(sc.policy.fired_check().has_value());
+  const ResampleCheck& check = *sc.policy.fired_check();
+  EXPECT_FALSE(check.mid_fase);
+  EXPECT_EQ(check.size, 3u);
+  EXPECT_EQ(check.stores, 800u);
+  EXPECT_NEAR(check.observed, 1.0, 0.01);
+  EXPECT_EQ(sc.policy.current_cache_size(), 4u);
+  // The same flush sequence as a check only at FASE ends.
+  EXPECT_EQ(sc.sink.count(), 2877u);
 }
 
 TEST(BestPolicy, NeverFlushes) {
@@ -696,6 +795,13 @@ class ReferencePolicy {
           counters.instructions += WriteCache::kInstrPerHit;
         } else {
           counters.instructions += WriteCache::kInstrPerInsert;
+          // A FASE that alone ran a burst since the window opened closes
+          // it at a miss; a fired check's burst records this store.
+          if (predicted_ && !resampled_ &&
+              counters.stores - std::max(window_stores_, fase_start_) >=
+                  sampler_->burst_length()) {
+            check_prediction();
+          }
         }
         sample(line);
         break;
@@ -708,6 +814,7 @@ class ReferencePolicy {
     if (sampler_ != nullptr) sampler_->on_fase_boundary();
     flush_buffered();
     if (predicted_ && !resampled_) check_prediction();
+    fase_start_ = counters.stores;
   }
 
   void flush_buffered() {
@@ -816,6 +923,7 @@ class ReferencePolicy {
   std::optional<double> predicted_;   // SC: exact miss ratio at first size
   std::uint64_t window_flushes_ = 0;
   std::uint64_t window_stores_ = 0;
+  std::uint64_t fase_start_ = 0;      // SC: stores before the current FASE
   bool resampled_ = false;
 };
 
@@ -1025,6 +1133,48 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(std::get<0>(param_info.param).name) + "_" +
              to_string(std::get<1>(param_info.param));
     });
+
+TEST(RepeatLane, CheckFiringStoreLeavesTheLaneDisarmed) {
+  // The store whose miss fires SC's MRC check is the re-sample burst's
+  // first store, so it must not arm the lane: the long-FASE sweep stores
+  // its line again next, and the burst records that store too, exactly as
+  // the lane-free reference does. Had the firing store armed the lane, the
+  // burst would end one store late.
+  const PolicyConfig config = check_config();
+  SoftCachePolicy policy(config, /*online=*/true);
+  ReferencePolicy ref(PolicyKind::kSoftCache, config);
+  RecordingSink sink;
+  const auto expect_same = [&](const std::string& at) {
+    ASSERT_EQ(sink.flushed, ref.flushed) << at;
+    expect_same_counters(policy.counters(), ref.counters, at);
+    ASSERT_EQ(policy.current_cache_size(), ref.cache_size()) << at;
+    ASSERT_EQ(policy.sampler().bursts_completed(),
+              ref.sampler()->bursts_completed())
+        << at;
+    ASSERT_EQ(policy.resamples(), ref.resamples()) << at;
+  };
+  policy.on_fase_begin(sink);
+  ref.fase_begin();
+  for (std::uint64_t i = 0; i < kFillStores; ++i) {
+    policy.on_store(fill_line(i), sink);
+    ref.store(fill_line(i));
+  }
+  expect_same("after the fill");
+  ASSERT_EQ(sweep_line(kFiringSweepStore + 1), sweep_line(kFiringSweepStore));
+  for (std::uint64_t j = 0; j < kSweepStores; ++j) {
+    policy.on_store(sweep_line(j), sink);
+    ref.store(sweep_line(j));
+    const std::string at = "sweep store " + std::to_string(j);
+    expect_same(at);
+    ASSERT_EQ(policy.resamples(), j >= kFiringSweepStore ? 1u : 0u) << at;
+    ASSERT_EQ(policy.sampler().bursts_completed(),
+              j + 1 >= kFiringSweepStore + kCheckBurst ? 2u : 1u)
+        << at;
+  }
+  policy.on_fase_end(sink);
+  ref.fase_end();
+  expect_same("at the FASE end");
+}
 
 // --- crash-consistency property (ShadowPmem) -----------------------------------------
 
