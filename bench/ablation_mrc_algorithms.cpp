@@ -5,7 +5,6 @@
 //
 //   timescale  — the paper's linear-time reuse(k) analysis (O(n + r));
 //   mattson    — exact LRU stack distances via a Fenwick tree (O(n log n));
-//   shards     — sampled reuse distance at rate 1/8 (Waldspurger et al.);
 //
 // on (a) analysis wall time, (b) the cache size each selects, and (c) mean
 // absolute error against the ground-truth write-cache simulation.
@@ -13,7 +12,6 @@
 #include <cstdio>
 
 #include "core/fase_trace.hpp"
-#include "core/shards.hpp"
 #include "harness.hpp"
 
 namespace {
@@ -40,8 +38,7 @@ int main() {
                       "mean |err|"});
 
   for (const char* name :
-       {"barnes", "ocean", "water-nsquared", "water-spatial", "fft",
-        "radix"}) {
+       {"barnes", "ocean", "water-nsquared", "water-spatial"}) {
     const auto traces = record_trace(name, params_from_env(1));
     std::vector<LineAddr> stores;
     std::vector<std::size_t> boundaries;
@@ -66,21 +63,11 @@ int main() {
     const core::Mrc mattson = core::mrc_exact_lru(renamed, max_size);
     const double ms2 = t2.seconds() * 1e3;
 
-    // 3. SHARDS at rate 1/8.
-    Stopwatch t3;
-    core::ShardsConfig sconfig;
-    sconfig.threshold = 1;
-    sconfig.modulus = 8;
-    const core::Mrc shards = core::mrc_shards(renamed, max_size, sconfig);
-    const double ms3 = t3.seconds() * 1e3;
-
     const struct {
       const char* label;
       const core::Mrc* mrc;
       double ms;
-    } rows[] = {{"timescale", &timescale, ms1},
-                {"mattson", &mattson, ms2},
-                {"shards-1/8", &shards, ms3}};
+    } rows[] = {{"timescale", &timescale, ms1}, {"mattson", &mattson, ms2}};
     for (const auto& row : rows) {
       table.add_row({name, row.label, TablePrinter::fmt(row.ms, 2),
                      TablePrinter::fmt_count(

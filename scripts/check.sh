@@ -38,6 +38,11 @@
 #                                 into .bench_build/e2e (as bench/e2e/run.py
 #                                 does) and its quick ctest: every workload
 #                                 at --quick size and every planted bug
+#   scripts/check.sh --coverage the above + a --coverage -O0 build in
+#                                 build-coverage, tier-1 run once there,
+#                                 and the line coverage of every file
+#                                 under src/ (scripts/coverage.py, gcov
+#                                 only); a report, not a gate
 #
 # Rule the tier-1 sweep enforces (`knob_table`): the libraries read no
 # environment. Under src/, outside the test helpers in src/testing/, the
@@ -51,6 +56,7 @@
 #   --no-bench       skip the micro_gbench run and its compare.py gate
 #   --e2e            also build and test bench/e2e (opt-in; under a minute
 #                    once built)
+#   --coverage       also report src/ line coverage (opt-in, not gated)
 #   CTEST_PARALLEL   ctest -j value (default: nproc)
 set -euo pipefail
 
@@ -61,6 +67,7 @@ run_scalar=1
 run_tsan=1
 run_bench=1
 run_e2e=0
+run_coverage=0
 for arg in "$@"; do
   case "$arg" in
     --no-asan) run_asan=0 ;;
@@ -68,8 +75,9 @@ for arg in "$@"; do
     --no-tsan) run_tsan=0 ;;
     --no-bench) run_bench=0 ;;
     --e2e) run_e2e=1 ;;
+    --coverage) run_coverage=1 ;;
     *) echo "usage: scripts/check.sh [--no-asan] [--no-scalar] [--no-tsan]" \
-            "[--no-bench] [--e2e]" >&2
+            "[--no-bench] [--e2e] [--coverage]" >&2
        exit 2 ;;
   esac
 done
@@ -169,6 +177,22 @@ if [ "$run_e2e" = 1 ]; then
   fi
   cmake --build "$e2e_build" -j "$(nproc)"
   ctest --test-dir "$e2e_build" --output-on-failure
+fi
+
+# Coverage reports; it does not gate. The counters are zeroed first, so
+# the report covers exactly one tier-1 run, and a case that fails only
+# without optimisation is named here but leaves the gates above standing.
+if [ "$run_coverage" = 1 ]; then
+  echo "== coverage: --coverage -O0 build, tier-1 once, src/ line report =="
+  cmake -S . -B build-coverage -DCMAKE_BUILD_TYPE=Debug \
+      -DCMAKE_CXX_FLAGS="--coverage -O0" >/dev/null
+  cmake --build build-coverage -j "$(nproc)"
+  find build-coverage -name '*.gcda' -delete
+  if ! ctest --test-dir build-coverage -j "$jobs" --output-on-failure; then
+    echo "coverage: some cases failed in the -O0 build;" \
+         "the report below counts the lines they reached" >&2
+  fi
+  python3 scripts/coverage.py build-coverage
 fi
 
 echo "check.sh: all selected gates passed"

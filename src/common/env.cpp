@@ -1,5 +1,6 @@
 #include "common/env.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace nvc {
@@ -8,17 +9,10 @@ std::int64_t env_int(const char* name, std::int64_t fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(v, &end, 10);
-  if (end == v) return fallback;
-  return parsed;
-}
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v) return fallback;
+  // Only a value that parses whole counts: "64k" is not 64.
+  if (end == v || *end != '\0' || errno == ERANGE) return fallback;
   return parsed;
 }
 

@@ -8,12 +8,9 @@
 
 namespace nvc {
 
-/// Read an integer environment variable, or `fallback` if unset/invalid.
+/// Read an integer environment variable, or `fallback` if it is unset or
+/// is not a whole decimal integer ("64k" and "1e6" fall back).
 std::int64_t env_int(const char* name, std::int64_t fallback);
-
-/// Read a floating-point environment variable (rates, probabilities), or
-/// `fallback` if unset/invalid.
-double env_double(const char* name, double fallback);
 
 /// Read a string environment variable, or `fallback` if unset.
 std::string env_str(const char* name, const std::string& fallback);

@@ -1,7 +1,7 @@
 // Open-addressing hash map for the analysis kernels.
 //
-// The locality analyses (interval extraction, footprint, Mattson, SHARDS,
-// FASE renaming) are O(n) passes whose constant factor is dominated by one
+// The locality analyses (interval extraction, footprint, Mattson, FASE
+// renaming) are O(n) passes whose constant factor is dominated by one
 // hash lookup per trace element. `std::unordered_map` pays a pointer chase
 // per probe (node-based buckets); this table is a power-of-two slot array
 // with linear probing at load factor <= 0.5 and backward-shift deletion (no

@@ -19,11 +19,10 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
 }
 
 /// Stateless one-shot mixer: exactly one splitmix64 step of `x`, without
-/// advancing a stream. The single hash function behind SHARDS spatial
-/// sampling, the elision table's slots, torn-length draws, and workload
-/// address scrambling — all of which need the same bit-identical output as
-/// advancing a fresh splitmix64 stream once (simd.hpp's splitmix64x4 is the
-/// vector counterpart, lane-for-lane identical).
+/// advancing a stream. The single hash function behind the elision table's
+/// slots, torn-length draws, and workload address scrambling — all of which
+/// need the same bit-identical output as advancing a fresh splitmix64 stream
+/// once.
 constexpr std::uint64_t splitmix64_mix(std::uint64_t x) noexcept {
   std::uint64_t s = x;
   return splitmix64(s);

@@ -1,22 +1,23 @@
 // Compile-time SIMD dispatch for the analysis kernels (PR 7).
 //
-// The hot analysis loops (reuse/footprint accumulation, SHARDS spatial
-// hashing) get AVX2 paths guarded by a scalar fallback chosen at compile
-// time: __AVX2__ is set by -march=native (NVC_NATIVE=ON, the default) on
-// hosts that have it, and NVC_NO_SIMD=ON forces the scalar path everywhere
-// for differential testing. There is deliberately no runtime dispatch —
-// per-call branching would cost more than these short kernels, and the
-// binary already targets the build host.
+// The hot analysis loops (reuse/footprint accumulation, the exact MRC's
+// counting tree) get AVX2 paths guarded by a scalar fallback chosen at
+// compile time: __AVX2__ is set by -march=native (NVC_NATIVE=ON, the
+// default) on hosts that have it, and NVC_NO_SIMD=ON forces the scalar
+// path everywhere for differential testing. There is deliberately no
+// runtime dispatch — per-call branching would cost more than these short
+// kernels, and the binary already targets the build host.
 //
 // Bit-exactness contract: every vector path here must produce bit-identical
 // results to its scalar fallback. The double-precision kernels only ever
 // add/subtract integer-valued doubles (interval counts, gap counts) whose
 // magnitudes stay far below 2^53, so reassociating the additions across
 // lanes is exact, and the final divisions use operand-for-operand the same
-// values as the scalar loop. The integer kernels (splitmix64) are plain
-// modular arithmetic, lane-for-lane identical. Tests assert equality with
-// EXPECT_DOUBLE_EQ, not tolerances, and the crash fuzzer's byte-identical
-// replay oracle would catch any divergence that slipped through.
+// values as the scalar loop. The integer kernel (the counting-tree
+// decrement) is plain integer arithmetic, lane-for-lane identical. Tests
+// assert equality with EXPECT_DOUBLE_EQ, not tolerances, and the crash
+// fuzzer's byte-identical replay oracle would catch any divergence that
+// slipped through.
 #pragma once
 
 #include <cstdint>
@@ -61,36 +62,6 @@ inline __m256d shift_up2_pd(__m256d a) noexcept {
 inline __m256d prefix_sum_pd(__m256d a) noexcept {
   a = _mm256_add_pd(a, shift_up1_pd(a));
   return _mm256_add_pd(a, shift_up2_pd(a));
-}
-
-/// 64-bit lane-wise multiply (AVX2 has no _mm256_mullo_epi64): decompose
-/// each 64-bit product into three 32x32 partials; the high*high partial
-/// only feeds bits >= 64 and is dropped.
-inline __m256i mullo_epi64(__m256i a, __m256i b) noexcept {
-  const __m256i a_hi = _mm256_srli_epi64(a, 32);
-  const __m256i b_hi = _mm256_srli_epi64(b, 32);
-  const __m256i lo_lo = _mm256_mul_epu32(a, b);       // a_lo * b_lo
-  const __m256i a_hi_b = _mm256_mul_epu32(a_hi, b);   // a_hi * b_lo
-  const __m256i a_b_hi = _mm256_mul_epu32(a, b_hi);   // a_lo * b_hi
-  const __m256i cross = _mm256_add_epi64(a_hi_b, a_b_hi);
-  return _mm256_add_epi64(lo_lo, _mm256_slli_epi64(cross, 32));
-}
-
-/// Four independent splitmix64 mixes: out[i] = mix(in[i] + 0x9e37...).
-/// Matches nvc::splitmix64 (rng.hpp) lane for lane.
-inline __m256i splitmix64x4(__m256i x) noexcept {
-  const __m256i gamma = _mm256_set1_epi64x(
-      static_cast<long long>(0x9e3779b97f4a7c15ULL));
-  const __m256i mul1 = _mm256_set1_epi64x(
-      static_cast<long long>(0xbf58476d1ce4e5b9ULL));
-  const __m256i mul2 = _mm256_set1_epi64x(
-      static_cast<long long>(0x94d049bb133111ebULL));
-  __m256i z = _mm256_add_epi64(x, gamma);
-  z = _mm256_xor_si256(z, _mm256_srli_epi64(z, 30));
-  z = mullo_epi64(z, mul1);
-  z = _mm256_xor_si256(z, _mm256_srli_epi64(z, 27));
-  z = mullo_epi64(z, mul2);
-  return _mm256_xor_si256(z, _mm256_srli_epi64(z, 31));
 }
 
 }  // namespace simd

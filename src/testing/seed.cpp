@@ -1,5 +1,6 @@
 #include "testing/seed.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 
@@ -8,12 +9,15 @@
 namespace nvc::testing {
 
 std::uint64_t seed_from_env(const char* env_var, std::uint64_t fallback) {
-  // Unsigned parse: derived seeds use all 64 bits, which env_int's signed
-  // parse would clamp to INT64_MAX.
+  // Unsigned parse: derived seeds use all 64 bits, past env_int's signed
+  // range. A value that does not parse whole ("12abc") falls back, as in
+  // env_int, instead of replaying its numeric prefix.
   const std::string v = env_str(env_var, "");
   char* end = nullptr;
+  errno = 0;
   const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
-  return end == v.c_str() ? fallback : parsed;
+  if (end == v.c_str() || *end != '\0' || errno == ERANGE) return fallback;
+  return parsed;
 }
 
 std::string replay_hint(const char* env_var, std::uint64_t seed) {

@@ -14,8 +14,8 @@
 namespace nvc::testing {
 
 /// The effective seed for a randomized test case: the value of `env_var`
-/// when set (a global override that re-seeds every case of the suite),
-/// otherwise the case's built-in default.
+/// when set to a whole decimal integer (a global override that re-seeds
+/// every case of the suite), otherwise the case's built-in default.
 std::uint64_t seed_from_env(const char* env_var, std::uint64_t fallback);
 
 /// "replay: NVC_SEED=1234" — attach with SCOPED_TRACE so any failing

@@ -30,13 +30,6 @@ constexpr Entry kEntries[] = {
     {"water-spatial", &make_water_spatial},
 };
 
-// SPLASH2 kernels beyond the paper's tables (see extra_kernels.cpp).
-constexpr Entry kExtensions[] = {
-    {"lu", &make_lu},
-    {"fft", &make_fft},
-    {"radix", &make_radix},
-};
-
 }  // namespace
 
 std::vector<std::string> workload_names() {
@@ -45,17 +38,8 @@ std::vector<std::string> workload_names() {
   return names;
 }
 
-std::vector<std::string> extension_workload_names() {
-  std::vector<std::string> names;
-  for (const Entry& e : kExtensions) names.emplace_back(e.name);
-  return names;
-}
-
 std::unique_ptr<Workload> make_workload(const std::string& name) {
   for (const Entry& e : kEntries) {
-    if (name == e.name) return e.factory();
-  }
-  for (const Entry& e : kExtensions) {
     if (name == e.name) return e.factory();
   }
   throw std::out_of_range("unknown workload: " + name);

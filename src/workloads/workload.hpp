@@ -46,12 +46,7 @@ class Workload {
 /// the paper's order.
 std::vector<std::string> workload_names();
 
-/// Extension workloads implemented beyond the paper's tables (the SPLASH2
-/// kernels lu, fft, radix).
-std::vector<std::string> extension_workload_names();
-
-/// Instantiate a workload by name (paper set or extensions); throws
-/// std::out_of_range for unknown.
+/// Instantiate a workload by name; throws std::out_of_range for unknown.
 std::unique_ptr<Workload> make_workload(const std::string& name);
 
 // Factories (one per mini-app translation unit).
@@ -66,8 +61,5 @@ std::unique_ptr<Workload> make_raytrace();
 std::unique_ptr<Workload> make_volrend();
 std::unique_ptr<Workload> make_water_nsquared();
 std::unique_ptr<Workload> make_water_spatial();
-std::unique_ptr<Workload> make_lu();
-std::unique_ptr<Workload> make_fft();
-std::unique_ptr<Workload> make_radix();
 
 }  // namespace nvc::workloads

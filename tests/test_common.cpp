@@ -92,6 +92,21 @@ TEST(Rng, BelowCoversRange) {
   EXPECT_EQ(seen.size(), 8u);
 }
 
+TEST(Rng, BelowHugeBoundStaysInBoundsAndUniform) {
+  // Past 2^63 about half of all raw draws fall in the biased low range,
+  // so below() rejects and redraws on most calls.
+  Rng rng(21);
+  const std::uint64_t bound = (std::uint64_t{1} << 63) + 1;
+  constexpr int kDraws = 20000;
+  double sum = 0;
+  for (int i = 0; i < kDraws; ++i) {
+    const std::uint64_t v = rng.below(bound);
+    ASSERT_LT(v, bound);
+    sum += static_cast<double>(v) / static_cast<double>(bound);
+  }
+  EXPECT_NEAR(sum / kDraws, 0.5, 0.02);
+}
+
 TEST(Rng, RangeInclusive) {
   Rng rng(11);
   bool saw_lo = false, saw_hi = false;
@@ -260,6 +275,23 @@ TEST(Env, IntFallbacks) {
   EXPECT_EQ(env_int("NVC_TEST_SET", 0), 17);
   ::setenv("NVC_TEST_BAD", "abc", 1);
   EXPECT_EQ(env_int("NVC_TEST_BAD", 9), 9);
+  // A numeric prefix is not a value.
+  ::setenv("NVC_TEST_BAD", "64k", 1);
+  EXPECT_EQ(env_int("NVC_TEST_BAD", 9), 9);
+  ::setenv("NVC_TEST_BAD", "1e6", 1);
+  EXPECT_EQ(env_int("NVC_TEST_BAD", 9), 9);
+}
+
+TEST(Env, SeedFallsBackUnlessWhollyParsed) {
+  ::setenv("NVC_TEST_SEED", "18446744073709551615", 1);
+  EXPECT_EQ(seed_from_env("NVC_TEST_SEED", 5),
+            18446744073709551615ull);
+  ::setenv("NVC_TEST_SEED", "12abc", 1);
+  EXPECT_EQ(seed_from_env("NVC_TEST_SEED", 5), 5u);
+  ::setenv("NVC_TEST_SEED", "", 1);
+  EXPECT_EQ(seed_from_env("NVC_TEST_SEED", 5), 5u);
+  ::unsetenv("NVC_TEST_SEED");
+  EXPECT_EQ(seed_from_env("NVC_TEST_SEED", 5), 5u);
 }
 
 TEST(FlatHashMap, InsertFindUpdate) {

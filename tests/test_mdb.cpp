@@ -1,10 +1,12 @@
 // Tests for the MDB copy-on-write B+-tree: correctness against a reference
-// map, MVCC snapshot isolation, structural invariants, page recycling, and
-// abort semantics.
+// map, MVCC snapshot isolation, structural invariants, page recycling,
+// abort semantics, and the recovery-side image reader.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -112,7 +114,150 @@ TEST(MdbBasic, DestructorWithoutCommitAborts) {
   txn.commit();
 }
 
+TEST(MdbBasic, MovedReadTxnKeepsItsSnapshot) {
+  DbHarness h;
+  {
+    auto txn = h.db.begin_write(0);
+    txn.put(1, 10);
+    txn.commit();
+  }
+  auto first = h.db.begin_read();
+  Db::ReadTxn moved(std::move(first));
+  {
+    auto txn = h.db.begin_write(0);
+    txn.put(1, 20);
+    txn.commit();
+  }
+  EXPECT_EQ(moved.get(1), std::optional<Value>(10));
+  EXPECT_EQ(h.db.begin_read().get(1), std::optional<Value>(20));
+}
+
+TEST(MdbBasic, MovedWriteTxnCommitsOnce) {
+  DbHarness h;
+  {
+    auto first = h.db.begin_write(0);
+    first.put(3, 30);
+    Db::WriteTxn moved(std::move(first));
+    moved.put(4, 40);
+    moved.commit();
+    // `first` is dead: its destructor must neither abort nor unlock.
+  }
+  auto read = h.db.begin_read();
+  EXPECT_EQ(read.get(3), std::optional<Value>(30));
+  EXPECT_EQ(read.get(4), std::optional<Value>(40));
+  EXPECT_EQ(h.db.last_committed(), 1u);
+  auto txn = h.db.begin_write(0);  // the writer lock is free again
+  txn.commit();
+}
+
 // --- splits and bulk correctness -------------------------------------------------------
+
+/// Keys 0, 3, 6, ... inserted in ascending order, `per_txn` to a commit.
+/// Ascending inserts leave every split leaf about half full (~127 pairs),
+/// so 50,000 keys need ~390 leaves: more than one internal node holds
+/// (340 children), and the root splits into a three-level tree.
+constexpr Key kDeepKeys = 50000;
+
+std::map<Key, Value> insert_ascending(Db& db, Key keys, Key per_txn) {
+  std::map<Key, Value> reference;
+  for (Key base = 0; base < keys; base += per_txn) {
+    auto txn = db.begin_write(0);
+    for (Key i = base; i < std::min(keys, base + per_txn); ++i) {
+      txn.put(3 * i, i + 1);
+      reference[3 * i] = i + 1;
+    }
+    txn.commit();
+  }
+  return reference;
+}
+
+/// PersistApi over plain memory whose one allocation is the Db slab, so a
+/// test can read the slab back as a durable image.
+class SlabApi final : public workloads::PersistApi {
+ public:
+  void* alloc(std::size_t, std::size_t size) override {
+    slab_.assign(size / sizeof(std::uint64_t), 0);
+    return slab_.data();
+  }
+  void fase_begin(std::size_t) override {}
+  void fase_end(std::size_t) override {}
+  void wrote(std::size_t, const void*, std::size_t) override {}
+  void persist_barrier(std::size_t) override {}
+
+  std::vector<char> image() const {
+    const auto* bytes = reinterpret_cast<const char*>(slab_.data());
+    return {bytes, bytes + slab_.size() * sizeof(std::uint64_t)};
+  }
+
+ private:
+  std::vector<std::uint64_t> slab_;
+};
+
+TEST(MdbBulk, InternalNodesSplitAndMatchReference) {
+  DbHarness h(4096);
+  const auto reference = insert_ascending(h.db, kDeepKeys, 5000);
+  h.db.check_invariants();
+  EXPECT_EQ(h.db.begin_read().count(), reference.size());
+
+  // A write txn's own lookups descend the same internal levels.
+  auto txn = h.db.begin_write(0);
+  for (Key i = 0; i < kDeepKeys; i += 97) {
+    EXPECT_EQ(txn.get(3 * i), std::optional<Value>(i + 1)) << i;
+    EXPECT_EQ(txn.get(3 * i + 1), std::nullopt) << i;
+  }
+  txn.abort();
+  auto read = h.db.begin_read();
+  EXPECT_EQ(read.get(3 * (kDeepKeys - 1)), std::optional<Value>(kDeepKeys));
+  EXPECT_EQ(read.scan(3 * 40000, 5), 5u);
+}
+
+TEST(MdbImage, DeepTreeImageReadsBackEveryPair) {
+  SlabApi api;
+  constexpr std::size_t kPages = 2048;
+  Db db(api, kPages);
+  const auto reference = insert_ascending(db, kDeepKeys, 10000);
+  const auto image = api.image();
+  const Db::ImageContents contents =
+      Db::read_image(image.data(), kPages * kPageSize);
+  EXPECT_EQ(contents.txn, db.last_committed());
+  EXPECT_EQ(contents.pairs, reference);
+}
+
+TEST(MdbImage, EitherTornMetaLeavesTheOtherCommit) {
+  // A commit writes the older of the two metas, so the previous commit's
+  // meta and tree stay intact beside it. Tear either meta in a copy of
+  // the image: recovery falls back to the other, and the two survivors
+  // are the last two commits.
+  SlabApi api;
+  constexpr std::size_t kPages = 64;
+  Db db(api, kPages);
+  std::map<TxnId, std::map<Key, Value>> snapshots;
+  std::map<Key, Value> state;
+  for (Key round = 0; round < 3; ++round) {
+    auto txn = db.begin_write(0);
+    for (Key k = 0; k < 10; ++k) {
+      txn.put(round * 10 + k, round);
+      state[round * 10 + k] = round;
+    }
+    txn.del(round);
+    state.erase(round);
+    txn.commit();
+    snapshots[db.last_committed()] = state;
+  }
+
+  std::set<TxnId> survivors;
+  for (std::size_t slot = 0; slot < 2; ++slot) {
+    auto image = api.image();
+    image[slot * kPageSize] ^= 0x5a;  // the meta's first word never landed
+    const Db::ImageContents contents =
+        Db::read_image(image.data(), kPages * kPageSize);
+    ASSERT_TRUE(snapshots.count(contents.txn)) << contents.txn;
+    EXPECT_EQ(contents.pairs, snapshots[contents.txn]) << contents.txn;
+    survivors.insert(contents.txn);
+  }
+  const TxnId last = db.last_committed();
+  EXPECT_EQ(survivors, (std::set<TxnId>{last - 1, last}));
+}
 
 TEST(MdbBulk, ManyInsertsSplitLeavesAndMatchReference) {
   DbHarness h(4096);

@@ -4,6 +4,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -99,6 +100,17 @@ TEST(FlushBackend, ParseNamesRoundTrip) {
   EXPECT_EQ(parse_flush_kind("count"), FlushKind::kCountOnly);
   EXPECT_STREQ(to_string(FlushKind::kClflush), "clflush");
   EXPECT_STREQ(to_string(FlushKind::kCountOnly), "count");
+}
+
+TEST(FlushBackend, EveryKindNameParsesBack) {
+  std::set<std::string> names;
+  for (const FlushKind kind :
+       {FlushKind::kClflush, FlushKind::kClflushopt, FlushKind::kClwb,
+        FlushKind::kSimulated, FlushKind::kCountOnly}) {
+    EXPECT_EQ(parse_flush_kind(to_string(kind)), kind) << to_string(kind);
+    names.insert(to_string(kind));
+  }
+  EXPECT_EQ(names.size(), 5u);
 }
 
 // --- PmemRegion -------------------------------------------------------------------

@@ -115,7 +115,9 @@ TEST_P(WorkloadDeterminism, SameSeedSameTrace) {
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadDeterminism,
                          ::testing::Values("persistent-array", "queue",
                                            "hash", "linked-list", "ocean",
-                                           "volrend"));
+                                           "volrend", "barnes", "fmm",
+                                           "raytrace", "water-nsquared",
+                                           "water-spatial"));
 
 // --- workload sanity ----------------------------------------------------------------
 
@@ -160,6 +162,38 @@ TEST_P(WorkloadSanity, FlushRatioOrderingHolds) {
   EXPECT_LE(la.flushes, sc.flushes) << GetParam();
   EXPECT_LE(sc.flushes, at.flushes * 11 / 10) << GetParam();  // SC <~ AT
   EXPECT_LE(at.flushes, er.flushes) << GetParam();
+}
+
+TEST_P(WorkloadSanity, MultithreadedStrongScaling) {
+  // Every workload splits a fixed problem over its threads (Table IV's
+  // strong scaling), so four threads issue about as many stores as one.
+  const TraceApi one = record(GetParam(), quick_params(1));
+  const TraceApi four = record(GetParam(), quick_params(4));
+  ASSERT_EQ(four.threads(), 4u);
+  EXPECT_NEAR(static_cast<double>(four.total_stores()) /
+                  static_cast<double>(one.total_stores()),
+              1.0, 0.10)
+      << GetParam();
+}
+
+TEST_P(WorkloadSanity, CostReplayMatchesCountingReplay) {
+  // The cost-model replay (Fig. 4, Table I) and the counting replay
+  // (Table III) drive the same policy over the same trace, so they must
+  // agree exactly on stores and write-backs, per thread summed over two.
+  const TraceApi api = record(GetParam(), quick_params(2));
+  SimConfig sim;
+  sim.policy.atlas_table_size = 8;
+  sim.policy.cache_size = 16;
+  for (const core::PolicyKind kind :
+       {core::PolicyKind::kEager, core::PolicyKind::kLazy,
+        core::PolicyKind::kAtlas, core::PolicyKind::kSoftCacheOffline}) {
+    const auto counted = replay_flush_count_all(api, kind, sim.policy);
+    const auto simulated = simulate_run(api, kind, sim);
+    EXPECT_EQ(simulated.total_flushes(), counted.flushes)
+        << GetParam() << " " << core::to_string(kind);
+    EXPECT_EQ(simulated.total_stores(), counted.stores)
+        << GetParam() << " " << core::to_string(kind);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadSanity,
@@ -264,6 +298,33 @@ TEST(CostReplay, FlushCountsMatchCountingReplay) {
       simulate_run(api, core::PolicyKind::kSoftCacheOffline, sim);
   EXPECT_EQ(simulated.total_flushes(), counted.flushes);
   EXPECT_EQ(simulated.total_stores(), counted.stores);
+}
+
+TEST(CostReplay, BarrierFlushesMatchCountingReplay) {
+  // A mid-FASE persist barrier writes back every buffered line in both
+  // replays. No paper workload issues one, so build the trace by hand:
+  // one FASE writes lines 0-3, a barrier, then lines 0-1 again.
+  TraceApi api(1);
+  auto* lines = static_cast<std::uint64_t*>(api.alloc(0, 4 * kCacheLineSize));
+  constexpr std::size_t kStride = kCacheLineSize / sizeof(std::uint64_t);
+  {
+    ApiFase fase(api, 0);
+    for (std::size_t l = 0; l < 4; ++l) {
+      api.store(0, lines[l * kStride], std::uint64_t{l});
+    }
+    api.persist_barrier(0);
+    for (std::size_t l = 0; l < 2; ++l) {
+      api.store(0, lines[l * kStride], std::uint64_t{l + 10});
+    }
+  }
+  SimConfig sim;
+  sim.policy.cache_size = 8;
+  const auto counted =
+      replay_flush_count_all(api, core::PolicyKind::kLazy, sim.policy);
+  const auto simulated = simulate_run(api, core::PolicyKind::kLazy, sim);
+  EXPECT_EQ(counted.flushes, 4u + 2u);  // 4 at the barrier, 2 at the end
+  EXPECT_EQ(simulated.total_flushes(), counted.flushes);
+  EXPECT_EQ(simulated.total_stores(), 6u);
 }
 
 // --- policy microworkloads ---------------------------------------------------------
