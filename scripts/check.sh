@@ -16,7 +16,9 @@
 #                                 `ctest -L crash`, case count checked
 #                                 against tier-1)
 #                               + scalar build (NVC_NO_SIMD=ON) of the
-#                                 policy tier and the paper goldens: the
+#                                 policy tier and the paper goldens
+#                                 (quick scale, and table3 at full scale
+#                                 in both builds): the
 #                                 write cache's search and shift and the
 #                                 analysis kernels must match their AVX2
 #                                 paths bit for bit (`ctest -L policy`,
@@ -137,6 +139,11 @@ if [ "$run_scalar" = 1 ]; then
       $(python3 scripts/golden.py --targets)
   ctest --test-dir build-scalar -L policy -j "$jobs" --output-on-failure
   ctest --test-dir build-scalar -R paper_golden --output-on-failure
+  # The paper-scale table3 golden (about 20 s a run, so not in tier-1),
+  # against both kernel flavors.
+  for bench_dir in build/bench build-scalar/bench; do
+    python3 scripts/golden.py --full --check --bench-dir "$bench_dir"
+  done
 fi
 
 # The lock-free handoffs (SPSC rings, the flush ring's consumer lock shared

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Golden outputs of the paper benches at quick scale (bench/golden/).
+"""Golden outputs of the paper benches (bench/golden/).
 
 Each golden is one bench binary run under one environment; its stdout is
 deterministic (trace replay, no wall time), so any change to it is a change
@@ -7,11 +7,17 @@ to the paper's results.
 
     scripts/golden.py [--bench-dir build/bench]          regenerate the files
     scripts/golden.py --check [--bench-dir build/bench]  diff against them
+    scripts/golden.py --full [--check] [...]             the same, full scale
     scripts/golden.py --targets                          list the binaries
 
 `--check` is the `paper_golden` ctest: it exits 1 and prints a unified diff
 for every golden whose output moved. A change that moves a golden on
 purpose regenerates it in the same commit and says why in CHANGES.md.
+
+`--full` selects the paper-scale goldens (FULL_GOLDENS, NVC_FULL=1)
+instead of the quick-scale ones. They take about 20 s in a release build,
+so they are not a ctest; scripts/check.sh runs `--full --check` in its
+scalar tier.
 
 `--targets` prints the distinct bench binaries of GOLDENS, one per line:
 the build targets `--check` needs (scripts/check.sh builds them, and
@@ -45,6 +51,12 @@ GOLDENS = [
     ("ablation_knee_policy.txt", "ablation_knee_policy", {}),
 ]
 
+# Paper scale: table3 at NVC_FULL=1, where the knee rule sees the larger
+# bursts of the paper's problem sizes.
+FULL_GOLDENS = [
+    ("table3_full.txt", "table3_flush_ratios", {"NVC_FULL": "1"}),
+]
+
 
 def run_bench(bench_dir, binary, extra_env):
     env = {k: v for k, v in os.environ.items()
@@ -63,16 +75,19 @@ def main():
     parser.add_argument("--bench-dir", default=os.path.join(REPO, "build", "bench"))
     parser.add_argument("--check", action="store_true",
                         help="diff against the goldens instead of writing them")
+    parser.add_argument("--full", action="store_true",
+                        help="the paper-scale goldens instead of quick scale")
     parser.add_argument("--targets", action="store_true",
                         help="print the bench binaries the goldens run")
     args = parser.parse_args()
 
     if args.targets:
-        print("\n".join(dict.fromkeys(binary for _, binary, _ in GOLDENS)))
+        print("\n".join(dict.fromkeys(
+            binary for _, binary, _ in GOLDENS + FULL_GOLDENS)))
         return 0
 
     moved = 0
-    for name, binary, extra_env in GOLDENS:
+    for name, binary, extra_env in FULL_GOLDENS if args.full else GOLDENS:
         path = os.path.join(GOLDEN_DIR, name)
         output = run_bench(args.bench_dir, binary, extra_env)
         label = " ".join(f"{k}={v}" for k, v in extra_env.items()) or "default"
