@@ -52,7 +52,9 @@ std::size_t place_knee(const Mrc& model, const Mrc& exact, std::size_t knee) {
   const std::size_t max = model.max_size();
   NVC_REQUIRE(exact.max_size() == max, "model and exact MRCs differ in range");
   NVC_REQUIRE(knee >= 1 && knee <= max);
-  const double allowed = model.at(knee) - model.at(max) + kPlacementSlack;
+  const double allowed =
+      std::min(model.at(knee) - model.at(max) + kPlacementSlack,
+               kRegretBound * exact.at(max));
   std::size_t s = knee;
   while (s < max && exact.at(s) - exact.at(max) > allowed) ++s;
   return s;

@@ -39,12 +39,20 @@ struct KneeResult {
 /// reached bottom.
 inline constexpr double kPlacementSlack = 0.01;
 
+/// Regret bound of knee placement: the placed size's exact miss ratio may
+/// exceed the exact miss ratio at the largest size by at most this fraction
+/// of it. A constant, not a knob (DESIGN.md §5 item 8).
+inline constexpr double kRegretBound = 0.05;
+
 /// Knee placement (DESIGN.md §5 item 8): move the model's knee `knee` right,
 /// never left, to the smallest size s >= knee with
-///   exact(s) - exact(max) <= model(knee) - model(max) + kPlacementSlack,
+///   exact(s) - exact(max) <= min(model(knee) - model(max) + kPlacementSlack,
+///                                kRegretBound * exact(max)),
 /// where max is the MRCs' common largest size. The timescale model puts a
 /// sharp cliff a few sizes early; the exact MRC of the same burst says where
-/// the cliff really is. A knee the exact MRC confirms stays put.
+/// the cliff really is. A tail of drops each too small to rank as a knee
+/// still costs write-backs; the regret bound caps what it may cost. A knee
+/// the exact MRC confirms within both bounds stays put.
 std::size_t place_knee(const Mrc& model, const Mrc& exact, std::size_t knee);
 
 class KneeFinder {

@@ -43,7 +43,6 @@ struct DbStats {
   std::uint64_t page_copies = 0;
   std::uint64_t page_allocs = 0;
   std::uint64_t page_reuses = 0;
-  std::uint32_t tree_depth = 0;
 };
 
 class Db {

@@ -19,7 +19,6 @@ class MtestWorkload final : public workloads::Workload {
   std::string problem_size(const workloads::WorkloadParams& p) const override {
     return std::to_string(inserts(p));
   }
-  std::uint64_t instr_per_store() const override { return 35; }
 
   void run(workloads::PersistApi& api,
            const workloads::WorkloadParams& p) override {

@@ -44,7 +44,6 @@ class BarnesWorkload final : public Workload {
   std::string problem_size(const WorkloadParams& p) const override {
     return std::to_string(bodies(p));
   }
-  std::uint64_t instr_per_store() const override { return 60; }
 
   void run(PersistApi& api, const WorkloadParams& p) override {
     const std::size_t n = bodies(p);

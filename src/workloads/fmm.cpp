@@ -46,7 +46,6 @@ class FmmWorkload final : public Workload {
   std::string problem_size(const WorkloadParams& p) const override {
     return std::to_string(bodies(p));
   }
-  std::uint64_t instr_per_store() const override { return 70; }
 
   void run(PersistApi& api, const WorkloadParams& p) override {
     const std::size_t n = bodies(p);

@@ -27,7 +27,6 @@ class PersistentArrayWorkload final : public Workload {
   std::string problem_size(const WorkloadParams& p) const override {
     return std::to_string(total_writes(p));
   }
-  std::uint64_t instr_per_store() const override { return 6; }
 
   void run(PersistApi& api, const WorkloadParams& p) override {
     // Paper: inner loop writes elements 0..399 of an int array; the outer
@@ -62,7 +61,6 @@ class QueueWorkload final : public Workload {
   std::string problem_size(const WorkloadParams& p) const override {
     return std::to_string(ops(p));
   }
-  std::uint64_t instr_per_store() const override { return 18; }
 
   void run(PersistApi& api, const WorkloadParams& p) override {
     struct Node {
@@ -134,7 +132,6 @@ class HashWorkload final : public Workload {
   std::string problem_size(const WorkloadParams& p) const override {
     return std::to_string(inserts(p));
   }
-  std::uint64_t instr_per_store() const override { return 22; }
 
   void run(PersistApi& api, const WorkloadParams& p) override {
     struct Node {
@@ -192,7 +189,6 @@ class LinkedListWorkload final : public Workload {
   std::string problem_size(const WorkloadParams& p) const override {
     return std::to_string(elements(p));
   }
-  std::uint64_t instr_per_store() const override { return 26; }
 
   void run(PersistApi& api, const WorkloadParams& p) override {
     struct Node {

@@ -26,7 +26,6 @@ class OceanWorkload final : public Workload {
   std::string problem_size(const WorkloadParams& p) const override {
     return std::to_string(grid_dim(p));
   }
-  std::uint64_t instr_per_store() const override { return 14; }
 
   void run(PersistApi& api, const WorkloadParams& p) override {
     const std::size_t n = grid_dim(p);

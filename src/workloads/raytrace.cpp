@@ -31,7 +31,6 @@ class RaytraceWorkload final : public Workload {
   std::string problem_size(const WorkloadParams& p) const override {
     return p.full ? "car(512px)" : "teapot(192px)";
   }
-  std::uint64_t instr_per_store() const override { return 80; }
 
   void run(PersistApi& api, const WorkloadParams& p) override {
     const std::size_t res = p.full ? 512 : 192;  // image is res x res

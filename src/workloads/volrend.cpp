@@ -22,7 +22,6 @@ class VolrendWorkload final : public Workload {
   std::string problem_size(const WorkloadParams& p) const override {
     return p.full ? "head(256px)" : "head(96px)";
   }
-  std::uint64_t instr_per_store() const override { return 50; }
 
   void run(PersistApi& api, const WorkloadParams& p) override {
     const std::size_t res = p.full ? 256 : 128;   // image res x res

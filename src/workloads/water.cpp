@@ -98,7 +98,6 @@ class WaterNsquaredWorkload final : public Workload {
   std::string problem_size(const WorkloadParams& p) const override {
     return std::to_string(molecules(p));
   }
-  std::uint64_t instr_per_store() const override { return 120; }
 
   void run(PersistApi& api, const WorkloadParams& p) override {
     const std::size_t n = molecules(p);
@@ -178,7 +177,6 @@ class WaterSpatialWorkload final : public Workload {
   std::string problem_size(const WorkloadParams& p) const override {
     return std::to_string(molecules(p));
   }
-  std::uint64_t instr_per_store() const override { return 90; }
 
   void run(PersistApi& api, const WorkloadParams& p) override {
     const std::size_t n = molecules(p);

@@ -36,10 +36,6 @@ class Workload {
 
   /// Execute the workload, reporting persistent writes through `api`.
   virtual void run(PersistApi& api, const WorkloadParams& p) = 0;
-
-  /// Average computation instructions per persistent store fed to the cost
-  /// model in trace mode; live computation is the real thing.
-  virtual std::uint64_t instr_per_store() const { return 40; }
 };
 
 /// The paper's Table III workloads (excluding mdb, provided by nvc-mdb), in

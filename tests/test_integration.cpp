@@ -250,6 +250,12 @@ TEST_P(SamplerResample, FinalSizeNeverBelowFirstSelection) {
     // The re-sample's model knee is 4; the sweeps' exact MRC places it at 5.
     EXPECT_EQ(stats.cache_sizes[0], 5u);
   }
+  if (workload == "mdb") {
+    // The burst's long shallow tail places the first size within 5% of
+    // the exact MRC at 50; the re-sample's burst places it further right.
+    EXPECT_EQ(check.size, 37u);
+    EXPECT_EQ(stats.cache_sizes[0], 49u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(LiveIntegration, SamplerResample,

@@ -682,13 +682,41 @@ TEST(KneePlacement, KneeTheExactMrcConfirmsStaysPut) {
 }
 
 TEST(KneePlacement, SlackKeepsAKneeAboveAShallowExactTail) {
-  // The exact curve still falls 0.008 past the knee: within the slack.
+  // The exact curve still falls 0.004 past the knee: within the slack, and
+  // 4% over its value at max, within the regret bound.
   const Mrc model = step_mrc(16, {{3, 0.9}, {16, 0.1}});
-  const Mrc exact = step_mrc(16, {{3, 0.9}, {9, 0.108}, {16, 0.1}});
+  const Mrc exact = step_mrc(16, {{3, 0.9}, {9, 0.104}, {16, 0.1}});
   EXPECT_EQ(place_knee(model, exact, 4), 4u);
   // 0.02 is not: the knee moves to where the tail ends.
   const Mrc steeper = step_mrc(16, {{3, 0.9}, {9, 0.12}, {16, 0.1}});
   EXPECT_EQ(place_knee(model, steeper, 4), 10u);
+  // Nor is 0.015 over a 0.4 floor, though the regret bound (0.02) allows it.
+  const Mrc high = step_mrc(16, {{3, 0.9}, {16, 0.4}});
+  const Mrc high_exact = step_mrc(16, {{3, 0.9}, {9, 0.415}, {16, 0.4}});
+  EXPECT_EQ(place_knee(high, high_exact, 4), 10u);
+}
+
+TEST(KneePlacement, RegretBoundMovesAKneeTheSlackWouldKeep) {
+  // A tail 0.008 over 0.1 is inside the slack but 8% over the exact miss
+  // ratio at max: the knee moves to where the tail ends.
+  const Mrc model = step_mrc(16, {{3, 0.9}, {16, 0.1}});
+  const Mrc exact = step_mrc(16, {{3, 0.9}, {9, 0.108}, {16, 0.1}});
+  EXPECT_EQ(place_knee(model, exact, 4), 10u);
+}
+
+TEST(KneePlacement, LongShallowTailPlacedAtFirstSizeWithinTheBound) {
+  // mdb's shape: past a sharp cliff at 4, both curves fall 0.003 per size
+  // to 0.1 at 16. No single drop exceeds the slack, and the model's own
+  // tail (0.036) lets the slack keep the knee; the exact curve is 36% over
+  // its floor there, so the knee moves to the first size within 5% (15).
+  std::vector<double> tail(16, 0.9);
+  for (std::size_t c = 4; c <= 16; ++c) tail[c - 1] = 0.1 + 0.003 * (16 - c);
+  const Mrc model(tail);
+  const Mrc exact(tail);
+  const std::size_t placed = place_knee(model, exact, 4);
+  EXPECT_EQ(placed, 15u);
+  EXPECT_GT(exact.at(placed - 1), (1 + kRegretBound) * exact.at(16));
+  EXPECT_LE(exact.at(placed), (1 + kRegretBound) * exact.at(16));
 }
 
 TEST(KneePlacement, NeverMovesLeft) {
@@ -696,6 +724,14 @@ TEST(KneePlacement, NeverMovesLeft) {
   const Mrc model = step_mrc(16, {{7, 0.8}, {16, 0.2}});
   const Mrc exact = step_mrc(16, {{3, 0.8}, {16, 0.2}});
   EXPECT_EQ(place_knee(model, exact, 8), 8u);
+  // The placement without the regret bound: the bound only moves further.
+  const auto slack_only = [](const Mrc& m, const Mrc& e, std::size_t knee) {
+    const std::size_t max = m.max_size();
+    const double allowed = m.at(knee) - m.at(max) + kPlacementSlack;
+    std::size_t s = knee;
+    while (s < max && e.at(s) - e.at(max) > allowed) ++s;
+    return s;
+  };
   // And over random bursts, whatever the two curves say.
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng(seed);
@@ -703,11 +739,18 @@ TEST(KneePlacement, NeverMovesLeft) {
     std::vector<LineAddr> trace(rng.range(200, 2000));
     for (LineAddr& t : trace) t = rng.below(ids);
     const BurstAnalysis a = analyze_burst(trace, placement_knee());
-    EXPECT_GE(a.selection.chosen_size, a.selection.model_size)
+    const std::size_t chosen = a.selection.chosen_size;
+    EXPECT_GE(chosen, a.selection.model_size) << "seed " << seed;
+    EXPECT_EQ(chosen, place_knee(a.mrc, a.exact, a.selection.model_size))
         << "seed " << seed;
-    EXPECT_EQ(a.selection.chosen_size,
-              place_knee(a.mrc, a.exact, a.selection.model_size))
+    EXPECT_GE(chosen, slack_only(a.mrc, a.exact, a.selection.model_size))
         << "seed " << seed;
+    const std::size_t max = a.exact.max_size();
+    if (chosen < max) {
+      EXPECT_LE(a.exact.at(chosen),
+                (1 + kRegretBound) * a.exact.at(max) + 1e-12)
+          << "seed " << seed;
+    }
   }
 }
 
